@@ -5,17 +5,28 @@
 
 GO ?= go
 
-.PHONY: tier1 build test race vet fuzz bench bench-drain bench-sample bench-ann bench-factorize serve-bench smoke-replication check all
+.PHONY: tier1 build test determinism race vet fuzz bench bench-drain bench-sample bench-ann bench-factorize bench-qr serve-bench smoke-replication check all
 
 all: tier1 vet
 
-tier1: build test
+tier1: build test determinism
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The same-seed ⇒ same-bits tests of the packages on the embedding path
+# (Test*Deterministic*, *BitIdentical*, *Golden*, including the
+# cross-GOMAXPROCS sweeps), repeated on one core and on all of them: a
+# schedule-dependent float reduction passes a single run by luck
+# (core.TestEmbedDeterministic did for three re-anchors).
+NPROC ?= $(shell nproc 2>/dev/null || echo 2)
+DETERMINISM_PKGS = ./internal/core ./internal/dense ./internal/svd ./internal/netsmf ./internal/sampler
+determinism:
+	GOMAXPROCS=1 $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden' $(DETERMINISM_PKGS)
+	GOMAXPROCS=$(NPROC) $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden' $(DETERMINISM_PKGS)
 
 # The packages with real concurrency: the lock-free serving store under
 # query-during-hot-swap load, the incremental embedder feeding it, the
@@ -26,13 +37,16 @@ test:
 # (unsorted-input error reporting races the workers), and the
 # fault-injection harness driving the supervised ingest loop and the
 # leader→follower replication suite (mid-ship kills, corrupt payloads,
-# leader-death degradation). The second line runs the root package's
+# leader-death degradation), plus the column-parallel QR (dense) and the
+# parallel element-wise propagation updates (prone). The second line runs the
+# determinism tests of the full pipeline (core) and the third the root package's
 # crash-safe checkpoint, fault-injection, and end-to-end replication tests
 # (kill-mid-write, CRC fallback, failover smoke, checkpoint-rewrite racing
 # hot-swap) under the detector without dragging the full factorization test
 # suite through -race.
 race:
-	$(GO) test -race ./internal/serve ./internal/ann ./internal/dynamic ./internal/hashtable ./internal/aggregate ./internal/par ./internal/sampler ./internal/compress ./internal/faultinject ./internal/svd
+	$(GO) test -race ./internal/serve ./internal/ann ./internal/dynamic ./internal/hashtable ./internal/aggregate ./internal/par ./internal/sampler ./internal/compress ./internal/faultinject ./internal/svd ./internal/dense ./internal/prone
+	$(GO) test -race -run Deterministic ./internal/core
 	$(GO) test -race -run 'Checkpoint|Embedding|Replication' .
 
 # Short runs of every fuzz target: the text/binary embedding readers and the
@@ -78,6 +92,12 @@ bench-drain:
 bench-sample:
 	$(GO) test -run xxx -bench 'BenchmarkSample$$|BenchmarkSampleSerialFlush|BenchmarkSampleBatched$$|BenchmarkSamplePipelined|BenchmarkSampleBatchedCompressed|BenchmarkSampleBatchedWeighted' -benchmem -count=3 ./internal/sampler
 	$(GO) run ./cmd/lightne-sampler-bench -out BENCH_sampler.json
+
+# Orthonormalization kernel at the harness shapes (4096×64, 8192×32,
+# 16384×64): the production column-major QR next to the pre-rewrite serial
+# kernel kept as the test oracle. -count=5 for benchstat.
+bench-qr:
+	$(GO) test -run xxx -bench 'BenchmarkQRTallSkinny|BenchmarkQROracle' -benchmem -count=5 ./internal/dense
 
 # Factorization benchmark: multi-pass rSVD vs the single-pass sketched
 # range finder (sign and gaussian test matrices) on an RMAT graph — wall

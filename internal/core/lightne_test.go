@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"lightne/internal/eval"
@@ -127,6 +128,37 @@ func TestEmbedDeterministic(t *testing.T) {
 	for i := range a.Embedding.Data {
 		if a.Embedding.Data[i] != b.Embedding.Data[i] {
 			t.Fatal("same seed produced different embeddings")
+		}
+	}
+}
+
+// TestEmbedDeterministicAcrossProcs is the default-path golden: DefaultConfig
+// (per-arc sampler, rSVD, Chebyshev propagation) at one seed must give the
+// same embedding, bit for bit, whatever GOMAXPROCS is — every parallel
+// kernel on the path either owns its output elements outright (SpMM, MatMul,
+// the QR's columns, the element-wise updates) or reduces over a fixed
+// geometry (MatMulATBDet).
+func TestEmbedDeterministicAcrossProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	g, _ := sbm(t)
+	cfg := DefaultConfig(16)
+	cfg.T = 5
+	cfg.Seed = 42
+	var golden *Result
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		res, err := Embed(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if golden == nil {
+			golden = res
+			continue
+		}
+		for i, want := range golden.Embedding.Data {
+			if got := res.Embedding.Data[i]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("procs=%d: element %d = %v, golden (procs=1) %v", procs, i, got, want)
+			}
 		}
 	}
 }

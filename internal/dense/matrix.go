@@ -6,9 +6,20 @@
 //
 // Matrices are row-major float64. The embedding pipelines only ever run
 // dense kernels on tall-skinny (n×d) or tiny (d×d) operands with d ≤ a few
-// hundred, so the implementations favor clarity and robustness: blocked
-// ikj-order GEMM parallelized over rows, classic Householder QR, and
-// one-sided Jacobi SVD (unconditionally convergent, high relative accuracy).
+// hundred. GEMM is ikj-order and parallel over rows of the output, which is
+// the contiguous axis of a row-major operand; the SVD is one-sided Jacobi
+// (unconditionally convergent, high relative accuracy) and only ever sees
+// d×d inputs. Householder QR is the exception to row-major: its inner loops
+// run down columns, so qr.go works on a column-major copy and parallelizes
+// over columns (layout, parallel axis and measurements in its header).
+//
+// Determinism: a kernel here is bit-identical across GOMAXPROCS when each
+// output element is computed by one goroutine in a fixed order (MatMul, QR,
+// Transpose, Scale, FillGaussian) or when its reduction geometry is a
+// function of the shape alone (MatMulATBDet, CombineTree). MatMulATB,
+// FrobeniusNorm and ColumnNorms fold per-worker partials and are
+// deterministic only to rounding; nothing on the embedding path may use
+// them where bits matter.
 package dense
 
 import (
@@ -67,13 +78,42 @@ func (m *Matrix) Zero() {
 // Transpose returns mᵀ as a new matrix.
 func (m *Matrix) Transpose() *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
-	par.For(m.Rows, 64, func(i int) {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*t.Cols+i] = v
+	transposeInto(t.Data, m.Data, m.Rows, m.Cols)
+	return t
+}
+
+// transposeInto writes the transpose of the rows×cols row-major src into dst
+// (cols×rows row-major) in 32×32 tiles, parallel over tiles of the longer
+// dimension. Within a tile the inner loop runs along the operand whose row
+// stride is the long dimension: that stride is typically a power of two, so
+// its tile rows collide in one cache set and must each be touched only once.
+func transposeInto(dst, src []float64, rows, cols int) {
+	const tile = 32
+	if rows >= cols {
+		par.For((rows+tile-1)/tile, 8, func(t int) {
+			i0 := t * tile
+			i1 := min(i0+tile, rows)
+			for j := 0; j < cols; j++ {
+				out := dst[j*rows+i0 : j*rows+i1]
+				in := src[i0*cols+j:]
+				for i := range out {
+					out[i] = in[i*cols]
+				}
+			}
+		})
+		return
+	}
+	par.For((cols+tile-1)/tile, 8, func(t int) {
+		j0 := t * tile
+		j1 := min(j0+tile, cols)
+		for i := 0; i < rows; i++ {
+			in := src[i*cols+j0 : i*cols+j1]
+			out := dst[j0*rows+i:]
+			for j, x := range in {
+				out[j*rows] = x
+			}
 		}
 	})
-	return t
 }
 
 // Scale multiplies every element by s.

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 )
 
@@ -41,14 +42,15 @@ func TestCommunityPowerLawStructure(t *testing.T) {
 		t.Fatalf("community sizes not heavy-tailed: max=%d min=%d", maxSz, minSz)
 	}
 	// Within-community edges dominate.
-	var within, across int64
+	var withinN, acrossN atomic.Int64 // MapEdges calls back in parallel
 	g.MapEdges(func(u, v uint32) {
 		if labels.Of[u][0] == labels.Of[v][0] {
-			within++
+			withinN.Add(1)
 		} else {
-			across++
+			acrossN.Add(1)
 		}
 	})
+	within, across := withinN.Load(), acrossN.Load()
 	if within < 2*across {
 		t.Fatalf("clustering weak: within=%d across=%d", within, across)
 	}
@@ -86,7 +88,7 @@ func TestSBMDegreeSkewKeepsCommunities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var within, across int64
+	var withinN, acrossN atomic.Int64 // MapEdges calls back in parallel
 	g.MapEdges(func(u, v uint32) {
 		shared := false
 		for _, a := range labels.Of[u] {
@@ -97,11 +99,12 @@ func TestSBMDegreeSkewKeepsCommunities(t *testing.T) {
 			}
 		}
 		if shared {
-			within++
+			withinN.Add(1)
 		} else {
-			across++
+			acrossN.Add(1)
 		}
 	})
+	within, across := withinN.Load(), acrossN.Load()
 	if within < 2*across {
 		t.Fatalf("degree-corrected SBM lost community structure: within=%d across=%d", within, across)
 	}

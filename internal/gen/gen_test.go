@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"lightne/internal/rng"
@@ -58,14 +59,15 @@ func TestSBMStructure(t *testing.T) {
 		}
 	}
 	// Count within vs across edges; within-rate must dominate.
-	var within, across int64
+	var withinN, acrossN atomic.Int64 // MapEdges calls back in parallel
 	g.MapEdges(func(u, v uint32) {
 		if labels.Of[u][0] == labels.Of[v][0] {
-			within++
+			withinN.Add(1)
 		} else {
-			across++
+			acrossN.Add(1)
 		}
 	})
+	within, across := withinN.Load(), acrossN.Load()
 	if within < 4*across {
 		t.Fatalf("community structure weak: within=%d across=%d", within, across)
 	}

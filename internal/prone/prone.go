@@ -207,9 +207,12 @@ func Propagate(g *graph.Graph, x *dense.Matrix, cfg PropagationConfig) (*dense.M
 	tmp := dense.NewMatrix(n, d)
 	sparse.SpMM(tmp, mmat, lx1)
 	// Lx1 = 0.5·M·Lx1 - X
-	for i := range lx1.Data {
-		lx1.Data[i] = 0.5*tmp.Data[i] - x.Data[i]
-	}
+	par.ForRange(len(lx1.Data), elemGrain, func(lo, hi int) {
+		out, t, x0 := lx1.Data[lo:hi], tmp.Data[lo:hi], x.Data[lo:hi]
+		for i := range out {
+			out[i] = 0.5*t[i] - x0[i]
+		}
+	})
 
 	conv := lx0.Clone()
 	conv.Scale(besselI(0, cfg.Theta))
@@ -220,9 +223,12 @@ func Propagate(g *graph.Graph, x *dense.Matrix, cfg PropagationConfig) (*dense.M
 		sparse.SpMM(lx2, mmat, lx1)
 		sparse.SpMM(tmp, mmat, lx2)
 		// Lx2 = (M·Lx2 - 2·Lx1) - Lx0   (Chebyshev three-term recurrence)
-		for k := range lx2.Data {
-			lx2.Data[k] = tmp.Data[k] - 2*lx1.Data[k] - lx0.Data[k]
-		}
+		par.ForRange(len(lx2.Data), elemGrain, func(lo, hi int) {
+			out, t, l1, l0 := lx2.Data[lo:hi], tmp.Data[lo:hi], lx1.Data[lo:hi], lx0.Data[lo:hi]
+			for k := range out {
+				out[k] = t[k] - 2*l1[k] - l0[k]
+			}
+		})
 		coeff := 2 * besselI(i, cfg.Theta)
 		if i%2 == 1 {
 			coeff = -coeff
@@ -326,26 +332,40 @@ func negate(m *sparse.CSR) *sparse.CSR {
 	return out
 }
 
+// elemGrain is the fixed par.ForRange grain of the element-wise updates
+// below. Each output element depends only on the same element of its
+// inputs, so the result is bit-identical to the serial loop under any split.
+const elemGrain = 1 << 14
+
 // addScaled computes dst += c·src element-wise.
 func addScaled(dst, src *dense.Matrix, c float64) {
-	for i := range dst.Data {
-		dst.Data[i] += c * src.Data[i]
-	}
+	par.ForRange(len(dst.Data), elemGrain, func(lo, hi int) {
+		d, s := dst.Data[lo:hi], src.Data[lo:hi]
+		for i := range d {
+			d[i] += c * s[i]
+		}
+	})
 }
 
 // redecompose orthogonalizes a propagated n×d matrix: QR, SVD of R, and
-// U·Σ^{1/2} — the dense analogue of ProNE's get_embedding_dense.
+// U·Σ^{1/2} — the dense analogue of ProNE's get_embedding_dense. The scaling
+// is row-parallel over contiguous rows with the roots hoisted, as in
+// svd.EmbedFromSVD (element-wise, so bit-identical to any other order).
 func redecompose(m *dense.Matrix) *dense.Matrix {
 	q, r := dense.QR(m)
 	ur, sigma, _ := dense.SVD(r)
 	u := dense.NewMatrix(m.Rows, m.Cols)
 	dense.MatMul(u, q, ur)
+	roots := make([]float64, len(sigma))
 	for j, s := range sigma {
-		root := math.Sqrt(s)
-		for i := 0; i < u.Rows; i++ {
-			u.Set(i, j, u.At(i, j)*root)
-		}
+		roots[j] = math.Sqrt(s)
 	}
+	par.For(u.Rows, 256, func(i int) {
+		row := u.Row(i)
+		for j := range row {
+			row[j] *= roots[j]
+		}
+	})
 	return u
 }
 

@@ -114,9 +114,11 @@ func RandomizedSVD(a *sparse.CSR, d int, opt Options) (*Result, error) {
 	// Step 6: orthonormalize Z.
 	z = dense.Orthonormalize(z)
 
-	// Step 7: C = Zᵀ·B (k×k).
+	// Step 7: C = Zᵀ·B (k×k). The fixed-geometry product: MatMulATB's fold
+	// order follows the schedule, which made same-seed embeddings differ
+	// from run to run on more than one core.
 	c := dense.NewMatrix(k, k)
-	dense.MatMulATB(c, z, b)
+	dense.MatMulATBDet(c, z, b)
 
 	// Step 8: SVD of the small projected matrix.
 	cu, sigma, cv := dense.SVD(c)
