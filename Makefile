@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: tier1 build test determinism race vet fuzz bench bench-drain bench-sample bench-ann bench-factorize bench-qr serve-bench smoke-replication check all
+.PHONY: tier1 build test determinism race vet fuzz bench bench-drain bench-sample bench-ann bench-factorize bench-qr bench-spmm serve-bench smoke-replication check all
 
 all: tier1 vet
 
@@ -23,7 +23,7 @@ test:
 # schedule-dependent float reduction passes a single run by luck
 # (core.TestEmbedDeterministic did for three re-anchors).
 NPROC ?= $(shell nproc 2>/dev/null || echo 2)
-DETERMINISM_PKGS = ./internal/core ./internal/dense ./internal/svd ./internal/netsmf ./internal/sampler
+DETERMINISM_PKGS = ./internal/core ./internal/dense ./internal/sparse ./internal/prone ./internal/svd ./internal/netsmf ./internal/sampler
 determinism:
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden' $(DETERMINISM_PKGS)
 	GOMAXPROCS=$(NPROC) $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden' $(DETERMINISM_PKGS)
@@ -37,15 +37,16 @@ determinism:
 # (unsorted-input error reporting races the workers), and the
 # fault-injection harness driving the supervised ingest loop and the
 # leader→follower replication suite (mid-ship kills, corrupt payloads,
-# leader-death degradation), plus the column-parallel QR (dense) and the
-# parallel element-wise propagation updates (prone). The second line runs the
+# leader-death degradation), plus the column-parallel QR (dense), the
+# row-parallel SpMM with its row epilogue (sparse) and the propagation that
+# rewrites shared buffers from that epilogue (prone). The second line runs the
 # determinism tests of the full pipeline (core) and the third the root package's
 # crash-safe checkpoint, fault-injection, and end-to-end replication tests
 # (kill-mid-write, CRC fallback, failover smoke, checkpoint-rewrite racing
 # hot-swap) under the detector without dragging the full factorization test
 # suite through -race.
 race:
-	$(GO) test -race ./internal/serve ./internal/ann ./internal/dynamic ./internal/hashtable ./internal/aggregate ./internal/par ./internal/sampler ./internal/compress ./internal/faultinject ./internal/svd ./internal/dense ./internal/prone
+	$(GO) test -race ./internal/serve ./internal/ann ./internal/dynamic ./internal/hashtable ./internal/aggregate ./internal/par ./internal/sampler ./internal/compress ./internal/faultinject ./internal/svd ./internal/dense ./internal/sparse ./internal/prone
 	$(GO) test -race -run Deterministic ./internal/core
 	$(GO) test -race -run 'Checkpoint|Embedding|Replication' .
 
@@ -98,6 +99,13 @@ bench-sample:
 # kernel kept as the test oracle. -count=5 for benchstat.
 bench-qr:
 	$(GO) test -run xxx -bench 'BenchmarkQRTallSkinny|BenchmarkQROracle' -benchmem -count=5 ./internal/dense
+
+# The row-accumulate kernel at the harness shapes (RMAT-12 adjacency × 64,
+# a ~250 k-entry matrix × 64, RMAT-13 adjacency × 32; Gflop/s reported) and
+# one default-order propagation at RMAT-12 × 64, each next to the pre-rewrite
+# code kept as the test oracle. -count=5 for benchstat.
+bench-spmm:
+	$(GO) test -run xxx -bench 'BenchmarkSpMM|BenchmarkPropagate' -benchmem -count=5 ./internal/sparse ./internal/prone
 
 # Factorization benchmark: multi-pass rSVD vs the single-pass sketched
 # range finder (sign and gaussian test matrices) on an RMAT graph — wall

@@ -6,6 +6,7 @@ import (
 
 	"lightne/internal/graph"
 	"lightne/internal/par"
+	"lightne/internal/prone"
 	"lightne/internal/sampler"
 	"lightne/internal/svd"
 )
@@ -51,7 +52,9 @@ type MemoryEstimate struct {
 	StreamBytes int64
 	// DenseBytes covers the factorization's dense working set (the
 	// randomized-SVD iterates, or in sketch mode the two sketch accumulators
-	// plus test matrices) and the propagation workspace.
+	// plus test matrices) and the propagation workspace
+	// (prone.WorkspaceBytes: the self-loop-augmented adjacency, the operator's
+	// values and the n×d buffers).
 	DenseBytes int64
 	// GraphBytes is the adjacency storage (offsets, edges, and weights for
 	// weighted graphs), excluding the alias tables accounted separately.
@@ -190,9 +193,11 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 		k := cfg.Dim + cfg.Oversample
 		est.DenseBytes = n * int64(k) * 8 * 5
 	}
-	// Propagation keeps ~4 n×d in either mode.
+	// Propagation, in either mode: Ã and the operator's values over its
+	// pattern plus the n×d buffers, priced by the function Propagate sizes
+	// them from.
 	if !cfg.SkipPropagation {
-		est.DenseBytes += n * int64(cfg.Dim) * 8 * 4
+		est.DenseBytes += prone.WorkspaceBytes(g.NumVertices(), g.NumEdges(), cfg.Dim)
 	}
 	return est, nil
 }

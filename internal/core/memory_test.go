@@ -6,6 +6,7 @@ import (
 	"lightne/internal/gen"
 	"lightne/internal/graph"
 	"lightne/internal/netsmf"
+	"lightne/internal/prone"
 	"lightne/internal/sampler"
 	"lightne/internal/svd"
 )
@@ -381,5 +382,36 @@ func TestEstimateMemoryGaussianPricesHigherThanSign(t *testing.T) {
 	}
 	if gauss.DenseBytes <= sign.DenseBytes {
 		t.Fatalf("gaussian dense %d should exceed sign dense %d", gauss.DenseBytes, sign.DenseBytes)
+	}
+}
+
+// TestEstimateMemoryPricesPropagationWorkspace: the propagation stage is the
+// whole difference between a plan with it and one without, and that
+// difference is the figure prone.Propagate sizes its own buffers from — the
+// operator over Ã's pattern included, which the old "~4 n×d" never saw.
+func TestEstimateMemoryPricesPropagationWorkspace(t *testing.T) {
+	g, _, err := gen.SBM(gen.SBMConfig{N: 1000, Communities: 4, PIn: 0.05, POut: 0.003, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, streamed := range []bool{false, true} {
+		cfg := DefaultConfig(32)
+		cfg.StreamedSVD = streamed
+		with, err := EstimateMemory(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.SkipPropagation = true
+		without, err := EstimateMemory(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := prone.WorkspaceBytes(g.NumVertices(), g.NumEdges(), cfg.Dim)
+		if got := with.Total() - without.Total(); got != want {
+			t.Fatalf("streamed=%v: propagation priced at %d bytes, prone.WorkspaceBytes says %d", streamed, got, want)
+		}
+		if nd := int64(g.NumVertices()) * int64(cfg.Dim) * 8; want <= 5*nd {
+			t.Fatalf("workspace %d does not exceed its five n×d buffers (%d): operator not priced", want, 5*nd)
+		}
 	}
 }

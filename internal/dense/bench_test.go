@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func benchMatMul(b *testing.B, n, k, m int) {
+func benchMatMul(b *testing.B, n, k, m int, matMul func(c, a, b *Matrix)) {
 	a := NewMatrix(n, k)
 	a.FillGaussian(1)
 	x := NewMatrix(k, m)
@@ -13,13 +13,18 @@ func benchMatMul(b *testing.B, n, k, m int) {
 	c := NewMatrix(n, m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMul(c, a, x)
+		matMul(c, a, x)
 	}
 	b.SetBytes(int64(8 * (n*k + k*m + n*m)))
 }
 
-func BenchmarkMatMulTallSkinny(b *testing.B)  { benchMatMul(b, 4096, 128, 128) }
-func BenchmarkMatMulSquareSmall(b *testing.B) { benchMatMul(b, 128, 128, 128) }
+func BenchmarkMatMulTallSkinny(b *testing.B)  { benchMatMul(b, 4096, 128, 128, MatMul) }
+func BenchmarkMatMulSquareSmall(b *testing.B) { benchMatMul(b, 128, 128, 128, MatMul) }
+
+// The lift-back products of a default embed (Z·P, Z·CU, Y·CV, Q·U_R), on the
+// production kernel and on the one-entry loop it replaced.
+func BenchmarkMatMulEmbed(b *testing.B)       { benchMatMul(b, 4096, 64, 64, MatMul) }
+func BenchmarkMatMulEmbedOracle(b *testing.B) { benchMatMul(b, 4096, 64, 64, matMulOracle) }
 
 func BenchmarkMatMulATB(b *testing.B) {
 	n, d := 4096, 128

@@ -7,17 +7,19 @@
 // Matrices are row-major float64. The embedding pipelines only ever run
 // dense kernels on tall-skinny (n×d) or tiny (d×d) operands with d ≤ a few
 // hundred. GEMM is ikj-order and parallel over rows of the output, which is
-// the contiguous axis of a row-major operand; the SVD is one-sided Jacobi
-// (unconditionally convergent, high relative accuracy) and only ever sees
-// d×d inputs. Householder QR is the exception to row-major: its inner loops
-// run down columns, so qr.go works on a column-major copy and parallelizes
-// over columns (layout, parallel axis and measurements in its header).
+// the contiguous axis of a row-major operand, on the 4-way row-accumulate
+// kernel it shares with sparse.SpMM (AccumulateRows); the SVD is one-sided
+// Jacobi (unconditionally convergent, high relative accuracy) and only ever
+// sees d×d inputs. Householder QR is the exception to row-major: its inner
+// loops run down columns, so qr.go works on a column-major copy and
+// parallelizes over columns (layout, parallel axis and measurements in its
+// header).
 //
 // Determinism: a kernel here is bit-identical across GOMAXPROCS when each
-// output element is computed by one goroutine in a fixed order (MatMul, QR,
-// Transpose, Scale, FillGaussian) or when its reduction geometry is a
-// function of the shape alone (MatMulATBDet, CombineTree). MatMulATB,
-// FrobeniusNorm and ColumnNorms fold per-worker partials and are
+// output element is computed by one goroutine in a fixed order (MatMul and
+// AccumulateRows, QR, Transpose, Scale, FillGaussian) or when its reduction
+// geometry is a function of the shape alone (MatMulATBDet, CombineTree).
+// MatMulATB, FrobeniusNorm and ColumnNorms fold per-worker partials and are
 // deterministic only to rounding; nothing on the embedding path may use
 // them where bits matter.
 package dense
@@ -149,29 +151,73 @@ func (m *Matrix) FillGaussian(seed uint64) {
 	})
 }
 
+// AccumulateRows sets y = Σ_p a[p]·x.Row(idx[p]), the row-times-matrix AXPY
+// chain under both SpMM (a, idx = a CSR row) and MatMul (a, idx = the
+// nonzeros of a row of A). x must have len(y) columns.
+//
+// Four entries are consumed per pass over y, so an output element is loaded
+// and stored once per four entries instead of once per entry — the stores,
+// not the flops, bound the one-entry loop. No sum moves: y[j] is still
+// 0 + a[0]·x₀[j] + a[1]·x₁[j] + … added left to right in one goroutine, so
+// the result is bit-identical to the one-entry loop (signed zeros and
+// infinities included; a NaN stays a NaN, its payload being the register
+// allocator's choice in either loop) and to itself at every GOMAXPROCS.
+// Operand rows are re-sliced to len(y) so the inner loops carry no bounds
+// checks.
+func AccumulateRows(y, a []float64, idx []uint32, x *Matrix) {
+	for j := range y {
+		y[j] = 0
+	}
+	d, xd := len(y), x.Data
+	a = a[:len(idx)]
+	p := 0
+	for ; p+4 <= len(idx); p += 4 {
+		a0, a1, a2, a3 := a[p], a[p+1], a[p+2], a[p+3]
+		x0 := xd[int(idx[p])*d:][:len(y)]
+		x1 := xd[int(idx[p+1])*d:][:len(y)]
+		x2 := xd[int(idx[p+2])*d:][:len(y)]
+		x3 := xd[int(idx[p+3])*d:][:len(y)]
+		for j := range y {
+			t := y[j]
+			t += a0 * x0[j]
+			t += a1 * x1[j]
+			t += a2 * x2[j]
+			t += a3 * x3[j]
+			y[j] = t
+		}
+	}
+	for ; p < len(idx); p++ {
+		ap := a[p]
+		xp := xd[int(idx[p])*d:][:len(y)]
+		for j := range y {
+			y[j] += ap * xp[j]
+		}
+	}
+}
+
 // MatMul computes C = A·B. C must be preallocated with shape
 // (A.Rows × B.Cols) and is overwritten. Parallel over rows of A with
-// ikj loop order (streams rows of B, cache friendly for row-major).
-// This is the cblas_sgemm stand-in.
+// ikj loop order (streams rows of B, cache friendly for row-major): row i
+// of C is AccumulateRows over the entries of A's row i that are not exactly
+// zero, gathered first so a zero still skips its row of B whatever that row
+// holds. This is the cblas_sgemm stand-in.
 func MatMul(c, a, b *Matrix) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("dense: MatMul shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-	par.For(a.Rows, 8, func(i int) {
-		ci := c.Row(i)
-		for j := range ci {
-			ci[j] = 0
-		}
-		ai := a.Row(i)
-		for k, aik := range ai {
-			if aik == 0 {
-				continue
+	par.ForRange(a.Rows, 8, func(lo, hi int) {
+		vals := make([]float64, 0, a.Cols)
+		ks := make([]uint32, 0, a.Cols)
+		for i := lo; i < hi; i++ {
+			vals, ks = vals[:0], ks[:0]
+			for k, aik := range a.Row(i) {
+				if aik != 0 {
+					vals = append(vals, aik)
+					ks = append(ks, uint32(k))
+				}
 			}
-			bk := b.Row(k)
-			for j, bkj := range bk {
-				ci[j] += aik * bkj
-			}
+			AccumulateRows(c.Row(i), vals, ks, b)
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lightne/internal/dense"
-	"lightne/internal/graph"
 	"lightne/internal/sparse"
 )
 
@@ -43,67 +42,58 @@ func (f Filter) String() string {
 
 // heatPropagate computes Σ_{k=0..order-1} (-θ·L)^k/k! · X, the truncated
 // Taylor expansion of e^{-θL}X, on the self-loop-augmented normalized
-// Laplacian.
-func heatPropagate(g *graph.Graph, x *dense.Matrix, cfg PropagationConfig) *dense.Matrix {
-	n, d := x.Rows, x.Cols
-	adj := adjacencyWithSelfLoops(g)
-	da := cloneCSR(adj)
-	normalizeRowsCSR(da)
-	// L = I - DA.
-	lap := negate(da).AddScaledIdentity(1)
-
+// Laplacian L = I − D̃⁻¹Ã. Each term is one SpMM whose row epilogue scales
+// the finished row by −θ/k and adds it to the sum. Returns the sum and a
+// spare n×d buffer for the re-orthogonalization.
+func heatPropagate(adj *sparse.CSR, x *dense.Matrix, cfg PropagationConfig) (sum, spare *dense.Matrix) {
 	theta := cfg.Theta
 	if theta <= 0 {
 		theta = 0.5
 	}
-	sum := x.Clone()
-	term := x.Clone()
-	tmp := dense.NewMatrix(n, d)
-	for k := 1; k < cfg.Order; k++ {
-		sparse.SpMM(tmp, lap, term)
-		coef := -theta / float64(k)
-		for i := range term.Data {
-			term.Data[i] = coef * tmp.Data[i]
+	sum = x.Clone()
+	term, next := x.Clone(), dense.NewMatrix(x.Rows, x.Cols)
+	var coef float64
+	mul := sparse.Product{M: shiftedLaplacian(adj, invRowSums(adj, true), 1), RowDone: func(i int, yi []float64) {
+		si := sum.Row(i)
+		for j := range yi {
+			yi[j] *= coef
+			si[j] += yi[j]
 		}
-		addScaled(sum, term, 1)
+	}}
+	for k := 1; k < cfg.Order; k++ {
+		coef = -theta / float64(k)
+		mul.Y, mul.X = next, term
+		mul.Run()
+		term, next = next, term
 	}
-	return sum
+	return sum, next
 }
 
 // pprPropagate computes α·Σ_{k=0..order-1} (1-α)^k·(DA)^k·X with DA the
-// row-normalized self-loop-augmented adjacency and α = 1 - Mu.
-func pprPropagate(g *graph.Graph, x *dense.Matrix, cfg PropagationConfig) *dense.Matrix {
-	n, d := x.Rows, x.Cols
-	adj := adjacencyWithSelfLoops(g)
-	normalizeRowsCSR(adj)
+// row-normalized self-loop-augmented adjacency (adj, normalized in place)
+// and α = 1 - Mu. Returns the sum and a spare n×d buffer.
+func pprPropagate(adj *sparse.CSR, x *dense.Matrix, cfg PropagationConfig) (sum, spare *dense.Matrix) {
+	adj.ScaleRows(invRowSums(adj, true))
 	alpha := 1 - cfg.Mu
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.85
 	}
 	damp := 1 - alpha
-	sum := x.Clone()
+	sum = x.Clone()
 	sum.Scale(alpha)
-	term := x.Clone()
-	tmp := dense.NewMatrix(n, d)
+	term, next := x.Clone(), dense.NewMatrix(x.Rows, x.Cols)
 	scale := alpha
-	for k := 1; k < cfg.Order; k++ {
-		sparse.SpMM(tmp, adj, term)
-		term, tmp = tmp, term
-		scale *= damp
-		addScaled(sum, term, scale) // = alpha·damp^k
-	}
-	return sum
-}
-
-// normalizeRowsCSR rescales each row of m to sum to 1 (rows summing to 0
-// are left untouched).
-func normalizeRowsCSR(m *sparse.CSR) {
-	sums := m.RowSums()
-	inv := make([]float64, len(sums))
-	for i, s := range sums {
-		if s != 0 {
-			inv[i] = 1 / s
+	mul := sparse.Product{M: adj, RowDone: func(i int, yi []float64) {
+		si := sum.Row(i)
+		for j, v := range yi {
+			si[j] += scale * v // scale = alpha·damp^k
 		}
+	}}
+	for k := 1; k < cfg.Order; k++ {
+		scale *= damp
+		mul.Y, mul.X = next, term
+		mul.Run()
+		term, next = next, term
 	}
-	m.ScaleRows(inv)
+	return sum, next
 }

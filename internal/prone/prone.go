@@ -172,6 +172,25 @@ func Factorize(g *graph.Graph, cfg Config) (*dense.Matrix, int64, error) {
 
 // Propagate applies the Chebyshev-Gaussian spectral filter to embedding x
 // over graph g and returns the enhanced embedding. x is not modified.
+//
+// With Ã = A + I and M = (1−μ)I − D̃⁻¹Ã, the filter is the ProNE recurrence
+// Lx₁ = ½·M·(M·X) − X, Lx₂ = M·(M·Lx₁) − 2·Lx₁ − Lx₀, conv = Σ cᵢ·Lxᵢ with
+// Bessel coefficients, then Ã·(X − conv) re-orthogonalized — two operator
+// applications per term. The second one carries the recurrence and the conv
+// update as its row epilogue (sparse.Product.RowDone), so a term is two
+// SpMMs and nothing else: no element-wise sweep, no allocation.
+//
+// Buffers (workBuffers n×d, allocated up front): lx0 and lx1 rotate, u holds
+// the term's first product M·Lx₁, t receives the second, conv accumulates.
+// The epilogue on row i writes Lx₂'s row over Lx₀'s row i, and lx0 and lx1
+// swap. The overwrite is safe because the running SpMM reads only u, and
+// Lx₀'s row i is touched only by the goroutine that owns row i. After the
+// loop u and t are free and take X − conv and its product with Ã.
+//
+// Every element is computed by the expressions of the unfused version in the
+// same order (0.5·t − x; (t − 2·l₁) − l₀; x·b₀ then += c·lx) — kept as
+// propagateOracle in the tests — so the output is bit-identical to it at
+// every GOMAXPROCS.
 func Propagate(g *graph.Graph, x *dense.Matrix, cfg PropagationConfig) (*dense.Matrix, error) {
 	n := g.NumVertices()
 	if x.Rows != n {
@@ -180,75 +199,95 @@ func Propagate(g *graph.Graph, x *dense.Matrix, cfg PropagationConfig) (*dense.M
 	if cfg.Order <= 1 {
 		return x.Clone(), nil
 	}
+	adj := adjacencyWithSelfLoops(g)
 	switch cfg.Kind {
 	case FilterHeatKernel:
-		return finishPropagation(heatPropagate(g, x, cfg), cfg), nil
+		sum, spare := heatPropagate(adj, x, cfg)
+		return finishPropagation(sum, spare, cfg), nil
 	case FilterPPR:
-		return finishPropagation(pprPropagate(g, x, cfg), cfg), nil
+		sum, spare := pprPropagate(adj, x, cfg)
+		return finishPropagation(sum, spare, cfg), nil
 	}
+	var buf [workBuffers]*dense.Matrix
+	for i := range buf {
+		buf[i] = dense.NewMatrix(n, x.Cols)
+	}
+	lx0, lx1, u, t, conv := buf[0], buf[1], buf[2], buf[3], buf[4]
+	mul := sparse.Product{M: shiftedLaplacian(adj, invRowSums(adj, false), 1-cfg.Mu)}
 
-	// Ã = A + I; DA = row-normalized Ã; M = (I - DA) - μI.
-	adj := adjacencyWithSelfLoops(g)
-	rowSums := adj.RowSums()
-	da := cloneCSR(adj)
-	inv := make([]float64, n)
-	for i, s := range rowSums {
-		if s > 0 {
-			inv[i] = 1 / s
+	// Lx₁ = ½·M·(M·X) − X and conv = b₀·X − 2b₁·Lx₁, in the second product's
+	// epilogue; lx0 becomes the owned copy of X the loop may overwrite.
+	b0, c1 := besselI(0, cfg.Theta), -2*besselI(1, cfg.Theta)
+	mul.Y, mul.X = u, x
+	mul.Run()
+	mul.Y, mul.X = lx1, u
+	mul.RowDone = func(i int, yi []float64) {
+		xi, l0, cv := x.Row(i), lx0.Row(i), conv.Row(i)
+		for j, tv := range yi {
+			l1 := 0.5*tv - xi[j]
+			yi[j] = l1
+			cv[j] = xi[j] * b0
+			cv[j] += c1 * l1
+		}
+		copy(l0, xi)
+	}
+	mul.Run()
+
+	// One closure for all terms, reading the rotating buffers and the term's
+	// coefficient through the captured variables.
+	var coeff float64
+	recur := func(i int, yi []float64) {
+		l0, l1, cv := lx0.Row(i), lx1.Row(i), conv.Row(i)
+		for j, tv := range yi {
+			l2 := tv - 2*l1[j] - l0[j]
+			l0[j] = l2
+			cv[j] += coeff * l2
 		}
 	}
-	da.ScaleRows(inv)
-	mmat := negate(da).AddScaledIdentity(1 - cfg.Mu)
-
-	d := x.Cols
-	lx0 := x.Clone()
-	lx1 := dense.NewMatrix(n, d)
-	sparse.SpMM(lx1, mmat, x)
-	tmp := dense.NewMatrix(n, d)
-	sparse.SpMM(tmp, mmat, lx1)
-	// Lx1 = 0.5·M·Lx1 - X
-	par.ForRange(len(lx1.Data), elemGrain, func(lo, hi int) {
-		out, t, x0 := lx1.Data[lo:hi], tmp.Data[lo:hi], x.Data[lo:hi]
-		for i := range out {
-			out[i] = 0.5*t[i] - x0[i]
-		}
-	})
-
-	conv := lx0.Clone()
-	conv.Scale(besselI(0, cfg.Theta))
-	addScaled(conv, lx1, -2*besselI(1, cfg.Theta))
-
 	for i := 2; i < cfg.Order; i++ {
-		lx2 := dense.NewMatrix(n, d)
-		sparse.SpMM(lx2, mmat, lx1)
-		sparse.SpMM(tmp, mmat, lx2)
-		// Lx2 = (M·Lx2 - 2·Lx1) - Lx0   (Chebyshev three-term recurrence)
-		par.ForRange(len(lx2.Data), elemGrain, func(lo, hi int) {
-			out, t, l1, l0 := lx2.Data[lo:hi], tmp.Data[lo:hi], lx1.Data[lo:hi], lx0.Data[lo:hi]
-			for k := range out {
-				out[k] = t[k] - 2*l1[k] - l0[k]
-			}
-		})
-		coeff := 2 * besselI(i, cfg.Theta)
+		coeff = 2 * besselI(i, cfg.Theta)
 		if i%2 == 1 {
 			coeff = -coeff
 		}
-		addScaled(conv, lx2, coeff)
-		lx0, lx1 = lx1, lx2
+		mul.Y, mul.X, mul.RowDone = u, lx1, nil
+		mul.Run()
+		mul.Y, mul.X, mul.RowDone = t, u, recur
+		mul.Run()
+		lx0, lx1 = lx1, lx0
 	}
 
-	// mm = Ã·(X - conv), then re-orthogonalize densely.
-	diff := x.Clone()
-	addScaled(diff, conv, -1)
-	mm := dense.NewMatrix(n, d)
-	sparse.SpMM(mm, adj, diff)
-	return finishPropagation(mm, cfg), nil
+	// mm = Ã·(X − conv), then re-orthogonalize densely.
+	par.ForRange(len(u.Data), elemGrain, func(lo, hi int) {
+		diff, x0, cv := u.Data[lo:hi], x.Data[lo:hi], conv.Data[lo:hi]
+		for k := range diff {
+			diff[k] = x0[k] - cv[k]
+		}
+	})
+	sparse.SpMM(t, adj, u)
+	return finishPropagation(t, u, cfg), nil
+}
+
+// workBuffers is the number of n×d matrices the Chebyshev filter allocates
+// (the heat-kernel and PPR filters get by with three).
+const workBuffers = 5
+
+// WorkspaceBytes is what Propagate allocates for an n-vertex graph with the
+// given number of stored arcs and a d-column embedding: Ã's pattern and
+// values, the operator's second value array over the same pattern, the
+// workBuffers n×d matrices Propagate sizes from the same constant, and the
+// column-major working copy of the one QR that re-orthogonalizes the result.
+// core.EstimateMemory prices the propagation stage with it.
+func WorkspaceBytes(n int, arcs int64, d int) int64 {
+	nnz := arcs + int64(n)
+	pattern := int64(n+1)*8 + nnz*4
+	return pattern + 2*nnz*8 + (workBuffers+1)*int64(n)*int64(d)*8
 }
 
 // finishPropagation applies the shared tail of every filter: dense
-// re-orthogonalization and optional row normalization.
-func finishPropagation(mm *dense.Matrix, cfg PropagationConfig) *dense.Matrix {
-	emb := redecompose(mm)
+// re-orthogonalization (consuming mm, result in spare's storage) and
+// optional row normalization.
+func finishPropagation(mm, spare *dense.Matrix, cfg PropagationConfig) *dense.Matrix {
+	emb := redecompose(mm, spare)
 	if cfg.NormalizeRows {
 		normalizeRows(emb)
 	}
@@ -317,56 +356,78 @@ func adjacencyWithSelfLoops(g *graph.Graph) *sparse.CSR {
 	return m
 }
 
-func cloneCSR(m *sparse.CSR) *sparse.CSR {
-	return &sparse.CSR{
-		NumRows: m.NumRows, NumCols: m.NumCols,
-		RowPtr: append([]int64(nil), m.RowPtr...),
-		ColIdx: append([]uint32(nil), m.ColIdx...),
-		Val:    append([]float64(nil), m.Val...),
+// invRowSums returns 1/rowsum for every row of m, and 0 for the rows a
+// filter leaves alone. The Chebyshev filter inverts only positive sums; the
+// heat-kernel and PPR filters invert every nonzero sum (nonZero) — the two
+// differ on negative and NaN sums, and each filter keeps its own guard.
+func invRowSums(m *sparse.CSR, nonZero bool) []float64 {
+	inv := m.RowSums()
+	for i, s := range inv {
+		if s > 0 || (nonZero && s != 0) {
+			inv[i] = 1 / s
+		} else {
+			inv[i] = 0
+		}
 	}
+	return inv
 }
 
-func negate(m *sparse.CSR) *sparse.CSR {
-	out := cloneCSR(m)
-	out.Scale(-1)
-	return out
+// shiftedLaplacian returns c·I − D⁻¹Ã (D⁻¹ = diag(inv)) as a second value
+// array over adj's RowPtr/ColIdx, filled in one parallel pass: entry (u,v)
+// is −(w·inv[u]), and the diagonal then gains c.
+//
+// A column stored more than once in a row — the diagonal of a graph that
+// already had a self-loop, or a parallel arc of a multigraph — is one entry
+// of the operator: the run's values are summed left to right into its first
+// slot (c last, as the identity was merged last) and the other slots hold 0,
+// which adds nothing to a finite product. Ã itself keeps every stored entry.
+func shiftedLaplacian(adj *sparse.CSR, inv []float64, c float64) *sparse.CSR {
+	val := make([]float64, len(adj.Val))
+	par.For(adj.NumRows, 64, func(u int) {
+		lo, hi := adj.RowPtr[u], adj.RowPtr[u+1]
+		head, diag := lo, lo
+		for p := lo; p < hi; p++ {
+			v := -(adj.Val[p] * inv[u])
+			if p > lo && adj.ColIdx[p] == adj.ColIdx[p-1] {
+				val[head] += v
+				continue
+			}
+			head = p
+			val[p] = v
+			if adj.ColIdx[p] == uint32(u) {
+				diag = p
+			}
+		}
+		val[diag] += c
+	})
+	return &sparse.CSR{NumRows: adj.NumRows, NumCols: adj.NumCols, RowPtr: adj.RowPtr, ColIdx: adj.ColIdx, Val: val}
 }
 
-// elemGrain is the fixed par.ForRange grain of the element-wise updates
-// below. Each output element depends only on the same element of its
+// elemGrain is the par.ForRange grain of Propagate's one element-wise pass
+// (X − conv). Each output element depends only on the same element of its
 // inputs, so the result is bit-identical to the serial loop under any split.
 const elemGrain = 1 << 14
 
-// addScaled computes dst += c·src element-wise.
-func addScaled(dst, src *dense.Matrix, c float64) {
-	par.ForRange(len(dst.Data), elemGrain, func(lo, hi int) {
-		d, s := dst.Data[lo:hi], src.Data[lo:hi]
-		for i := range d {
-			d[i] += c * s[i]
-		}
-	})
-}
-
 // redecompose orthogonalizes a propagated n×d matrix: QR, SVD of R, and
-// U·Σ^{1/2} — the dense analogue of ProNE's get_embedding_dense. The scaling
+// U·Σ^{1/2} — the dense analogue of ProNE's get_embedding_dense. Q overwrites
+// m and the result is written into out (same shape, returned). The scaling
 // is row-parallel over contiguous rows with the roots hoisted, as in
 // svd.EmbedFromSVD (element-wise, so bit-identical to any other order).
-func redecompose(m *dense.Matrix) *dense.Matrix {
-	q, r := dense.QR(m)
+func redecompose(m, out *dense.Matrix) *dense.Matrix {
+	q, r := dense.QRInPlace(m)
 	ur, sigma, _ := dense.SVD(r)
-	u := dense.NewMatrix(m.Rows, m.Cols)
-	dense.MatMul(u, q, ur)
+	dense.MatMul(out, q, ur)
 	roots := make([]float64, len(sigma))
 	for j, s := range sigma {
 		roots[j] = math.Sqrt(s)
 	}
-	par.For(u.Rows, 256, func(i int) {
-		row := u.Row(i)
+	par.For(out.Rows, 256, func(i int) {
+		row := out.Row(i)
 		for j := range row {
 			row[j] *= roots[j]
 		}
 	})
-	return u
+	return out
 }
 
 // normalizeRows L2-normalizes each row in place (zero rows stay zero).

@@ -8,33 +8,39 @@ import (
 	"lightne/internal/rng"
 )
 
-func benchSparse(b *testing.B, n, nnzPerRow, d int) {
-	s := rng.New(1, 0)
-	var us, vs []uint32
-	var ws []float64
-	for i := 0; i < n; i++ {
-		for k := 0; k < nnzPerRow; k++ {
-			us = append(us, uint32(i))
-			vs = append(vs, uint32(s.Intn(n)))
-			ws = append(ws, 1)
-		}
+// benchSpMM times spmm on the shapes the benchmark harness's two default
+// embeds put through it: the RMAT-12 adjacency × 64 (propagation, 19 of the
+// 21 products of a default embed), a ~250 k-entry matrix × 64 (the
+// sparsifier the rSVD multiplies) and the RMAT-13 adjacency × 32. Gflop/s
+// counts 2·nnz·d.
+func benchSpMM(b *testing.B, spmm func(y *dense.Matrix, m *CSR, x *dense.Matrix)) {
+	for _, s := range []struct {
+		name              string
+		scale, edgeFactor int
+		d                 int
+	}{
+		{"rmat12_adj_d64", 12, 20, 64},
+		{"rmat12_sparsifier_d64", 12, 45, 64},
+		{"rmat13_adj_d32", 13, 20, 32},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			m := rmatAdjacency(b, s.scale, s.edgeFactor)
+			x := dense.NewMatrix(m.NumCols, s.d)
+			x.FillGaussian(2)
+			y := dense.NewMatrix(m.NumRows, s.d)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				spmm(y, m, x)
+			}
+			flops := 2 * float64(m.NNZ()) * float64(s.d) * float64(b.N)
+			b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "Gflop/s")
+			b.ReportMetric(float64(m.NNZ()), "nnz")
+		})
 	}
-	m, err := FromCOO(n, n, us, vs, ws)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := dense.NewMatrix(n, d)
-	x.FillGaussian(2)
-	y := dense.NewMatrix(n, d)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SpMM(y, m, x)
-	}
-	b.SetBytes(m.NNZ() * 8 * int64(d) / 4) // rough flop-proportional figure
 }
 
-func BenchmarkSpMM_n10k_nnz20_d32(b *testing.B)  { benchSparse(b, 10000, 20, 32) }
-func BenchmarkSpMM_n10k_nnz20_d128(b *testing.B) { benchSparse(b, 10000, 20, 128) }
+func BenchmarkSpMM(b *testing.B)       { benchSpMM(b, SpMM) }
+func BenchmarkSpMMOracle(b *testing.B) { benchSpMM(b, spmmOracle) }
 
 // fromCOOSortMerge is the pre-radix FromCOO kept for benchmark comparison:
 // count/scan/scatter into rows, then per-row comparison sort plus in-place

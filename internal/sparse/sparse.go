@@ -4,6 +4,13 @@
 // from COO triples and from the sampler's hash table, diagonal scaling, and
 // the entry-wise truncated logarithm that turns the sparsifier into the
 // NetMF matrix.
+//
+// SpMM is the largest single function of a default embed (21 products: two
+// in the rSVD, nineteen in the propagation). A row of the product is one
+// dense.AccumulateRows — the 4-way unrolled row-accumulate kernel shared
+// with dense.MatMul, whose header says what the unroll changes (memory
+// traffic per entry) and why no sum moves — so SpMM returns the bits of the
+// one-entry loop it replaced (spmmOracle in the tests) at every GOMAXPROCS.
 package sparse
 
 import (
@@ -197,24 +204,54 @@ func (m *CSR) At(i int, j uint32) float64 {
 // SpMM computes Y = M·X for dense X, parallel over rows. Y must be
 // preallocated with shape (NumRows × X.Cols) and is overwritten.
 func SpMM(y *dense.Matrix, m *CSR, x *dense.Matrix) {
+	(&Product{Y: y, M: m, X: x}).Run()
+}
+
+// Product is a reusable Y = M·X with an optional row epilogue: set the
+// fields, call Run, change them, call Run again. Rows fan out with
+// par.ForRange; each is one dense.AccumulateRows, so Y[i][j] is one
+// left-to-right sum in CSR order inside one goroutine.
+//
+// RowDone, when set, runs on row i of Y as soon as it is finished, while it
+// is still in L1 — where a caller's element-wise update of that row (the
+// Chebyshev recurrence in prone.Propagate) costs no extra sweep over n×d. It
+// is called concurrently for distinct rows and may read or write row i of
+// anything except X, which other rows are still reading.
+//
+// The parallel body is bound on the first Run, so later Runs allocate
+// nothing on one core.
+type Product struct {
+	Y       *dense.Matrix
+	M       *CSR
+	X       *dense.Matrix
+	RowDone func(i int, yi []float64)
+
+	body func(lo, hi int)
+}
+
+// Run computes Y = M·X, overwriting Y, then RowDone per finished row.
+func (p *Product) Run() {
+	y, m, x := p.Y, p.M, p.X
 	if m.NumCols != x.Rows || y.Rows != m.NumRows || y.Cols != x.Cols {
 		panic(fmt.Sprintf("sparse: SpMM shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
 			m.NumRows, m.NumCols, x.Rows, x.Cols, y.Rows, y.Cols))
 	}
-	par.For(m.NumRows, 16, func(i int) {
+	if p.body == nil {
+		p.body = p.rows
+	}
+	par.ForRange(m.NumRows, 16, p.body)
+}
+
+func (p *Product) rows(lo, hi int) {
+	y, m, x := p.Y, p.M, p.X
+	for i := lo; i < hi; i++ {
 		yi := y.Row(i)
-		for j := range yi {
-			yi[j] = 0
+		a, b := m.RowPtr[i], m.RowPtr[i+1]
+		dense.AccumulateRows(yi, m.Val[a:b], m.ColIdx[a:b], x)
+		if p.RowDone != nil {
+			p.RowDone(i, yi)
 		}
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		for p := lo; p < hi; p++ {
-			a := m.Val[p]
-			xr := x.Row(int(m.ColIdx[p]))
-			for j, xv := range xr {
-				yi[j] += a * xv
-			}
-		}
-	})
+	}
 }
 
 // Transpose returns Mᵀ. The result is always column-sorted — the row-major
@@ -329,46 +366,4 @@ func (m *CSR) RowSums() []float64 {
 		s[i] = sum
 	})
 	return s
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *CSR {
-	m := &CSR{NumRows: n, NumCols: n,
-		RowPtr: make([]int64, n+1),
-		ColIdx: make([]uint32, n),
-		Val:    make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		m.RowPtr[i+1] = int64(i + 1)
-		m.ColIdx[i] = uint32(i)
-		m.Val[i] = 1
-	}
-	return m
-}
-
-// AddScaledIdentity returns M + c·I for a square matrix (new matrix; rows
-// stay sorted).
-func (m *CSR) AddScaledIdentity(c float64) *CSR {
-	if m.NumRows != m.NumCols {
-		panic("sparse: AddScaledIdentity requires a square matrix")
-	}
-	n := m.NumRows
-	us := make([]uint32, 0, m.NNZ()+int64(n))
-	vs := make([]uint32, 0, m.NNZ()+int64(n))
-	ws := make([]float64, 0, m.NNZ()+int64(n))
-	for i := 0; i < n; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			us = append(us, uint32(i))
-			vs = append(vs, m.ColIdx[p])
-			ws = append(ws, m.Val[p])
-		}
-		us = append(us, uint32(i))
-		vs = append(vs, uint32(i))
-		ws = append(ws, c)
-	}
-	out, err := FromCOO(n, n, us, vs, ws)
-	if err != nil {
-		panic(err)
-	}
-	return out
 }

@@ -218,18 +218,6 @@ func TestApplyAndRowSums(t *testing.T) {
 	}
 }
 
-func TestIdentityAndAddScaledIdentity(t *testing.T) {
-	id := Identity(3)
-	if id.NNZ() != 3 || id.At(1, 1) != 1 || id.At(0, 1) != 0 {
-		t.Fatal("Identity wrong")
-	}
-	m := mustCOO(t, 2, 2, []uint32{0}, []uint32{1}, []float64{5})
-	s := m.AddScaledIdentity(-2)
-	if s.At(0, 0) != -2 || s.At(1, 1) != -2 || s.At(0, 1) != 5 {
-		t.Fatalf("AddScaledIdentity entries: %g %g %g", s.At(0, 0), s.At(1, 1), s.At(0, 1))
-	}
-}
-
 func TestEmptyMatrix(t *testing.T) {
 	m := mustCOO(t, 0, 0, nil, nil, nil)
 	if m.NNZ() != 0 {

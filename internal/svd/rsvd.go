@@ -93,9 +93,12 @@ func RandomizedSVD(a *sparse.CSR, d int, opt Options) (*Result, error) {
 	sparse.SpMM(y, at, o)
 
 	// Optional subspace iteration: Y ← Aᵀ(A·Y), re-orthonormalizing.
+	var tmp *dense.Matrix
+	if opt.PowerIters > 0 {
+		tmp = dense.NewMatrix(n, k)
+	}
 	for q := 0; q < opt.PowerIters; q++ {
 		y = dense.Orthonormalize(y)
-		tmp := dense.NewMatrix(n, k)
 		sparse.SpMM(tmp, a, y)
 		sparse.SpMM(y, at, tmp)
 	}
