@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: tier1 build test determinism race vet fuzz bench bench-drain bench-sample bench-ann bench-factorize bench-qr bench-spmm serve-bench smoke-replication check all
+.PHONY: tier1 build test determinism race vet loc fuzz bench bench-drain bench-sample bench-ann bench-factorize bench-qr bench-spmm serve-bench smoke-replication check all
 
 all: tier1 vet
 
@@ -23,7 +23,7 @@ test:
 # schedule-dependent float reduction passes a single run by luck
 # (core.TestEmbedDeterministic did for three re-anchors).
 NPROC ?= $(shell nproc 2>/dev/null || echo 2)
-DETERMINISM_PKGS = ./internal/core ./internal/dense ./internal/sparse ./internal/prone ./internal/svd ./internal/netsmf ./internal/sampler
+DETERMINISM_PKGS = ./internal/core ./internal/dense ./internal/sparse ./internal/prone ./internal/svd ./internal/netsmf ./internal/sampler ./internal/dynamic
 determinism:
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden' $(DETERMINISM_PKGS)
 	GOMAXPROCS=$(NPROC) $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden' $(DETERMINISM_PKGS)
@@ -75,24 +75,27 @@ check: tier1 vet race
 vet:
 	$(GO) vet ./...
 
+# Non-test Go line counts per package directory and for the module (the
+# nested benchmark/ module excluded): run on parent and change to check that
+# "net non-test LOC falls" is a number, not an estimate.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Drain-path benchmarks (benchstat-friendly: -count=5 gives enough runs to
 # compare BenchmarkDrain vs BenchmarkDrainSequential, the aggregation
-# strategies, full vs partition-only radix grouping, and the radix vs
-# sort-merge COO build; pipe two runs into `benchstat old.txt new.txt`).
+# strategies, the radix grouping, and the radix vs sort-merge COO build; pipe
+# two runs into `benchstat old.txt new.txt`).
 bench-drain:
-	$(GO) test -run xxx -bench 'BenchmarkDrain|BenchmarkAggregate|BenchmarkGroupCSR|BenchmarkFromCOO' -benchmem -count=5 ./internal/hashtable ./internal/aggregate ./internal/radix ./internal/sparse
+	$(GO) test -run xxx -bench 'BenchmarkDrain|BenchmarkAggregate|BenchmarkGroupCSR$$|BenchmarkFromCOO' -benchmem -count=5 ./internal/hashtable ./internal/aggregate ./internal/radix ./internal/sparse
 
 # Sampler pipeline benchmarks: the per-arc sampler, the test-only
 # serial-flush reference, the wave pipeline (single-table and sharded), and
-# the pipeline walking the compressed adjacency natively, then the
-# wall-clock runner that records ns/op, heads/s, the table's memory
-# high-water mark and the raw-vs-compressed pair into BENCH_sampler.json.
+# the pipeline walking the compressed and the weighted adjacency natively.
 bench-sample:
 	$(GO) test -run xxx -bench 'BenchmarkSample$$|BenchmarkSampleSerialFlush|BenchmarkSampleBatched$$|BenchmarkSamplePipelined|BenchmarkSampleBatchedCompressed|BenchmarkSampleBatchedWeighted' -benchmem -count=3 ./internal/sampler
-	$(GO) run ./cmd/lightne-sampler-bench -out BENCH_sampler.json
 
 # Orthonormalization kernel at the harness shapes (4096×64, 8192×32,
 # 16384×64): the production column-major QR next to the pre-rewrite serial

@@ -26,7 +26,6 @@ import (
 	"lightne/internal/experiments"
 	"lightne/internal/gen"
 	"lightne/internal/graph"
-	"lightne/internal/hashtable"
 	"lightne/internal/prone"
 	"lightne/internal/rng"
 	"lightne/internal/sampler"
@@ -377,34 +376,6 @@ func BenchmarkAblation_PropagationFilters(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblation_CompactTable contrasts the 16-byte-slot table with the
-// compressed 12-byte-slot variant (the paper's §6 future work).
-func BenchmarkAblation_CompactTable(b *testing.B) {
-	const inserts, distinct = 1 << 20, 1 << 16
-	b.Run("full-16B", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			t := hashtable.New(distinct * 2)
-			s := rng.New(uint64(i), 0)
-			for k := 0; k < inserts; k++ {
-				key := uint32(s.Intn(distinct))
-				t.Add(key, key^7, 1)
-			}
-			b.ReportMetric(float64(t.MemoryBytes()), "bytes")
-		}
-	})
-	b.Run("compact-12B", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			t := hashtable.NewCompact(distinct * 2)
-			s := rng.New(uint64(i), 0)
-			for k := 0; k < inserts; k++ {
-				key := uint32(s.Intn(distinct))
-				t.Add(key, key^7, 1)
-			}
-			b.ReportMetric(float64(t.MemoryBytes()), "bytes")
-		}
-	})
 }
 
 // BenchmarkServing measures the serving subsystem's query path — the §1

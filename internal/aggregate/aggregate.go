@@ -367,14 +367,6 @@ func (s *SharedTable) DrainCSR(numRows int) (rowPtr []int64, cols []uint32, ws [
 	return hashtable.GroupKeysCSR(keys, ws, numRows)
 }
 
-// DrainCSRPartial is DrainCSR with partition-only grouping: columns within a
-// row stay in shard-drain order. Safe for SpMM-only consumers; see
-// radix.GroupCSRPartial.
-func (s *SharedTable) DrainCSRPartial(numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
-	keys, ws := s.drainKeys()
-	return hashtable.GroupKeysCSRPartial(keys, ws, numRows)
-}
-
 // MemoryBytes returns the aggregate footprint across shards.
 func (s *SharedTable) MemoryBytes() int64 {
 	var n int64

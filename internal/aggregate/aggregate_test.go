@@ -2,7 +2,6 @@ package aggregate
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"lightne/internal/hashtable"
@@ -228,38 +227,6 @@ func TestSharedTableGetRoutesShards(t *testing.T) {
 	}
 	if _, ok := s.Get(9999, 9999); ok {
 		t.Fatal("absent key reported present")
-	}
-}
-
-// TestShardedDrainCSRPartialMultiset: partial drain over shards agrees with
-// the sorted drain on row pointers and per-row multisets.
-func TestShardedDrainCSRPartialMultiset(t *testing.T) {
-	const numRows = 1 << 10
-	agg := NewShardedTable(500, 8)
-	RunWorkload(agg, 4, 20000, 800, 7)
-	fullPtr, fullCols, fullWs := agg.DrainCSR(numRows)
-	partPtr, partCols, partWs := agg.DrainCSRPartial(numRows)
-	for i := range fullPtr {
-		if fullPtr[i] != partPtr[i] {
-			t.Fatalf("rowPtr[%d] mismatch", i)
-		}
-	}
-	type cw struct {
-		c uint32
-		w float64
-	}
-	for r := 0; r < numRows; r++ {
-		lo, hi := fullPtr[r], fullPtr[r+1]
-		got := make([]cw, 0, hi-lo)
-		for p := lo; p < hi; p++ {
-			got = append(got, cw{partCols[p], partWs[p]})
-		}
-		sort.Slice(got, func(i, j int) bool { return got[i].c < got[j].c })
-		for i, p := 0, lo; p < hi; i, p = i+1, p+1 {
-			if got[i].c != fullCols[p] || got[i].w != fullWs[p] {
-				t.Fatalf("row %d entry %d mismatch", r, i)
-			}
-		}
 	}
 }
 

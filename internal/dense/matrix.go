@@ -19,9 +19,8 @@
 // output element is computed by one goroutine in a fixed order (MatMul and
 // AccumulateRows, QR, Transpose, Scale, FillGaussian) or when its reduction
 // geometry is a function of the shape alone (MatMulATBDet, CombineTree).
-// MatMulATB, FrobeniusNorm and ColumnNorms fold per-worker partials and are
-// deterministic only to rounding; nothing on the embedding path may use
-// them where bits matter.
+// MatMulATB folds per-worker partials and is deterministic only to rounding;
+// nothing on the embedding path may use it where bits matter.
 package dense
 
 import (
@@ -121,12 +120,6 @@ func transposeInto(dst, src []float64, rows, cols int) {
 // Scale multiplies every element by s.
 func (m *Matrix) Scale(s float64) {
 	par.For(len(m.Data), 1<<14, func(i int) { m.Data[i] *= s })
-}
-
-// FrobeniusNorm returns sqrt(sum of squares).
-func (m *Matrix) FrobeniusNorm() float64 {
-	s := par.ReduceFloat64(len(m.Data), 1<<14, func(i int) float64 { return m.Data[i] * m.Data[i] })
-	return math.Sqrt(s)
 }
 
 // MaxAbs returns the largest absolute element value (0 for empty matrices).
@@ -338,37 +331,4 @@ func CombineTree(partials [][]float64) {
 			}
 		})
 	}
-}
-
-// ColumnNorms returns the Euclidean norm of every column. Parallel
-// block-reduce over row blocks with per-block partial sum vectors combined
-// in block order, so the result is deterministic for a fixed geometry (it
-// matches the sequential accumulation to float rounding, not bitwise).
-func (m *Matrix) ColumnNorms() []float64 {
-	sums := make([]float64, m.Cols)
-	if m.Cols == 0 {
-		return sums
-	}
-	bounds := par.Blocks(m.Rows, 1<<14/m.Cols+1)
-	nb := len(bounds) - 1
-	partials := make([][]float64, nb)
-	par.ForBlocks(bounds, func(b, lo, hi int) {
-		local := make([]float64, m.Cols)
-		for i := lo; i < hi; i++ {
-			row := m.Row(i)
-			for j, v := range row {
-				local[j] += v * v
-			}
-		}
-		partials[b] = local
-	})
-	for _, local := range partials {
-		for j, v := range local {
-			sums[j] += v
-		}
-	}
-	for j := range sums {
-		sums[j] = math.Sqrt(sums[j])
-	}
-	return sums
 }

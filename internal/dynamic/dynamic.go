@@ -29,7 +29,6 @@ import (
 	"lightne/internal/netsmf"
 	"lightne/internal/prone"
 	"lightne/internal/sampler"
-	"lightne/internal/svd"
 )
 
 // Embedder maintains a LightNE embedding over a growing graph.
@@ -206,37 +205,28 @@ func (e *Embedder) Refresh() error {
 	return e.resample()
 }
 
-// Embed factorizes the accumulated sparsifier and (unless the config skips
-// it) applies spectral propagation, returning the current embedding.
+// Embed factorizes the accumulated sparsifier — netsmf.Factorize, the same
+// hand-off netsmf.Run makes, so the embedding is a pure function of the
+// accumulated samples for every Shards setting and worker count — and
+// (unless the config skips it) applies spectral propagation, returning the
+// current embedding. The table stays intact for the next batch.
 func (e *Embedder) Embed() (*dense.Matrix, error) {
-	// Partition-only drain: the matrix goes straight into SpMM (randomized
-	// SVD + propagation), which never binary-searches within a row, so the
-	// within-row column sort is skipped entirely. The table stays intact for
-	// the next batch.
-	rowPtr, cols, ws := e.table.DrainCSRPartial(e.g.NumVertices())
-	b := e.cfg.NegSamples
-	if b <= 0 {
-		b = 1
-	}
-	mat, err := netsmf.BuildMatrixCSRGrouped(e.g, rowPtr, cols, ws, b, e.trials)
-	if err != nil {
-		return nil, err
-	}
-	res, err := svd.RandomizedSVD(mat, e.cfg.Dim, svd.Options{
-		Seed:       e.seed + 1,
+	res, err := netsmf.Factorize(e.g, e.table, e.trials, netsmf.Config{
+		Dim:        e.cfg.Dim,
+		NegSamples: e.cfg.NegSamples,
+		Seed:       e.seed,
 		Oversample: e.cfg.Oversample,
 		PowerIters: e.cfg.PowerIters,
 	})
 	if err != nil {
 		return nil, err
 	}
-	x := svd.EmbedFromSVD(res)
 	if e.cfg.SkipPropagation {
-		return x, nil
+		return res.Embedding, nil
 	}
 	prop := e.cfg.Propagation
 	if prop.Order == 0 {
 		prop = prone.DefaultPropagation()
 	}
-	return prone.Propagate(e.g, x, prop)
+	return prone.Propagate(e.g, res.Embedding, prop)
 }

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"lightne/internal/core"
@@ -195,5 +196,52 @@ func TestNewRejectsWeightedGraph(t *testing.T) {
 	}
 	if _, err := New(wg, testConfig()); err == nil {
 		t.Fatal("expected weighted-graph rejection")
+	}
+}
+
+// TestEmbedDeterministicAcrossProcsAndShards puts the incremental path inside
+// the determinism contract: an initial pass plus an ingested batch, factorized
+// and propagated, is a pure function of (graph, batches, seed) — the
+// fully-sorted drain erases slot and shard order, and the symmetric rSVD
+// needs no transpose whose layout could depend on them.
+func TestEmbedDeterministicAcrossProcsAndShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	full, err := gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 20, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arcs := collectArcs(full)
+	cut := len(arcs) * 3 / 4
+	initial, err := graph.FromEdges(full.NumVertices(), arcs[:cut], graph.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []float64
+	for _, shards := range []int{1, 4} {
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			cfg := testConfig()
+			cfg.Shards = shards
+			e, err := New(initial, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.AddEdges(arcs[cut:]); err != nil {
+				t.Fatal(err)
+			}
+			x, err := e.Embed()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if golden == nil {
+				golden = x.Data
+				continue
+			}
+			for i, want := range golden {
+				if math.Float64bits(x.Data[i]) != math.Float64bits(want) {
+					t.Fatalf("shards=%d procs=%d: element %d = %v, golden (1, 1) %v", shards, procs, i, x.Data[i], want)
+				}
+			}
+		}
 	}
 }

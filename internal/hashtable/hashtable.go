@@ -409,27 +409,11 @@ func (t *Table) DrainCSR(numRows int) (rowPtr []int64, cols []uint32, ws []float
 	return GroupKeysCSR(keys, ws, numRows)
 }
 
-// DrainCSRPartial is DrainCSR with partition-only grouping: rows are grouped
-// but columns within a row stay in slot order (unsorted, and therefore not
-// reproducible across runs). Safe when the consumer only streams rows —
-// SpMM — and never binary-searches them; see radix.GroupCSRPartial.
-func (t *Table) DrainCSRPartial(numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
-	keys, ws := t.DrainKeys()
-	return GroupKeysCSRPartial(keys, ws, numRows)
-}
-
 // GroupKeysCSR turns drained (packed key, weight) pairs into CSR arrays with
 // the fully-sorted radix grouping. The key slice is consumed (sorted in
 // place and reused for the column extraction).
 func GroupKeysCSR(keys []uint64, ws []float64, numRows int) (rowPtr []int64, cols []uint32, outWs []float64) {
 	rowPtr = radix.GroupCSR(keys, ws, numRows)
-	return rowPtr, colsFromKeys(keys), ws
-}
-
-// GroupKeysCSRPartial is GroupKeysCSR with partition-only grouping (columns
-// within a row keep input order).
-func GroupKeysCSRPartial(keys []uint64, ws []float64, numRows int) (rowPtr []int64, cols []uint32, outWs []float64) {
-	rowPtr = radix.GroupCSRPartial(keys, ws, numRows)
 	return rowPtr, colsFromKeys(keys), ws
 }
 

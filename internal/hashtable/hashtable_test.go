@@ -2,7 +2,6 @@ package hashtable
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -57,26 +56,6 @@ func TestToFixedClampsDomain(t *testing.T) {
 	}
 }
 
-func TestToCompactFixedClampsDomain(t *testing.T) {
-	cases := []struct {
-		w    float64
-		want uint32
-	}{
-		{0, 0},
-		{-3.5, 0},
-		{math.NaN(), 0},
-		{1, 1 << CompactFixedPointShift},
-		{MaxCompactWeight, math.MaxUint32},
-		{1e18, math.MaxUint32},
-		{math.Inf(1), math.MaxUint32},
-	}
-	for _, c := range cases {
-		if got := ToCompactFixed(c.w); got != c.want {
-			t.Fatalf("ToCompactFixed(%g)=%d want %d", c.w, got, c.want)
-		}
-	}
-}
-
 func TestPresizedTableNeverGrows(t *testing.T) {
 	// Sweep hints across power-of-two boundaries (where bits.Len64 used to
 	// double) and load-factor truncation edges (where the table used to come
@@ -94,14 +73,6 @@ func TestPresizedTableNeverGrows(t *testing.T) {
 		}
 		if tab.Len() != k {
 			t.Fatalf("hint %d: Len=%d", k, tab.Len())
-		}
-		ct := NewCompact(k)
-		cbefore := ct.Capacity()
-		for i := 0; i < k; i++ {
-			ct.Add(uint32(i), uint32(i>>2), 1)
-		}
-		if ct.Capacity() != cbefore {
-			t.Fatalf("hint %d: compact table grew %d -> %d", k, cbefore, ct.Capacity())
 		}
 	}
 }
@@ -461,50 +432,6 @@ func TestMemoryBytes(t *testing.T) {
 	tab := New(1000)
 	if tab.MemoryBytes() != int64(tab.Capacity())*16 {
 		t.Fatalf("MemoryBytes=%d capacity=%d", tab.MemoryBytes(), tab.Capacity())
-	}
-}
-
-// TestDrainCSRPartialMatchesDrainCSR: the partial drain must agree with the
-// fully-sorted drain on row pointers and per-row (col, weight) multisets;
-// only within-row order may differ. Differential lockdown for the
-// partition-only fast path.
-func TestDrainCSRPartialMatchesDrainCSR(t *testing.T) {
-	s := rng.New(21, 0)
-	tab := New(1024)
-	const n = 700
-	for i := 0; i < 60000; i++ {
-		tab.Add(uint32(s.Intn(n)), uint32(s.Intn(n)), 0.5)
-	}
-	fullPtr, fullCols, fullWs := tab.DrainCSR(n)
-	partPtr, partCols, partWs := tab.DrainCSRPartial(n)
-	if len(fullPtr) != len(partPtr) {
-		t.Fatal("rowPtr length mismatch")
-	}
-	for r := range fullPtr {
-		if fullPtr[r] != partPtr[r] {
-			t.Fatalf("rowPtr[%d]=%d want %d", r, partPtr[r], fullPtr[r])
-		}
-	}
-	type cw struct {
-		c uint32
-		w float64
-	}
-	for r := 0; r < n; r++ {
-		lo, hi := fullPtr[r], fullPtr[r+1]
-		a := make([]cw, 0, hi-lo)
-		b := make([]cw, 0, hi-lo)
-		for p := lo; p < hi; p++ {
-			a = append(a, cw{fullCols[p], fullWs[p]})
-			b = append(b, cw{partCols[p], partWs[p]})
-		}
-		sort.Slice(b, func(i, j int) bool { return b[i].c < b[j].c })
-		// Table keys are distinct, so the sorted partial row must equal the
-		// fully-sorted row exactly (weights are exact fixed-point sums).
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("row %d mismatch at %d: %v vs %v", r, i, a[i], b[i])
-			}
-		}
 	}
 }
 

@@ -44,6 +44,19 @@ func randGraph(t *testing.T, n, extraPerVertex int, seed uint64) *graph.Graph {
 	return g
 }
 
+// rawSparsifier runs the sampling pass and the fully-sorted drain, returning
+// the raw (unscaled) sparsifier: what Factorize's row transform reads.
+func rawSparsifier(g *graph.Graph, cfg Config) (*sparse.CSR, sampler.Stats, error) {
+	table, stats, err := sampleTable(g, cfg)
+	if err != nil {
+		return nil, stats, err
+	}
+	n := g.NumVertices()
+	rowPtr, cols, ws := table.DrainCSR(n)
+	mat, err := sparse.FromCSRParts(n, n, rowPtr, cols, ws)
+	return mat, stats, err
+}
+
 // TestSparsifierGolden locks down the fast path's central guarantee: the raw
 // sparsifier (rows, columns, weights) is bit-identical across aggregation
 // shard counts AND worker counts. This holds because per-vertex RNG streams
@@ -61,7 +74,7 @@ func TestSparsifierGolden(t *testing.T) {
 		defer runtime.GOMAXPROCS(old)
 		cfg := base
 		cfg.Shards = shards
-		mat, stats, err := Sparsifier(g, cfg)
+		mat, stats, err := rawSparsifier(g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,45 +109,6 @@ func TestSparsifierGolden(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestBuildMatrixCSRGrouped checks the partial-drain fast path end to end:
-// a sharded sink drained with DrainCSRPartial and built with the grouped
-// builder must yield the same matrix as the fully-sorted drain + builder —
-// flagged unsorted, equal entry for entry once canonicalized (Transpose
-// sorts, so a double transpose re-sorts the layout).
-func TestBuildMatrixCSRGrouped(t *testing.T) {
-	g := randGraph(t, 300, 2, 3)
-	scfg := sampler.Config{T: 4, M: 100_000, Downsample: true, Seed: 5, Shards: 4}
-	table, stats, err := sampler.Sample(g, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.NumVertices()
-
-	rowPtr, cols, ws := table.DrainCSR(n)
-	sorted, err := BuildMatrixCSR(g, rowPtr, cols, ws, 1, stats.Trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pRowPtr, pCols, pWs := table.DrainCSRPartial(n)
-	grouped, err := BuildMatrixCSRGrouped(g, pRowPtr, pCols, pWs, 1, stats.Trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grouped.ColumnsSorted() {
-		t.Fatal("grouped matrix claims sorted columns")
-	}
-	if sorted.NNZ() != grouped.NNZ() {
-		t.Fatalf("nnz %d vs %d", sorted.NNZ(), grouped.NNZ())
-	}
-	canon := grouped.Transpose().Transpose()
-	for i := range sorted.ColIdx {
-		if canon.ColIdx[i] != sorted.ColIdx[i] || canon.Val[i] != sorted.Val[i] {
-			t.Fatalf("entry %d: (%d,%v) vs (%d,%v)", i,
-				canon.ColIdx[i], canon.Val[i], sorted.ColIdx[i], sorted.Val[i])
 		}
 	}
 }

@@ -32,6 +32,7 @@ import (
 
 	"lightne/internal/dense"
 	"lightne/internal/graph"
+	"lightne/internal/par"
 	"lightne/internal/sampler"
 	"lightne/internal/sparse"
 	"lightne/internal/svd"
@@ -117,35 +118,7 @@ type Result struct {
 	Timing Timing
 }
 
-// Sparsifier runs the sampling pass and the grouped parallel drain, returning
-// the raw (unscaled) sparsifier as a CSR matrix: the table hands its entries
-// over directly (rows grouped by radix pass, columns sorted), so no COO
-// scatter or per-row sort runs between sampling and factorization.
-//
-// Because per-vertex RNG streams fix the sample multiset, fixed-point
-// accumulation is exact and commutative, and the fully-sorted drain is a pure
-// function of that multiset, the returned matrix is bit-identical for every
-// Shards setting and worker count (locked down by the determinism test). The
-// scaled matrix is bit-stable too: vol(G) is an exact integer for unweighted
-// graphs and a fixed-geometry deterministic reduction (par.ReduceFloat64Det)
-// for weighted ones, and the per-entry scaling and truncated logarithm are
-// pure functions of (entry, vol, degrees).
-func Sparsifier(g *graph.Graph, cfg Config) (*sparse.CSR, sampler.Stats, error) {
-	table, stats, err := sampleTable(g, cfg)
-	if err != nil {
-		return nil, stats, err
-	}
-	n := g.NumVertices()
-	rowPtr, cols, ws := table.DrainCSR(n)
-	mat, err := sparse.FromCSRParts(n, n, rowPtr, cols, ws)
-	if err != nil {
-		return nil, stats, fmt.Errorf("netsmf: building sparsifier: %w", err)
-	}
-	return mat, stats, nil
-}
-
-// sampleTable runs the sampling pass and returns the aggregation sink, shared
-// by the materializing (Sparsifier) and streaming (runStreamed) paths.
+// sampleTable runs the sampling pass and returns the aggregation sink.
 func sampleTable(g *graph.Graph, cfg Config) (sampler.Sink, sampler.Stats, error) {
 	scfg := sampler.Config{
 		T:          cfg.T,
@@ -169,51 +142,24 @@ func sampleTable(g *graph.Graph, cfg Config) (sampler.Sink, sampler.Stats, error
 	return table, stats, nil
 }
 
-// Run executes the NetSMF stage on g.
+// Run executes the NetSMF stage on g: the sampling pass, then Factorize.
 func Run(g *graph.Graph, cfg Config) (*Result, error) {
 	if cfg.Dim <= 0 {
 		return nil, fmt.Errorf("netsmf: dimension must be positive, got %d", cfg.Dim)
 	}
-	b := cfg.NegSamples
-	if b <= 0 {
-		b = 1
-	}
-	if cfg.StreamedSVD {
-		return runStreamed(g, cfg, b)
-	}
-
 	start := time.Now()
-	raw, stats, err := Sparsifier(g, cfg)
+	table, stats, err := sampleTable(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	mat := scaleTruncLog(g, raw, b, stats.Trials)
-	sparsifierTime := time.Since(start)
-
-	start = time.Now()
-	// The sparsifier is exactly symmetric bitwise — every sample inserts in
-	// both orientations with the same fixed-point weight, and the estimator
-	// scaling is symmetric in (i, j) — so the SVD can reuse the matrix as its
-	// own transpose instead of materializing a second CSR.
-	res, err := svd.RandomizedSVD(mat, cfg.Dim, svd.Options{
-		Seed:       cfg.Seed + 1,
-		Oversample: cfg.Oversample,
-		PowerIters: cfg.PowerIters,
-		Symmetric:  true,
-	})
+	sampling := time.Since(start)
+	res, err := Factorize(g, table, stats.Trials, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("netsmf: svd: %w", err)
+		return nil, err
 	}
-	x := svd.EmbedFromSVD(res)
-	svdTime := time.Since(start)
-
-	return &Result{
-		Embedding:     x,
-		Sigma:         res.Sigma,
-		SparsifierNNZ: mat.NNZ(),
-		SampleStats:   stats,
-		Timing:        Timing{Sparsifier: sparsifierTime, SVD: svdTime},
-	}, nil
+	res.SampleStats = stats
+	res.Timing.Sparsifier += sampling
+	return res, nil
 }
 
 // streamChunkEntries caps the raw entries per streamed chunk: 2^20 entries is
@@ -224,155 +170,189 @@ func Run(g *graph.Graph, cfg Config) (*Result, error) {
 // chunk-order-independent — so it is a constant, not a Config knob.
 const streamChunkEntries = 1 << 20
 
-// runStreamed is the single-pass path of Run: sample, drain, and stream the
-// rows through the estimator scaling and truncated logarithm straight into a
-// sketch accumulator, then factorize the sketch. The scaled sparsifier is
-// never materialized — the resident sparse state is the drained raw CSR plus
-// two bounded chunk buffers — and the dense working set is the sketch's
-// 3·n·k + Ω instead of the rSVD's 5·n·k.
+// Factorize is the one hand-off from an aggregation sink to the factorizer,
+// shared by Run and the incremental embedder (internal/dynamic): the
+// fully-sorted drain, the row transform (estimator scaling + trunc_log), the
+// factorization and X = U·Σ^{1/2}. trials is the realized sample count M̂
+// accumulated in sink; of cfg only Dim, NegSamples, Seed, Oversample,
+// PowerIters, StreamedSVD and Sketch are read. The sink is left intact.
+// Result.SampleStats is the caller's to fill.
 //
-// The transform of chunk c overlaps the sketch absorption of chunk c-1
-// through a two-deep buffer ring and a consumer goroutine, mirroring the
-// batched walker's wave pipeline. Determinism does not depend on that
-// overlap: chunks cover disjoint whole rows, per-row accumulation into the
-// sketch is sequential, and the chunk boundaries are a pure function of the
-// (deterministic) drained row pointers — so the embedding is bit-identical
-// across Shards, worker counts and wave sizes, locked down by the
-// determinism tests.
-func runStreamed(g *graph.Graph, cfg Config, b float64) (*Result, error) {
-	start := time.Now()
-	table, stats, err := sampleTable(g, cfg)
-	if err != nil {
-		return nil, err
+// Because per-vertex RNG streams fix the sample multiset, fixed-point
+// accumulation is exact and commutative, and the fully-sorted drain is a pure
+// function of that multiset, the drained matrix is bit-identical for every
+// Shards setting and worker count. The scaled matrix is bit-stable too:
+// vol(G) is an exact integer for unweighted graphs and a fixed-geometry
+// deterministic reduction (par.ReduceFloat64Det) for weighted ones, and the
+// transform is a pure function of (entry, vol, degrees).
+//
+// The multi-pass path transforms all rows at once and runs the randomized
+// SVD on the materialized matrix. The matrix is exactly symmetric bitwise —
+// every sample inserts in both orientations with the same fixed-point weight,
+// and the estimator scaling is symmetric in (i, j) — so the SVD reuses it as
+// its own transpose instead of materializing a second CSR.
+//
+// The single-pass path (StreamedSVD) transforms whole-row chunks
+// (sampler.ChunkRows) straight into a sketch accumulator: the scaled matrix
+// is never materialized — the resident sparse state is the drained raw CSR
+// plus two bounded chunk buffers — and the dense working set is the sketch's
+// 3·n·k + Ω instead of the rSVD's 5·n·k. The transform of chunk c overlaps
+// the absorption of chunk c-1 through a two-deep buffer ring and a consumer
+// goroutine. Determinism does not depend on that overlap: chunks cover
+// disjoint whole rows, per-row accumulation into the sketch is sequential,
+// and the chunk boundaries are a pure function of the (deterministic)
+// drained row pointers.
+func Factorize(g *graph.Graph, sink sampler.Sink, trials int64, cfg Config) (*Result, error) {
+	b := cfg.NegSamples
+	if b <= 0 {
+		b = 1
 	}
 	n := g.NumVertices()
-	sk, err := svd.NewSketch(n, cfg.Dim, svd.SketchOptions{
-		Seed:       cfg.Seed + 1,
-		Kind:       cfg.Sketch,
-		Oversample: cfg.Oversample,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("netsmf: sketch: %w", err)
-	}
-
-	vol := g.Volume()
-	deg := g.Strengths()
-	scale := vol * vol / (2 * b * float64(stats.Trials))
-
-	type chunkBuf struct {
-		rowLo  int
-		rowPtr []int64
-		cols   []uint32
-		vals   []float64
-	}
-	free := make(chan *chunkBuf, 2)
-	free <- new(chunkBuf)
-	free <- new(chunkBuf)
-	work := make(chan *chunkBuf, 2)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for cb := range work {
-			sk.Absorb(svd.RowChunk{RowLo: cb.rowLo, RowPtr: cb.rowPtr, Cols: cb.cols, Vals: cb.vals})
-			free <- cb
+	start := time.Now()
+	rowPtr, cols, ws := sink.DrainCSR(n)
+	var (
+		res            *svd.Result
+		nnz            int64
+		sparsifierTime time.Duration
+	)
+	if cfg.StreamedSVD {
+		sk, err := svd.NewSketch(n, cfg.Dim, svd.SketchOptions{
+			Seed:       cfg.Seed + 1,
+			Kind:       cfg.Sketch,
+			Oversample: cfg.Oversample,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("netsmf: sketch: %w", err)
 		}
-	}()
+		tr := newTransform(g, rowPtr, cols, ws, b, trials)
 
-	var kept int64
-	sampler.StreamCSR(table, n, streamChunkEntries, func(lo, hi int, rowPtr []int64, cols []uint32, ws []float64) {
-		cb := <-free
-		rows := hi - lo
-		if cap(cb.rowPtr) < rows+1 {
-			cb.rowPtr = make([]int64, rows+1)
-		}
-		cb.rowPtr = cb.rowPtr[:rows+1]
-		cb.cols = cb.cols[:0]
-		cb.vals = cb.vals[:0]
-		cb.rowLo = lo
-		cb.rowPtr[0] = 0
-		for r := lo; r < hi; r++ {
-			dr := deg[r]
-			for p := rowPtr[r]; p < rowPtr[r+1]; p++ {
-				c := cols[p]
-				// Unbiased estimator scaling followed by trunc_log: keep
-				// log(x) iff x > 1, exactly as sparse.TruncLog prunes.
-				if x := ws[p] * scale / (dr * deg[c]); x > 1 {
-					cb.cols = append(cb.cols, c)
-					cb.vals = append(cb.vals, math.Log(x))
-				}
+		free := make(chan *svd.RowChunk, 2)
+		free <- new(svd.RowChunk)
+		free <- new(svd.RowChunk)
+		work := make(chan *svd.RowChunk, 2)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for cb := range work {
+				sk.Absorb(*cb)
+				free <- cb
 			}
-			cb.rowPtr[r-lo+1] = int64(len(cb.cols))
+		}()
+		bounds := sampler.ChunkRows(rowPtr, streamChunkEntries)
+		for c := 0; c+1 < len(bounds); c++ {
+			cb := <-free
+			tr.rows(bounds[c], bounds[c+1], cb)
+			nnz += cb.NNZ()
+			work <- cb
 		}
-		kept += cb.rowPtr[rows]
-		work <- cb
-	})
-	close(work)
-	<-done
-	sparsifierTime := time.Since(start)
+		close(work)
+		<-done
+		sparsifierTime = time.Since(start)
 
-	start = time.Now()
-	res, err := sk.Factorize()
-	if err != nil {
-		return nil, fmt.Errorf("netsmf: sketch factorization: %w", err)
+		start = time.Now()
+		if res, err = sk.Factorize(); err != nil {
+			return nil, fmt.Errorf("netsmf: sketch factorization: %w", err)
+		}
+	} else {
+		mat, err := BuildMatrixCSR(g, rowPtr, cols, ws, b, trials)
+		if err != nil {
+			return nil, err
+		}
+		nnz = mat.NNZ()
+		sparsifierTime = time.Since(start)
+
+		start = time.Now()
+		res, err = svd.RandomizedSVD(mat, cfg.Dim, svd.Options{
+			Seed:       cfg.Seed + 1,
+			Oversample: cfg.Oversample,
+			PowerIters: cfg.PowerIters,
+			Symmetric:  true,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("netsmf: svd: %w", err)
+		}
 	}
 	x := svd.EmbedFromSVD(res)
-	svdTime := time.Since(start)
-
 	return &Result{
 		Embedding:     x,
 		Sigma:         res.Sigma,
-		SparsifierNNZ: kept,
-		SampleStats:   stats,
-		Timing:        Timing{Sparsifier: sparsifierTime, SVD: svdTime},
+		SparsifierNNZ: nnz,
+		Timing:        Timing{Sparsifier: sparsifierTime, SVD: time.Since(start)},
 	}, nil
 }
 
-// BuildMatrix converts drained sampler output into the trunc-log NetMF
-// matrix estimate. b is the negative-sample count and trials the realized
-// sample count M̂ used in the unbiased scaling (see the package comment).
-func BuildMatrix(g *graph.Graph, us, vs []uint32, ws []float64, b float64, trials int64) (*sparse.CSR, error) {
-	n := g.NumVertices()
-	mat, err := sparse.FromCOO(n, n, us, vs, ws)
-	if err != nil {
-		return nil, fmt.Errorf("netsmf: building sparsifier: %w", err)
-	}
-	return scaleTruncLog(g, mat, b, trials), nil
-}
-
-// BuildMatrixCSR is BuildMatrix for the grouped drain: it wraps the CSR
-// arrays from hashtable.DrainCSR without copying or re-sorting, then applies
-// the same unbiased scaling and truncated logarithm.
+// BuildMatrixCSR converts a fully-sorted drain (Sink.DrainCSR) into the
+// trunc-log NetMF matrix estimate: the row transform over all rows, wrapped
+// (and validated) as a CSR. b is the negative-sample count and trials the
+// realized sample count M̂ (see the package comment). The drained arrays are
+// read, never written.
 func BuildMatrixCSR(g *graph.Graph, rowPtr []int64, cols []uint32, ws []float64, b float64, trials int64) (*sparse.CSR, error) {
 	n := g.NumVertices()
-	mat, err := sparse.FromCSRParts(n, n, rowPtr, cols, ws)
+	var c svd.RowChunk
+	newTransform(g, rowPtr, cols, ws, b, trials).rows(0, n, &c)
+	mat, err := sparse.FromCSRParts(n, n, c.RowPtr, c.Cols, c.Vals)
 	if err != nil {
 		return nil, fmt.Errorf("netsmf: building sparsifier: %w", err)
 	}
-	return scaleTruncLog(g, mat, b, trials), nil
+	return mat, nil
 }
 
-// BuildMatrixCSRGrouped is BuildMatrixCSR for partition-only drains
-// (DrainCSRPartial): rows must be grouped but columns within a row may be in
-// any order, and the resulting matrix is flagged unsorted. Only SpMM-style
-// consumers (the randomized SVD) may use it — CSR.At falls back to a linear
-// scan and the layout is not reproducible across runs.
-func BuildMatrixCSRGrouped(g *graph.Graph, rowPtr []int64, cols []uint32, ws []float64, b float64, trials int64) (*sparse.CSR, error) {
-	n := g.NumVertices()
-	mat, err := sparse.FromCSRPartsGrouped(n, n, rowPtr, cols, ws)
-	if err != nil {
-		return nil, fmt.Errorf("netsmf: building sparsifier: %w", err)
-	}
-	return scaleTruncLog(g, mat, b, trials), nil
+// transform is the row kernel behind both factorizers — the only place the
+// unbiased estimator scaling (package comment) and the truncated logarithm
+// of Eq. 1 are applied. It reads a raw drained CSR and never writes it.
+type transform struct {
+	rowPtr []int64
+	cols   []uint32
+	ws     []float64
+	deg    []float64 // weighted degrees; equals Degrees for unweighted graphs
+	scale  float64   // vol² / (2·b·M̂)
 }
 
-// scaleTruncLog applies the unbiased estimator scaling (package comment) and
-// the truncated logarithm, shared by both sparsifier builders.
-func scaleTruncLog(g *graph.Graph, mat *sparse.CSR, b float64, trials int64) *sparse.CSR {
+func newTransform(g *graph.Graph, rowPtr []int64, cols []uint32, ws []float64, b float64, trials int64) *transform {
 	vol := g.Volume()
-	deg := g.Strengths() // weighted degrees; equals Degrees for unweighted graphs
-	scale := vol * vol / (2 * b * float64(trials))
-	mat.Apply(func(i int, j uint32, v float64) float64 {
-		return v * scale / (deg[i] * deg[j])
+	return &transform{rowPtr: rowPtr, cols: cols, ws: ws, deg: g.Strengths(), scale: vol * vol / (2 * b * float64(trials))}
+}
+
+// x is the scaled estimate of raw entry p of row r, the argument of trunc_log.
+func (t *transform) x(r int, p int64) float64 {
+	return t.ws[p] * t.scale / (t.deg[r] * t.deg[t.cols[p]])
+}
+
+// rows writes trunc_log of raw rows [lo, hi) into out as a chunk-local CSR
+// (RowLo = lo, RowPtr zero-based), keeping log(x) iff x > 1 in raw order:
+// a parallel per-row count, a scan, and a parallel fill into exactly-sized
+// arrays, so the output is the same for every worker count and for every
+// split of the rows into ranges. out's arrays are reused when large enough.
+func (t *transform) rows(lo, hi int, out *svd.RowChunk) {
+	n := hi - lo
+	if cap(out.RowPtr) < n+1 {
+		out.RowPtr = make([]int64, n+1)
+	}
+	ptr := out.RowPtr[:n+1]
+	par.For(n, 64, func(i int) {
+		var kept int64
+		for p := t.rowPtr[lo+i]; p < t.rowPtr[lo+i+1]; p++ {
+			if t.x(lo+i, p) > 1 {
+				kept++
+			}
+		}
+		ptr[i] = kept
 	})
-	return mat.TruncLog()
+	ptr[n] = par.ExclusiveScan(ptr[:n])
+	if int64(cap(out.Cols)) < ptr[n] {
+		out.Cols = make([]uint32, ptr[n])
+		out.Vals = make([]float64, ptr[n])
+	}
+	cols, vals := out.Cols[:ptr[n]], out.Vals[:ptr[n]]
+	par.For(n, 64, func(i int) {
+		w := ptr[i]
+		for p := t.rowPtr[lo+i]; p < t.rowPtr[lo+i+1]; p++ {
+			if x := t.x(lo+i, p); x > 1 {
+				cols[w] = t.cols[p]
+				vals[w] = math.Log(x)
+				w++
+			}
+		}
+	})
+	*out = svd.RowChunk{RowLo: lo, RowPtr: ptr, Cols: cols, Vals: vals}
 }

@@ -78,8 +78,8 @@ func TestSparsifierConvergesToNetMF(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		us, vs, ws := table.Drain()
-		mat, err := BuildMatrix(g, us, vs, ws, 1, stats.Trials)
+		rowPtr, cols, ws := table.DrainCSR(g.NumVertices())
+		mat, err := BuildMatrixCSR(g, rowPtr, cols, ws, 1, stats.Trials)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,8 +113,8 @@ func TestDownsamplingPreservesEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, vs, ws := table.Drain()
-	mat, err := BuildMatrix(g, us, vs, ws, 1, stats.Trials)
+	rowPtr, cols, ws := table.DrainCSR(g.NumVertices())
+	mat, err := BuildMatrixCSR(g, rowPtr, cols, ws, 1, stats.Trials)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,8 +82,8 @@ func TestWeightedSparsifierConvergesToWeightedNetMF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, vs, ws := table.Drain()
-	mat, err := BuildMatrix(g, us, vs, ws, 1, stats.Trials)
+	rowPtr, cols, ws := table.DrainCSR(g.NumVertices())
+	mat, err := BuildMatrixCSR(g, rowPtr, cols, ws, 1, stats.Trials)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,8 @@ func TestWeightedDownsampledSparsifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, vs, ws := table.Drain()
-	mat, err := BuildMatrix(g, us, vs, ws, 1, stats.Trials)
+	rowPtr, cols, ws := table.DrainCSR(g.NumVertices())
+	mat, err := BuildMatrixCSR(g, rowPtr, cols, ws, 1, stats.Trials)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +176,8 @@ func TestIntegerWeightsMatchMultigraphEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, vs, ws := table.Drain()
-	mat, err := BuildMatrix(wg, us, vs, ws, 1, stats.Trials)
+	rowPtr, cols, ws := table.DrainCSR(wg.NumVertices())
+	mat, err := BuildMatrixCSR(wg, rowPtr, cols, ws, 1, stats.Trials)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,42 +206,6 @@ func Do(fns ...func()) {
 	wg.Wait()
 }
 
-// ReduceFloat64 computes the sum of f(i) for i in [0, n) in parallel.
-// Summation order within a block is sequential and blocks are combined in
-// block order, so the result is deterministic for a fixed n, grain and
-// worker count. Per-block partials are indexed by the dense block index
-// ForBlocks supplies, so the reduction cannot drift out of sync with the
-// chunking policy.
-func ReduceFloat64(n, grain int, f func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	if Workers() == 1 || n <= grain {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += f(i)
-		}
-		return s
-	}
-	bounds := Blocks(n, grain)
-	partial := make([]float64, len(bounds)-1)
-	ForBlocks(bounds, func(b, lo, hi int) {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += f(i)
-		}
-		partial[b] = s
-	})
-	var s float64
-	for _, v := range partial {
-		s += v
-	}
-	return s
-}
-
 // detBlocks is the fixed block count of the deterministic reduction. It is a
 // constant — never derived from Workers() — so the block geometry, and with it
 // every float rounding sequence, is a pure function of n.
@@ -275,8 +239,7 @@ func DetBounds(n int) []int {
 // (a pure function of n), each block sums sequentially, and the per-block
 // partials combine in a fixed pairwise tree. Use it wherever a float total
 // feeds a determinism contract — e.g. the weighted volume that scales the
-// sparsifier — and ReduceFloat64 (whose geometry tracks the worker count)
-// everywhere else.
+// sparsifier.
 func ReduceFloat64Det(n int, f func(i int) float64) float64 {
 	if n <= 0 {
 		return 0

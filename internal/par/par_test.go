@@ -66,21 +66,6 @@ func TestDoRunsAll(t *testing.T) {
 	Do() // must not hang or panic
 }
 
-func TestReduceFloat64MatchesSequential(t *testing.T) {
-	f := func(n uint16) bool {
-		m := int(n%10000) + 1
-		var want float64
-		for i := 0; i < m; i++ {
-			want += float64(i) * 0.5
-		}
-		got := ReduceFloat64(m, 32, func(i int) float64 { return float64(i) * 0.5 })
-		return math.Abs(got-want) < 1e-6*math.Max(1, math.Abs(want))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBlocksCoverDisjoint(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 100, 2048, 2049, 123457} {
 		for _, grain := range []int{0, 1, 3, 100, 4096} {
@@ -121,25 +106,6 @@ func TestForBlocksVisitsEachBlockOnce(t *testing.T) {
 	for i, c := range covered {
 		if c != 1 {
 			t.Fatalf("index %d covered %d times", i, c)
-		}
-	}
-}
-
-// TestReduceFloat64ChunkGeometry is the regression test for the partial-sum
-// indexing bug: ReduceFloat64 used to re-derive ForRange's chunk geometry and
-// index partials by lo/size, silently corrupting sums whenever the two
-// disagreed. Sweeping odd n/grain combinations with integer-valued terms
-// makes any double count or dropped chunk an exact mismatch.
-func TestReduceFloat64ChunkGeometry(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-	for _, n := range []int{1, 2, 3, 7, 31, 33, 255, 257, 1023, 4097, 65537, 100003} {
-		for _, grain := range []int{1, 2, 3, 5, 7, 13, 100, 1001, 4096} {
-			want := float64(n) * float64(n-1) / 2
-			got := ReduceFloat64(n, grain, func(i int) float64 { return float64(i) })
-			if got != want {
-				t.Fatalf("n=%d grain=%d: got %g want %g", n, grain, got, want)
-			}
 		}
 	}
 }
@@ -295,7 +261,7 @@ func TestParallelPathsUnderRaisedGOMAXPROCS(t *testing.T) {
 	for i := 0; i < n; i++ {
 		want += float64(i)
 	}
-	got := ReduceFloat64(n, 32, func(i int) float64 { return float64(i) })
+	got := ReduceFloat64Det(n, func(i int) float64 { return float64(i) })
 	if math.Abs(got-want) > 1e-6*want {
 		t.Fatalf("parallel reduce %g want %g", got, want)
 	}

@@ -5,7 +5,8 @@
 // (§4.2). It backs the list-histogram aggregation strategy and is exposed
 // for any (key, weight) grouping workload.
 //
-// The sort is stable, runs one counting pass per byte that can be nonzero,
+// The sort is stable, runs one counting pass per byte that can matter (the
+// pair sort skips bytes on which all keys agree, the key sort high zero bytes),
 // and parallelizes both the histogram and the scatter of each pass over
 // contiguous chunks (per-chunk digit counts give each chunk a disjoint
 // write region, so the scatter is race-free and stability is preserved).
@@ -45,25 +46,26 @@ func SortPairs(keys []uint64, vals []float64) {
 	if len(keys) != len(vals) {
 		panic("radix: keys and vals must have equal length")
 	}
-	sortPairsBytes(keys, vals, 0, usedBytes(keys))
-}
-
-// sortPairsBytes runs stable counting passes over key bytes [loByte, hiByte)
-// from least to most significant. Passing loByte > 0 yields a partial sort:
-// the keys end up ordered by their high bytes only, with equal high bytes
-// keeping input order — exactly the "partition, don't sort" step semisort
-// needs when within-group order is irrelevant.
-func sortPairsBytes(keys []uint64, vals []float64, loByte, hiByte int) {
-	n := len(keys)
-	if n < 2 || hiByte <= loByte {
+	// A byte on which every key agrees cannot change the order, so its pass
+	// is skipped: packed (row<<32|col) keys with fewer than 2^16 rows and
+	// columns sort in four passes, not six.
+	var differ uint64
+	for _, k := range keys {
+		differ |= k ^ keys[0]
+	}
+	if differ == 0 {
 		return
 	}
+	n := len(keys)
 	bounds := par.Blocks(n, passGrain)
 	bufK := make([]uint64, n)
 	bufV := make([]float64, n)
 	srcK, srcV := keys, vals
 	dstK, dstV := bufK, bufV
-	for b := loByte; b < hiByte; b++ {
+	for b := 0; b < 8; b++ {
+		if differ>>(8*b)&0xff == 0 {
+			continue
+		}
 		countingPass(srcK, srcV, dstK, dstV, uint(8*b), bounds)
 		srcK, dstK = dstK, srcK
 		srcV, dstV = dstV, srcV
@@ -153,22 +155,6 @@ func GroupSum(keys []uint64, vals []float64) int {
 // (the keys are checked after the sort, where the maximum is the last key).
 func GroupCSR(keys []uint64, vals []float64, numRows int) []int64 {
 	SortPairs(keys, vals)
-	return rowPtrFromGrouped(keys, numRows)
-}
-
-// GroupCSRPartial is the partition-only variant of GroupCSR: it runs
-// counting passes over the high 4 key bytes only, stopping as soon as rows
-// are grouped. Within a row, entries keep their input order (the passes are
-// stable) and columns are NOT sorted — roughly half the sort cost when the
-// consumer only streams rows (SpMM) and never binary-searches them.
-// Correspondingly, the within-row layout depends on the input order, not
-// just the input multiset; use GroupCSR where bit-reproducible output is
-// required.
-func GroupCSRPartial(keys []uint64, vals []float64, numRows int) []int64 {
-	if len(keys) != len(vals) {
-		panic("radix: keys and vals must have equal length")
-	}
-	sortPairsBytes(keys, vals, 4, usedBytes(keys))
 	return rowPtrFromGrouped(keys, numRows)
 }
 

@@ -244,96 +244,6 @@ func randomEdgeKeys(s *rng.Source, n, rows, cols int) ([]uint64, []float64) {
 	return keys, vals
 }
 
-// TestGroupCSRPartialMatchesGroupCSR is the differential lockdown for the
-// partition-only variant: on identical input, the row pointers must be
-// bit-identical to GroupCSR's and every row must hold the same multiset of
-// (col, weight) pairs; only the within-row order may differ.
-func TestGroupCSRPartialMatchesGroupCSR(t *testing.T) {
-	s := rng.New(7, 0)
-	cases := []struct{ n, rows, cols int }{
-		{0, 1, 1},
-		{1, 1, 1},
-		{1, 100, 100},
-		{5, 2, 1 << 20},
-		{1000, 1, 1000},      // single row
-		{1000, 317, 511},     // many duplicate keys
-		{50000, 64, 1 << 30}, // wide column space: low bytes exercise all 4
-		{200000, 5000, 5000},
-		{3000, 100000, 3}, // mostly empty rows
-	}
-	type pair struct {
-		col uint64
-		w   float64
-	}
-	for _, tc := range cases {
-		keys, vals := randomEdgeKeys(s, tc.n, tc.rows, tc.cols)
-		fullK := append([]uint64(nil), keys...)
-		fullV := append([]float64(nil), vals...)
-		partK := append([]uint64(nil), keys...)
-		partV := append([]float64(nil), vals...)
-		fullPtr := GroupCSR(fullK, fullV, tc.rows)
-		partPtr := GroupCSRPartial(partK, partV, tc.rows)
-		if len(fullPtr) != len(partPtr) {
-			t.Fatalf("n=%d rows=%d: rowPtr lengths differ", tc.n, tc.rows)
-		}
-		for r := range fullPtr {
-			if fullPtr[r] != partPtr[r] {
-				t.Fatalf("n=%d rows=%d: rowPtr[%d]=%d want %d", tc.n, tc.rows, r, partPtr[r], fullPtr[r])
-			}
-		}
-		for r := 0; r < tc.rows; r++ {
-			lo, hi := fullPtr[r], fullPtr[r+1]
-			a := make([]pair, 0, hi-lo)
-			b := make([]pair, 0, hi-lo)
-			for p := lo; p < hi; p++ {
-				if int(partK[p]>>32) != r {
-					t.Fatalf("row %d: partial key %d grouped into wrong row", r, partK[p])
-				}
-				a = append(a, pair{fullK[p] & 0xffffffff, fullV[p]})
-				b = append(b, pair{partK[p] & 0xffffffff, partV[p]})
-			}
-			less := func(ps []pair) func(i, j int) bool {
-				return func(i, j int) bool {
-					if ps[i].col != ps[j].col {
-						return ps[i].col < ps[j].col
-					}
-					return ps[i].w < ps[j].w
-				}
-			}
-			sort.Slice(a, less(a))
-			sort.Slice(b, less(b))
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("row %d: multiset mismatch at %d: %v vs %v", r, i, a[i], b[i])
-				}
-			}
-		}
-	}
-}
-
-// TestGroupCSRPartialStability: within a row, entries must keep input order
-// (the passes are stable), which is what makes the partial variant safe to
-// differentially test and keeps duplicate-merging order well-defined.
-func TestGroupCSRPartialStability(t *testing.T) {
-	// All in row 3; columns deliberately unsorted with duplicates.
-	cols := []uint64{9, 2, 9, 7, 2, 100, 1}
-	keys := make([]uint64, len(cols))
-	vals := make([]float64, len(cols))
-	for i, c := range cols {
-		keys[i] = 3<<32 | c
-		vals[i] = float64(i)
-	}
-	rowPtr := GroupCSRPartial(keys, vals, 5)
-	if rowPtr[3] != 0 || rowPtr[4] != int64(len(cols)) {
-		t.Fatalf("rowPtr wrong: %v", rowPtr)
-	}
-	for i, c := range cols {
-		if keys[i] != 3<<32|c || vals[i] != float64(i) {
-			t.Fatalf("within-row order not preserved at %d: key %x val %g", i, keys[i], vals[i])
-		}
-	}
-}
-
 // TestSortGeometryInvariance: the chunk geometry now derives from par.Blocks
 // (worker-count dependent), so prove sorted output identical across worker
 // counts, including payload order for duplicate keys (stability is geometry
@@ -379,21 +289,6 @@ func BenchmarkGroupCSR(b *testing.B) {
 		copy(work, keys)
 		copy(workV, vals)
 		GroupCSR(work, workV, rows)
-	}
-}
-
-func BenchmarkGroupCSRPartial(b *testing.B) {
-	s := rng.New(3, 0)
-	n, rows := 1<<20, 1<<16
-	keys, vals := randomEdgeKeys(s, n, rows, 1<<20)
-	work := make([]uint64, n)
-	workV := make([]float64, n)
-	b.SetBytes(int64(n) * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, keys)
-		copy(workV, vals)
-		GroupCSRPartial(work, workV, rows)
 	}
 }
 

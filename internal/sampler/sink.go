@@ -15,9 +15,6 @@ import (
 // Both implementations produce bit-identical DrainCSR output for the same
 // accumulated multiset: fixed-point accumulation is exact and commutative,
 // and the fully-sorted radix grouping erases shard routing and slot order.
-// DrainCSRPartial does NOT share that guarantee — columns within a row stay
-// in (nondeterministic) slot/shard order — so it is reserved for SpMM-only
-// consumers.
 type Sink interface {
 	// AddFixed accumulates a 44.20 fixed-point weight onto a packed key.
 	// Safe for concurrent use.
@@ -47,9 +44,6 @@ type Sink interface {
 	// sorted — a pure function of the accumulated multiset. Must not be
 	// called concurrently with AddFixed.
 	DrainCSR(numRows int) (rowPtr []int64, cols []uint32, ws []float64)
-	// DrainCSRPartial is DrainCSR with partition-only grouping (columns
-	// within a row unsorted); safe for SpMM-only consumers.
-	DrainCSRPartial(numRows int) (rowPtr []int64, cols []uint32, ws []float64)
 }
 
 // Compile-time checks that both aggregation backends satisfy Sink.

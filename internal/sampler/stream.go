@@ -4,10 +4,10 @@ package sampler
 // single-pass sketched factorization wants to absorb the sparsifier while it
 // drains out of the hash table instead of holding a second, scaled copy of
 // the CSR. The global radix sort inside DrainCSR must finish before any row's
-// final content exists, so "streaming" here means: after grouping, the rows
-// are handed out in bounded whole-row chunks that the consumer can transform
-// (scale + trunc-log) and absorb one at a time, never materializing the
-// scaled matrix.
+// final content exists, so "streaming" here means: after grouping, the
+// consumer (netsmf.Factorize) walks the rows in bounded whole-row chunks that
+// it transforms (scale + trunc-log) and absorbs one at a time, never
+// materializing the scaled matrix.
 
 // ChunkRows splits the rows of a CSR row-pointer array into whole-row chunks
 // of at most maxEntries entries and returns the row boundaries: chunk c is
@@ -33,24 +33,4 @@ func ChunkRows(rowPtr []int64, maxEntries int64) []int {
 		lo = hi
 	}
 	return bounds
-}
-
-// StreamCSR drains the sink in fully-sorted CSR order and hands the rows to
-// emit in whole-row chunks of at most maxEntries entries (ChunkRows
-// boundaries). emit receives the half-open row range plus the full drained
-// arrays — chunk c's entries are cols[rowPtr[rowLo]:rowPtr[rowHi]] — and is
-// called sequentially in row order, so the consumer may overlap its own work
-// (transform, sketch absorption) against the next call but never sees two
-// chunks at once. Returns the total number of drained entries.
-//
-// The drained arrays stay live for the duration of the call; the caller's
-// peak is one raw CSR (12 bytes per entry plus the row pointers), not the
-// raw and the transformed copy together.
-func StreamCSR(sink Sink, numRows int, maxEntries int64, emit func(rowLo, rowHi int, rowPtr []int64, cols []uint32, ws []float64)) int64 {
-	rowPtr, cols, ws := sink.DrainCSR(numRows)
-	bounds := ChunkRows(rowPtr, maxEntries)
-	for c := 0; c+1 < len(bounds); c++ {
-		emit(bounds[c], bounds[c+1], rowPtr, cols, ws)
-	}
-	return rowPtr[numRows]
 }

@@ -1,7 +1,6 @@
 package sampler
 
 import (
-	"math"
 	"testing"
 
 	"lightne/internal/hashtable"
@@ -64,39 +63,26 @@ func TestChunkRowsBoundaries(t *testing.T) {
 	}
 }
 
-// TestStreamCSREquivalence pins the streaming contract: for every chunk size
-// the concatenation of emitted chunks is exactly the DrainCSR output, chunks
-// arrive in row order, and the total matches.
-func TestStreamCSREquivalence(t *testing.T) {
+// TestChunkRowsTilesDrain pins the streaming contract on a real drain: for
+// every chunk size the chunks tile [0, n) in row order and their entry counts
+// sum to the drained total.
+func TestChunkRowsTilesDrain(t *testing.T) {
 	const n = 64
-	wantRowPtr, wantCols, wantWs := streamFixture(t, n).DrainCSR(n)
-
+	rowPtr, _, _ := streamFixture(t, n).DrainCSR(n)
 	for _, max := range []int64{1, 13, 100, 1 << 40} {
-		tab := streamFixture(t, n)
-		nextRow := 0
-		var seen int64
-		total := StreamCSR(tab, n, max, func(lo, hi int, rowPtr []int64, cols []uint32, ws []float64) {
-			if lo != nextRow {
-				t.Fatalf("max=%d: chunk starts at %d, want %d", max, lo, nextRow)
-			}
-			nextRow = hi
-			for r := lo; r <= hi; r++ {
-				if rowPtr[r] != wantRowPtr[r] {
-					t.Fatalf("max=%d: rowPtr[%d] differs", max, r)
-				}
-			}
-			for p := rowPtr[lo]; p < rowPtr[hi]; p++ {
-				if cols[p] != wantCols[p] || math.Float64bits(ws[p]) != math.Float64bits(wantWs[p]) {
-					t.Fatalf("max=%d: entry %d differs", max, p)
-				}
-			}
-			seen += rowPtr[hi] - rowPtr[lo]
-		})
-		if nextRow != n {
-			t.Fatalf("max=%d: chunks stopped at row %d", max, nextRow)
+		bounds := ChunkRows(rowPtr, max)
+		if bounds[0] != 0 || bounds[len(bounds)-1] != n {
+			t.Fatalf("max=%d: chunks cover [%d,%d), want [0,%d)", max, bounds[0], bounds[len(bounds)-1], n)
 		}
-		if total != wantRowPtr[n] || seen != total {
-			t.Fatalf("max=%d: total %d seen %d want %d", max, total, seen, wantRowPtr[n])
+		var seen int64
+		for c := 0; c+1 < len(bounds); c++ {
+			if bounds[c+1] <= bounds[c] {
+				t.Fatalf("max=%d: chunk %d is [%d,%d)", max, c, bounds[c], bounds[c+1])
+			}
+			seen += rowPtr[bounds[c+1]] - rowPtr[bounds[c]]
+		}
+		if seen != rowPtr[n] {
+			t.Fatalf("max=%d: chunks hold %d entries, drain has %d", max, seen, rowPtr[n])
 		}
 	}
 }

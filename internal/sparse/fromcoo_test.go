@@ -183,23 +183,18 @@ func FuzzFromCOO(f *testing.F) {
 	})
 }
 
-// TestFromCSRPartsGrouped: the grouped constructor must accept unsorted
-// rows, flag them, answer At correctly via the linear fallback, and keep
-// rejecting genuinely malformed parts. FromCSRParts must keep rejecting
-// unsorted rows.
-func TestFromCSRPartsGrouped(t *testing.T) {
+// TestFromCSRPartsValidates: the zero-copy constructor must accept grouped,
+// column-sorted parts and reject everything else — unsorted or duplicate
+// columns, out-of-range columns, bad row-pointer endpoints — since every
+// consumer (At's binary search, the determinism contract) relies on a CSR
+// being column-sorted by construction.
+func TestFromCSRPartsValidates(t *testing.T) {
 	rowPtr := []int64{0, 3, 3, 5}
-	colIdx := []uint32{7, 2, 4, 1, 0}
-	val := []float64{1, 2, 3, 4, 5}
-	if _, err := FromCSRParts(3, 8, rowPtr, colIdx, val); err == nil {
-		t.Fatal("FromCSRParts accepted unsorted columns")
-	}
-	m, err := FromCSRPartsGrouped(3, 8, rowPtr, colIdx, val)
+	colIdx := []uint32{2, 4, 7, 0, 1}
+	val := []float64{2, 3, 1, 5, 4}
+	m, err := FromCSRParts(3, 8, rowPtr, colIdx, val)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.ColumnsSorted() {
-		t.Fatal("grouped matrix claims sorted columns")
 	}
 	checks := map[[2]int]float64{
 		{0, 7}: 1, {0, 2}: 2, {0, 4}: 3, {2, 1}: 4, {2, 0}: 5, {0, 3}: 0, {1, 0}: 0,
@@ -209,22 +204,19 @@ func TestFromCSRPartsGrouped(t *testing.T) {
 			t.Fatalf("At(%d,%d)=%g want %g", k[0], k[1], got, want)
 		}
 	}
-	// Out-of-bounds columns still rejected.
-	if _, err := FromCSRPartsGrouped(3, 8, rowPtr, []uint32{7, 2, 4, 1, 99}, val); err == nil {
-		t.Fatal("grouped accepted out-of-range column")
+	for name, bad := range map[string][]uint32{
+		"unsorted columns":    {7, 2, 4, 1, 0},
+		"duplicate column":    {2, 2, 7, 0, 1},
+		"out-of-range column": {2, 4, 99, 0, 1},
+	} {
+		if _, err := FromCSRParts(3, 8, rowPtr, bad, val); err == nil {
+			t.Fatalf("FromCSRParts accepted %s", name)
+		}
 	}
-	// Bad endpoints still rejected.
-	if _, err := FromCSRPartsGrouped(3, 8, []int64{0, 3, 3, 4}, colIdx, val); err == nil {
-		t.Fatal("grouped accepted bad rowPtr endpoint")
-	}
-	// TruncLog must carry the flag; Transpose launders it away.
-	if tl := m.TruncLog(); tl.ColumnsSorted() {
-		t.Fatal("TruncLog dropped the unsorted flag")
+	if _, err := FromCSRParts(3, 8, []int64{0, 3, 3, 4}, colIdx, val); err == nil {
+		t.Fatal("FromCSRParts accepted bad rowPtr endpoint")
 	}
 	tr := m.Transpose()
-	if !tr.ColumnsSorted() {
-		t.Fatal("Transpose output should be sorted")
-	}
 	for r := 0; r < tr.NumRows; r++ {
 		for p := tr.RowPtr[r] + 1; p < tr.RowPtr[r+1]; p++ {
 			if tr.ColIdx[p] <= tr.ColIdx[p-1] {
@@ -232,11 +224,4 @@ func TestFromCSRPartsGrouped(t *testing.T) {
 			}
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

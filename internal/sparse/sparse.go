@@ -31,17 +31,7 @@ type CSR struct {
 	RowPtr           []int64 // len NumRows+1
 	ColIdx           []uint32
 	Val              []float64
-	// colsUnsorted marks matrices built by the partition-only (grouped, not
-	// sorted) fast path: rows are grouped but columns within a row are in
-	// arrival order. Streaming consumers (SpMM, Apply, TruncLog, Transpose)
-	// don't care; At falls back to a linear scan. The zero value means
-	// sorted, which every other builder guarantees.
-	colsUnsorted bool
 }
-
-// ColumnsSorted reports whether every row's columns are strictly ascending
-// (true for all builders except FromCSRPartsGrouped).
-func (m *CSR) ColumnsSorted() bool { return !m.colsUnsorted }
 
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int64 { return m.RowPtr[m.NumRows] }
@@ -127,22 +117,6 @@ func FromCOO(rows, cols int, us, vs []uint32, ws []float64) (*CSR, error) {
 // hashtable.DrainCSR produces. All invariants are validated (in parallel),
 // so a malformed hand-off fails loudly instead of corrupting the SVD input.
 func FromCSRParts(rows, cols int, rowPtr []int64, colIdx []uint32, val []float64) (*CSR, error) {
-	return fromCSRParts(rows, cols, rowPtr, colIdx, val, true)
-}
-
-// FromCSRPartsGrouped is FromCSRParts for the partition-only drain
-// (hashtable DrainCSRPartial / radix.GroupCSRPartial): rows must be grouped
-// and in-bounds, but columns within a row may be in any order. The resulting
-// matrix reports ColumnsSorted() == false and At falls back to a linear row
-// scan; every streaming consumer (SpMM, Apply, TruncLog, Transpose,
-// Scale*) works unchanged. Use it only where the matrix feeds SpMM-style
-// row streaming — never where binary-searched lookups or bit-reproducible
-// layouts are required.
-func FromCSRPartsGrouped(rows, cols int, rowPtr []int64, colIdx []uint32, val []float64) (*CSR, error) {
-	return fromCSRParts(rows, cols, rowPtr, colIdx, val, false)
-}
-
-func fromCSRParts(rows, cols int, rowPtr []int64, colIdx []uint32, val []float64, sorted bool) (*CSR, error) {
 	if len(rowPtr) != rows+1 {
 		return nil, fmt.Errorf("sparse: rowPtr has %d entries, want %d", len(rowPtr), rows+1)
 	}
@@ -160,7 +134,7 @@ func fromCSRParts(rows, cols int, rowPtr []int64, colIdx []uint32, val []float64
 			return
 		}
 		for p := lo; p < hi; p++ {
-			if int(colIdx[p]) >= cols || (sorted && p > lo && colIdx[p] <= colIdx[p-1]) {
+			if int(colIdx[p]) >= cols || (p > lo && colIdx[p] <= colIdx[p-1]) {
 				atomic.StoreInt32(&bad, 1)
 				return
 			}
@@ -169,7 +143,7 @@ func fromCSRParts(rows, cols int, rowPtr []int64, colIdx []uint32, val []float64
 	if bad != 0 {
 		return nil, fmt.Errorf("sparse: CSR parts violate row/column invariants")
 	}
-	return &CSR{NumRows: rows, NumCols: cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val, colsUnsorted: !sorted}, nil
+	return &CSR{NumRows: rows, NumCols: cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}, nil
 }
 
 // FromTable builds an n×n CSR matrix from the sampler's hash table via the
@@ -179,21 +153,12 @@ func FromTable(n int, t *hashtable.Table) (*CSR, error) {
 	return FromCSRParts(n, n, rowPtr, cols, ws)
 }
 
-// At returns entry (i, j), zero if absent. O(log degree) binary search on
-// sorted rows — the reason the fully-sorted builders exist; on a
-// partition-only (grouped) matrix it degrades to a linear row scan.
-// Intended for tests and spot checks, not inner loops.
+// At returns entry (i, j), zero if absent: an O(log degree) binary search,
+// every builder leaving rows column-sorted. Intended for tests and spot
+// checks, not inner loops.
 func (m *CSR) At(i int, j uint32) float64 {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 	cols := m.ColIdx[lo:hi]
-	if m.colsUnsorted {
-		for p, c := range cols {
-			if c == j {
-				return m.Val[lo+int64(p)]
-			}
-		}
-		return 0
-	}
 	k := sort.Search(len(cols), func(p int) bool { return cols[p] >= j })
 	if k < len(cols) && cols[k] == j {
 		return m.Val[lo+int64(k)]
@@ -254,10 +219,8 @@ func (p *Product) rows(lo, hi int) {
 	}
 }
 
-// Transpose returns Mᵀ. The result is always column-sorted — the row-major
-// scatter emits each transposed row in source-row order — even when the
-// source rows were only grouped, so transposing "launders" a partial-sort
-// matrix back into a fully-sorted one.
+// Transpose returns Mᵀ, column-sorted like every CSR: the row-major scatter
+// emits each transposed row in source-row order.
 func (m *CSR) Transpose() *CSR {
 	t := &CSR{NumRows: m.NumCols, NumCols: m.NumRows}
 	t.RowPtr = make([]int64, m.NumCols+1)
@@ -329,8 +292,6 @@ func (m *CSR) TruncLog() *CSR {
 		RowPtr:  counts,
 		ColIdx:  make([]uint32, counts[m.NumRows]),
 		Val:     make([]float64, counts[m.NumRows]),
-		// Pruning preserves within-row order, so sortedness carries over.
-		colsUnsorted: m.colsUnsorted,
 	}
 	par.For(m.NumRows, 64, func(i int) {
 		w := out.RowPtr[i]
@@ -343,16 +304,6 @@ func (m *CSR) TruncLog() *CSR {
 		}
 	})
 	return out
-}
-
-// Apply replaces every stored value v with fn(row, col, v) in place. Entries
-// are not pruned even if fn returns zero.
-func (m *CSR) Apply(fn func(i int, j uint32, v float64) float64) {
-	par.For(m.NumRows, 64, func(i int) {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			m.Val[p] = fn(i, m.ColIdx[p], m.Val[p])
-		}
-	})
 }
 
 // RowSums returns the vector of row sums.

@@ -29,7 +29,7 @@ func salt(data []float64, every int, src *rng.Source) {
 // entries at random (possibly repeated, unsorted) columns: every remainder
 // of the 4-way unroll, the empty row, and rows of two and more full groups.
 func rowLengthMatrix(rows, cols int, lens []int, src *rng.Source) *CSR {
-	m := &CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int64, rows+1), colsUnsorted: true}
+	m := &CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int64, rows+1)}
 	for r := 0; r < rows; r++ {
 		for k := 0; k < lens[r%len(lens)]; k++ {
 			m.ColIdx = append(m.ColIdx, uint32(src.Intn(cols)))
