@@ -10,16 +10,13 @@ package lightne_test
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"lightne"
 	"lightne/internal/aggregate"
-	"lightne/internal/ann"
 	"lightne/internal/compress"
 	"lightne/internal/dense"
 	"lightne/internal/eval"
@@ -382,9 +379,6 @@ func BenchmarkAblation_PropagationFilters(b *testing.B) {
 // deployments' end product (embeddings consumed by recommendation
 // queries). Closed-loop HTTP clients drive /v1/neighbors over a published
 // snapshot; qps and exact percentile latencies are reported per precision.
-// The frontier sub-benchmark additionally sweeps the IVF index across
-// probe widths and writes the measured recall/qps frontier (exact baseline
-// plus one point per nprobe) to BENCH_serving.json.
 func BenchmarkServing(b *testing.B) {
 	const vertices, dims = 5000, 64
 	x := dense.NewMatrix(vertices, dims)
@@ -419,59 +413,6 @@ func BenchmarkServing(b *testing.B) {
 			b.ReportMetric(float64(rep.P99.Microseconds()), "p99-µs")
 		})
 	}
-	b.Run("frontier", func(b *testing.B) {
-		// Clustered rows — the regime trained network embeddings live in
-		// (community structure), where the IVF trade-off is representative;
-		// iid gaussian rows are the coarse quantizer's worst case.
-		xc := dense.NewMatrix(vertices, dims)
-		centers := dense.NewMatrix(64, dims)
-		centers.FillGaussian(12)
-		src := rng.New(13, 0)
-		for i := 0; i < vertices; i++ {
-			c := centers.Row(src.Intn(64))
-			row := xc.Row(i)
-			for j := 0; j < dims; j++ {
-				row[j] = c[j] + 0.15*src.NormFloat64()
-			}
-		}
-		ix, err := serve.NewIndex(xc, "float32")
-		if err != nil {
-			b.Fatal(err)
-		}
-		ivf, err := serve.BuildANN(ix, ann.Config{Enabled: true, MinRows: 1, NList: 64, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		points, err := serve.RunFrontier(context.Background(), ix, ivf, []int{1, 4, 16}, serve.LoadConfig{
-			Workers:  8,
-			Requests: b.N,
-			Vertices: vertices,
-			K:        10,
-			Seed:     1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, pt := range points {
-			b.Log(pt.String())
-		}
-		last := points[len(points)-1]
-		b.ReportMetric(last.QPS, "qps")
-		b.ReportMetric(last.Recall, "recall@10")
-		report := struct {
-			Vertices int                   `json:"vertices"`
-			Dims     int                   `json:"dims"`
-			K        int                   `json:"k"`
-			Points   []serve.FrontierPoint `json:"points"`
-		}{Vertices: vertices, Dims: dims, K: 10, Points: points}
-		raw, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_serving.json", append(raw, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	})
 }
 
 func BenchmarkE11_DynamicEmbedding(b *testing.B)      { benchExperiment(b, "e11") }

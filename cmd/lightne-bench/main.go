@@ -9,7 +9,6 @@
 //	                              # e11-e14 extension experiments)
 //	lightne-bench -exp e4,e5      # only Table 4 and Figure 2
 //	lightne-bench -quick          # ~10x cheaper smoke run
-//	lightne-bench -exp e14 -factorize-out BENCH_factorize.json
 package main
 
 import (
@@ -24,10 +23,9 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "comma-separated experiment IDs (e1..e14) or 'all'")
-		quick   = flag.Bool("quick", false, "shrink sweeps and sample budgets for a fast smoke run")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		factOut = flag.String("factorize-out", "", "path for E14's machine-readable record (e.g. BENCH_factorize.json); empty writes nothing")
+		exp   = flag.String("exp", "all", "comma-separated experiment IDs (e1..e14) or 'all'")
+		quick = flag.Bool("quick", false, "shrink sweeps and sample budgets for a fast smoke run")
+		seed  = flag.Uint64("seed", 1, "random seed")
 	)
 	flag.Parse()
 
@@ -39,7 +37,7 @@ func main() {
 		}
 	}
 	runners := experiments.All()
-	opt := experiments.Options{Seed: *seed, Quick: *quick, FactorizeOut: *factOut}
+	opt := experiments.Options{Seed: *seed, Quick: *quick}
 	start := time.Now()
 	failed := 0
 	for _, id := range ids {

@@ -402,21 +402,6 @@ func (ix *Index) Search(v Vectors, q, k, nprobe int) ([]int, []float64, int, err
 	return out, vals, len(cands), nil
 }
 
-// WithNProbe returns a shallow copy whose default probe width is p, sharing
-// all index data with the receiver — the way one build is served at several
-// points of the recall/throughput frontier.
-func (ix *Index) WithNProbe(p int) *Index {
-	cp := *ix
-	if p < 1 {
-		p = 1
-	}
-	if p > cp.nlist {
-		p = cp.nlist
-	}
-	cp.nprobe = p
-	return &cp
-}
-
 // NList returns the number of posting lists (coarse centroids).
 func (ix *Index) NList() int { return ix.nlist }
 

@@ -277,18 +277,6 @@ func TestIVFErrorsAndEdges(t *testing.T) {
 	if len(ids) != 199 || scanned != 200 {
 		t.Fatalf("full probe: %d results, %d scanned", len(ids), scanned)
 	}
-	// WithNProbe clamps and shares data.
-	wide := ix.WithNProbe(10_000)
-	if wide.NProbe() != ix.NList() {
-		t.Fatalf("WithNProbe clamp: %d", wide.NProbe())
-	}
-	narrow := ix.WithNProbe(-3)
-	if narrow.NProbe() != 1 {
-		t.Fatalf("WithNProbe floor: %d", narrow.NProbe())
-	}
-	if ix.NProbe() == narrow.NProbe() && ix.NProbe() != 1 {
-		t.Fatal("WithNProbe mutated the receiver")
-	}
 	// NList larger than rows clamps; single-row embeddings index fine.
 	one := quant.ToFloat32(clusteredMatrix(1, 4, 1, 0, 5))
 	tiny, err := Build(one, Config{NList: 64, Seed: 1})

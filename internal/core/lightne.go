@@ -1,8 +1,9 @@
 // Package core implements the LightNE pipeline (paper §3.2): Step 1 runs
 // NetSMF with edge downsampling to factorize a sparse estimate of the NetMF
 // matrix, and Step 2 enhances the resulting embedding with ProNE's spectral
-// propagation. Per-stage wall-clock timing is recorded to reproduce the
-// paper's running-time breakdown (Table 5).
+// propagation. Config is the one parameter set of every system the paper
+// runs, resolved here and nowhere else. Per-stage wall-clock timing is
+// recorded to reproduce the paper's running-time breakdown (Table 5).
 package core
 
 import (
@@ -49,7 +50,9 @@ type Config struct {
 	Oversample int
 	PowerIters int
 	// BatchedWalks selects the radix-batched walk schedule (paper §4.2
-	// future work); weighted graphs walk natively via alias tables.
+	// future work); weighted graphs walk natively via alias tables. The
+	// incremental embedder (internal/dynamic) ignores it and WaveSize: its
+	// per-batch sampler is per-arc.
 	BatchedWalks bool
 	// WaveSize caps the in-flight heads per wave of the batched walker's
 	// enumerate→walk→drain pipeline; <= 0 picks the maximum (2^22). Only
@@ -97,6 +100,35 @@ func LargeConfig(d int) Config {
 	return c
 }
 
+// NetSMFConfig is the paper's NetSMF baseline at dimension d: the same
+// pipeline with downsampling and propagation off (M = 1·T·m; the paper's
+// runs raise SampleMultiple, e.g. to 8).
+func NetSMFConfig(d int) Config {
+	c := DefaultConfig(d)
+	c.NoDownsample, c.SkipPropagation = true, true
+	return c
+}
+
+// samples resolves the trial count: M, else SampleMultiple·T·m with a
+// multiple <= 0 read as 1.
+func (cfg Config) samples(g *graph.Graph) int64 {
+	if cfg.M > 0 {
+		return cfg.M
+	}
+	mult := cfg.SampleMultiple
+	if mult <= 0 {
+		mult = 1
+	}
+	return netsmf.MFromMultiple(g, cfg.T, mult)
+}
+
+// Sampler resolves the sampling pass's parameters on g — the one place M is
+// derived, so the run, the planner and the incremental embedder agree.
+func (cfg Config) Sampler(g *graph.Graph) sampler.Config {
+	return sampler.Config{T: cfg.T, M: cfg.samples(g), Downsample: !cfg.NoDownsample,
+		C: cfg.C, Seed: cfg.Seed, Shards: cfg.Shards}
+}
+
 // Timing is the three-stage breakdown reported in Table 5.
 type Timing struct {
 	Sparsifier  time.Duration
@@ -124,7 +156,8 @@ type Result struct {
 	Timing Timing
 }
 
-// Embed runs LightNE on g.
+// Embed runs LightNE on g: the sampling pass (per-arc, or batched waves
+// with BatchedWalks), then EmbedTable.
 func Embed(g *graph.Graph, cfg Config) (*Result, error) {
 	if cfg.Dim <= 0 {
 		return nil, fmt.Errorf("lightne: dimension must be positive, got %d", cfg.Dim)
@@ -132,60 +165,161 @@ func Embed(g *graph.Graph, cfg Config) (*Result, error) {
 	if cfg.T <= 0 {
 		return nil, fmt.Errorf("lightne: window size T must be positive, got %d", cfg.T)
 	}
-	m := cfg.M
-	if m <= 0 {
-		mult := cfg.SampleMultiple
-		if mult <= 0 {
-			mult = 1
-		}
-		m = netsmf.MFromMultiple(g, cfg.T, mult)
+	start := time.Now()
+	var (
+		table sampler.Sink
+		stats sampler.Stats
+		err   error
+	)
+	if cfg.BatchedWalks {
+		table, stats, err = sampler.SampleBatched(g, cfg.Sampler(g), cfg.WaveSize)
+	} else {
+		table, stats, err = sampler.Sample(g, cfg.Sampler(g))
 	}
-
-	nres, err := netsmf.Run(g, netsmf.Config{
-		T:            cfg.T,
-		M:            m,
-		Dim:          cfg.Dim,
-		NegSamples:   cfg.NegSamples,
-		Downsample:   !cfg.NoDownsample,
-		C:            cfg.C,
-		Seed:         cfg.Seed,
-		Oversample:   cfg.Oversample,
-		PowerIters:   cfg.PowerIters,
-		BatchedWalks: cfg.BatchedWalks,
-		WaveSize:     cfg.WaveSize,
-		Shards:       cfg.Shards,
-		StreamedSVD:  cfg.StreamedSVD,
-		Sketch:       cfg.Sketch,
-	})
+	if err != nil {
+		return nil, fmt.Errorf("lightne: sampling: %w", err)
+	}
+	sampling := time.Since(start)
+	res, err := EmbedTable(g, table, stats.Trials, cfg)
 	if err != nil {
 		return nil, err
 	}
+	res.SampleStats = stats
+	res.Timing.Sparsifier += sampling
+	return res, nil
+}
 
-	res := &Result{
-		Embedding:     nres.Embedding,
-		Initial:       nres.Embedding,
-		Sigma:         nres.Sigma,
-		SparsifierNNZ: nres.SparsifierNNZ,
-		SampleStats:   nres.SampleStats,
-		Timing: Timing{
-			Sparsifier: nres.Timing.Sparsifier,
-			SVD:        nres.Timing.SVD,
-		},
+// streamChunkEntries caps the raw entries per streamed chunk: 2^20 entries is
+// ~12 MiB of drained CSR per buffer, big enough to amortize the per-chunk
+// sketch pass and small enough that the two in-flight transform buffers are
+// noise next to the sketch itself. The value never affects results — chunk
+// boundaries are whole rows (sampler.ChunkRows) and sketch absorption is
+// chunk-order-independent — so it is a constant, not a Config knob.
+const streamChunkEntries = 1 << 20
+
+// EmbedTable is the one hand-off from an aggregation sink to the embedding,
+// shared by Embed and the incremental embedder (internal/dynamic): the
+// fully-sorted drain, the row transform (estimator scaling + trunc_log), the
+// factorization, X = U·Σ^{1/2} and (unless SkipPropagation) spectral
+// propagation. trials is the realized sample count M̂ accumulated in sink; of
+// cfg the sampling fields are not read. The sink is left intact.
+// Result.SampleStats is the caller's to fill.
+//
+// Because per-vertex RNG streams fix the sample multiset, fixed-point
+// accumulation is exact and commutative, and the fully-sorted drain is a pure
+// function of that multiset, the drained matrix is bit-identical for every
+// Shards setting and worker count. The scaled matrix is bit-stable too:
+// vol(G) is an exact integer for unweighted graphs and a fixed-geometry
+// deterministic reduction (par.ReduceFloat64Det) for weighted ones, and the
+// transform is a pure function of (entry, vol, degrees).
+//
+// The multi-pass path transforms all rows at once and runs the randomized
+// SVD on the materialized matrix. The matrix is exactly symmetric bitwise —
+// every sample inserts in both orientations with the same fixed-point weight,
+// and the estimator scaling is symmetric in (i, j) — so the SVD reuses it as
+// its own transpose instead of materializing a second CSR.
+//
+// The single-pass path (StreamedSVD) transforms whole-row chunks
+// (sampler.ChunkRows) straight into a sketch accumulator: the scaled matrix
+// is never materialized — the resident sparse state is the drained raw CSR
+// plus two bounded chunk buffers — and the dense working set is the sketch's
+// 3·n·k + Ω instead of the rSVD's 5·n·k. The transform of chunk c overlaps
+// the absorption of chunk c-1 through a two-deep buffer ring and a consumer
+// goroutine. Determinism does not depend on that overlap: chunks cover
+// disjoint whole rows, per-row accumulation into the sketch is sequential,
+// and the chunk boundaries are a pure function of the (deterministic)
+// drained row pointers.
+func EmbedTable(g *graph.Graph, sink sampler.Sink, trials int64, cfg Config) (*Result, error) {
+	b := cfg.NegSamples
+	if b <= 0 {
+		b = 1
+	}
+	n := g.NumVertices()
+	start := time.Now()
+	rowPtr, cols, ws := sink.DrainCSR(n)
+	var (
+		res            *svd.Result
+		nnz            int64
+		sparsifierTime time.Duration
+	)
+	if cfg.StreamedSVD {
+		sk, err := svd.NewSketch(n, cfg.Dim, svd.SketchOptions{
+			Seed:       cfg.Seed + 1,
+			Kind:       cfg.Sketch,
+			Oversample: cfg.Oversample,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("lightne: sketch: %w", err)
+		}
+		tr := netsmf.NewTransform(g, rowPtr, cols, ws, b, trials)
+
+		free := make(chan *svd.RowChunk, 2)
+		free <- new(svd.RowChunk)
+		free <- new(svd.RowChunk)
+		work := make(chan *svd.RowChunk, 2)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for cb := range work {
+				sk.Absorb(*cb)
+				free <- cb
+			}
+		}()
+		bounds := sampler.ChunkRows(rowPtr, streamChunkEntries)
+		for c := 0; c+1 < len(bounds); c++ {
+			cb := <-free
+			tr.Rows(bounds[c], bounds[c+1], cb)
+			nnz += cb.NNZ()
+			work <- cb
+		}
+		close(work)
+		<-done
+		sparsifierTime = time.Since(start)
+
+		start = time.Now()
+		if res, err = sk.Factorize(); err != nil {
+			return nil, fmt.Errorf("lightne: sketch factorization: %w", err)
+		}
+	} else {
+		mat, err := netsmf.BuildMatrixCSR(g, rowPtr, cols, ws, b, trials)
+		if err != nil {
+			return nil, err
+		}
+		nnz = mat.NNZ()
+		sparsifierTime = time.Since(start)
+
+		start = time.Now()
+		res, err = svd.RandomizedSVD(mat, cfg.Dim, svd.Options{
+			Seed:       cfg.Seed + 1,
+			Oversample: cfg.Oversample,
+			PowerIters: cfg.PowerIters,
+			Symmetric:  true,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("lightne: svd: %w", err)
+		}
+	}
+	x := svd.EmbedFromSVD(res)
+	out := &Result{
+		Embedding:     x,
+		Initial:       x,
+		Sigma:         res.Sigma,
+		SparsifierNNZ: nnz,
+		Timing:        Timing{Sparsifier: sparsifierTime, SVD: time.Since(start)},
 	}
 	if cfg.SkipPropagation {
-		return res, nil
+		return out, nil
 	}
-
 	prop := cfg.Propagation
 	if prop.Order == 0 {
 		prop = prone.DefaultPropagation()
 	}
-	start := time.Now()
-	enhanced, err := prone.Propagate(g, nres.Embedding, prop)
+	start = time.Now()
+	enhanced, err := prone.Propagate(g, x, prop)
 	if err != nil {
 		return nil, fmt.Errorf("lightne: propagation: %w", err)
 	}
-	res.Timing.Propagation = time.Since(start)
-	res.Embedding = enhanced
-	return res, nil
+	out.Timing.Propagation = time.Since(start)
+	out.Embedding = enhanced
+	return out, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"lightne/internal/graph"
 	"lightne/internal/par"
@@ -74,18 +73,11 @@ func (m MemoryEstimate) Total() int64 {
 		m.SparsifierBytes + m.StreamBytes + m.DenseBytes + m.GraphBytes + m.AliasTableBytes
 }
 
-// expectedHeadFraction computes E[p_e] over directed arcs for the config's
-// downsampling constant (1 when downsampling is off). O(m).
-func expectedHeadFraction(g *graph.Graph, cfg Config) float64 {
-	if cfg.NoDownsample {
+// expectedHeadFraction computes E[p_e] over directed arcs for the resolved
+// downsampling constant c (1 when c is 0, downsampling off). O(m).
+func expectedHeadFraction(g *graph.Graph, c float64) float64 {
+	if c == 0 {
 		return 1
-	}
-	c := cfg.C
-	if c <= 0 {
-		c = math.Log(float64(g.NumVertices()))
-		if c < 1 {
-			c = 1
-		}
 	}
 	strengths := g.Strengths()
 	var sum float64
@@ -112,15 +104,9 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 	if cfg.Dim <= 0 || cfg.T <= 0 {
 		return MemoryEstimate{}, fmt.Errorf("lightne: dimension and T must be positive")
 	}
-	m := cfg.M
-	if m <= 0 {
-		mult := cfg.SampleMultiple
-		if mult <= 0 {
-			mult = 1
-		}
-		m = int64(mult * float64(cfg.T) * float64(g.NumEdges()) / 2)
-	}
-	frac := expectedHeadFraction(g, cfg)
+	scfg := cfg.Sampler(g)
+	m := scfg.M
+	frac := expectedHeadFraction(g, scfg.DownsampleC(g.NumVertices()))
 	heads := int64(float64(m) * frac)
 	// Two oriented keys per head, capped by the number of possible entries.
 	entries := 2 * heads
@@ -143,8 +129,8 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 		// key/weight pairs (2 x 2w x 8 B), where w heads are in flight; a
 		// sharded sink's partition scratch adds one more pair of 2w arrays.
 		wave := int64(cfg.WaveSize)
-		if wave <= 0 || wave > 1<<22 {
-			wave = 1 << 22
+		if wave <= 0 || wave > sampler.MaxWaveHeads {
+			wave = sampler.MaxWaveHeads
 		}
 		if wave > heads {
 			wave = heads

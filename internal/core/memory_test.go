@@ -5,7 +5,6 @@ import (
 
 	"lightne/internal/gen"
 	"lightne/internal/graph"
-	"lightne/internal/netsmf"
 	"lightne/internal/prone"
 	"lightne/internal/sampler"
 	"lightne/internal/svd"
@@ -24,9 +23,9 @@ func TestEstimateMemoryBracketsReality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := netsmf.Run(g, netsmf.Config{
-		T: cfg.T, M: est.Trials, Dim: cfg.Dim, Downsample: true, Seed: cfg.Seed,
-	})
+	// The same cfg the planner priced, so the run draws est.Trials trials.
+	cfg.SkipPropagation = true
+	res, err := Embed(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,14 +20,11 @@ package dynamic
 
 import (
 	"fmt"
-	"math"
 
 	"lightne/internal/core"
 	"lightne/internal/dense"
 	"lightne/internal/graph"
 	"lightne/internal/hashtable"
-	"lightne/internal/netsmf"
-	"lightne/internal/prone"
 	"lightne/internal/sampler"
 )
 
@@ -43,7 +40,6 @@ type Embedder struct {
 	// staleArcs counts arcs added since the last full (re)sample; their
 	// siblings' samples were drawn under an older graph snapshot.
 	staleArcs int64
-	seed      uint64
 }
 
 // New builds an embedder over the initial graph, performing the full
@@ -61,21 +57,11 @@ func New(initial *graph.Graph, cfg core.Config) (*Embedder, error) {
 		// would silently drop its weights.
 		return nil, fmt.Errorf("dynamic: weighted graphs are not supported; use core.Embed and full re-runs")
 	}
-	m := cfg.M
-	if m <= 0 {
-		mult := cfg.SampleMultiple
-		if mult <= 0 {
-			mult = 1
-		}
-		m = netsmf.MFromMultiple(initial, cfg.T, mult)
-	}
-	arcs := collectArcs(initial)
 	e := &Embedder{
 		cfg:    cfg,
 		g:      initial,
-		arcs:   arcs,
-		perArc: float64(m) / float64(initial.NumEdges()),
-		seed:   cfg.Seed,
+		arcs:   collectArcs(initial),
+		perArc: float64(cfg.Sampler(initial).M) / float64(initial.NumEdges()),
 	}
 	if err := e.resample(); err != nil {
 		return nil, err
@@ -96,27 +82,19 @@ func collectArcs(g *graph.Graph) []graph.Edge {
 	return arcs
 }
 
-// downsampleC returns the active downsampling constant for the current
-// graph (0 disables).
-func (e *Embedder) downsampleC() float64 {
-	if e.cfg.NoDownsample {
-		return 0
-	}
-	if e.cfg.C > 0 {
-		return e.cfg.C
-	}
-	c := math.Log(float64(e.g.NumVertices()))
-	if c < 1 {
-		c = 1
-	}
-	return c
+// sampleArcs samples arcs of the current graph into the table at the fixed
+// per-arc rate, on a seed derived from the batch number.
+func (e *Embedder) sampleArcs(arcs []graph.Edge) (sampler.Stats, error) {
+	scfg := e.cfg.Sampler(e.g)
+	scfg.Seed += uint64(e.batches) * 1000
+	return sampler.SampleArcsInto(e.g, e.table, arcs, 2*e.perArc, scfg)
 }
 
 // resample rebuilds the sparsifier table from scratch on the current graph,
 // honouring the config's shard count.
 func (e *Embedder) resample() error {
 	e.table = sampler.NewSink(int(2*e.perArc*float64(len(e.arcs)))+1024, e.cfg.Shards)
-	stats, err := sampler.SampleArcsInto(e.g, e.table, e.arcs, 2*e.perArc, e.cfg.T, e.downsampleC(), e.seed+uint64(e.batches)*1000)
+	stats, err := e.sampleArcs(e.arcs)
 	if err != nil {
 		return err
 	}
@@ -190,7 +168,7 @@ func (e *Embedder) AddEdges(batch []graph.Edge) error {
 	}
 	e.g = g
 	e.batches++
-	stats, err := sampler.SampleArcsInto(e.g, e.table, fresh, 2*e.perArc, e.cfg.T, e.downsampleC(), e.seed+uint64(e.batches)*1000)
+	stats, err := e.sampleArcs(fresh)
 	if err != nil {
 		return err
 	}
@@ -205,28 +183,15 @@ func (e *Embedder) Refresh() error {
 	return e.resample()
 }
 
-// Embed factorizes the accumulated sparsifier — netsmf.Factorize, the same
-// hand-off netsmf.Run makes, so the embedding is a pure function of the
-// accumulated samples for every Shards setting and worker count — and
-// (unless the config skips it) applies spectral propagation, returning the
+// Embed factorizes the accumulated sparsifier — core.EmbedTable, the same
+// hand-off core.Embed makes, so the embedding is a pure function of the
+// accumulated samples for every Shards setting and worker count and honours
+// every factorizer and propagation setting of the config — returning the
 // current embedding. The table stays intact for the next batch.
 func (e *Embedder) Embed() (*dense.Matrix, error) {
-	res, err := netsmf.Factorize(e.g, e.table, e.trials, netsmf.Config{
-		Dim:        e.cfg.Dim,
-		NegSamples: e.cfg.NegSamples,
-		Seed:       e.seed,
-		Oversample: e.cfg.Oversample,
-		PowerIters: e.cfg.PowerIters,
-	})
+	res, err := core.EmbedTable(e.g, e.table, e.trials, e.cfg)
 	if err != nil {
 		return nil, err
 	}
-	if e.cfg.SkipPropagation {
-		return res.Embedding, nil
-	}
-	prop := e.cfg.Propagation
-	if prop.Order == 0 {
-		prop = prone.DefaultPropagation()
-	}
-	return prone.Propagate(e.g, res.Embedding, prop)
+	return res.Embedding, nil
 }

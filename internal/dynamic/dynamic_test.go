@@ -245,3 +245,47 @@ func TestEmbedDeterministicAcrossProcsAndShards(t *testing.T) {
 		}
 	}
 }
+
+// TestEmbedHonoursStreamedSVD: Embed factorizes with the config's factorizer
+// — it is core.EmbedTable over the embedder's own table, bit for bit — so a
+// sketch-configured embedder does not silently run the rSVD.
+func TestEmbedHonoursStreamedSVD(t *testing.T) {
+	initial, later, _ := growingSBM(t)
+	cfg := testConfig()
+	cfg.StreamedSVD = true
+	e, err := New(initial, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddEdges(later); err != nil {
+		t.Fatal(err)
+	}
+	x, err := e.Embed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.EmbedTable(e.g, e.table, e.trials, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want.Embedding.Data {
+		if math.Float64bits(x.Data[i]) != math.Float64bits(w) {
+			t.Fatalf("element %d = %v, core.EmbedTable %v", i, x.Data[i], w)
+		}
+	}
+	e.cfg.StreamedSVD = false
+	rsvd, err := e.Embed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := true
+	for i := range rsvd.Data {
+		if math.Float64bits(rsvd.Data[i]) != math.Float64bits(x.Data[i]) {
+			same = false
+			break
+		}
+	}
+	if same {
+		t.Fatal("StreamedSVD embedding equals the rSVD embedding: the setting was dropped")
+	}
+}

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -13,43 +11,6 @@ import (
 	"lightne/internal/gen"
 	"lightne/internal/svd"
 )
-
-// factorizeVariant is one row of the E14 comparison and one entry of
-// BENCH_factorize.json.
-type factorizeVariant struct {
-	Name string `json:"name"`
-	// SparsifierNs and SVDNs are the Timing breakdown; in sketch mode the
-	// sparsifier stage already includes streaming into the accumulators,
-	// so the split shifts but the pair stays comparable via TotalNs.
-	SparsifierNs int64 `json:"sparsifier_ns"`
-	SVDNs        int64 `json:"svd_ns"`
-	TotalNs      int64 `json:"total_ns"`
-	// PlannerTotalBytes is core.EstimateMemory's predicted peak;
-	// PlannerFactorizeBytes isolates the part the single-pass refactor
-	// changes (sparsifier/stream CSR + dense working set).
-	PlannerTotalBytes     int64 `json:"planner_total_bytes"`
-	PlannerFactorizeBytes int64 `json:"planner_factorize_bytes"`
-	// MeasuredHeapHighWaterBytes is the polled runtime.ReadMemStats
-	// HeapAlloc high-water mark over the run, minus the post-GC baseline
-	// before it started.
-	MeasuredHeapHighWaterBytes int64 `json:"measured_heap_high_water_bytes"`
-	// SigmaMaxRelErr is max_j |sigma_j - rsvd sigma_j| / rsvd sigma_0 over
-	// the leading third of the spectrum (zero for the rSVD baseline).
-	SigmaMaxRelErr float64 `json:"sigma_max_rel_err_vs_rsvd"`
-}
-
-type factorizeRecord struct {
-	GoMaxProcs      int                `json:"gomaxprocs"`
-	HardwareThreads int                `json:"hardware_threads"`
-	Vertices        int                `json:"vertices"`
-	Arcs            int64              `json:"arcs"`
-	Dim             int                `json:"dim"`
-	T               int                `json:"t"`
-	M               int64              `json:"m"`
-	Oversample      int                `json:"oversample"`
-	Variants        []factorizeVariant `json:"variants"`
-	Note            string             `json:"note"`
-}
 
 // factorizeFloorNote is the hardware caveat carried from ROADMAP: wall-clock
 // ratios recorded on this container are a floor, not the headline.
@@ -132,17 +93,10 @@ func E14FactorizationModes(opt Options) (*Report, error) {
 		}},
 	}
 
-	rec := factorizeRecord{
-		GoMaxProcs:      runtime.GOMAXPROCS(0),
-		HardwareThreads: runtime.NumCPU(),
-		Vertices:        g.NumVertices(),
-		Arcs:            g.NumEdges(),
-		Dim:             dim,
-		T:               base.T,
-		Oversample:      base.Oversample,
-		Note:            factorizeFloorNote,
-	}
-	var rows [][]string
+	var (
+		rows   [][]string
+		trials int64
+	)
 	var refSigma []float64
 	for _, v := range variants {
 		cfg := base
@@ -151,7 +105,7 @@ func E14FactorizationModes(opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rec.M = est.Trials
+		trials = est.Trials
 		var res *core.Result
 		heap, err := measureHeapHighWater(func() error {
 			var e error
@@ -176,16 +130,6 @@ func E14FactorizationModes(opt Options) (*Report, error) {
 			}
 		}
 		fact := est.SparsifierBytes + est.StreamBytes + est.DenseBytes
-		rec.Variants = append(rec.Variants, factorizeVariant{
-			Name:                       v.name,
-			SparsifierNs:               res.Timing.Sparsifier.Nanoseconds(),
-			SVDNs:                      res.Timing.SVD.Nanoseconds(),
-			TotalNs:                    res.Timing.Total().Nanoseconds(),
-			PlannerTotalBytes:          est.Total(),
-			PlannerFactorizeBytes:      fact,
-			MeasuredHeapHighWaterBytes: heap,
-			SigmaMaxRelErr:             relErr,
-		})
 		rows = append(rows, []string{
 			v.name,
 			dur(res.Timing.Total()),
@@ -194,16 +138,6 @@ func E14FactorizationModes(opt Options) (*Report, error) {
 			fmt.Sprintf("%.1f MB", float64(heap)/1e6),
 			f(relErr),
 		})
-	}
-
-	if opt.FactorizeOut != "" {
-		buf, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(opt.FactorizeOut, append(buf, '\n'), 0o644); err != nil {
-			return nil, err
-		}
 	}
 
 	return &Report{
@@ -216,7 +150,7 @@ func E14FactorizationModes(opt Options) (*Report, error) {
 		Rows:    rows,
 		Notes: []string{
 			fmt.Sprintf("RMAT scale %d (%d vertices, %d arcs), d=%d, M=%d; sigma rel err vs the rSVD baseline over the leading third",
-				scale, g.NumVertices(), g.NumEdges(), dim, rec.M),
+				scale, g.NumVertices(), g.NumEdges(), dim, trials),
 			factorizeFloorNote,
 		},
 		Elapsed: time.Since(start),

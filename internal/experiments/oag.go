@@ -54,18 +54,18 @@ func lightNESystem(name string, mult float64) oagSystem {
 
 func netSMFSystem(mult float64) oagSystem {
 	return oagSystem{name: fmt.Sprintf("NetSMF (M=%gTm)", mult), embed: func(g *graph.Graph, opt Options) (*dense.Matrix, core.Timing, error) {
+		cfg := core.NetSMFConfig(32)
+		cfg.SampleMultiple = mult
 		if opt.Quick {
-			mult /= 4
+			cfg.SampleMultiple = mult / 4
 		}
-		res, err := netsmf.Run(g, netsmf.Config{
-			T: 10, M: netsmf.MFromMultiple(g, 10, mult), Dim: 32,
-			Downsample: false, Seed: opt.Seed + 12,
-			Oversample: rsvdOversample, PowerIters: rsvdPowerIters,
-		})
+		cfg.Oversample, cfg.PowerIters = rsvdOversample, rsvdPowerIters
+		cfg.Seed = opt.Seed + 12
+		res, err := core.Embed(g, cfg)
 		if err != nil {
 			return nil, core.Timing{}, err
 		}
-		return res.Embedding, core.Timing{Sparsifier: res.Timing.Sparsifier, SVD: res.Timing.SVD}, nil
+		return res.Embedding, res.Timing, nil
 	}}
 }
 
@@ -174,11 +174,11 @@ func E5TradeoffCurve(opt Options) (*Report, error) {
 	}
 	for _, mult := range netsmfMults {
 		t0 := time.Now()
-		res, err := netsmf.Run(ds.Graph, netsmf.Config{
-			T: 10, M: netsmf.MFromMultiple(ds.Graph, 10, mult), Dim: 32,
-			Downsample: false, Seed: opt.Seed + 17,
-			Oversample: rsvdOversample, PowerIters: rsvdPowerIters,
-		})
+		cfg := core.NetSMFConfig(32)
+		cfg.SampleMultiple = mult
+		cfg.Oversample, cfg.PowerIters = rsvdOversample, rsvdPowerIters
+		cfg.Seed = opt.Seed + 17
+		res, err := core.Embed(ds.Graph, cfg)
 		if err != nil {
 			return nil, err
 		}

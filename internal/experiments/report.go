@@ -90,10 +90,6 @@ type Options struct {
 	// Quick shrinks sweeps and sample budgets (~10× cheaper) for smoke
 	// runs and testing.B integration.
 	Quick bool
-	// FactorizeOut, when non-empty, makes E14 write its machine-readable
-	// benchmark record (BENCH_factorize.json) to this path. Empty (the
-	// default, and what the test harness uses) writes nothing.
-	FactorizeOut string
 }
 
 // Runner maps experiment IDs to their functions.

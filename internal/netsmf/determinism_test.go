@@ -44,10 +44,10 @@ func randGraph(t *testing.T, n, extraPerVertex int, seed uint64) *graph.Graph {
 	return g
 }
 
-// rawSparsifier runs the sampling pass and the fully-sorted drain, returning
-// the raw (unscaled) sparsifier: what Factorize's row transform reads.
-func rawSparsifier(g *graph.Graph, cfg Config) (*sparse.CSR, sampler.Stats, error) {
-	table, stats, err := sampleTable(g, cfg)
+// rawSparsifier runs the per-arc sampling pass and the fully-sorted drain,
+// returning the raw (unscaled) sparsifier: what the row transform reads.
+func rawSparsifier(g *graph.Graph, cfg sampler.Config) (*sparse.CSR, sampler.Stats, error) {
+	table, stats, err := sampler.Sample(g, cfg)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -67,7 +67,7 @@ func rawSparsifier(g *graph.Graph, cfg Config) (*sparse.CSR, sampler.Stats, erro
 // sampler→table→drain→CSR path breaks this test.
 func TestSparsifierGolden(t *testing.T) {
 	g := randGraph(t, 600, 3, 7)
-	base := Config{T: 5, M: 400_000, Downsample: true, Seed: 99}
+	base := sampler.Config{T: 5, M: 400_000, Downsample: true, Seed: 99}
 
 	build := func(shards, procs int) *sparse.CSR {
 		old := runtime.GOMAXPROCS(procs)

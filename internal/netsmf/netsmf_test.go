@@ -6,7 +6,6 @@ import (
 
 	"lightne/internal/dense"
 	"lightne/internal/graph"
-	"lightne/internal/rng"
 	"lightne/internal/sampler"
 )
 
@@ -137,51 +136,6 @@ func TestDownsamplingPreservesEstimate(t *testing.T) {
 	}
 }
 
-func TestRunProducesEmbedding(t *testing.T) {
-	g := karate(t)
-	res, err := Run(g, Config{T: 3, M: 200_000, Dim: 8, Downsample: true, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Embedding.Rows != g.NumVertices() || res.Embedding.Cols != 8 {
-		t.Fatalf("embedding shape %dx%d", res.Embedding.Rows, res.Embedding.Cols)
-	}
-	if res.SparsifierNNZ == 0 {
-		t.Fatal("sparsifier empty")
-	}
-	for _, v := range res.Embedding.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatal("embedding contains NaN/Inf")
-		}
-	}
-	if res.Timing.Sparsifier <= 0 || res.Timing.SVD <= 0 {
-		t.Fatal("timings not recorded")
-	}
-	for i := 1; i < len(res.Sigma); i++ {
-		if res.Sigma[i] > res.Sigma[i-1]+1e-9 {
-			t.Fatal("sigma not sorted")
-		}
-	}
-}
-
-func TestRunDeterministic(t *testing.T) {
-	g := karate(t)
-	cfg := Config{T: 2, M: 50_000, Dim: 4, Seed: 9}
-	a, err := Run(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Embedding.Data {
-		if a.Embedding.Data[i] != b.Embedding.Data[i] {
-			t.Fatal("same config+seed produced different embeddings")
-		}
-	}
-}
-
 func TestMFromMultiple(t *testing.T) {
 	g := karate(t)
 	m := float64(g.NumEdges()) / 2
@@ -190,67 +144,5 @@ func TestMFromMultiple(t *testing.T) {
 	}
 	if got := MFromMultiple(g, 10, 0); got != 1 {
 		t.Fatalf("zero multiple should clamp to 1, got %d", got)
-	}
-}
-
-func TestRunErrors(t *testing.T) {
-	g := karate(t)
-	if _, err := Run(g, Config{T: 2, M: 100, Dim: 0}); err == nil {
-		t.Fatal("expected dim error")
-	}
-	if _, err := Run(g, Config{T: 0, M: 100, Dim: 4}); err == nil {
-		t.Fatal("expected T error")
-	}
-}
-
-func TestEmbeddingSeparatesCommunities(t *testing.T) {
-	// Two dense clusters with a single bridge: within-cluster embedding
-	// similarity should exceed cross-cluster similarity on average.
-	var arcs []graph.Edge
-	s := rng.New(5, 0)
-	half := 15
-	for c := 0; c < 2; c++ {
-		base := c * half
-		for i := 0; i < half; i++ {
-			for j := i + 1; j < half; j++ {
-				if s.Float64() < 0.6 {
-					arcs = append(arcs, graph.Edge{U: uint32(base + i), V: uint32(base + j)})
-				}
-			}
-		}
-	}
-	arcs = append(arcs, graph.Edge{U: 0, V: uint32(half)})
-	g, err := graph.FromEdges(2*half, arcs, graph.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(g, Config{T: 5, M: 500_000, Dim: 8, Downsample: true, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := res.Embedding
-	dot := func(i, j int) float64 {
-		var s float64
-		for k := 0; k < x.Cols; k++ {
-			s += x.At(i, k) * x.At(j, k)
-		}
-		return s
-	}
-	var within, across float64
-	var nw, na int
-	for i := 0; i < 2*half; i++ {
-		for j := i + 1; j < 2*half; j++ {
-			if (i < half) == (j < half) {
-				within += dot(i, j)
-				nw++
-			} else {
-				across += dot(i, j)
-				na++
-			}
-		}
-	}
-	if within/float64(nw) <= across/float64(na) {
-		t.Fatalf("within-cluster similarity %.3f not above cross %.3f",
-			within/float64(nw), across/float64(na))
 	}
 }

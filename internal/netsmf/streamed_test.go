@@ -3,12 +3,9 @@ package netsmf
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
-	"lightne/internal/eval"
 	"lightne/internal/graph"
-	"lightne/internal/rng"
 	"lightne/internal/sampler"
 	"lightne/internal/sparse"
 	"lightne/internal/svd"
@@ -60,10 +57,10 @@ func TestTransformRowsChunkedBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		g    *graph.Graph
-		cfg  Config
+		cfg  sampler.Config
 	}{
-		{"unweighted", hubGraph(t), Config{T: 4, M: 150_000, Downsample: true, Seed: 29}},
-		{"weighted", weightedTestGraph(t), Config{T: 3, M: 100_000, Seed: 19}},
+		{"unweighted", hubGraph(t), sampler.Config{T: 4, M: 150_000, Downsample: true, Seed: 29}},
+		{"weighted", weightedTestGraph(t), sampler.Config{T: 3, M: 100_000, Seed: 19}},
 	} {
 		raw, stats, err := rawSparsifier(tc.g, tc.cfg)
 		if err != nil {
@@ -83,9 +80,9 @@ func TestTransformRowsChunkedBitIdentical(t *testing.T) {
 		}
 		rawVals := append([]float64(nil), raw.Val...)
 
-		tr := newTransform(tc.g, raw.RowPtr, raw.ColIdx, raw.Val, 1, stats.Trials)
+		tr := NewTransform(tc.g, raw.RowPtr, raw.ColIdx, raw.Val, 1, stats.Trials)
 		var whole svd.RowChunk
-		tr.rows(0, n, &whole)
+		tr.Rows(0, n, &whole)
 		want := transformOracle(tc.g, raw, 1, stats.Trials)
 		if whole.NNZ() == 0 || whole.NNZ() == raw.NNZ() {
 			t.Fatalf("%s: trunc_log kept %d of %d entries; the fixture must prune some", tc.name, whole.NNZ(), raw.NNZ())
@@ -115,7 +112,7 @@ func TestTransformRowsChunkedBitIdentical(t *testing.T) {
 			var buf svd.RowChunk
 			bounds := sampler.ChunkRows(raw.RowPtr, budget)
 			for c := 0; c+1 < len(bounds); c++ {
-				tr.rows(bounds[c], bounds[c+1], &buf)
+				tr.Rows(bounds[c], bounds[c+1], &buf)
 				if buf.RowLo != bounds[c] || buf.Rows() != bounds[c+1]-bounds[c] {
 					t.Fatalf("%s: budget %d: chunk covers [%d,+%d), want [%d,%d)", tc.name, budget, buf.RowLo, buf.Rows(), bounds[c], bounds[c+1])
 				}
@@ -132,226 +129,6 @@ func TestTransformRowsChunkedBitIdentical(t *testing.T) {
 			if math.Float64bits(raw.Val[i]) != math.Float64bits(v) {
 				t.Fatalf("%s: the transform wrote raw value %d", tc.name, i)
 			}
-		}
-	}
-}
-
-// TestStreamedNNZMatchesMaterialized pins the streamed path against the
-// materializing one in aggregate: the chunks Run absorbs must hold exactly as
-// many trunc-logged entries as BuildMatrixCSR keeps on the same drain.
-func TestStreamedNNZMatchesMaterialized(t *testing.T) {
-	g := randGraph(t, 400, 2, 11)
-	cfg := Config{T: 4, M: 200_000, Downsample: true, Seed: 23, Dim: 8, Oversample: 8}
-
-	raw, stats, err := rawSparsifier(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, err := BuildMatrixCSR(g, raw.RowPtr, raw.ColIdx, raw.Val, 1, stats.Trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mat.NNZ()
-
-	cfg.StreamedSVD = true
-	res, err := Run(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SparsifierNNZ != want {
-		t.Fatalf("streamed kept %d entries, materialized trunc-log kept %d", res.SparsifierNNZ, want)
-	}
-	if res.SampleStats.Trials != stats.Trials {
-		t.Fatalf("trials diverged: %d vs %d", res.SampleStats.Trials, stats.Trials)
-	}
-}
-
-// communityGraph plants link-prediction structure a purely random graph
-// lacks: dense blocks joined by a thin ring, so held-out intra-block edges
-// are predictable from the embedding and AUC is informative.
-func communityGraph(t *testing.T, blocks, per, chords int, seed uint64) *graph.Graph {
-	t.Helper()
-	s := rng.New(seed, 0)
-	n := blocks * per
-	var arcs []graph.Edge
-	for b := 0; b < blocks; b++ {
-		base := b * per
-		for i := 0; i < per; i++ {
-			arcs = append(arcs, graph.Edge{U: uint32(base + i), V: uint32(base + (i+1)%per)})
-			for k := 0; k < chords; k++ {
-				arcs = append(arcs, graph.Edge{U: uint32(base + i), V: uint32(base + s.Intn(per))})
-			}
-		}
-		arcs = append(arcs, graph.Edge{U: uint32(base), V: uint32((base + per) % n)})
-	}
-	g, err := graph.FromEdges(n, arcs, graph.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-// TestStreamedMatchesRSVDQuality is the differential quality test of the
-// tentpole: on the same graph and seed, the single-pass sketched
-// factorization must recover singular values close to the two-pass rSVD's
-// and produce embeddings of equivalent downstream link-prediction quality,
-// for both sketch kinds.
-func TestStreamedMatchesRSVDQuality(t *testing.T) {
-	full := communityGraph(t, 6, 80, 6, 31)
-	train, test, err := eval.SplitEdges(full, 0.05, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{T: 4, M: 400_000, Downsample: true, Seed: 51, Dim: 16, Oversample: 16}
-
-	ref, err := Run(train, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refAUC := eval.AUC(ref.Embedding, test, 50, 9)
-	if refAUC < 0.55 {
-		t.Fatalf("rSVD baseline AUC degenerate: %g", refAUC)
-	}
-
-	for _, kind := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"sign", cfg},
-		{"gaussian", cfg},
-	} {
-		scfg := kind.cfg
-		scfg.StreamedSVD = true
-		if kind.name == "gaussian" {
-			scfg.Sketch = svd.SketchGaussian
-		}
-		got, err := Run(train, scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Leading singular values: same matrix, so the single-pass estimate
-		// must track the two-pass one on the well-captured leading third.
-		lead := len(ref.Sigma) / 3
-		if lead < 2 {
-			lead = 2
-		}
-		for j := 0; j < lead; j++ {
-			if rel := math.Abs(got.Sigma[j]-ref.Sigma[j]) / ref.Sigma[0]; rel > 0.10 {
-				t.Errorf("%s: sigma[%d] = %g vs rSVD %g (rel %g)", kind.name, j, got.Sigma[j], ref.Sigma[j], rel)
-			}
-		}
-		auc := eval.AUC(got.Embedding, test, 50, 9)
-		if math.Abs(auc-refAUC) > 0.08 {
-			t.Errorf("%s: link-prediction AUC %g vs rSVD %g", kind.name, auc, refAUC)
-		}
-	}
-}
-
-// TestStreamedWeightedQuality runs the streamed path end to end on a weighted
-// graph: weighted volume, strengths, and alias-walk sampling all feed the
-// streamed transform, and the leading singular values must match the
-// materializing path.
-func TestStreamedWeightedQuality(t *testing.T) {
-	g := weightedTestGraph(t)
-	cfg := Config{T: 3, M: 500_000, Seed: 77, Dim: 4, Oversample: 12}
-
-	ref, err := Run(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.StreamedSVD = true
-	got, err := Run(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < 2; j++ {
-		if rel := math.Abs(got.Sigma[j]-ref.Sigma[j]) / ref.Sigma[0]; rel > 0.10 {
-			t.Errorf("sigma[%d] = %g vs rSVD %g (rel %g)", j, got.Sigma[j], ref.Sigma[j], rel)
-		}
-	}
-}
-
-// TestStreamedGolden locks down the acceptance criterion of the tentpole:
-// with a fixed seed the streamed embedding is bit-identical across worker
-// counts, aggregation shard counts, and batched-walker wave sizes. The
-// sparsifier multiset, the drain order, the chunk boundaries, the sketch
-// accumulation, and every dense reduction in the factorization are all
-// schedule-independent, so the full pipeline composes to a deterministic
-// function of (graph, config).
-func TestStreamedGolden(t *testing.T) {
-	g := randGraph(t, 400, 2, 43)
-	base := Config{
-		T: 4, M: 150_000, Downsample: true, Seed: 13,
-		Dim: 8, Oversample: 8, StreamedSVD: true, BatchedWalks: true,
-	}
-
-	build := func(shards, procs, wave int) *Result {
-		old := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(old)
-		cfg := base
-		cfg.Shards = shards
-		cfg.WaveSize = wave
-		res, err := Run(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.SparsifierNNZ == 0 {
-			t.Fatal("degenerate run: empty trunc-logged sparsifier")
-		}
-		return res
-	}
-
-	golden := build(1, 1, 4096)
-	for _, shards := range []int{1, 4} {
-		for _, procs := range []int{1, 4} {
-			for _, wave := range []int{4096, 0} {
-				if shards == 1 && procs == 1 && wave == 4096 {
-					continue
-				}
-				t.Run(fmt.Sprintf("shards=%d/procs=%d/wave=%d", shards, procs, wave), func(t *testing.T) {
-					got := build(shards, procs, wave)
-					if got.SparsifierNNZ != golden.SparsifierNNZ {
-						t.Fatalf("nnz %d, golden %d", got.SparsifierNNZ, golden.SparsifierNNZ)
-					}
-					for i := range golden.Sigma {
-						if got.Sigma[i] != golden.Sigma[i] {
-							t.Fatalf("sigma[%d] = %v, golden %v (must be bit-identical)", i, got.Sigma[i], golden.Sigma[i])
-						}
-					}
-					for i := range golden.Embedding.Data {
-						if got.Embedding.Data[i] != golden.Embedding.Data[i] {
-							t.Fatalf("embedding[%d] = %v, golden %v (must be bit-identical)",
-								i, got.Embedding.Data[i], golden.Embedding.Data[i])
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestStreamedWeightedGolden extends the bit-identity contract to weighted
-// graphs, which is what the deterministic volume reduction
-// (par.ReduceFloat64Det behind graph.TotalWeight) buys: the estimator scale
-// is now the same float for every worker count.
-func TestStreamedWeightedGolden(t *testing.T) {
-	g := weightedTestGraph(t)
-	cfg := Config{T: 3, M: 100_000, Seed: 19, Dim: 4, StreamedSVD: true, BatchedWalks: true}
-
-	build := func(procs int) *Result {
-		old := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(old)
-		res, err := Run(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	golden := build(1)
-	got := build(4)
-	for i := range golden.Embedding.Data {
-		if got.Embedding.Data[i] != golden.Embedding.Data[i] {
-			t.Fatalf("embedding[%d] differs across worker counts", i)
 		}
 	}
 }

@@ -141,22 +141,6 @@ func TestWeightedDownsampledSparsifier(t *testing.T) {
 	}
 }
 
-func TestWeightedRunEndToEnd(t *testing.T) {
-	g := weightedTestGraph(t)
-	res, err := Run(g, Config{T: 3, M: 100_000, Dim: 4, Downsample: true, Seed: 45})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Embedding.Rows != g.NumVertices() || res.Embedding.Cols != 4 {
-		t.Fatal("bad shape")
-	}
-	for _, v := range res.Embedding.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatal("NaN/Inf in weighted embedding")
-		}
-	}
-}
-
 func TestIntegerWeightsMatchMultigraphEstimate(t *testing.T) {
 	// A weight-2 edge must produce (in expectation) the same NetMF estimate
 	// as two parallel unit edges: the dense targets coincide, so both

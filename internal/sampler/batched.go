@@ -50,8 +50,11 @@ const (
 	batchStepBits = 9
 	batchStepOff  = batchHeadBits + 1
 	batchCurOff   = batchStepOff + batchStepBits
-	maxWaveHeads  = 1 << batchHeadBits
 )
+
+// MaxWaveHeads is the most heads one wave holds (the packed head field's
+// range): SampleBatched's default and cap for waveSize.
+const MaxWaveHeads = 1 << batchHeadBits
 
 func packState(cur uint32, steps int, side int, head int) uint64 {
 	return uint64(cur)<<batchCurOff |
@@ -92,8 +95,8 @@ func SampleBatched(g *graph.Graph, cfg Config, waveSize int) (Sink, Stats, error
 	if g.NumEdges() == 0 {
 		return nil, Stats{}, fmt.Errorf("sampler: graph has no edges")
 	}
-	if waveSize <= 0 || waveSize > maxWaveHeads {
-		waveSize = maxWaveHeads
+	if waveSize <= 0 || waveSize > MaxWaveHeads {
+		waveSize = MaxWaveHeads
 	}
 
 	heads, stats := enumerateHeads(g, cfg)

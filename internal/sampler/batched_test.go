@@ -86,7 +86,7 @@ func TestPackStateRoundtrip(t *testing.T) {
 		head  int
 	}{
 		{0, 0, 0, 0},
-		{12345, 511, 1, maxWaveHeads - 1},
+		{12345, 511, 1, MaxWaveHeads - 1},
 		{1 << 31, 7, 0, 42},
 	} {
 		st := packState(tc.cur, tc.steps, tc.side, tc.head)
@@ -99,7 +99,7 @@ func TestPackStateRoundtrip(t *testing.T) {
 		if int(st>>batchSideBit)&1 != tc.side {
 			t.Fatalf("side mismatch: %+v", tc)
 		}
-		if int(st&(maxWaveHeads-1)) != tc.head {
+		if int(st&(MaxWaveHeads-1)) != tc.head {
 			t.Fatalf("head mismatch: %+v", tc)
 		}
 	}

@@ -109,7 +109,7 @@ func SampleUniform(g *graph.Graph, cfg Config, arcs ArcSampler) (Sink, Stats, er
 	if g.Weighted() {
 		return nil, Stats{}, fmt.Errorf("sampler: uniform-arc sampling requires an unweighted graph")
 	}
-	c := downsampleConstant(g, cfg)
+	c := cfg.DownsampleC(g.NumVertices())
 	hint := cfg.TableSizeHint
 	if hint <= 0 {
 		hint = int(2*cfg.M) + 1024
@@ -147,16 +147,4 @@ func SampleUniform(g *graph.Graph, cfg Config, arcs ArcSampler) (Sink, Stats, er
 		TableBytes:      table.MemoryBytes(),
 		PeakTableBytes:  table.PeakMemoryBytes(),
 	}, nil
-}
-
-// downsampleConstant resolves the effective C for a config.
-func downsampleConstant(g *graph.Graph, cfg Config) float64 {
-	if !cfg.Downsample {
-		return 0
-	}
-	if cfg.C > 0 {
-		return cfg.C
-	}
-	c := logN(g.NumVertices())
-	return c
 }

@@ -36,7 +36,7 @@ const enumGrain = 32
 // the trial accounting part of Stats.
 func enumerateHeads(g *graph.Graph, cfg Config) ([]headRec, Stats) {
 	n := g.NumVertices()
-	c := downsampleConstant(g, cfg)
+	c := cfg.DownsampleC(n)
 	perUnit := float64(cfg.M) / g.TotalWeight()
 	var strengths []float64
 	if cfg.Downsample {

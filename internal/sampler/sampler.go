@@ -31,15 +31,6 @@ import (
 // atomicAdd is a tiny alias keeping the hot loop readable.
 func atomicAdd(p *int64, v int64) { atomic.AddInt64(p, v) }
 
-// logN is the paper's default downsampling constant C = log n, floored at 1.
-func logN(n int) float64 {
-	c := math.Log(float64(n))
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
 // Config controls a sampling pass.
 type Config struct {
 	// T is the context window size (random-walk length bound). Samples draw
@@ -61,6 +52,19 @@ type Config struct {
 	// <= 1 keeps the single shared table. The drained CSR is bit-identical
 	// either way.
 	Shards int
+}
+
+// DownsampleC resolves the effective downsampling constant on an n-vertex
+// graph: 0 when Downsample is off, else C, else the paper's log n floored
+// at 1.
+func (cfg Config) DownsampleC(n int) float64 {
+	switch {
+	case !cfg.Downsample:
+		return 0
+	case cfg.C > 0:
+		return cfg.C
+	}
+	return math.Max(1, math.Log(float64(n)))
 }
 
 // Stats reports what a sampling pass actually did.
@@ -114,10 +118,7 @@ func Sample(g *graph.Graph, cfg Config) (Sink, Stats, error) {
 	if n == 0 || arcs == 0 {
 		return nil, Stats{}, fmt.Errorf("sampler: graph has no edges")
 	}
-	c := cfg.C
-	if cfg.Downsample && c <= 0 {
-		c = logN(n)
-	}
+	c := cfg.DownsampleC(n)
 
 	// Per-arc trial budget. Unweighted: M/arcs each. Weighted: the paper's
 	// PathSampling picks edges proportionally to weight, so arc e draws an
@@ -202,10 +203,11 @@ func Sample(g *graph.Graph, cfg Config) (Sink, Stats, error) {
 // arrives, only the new arcs are sampled at the same per-arc rate as the
 // initial pass.
 //
-// c is the downsampling constant; pass 0 to disable downsampling, or a
-// positive value (typically log n) to enable it. The seed should differ
-// per batch.
-func SampleArcsInto(g *graph.Graph, table Sink, arcs []graph.Edge, perArc float64, t int, c float64, seed uint64) (Stats, error) {
+// Of cfg, T, Downsample, C and Seed are read (C resolved on g); M, Shards
+// and TableSizeHint belong to the table's owner. The seed should differ per
+// batch.
+func SampleArcsInto(g *graph.Graph, table Sink, arcs []graph.Edge, perArc float64, cfg Config) (Stats, error) {
+	t, c, seed := cfg.T, cfg.DownsampleC(g.NumVertices()), cfg.Seed
 	if t <= 0 {
 		return Stats{}, fmt.Errorf("sampler: T must be positive, got %d", t)
 	}

@@ -36,10 +36,10 @@ func SampleBatchedSerial(g *graph.Graph, cfg Config, waveSize int) (Sink, Stats,
 	if g.Weighted() {
 		return nil, Stats{}, fmt.Errorf("sampler: batched walking requires an unweighted graph")
 	}
-	if waveSize <= 0 || waveSize > maxWaveHeads {
-		waveSize = maxWaveHeads
+	if waveSize <= 0 || waveSize > MaxWaveHeads {
+		waveSize = MaxWaveHeads
 	}
-	c := downsampleConstant(g, cfg)
+	c := cfg.DownsampleC(g.NumVertices())
 
 	hint := cfg.TableSizeHint
 	if hint <= 0 {
@@ -146,7 +146,7 @@ func runWaveSerial(g *graph.Graph, heads []serialWaveHead, states []uint64, seed
 				st := states[i]
 				cur := uint32(st >> batchCurOff)
 				steps := int(st>>batchStepOff) & (1<<batchStepBits - 1)
-				head := int(st & (maxWaveHeads - 1))
+				head := int(st & (MaxWaveHeads - 1))
 				side := int(st>>batchSideBit) & 1
 				if steps == 0 {
 					if side == 0 {

@@ -90,7 +90,7 @@ func TestSinkIncrementalSharded(t *testing.T) {
 	n := g.NumVertices()
 	drain := func(shards int) ([]int64, []uint32, []float64) {
 		sink := NewSink(16, shards)
-		stats, err := SampleArcsInto(g, sink, arcs, 50, 3, 2, 7)
+		stats, err := SampleArcsInto(g, sink, arcs, 50, Config{T: 3, Downsample: true, C: 2, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

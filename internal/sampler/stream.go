@@ -5,7 +5,7 @@ package sampler
 // drains out of the hash table instead of holding a second, scaled copy of
 // the CSR. The global radix sort inside DrainCSR must finish before any row's
 // final content exists, so "streaming" here means: after grouping, the
-// consumer (netsmf.Factorize) walks the rows in bounded whole-row chunks that
+// consumer (core.EmbedTable) walks the rows in bounded whole-row chunks that
 // it transforms (scale + trunc-log) and absorbs one at a time, never
 // materializing the scaled matrix.
 

@@ -96,7 +96,7 @@ func runWave(g *graph.Graph, wave []headRec, states, scratch []uint64, cursors [
 				for i := rs; i < re; i++ {
 					st := states[i]
 					steps := int(st>>batchStepOff) & (1<<batchStepBits - 1)
-					head := int(st & (maxWaveHeads - 1))
+					head := int(st & (MaxWaveHeads - 1))
 					side := st >> batchSideBit & 1
 					if steps == 0 {
 						if side == 0 {

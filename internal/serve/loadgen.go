@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"sync"
@@ -13,7 +12,6 @@ import (
 	"syscall"
 	"time"
 
-	"lightne/internal/ann"
 	"lightne/internal/rng"
 )
 
@@ -165,127 +163,4 @@ func percentile(sorted []time.Duration, q float64) time.Duration {
 	}
 	i := int(q * float64(len(sorted)-1))
 	return sorted[i]
-}
-
-// FrontierPoint is one measured point on the recall/throughput frontier:
-// an exact-scan baseline or one IVF probe width, with its end-to-end HTTP
-// load numbers and its recall against the exact scan.
-type FrontierPoint struct {
-	Mode        string  `json:"mode"` // "exact" or "ivf"
-	NProbe      int     `json:"nprobe,omitempty"`
-	Recall      float64 `json:"recall_at_k"`
-	ScannedFrac float64 `json:"scanned_frac"` // distance computations / (rows-1)
-	QPS         float64 `json:"qps"`
-	P50Micros   float64 `json:"p50_us"`
-	P99Micros   float64 `json:"p99_us"`
-}
-
-func (p FrontierPoint) String() string {
-	label := p.Mode
-	if p.Mode == "ivf" {
-		label = fmt.Sprintf("ivf nprobe=%d", p.NProbe)
-	}
-	return fmt.Sprintf("%-14s recall %.3f, scan %4.1f%%, %6.0f qps, p50 %5.0fus, p99 %5.0fus",
-		label, p.Recall, 100*p.ScannedFrac, p.QPS, p.P50Micros, p.P99Micros)
-}
-
-// frontierSamples is the seeded query-sample size used for recall and
-// scanned-fraction measurement at each frontier point.
-const frontierSamples = 64
-
-// RunFrontier measures the recall/qps frontier of serving ix: the exact
-// scan first, then the IVF index at each probe width in probes. Each point
-// publishes its own snapshot (the index re-probed via WithNProbe, the same
-// build throughout), stands up a real HTTP server on a loopback listener,
-// drives it with RunLoad, and pairs the load numbers with recall@K against
-// the exact scan on a seeded vertex sample. ivf nil (or empty probes)
-// measures only the exact baseline.
-func RunFrontier(ctx context.Context, ix Index, ivf *ann.Index, probes []int, cfg LoadConfig) ([]FrontierPoint, error) {
-	if cfg.Vertices <= 0 {
-		cfg.Vertices = ix.Rows()
-	}
-	k := cfg.K
-	if k <= 0 {
-		k = DefaultK
-	}
-	type variant struct {
-		mode   string
-		nprobe int
-		index  *ann.Index
-	}
-	variants := []variant{{mode: "exact"}}
-	if ivf != nil {
-		for _, p := range probes {
-			variants = append(variants, variant{mode: "ivf", nprobe: p, index: ivf.WithNProbe(p)})
-		}
-	}
-	points := make([]FrontierPoint, 0, len(variants))
-	for _, vr := range variants {
-		store := NewStore()
-		snap := store.PublishWithANN(ix, vr.index, 0)
-
-		// Recall + scanned fraction on a seeded sample, measured directly on
-		// the snapshot (the load run below measures the HTTP path; mixing the
-		// two would let transport noise into the recall numbers).
-		src := rng.New(cfg.Seed, 0x5a3b1e)
-		var hits, want, scanned int
-		for i := 0; i < frontierSamples; i++ {
-			q := src.Intn(ix.Rows())
-			exactIDs, _, err := ix.TopK(q, k)
-			if err != nil {
-				return nil, err
-			}
-			ids, _, sc, _, err := snap.Search(q, k)
-			if err != nil {
-				return nil, err
-			}
-			scanned += sc
-			truth := make(map[int]bool, len(exactIDs))
-			for _, id := range exactIDs {
-				truth[id] = true
-			}
-			want += len(exactIDs)
-			for _, id := range ids {
-				if truth[id] {
-					hits++
-				}
-			}
-		}
-
-		rep, err := loadAgainstSnapshot(ctx, store, cfg)
-		if err != nil {
-			return nil, err
-		}
-		pt := FrontierPoint{
-			Mode:        vr.mode,
-			NProbe:      vr.nprobe,
-			ScannedFrac: float64(scanned) / float64(frontierSamples*(ix.Rows()-1)),
-			QPS:         rep.QPS,
-			P50Micros:   float64(rep.P50.Microseconds()),
-			P99Micros:   float64(rep.P99.Microseconds()),
-		}
-		if want > 0 {
-			pt.Recall = float64(hits) / float64(want)
-		}
-		points = append(points, pt)
-	}
-	return points, nil
-}
-
-// loadAgainstSnapshot stands up a Server over store on an ephemeral
-// loopback listener, runs one load pass against it, and tears it down.
-func loadAgainstSnapshot(ctx context.Context, store *Store, cfg LoadConfig) (LoadReport, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return LoadReport{}, err
-	}
-	srvCtx, cancel := context.WithCancel(ctx)
-	done := make(chan error, 1)
-	go func() { done <- New(store).Serve(srvCtx, ln) }()
-	rep, loadErr := RunLoad(ctx, "http://"+ln.Addr().String(), cfg)
-	cancel()
-	if err := <-done; loadErr == nil && err != nil {
-		return rep, err
-	}
-	return rep, loadErr
 }

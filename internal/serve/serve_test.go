@@ -797,69 +797,3 @@ func TestConcurrentQueriesDuringANNRebuildSwap(t *testing.T) {
 		t.Fatalf("final version %d, want %d", v, swaps+1)
 	}
 }
-
-// TestRunFrontier drives the recall/qps frontier sweep end to end at test
-// scale: exact baseline plus two probe widths, each against a live server.
-func TestRunFrontier(t *testing.T) {
-	// Gaussian rows spread across all posting lists, so a 2-of-8 probe is
-	// genuinely partial (the two-cluster fixture would collapse into two
-	// lists and a single probe would scan everything).
-	const n, d = 300, 8
-	x := dense.NewMatrix(n, d)
-	x.FillGaussian(21)
-	ix, err := NewIndex(x, "float32")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ivf, err := BuildANN(ix, ann.Config{Enabled: true, MinRows: 1, NList: 8, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	points, err := RunFrontier(context.Background(), ix, ivf, []int{2, 8}, LoadConfig{
-		Workers:  2,
-		Requests: 60,
-		K:        5,
-		Seed:     9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("%d points, want 3", len(points))
-	}
-	exact := points[0]
-	if exact.Mode != "exact" || exact.Recall != 1 || exact.ScannedFrac != 1 {
-		t.Fatalf("exact baseline %+v", exact)
-	}
-	for _, pt := range points[1:] {
-		if pt.Mode != "ivf" || pt.NProbe == 0 {
-			t.Fatalf("ivf point %+v", pt)
-		}
-		if pt.QPS <= 0 {
-			t.Fatalf("point %+v measured no throughput", pt)
-		}
-		if pt.Recall < 0 || pt.Recall > 1 {
-			t.Fatalf("recall %v out of range", pt.Recall)
-		}
-	}
-	// The partial probe is sub-linear; the balanced 8-list build keeps a
-	// 2-list probe near a quarter of the rows.
-	if frac := points[1].ScannedFrac; frac <= 0 || frac > 0.5 {
-		t.Fatalf("nprobe=2 scanned fraction %v", frac)
-	}
-	// nprobe=8 probes every list here: recall must be perfect (it scans all
-	// rows, so its fraction may exceed 1 by the self-row it skips).
-	if full := points[2]; full.Recall != 1 {
-		t.Fatalf("full-probe recall %v", full.Recall)
-	}
-	if s := points[1].String(); !strings.Contains(s, "nprobe=2") {
-		t.Fatalf("point string %q", s)
-	}
-	// No ANN index: only the exact baseline.
-	points, err = RunFrontier(context.Background(), ix, nil, []int{2}, LoadConfig{
-		Workers: 1, Requests: 10, K: 3, Seed: 1,
-	})
-	if err != nil || len(points) != 1 {
-		t.Fatalf("exact-only frontier: %d points, err %v", len(points), err)
-	}
-}

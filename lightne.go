@@ -11,7 +11,7 @@
 //	res, err := lightne.Embed(g, lightne.DefaultConfig(128))
 //	vec := res.Embedding.Row(42)                // 128-dim vector of vertex 42
 //
-// The package also exposes the individual building blocks (NetSMF, ProNE,
+// The package also exposes the baselines (NetSMF as a Config preset, ProNE,
 // the SGD baselines), the paper's evaluation protocols (multi-label node
 // classification, link-prediction ranking) and deterministic synthetic
 // dataset replicas, so the paper's experiments can be reproduced end to
@@ -25,7 +25,6 @@ import (
 	"lightne/internal/core"
 	"lightne/internal/dense"
 	"lightne/internal/graph"
-	"lightne/internal/netsmf"
 	"lightne/internal/prone"
 	"lightne/internal/quant"
 	"lightne/internal/svd"
@@ -137,15 +136,12 @@ func SmallConfig(d int) Config { return core.SmallConfig(d) }
 // LargeConfig is the LightNE-Large preset (M = 20·T·m).
 func LargeConfig(d int) Config { return core.LargeConfig(d) }
 
+// NetSMFConfig is the paper's NetSMF baseline: the same pipeline with
+// downsampling and propagation off (raise SampleMultiple for its 8·T·m).
+func NetSMFConfig(d int) Config { return core.NetSMFConfig(d) }
+
 // Embed runs the LightNE pipeline on g.
 func Embed(g *Graph, cfg Config) (*Result, error) { return core.Embed(g, cfg) }
-
-// NetSMFConfig configures the standalone NetSMF baseline/stage.
-type NetSMFConfig = netsmf.Config
-
-// NetSMF runs the NetSMF stage alone (the paper's NetSMF baseline when
-// Downsample is false).
-func NetSMF(g *Graph, cfg NetSMFConfig) (*netsmf.Result, error) { return netsmf.Run(g, cfg) }
 
 // ProNEConfig configures the ProNE+ baseline.
 type ProNEConfig = prone.Config
