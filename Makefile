@@ -23,7 +23,7 @@ test:
 # schedule-dependent float reduction passes a single run by luck
 # (core.TestEmbedDeterministic did for three re-anchors).
 NPROC ?= $(shell nproc 2>/dev/null || echo 2)
-DETERMINISM_PKGS = ./internal/core ./internal/dense ./internal/sparse ./internal/prone ./internal/svd ./internal/netsmf ./internal/sampler ./internal/dynamic
+DETERMINISM_PKGS = ./internal/core ./internal/dense ./internal/sparse ./internal/prone ./internal/svd ./internal/netsmf ./internal/sampler ./internal/dynamic ./internal/hashtable ./internal/aggregate
 determinism:
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden' $(DETERMINISM_PKGS)
 	GOMAXPROCS=$(NPROC) $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden' $(DETERMINISM_PKGS)
@@ -36,8 +36,8 @@ harness:
 
 # The packages with real concurrency: the lock-free serving store under
 # query-during-hot-swap load, the incremental embedder feeding it, the
-# lock-free aggregation path (hash table + sharded aggregators + par
-# primitives) under Add/grow/Get interleaving, the sampler's end-to-end
+# aggregation path (hash table + sharded aggregators + par primitives) under
+# shared-batch/owned-batch/grow/Get interleaving, the sampler's end-to-end
 # sampler → sharded table → grouped drain stress test (undersized tables
 # force concurrent grows), the parallel compressed-adjacency builder
 # (unsorted-input error reporting races the workers), and the
@@ -92,12 +92,14 @@ loc:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Drain-path benchmarks (benchstat-friendly: -count=5 gives enough runs to
-# compare BenchmarkDrain vs BenchmarkDrainSequential, the aggregation
-# strategies, the radix grouping, and the radix vs sort-merge COO build; pipe
-# two runs into `benchstat old.txt new.txt`).
+# Table benchmarks (benchstat-friendly: -count=5 gives enough runs to
+# compare the insert kernels against the replaced per-key kernel at the
+# harness's table shape (BenchmarkInsert, Mop/s), BenchmarkDrain vs
+# BenchmarkDrainSequential, the aggregation strategies, the radix grouping,
+# and the radix vs sort-merge COO build; pipe two runs into
+# `benchstat old.txt new.txt`).
 bench-drain:
-	$(GO) test -run xxx -bench 'BenchmarkDrain|BenchmarkAggregate|BenchmarkGroupCSR$$|BenchmarkFromCOO' -benchmem -count=5 ./internal/hashtable ./internal/aggregate ./internal/radix ./internal/sparse
+	$(GO) test -run xxx -bench 'BenchmarkInsert|BenchmarkDrain|BenchmarkAggregate|BenchmarkGroupCSR$$|BenchmarkFromCOO' -benchmem -count=5 ./internal/hashtable ./internal/aggregate ./internal/radix ./internal/sparse
 
 # Sampler pipeline benchmarks: the per-arc sampler, the test-only
 # serial-flush reference, the wave pipeline (single-table and sharded), and

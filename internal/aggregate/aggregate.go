@@ -6,7 +6,7 @@
 //  1. per-worker edge lists merged with a sort-based sparse histogram
 //     (the GBBS histogram approach) — ListHistogram;
 //  2. per-worker hash tables merged at the end — PerWorkerTables;
-//  3. a single shared lock-free hash table with atomic xadd — SharedTable,
+//  3. a single shared hash table with atomic xadd — SharedTable,
 //     a thin adapter over internal/hashtable, the design the paper (and
 //     this repository) ultimately selected; optionally sharded across a
 //     power of two of sub-tables routed by high hash bits
@@ -161,6 +161,7 @@ func (t *PerWorkerTables) MemoryBytes() int64 {
 type SharedTable struct {
 	shards    []*hashtable.Table
 	shardBits uint
+	small     sync.Pool // *smallBatch scratch for AddFixedBatch
 }
 
 // NewSharedTable returns a shared-table aggregator presized for
@@ -186,18 +187,22 @@ func NewShardedTable(capacityHint, shards int) *SharedTable {
 	for i := range s.shards {
 		s.shards[i] = hashtable.New(perShard)
 	}
+	s.small.New = func() any {
+		const g = hashtable.BatchGrain
+		return &smallBatch{make([]uint64, g), make([]uint64, g), make([]int, n)}
+	}
 	return s
 }
 
-// Add accumulates concurrently via CAS + xadd; the worker id is unused.
+// Add accumulates through the shared kernel (CAS + xadd); the worker id is
+// unused.
 func (s *SharedTable) Add(_ int, u, v uint32, w float64) {
 	s.AddFixed(hashtable.Key(u, v), hashtable.ToFixed(w))
 }
 
 // AddFixed accumulates a fixed-point weight onto a packed key, routing it to
-// its shard — the sampler-facing hot path, signature-identical to
-// hashtable.Table.AddFixed so a sharded aggregator drops into the sampling
-// loop unchanged.
+// its shard: a one-pair insert, for Add and tests. Samplers insert through
+// AddFixedBatch.
 func (s *SharedTable) AddFixed(key, fixed uint64) {
 	s.shards[hashtable.ShardOf(key, s.shardBits)].AddFixed(key, fixed)
 }
@@ -206,39 +211,78 @@ func (s *SharedTable) AddFixed(key, fixed uint64) {
 // scatter passes in AddFixedBatch.
 const shardPartGrain = 4096
 
-// addFixedBatchDirect is the unpartitioned fallback: route every pair to its
-// shard individually, in parallel chunks. Used for single-shard tables and
-// batches too small to amortize a partition pass.
-func (s *SharedTable) addFixedBatchDirect(keys, fixed []uint64) {
-	par.ForRange(len(keys), shardPartGrain/2, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s.AddFixed(keys[i], fixed[i])
-		}
-	})
-}
-
-// AddFixedBatch accumulates every (key, fixed-point weight) pair. Large
-// batches are radix-partitioned on hashtable.ShardOf first — per-chunk shard
-// counts, a scan for stable offsets, and a scatter into shard-contiguous
-// scratch — so that each shard's inserts run on a single worker: the CAS/xadd
-// probes of different workers never touch the same shard and atomic
-// contention collapses to zero. Equivalent to calling AddFixed per pair
-// (accumulation is commutative), and safe for concurrent use with AddFixed.
+// AddFixedBatch accumulates every (key, fixed-point weight) pair, grouped by
+// hashtable.ShardOf first. A batch of at most hashtable.BatchGrain pairs —
+// one flush of a per-arc sampler's worker, arriving while every other worker
+// flushes too — is grouped on the calling goroutine into pooled scratch, and
+// each shard's run goes through the shared batch kernel. A longer batch is
+// partitioned in parallel (per-chunk shard counts, a scan for stable offsets,
+// a scatter into shard-contiguous scratch), and each shard's run goes to one
+// worker, which inserts it under that shard's write lock with plain loads
+// and stores (hashtable.Table.AddFixedBatchOwned): no atomic operation per
+// key. Equivalent to calling AddFixed per pair (accumulation is
+// commutative), and safe for concurrent use with every other insert.
 // len(keys) must equal len(fixed).
 func (s *SharedTable) AddFixedBatch(keys, fixed []uint64) {
 	if len(keys) != len(fixed) {
 		panic("aggregate: keys and fixed must have equal length")
 	}
-	n := len(keys)
-	nShards := len(s.shards)
-	if nShards == 1 {
+	switch {
+	case len(s.shards) == 1:
 		s.shards[0].AddFixedBatch(keys, fixed)
-		return
+	case len(keys) <= hashtable.BatchGrain:
+		s.addSmall(keys, fixed)
+	default:
+		kbuf, fbuf, starts := s.partition(keys, fixed)
+		par.For(len(s.shards), 1, func(sh int) {
+			lo, hi := starts[sh], starts[sh+1]
+			s.shards[sh].AddFixedBatchOwned(kbuf[lo:hi], fbuf[lo:hi])
+		})
 	}
-	if n < 4*shardPartGrain {
-		s.addFixedBatchDirect(keys, fixed)
-		return
+}
+
+// smallBatch is the grouping scratch of one small batch: room for
+// hashtable.BatchGrain pairs and one cursor per shard.
+type smallBatch struct {
+	keys, fixed []uint64
+	next        []int
+}
+
+// addSmall groups a batch of at most hashtable.BatchGrain pairs by shard
+// into scratch from the table's pool — a counting pass, a scan, a stable
+// scatter — and inserts each shard's run inline through the shared kernel.
+func (s *SharedTable) addSmall(keys, fixed []uint64) {
+	b := s.small.Get().(*smallBatch)
+	next := b.next
+	clear(next)
+	for _, k := range keys {
+		next[hashtable.ShardOf(k, s.shardBits)]++
 	}
+	start := 0
+	for sh, c := range next {
+		next[sh] = start
+		start += c
+	}
+	for i, k := range keys {
+		sh := hashtable.ShardOf(k, s.shardBits)
+		b.keys[next[sh]], b.fixed[next[sh]] = k, fixed[i]
+		next[sh]++
+	}
+	// next[sh] is now the end of shard sh's run.
+	lo := 0
+	for sh, hi := range next {
+		if hi > lo {
+			s.shards[sh].AddFixedBatch(b.keys[lo:hi], b.fixed[lo:hi])
+		}
+		lo = hi
+	}
+	s.small.Put(b)
+}
+
+// partition scatters a batch into shard-contiguous scratch, preserving input
+// order within each shard: shard sh's pairs are kbuf[starts[sh]:starts[sh+1]].
+func (s *SharedTable) partition(keys, fixed []uint64) (kbuf, fbuf []uint64, starts []int64) {
+	n, nShards := len(keys), len(s.shards)
 	bounds := par.Blocks(n, shardPartGrain)
 	nb := len(bounds) - 1
 	// counts[b*nShards+sh]: pairs in chunk b routed to shard sh.
@@ -252,15 +296,18 @@ func (s *SharedTable) AddFixedBatch(keys, fixed []uint64) {
 	// Stable offsets, shard-major: shard sh's region is contiguous and chunk
 	// order is preserved within it.
 	offs := make([]int64, nShards*nb)
+	starts = make([]int64, nShards+1)
 	var total int64
 	for sh := 0; sh < nShards; sh++ {
+		starts[sh] = total
 		for b := 0; b < nb; b++ {
 			offs[sh*nb+b] = total
 			total += counts[b*nShards+sh]
 		}
 	}
-	kbuf := make([]uint64, n)
-	fbuf := make([]uint64, n)
+	starts[nShards] = total
+	kbuf = make([]uint64, n)
+	fbuf = make([]uint64, n)
 	par.ForBlocks(bounds, func(b, lo, hi int) {
 		next := make([]int64, nShards)
 		for sh := 0; sh < nShards; sh++ {
@@ -274,17 +321,7 @@ func (s *SharedTable) AddFixedBatch(keys, fixed []uint64) {
 			fbuf[p] = fixed[i]
 		}
 	})
-	par.For(nShards, 1, func(sh int) {
-		lo := offs[sh*nb]
-		hi := total
-		if sh+1 < nShards {
-			hi = offs[(sh+1)*nb]
-		}
-		t := s.shards[sh]
-		for i := lo; i < hi; i++ {
-			t.AddFixed(kbuf[i], fbuf[i])
-		}
-	})
+	return kbuf, fbuf, starts
 }
 
 // Get returns the accumulated weight for (u, v) and whether it is present.

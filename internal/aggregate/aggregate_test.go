@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"lightne/internal/hashtable"
@@ -230,12 +231,13 @@ func TestSharedTableGetRoutesShards(t *testing.T) {
 	}
 }
 
-// TestSharedTableAddFixedBatchBitIdentical: the shard-partitioned bulk insert
+// TestSharedTableAddFixedBatchBitIdentical: the shard-grouped bulk insert
 // must be bit-identical to routing every pair through AddFixed, on both the
-// partition path (large batches) and the direct fallback (small batches).
+// small-batch path (grouped into pooled scratch) and the partitioned path.
 func TestSharedTableAddFixedBatchBitIdentical(t *testing.T) {
 	s := rng.New(9, 0)
-	for _, n := range []int{100, 1000, 5 * shardPartGrain} { // direct and partitioned
+	const g = hashtable.BatchGrain
+	for _, n := range []int{1, 100, g, g + 1, 5 * shardPartGrain} {
 		keys := make([]uint64, n)
 		fixed := make([]uint64, n)
 		for i := range keys {
@@ -261,5 +263,71 @@ func TestSharedTableAddFixedBatchBitIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSharedTableOwnedRacesShared races large batches (partitioned, each
+// shard's run inserted under its write lock with plain stores) against small
+// batches (grouped in pooled scratch, shared kernel) and single-pair AddFixed
+// calls on one sharded table whose shards start at the minimum capacity, so
+// both paths grow shards while the other inserts. Under -race this pins the
+// owned path's exclusion; the aggregate must be exact in fixed point, key by
+// key.
+func TestSharedTableOwnedRacesShared(t *testing.T) {
+	st := NewShardedTable(0, 4)
+	const workers, batches, distinct = 4, 6, 40000
+	type batch struct{ keys, fixed []uint64 }
+	work := make([][]batch, workers)
+	want := map[uint64]uint64{}
+	for w := range work {
+		s := rng.New(4242, uint64(w))
+		for b := 0; b < batches; b++ {
+			n := 1 + s.Intn(hashtable.BatchGrain) // grouped small batch, shared kernel
+			if w%2 == 0 {
+				n = hashtable.BatchGrain + 1 + s.Intn(8*hashtable.BatchGrain) // owned
+			}
+			bt := batch{make([]uint64, n), make([]uint64, n)}
+			for i := range bt.keys {
+				k := uint32(s.Intn(distinct))
+				bt.keys[i], bt.fixed[i] = hashtable.Key(k, k>>3), uint64(1+s.Intn(1<<10))
+				want[bt.keys[i]] += bt.fixed[i]
+			}
+			work[w] = append(work[w], bt)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := range work {
+		go func(w int) {
+			defer wg.Done()
+			for b, bt := range work[w] {
+				if w == 1 && b%2 == 1 {
+					for i := range bt.keys {
+						st.AddFixed(bt.keys[i], bt.fixed[i])
+					}
+					continue
+				}
+				st.AddFixedBatch(bt.keys, bt.fixed)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st.Len() != len(want) {
+		t.Fatalf("Len=%d want %d", st.Len(), len(want))
+	}
+	keys, ws := st.drainKeys()
+	var total, wantTotal uint64
+	for i, k := range keys {
+		f := hashtable.ToFixed(ws[i])
+		if f != want[k] {
+			t.Fatalf("key %x: %d want %d", k, f, want[k])
+		}
+		total += f
+	}
+	for _, f := range want {
+		wantTotal += f
+	}
+	if total != wantTotal {
+		t.Fatalf("fixed-point total %d want %d", total, wantTotal)
 	}
 }

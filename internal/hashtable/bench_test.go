@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"lightne/internal/par"
 	"lightne/internal/rng"
 )
 
@@ -61,14 +62,14 @@ func drainSequential(t *Table) (us, vs []uint32, ws []float64) {
 	us = make([]uint32, 0, n)
 	vs = make([]uint32, 0, n)
 	ws = make([]float64, 0, n)
-	for i, k := range t.keys {
-		if k == emptyKey {
+	for _, s := range t.slots {
+		if s.key == 0 {
 			continue
 		}
-		u, v := UnpackKey(k)
+		u, v := UnpackKey(^s.key)
 		us = append(us, u)
 		vs = append(vs, v)
-		ws = append(ws, FromFixed(t.vals[i]))
+		ws = append(ws, FromFixed(s.val))
 	}
 	return us, vs, ws
 }
@@ -109,4 +110,77 @@ func BenchmarkDrainCSR(b *testing.B) {
 			b.Fatal("bad drain")
 		}
 	}
+}
+
+// insertWorkload is the benchmark harness's embed-stream table shape: pairs
+// inserts over distinct keys (every key once, the rest repeats drawn
+// uniformly), shuffled, with RMAT-13 source vertices.
+func insertWorkload(pairs, distinct int) (keys, fixed []uint64) {
+	s := rng.New(2024, 0)
+	keys = make([]uint64, pairs)
+	fixed = make([]uint64, pairs)
+	for i := range keys {
+		k := i
+		if i >= distinct {
+			k = s.Intn(distinct)
+		}
+		keys[i], fixed[i] = Key(uint32(k%8192), uint32(k/8192)), fixedOne
+	}
+	for i := len(keys) - 1; i > 0; i-- {
+		j := s.Intn(i + 1)
+		keys[i], keys[j] = keys[j], keys[i]
+	}
+	return keys, fixed
+}
+
+// BenchmarkInsert times one fresh presized table taking 1.5 M pairs over
+// ~1.06 M distinct keys (the harness's embed-stream shape), allocation
+// included: the single table's shared batch kernel, and four shards each
+// inserted by its own worker with the owned kernel (the sharded sink's path
+// after partitioning; the partition itself is not timed). Each runs beside
+// the per-key kernel it replaced (perKeyTable), and the owned shards also
+// beside the shared kernel inserting the same runs, one worker per shard:
+// the case for keeping a second kernel. Reports Mop/s.
+func BenchmarkInsert(b *testing.B) {
+	const pairs, distinct, shardBits = 1_500_000, 1_060_000, 2
+	const shards = 1 << shardBits
+	keys, fixed := insertWorkload(pairs, distinct)
+	var shardKeys, shardFixed [shards][]uint64
+	for i, k := range keys {
+		sh := ShardOf(k, shardBits)
+		shardKeys[sh] = append(shardKeys[sh], k)
+		shardFixed[sh] = append(shardFixed[sh], fixed[i])
+	}
+	run := func(name string, insert func()) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				insert()
+			}
+			b.ReportMetric(float64(pairs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mop/s")
+		})
+	}
+	run("table", func() { New(pairs).AddFixedBatch(keys, fixed) })
+	run("table-per-key-oracle", func() { newPerKeyTable(pairs).AddFixedBatch(keys, fixed) })
+	run("shards-4-owned", func() {
+		par.For(shards, 1, func(sh int) {
+			New(pairs/shards).AddFixedBatchOwned(shardKeys[sh], shardFixed[sh])
+		})
+	})
+	run("shards-4-shared", func() {
+		par.For(shards, 1, func(sh int) {
+			t, keys, fixed := New(pairs/shards), shardKeys[sh], shardFixed[sh]
+			for lo := 0; lo < len(keys); lo += BatchGrain {
+				hi := min(lo+BatchGrain, len(keys))
+				t.addShared(keys[lo:hi], fixed[lo:hi])
+			}
+		})
+	})
+	run("shards-4-per-key-oracle", func() {
+		par.For(shards, 1, func(sh int) {
+			t := newPerKeyTable(pairs / shards)
+			for i, k := range shardKeys[sh] {
+				t.AddFixed(k, shardFixed[sh][i])
+			}
+		})
+	})
 }

@@ -1,8 +1,8 @@
 // Package hashtable implements the sparse parallel hash table LightNE uses
 // to aggregate PathSampling results into the sparsifier (paper §4.2,
 // "Sparse Parallel Hashing"). It is the folklore concurrent open-addressing
-// table: linear probing, no deletions, lock-free inserts via compare-and-swap
-// on the key slot, and weight accumulation via atomic fetch-and-add — Go's
+// table: linear probing, no deletions, inserts that claim a slot with one
+// compare-and-swap and accumulate with one atomic fetch-and-add — Go's
 // atomic.AddUint64 compiles to the LOCK XADD instruction the paper singles
 // out as decisively faster than a CAS loop under contention.
 //
@@ -12,11 +12,25 @@
 // fixed-point increment), matching the paper's "exact count of each edge"
 // guarantee.
 //
-// Growth is handled with a readers-writer lock: inserts hold the read side
-// (uncontended in steady state), and a full table triggers a single-writer
-// rehash to double capacity. Callers that can estimate the number of
-// distinct keys should presize via New's capacity hint to avoid growth
-// entirely, as LightNE's sampler does.
+// Slot layout: one 16-byte slot holds the key and its weight, so a hit
+// touches one cache line. Keys are stored complemented (^key), which makes
+// the all-zero slot the empty marker: a freshly allocated slot array is an
+// empty table, with no fill pass. The complement of the reserved pair
+// (0xffffffff, 0xffffffff) is that marker.
+//
+// Inserts are batch-first. AddFixedBatch is the shared kernel: each chunk of
+// up to BatchGrain pairs takes the growth lock's read side once and runs a
+// per-key loop of probes, CASes and xadds with no lock and no counter update.
+// The chunk's first new key reserves headroom for every remaining key with
+// one compare-and-swap on the key count, so hits never touch the count, and
+// unused headroom is returned when the chunk ends. A full
+// table makes the chunk release the lock, double the table under the write
+// lock, and carry on, so a presized table never grows and the 7/8 load
+// factor is never exceeded. AddFixedBatchOwned is the owned kernel for
+// callers that route a batch so one goroutine owns the table for it (the
+// sharded sink's partitioned insert): it holds the write lock for the batch
+// and inserts with plain loads and stores, a local count and an inline grow.
+// AddFixed and Add are one-pair calls into the shared kernel.
 package hashtable
 
 import (
@@ -30,7 +44,6 @@ import (
 )
 
 const (
-	emptyKey = ^uint64(0)
 	// FixedPointShift is the number of fractional bits in stored weights.
 	FixedPointShift = 20
 	// fixedOne is 1.0 in fixed point.
@@ -75,31 +88,36 @@ func ToFixed(w float64) uint64 {
 // FromFixed converts a fixed-point weight back to float64.
 func FromFixed(f uint64) float64 { return float64(f) / fixedOne }
 
+// slot is one table entry. key holds the complemented packed key, so 0 marks
+// an empty slot; val is the accumulated fixed-point weight. The fields are
+// plain words because the owned kernel accesses them without atomics; the
+// shared kernel and Get use sync/atomic's functions on them.
+type slot struct {
+	key, val uint64
+}
+
 // Table is a concurrent weighted-count hash table keyed by packed edges.
 type Table struct {
 	mu    sync.RWMutex
-	keys  []uint64
-	vals  []uint64
+	slots []slot
 	mask  uint64
-	count int64 // distinct keys, updated atomically
-	peak  int64 // high-water mark of transient slot storage, updated atomically
+	// count is the number of distinct keys plus the headroom in-flight
+	// shared chunks have reserved but not yet used.
+	count atomic.Int64
+	peak  atomic.Int64 // high-water mark of transient slot storage
 }
 
 // New returns a table presized to hold capacityHint distinct keys without
 // growing. A hint <= 0 selects a small default.
 func New(capacityHint int) *Table {
 	t := &Table{}
-	t.init(presize(capacityHint))
-	t.notePeak(t.MemoryBytes())
+	t.setSlots(presize(capacityHint))
+	t.peak.Store(t.MemoryBytes())
 	return t
 }
 
-// presize returns the smallest power-of-two capacity that admits
-// capacityHint distinct keys under the load-factor check in tryAdd: the k-th
-// insert requires (k-1)*maxLoadDen < cap*maxLoadNum. The earlier formula had
-// two off-by-one flavors — bits.Len64 doubled exact powers of two, and the
-// truncating *maxLoadDen/maxLoadNum division could undersize by one slot —
-// either of which made a "presized" table grow once anyway.
+// presize returns the smallest power-of-two capacity whose maxKeys admits
+// capacityHint distinct keys: hint <= capacity·7/8.
 func presize(capacityHint int) uint64 {
 	if capacityHint < 1 {
 		capacityHint = 1
@@ -112,13 +130,15 @@ func presize(capacityHint int) uint64 {
 	return c
 }
 
-func (t *Table) init(capacity uint64) {
-	t.keys = make([]uint64, capacity)
-	for i := range t.keys {
-		t.keys[i] = emptyKey
-	}
-	t.vals = make([]uint64, capacity)
+func (t *Table) setSlots(capacity uint64) {
+	t.slots = make([]slot, capacity)
 	t.mask = capacity - 1
+}
+
+// maxKeys is the most distinct keys the current capacity holds under the
+// 7/8 load factor (capacities are powers of two >= 16, so this is exact).
+func (t *Table) maxKeys() int64 {
+	return int64(len(t.slots)) / maxLoadDen * maxLoadNum
 }
 
 // hash mixes a packed key (SplitMix64 finalizer).
@@ -134,148 +154,224 @@ func (t *Table) Add(u, v uint32, w float64) {
 	t.AddFixed(Key(u, v), ToFixed(w))
 }
 
-// AddFixed accumulates a fixed-point weight onto a packed key.
+// AddFixed accumulates a fixed-point weight onto a packed key: a one-pair
+// call into the shared batch kernel. Safe for concurrent use.
 func (t *Table) AddFixed(key, fixed uint64) {
-	for {
-		t.mu.RLock()
-		ok := t.tryAdd(key, fixed)
-		t.mu.RUnlock()
-		if ok {
-			return
-		}
-		t.grow()
-	}
+	k, f := [1]uint64{key}, [1]uint64{fixed}
+	t.addShared(k[:], f[:])
 }
 
-// batchGrain is the per-chunk insert count for AddFixedBatch. Inserts are
-// memory-bound random probes, so chunks stay small enough to keep all
-// workers busy on modest batches.
-const batchGrain = 2048
+// BatchGrain is the chunk length of AddFixedBatch: a batch of at most
+// BatchGrain pairs is inserted inline on the calling goroutine under one
+// read-lock acquisition, and longer batches split into chunks of about this
+// size that run in parallel. Inserts are memory-bound random probes, so
+// chunks stay small enough to keep all workers busy on modest batches.
+const BatchGrain = 2048
 
 // AddFixedBatch accumulates every (key, fixed-point weight) pair,
 // parallelizing the inserts over chunks of the batch. Equivalent to calling
 // AddFixed for each pair — accumulation is commutative, so the result is
-// independent of chunk geometry. Safe for concurrent use with AddFixed
-// (inserts are lock-free; a grow triggered mid-batch stalls and retries
-// exactly as single inserts do). len(keys) must equal len(fixed).
+// independent of chunk geometry. Safe for concurrent use with every other
+// insert. len(keys) must equal len(fixed).
 func (t *Table) AddFixedBatch(keys, fixed []uint64) {
 	if len(keys) != len(fixed) {
 		panic("hashtable: keys and fixed must have equal length")
 	}
-	par.ForRange(len(keys), batchGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t.AddFixed(keys[i], fixed[i])
-		}
+	if len(keys) <= BatchGrain {
+		t.addShared(keys, fixed)
+		return
+	}
+	par.ForRange(len(keys), BatchGrain, func(lo, hi int) {
+		t.addShared(keys[lo:hi], fixed[lo:hi])
 	})
 }
 
-// tryAdd attempts a lock-free insert-or-accumulate. It reports false if the
-// table is at its load limit (the caller must grow and retry).
-func (t *Table) tryAdd(key, fixed uint64) bool {
-	i := hash(key) & t.mask
-	for {
-		k := atomic.LoadUint64(&t.keys[i])
-		if k == key {
-			atomic.AddUint64(&t.vals[i], fixed)
-			return true
+// addShared inserts one chunk concurrently with other shared inserts. Each
+// round holds the read lock, runs the per-key loop and returns the headroom
+// it reserved but did not use. A round that stops short met a new key with
+// no headroom left, so grow makes room for that key.
+func (t *Table) addShared(keys, fixed []uint64) {
+	for len(keys) > 0 {
+		t.mu.RLock()
+		done, unused := t.insertShared(keys, fixed)
+		if unused > 0 {
+			t.count.Add(-unused)
 		}
-		if k == emptyKey {
-			// Respect the load factor before claiming a new slot.
-			if atomic.LoadInt64(&t.count)*maxLoadDen >= int64(t.mask+1)*maxLoadNum {
-				return false
-			}
-			if atomic.CompareAndSwapUint64(&t.keys[i], emptyKey, key) {
-				atomic.AddInt64(&t.count, 1)
-				atomic.AddUint64(&t.vals[i], fixed)
-				return true
-			}
-			// Lost the race; reinspect this slot (it may now hold our key).
-			continue
+		t.mu.RUnlock()
+		keys, fixed = keys[done:], fixed[done:]
+		if len(keys) > 0 {
+			t.grow(keys[0])
 		}
-		i = (i + 1) & t.mask
 	}
 }
 
-// grow doubles capacity. Only one writer rehashes; concurrent Adds wait.
-func (t *Table) grow() {
+// reserve claims up to want of the headroom left under the load factor by
+// adding it to count. The caller holds the read lock.
+func (t *Table) reserve(want int64) int64 {
+	limit := t.maxKeys()
+	for {
+		c := t.count.Load()
+		n := limit - c
+		if n <= 0 {
+			return 0
+		}
+		if n > want {
+			n = want
+		}
+		if t.count.CompareAndSwap(c, c+n) {
+			return n
+		}
+	}
+}
+
+// insertShared is the shared kernel's per-key loop: a probe and one xadd per
+// hit, plus one CAS per new key paid from credits. Credits are reserved
+// lazily, for every remaining key, when a new key finds none left, so a run
+// of hits never touches count. The loop stops at a new key for which nothing
+// could be reserved and reports how many pairs it inserted and how many
+// reserved credits it left unspent. The caller holds the read lock.
+func (t *Table) insertShared(keys, fixed []uint64) (done int, unused int64) {
+	slots, mask := t.slots, t.mask
+	var credits int64
+	for i, key := range keys {
+		want := ^key
+		for j := hash(key) & mask; ; j = (j + 1) & mask {
+			s := &slots[j]
+			k := atomic.LoadUint64(&s.key)
+			if k == 0 {
+				if credits == 0 {
+					if credits = t.reserve(int64(len(keys) - i)); credits == 0 {
+						return i, 0
+					}
+				}
+				if atomic.CompareAndSwapUint64(&s.key, 0, want) {
+					credits--
+					atomic.AddUint64(&s.val, fixed[i])
+					break
+				}
+				k = atomic.LoadUint64(&s.key) // lost the race: the winner may hold our key
+			}
+			if k == want {
+				atomic.AddUint64(&s.val, fixed[i])
+				break
+			}
+		}
+	}
+	return len(keys), credits
+}
+
+// AddFixedBatchOwned accumulates every pair with the table held exclusively:
+// one write-lock acquisition for the batch, then plain loads and stores, a
+// local key count and an inline grow — no atomic operation per key. It is
+// the insert for a caller that has routed a batch so one goroutine owns this
+// table for it (the sharded sink inserts each shard's partition this way);
+// concurrent inserts into the same table wait for the batch rather than
+// race it. len(keys) must equal len(fixed).
+func (t *Table) AddFixedBatchOwned(keys, fixed []uint64) {
+	if len(keys) != len(fixed) {
+		panic("hashtable: keys and fixed must have equal length")
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if atomic.LoadInt64(&t.count)*maxLoadDen < int64(t.mask+1)*maxLoadNum {
-		return // another goroutine already grew
+	count, limit := t.count.Load(), t.maxKeys()
+	slots, mask := t.slots, t.mask
+	for i, key := range keys {
+		want := ^key
+		for j := hash(key) & mask; ; j = (j + 1) & mask {
+			k := slots[j].key
+			if k == want {
+				slots[j].val += fixed[i]
+				break
+			}
+			if k != 0 {
+				continue
+			}
+			if count == limit {
+				t.rehash()
+				slots, mask, limit = t.slots, t.mask, t.maxKeys()
+				j = (hash(key) - 1) & mask // the loop step lands on the home slot
+				continue
+			}
+			slots[j] = slot{want, fixed[i]}
+			count++
+			break
+		}
 	}
-	oldKeys, oldVals := t.keys, t.vals
-	t.init((t.mask + 1) * 2)
+	t.count.Store(count)
+}
+
+// grow doubles capacity so that key fits, unless the write lock shows it
+// already does. By then every read-lock holder has returned its reserved
+// headroom, so count is the true key count; and the caller's probe may have
+// seen key's slot empty just before another chunk claimed it. Checking both
+// keeps a table with room, or a table that already holds key, from doubling.
+func (t *Table) grow(key uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.lookup(key); ok || t.count.Load() < t.maxKeys() {
+		return
+	}
+	t.rehash()
+}
+
+// rehash doubles capacity and reinserts every entry. The caller holds the
+// write lock.
+func (t *Table) rehash() {
+	old := t.slots
+	t.setSlots(2 * uint64(len(old)))
 	// While rehashing, old and new slot arrays coexist: the true peak is
 	// their sum (1.5x the post-grow footprint), which MemoryBytes alone
 	// never shows — exactly the transient a capacity planner must budget.
-	t.notePeak(int64(len(oldKeys))*16 + t.MemoryBytes())
-	for i, k := range oldKeys {
-		if k == emptyKey {
+	t.peak.Store(int64(len(old))*16 + t.MemoryBytes())
+	slots, mask := t.slots, t.mask
+	for _, s := range old {
+		if s.key == 0 {
 			continue
 		}
-		j := hash(k) & t.mask
-		for t.keys[j] != emptyKey {
-			j = (j + 1) & t.mask
+		j := hash(^s.key) & mask
+		for slots[j].key != 0 {
+			j = (j + 1) & mask
 		}
-		t.keys[j] = k
-		t.vals[j] = oldVals[i]
+		slots[j] = s
 	}
 }
 
-// Len returns the number of distinct keys.
-func (t *Table) Len() int { return int(atomic.LoadInt64(&t.count)) }
+// Len returns the number of distinct keys. It is exact whenever no insert
+// is in flight; during shared inserts it may include reserved headroom.
+func (t *Table) Len() int { return int(t.count.Load()) }
 
 // Capacity returns the current slot count.
-func (t *Table) Capacity() int { return len(t.keys) }
+func (t *Table) Capacity() int { return len(t.slots) }
 
 // MemoryBytes returns the table's slot storage footprint.
-func (t *Table) MemoryBytes() int64 { return int64(len(t.keys)) * 16 }
+func (t *Table) MemoryBytes() int64 { return int64(len(t.slots)) * 16 }
 
 // PeakMemoryBytes returns the high-water mark of slot storage over the
 // table's lifetime, including the grow transient where the old and new
 // slot arrays coexist. Equals MemoryBytes for a table that never grew.
-func (t *Table) PeakMemoryBytes() int64 { return atomic.LoadInt64(&t.peak) }
-
-// notePeak raises the recorded high-water mark to bytes if it is larger.
-func (t *Table) notePeak(bytes int64) {
-	for {
-		cur := atomic.LoadInt64(&t.peak)
-		if bytes <= cur || atomic.CompareAndSwapInt64(&t.peak, cur, bytes) {
-			return
-		}
-	}
-}
+func (t *Table) PeakMemoryBytes() int64 { return t.peak.Load() }
 
 // Get returns the accumulated weight for (u, v) and whether it is present.
-// Safe for concurrent use with Add.
+// Safe for concurrent use with inserts; a key whose insert is in flight may
+// be seen before its first weight is added.
 func (t *Table) Get(u, v uint32) (float64, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	key := Key(u, v)
-	i := hash(key) & t.mask
-	for {
-		k := atomic.LoadUint64(&t.keys[i])
-		if k == key {
-			return FromFixed(atomic.LoadUint64(&t.vals[i])), true
-		}
-		if k == emptyKey {
-			return 0, false
-		}
-		i = (i + 1) & t.mask
-	}
+	f, ok := t.lookup(Key(u, v))
+	return FromFixed(f), ok
 }
 
-// ForEach calls fn for every (key, weight) pair, in parallel over slots.
-// Must not run concurrently with Add.
-func (t *Table) ForEach(fn func(u, v uint32, w float64)) {
-	par.For(len(t.keys), 4096, func(i int) {
-		k := t.keys[i]
-		if k == emptyKey {
-			return
+// lookup returns key's fixed-point weight and whether it is present. The
+// caller holds either side of the lock.
+func (t *Table) lookup(key uint64) (uint64, bool) {
+	for i := hash(key) & t.mask; ; i = (i + 1) & t.mask {
+		switch atomic.LoadUint64(&t.slots[i].key) {
+		case ^key:
+			return atomic.LoadUint64(&t.slots[i].val), true
+		case 0:
+			return 0, false
 		}
-		u, v := UnpackKey(k)
-		fn(u, v, FromFixed(t.vals[i]))
-	})
+	}
 }
 
 // drainGrain is the slot-array chunk size for the parallel drain passes.
@@ -286,7 +382,7 @@ const drainGrain = 4096
 // two-pass (count, scan, fill) drain. The same bounds must be reused for
 // the fill pass so block indices line up.
 func (t *Table) occupancy() (bounds []int, counts []int64) {
-	bounds = par.Blocks(len(t.keys), drainGrain)
+	bounds = par.Blocks(len(t.slots), drainGrain)
 	counts = make([]int64, len(bounds)-1)
 	if len(bounds) == 2 {
 		// Single block: the maintained key count already is the occupancy,
@@ -297,7 +393,7 @@ func (t *Table) occupancy() (bounds []int, counts []int64) {
 	par.ForBlocks(bounds, func(b, lo, hi int) {
 		var c int64
 		for i := lo; i < hi; i++ {
-			if t.keys[i] != emptyKey {
+			if t.slots[i].key != 0 {
 				c++
 			}
 		}
@@ -337,16 +433,16 @@ func (t *Table) DrainInto(us, vs []uint32, ws []float64) int {
 // fill is the second drain pass: counts must hold the exclusive scan of the
 // per-block occupancy for the same bounds.
 func (t *Table) fill(bounds []int, counts []int64, us, vs []uint32, ws []float64) {
-	keys, vals := t.keys, t.vals
+	slots := t.slots
 	par.ForBlocks(bounds, func(b, lo, hi int) {
 		w := int(counts[b])
 		for i := lo; i < hi; i++ {
-			k := keys[i]
-			if k == emptyKey {
+			s := slots[i]
+			if s.key == 0 {
 				continue
 			}
-			us[w], vs[w] = UnpackKey(k)
-			ws[w] = FromFixed(vals[i])
+			us[w], vs[w] = UnpackKey(^s.key)
+			ws[w] = FromFixed(s.val)
 			w++
 		}
 	})
@@ -380,15 +476,16 @@ func (t *Table) DrainKeysInto(keys []uint64, ws []float64) int {
 // fillKeys is the packed-key fill pass: counts must hold the exclusive scan
 // of the per-block occupancy for the same bounds.
 func (t *Table) fillKeys(bounds []int, counts []int64, keys []uint64, ws []float64) {
+	slots := t.slots
 	par.ForBlocks(bounds, func(b, lo, hi int) {
 		w := counts[b]
 		for i := lo; i < hi; i++ {
-			k := t.keys[i]
-			if k == emptyKey {
+			s := slots[i]
+			if s.key == 0 {
 				continue
 			}
-			keys[w] = k
-			ws[w] = FromFixed(t.vals[i])
+			keys[w] = ^s.key
+			ws[w] = FromFixed(s.val)
 			w++
 		}
 	})

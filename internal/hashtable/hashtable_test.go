@@ -59,22 +59,73 @@ func TestToFixedClampsDomain(t *testing.T) {
 func TestPresizedTableNeverGrows(t *testing.T) {
 	// Sweep hints across power-of-two boundaries (where bits.Len64 used to
 	// double) and load-factor truncation edges (where the table used to come
-	// out one slot short and grow once anyway).
+	// out one slot short and grow once anyway). Every insert path runs: the batch kernels reserve headroom for hits
+	// too, so each key goes in twice, and the concurrent path races small
+	// batches whose reservations overlap near the load limit.
 	hints := []int{1, 7, 8, 14, 15, 16, 17, 56, 57, 63, 64, 100, 127, 128,
 		255, 256, 896, 897, 1 << 12, 1<<12 + 1, 1 << 16}
+	paths := []struct {
+		name   string
+		insert func(tab *Table, keys, fixed []uint64)
+	}{
+		{"per-key", func(tab *Table, keys, fixed []uint64) {
+			for i := range keys {
+				tab.AddFixed(keys[i], fixed[i])
+			}
+		}},
+		{"batch", (*Table).AddFixedBatch},
+		{"owned", (*Table).AddFixedBatchOwned},
+		{"concurrent-batches", func(tab *Table, keys, fixed []uint64) {
+			const workers, flush = 4, 37
+			var wg sync.WaitGroup
+			wg.Add(workers)
+			for w := 0; w < workers; w++ {
+				go func(w int) {
+					defer wg.Done()
+					var ks, fs []uint64
+					for i := w; i < len(keys); i += workers {
+						ks, fs = append(ks, keys[i]), append(fs, fixed[i])
+						if len(ks) == flush || i+workers >= len(keys) {
+							tab.AddFixedBatch(ks, fs)
+							ks, fs = ks[:0], fs[:0]
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+		}},
+	}
 	for _, k := range hints {
-		tab := New(k)
-		before := tab.Capacity()
+		keys := make([]uint64, 2*k)
+		fixed := make([]uint64, 2*k)
 		for i := 0; i < k; i++ {
-			tab.Add(uint32(i), uint32(i>>2), 1)
+			keys[i], keys[k+i] = Key(uint32(i), uint32(i>>2)), Key(uint32(i), uint32(i>>2))
+			fixed[i], fixed[k+i] = fixedOne, fixedOne
 		}
-		if tab.Capacity() != before {
-			t.Fatalf("hint %d: table grew %d -> %d", k, before, tab.Capacity())
-		}
-		if tab.Len() != k {
-			t.Fatalf("hint %d: Len=%d", k, tab.Len())
+		for _, p := range paths {
+			tab := New(k)
+			before := tab.Capacity()
+			p.insert(tab, keys, fixed)
+			if tab.Capacity() != before {
+				t.Fatalf("%s hint %d: table grew %d -> %d", p.name, k, before, tab.Capacity())
+			}
+			if tab.Len() != k {
+				t.Fatalf("%s hint %d: Len=%d", p.name, k, tab.Len())
+			}
+			if got, want := fixedTotal(tab), uint64(2*k)*fixedOne; got != want {
+				t.Fatalf("%s hint %d: fixed-point total %d want %d", p.name, k, got, want)
+			}
 		}
 	}
+}
+
+// fixedTotal sums every stored fixed-point weight.
+func fixedTotal(tab *Table) uint64 {
+	var total uint64
+	for _, s := range tab.slots {
+		total += s.val
+	}
+	return total
 }
 
 func TestPresizeTightAtExactPowers(t *testing.T) {
@@ -173,9 +224,6 @@ func TestConcurrentExactCounts(t *testing.T) {
 	}
 	wg.Wait()
 	var total float64
-	tab.ForEach(func(u, v uint32, w float64) {
-		// fn may run in parallel; accumulate via channel-free trick below.
-	})
 	_, _, ws := tab.Drain()
 	for _, w := range ws {
 		total += w
@@ -217,30 +265,6 @@ func TestConcurrentGrowth(t *testing.T) {
 	}
 }
 
-func TestForEachVisitsAll(t *testing.T) {
-	tab := New(16)
-	want := map[uint64]float64{}
-	for i := 0; i < 100; i++ {
-		tab.Add(uint32(i), uint32(2*i), float64(i))
-		want[Key(uint32(i), uint32(2*i))] = float64(i)
-	}
-	var mu sync.Mutex
-	got := map[uint64]float64{}
-	tab.ForEach(func(u, v uint32, w float64) {
-		mu.Lock()
-		got[Key(u, v)] = w
-		mu.Unlock()
-	})
-	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %d keys want %d", len(got), len(want))
-	}
-	for k, w := range want {
-		if math.Abs(got[k]-w) > 1e-5 {
-			t.Fatalf("key %d: got %g want %g", k, got[k], w)
-		}
-	}
-}
-
 func TestDrain(t *testing.T) {
 	tab := New(16)
 	tab.Add(5, 6, 2)
@@ -262,9 +286,9 @@ func TestDrainMatchesSequentialReference(t *testing.T) {
 		tab.Add(uint32(s.Intn(3000)), uint32(s.Intn(3000)), 0.5)
 	}
 	want := map[uint64]float64{}
-	for i, k := range tab.keys {
-		if k != emptyKey {
-			want[k] = FromFixed(tab.vals[i])
+	for _, sl := range tab.slots {
+		if sl.key != 0 {
+			want[^sl.key] = FromFixed(sl.val)
 		}
 	}
 	us, vs, ws := tab.Drain()
@@ -396,8 +420,11 @@ func TestRaceStress(t *testing.T) {
 				default:
 				}
 				k := uint32(s.Intn(distinct))
-				if w, ok := tab.Get(k, k^1); ok && w <= 0 {
-					t.Error("Get returned non-positive weight for present key")
+				// A key whose claim is visible may not have its first weight
+				// added yet, so a present key can read 0; a weight is always
+				// a whole number of samples and never more than were inserted.
+				if w, ok := tab.Get(k, k^1); ok && (w != math.Trunc(w) || w > workers*perWorker) {
+					t.Errorf("Get returned impossible weight %v", w)
 					return
 				}
 			}
@@ -417,13 +444,7 @@ func TestRaceStress(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	var total uint64
-	for i := range tab.keys {
-		if tab.keys[i] != emptyKey {
-			total += tab.vals[i]
-		}
-	}
-	if want := uint64(workers) * perWorker * fixedOne; total != want {
+	if total, want := fixedTotal(tab), uint64(workers)*perWorker*fixedOne; total != want {
 		t.Fatalf("fixed-point total %d want %d (lost or duplicated samples)", total, want)
 	}
 }
@@ -500,9 +521,10 @@ func TestPeakMemoryBytesConcurrent(t *testing.T) {
 	}
 }
 
-// TestAddFixedBatchMatchesSerial: the parallel batch insert must accumulate
-// exactly what the equivalent AddFixed loop does, including when a tiny
-// initial table forces grows mid-batch.
+// TestAddFixedBatchMatchesSerial: both batch kernels — the parallel shared
+// one and the write-locked owned one — must accumulate exactly what the
+// equivalent AddFixed loop does, including when a tiny initial table forces
+// grows mid-batch.
 func TestAddFixedBatchMatchesSerial(t *testing.T) {
 	s := rng.New(123, 0)
 	const n = 50000
@@ -512,21 +534,27 @@ func TestAddFixedBatchMatchesSerial(t *testing.T) {
 		keys[i] = Key(uint32(s.Intn(800)), uint32(s.Intn(800)))
 		fixed[i] = uint64(1 + s.Intn(1<<20))
 	}
-	for _, hint := range []int{2 * n, 4} { // presized and grow-forcing
-		ref := New(2 * n)
-		for i := range keys {
-			ref.AddFixed(keys[i], fixed[i])
-		}
-		batch := New(hint)
-		batch.AddFixedBatch(keys, fixed)
-		if batch.Len() != ref.Len() {
-			t.Fatalf("hint=%d: distinct %d want %d", hint, batch.Len(), ref.Len())
-		}
-		us, vs, ws := ref.Drain()
-		for i := range us {
-			got, ok := batch.Get(us[i], vs[i])
-			if !ok || got != ws[i] { // fixed-point accumulation is exact
-				t.Fatalf("hint=%d: key (%d,%d): batch %v want %v", hint, us[i], vs[i], got, ws[i])
+	ref := New(2 * n)
+	for i := range keys {
+		ref.AddFixed(keys[i], fixed[i])
+	}
+	us, vs, ws := ref.Drain()
+	kernels := map[string]func(*Table, []uint64, []uint64){
+		"shared": (*Table).AddFixedBatch,
+		"owned":  (*Table).AddFixedBatchOwned,
+	}
+	for name, insert := range kernels {
+		for _, hint := range []int{2 * n, 4} { // presized and grow-forcing
+			batch := New(hint)
+			insert(batch, keys, fixed)
+			if batch.Len() != ref.Len() {
+				t.Fatalf("%s hint=%d: distinct %d want %d", name, hint, batch.Len(), ref.Len())
+			}
+			for i := range us {
+				got, ok := batch.Get(us[i], vs[i])
+				if !ok || got != ws[i] { // fixed-point accumulation is exact
+					t.Fatalf("%s hint=%d: key (%d,%d): batch %v want %v", name, hint, us[i], vs[i], got, ws[i])
+				}
 			}
 		}
 	}
@@ -539,4 +567,85 @@ func TestAddFixedBatchPanicsOnLengthMismatch(t *testing.T) {
 		}
 	}()
 	New(8).AddFixedBatch(make([]uint64, 3), make([]uint64, 2))
+}
+
+// TestBatchRaceStress races shared batches (inline and forked sizes),
+// owned batches and Gets on one table that starts at the minimum capacity, so
+// grows interleave with reservations on every path. Under -race this covers
+// the read-lock-per-chunk kernel, the headroom reservation and its return,
+// the write-locked owned kernel with its inline grow, and grow's recheck. The
+// aggregate must be exact in fixed point, key by key.
+func TestBatchRaceStress(t *testing.T) {
+	tab := New(0)
+	const workers, batches, distinct = 6, 40, 30000
+	type batch struct{ keys, fixed []uint64 }
+	work := make([][]batch, workers)
+	want := map[uint64]uint64{}
+	var total uint64
+	for w := range work {
+		s := rng.New(808, uint64(w))
+		for b := 0; b < batches; b++ {
+			n := 1 + s.Intn(3*BatchGrain) // some batches fork, most run inline
+			bt := batch{make([]uint64, n), make([]uint64, n)}
+			for i := range bt.keys {
+				k := uint32(s.Intn(distinct))
+				bt.keys[i], bt.fixed[i] = Key(k, k*7), uint64(1+s.Intn(1000))
+				want[bt.keys[i]] += bt.fixed[i]
+				total += bt.fixed[i]
+			}
+			work[w] = append(work[w], bt)
+		}
+	}
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		s := rng.New(909, 0)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := uint32(s.Intn(distinct))
+			if w, ok := tab.Get(k, k*7); ok && ToFixed(w) > want[Key(k, k*7)] {
+				t.Errorf("Get returned %v, more than was ever inserted", w)
+				return
+			}
+		}
+	}()
+	writers.Add(workers)
+	for w := range work {
+		go func(w int) {
+			defer writers.Done()
+			for _, bt := range work[w] {
+				if w%3 == 0 {
+					tab.AddFixedBatchOwned(bt.keys, bt.fixed)
+				} else {
+					tab.AddFixedBatch(bt.keys, bt.fixed)
+				}
+			}
+		}(w)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if tab.Len() != len(want) {
+		t.Fatalf("Len=%d want %d distinct keys", tab.Len(), len(want))
+	}
+	if got := fixedTotal(tab); got != total {
+		t.Fatalf("fixed-point total %d want %d (lost or duplicated samples)", got, total)
+	}
+	keys, ws := tab.DrainKeys()
+	for i, k := range keys {
+		if ToFixed(ws[i]) != want[k] {
+			t.Fatalf("key %x: weight %v want %v", k, ws[i], FromFixed(want[k]))
+		}
+	}
+	// Growth happens only when the table is truly full, so the final
+	// capacity is the smallest one that admits the keys.
+	if got, want := tab.Capacity(), int(presize(len(want))); got != want {
+		t.Fatalf("capacity %d, want %d: the table grew while it had room", got, want)
+	}
 }

@@ -33,7 +33,7 @@ func BenchmarkSample(b *testing.B) {
 }
 
 // BenchmarkSampleSerialFlush is the pre-pipeline batched sampler kept as the
-// baseline: serial head enumeration, serial per-wave flush through AddFixed,
+// baseline: serial head enumeration, serial per-wave flush one head at a time,
 // serial compaction.
 func BenchmarkSampleSerialFlush(b *testing.B) {
 	g, cfg := benchGraphAndConfig(b, 1)

@@ -1,0 +1,155 @@
+package sampler
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"lightne/internal/graph"
+	"lightne/internal/hashtable"
+	"lightne/internal/rng"
+)
+
+// sampleReference is Sample without buffering or parallelism: one serial
+// vertex loop drawing from the same per-vertex RNG streams, inserting each
+// head's two oriented pairs one key at a time.
+func sampleReference(g *graph.Graph, cfg Config, table *hashtable.Table) (trials, heads int64) {
+	c := cfg.DownsampleC(g.NumVertices())
+	perUnit := float64(cfg.M) / g.TotalWeight()
+	strengths := g.Strengths()
+	var src rng.Source
+	for ui := 0; ui < g.NumVertices(); ui++ {
+		u := uint32(ui)
+		src.Seed(cfg.Seed, uint64(u))
+		for i := 0; i < g.Degree(u); i++ {
+			v, ew := g.Neighbor(u, i), g.EdgeWeight(u, i)
+			perArc := perUnit * ew
+			ne := int64(perArc)
+			if frac := perArc - float64(ne); frac > 0 && src.Bernoulli(frac) {
+				ne++
+			}
+			pe := 1.0
+			if cfg.Downsample {
+				pe = ProbW(c, ew, strengths[u], strengths[v])
+			}
+			trials, heads = referenceTrials(g, table, u, v, ne, pe, cfg.T, &src, trials, heads)
+		}
+	}
+	return trials, heads
+}
+
+// sampleArcsReference is SampleArcsInto without buffering or parallelism.
+func sampleArcsReference(g *graph.Graph, table *hashtable.Table, arcs []graph.Edge, perArc float64, cfg Config) (trials, heads int64) {
+	c := cfg.DownsampleC(g.NumVertices())
+	base := int64(perArc)
+	frac := perArc - float64(base)
+	var src rng.Source
+	for i, a := range arcs {
+		src.Seed(cfg.Seed, uint64(i))
+		du, dv := g.Degree(a.U), g.Degree(a.V)
+		if du == 0 || dv == 0 {
+			continue
+		}
+		ne := base
+		if frac > 0 && src.Bernoulli(frac) {
+			ne++
+		}
+		pe := 1.0
+		if c > 0 {
+			pe = Prob(c, du, dv)
+		}
+		trials, heads = referenceTrials(g, table, a.U, a.V, ne, pe, cfg.T, &src, trials, heads)
+	}
+	return trials, heads
+}
+
+// referenceTrials runs one arc's ne trials, inserting every head per key.
+func referenceTrials(g *graph.Graph, table *hashtable.Table, u, v uint32, ne int64, pe float64, t int, src *rng.Source, trials, heads int64) (int64, int64) {
+	fixed := hashtable.ToFixed(1 / pe)
+	for k := int64(0); k < ne; k++ {
+		trials++
+		if pe < 1 && !src.Bernoulli(pe) {
+			continue
+		}
+		heads++
+		ue, ve := PathSample(g, u, v, 1+src.Intn(t), src)
+		table.AddFixed(hashtable.Key(ue, ve), fixed)
+		table.AddFixed(hashtable.Key(ve, ue), fixed)
+	}
+	return trials, heads
+}
+
+// TestBufferedSamplersBitIdenticalToPerKey: Sample and SampleArcsInto buffer
+// each chunk's pairs and flush them through Sink.AddFixedBatch. The drained
+// CSR must equal, to the bit, a serial per-key reference drawing the same
+// streams, for every shard count and worker count, on an unweighted and a
+// weighted graph. Tiny capacity hints make the flushes grow the table.
+func TestBufferedSamplersBitIdenticalToPerKey(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"unweighted", chordGraph(t, 400, 3, 5)},
+		{"weighted", weightedChordGraph(t, 400, 3, 5)},
+	}
+	cfg := Config{T: 5, M: 60_000, Downsample: true, Seed: 21, TableSizeHint: 16}
+	for _, gr := range graphs {
+		g, n := gr.g, gr.g.NumVertices()
+		var arcs []graph.Edge
+		for u := 0; u < n; u++ {
+			for i := 0; i < g.Degree(uint32(u)); i++ {
+				if v := g.Neighbor(uint32(u), i); uint32(u) < v {
+					arcs = append(arcs, graph.Edge{U: uint32(u), V: v})
+				}
+			}
+		}
+		ref := hashtable.New(0)
+		refTrials, refHeads := sampleReference(g, cfg, ref)
+		refArcs := hashtable.New(0)
+		arcTrials, arcHeads := sampleArcsReference(g, refArcs, arcs, 7.5, cfg)
+		for _, shards := range []int{1, 4} {
+			for _, procs := range []int{1, 2, 4} {
+				name := fmt.Sprintf("%s shards=%d procs=%d", gr.name, shards, procs)
+				prev := runtime.GOMAXPROCS(procs)
+				c := cfg
+				c.Shards = shards
+				sink, st, err := Sample(g, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				arcSink := NewSink(16, shards)
+				ast, err := SampleArcsInto(g, arcSink, arcs, 7.5, c)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Trials != refTrials || st.Heads != refHeads || ast.Trials != arcTrials || ast.Heads != arcHeads {
+					t.Fatalf("%s: trials/heads %d/%d and %d/%d, reference %d/%d and %d/%d", name,
+						st.Trials, st.Heads, ast.Trials, ast.Heads, refTrials, refHeads, arcTrials, arcHeads)
+				}
+				sameCSR(t, name+" Sample", sink, ref, n)
+				sameCSR(t, name+" SampleArcsInto", arcSink, refArcs, n)
+			}
+		}
+	}
+}
+
+// sameCSR fails unless got and want drain to bit-identical CSR arrays.
+func sameCSR(t *testing.T, name string, got, want Sink, n int) {
+	t.Helper()
+	gp, gc, gw := got.DrainCSR(n)
+	wp, wc, ww := want.DrainCSR(n)
+	if len(gc) == 0 || len(gc) != len(wc) {
+		t.Fatalf("%s: nnz %d, reference %d", name, len(gc), len(wc))
+	}
+	for i := range wp {
+		if gp[i] != wp[i] {
+			t.Fatalf("%s: rowPtr[%d]=%d, reference %d", name, i, gp[i], wp[i])
+		}
+	}
+	for i := range wc {
+		if gc[i] != wc[i] || gw[i] != ww[i] {
+			t.Fatalf("%s: entry %d (%d,%v), reference (%d,%v)", name, i, gc[i], gw[i], wc[i], ww[i])
+		}
+	}
+}

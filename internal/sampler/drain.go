@@ -13,8 +13,9 @@ import (
 // k+1 — the overlap that keeps the machine saturated where the serial-flush
 // sampler idled. Insertion parallelism lives behind Sink.AddFixedBatch: a
 // sharded sink radix-partitions the keys on hashtable.ShardOf so each
-// worker owns a shard range and atomic contention collapses; a single
-// table parallelizes over key chunks, relying on the lock-free AddFixed.
+// worker owns a shard's run and inserts it with plain stores under that
+// shard's write lock; a single table runs its shared kernel over parallel
+// chunks, one read-lock acquisition per chunk.
 
 // drainGrain is the per-chunk head count when building oriented key pairs.
 const drainGrain = 2048

@@ -6,7 +6,6 @@ import (
 
 	"lightne/internal/graph"
 	"lightne/internal/hashtable"
-	"lightne/internal/par"
 	"lightne/internal/rng"
 )
 
@@ -116,7 +115,7 @@ func SampleUniform(g *graph.Graph, cfg Config, arcs ArcSampler) (Sink, Stats, er
 	}
 	table := NewSink(hint, cfg.Shards)
 	var trials, heads int64
-	par.ForRange(int(cfg.M), 1<<12, func(lo, hi int) {
+	forBuffered(table, int(cfg.M), 1<<12, func(lo, hi int, buf *pairBuf) {
 		var src rng.Source
 		src.Seed(cfg.Seed^0xedce, uint64(lo))
 		var localTrials, localHeads int64
@@ -133,9 +132,7 @@ func SampleUniform(g *graph.Graph, cfg Config, arcs ArcSampler) (Sink, Stats, er
 			localHeads++
 			r := 1 + src.Intn(cfg.T)
 			ue, ve := PathSample(g, u, v, r, &src)
-			fixed := hashtable.ToFixed(1 / pe)
-			table.AddFixed(hashtable.Key(ue, ve), fixed)
-			table.AddFixed(hashtable.Key(ve, ue), fixed)
+			buf.add(ue, ve, hashtable.ToFixed(1/pe))
 		}
 		atomicAdd(&trials, localTrials)
 		atomicAdd(&heads, localHeads)

@@ -24,7 +24,6 @@ import (
 
 	"lightne/internal/graph"
 	"lightne/internal/hashtable"
-	"lightne/internal/par"
 	"lightne/internal/rng"
 )
 
@@ -144,7 +143,7 @@ func Sample(g *graph.Graph, cfg Config) (Sink, Stats, error) {
 	table := NewSink(hint, cfg.Shards)
 
 	var trials, heads int64
-	par.ForRange(n, 32, func(lo, hi int) {
+	forBuffered(table, n, 32, func(lo, hi int, buf *pairBuf) {
 		var src rng.Source
 		var localTrials, localHeads int64
 		for ui := lo; ui < hi; ui++ {
@@ -178,8 +177,7 @@ func Sample(g *graph.Graph, cfg Config) (Sink, Stats, error) {
 					localHeads++
 					r := 1 + src.Intn(cfg.T)
 					ue, ve := PathSample(g, u, v, r, &src)
-					table.AddFixed(hashtable.Key(ue, ve), fixed)
-					table.AddFixed(hashtable.Key(ve, ue), fixed)
+					buf.add(ue, ve, fixed)
 				}
 			}
 		}
@@ -217,7 +215,7 @@ func SampleArcsInto(g *graph.Graph, table Sink, arcs []graph.Edge, perArc float6
 	base := int64(perArc)
 	frac := perArc - float64(base)
 	var trials, heads int64
-	par.ForRange(len(arcs), 16, func(lo, hi int) {
+	forBuffered(table, len(arcs), 16, func(lo, hi int, buf *pairBuf) {
 		var src rng.Source
 		var localTrials, localHeads int64
 		for i := lo; i < hi; i++ {
@@ -247,8 +245,7 @@ func SampleArcsInto(g *graph.Graph, table Sink, arcs []graph.Edge, perArc float6
 				localHeads++
 				r := 1 + src.Intn(t)
 				ue, ve := PathSample(g, u, v, r, &src)
-				table.AddFixed(hashtable.Key(ue, ve), fixed)
-				table.AddFixed(hashtable.Key(ve, ue), fixed)
+				buf.add(ue, ve, fixed)
 			}
 		}
 		atomicAdd(&trials, localTrials)

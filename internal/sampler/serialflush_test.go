@@ -14,10 +14,11 @@ import (
 // differential oracle and benchmark baseline for SampleBatched: wave
 // *advances* are parallel (the original radix-batching win), but head
 // enumeration is a single-threaded vertex loop, every wave flushes into the
-// sink through a sequential AddFixed loop before the next wave may start,
-// and tombstone compaction is a serial sweep. It lives in a _test.go file so
-// the shipped package carries exactly one batched sampler; tests and
-// in-package benchmarks still exercise it as the reference implementation.
+// sink through a sequential loop of one-head (two-pair) inserts before the
+// next wave may start, and tombstone compaction is a serial sweep. It lives
+// in a _test.go file so the shipped package carries exactly one batched
+// sampler; tests and in-package benchmarks still exercise it as the
+// reference implementation.
 //
 // It draws the identical trial distribution and per-head weights as
 // SampleBatched (the per-vertex enumeration streams are the same), so Trials
@@ -46,6 +47,7 @@ func SampleBatchedSerial(g *graph.Graph, cfg Config, waveSize int) (Sink, Stats,
 		hint = int(2*cfg.M) + 1024
 	}
 	table := NewSink(hint, cfg.Shards)
+	var pairKeys, pairFixed [2]uint64
 
 	// Enumerate heads arc by arc (same trial distribution as Sample),
 	// flushing a wave whenever it fills.
@@ -64,8 +66,9 @@ func SampleBatchedSerial(g *graph.Graph, cfg Config, waveSize int) (Sink, Stats,
 		}
 		runWaveSerial(g, heads, states, cfg.Seed, uint64(wave))
 		for _, h := range heads {
-			table.AddFixed(hashtable.Key(h.e0, h.e1), h.fixed)
-			table.AddFixed(hashtable.Key(h.e1, h.e0), h.fixed)
+			pairKeys = [2]uint64{hashtable.Key(h.e0, h.e1), hashtable.Key(h.e1, h.e0)}
+			pairFixed = [2]uint64{h.fixed, h.fixed}
+			table.AddFixedBatch(pairKeys[:], pairFixed[:])
 		}
 		wave++
 		heads = heads[:0]

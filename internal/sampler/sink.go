@@ -3,29 +3,27 @@ package sampler
 import (
 	"lightne/internal/aggregate"
 	"lightne/internal/hashtable"
+	"lightne/internal/par"
 )
 
 // Sink is the aggregation target a sampling pass accumulates into: the
-// lock-free hash table mapping packed (u', v') keys to fixed-point weights,
+// concurrent hash table mapping packed (u', v') keys to fixed-point weights,
 // either as a single table or sharded across sub-tables routed by high hash
-// bits (aggregate.NewShardedTable). The sampler only needs the insert hot
-// path (AddFixed) plus the drain/introspection surface the downstream
-// sparsifier hand-off uses.
+// bits (aggregate.NewShardedTable). The sampler inserts only in batches
+// (AddFixedBatch) and reads back through the drain/introspection surface the
+// downstream sparsifier hand-off uses.
 //
 // Both implementations produce bit-identical DrainCSR output for the same
 // accumulated multiset: fixed-point accumulation is exact and commutative,
 // and the fully-sorted radix grouping erases shard routing and slot order.
 type Sink interface {
-	// AddFixed accumulates a 44.20 fixed-point weight onto a packed key.
-	// Safe for concurrent use.
-	AddFixed(key, fixed uint64)
-	// AddFixedBatch accumulates many (key, fixed-point weight) pairs at
-	// once, parallelizing the inserts internally — equivalent to calling
-	// AddFixed per pair. Sharded sinks radix-partition the batch on
-	// hashtable.ShardOf first so each worker owns a shard range and the
-	// atomic insert path runs contention-free; the single table falls back
-	// to parallel chunks over the lock-free AddFixed. Safe for concurrent
-	// use with AddFixed. len(keys) must equal len(fixed).
+	// AddFixedBatch accumulates many (key, 44.20 fixed-point weight) pairs.
+	// A batch of at most hashtable.BatchGrain pairs on a single table runs
+	// inline on the caller under one lock acquisition; longer batches
+	// parallelize internally. Sharded sinks group the batch by
+	// hashtable.ShardOf first, and a large batch gives each worker one
+	// shard's run to insert with plain stores under that shard's write lock.
+	// Safe for concurrent use. len(keys) must equal len(fixed).
 	AddFixedBatch(keys, fixed []uint64)
 	// Get returns the accumulated weight for (u, v).
 	Get(u, v uint32) (float64, bool)
@@ -38,11 +36,11 @@ type Sink interface {
 	// coexist. >= MemoryBytes; equal when no growth occurred.
 	PeakMemoryBytes() int64
 	// Drain returns all entries as parallel slices (unordered). Must not be
-	// called concurrently with AddFixed.
+	// called concurrently with inserts.
 	Drain() (us, vs []uint32, ws []float64)
 	// DrainCSR returns the entries grouped by source vertex with columns
 	// sorted — a pure function of the accumulated multiset. Must not be
-	// called concurrently with AddFixed.
+	// called concurrently with inserts.
 	DrainCSR(numRows int) (rowPtr []int64, cols []uint32, ws []float64)
 }
 
@@ -61,4 +59,40 @@ func NewSink(capacityHint, shards int) Sink {
 		return hashtable.New(capacityHint)
 	}
 	return aggregate.NewShardedTable(capacityHint, shards)
+}
+
+// pairBuf is one chunk's pending oriented pairs for a per-arc sampler: each
+// head deposits (e0, e1) and (e1, e0) with its weight, and the buffer
+// flushes through the sink's batch insert every hashtable.BatchGrain pairs —
+// a batch the sink inserts inline on the calling worker.
+type pairBuf struct {
+	sink        Sink
+	keys, fixed []uint64
+}
+
+// add buffers both orientations of one head, flushing when full.
+func (b *pairBuf) add(e0, e1 uint32, fixed uint64) {
+	b.keys = append(b.keys, hashtable.Key(e0, e1), hashtable.Key(e1, e0))
+	b.fixed = append(b.fixed, fixed, fixed)
+	if len(b.keys) >= hashtable.BatchGrain {
+		b.flush()
+	}
+}
+
+// flush inserts the pending pairs.
+func (b *pairBuf) flush() {
+	if len(b.keys) > 0 {
+		b.sink.AddFixedBatch(b.keys, b.fixed)
+		b.keys, b.fixed = b.keys[:0], b.fixed[:0]
+	}
+}
+
+// forBuffered runs body over [0, n) in par.ForRange chunks, handing each
+// chunk its own pair buffer into sink and flushing it when the chunk ends.
+func forBuffered(sink Sink, n, grain int, body func(lo, hi int, buf *pairBuf)) {
+	par.ForRange(n, grain, func(lo, hi int) {
+		buf := pairBuf{sink, make([]uint64, 0, hashtable.BatchGrain), make([]uint64, 0, hashtable.BatchGrain)}
+		body(lo, hi, &buf)
+		buf.flush()
+	})
 }
