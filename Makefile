@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: tier1 build test determinism harness race vet loc fuzz bench bench-drain bench-sample bench-ann bench-factorize bench-qr bench-spmm serve-bench smoke-replication check all
+.PHONY: tier1 build test determinism harness race vet loc fuzz bench bench-drain bench-sample bench-ann bench-factorize bench-qr bench-spmm bench-cold serve-bench smoke-replication check all
 
 all: tier1 vet
 
@@ -57,7 +57,8 @@ race:
 	$(GO) test -race -run 'Checkpoint|Embedding|Replication' .
 
 # Short runs of every fuzz target: the text/binary embedding readers and the
-# public graph loader (root), the edge-list/binary graph loaders (graph),
+# public graph loader (root), the edge-list/binary graph loaders and the
+# radix CSR build against its comparison-sort oracle (graph),
 # the COO builder (sparse), and the compressed-adjacency decoders
 # (compress). Each target gets a few seconds — enough to replay the corpus
 # and catch regressions in the checked decode paths; leave a target running
@@ -72,6 +73,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzLoadEdgeList -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzReadBinary -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzAliasBuild -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run xxx -fuzz FuzzFromEdges -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzFromCOO -fuzztime $(FUZZTIME) ./internal/sparse
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/compress
 
@@ -119,6 +121,17 @@ bench-qr:
 # code kept as the test oracle. -count=5 for benchstat.
 bench-spmm:
 	$(GO) test -run xxx -bench 'BenchmarkSpMM|BenchmarkPropagate' -benchmem -count=5 ./internal/sparse ./internal/prone
+
+# Cold-path kernels at the harness shapes, each next to the routine it
+# replaced (kept as the test oracle): the radix CSR build vs the
+# comparison-sort build (RMAT-12/13 arc lists), the text writer vs one
+# Fprintf per arc, the chunked artifact codec vs the per-element one
+# (4096×64 and 8192×32), and the tiled IVF assignment vs the scalar kernel
+# (4096×64). -count=5 for benchstat.
+bench-cold:
+	$(GO) test -run xxx -bench 'BenchmarkFromEdges|BenchmarkWriteEdgeList' -benchmem -count=5 ./internal/graph
+	$(GO) test -run xxx -bench 'BenchmarkReadEmbeddingBinary|BenchmarkEncodeCheckpoint' -benchmem -count=5 .
+	$(GO) test -run xxx -bench 'BenchmarkANNBuild' -benchmem -count=5 ./internal/ann
 
 # Factorization benchmark: multi-pass rSVD vs the single-pass sketched
 # range finder (sign and gaussian test matrices) on an RMAT graph — wall

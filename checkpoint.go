@@ -122,7 +122,7 @@ func EncodeCheckpoint(x *Matrix) ([]byte, error) {
 // length, and a matching CRC-32C trailer. It does not materialize the
 // matrix — callers that need the data use ReadCheckpointFrom.
 func ValidateCheckpointPayload(payload []byte) error {
-	if len(payload) < 24 { // header + at least one element + trailer
+	if len(payload) < 28 { // 16-byte header + at least one element + trailer
 		return fmt.Errorf("lightne: checkpoint payload of %d bytes is too short", len(payload))
 	}
 	if m := binary.LittleEndian.Uint32(payload[0:]); m != embMagic {

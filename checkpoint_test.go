@@ -248,6 +248,28 @@ func TestCheckpointPayloadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointPayloadMinimumLength: the shortest checkpoint is a 16-byte
+// header, one element and the 4-byte trailer. Anything shorter is "too
+// short", not a shape/length mismatch.
+func TestCheckpointPayloadMinimumLength(t *testing.T) {
+	one, err := lightne.EncodeCheckpoint(gaussian(t, 1, 1, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one) != 28 {
+		t.Fatalf("1x1 checkpoint is %d bytes, want 28", len(one))
+	}
+	if err := lightne.ValidateCheckpointPayload(one); err != nil {
+		t.Fatalf("minimal payload rejected: %v", err)
+	}
+	for n := 20; n < 28; n++ {
+		err := lightne.ValidateCheckpointPayload(one[:n])
+		if err == nil || !strings.Contains(err.Error(), "too short") {
+			t.Fatalf("%d-byte payload: want too-short error, got %v", n, err)
+		}
+	}
+}
+
 // TestCheckpointPayloadValidation: the cheap validator rejects every
 // corruption class a follower can receive — short payloads, bad magic,
 // wrong version, shape/length disagreement, flipped bits — and a rejected

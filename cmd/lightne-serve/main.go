@@ -129,10 +129,11 @@ func main() {
 	// fails the checksum and falls through to the cold path.
 	warm := false
 	if *checkpoint != "" {
+		t := time.Now()
 		if x, err := lightne.ReadCheckpoint(*checkpoint); err == nil {
-			if _, pubErr := pub.publish(x, false); pubErr == nil {
+			if _, ph, pubErr := pub.publish(x, false, time.Since(t)); pubErr == nil {
 				warm = true
-				log.Printf("warm restart from checkpoint %s: %d vertices x %d dims", *checkpoint, x.Rows, x.Cols)
+				log.Printf("warm restart from checkpoint %s: %d vertices x %d dims; %v", *checkpoint, x.Rows, x.Cols, ph)
 			} else {
 				log.Printf("checkpoint index build failed, cold starting: %v", pubErr)
 			}
@@ -192,13 +193,13 @@ func main() {
 		// Leader mode: load the artifact. With a warm snapshot already
 		// published, an artifact failure only means serving the
 		// checkpointed generation.
-		mtime, err := publishArtifact(pub, *artifact)
+		mtime, ph, err := publishArtifact(pub, *artifact)
 		switch {
 		case err == nil:
 			snap := store.Snapshot()
-			log.Printf("loaded %s: %d vertices x %d dims, %s index (%.1f MB)",
+			log.Printf("loaded %s: %d vertices x %d dims, %s index (%.1f MB); %v",
 				*artifact, snap.Index.Rows(), snap.Index.Dims(), *precision,
-				float64(snap.Index.MemoryBytes())/1e6)
+				float64(snap.Index.MemoryBytes())/1e6, ph)
 		case warm:
 			log.Printf("artifact load failed, serving checkpoint snapshot: %v", err)
 		default:
@@ -226,15 +227,15 @@ func main() {
 						continue
 					}
 				}
-				m, err := publishArtifact(pub, *artifact)
+				m, ph, err := publishArtifact(pub, *artifact)
 				if err != nil {
 					log.Printf("reload failed, keeping current snapshot: %v", err)
 					continue
 				}
 				mtime = m
 				s := store.Snapshot()
-				log.Printf("hot-swapped snapshot v%d: %d vertices x %d dims",
-					s.Version, s.Index.Rows(), s.Index.Dims())
+				log.Printf("hot-swapped snapshot v%d: %d vertices x %d dims; %v",
+					s.Version, s.Index.Rows(), s.Index.Dims(), ph)
 			}
 		}()
 	}
@@ -261,32 +262,49 @@ type publisher struct {
 	checkpoint string
 }
 
-// publish makes x the live generation. rewriteCheckpoint gates the
-// checkpoint write (false on the warm-restart path, where the checkpoint
-// file is the source and rewriting it would be a no-op with extra fsyncs).
+// phases is how long one publish spent in each step before the snapshot
+// could serve, logged so a slow start is attributed without re-instrumenting.
+type phases struct{ read, quantize, ivf, encode time.Duration }
+
+func (ph phases) String() string {
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
+	return fmt.Sprintf("read %.1f ms, quantize %.1f ms, IVF build %.1f ms, checkpoint encode %.1f ms",
+		ms(ph.read), ms(ph.quantize), ms(ph.ivf), ms(ph.encode))
+}
+
+// publish makes x, which took read to load, the live generation and reports
+// its phase times. rewriteCheckpoint gates the checkpoint write (false on
+// the warm-restart path, where the checkpoint file is the source and
+// rewriting it would be a no-op with extra fsyncs).
 // A failed index build fails the publish; a failed ANN build, encode,
 // ship, or checkpoint write degrades (logged) rather than blocking — a
 // served snapshot always beats a perfectly persisted one that never lands.
-func (p *publisher) publish(x *lightne.Matrix, rewriteCheckpoint bool) (*serve.Snapshot, error) {
+func (p *publisher) publish(x *lightne.Matrix, rewriteCheckpoint bool, read time.Duration) (*serve.Snapshot, phases, error) {
+	ph := phases{read: read}
+	t := time.Now()
 	ix, err := serve.NewIndex(x, p.precision)
 	if err != nil {
-		return nil, err
+		return nil, ph, err
 	}
+	ph.quantize, t = time.Since(t), time.Now()
 	ivf, err := serve.BuildANN(ix, p.annCfg)
 	if err != nil {
 		log.Printf("ANN index build failed, serving exact scans: %v", err)
 		ivf = nil
 	}
+	ph.ivf = time.Since(t)
 	snap := p.store.PublishWithANN(ix, ivf, 0)
 	if ivf != nil {
 		st := ivf.Stats()
 		log.Printf("IVF index: %d lists (probe %d), %d empty, %.1f MB",
 			st.NList, st.NProbe, st.EmptyLists, float64(st.MemoryBytes)/1e6)
 	}
+	t = time.Now()
 	payload, err := lightne.EncodeCheckpoint(x)
+	ph.encode = time.Since(t)
 	if err != nil {
 		log.Printf("snapshot encode failed; generation %d will not ship or checkpoint: %v", snap.Version, err)
-		return snap, nil
+		return snap, ph, nil
 	}
 	p.shipper.Publish(serve.NewShipment(payload, snap.Version, x.Rows, x.Cols))
 	if rewriteCheckpoint && p.checkpoint != "" {
@@ -296,27 +314,27 @@ func (p *publisher) publish(x *lightne.Matrix, rewriteCheckpoint bool) (*serve.S
 			log.Printf("checkpointed snapshot to %s", p.checkpoint)
 		}
 	}
-	return snap, nil
+	return snap, ph, nil
 }
 
 // publishArtifact loads the artifact and publishes it as the live (and
-// shipped) generation, returning the file's mtime for change detection.
-func publishArtifact(p *publisher, path string) (time.Time, error) {
+// shipped) generation, returning the file's mtime for change detection and
+// the publish's phase times.
+func publishArtifact(p *publisher, path string) (time.Time, phases, error) {
+	t := time.Now()
 	f, err := os.Open(path)
 	if err != nil {
-		return time.Time{}, err
+		return time.Time{}, phases{}, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return time.Time{}, err
+		return time.Time{}, phases{}, err
 	}
 	x, err := lightne.ReadEmbedding(f)
 	if err != nil {
-		return time.Time{}, fmt.Errorf("loading %s: %w", path, err)
+		return time.Time{}, phases{}, fmt.Errorf("loading %s: %w", path, err)
 	}
-	if _, err := p.publish(x, true); err != nil {
-		return time.Time{}, err
-	}
-	return st.ModTime(), nil
+	_, ph, err := p.publish(x, true, time.Since(t))
+	return st.ModTime(), ph, err
 }

@@ -109,6 +109,12 @@ type Index struct {
 // accumulation), then one parallel assignment pass filing every row into
 // its centroid's posting list with the count/scan/fill idiom.
 func Build(v Vectors, cfg Config) (*Index, error) {
+	return build(v, cfg, assignTiled)
+}
+
+// build is Build with the assignment kernel as a parameter, so tests can run
+// the whole construction on the scalar kernel it replaced.
+func build(v Vectors, cfg Config, assignAll assigner) (*Index, error) {
 	n, d := v.Shape()
 	if n <= 0 || d <= 0 {
 		return nil, fmt.Errorf("ann: cannot index a %dx%d embedding", n, d)
@@ -142,12 +148,14 @@ func Build(v Vectors, cfg Config) (*Index, error) {
 		perList = DefaultTrainPerList
 	}
 
-	centroids := train(v, n, d, nlist, iters, perList, cfg.Seed)
+	centroids := train(v, n, d, nlist, iters, perList, cfg.Seed, assignAll)
 
-	// File every row: parallel nearest-centroid assignment, then group the
-	// assignments into CSR posting lists.
+	// File every row: parallel nearest-centroid assignment straight from the
+	// quantized store, then group the assignments into CSR posting lists.
+	// Normalization is skipped — argmax of the dot is scale-invariant, so
+	// raw dequantized rows route identically to unit rows.
 	assign := make([]int32, n)
-	assignRows(v, assign, centroids, d, nlist)
+	assignAll(assign, func(i int, buf []float32) []float32 { v.DequantTo(buf, i); return buf }, centroids, d, nlist)
 	start, ids := groupAssign(assign, nlist)
 
 	return &Index{
@@ -161,7 +169,7 @@ func Build(v Vectors, cfg Config) (*Index, error) {
 
 // train runs spherical k-means over a strided sample of v's rows and
 // returns the unit-normalized centroid matrix (nlist × d).
-func train(v Vectors, n, d, nlist, iters, perList int, seed uint64) []float32 {
+func train(v Vectors, n, d, nlist, iters, perList int, seed uint64, assignAll assigner) []float32 {
 	m := nlist * perList
 	if m > n {
 		m = n
@@ -192,7 +200,7 @@ func train(v Vectors, n, d, nlist, iters, perList int, seed uint64) []float32 {
 
 	assign := make([]int32, m)
 	for it := 0; it < iters; it++ {
-		assignDense(train, assign, centroids, d, nlist)
+		assignAll(assign, func(i int, _ []float32) []float32 { return train[i*d : (i+1)*d] }, centroids, d, nlist)
 		start, ids := groupAssign(assign, nlist)
 		// Per-centroid accumulation: members are visited in ascending row
 		// order (groupAssign fills stably), so the float sums — and thus the
@@ -238,42 +246,53 @@ func train(v Vectors, n, d, nlist, iters, perList int, seed uint64) []float32 {
 	return centroids
 }
 
-// assignDense writes each materialized row's nearest centroid (max dot; the
-// rows and centroids are unit vectors, so dot = cosine) into assign.
-func assignDense(vecs []float32, assign []int32, centroids []float32, d, nlist int) {
+// assigner writes the nearest centroid (max dot) of each of len(assign) rows
+// into assign; row(i, buf) returns row i, dequantizing into buf (len d) if
+// it must. assignTiled is the one Build uses.
+type assigner func(assign []int32, row func(i int, buf []float32) []float32, centroids []float32, d, nlist int)
+
+// assignTiled widens the centroids to float64 once per call and each row
+// once, then scores them with nearestCentroid.
+func assignTiled(assign []int32, row func(int, []float32) []float32, centroids []float32, d, nlist int) {
+	cents := make([]float64, len(centroids))
+	for i, x := range centroids {
+		cents[i] = float64(x)
+	}
 	par.ForRange(len(assign), 64, func(lo, hi int) {
+		buf, wide := make([]float32, d), make([]float64, d)
 		for i := lo; i < hi; i++ {
-			assign[i] = nearestCentroid(vecs[i*d:(i+1)*d], centroids, d, nlist)
+			for j, x := range row(i, buf) {
+				wide[j] = float64(x)
+			}
+			assign[i] = nearestCentroid(wide, cents, nlist)
 		}
 	})
 }
 
-// assignRows is assignDense against rows still in their quantized store:
-// each chunk dequantizes through a reused buffer. Normalization is skipped —
-// argmax of the dot is scale-invariant, so raw dequantized rows route
-// identically to unit rows.
-func assignRows(v Vectors, assign []int32, centroids []float32, d, nlist int) {
-	par.ForRange(len(assign), 64, func(lo, hi int) {
-		buf := make([]float32, d)
-		for i := lo; i < hi; i++ {
-			v.DequantTo(buf, i)
-			assign[i] = nearestCentroid(buf, centroids, d, nlist)
-		}
-	})
-}
-
-// nearestCentroid returns the centroid with the largest dot product against
-// row; ties break toward the lower centroid id.
-func nearestCentroid(row []float32, centroids []float32, d, nlist int) int32 {
+// nearestCentroid returns the centroid (a row of cents, len(row) wide) with
+// the largest dot product against row; ties break toward the lower id. Four
+// centroids are scored per pass over the row, one accumulator each, so every
+// dot is the same left-to-right sum as a one-centroid loop, and the strict
+// comparisons run in ascending id order: the result is the scalar kernel's.
+// A last group short of four re-scores centroid nlist-1 in its spare lanes
+// and never compares them.
+func nearestCentroid(row, cents []float64, nlist int) int32 {
+	d := len(row)
+	lane := func(c int) []float64 { return cents[min(c, nlist-1)*d:][:d] }
 	best, bestDot := int32(0), math.Inf(-1)
-	for c := 0; c < nlist; c++ {
-		cent := centroids[c*d : (c+1)*d]
-		var dot float64
+	for c := 0; c < nlist; c += 4 {
+		c0, c1, c2, c3 := lane(c), lane(c+1), lane(c+2), lane(c+3)
+		var s0, s1, s2, s3 float64
 		for j, x := range row {
-			dot += float64(x) * float64(cent[j])
+			s0 += x * c0[j]
+			s1 += x * c1[j]
+			s2 += x * c2[j]
+			s3 += x * c3[j]
 		}
-		if dot > bestDot {
-			best, bestDot = int32(c), dot
+		for k, dot := range [4]float64{s0, s1, s2, s3} {
+			if c+k < nlist && dot > bestDot {
+				best, bestDot = int32(c+k), dot
+			}
 		}
 	}
 	return best

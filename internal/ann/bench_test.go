@@ -43,15 +43,21 @@ func BenchmarkANN(b *testing.B) {
 }
 
 // BenchmarkANNBuild measures index construction — the cost added to every
-// snapshot publish when -ann is on.
+// snapshot publish when -ann is on — at the harness's 4096×64 snapshot and
+// the server's defaults, with the tiled assignment kernel next to the
+// scalar oracle.
 func BenchmarkANNBuild(b *testing.B) {
-	const n, d = 50_000, 32
-	x := clusteredMatrix(n, d, 128, 0.15, 7)
-	e := quant.ToFloat32(x)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(e, Config{NList: 256, Seed: 3}); err != nil {
-			b.Fatal(err)
-		}
+	e := quant.ToFloat32(clusteredMatrix(4096, 64, 64, 0.15, 7))
+	for _, k := range []struct {
+		name   string
+		assign assigner
+	}{{"tiled", assignTiled}, {"oracle", assignScalar}} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := build(e, Config{Seed: 3}, k.assign); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -14,10 +14,10 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 
 	"lightne/internal/compress"
 	"lightne/internal/par"
+	"lightne/internal/radix"
 	"lightne/internal/rng"
 )
 
@@ -62,12 +62,14 @@ func DefaultOptions() Options {
 }
 
 // FromEdges builds a graph with n vertices from an arc list. Vertex IDs must
-// be < n. The input slice is not modified.
+// be < n. The input slice is not modified. Arcs are packed as u<<32|v, so
+// one parallel radix sort (internal/radix) orders them by (u, v); a single
+// pass then drops duplicates and counts degrees.
 func FromEdges(n int, arcs []Edge, opt Options) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
-	work := make([]Edge, 0, len(arcs)*2)
+	keys := make([]uint64, 0, len(arcs)*2)
 	for _, e := range arcs {
 		if int(e.U) >= n || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: arc (%d,%d) exceeds vertex count %d", e.U, e.V, n)
@@ -75,32 +77,25 @@ func FromEdges(n int, arcs []Edge, opt Options) (*Graph, error) {
 		if opt.RemoveSelfLoops && e.U == e.V {
 			continue
 		}
-		work = append(work, e)
+		keys = append(keys, uint64(e.U)<<32|uint64(e.V))
 		if opt.Symmetrize && e.U != e.V {
-			work = append(work, Edge{e.V, e.U})
+			keys = append(keys, uint64(e.V)<<32|uint64(e.U))
 		}
 	}
-	sort.Slice(work, func(i, j int) bool {
-		if work[i].U != work[j].U {
-			return work[i].U < work[j].U
-		}
-		return work[i].V < work[j].V
-	})
-	if opt.Dedup {
-		out := work[:0]
-		for i, e := range work {
-			if i > 0 && e == work[i-1] {
-				continue
-			}
-			out = append(out, e)
-		}
-		work = out
-	}
+	radix.Sort(keys)
 	offsets := make([]int64, n+1)
-	edges := make([]uint32, len(work))
-	for i, e := range work {
-		offsets[e.U+1]++
-		edges[i] = e.V
+	m := 0
+	for _, k := range keys {
+		if opt.Dedup && m > 0 && k == keys[m-1] {
+			continue
+		}
+		offsets[k>>32+1]++
+		keys[m] = k
+		m++
+	}
+	edges := make([]uint32, m)
+	for i, k := range keys[:m] {
+		edges[i] = uint32(k)
 	}
 	for u := 0; u < n; u++ {
 		offsets[u+1] += offsets[u]

@@ -126,21 +126,22 @@ func LoadWeightedEdgeList(r io.Reader, n int, opt Options) (*Graph, error) {
 
 // WriteEdgeList writes each directed arc as a "u v" line. For a symmetrized
 // graph this writes both directions; consumers that re-load with
-// Symmetrize+Dedup recover the identical graph.
+// Symmetrize+Dedup recover the identical graph. Lines are formatted into
+// one reused buffer, the "u " prefix once per vertex.
 func (g *Graph) WriteEdgeList(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	var err error
-	for u := 0; u < g.n && err == nil; u++ {
+	var buf [24]byte // fits "4294967295 4294967295\n"
+	c := g.NewNeighborCursor()
+	for u := 0; u < g.n; u++ {
 		d := g.Degree(uint32(u))
+		c.Begin(uint32(u), d)
+		head := append(strconv.AppendUint(buf[:0], uint64(u), 10), ' ')
 		for i := 0; i < d; i++ {
-			_, err = fmt.Fprintf(bw, "%d %d\n", u, g.Neighbor(uint32(u), i))
-			if err != nil {
-				break
+			line := append(strconv.AppendUint(head, uint64(c.Neighbor(i)), 10), '\n')
+			if _, err := bw.Write(line); err != nil {
+				return err
 			}
 		}
-	}
-	if err != nil {
-		return err
 	}
 	return bw.Flush()
 }

@@ -6,7 +6,7 @@
 // for any (key, weight) grouping workload.
 //
 // The sort is stable, runs one counting pass per byte that can matter (the
-// pair sort skips bytes on which all keys agree, the key sort high zero bytes),
+// full sorts skip bytes on which all keys agree),
 // and parallelizes both the histogram and the scatter of each pass over
 // contiguous chunks (per-chunk digit counts give each chunk a disjoint
 // write region, so the scatter is race-free and stability is preserved).
@@ -15,28 +15,13 @@
 // capping at a fixed chunk count.
 package radix
 
-import (
-	"math/bits"
-
-	"lightne/internal/par"
-)
+import "lightne/internal/par"
 
 // passGrain is the minimum chunk length of a counting pass. Each chunk pays
 // a 2 KB digit-count array per pass, so chunks are kept a few thousand
 // elements wide; par.Blocks then targets ~4 chunks per worker above that
 // floor.
 const passGrain = 4096
-
-// usedBytes returns how many low-order bytes of the keys can be nonzero.
-func usedBytes(keys []uint64) int {
-	var maxKey uint64
-	for _, k := range keys {
-		if k > maxKey {
-			maxKey = k
-		}
-	}
-	return (bits.Len64(maxKey) + 7) / 8
-}
 
 // SortPairs sorts keys ascending, permuting vals alongside. len(vals) must
 // equal len(keys). The slices are sorted in place (an internal buffer of
@@ -190,14 +175,29 @@ func rowPtrFromGrouped(keys []uint64, numRows int) []int64 {
 }
 
 // Sort sorts a bare key slice ascending with the same parallel LSD passes
-// as SortPairs. Used by the batched walker to group walk states by their
-// current vertex between steps.
+// as SortPairs, skipping every byte on which all keys agree: packed
+// (u<<32|v) arcs over fewer than 2^16 vertices sort in four passes. Used by
+// graph.FromEdges to build CSR adjacency.
 func Sort(keys []uint64) {
-	n := len(keys)
-	if n < 2 {
+	var differ uint64
+	for _, k := range keys {
+		differ |= k ^ keys[0]
+	}
+	if differ == 0 {
 		return
 	}
-	SortBytesBuf(keys, make([]uint64, n), 0, usedBytes(keys))
+	n := len(keys)
+	bounds := par.Blocks(n, passGrain)
+	src, dst := keys, make([]uint64, n)
+	for b := 0; b < 8; b++ {
+		if differ>>(8*b)&0xff != 0 {
+			countingPassKeys(src, dst, uint(8*b), bounds)
+			src, dst = dst, src
+		}
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
 }
 
 // SortBytesBuf stable-sorts keys by bytes [loByte, hiByte) from least to most

@@ -53,6 +53,10 @@ const maxEmbedDims = 1 << 20
 // maxEmbedElements bounds rows*cols from a binary header.
 const maxEmbedElements = 1 << 31
 
+// codecChunkElems is the binary codec's unit of one read, checksum update
+// and encode/decode loop: 64 KiB of data, whatever a header declares.
+const codecChunkElems = (64 << 10) / 8
+
 // crcTable is the Castagnoli polynomial table shared by the v3 writer and
 // reader (hardware-accelerated on amd64/arm64).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -131,10 +135,12 @@ func writeEmbeddingV3(w io.Writer, x *Matrix, mid func() error) error {
 	if _, err := out.Write(hdr[:]); err != nil {
 		return err
 	}
+	// Data moves in chunks; one chunk boundary sits at the midpoint so mid
+	// fires with exactly len(x.Data)/2 elements written and flushed.
 	half := len(x.Data) / 2
-	var buf [8]byte
-	for i, v := range x.Data {
-		if i == half && mid != nil {
+	buf := make([]byte, 8*min(len(x.Data), codecChunkElems))
+	for lo := 0; lo < len(x.Data); {
+		if lo == half && mid != nil {
 			if err := bw.Flush(); err != nil {
 				return err
 			}
@@ -142,10 +148,18 @@ func writeEmbeddingV3(w io.Writer, x *Matrix, mid func() error) error {
 				return err
 			}
 		}
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		if _, err := out.Write(buf[:]); err != nil {
+		hi := min(lo+codecChunkElems, len(x.Data))
+		if lo < half && hi > half {
+			hi = half
+		}
+		chunk := buf[:8*(hi-lo)]
+		for i, v := range x.Data[lo:hi] {
+			binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(v))
+		}
+		if _, err := out.Write(chunk); err != nil {
 			return err
 		}
+		lo = hi
 	}
 	var trailer [4]byte
 	binary.LittleEndian.PutUint32(trailer[:], crc.Sum32())
@@ -248,12 +262,22 @@ func readEmbeddingBinarySized(r io.Reader, remaining int64) (*Matrix, int, error
 		capHint = 1 << 18
 	}
 	data := make([]float64, 0, capHint)
-	var buf [8]byte
-	for i := 0; i < total; i++ {
-		if err := read(buf[:], fmt.Sprintf("element %d of %d", i, total)); err != nil {
-			return nil, 0, err
+	buf := make([]byte, 8*min(total, codecChunkElems))
+	for len(data) < total {
+		chunk := buf[:8*min(total-len(data), codecChunkElems)]
+		if n, err := io.ReadFull(br, chunk); err != nil {
+			// Name the first missing element as the per-element reader did:
+			// io.EOF when it starts at the break, ErrUnexpectedEOF inside it.
+			if err == io.ErrUnexpectedEOF && n%8 == 0 {
+				err = io.EOF
+			}
+			return nil, 0, fmt.Errorf("lightne: reading element %d of %d at byte offset %d: %w", len(data)+n/8, total, offset+int64(n/8*8), err)
 		}
-		data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
+		crc.Write(chunk)
+		offset += int64(len(chunk))
+		for i := 0; i < len(chunk); i += 8 {
+			data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:])))
+		}
 	}
 	if version >= 3 {
 		sum := crc.Sum32()
