@@ -19,11 +19,12 @@ test:
 
 # The same-seed ⇒ same-bits tests of the packages on the embedding path
 # (Test*Deterministic*, *BitIdentical*, *Golden*, including the
-# cross-GOMAXPROCS sweeps), repeated on one core and on all of them: a
-# schedule-dependent float reduction passes a single run by luck
-# (core.TestEmbedDeterministic did for three re-anchors).
+# cross-GOMAXPROCS sweeps and the root package's cmd/lightne artifact hashes),
+# repeated on one core and on all of them: a schedule-dependent float
+# reduction passes a single run by luck (core.TestEmbedDeterministic did for
+# three re-anchors).
 NPROC ?= $(shell nproc 2>/dev/null || echo 2)
-DETERMINISM_PKGS = ./internal/core ./internal/dense ./internal/sparse ./internal/prone ./internal/svd ./internal/netsmf ./internal/sampler ./internal/dynamic ./internal/hashtable ./internal/aggregate
+DETERMINISM_PKGS = . ./internal/core ./internal/dense ./internal/sparse ./internal/prone ./internal/svd ./internal/netsmf ./internal/sampler ./internal/dynamic ./internal/hashtable ./internal/aggregate
 determinism:
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden' $(DETERMINISM_PKGS)
 	GOMAXPROCS=$(NPROC) $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden' $(DETERMINISM_PKGS)
@@ -80,8 +81,11 @@ fuzz:
 # One verification entry point: build + tests + static checks + race.
 check: tier1 vet race
 
+# The second line vets the !amd64 build, whose dense kernels are the Go
+# loops alone, so the fallback cannot stop compiling unnoticed.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Non-test Go line counts per package directory and for the module (the
 # nested benchmark/ module excluded): run on parent and change to check that
@@ -109,18 +113,23 @@ bench-drain:
 bench-sample:
 	$(GO) test -run xxx -bench 'BenchmarkSample$$|BenchmarkSampleSerialFlush|BenchmarkSampleBatched$$|BenchmarkSamplePipelined|BenchmarkSampleBatchedCompressed|BenchmarkSampleBatchedWeighted' -benchmem -count=3 ./internal/sampler
 
-# Orthonormalization kernel at the harness shapes (4096×64, 8192×32,
-# 16384×64): the production column-major QR next to the pre-rewrite serial
-# kernel kept as the test oracle. -count=5 for benchstat.
+# The rSVD's dense kernels at the harness shapes, each in both forms (the Go
+# loops and, where the CPU has it, AVX: sub-benchmarks go/ and avx/): the
+# panel QR (4096×64, 8192×32, 16384×64), C = Zᵀ·B (MatMulATBDet, 4096×64)
+# and the k×k Jacobi SVD (64×64), each next to the loop it replaced, kept as
+# the test oracle. -count=5 for benchstat.
 bench-qr:
-	$(GO) test -run xxx -bench 'BenchmarkQRTallSkinny|BenchmarkQROracle' -benchmem -count=5 ./internal/dense
+	$(GO) test -run xxx -bench 'BenchmarkQRTallSkinny|BenchmarkQROracle|BenchmarkMatMulATBDet|BenchmarkSVD' -benchmem -count=5 ./internal/dense
 
 # The row-accumulate kernel at the harness shapes (RMAT-12 adjacency × 64,
 # a ~250 k-entry matrix × 64, RMAT-13 adjacency × 32; Gflop/s reported) and
 # one default-order propagation at RMAT-12 × 64, each next to the pre-rewrite
-# code kept as the test oracle. -count=5 for benchstat.
+# code kept as the test oracle; the same kernel under MatMul (4096×64 · 64×64)
+# in both forms (go/, avx/) next to the one-entry loop. -count=5 for
+# benchstat.
 bench-spmm:
 	$(GO) test -run xxx -bench 'BenchmarkSpMM|BenchmarkPropagate' -benchmem -count=5 ./internal/sparse ./internal/prone
+	$(GO) test -run xxx -bench 'BenchmarkMatMulEmbed' -benchmem -count=5 ./internal/dense
 
 # Cold-path kernels at the harness shapes, each next to the routine it
 # replaced (kept as the test oracle): the radix CSR build vs the

@@ -21,10 +21,35 @@ func benchMatMul(b *testing.B, n, k, m int, matMul func(c, a, b *Matrix)) {
 func BenchmarkMatMulTallSkinny(b *testing.B)  { benchMatMul(b, 4096, 128, 128, MatMul) }
 func BenchmarkMatMulSquareSmall(b *testing.B) { benchMatMul(b, 128, 128, 128, MatMul) }
 
-// The lift-back products of a default embed (Z·P, Z·CU, Y·CV, Q·U_R), on the
-// production kernel and on the one-entry loop it replaced.
-func BenchmarkMatMulEmbed(b *testing.B)       { benchMatMul(b, 4096, 64, 64, MatMul) }
+// benchKernelSets runs f as one sub-benchmark per kernel form this machine
+// has ("go", and "avx" where the CPU supports it), so each kernel is timed
+// next to its Go twin.
+func benchKernelSets(b *testing.B, f func(b *testing.B)) {
+	forEachKernelSet(func(name string) { b.Run(name, f) })
+}
+
+// The lift-back products of a default embed (Z·P, Z·CU, Q·U_R), on the
+// production kernel in both forms and on the one-entry loop it replaced.
+func BenchmarkMatMulEmbed(b *testing.B) {
+	benchKernelSets(b, func(b *testing.B) { benchMatMul(b, 4096, 64, 64, MatMul) })
+}
 func BenchmarkMatMulEmbedOracle(b *testing.B) { benchMatMul(b, 4096, 64, 64, matMulOracle) }
+
+// BenchmarkMatMulATBDet is the rSVD's C = Zᵀ·B at the embed-default shape,
+// in both kernel forms and on the row-update loop it replaced.
+func BenchmarkMatMulATBDet(b *testing.B) {
+	benchKernelSets(b, func(b *testing.B) { benchATB(b, MatMulATBDet) })
+}
+func BenchmarkMatMulATBDetOracle(b *testing.B) { benchATB(b, matMulATBDetOracle) }
+
+func benchATB(b *testing.B, atb func(c, a, b *Matrix)) {
+	z, y := randomMatrix(4096, 64, 1), randomMatrix(4096, 64, 2)
+	c := NewMatrix(64, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		atb(c, z, y)
+	}
+}
 
 func BenchmarkMatMulATB(b *testing.B) {
 	n, d := 4096, 128
@@ -43,6 +68,7 @@ func BenchmarkMatMulATB(b *testing.B) {
 var qrBenchShapes = [][2]int{{4096, 64}, {8192, 32}, {16384, 64}}
 
 func benchQR(b *testing.B, qr func(*Matrix) (*Matrix, *Matrix)) {
+	b.Helper()
 	for _, s := range qrBenchShapes {
 		n, d := s[0], s[1]
 		b.Run(fmt.Sprintf("%dx%d", n, d), func(b *testing.B) {
@@ -59,21 +85,30 @@ func benchQR(b *testing.B, qr func(*Matrix) (*Matrix, *Matrix)) {
 	}
 }
 
-// BenchmarkQRTallSkinny times the production kernel; BenchmarkQROracle is
-// the pre-rewrite serial kernel on the same inputs (clone included, as the
-// old QR did). `make bench-qr` runs the pair benchstat-friendly.
-func BenchmarkQRTallSkinny(b *testing.B) { benchQR(b, QR) }
+// BenchmarkQRTallSkinny times the production kernel in both forms;
+// BenchmarkQROracle is the pre-rewrite serial kernel on the same inputs
+// (clone included, as the old QR did). `make bench-qr` runs them
+// benchstat-friendly.
+func BenchmarkQRTallSkinny(b *testing.B) {
+	benchKernelSets(b, func(b *testing.B) { benchQR(b, QR) })
+}
 
 func BenchmarkQROracle(b *testing.B) {
 	benchQR(b, func(a *Matrix) (*Matrix, *Matrix) { return qrOracle(a.Clone()) })
 }
 
-func BenchmarkSVDSmall(b *testing.B) {
-	a := NewMatrix(128, 128)
-	a.FillGaussian(4)
+// BenchmarkSVD is the rSVD's k×k core at the embed-default shape, in both
+// kernel forms and on the At/Set kernel it replaced.
+func BenchmarkSVD(b *testing.B) {
+	benchKernelSets(b, func(b *testing.B) { benchSVD(b, SVD) })
+}
+func BenchmarkSVDOracle(b *testing.B) { benchSVD(b, svdOracle) }
+
+func benchSVD(b *testing.B, svd func(*Matrix) (*Matrix, []float64, *Matrix)) {
+	a := randomMatrix(64, 64, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SVD(a)
+		svd(a)
 	}
 }
 

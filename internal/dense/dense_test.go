@@ -1,6 +1,7 @@
 package dense
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -410,5 +411,38 @@ func TestSolveSquareSingular(t *testing.T) {
 	b := NewMatrix(2, 1)
 	if _, err := SolveSquare(a, b); err == nil {
 		t.Fatal("expected an error for a singular system")
+	}
+}
+
+// TestSVDBitIdenticalToOracle: the column-major Jacobi SVD returns the At/Set
+// kernel's U, σ and V bit for bit, on both kernel forms, for shapes across
+// the 4-element rotation blocks, a rank-deficient input, a zero column and
+// signed zeros.
+func TestSVDBitIdenticalToOracle(t *testing.T) {
+	var cases []*Matrix
+	for _, s := range [][2]int{{1, 1}, {3, 1}, {6, 4}, {9, 7}, {40, 12}, {64, 64}, {65, 33}} {
+		cases = append(cases, randomMatrix(s[0], s[1], uint64(s[0]*7+s[1])))
+	}
+	rank1 := NewMatrix(10, 4)
+	for i := 0; i < 10; i++ {
+		for j := 0; j < 4; j++ {
+			rank1.Set(i, j, float64(i+1)*float64(j+1))
+		}
+	}
+	zeros := randomMatrix(21, 6, 3)
+	for i := 0; i < zeros.Rows; i++ {
+		zeros.Set(i, 2, 0)
+		zeros.Set(i, 4, math.Copysign(0, -1))
+	}
+	cases = append(cases, rank1, zeros)
+	for _, a := range cases {
+		wantU, wantS, wantV := svdOracle(a)
+		forEachKernelSet(func(kernels string) {
+			u, s, v := SVD(a)
+			what := fmt.Sprintf("%dx%d %s", a.Rows, a.Cols, kernels)
+			compareBits(t, what+" U", u.Data, wantU.Data)
+			compareBits(t, what+" sigma", s, wantS)
+			compareBits(t, what+" V", v.Data, wantV.Data)
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package dense
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -79,5 +80,47 @@ func TestMatMulBitIdenticalToOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMatMulATBDetBitIdenticalToOracle: the fixed-geometry Aᵀ·B on the
+// row-accumulate kernel (a column of A gathered, then one accumulate per row
+// of the result) must return the bits of the row-update loop it replaced, on
+// both kernel forms and at every GOMAXPROCS. A carries exact zeros of both
+// signs opposite non-finite rows of B (the skip must still skip) and special
+// values everywhere else.
+func TestMatMulATBDetBitIdenticalToOracle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	src := rng.New(53, 0)
+	for _, s := range [][3]int{{1, 1, 1}, {63, 7, 5}, {300, 74, 33}, {4097, 64, 64}} {
+		n, p, q := s[0], s[1], s[2]
+		a, b := randomMatrix(n, p, uint64(n)), randomMatrix(n, q, uint64(n)+1)
+		for i := range a.Data {
+			switch src.Intn(8) {
+			case 0:
+				a.Data[i] = math.Copysign(0, float64(src.Intn(2))-0.5)
+			case 1:
+				a.Data[i] = specialValues[src.Intn(len(specialValues))]
+			}
+		}
+		for i := 0; i < n; i += 5 {
+			a.Data[i*p] = 0
+			b.Data[i*q] = math.Inf(1)
+		}
+		for i := range b.Data {
+			if src.Intn(16) == 0 {
+				b.Data[i] = specialValues[src.Intn(len(specialValues))]
+			}
+		}
+		want := NewMatrix(p, q)
+		matMulATBDetOracle(want, a, b)
+		forEachKernelSet(func(kernels string) {
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				got := NewMatrix(p, q)
+				MatMulATBDet(got, a, b)
+				compareBits(t, fmt.Sprintf("%dx%dx%d %s procs=%d", n, p, q, kernels, procs), got.Data, want.Data)
+			}
+		})
 	}
 }

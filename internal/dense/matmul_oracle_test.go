@@ -31,3 +31,45 @@ func matMulOracle(c, a, b *Matrix) {
 		}
 	})
 }
+
+// matMulATBDetOracle is MatMulATBDet's block body before it moved onto the
+// row-accumulate kernel, moved here verbatim: per block, for i ascending and
+// k ascending, the row update acc[k][j] += a[i][k]·b[i][j] with exact zeros
+// of A skipped, then the same CombineTree.
+func matMulATBDetOracle(c, a, b *Matrix) {
+	n, p, q := a.Rows, a.Cols, b.Cols
+	if n == 0 || p == 0 || q == 0 {
+		c.Zero()
+		return
+	}
+	nb := atbDetBlocks
+	if nb > n {
+		nb = n
+	}
+	size := (n + nb - 1) / nb
+	nb = (n + size - 1) / size
+	partials := make([][]float64, nb)
+	par.For(nb, 1, func(bi int) {
+		lo := bi * size
+		hi := lo + size
+		if hi > n {
+			hi = n
+		}
+		acc := make([]float64, p*q)
+		for i := lo; i < hi; i++ {
+			ai, bi := a.Row(i), b.Row(i)
+			for k, aik := range ai {
+				if aik == 0 {
+					continue
+				}
+				row := acc[k*q : (k+1)*q]
+				for j, bij := range bi {
+					row[j] += aik * bij
+				}
+			}
+		}
+		partials[bi] = acc
+	})
+	CombineTree(partials)
+	copy(c.Data, partials[0])
+}

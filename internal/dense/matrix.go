@@ -7,13 +7,14 @@
 // Matrices are row-major float64. The embedding pipelines only ever run
 // dense kernels on tall-skinny (n×d) or tiny (d×d) operands with d ≤ a few
 // hundred. GEMM is ikj-order and parallel over rows of the output, which is
-// the contiguous axis of a row-major operand, on the 4-way row-accumulate
-// kernel it shares with sparse.SpMM (AccumulateRows); the SVD is one-sided
-// Jacobi (unconditionally convergent, high relative accuracy) and only ever
-// sees d×d inputs. Householder QR is the exception to row-major: its inner
-// loops run down columns, so qr.go works on a column-major copy and
-// parallelizes over columns (layout, parallel axis and measurements in its
-// header).
+// the contiguous axis of a row-major operand, on the row-accumulate kernel it
+// shares with sparse.SpMM and Aᵀ·B (AccumulateRows); the SVD is one-sided
+// Jacobi (unconditionally convergent, high relative accuracy) on column-major
+// copies and only ever sees d×d inputs. Householder QR is the other exception
+// to row-major: its inner loops run down columns, so qr.go works on
+// four-column panels and parallelizes over them (layout, parallel axis and
+// determinism in its header). The inner loops exist in Go and in AVX,
+// bit-identical to each other (kernels.go).
 //
 // Determinism: a kernel here is bit-identical across GOMAXPROCS when each
 // output element is computed by one goroutine in a fixed order (MatMul and
@@ -148,44 +149,14 @@ func (m *Matrix) FillGaussian(seed uint64) {
 // chain under both SpMM (a, idx = a CSR row) and MatMul (a, idx = the
 // nonzeros of a row of A). x must have len(y) columns.
 //
-// Four entries are consumed per pass over y, so an output element is loaded
-// and stored once per four entries instead of once per entry — the stores,
-// not the flops, bound the one-entry loop. No sum moves: y[j] is still
-// 0 + a[0]·x₀[j] + a[1]·x₁[j] + … added left to right in one goroutine, so
-// the result is bit-identical to the one-entry loop (signed zeros and
-// infinities included; a NaN stays a NaN, its payload being the register
-// allocator's choice in either loop) and to itself at every GOMAXPROCS.
-// Operand rows are re-sliced to len(y) so the inner loops carry no bounds
-// checks.
+// y[j] is 0 + a[0]·x₀[j] + a[1]·x₁[j] + … added left to right in one
+// goroutine, on either form of addRows (kernels.go), so the result is
+// bit-identical to the one-entry loop (signed zeros and infinities included;
+// a NaN stays a NaN, its payload being the register allocator's choice in
+// either loop) and to itself at every GOMAXPROCS.
 func AccumulateRows(y, a []float64, idx []uint32, x *Matrix) {
-	for j := range y {
-		y[j] = 0
-	}
-	d, xd := len(y), x.Data
-	a = a[:len(idx)]
-	p := 0
-	for ; p+4 <= len(idx); p += 4 {
-		a0, a1, a2, a3 := a[p], a[p+1], a[p+2], a[p+3]
-		x0 := xd[int(idx[p])*d:][:len(y)]
-		x1 := xd[int(idx[p+1])*d:][:len(y)]
-		x2 := xd[int(idx[p+2])*d:][:len(y)]
-		x3 := xd[int(idx[p+3])*d:][:len(y)]
-		for j := range y {
-			t := y[j]
-			t += a0 * x0[j]
-			t += a1 * x1[j]
-			t += a2 * x2[j]
-			t += a3 * x3[j]
-			y[j] = t
-		}
-	}
-	for ; p < len(idx); p++ {
-		ap := a[p]
-		xp := xd[int(idx[p])*d:][:len(y)]
-		for j := range y {
-			y[j] += ap * xp[j]
-		}
-	}
+	clear(y)
+	addRows(y, a, idx, x.Data, len(y))
 }
 
 // MatMul computes C = A·B. C must be preallocated with shape
@@ -232,19 +203,7 @@ func MatMulATB(c, a, b *Matrix) {
 			partials[w] = make([]float64, p*q)
 		}
 		used[w] = true
-		acc := partials[w]
-		for i := lo; i < hi; i++ {
-			ai, bi := a.Row(i), b.Row(i)
-			for k, aik := range ai {
-				if aik == 0 {
-					continue
-				}
-				row := acc[k*q : (k+1)*q]
-				for j, bij := range bi {
-					row[j] += aik * bij
-				}
-			}
-		}
+		atbRows(partials[w], a, b, lo, hi)
 	})
 	c.Zero()
 	for w := 0; w < workers; w++ {
@@ -295,22 +254,32 @@ func MatMulATBDet(c, a, b *Matrix) {
 			hi = n
 		}
 		acc := make([]float64, p*q)
-		for i := lo; i < hi; i++ {
-			ai, bi := a.Row(i), b.Row(i)
-			for k, aik := range ai {
-				if aik == 0 {
-					continue
-				}
-				row := acc[k*q : (k+1)*q]
-				for j, bij := range bi {
-					row[j] += aik * bij
-				}
-			}
-		}
+		atbRows(acc, a, b, lo, hi)
 		partials[bi] = acc
 	})
 	CombineTree(partials)
 	copy(c.Data, partials[0])
+}
+
+// atbRows adds rows lo…hi-1 of Aᵀ·B into the p×q accumulator acc. Row k of
+// acc gains Σ_i a[i][k]·b.Row(i) over the rows whose a[i][k] is not exactly
+// zero, in ascending i: the order in which the row update
+// acc[k][j] += a[i][k]·b[i][j] (i outer, k inner) adds into each element, run
+// on the row-accumulate kernel with a[·][k] gathered first.
+func atbRows(acc []float64, a, b *Matrix, lo, hi int) {
+	p, q := a.Cols, b.Cols
+	vals := make([]float64, 0, hi-lo)
+	rows := make([]uint32, 0, hi-lo)
+	for k := 0; k < p; k++ {
+		vals, rows = vals[:0], rows[:0]
+		for i := lo; i < hi; i++ {
+			if aik := a.Data[i*p+k]; aik != 0 {
+				vals = append(vals, aik)
+				rows = append(rows, uint32(i))
+			}
+		}
+		addRows(acc[k*q:(k+1)*q], vals, rows, b.Data, q)
+	}
 }
 
 // CombineTree folds equal-length partial-sum vectors pairwise: partials[i]

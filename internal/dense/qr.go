@@ -10,42 +10,37 @@ import (
 // Thin Householder QR — Algorithm 3's "Orthonormalize", the LAPACKE_sgeqrf +
 // LAPACKE_sorgqr pair of the paper.
 //
-// Layout. Matrices are row-major everywhere else in this package, but every
-// Householder step is a dot product and an AXPY down a *column*. The kernel
-// therefore transposes the n×d input once into a column-major working buffer
-// (column j is the contiguous slice w[j·n : (j+1)·n]), does all of its
-// arithmetic on contiguous slices, and transposes the finished Q back.
-// Reflector k overwrites column k of the buffer from the diagonal down (R's
-// entries above the diagonal are copied out first), so the elimination
-// allocates nothing per reflector. Q is then accumulated in the same buffer,
-// backwards: at step k columns k+1…d-1 already hold H_{k+1}·…·H_{d-1}·e_j,
-// reflector k is applied to them, and column k — no longer needed as a
-// reflector — is replaced by H_k·e_k. Column j thus only ever sees the
-// reflectors k ≤ j; the ones the textbook formulation also applies multiply
-// rows that are still exactly zero, which is a third of the flops for
-// nothing.
+// Layout. Every Householder step is a dot product and an AXPY down a
+// *column*, so the kernel copies the row-major n×d input once into a working
+// buffer of four-column panels stored row-interleaved: element (i, j) lives at
+// pw[(j/4)·4n + 4i + j%4]. Row i of a panel is four adjacent doubles, one
+// vector register, so a reflector meets a panel as four dot products sharing
+// one broadcast of v[i] per row and one subtract per row (reflectPanels,
+// kernels.go). Reflector k overwrites column k from the diagonal down (R's
+// entries above it are copied out first), so the elimination allocates
+// nothing per reflector. Q is then accumulated in the same buffer, backwards:
+// at step k columns k+1…d-1 already hold H_{k+1}·…·H_{d-1}·e_j, reflector k
+// is applied to them, and column k — no longer needed as a reflector — is
+// replaced by H_k·e_k. Column j thus only ever sees the reflectors k ≤ j; the
+// textbook formulation's others multiply rows that are still exactly zero, a
+// third of the flops for nothing. The panel holding column k is updated with
+// its lanes ≤ k%4 left untouched; a last panel of fewer than four columns
+// carries zero lanes that are updated and never read back.
 //
 // Parallel axis and determinism. Applying H_k to a column touches that column
-// only, so each step fans the trailing columns out with par.ForRange. Which
-// goroutine gets which column is schedule-dependent; what is computed for a
-// column is not: its dot product is a single left-to-right sum inside one
-// goroutine, and the four-column register tile in reflect4 keeps one
-// accumulator *per column* (instruction-level parallelism across columns,
-// never a split sum). Every floating-point operation and its operand order
-// are those of the serial At/Set kernel this replaced (kept verbatim as
-// qrOracle in qr_oracle_test.go), so Q and R are bit-identical to it for
-// every input whose intermediates stay finite, at every GOMAXPROCS.
+// only, so each step fans the trailing panels out with par.ForRange. Which
+// goroutine gets which panel is schedule-dependent; what is computed for a
+// column is not: its dot product is one accumulator — one vector lane — adding
+// v[i]·c[i] for i ascending in one goroutine, never a split sum. Every
+// floating-point operation and its operand order are those of the serial
+// At/Set kernel this replaced (qrOracle in qr_oracle_test.go), so Q and R are
+// bit-identical to it for every input whose intermediates stay finite, at
+// every GOMAXPROCS, on either kernel form. Faster orthonormalizations
+// (blocked WY, CholeskyQR2, TSQR) reorder sums and so change every
+// embedding's bits; four columns' independent sums in one register do not.
 //
-// Cost. O(n·d²) flops like the SpMMs around it, but the serial At/Set kernel
-// ran them at 0.2–0.45 Gflop/s (stride-d loads, one add-latency chain) and
-// was ~73 % of a default embed. Medians of `make bench-qr` on 2 vCPUs, old →
-// new: 4096×64 146 → 16.4 ms, 8192×32 88 → 9.1 ms, 16384×64 1337 → 45 ms
-// (4–6 Gflop/s on the geqrf+orgqr count). What remains is scalar Go at about
-// two flops a cycle a core; going further needs reordered sums (blocked WY,
-// CholeskyQR2, TSQR), which changes every embedding's bits — ROADMAP item 2.
-//
-// Memory. One n×d working buffer; QR adds the n×d result, QRInPlace writes
-// the result over its input. Both are what the previous kernel needed.
+// Memory. One working buffer of ⌈d/4⌉·4·n elements (n×d when 4 divides d);
+// QR adds the n×d result, QRInPlace writes the result over its input.
 
 // QR computes the thin QR factorization A = Q·R of an n×d matrix with
 // n >= d, returning Q (n×d, orthonormal columns) and R (d×d, upper
@@ -78,46 +73,52 @@ func Orthonormalize(a *Matrix) *Matrix {
 }
 
 // householderQR factors a and stores Q in q, which may be a itself: a is
-// fully consumed by the initial transpose before q is written.
+// fully consumed by the copy into panels before q is written.
 func householderQR(a, q *Matrix) (*Matrix, *Matrix) {
 	n, d := a.Rows, a.Cols
-	w := make([]float64, n*d) // column-major: column j is w[j*n:(j+1)*n]
-	transposeInto(w, a.Data, n, d)
+	np, ps := (d+3)/4, 4*n // panel P is pw[P·ps : (P+1)·ps]
+	pw := make([]float64, np*ps)
+	panelCopy(pw, a.Data, n, d, true)
 	taus := make([]float64, d)
 	r := NewMatrix(d, d)
 
 	// One closure for all 2·d fan-outs: it reads the current step through k
-	// and tau, so no step allocates. The fan-out unit is a tile of four
-	// trailing columns, so chunk boundaries never split a register tile;
-	// step k has trailingTiles(k) of them.
+	// and tau, so no step allocates. The fan-out unit is a panel; step k has
+	// trailing(k) of them, from the one holding column k+1 on.
 	var k int
 	var tau float64
-	trailingTiles := func(k int) int { return (d - k - 1 + 3) / 4 }
-	applyToTrailing := func(lo, hi int) {
-		v := w[k*n+k : (k+1)*n]
-		j, end := k+1+4*lo, min(k+1+4*hi, d)
-		for ; j+4 <= end; j += 4 {
-			reflect4(v, tau, w[j*n+k:(j+1)*n], w[(j+1)*n+k:(j+2)*n], w[(j+2)*n+k:(j+3)*n], w[(j+3)*n+k:(j+4)*n])
+	trailing := func(k int) int {
+		if k+1 >= d {
+			return 0
 		}
-		for ; j < end; j++ {
-			reflect1(v, tau, w[j*n+k:(j+1)*n])
+		return np - (k+1)/4
+	}
+	applyToTrailing := func(lo, hi int) {
+		v := pw[(k/4)*ps+4*k+k%4:]
+		first := (k + 1) / 4
+		for p := lo; p < hi; p += 4 {
+			lane := 0
+			if p == 0 {
+				lane = (k + 1) % 4
+			}
+			reflectPanels(v, pw[(first+p)*ps+4*k:], n-k, min(4, hi-p), ps, tau, lane)
 		}
 	}
 
 	// Elimination: column k becomes R[:k+1, k] above/on the diagonal and
-	// reflector k from the diagonal down.
+	// reflector k from the diagonal down. col[4i] is element i of column k.
 	for k = 0; k < d; k++ {
-		col := w[k*n : (k+1)*n]
+		col := pw[(k/4)*ps+k%4:]
 		for i := 0; i < k; i++ {
-			r.Data[i*d+k] = col[i]
+			r.Data[i*d+k] = col[4*i]
 		}
-		v := col[k:]
 		var normSq float64
-		for _, x := range v {
+		for i := k; i < n; i++ {
+			x := col[4*i]
 			normSq += x * x
 		}
 		norm := math.Sqrt(normSq)
-		akk := v[0]
+		akk := col[4*k]
 		if norm == 0 {
 			r.Data[k*d+k] = akk
 			continue // taus[k] stays 0: H_k = I
@@ -135,7 +136,8 @@ func householderQR(a, q *Matrix) (*Matrix, *Matrix) {
 		vnormSq := v0 * v0
 		var dot float64
 		dot += v0 * akk
-		for _, x := range v[1:] {
+		for i := k + 1; i < n; i++ {
+			x := col[4*i]
 			vnormSq += x * x
 			dot += x * x
 		}
@@ -147,78 +149,68 @@ func householderQR(a, q *Matrix) (*Matrix, *Matrix) {
 		taus[k] = tau
 		dot *= tau
 		r.Data[k*d+k] = akk - dot*v0
-		v[0] = v0
-		par.ForRange(trailingTiles(k), reflectGrain(n-k), applyToTrailing)
+		col[4*k] = v0
+		par.ForRange(trailing(k), reflectGrain(n-k), applyToTrailing)
 	}
 
 	// Q = H_0·…·H_{d-1}·[I; 0], accumulated backwards in place.
 	for k = d - 1; k >= 0; k-- {
-		col := w[k*n : (k+1)*n]
-		clear(col[:k])
-		v := col[k:]
+		col := pw[(k/4)*ps+k%4:]
+		for i := 0; i < k; i++ {
+			col[4*i] = 0
+		}
 		tau = taus[k]
 		if tau == 0 {
-			v[0] = 1
-			clear(v[1:])
+			col[4*k] = 1
+			for i := k + 1; i < n; i++ {
+				col[4*i] = 0
+			}
 			continue
 		}
-		par.ForRange(trailingTiles(k), reflectGrain(n-k), applyToTrailing)
+		par.ForRange(trailing(k), reflectGrain(n-k), applyToTrailing)
 		// Column k = H_k·e_k. The dot v·e_k is v[0] exactly (every other
 		// term is v[i]·0), and 0 - x is spelled out because -x would flip
 		// the sign of a zero.
-		dot := v[0] * tau
-		for i, x := range v[1:] {
-			v[1+i] = 0 - dot*x
+		v0 := col[4*k]
+		dot := v0 * tau
+		for i := k + 1; i < n; i++ {
+			col[4*i] = 0 - dot*col[4*i]
 		}
-		v[0] = 1 - dot*v[0]
+		col[4*k] = 1 - dot*v0
 	}
 
-	transposeInto(q.Data, w, d, n)
+	panelCopy(pw, q.Data, n, d, false)
 	return q, r
 }
 
-// reflectGrain is the par.ForRange grain, in four-column tiles, for applying
-// a reflector of length m: enough elements per chunk that a goroutine
-// hand-off is noise. The grain affects only who computes a column, never
-// what is computed.
+// reflectGrain is the par.ForRange grain, in panels, for applying a reflector
+// of length m: at least four panels, so one reflectPanels call fills its four
+// accumulators, and enough elements per chunk that a goroutine hand-off is
+// noise. The grain affects only who computes a column, never what is
+// computed.
 func reflectGrain(m int) int {
-	return 1 + 4096/(m+1)
+	return 4 + 4096/(m+1)
 }
 
-// reflect1 applies H = I - tau·v·vᵀ to one column c (len(c) == len(v)).
-func reflect1(v []float64, tau float64, c []float64) {
-	c = c[:len(v)]
-	var dot float64
-	for i, x := range v {
-		dot += x * c[i]
-	}
-	dot *= tau
-	for i, x := range v {
-		c[i] = c[i] - dot*x
-	}
-}
-
-// reflect4 is reflect1 on four columns at once. A dot product is a chain of
-// dependent adds, so one column alone runs at the add latency; four chains
-// with one accumulator each fill the pipeline and share the loads of v. Each
-// column's sum is still the single sequential sum reflect1 computes.
-func reflect4(v []float64, tau float64, c0, c1, c2, c3 []float64) {
-	c0, c1, c2, c3 = c0[:len(v)], c1[:len(v)], c2[:len(v)], c3[:len(v)]
-	var d0, d1, d2, d3 float64
-	for i, x := range v {
-		d0 += x * c0[i]
-		d1 += x * c1[i]
-		d2 += x * c2[i]
-		d3 += x * c3[i]
-	}
-	d0 *= tau
-	d1 *= tau
-	d2 *= tau
-	d3 *= tau
-	for i, x := range v {
-		c0[i] = c0[i] - d0*x
-		c1[i] = c1[i] - d1*x
-		c2[i] = c2[i] - d2*x
-		c3[i] = c3[i] - d3*x
-	}
+// panelCopy moves the row-major n×d matrix rm into the panel buffer pw
+// (toPanels) or back out of it, parallel over rows. Row i of panel P is
+// the four adjacent elements rm[i·d + 4P …] of the row-major row.
+func panelCopy(pw, rm []float64, n, d int, toPanels bool) {
+	ps := 4 * n
+	par.ForRange(n, 256, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := rm[i*d : (i+1)*d]
+			for j := 0; j < d; j += 4 {
+				dst, src := pw[(j/4)*ps+4*i:][:min(4, d-j)], row[j:]
+				if !toPanels {
+					dst, src = src, dst
+				}
+				if len(src) >= 4 && len(dst) >= 4 {
+					dst[0], dst[1], dst[2], dst[3] = src[0], src[1], src[2], src[3]
+				} else {
+					copy(dst, src)
+				}
+			}
+		}
+	})
 }

@@ -14,14 +14,24 @@ type qrCase struct {
 }
 
 // qrDifferentialCases is the shape × conditioning grid the production kernel
-// is compared against qrOracle on: the harness shapes, the tile and grain
-// boundaries (64 vs 65 rows, 33 columns = 8 four-column tiles + 1), and the
-// inputs that take the kernel's tau == 0 and signed-zero branches.
+// is compared against qrOracle on: the harness shapes, the panel and grain
+// boundaries (square d = 1…5 and 31…33, 64 vs 65 rows and columns, 33
+// columns = 8 four-column panels + a one-column panel), and the inputs that
+// take the kernel's tau == 0 and signed-zero branches.
 func qrDifferentialCases() []qrCase {
 	var cases []qrCase
-	for _, s := range [][2]int{{1, 1}, {64, 64}, {65, 64}, {1000, 33}, {4096, 64}, {8192, 32}, {777, 1}} {
+	shapes := [][2]int{{65, 64}, {1000, 33}, {4096, 64}, {8192, 32}, {777, 1}}
+	for _, d := range []int{1, 2, 3, 4, 5, 31, 32, 33, 64, 65} {
+		shapes = append(shapes, [2]int{d, d})
+	}
+	for _, s := range shapes {
 		cases = append(cases, qrCase{fmt.Sprintf("gaussian-%dx%d", s[0], s[1]), randomMatrix(s[0], s[1], uint64(s[0]*131+s[1]))})
 	}
+	sq := randomMatrix(33, 33, 6)
+	for i := 0; i < sq.Rows; i++ {
+		sq.Set(i, 5, 0)
+	}
+	cases = append(cases, qrCase{"square-zero-column", sq})
 
 	dup := randomMatrix(300, 9, 7)
 	for i := 0; i < dup.Rows; i++ {
@@ -87,11 +97,18 @@ func firstBitDiff(got, want *Matrix) (int, bool) {
 	return 0, false
 }
 
-// TestQRBitIdenticalToOracle is the contract the column-major kernel was
-// built under: Q and R equal the pre-rewrite serial kernel's bit for bit,
-// for every input class and every GOMAXPROCS, through all three entry points.
+// TestQRBitIdenticalToOracle is the contract the panel kernel was built
+// under: Q and R equal the pre-rewrite serial kernel's bit for bit, for every
+// input class, every GOMAXPROCS and both kernel forms (Go and AVX), through
+// all three entry points.
 func TestQRBitIdenticalToOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	forEachKernelSet(func(kernels string) {
+		testQRBitIdenticalToOracle(t, kernels)
+	})
+}
+
+func testQRBitIdenticalToOracle(t *testing.T, kernels string) {
 	for _, tc := range qrDifferentialCases() {
 		wantQ, wantR := qrOracle(tc.a.Clone())
 		for _, procs := range []int{1, 2, 4} {
@@ -99,7 +116,7 @@ func TestQRBitIdenticalToOracle(t *testing.T) {
 			input := tc.a.Clone()
 			q, r := QR(input)
 			if i, bad := firstBitDiff(input, tc.a); bad {
-				t.Fatalf("%s procs=%d: QR modified its input at %d", tc.name, procs, i)
+				t.Fatalf("%s %s procs=%d: QR modified its input at %d", kernels, tc.name, procs, i)
 			}
 			qi, ri := QRInPlace(tc.a.Clone())
 			for _, got := range []struct {
@@ -111,8 +128,8 @@ func TestQRBitIdenticalToOracle(t *testing.T) {
 				{"Orthonormalize", Orthonormalize(tc.a), wantQ},
 			} {
 				if i, bad := firstBitDiff(got.got, got.want); bad {
-					t.Fatalf("%s procs=%d: %s differs from oracle at element %d: %x vs %x",
-						tc.name, procs, got.what, i,
+					t.Fatalf("%s %s procs=%d: %s differs from oracle at element %d: %x vs %x",
+						kernels, tc.name, procs, got.what, i,
 						math.Float64bits(got.got.Data[i]), math.Float64bits(got.want.Data[i]))
 				}
 			}

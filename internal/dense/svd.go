@@ -17,18 +17,25 @@ import (
 // orthogonal; then σ_j = ‖a_j‖ and u_j = a_j/σ_j. One-sided Jacobi is
 // unconditionally convergent and delivers high relative accuracy even for
 // tiny singular values, which matters because Σ^{1/2} feeds the embedding.
+//
+// U and V are worked on as column-major copies, so a column pair is two
+// contiguous slices: the three Gram sums run down them in one sequential
+// loop, and each rotation is one element-wise pass (rotate, kernels.go).
+// Every operation and its order are those of the At/Set kernel this replaced
+// (svdOracle in svd_oracle_test.go), so the factors are bit-identical to it.
 func SVD(a *Matrix) (u *Matrix, sigma []float64, v *Matrix) {
 	n, d := a.Rows, a.Cols
 	if n < d {
 		panic(fmt.Sprintf("dense: SVD requires rows >= cols, got %dx%d", n, d))
 	}
-	u = a.Clone()
-	v = NewMatrix(d, d)
-	for j := 0; j < d; j++ {
-		v.Set(j, j, 1)
-	}
 	if d == 0 {
-		return u, nil, v
+		return a.Clone(), nil, NewMatrix(0, 0)
+	}
+	uw := make([]float64, n*d) // column j of U is uw[j*n : (j+1)*n]
+	transposeInto(uw, a.Data, n, d)
+	vw := make([]float64, d*d) // column j of V is vw[j*d : (j+1)*d]
+	for j := 0; j < d; j++ {
+		vw[j*d+j] = 1
 	}
 
 	const (
@@ -38,15 +45,16 @@ func SVD(a *Matrix) (u *Matrix, sigma []float64, v *Matrix) {
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		converged := true
 		for p := 0; p < d-1; p++ {
+			up := uw[p*n : (p+1)*n]
 			for q := p + 1; q < d; q++ {
+				uq := uw[q*n : (q+1)*n][:len(up)]
 				// Gram entries of the column pair.
 				var app, aqq, apq float64
-				for i := 0; i < n; i++ {
-					up := u.At(i, p)
-					uq := u.At(i, q)
-					app += up * up
-					aqq += uq * uq
-					apq += up * uq
+				for i, x := range up {
+					y := uq[i]
+					app += x * x
+					aqq += y * y
+					apq += x * y
 				}
 				if math.Abs(apq) <= eps*math.Sqrt(app*aqq) || apq == 0 {
 					continue
@@ -62,18 +70,8 @@ func SVD(a *Matrix) (u *Matrix, sigma []float64, v *Matrix) {
 				}
 				c := 1 / math.Sqrt(1+t*t)
 				s := c * t
-				for i := 0; i < n; i++ {
-					up := u.At(i, p)
-					uq := u.At(i, q)
-					u.Set(i, p, c*up-s*uq)
-					u.Set(i, q, s*up+c*uq)
-				}
-				for i := 0; i < d; i++ {
-					vp := v.At(i, p)
-					vq := v.At(i, q)
-					v.Set(i, p, c*vp-s*vq)
-					v.Set(i, q, s*vp+c*vq)
-				}
+				rotate(up, uq, c, s)
+				rotate(vw[p*d:(p+1)*d], vw[q*d:(q+1)*d], c, s)
 			}
 		}
 		if converged {
@@ -84,16 +82,16 @@ func SVD(a *Matrix) (u *Matrix, sigma []float64, v *Matrix) {
 	// Extract singular values and normalize U's columns.
 	sigma = make([]float64, d)
 	for j := 0; j < d; j++ {
+		col := uw[j*n : (j+1)*n]
 		var norm float64
-		for i := 0; i < n; i++ {
-			x := u.At(i, j)
+		for _, x := range col {
 			norm += x * x
 		}
 		sigma[j] = math.Sqrt(norm)
 		if sigma[j] > 0 {
 			inv := 1 / sigma[j]
-			for i := 0; i < n; i++ {
-				u.Set(i, j, u.At(i, j)*inv)
+			for i := range col {
+				col[i] *= inv
 			}
 		}
 	}
@@ -109,11 +107,11 @@ func SVD(a *Matrix) (u *Matrix, sigma []float64, v *Matrix) {
 	sigmaSorted := make([]float64, d)
 	for newJ, oldJ := range idx {
 		sigmaSorted[newJ] = sigma[oldJ]
-		for i := 0; i < n; i++ {
-			us.Set(i, newJ, u.At(i, oldJ))
+		for i, x := range uw[oldJ*n : (oldJ+1)*n] {
+			us.Data[i*d+newJ] = x
 		}
-		for i := 0; i < d; i++ {
-			vs.Set(i, newJ, v.At(i, oldJ))
+		for i, x := range vw[oldJ*d : (oldJ+1)*d] {
+			vs.Data[i*d+newJ] = x
 		}
 	}
 	return us, sigmaSorted, vs

@@ -1,6 +1,9 @@
 package dynamic
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"runtime"
 	"testing"
@@ -243,6 +246,44 @@ func TestEmbedDeterministicAcrossProcsAndShards(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEmbedGolden pins the bits of an incremental embedding: RMAT scale 10
+// (edge factor 20, seed 5), New on the first three quarters of its arcs,
+// AddEdges the rest, Embed at DefaultConfig(16) with four shards. The sha256
+// is over the embedding's float64s, little-endian, row-major.
+func TestEmbedGolden(t *testing.T) {
+	full, err := gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 20, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arcs := collectArcs(full)
+	cut := len(arcs) * 3 / 4
+	initial, err := graph.FromEdges(full.NumVertices(), arcs[:cut], graph.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(16)
+	cfg.Shards = 4
+	e, err := New(initial, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddEdges(arcs[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	x, err := e.Embed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, v := range x.Data {
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+	}
+	const golden = "605ba920d85b4bb24d0f8bd8814425ad7a86699653fd31524098a42bfc754512"
+	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+		t.Fatalf("embedding sha256 %s, golden %s", got, golden)
 	}
 }
 

@@ -275,7 +275,7 @@ const workBuffers = 5
 // given number of stored arcs and a d-column embedding: Ã's pattern and
 // values, the operator's second value array over the same pattern, the
 // workBuffers n×d matrices Propagate sizes from the same constant, and the
-// column-major working copy of the one QR that re-orthogonalizes the result.
+// working copy of the one QR that re-orthogonalizes the result.
 // core.EstimateMemory prices the propagation stage with it.
 func WorkspaceBytes(n int, arcs int64, d int) int64 {
 	nnz := arcs + int64(n)

@@ -11,7 +11,10 @@
 // scheduling.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // SplitMix64 advances the SplitMix64 state in *s and returns the next value.
 // It is used for seeding and as a cheap standalone generator for hashing.
@@ -98,31 +101,16 @@ func (s *Source) Intn(n int) int {
 	}
 	un := uint64(n)
 	v := s.Uint64()
-	hi, lo := mul64(v, un)
+	hi, lo := bits.Mul64(v, un)
 	if lo < un {
 		thresh := (-un) % un
 		for lo < thresh {
 			v = s.Uint64()
-			hi, lo = mul64(v, un)
+			hi, lo = bits.Mul64(v, un)
 		}
 	}
 	_ = lo
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 random bits.

@@ -9,7 +9,11 @@
 //  6. orthonormalize Z                       // sgeqrf + sorgqr
 //  7. C = Zᵀ·B                               // cblas_sgemm
 //  8. SVD  C = U·Σ·Vᵀ                        // sgesvd
-//  9. return Z·U, Σ, Y·V                     // cblas_sgemm
+//  9. return Z·U, Σ                          // cblas_sgemm
+//
+// Step 9 of the paper also lifts the right factor, Y·V. The embedding is
+// U·Σ^{1/2} and A is symmetric (its right singular vectors are its left ones
+// up to sign), so neither factorizer computes it.
 //
 // Our kernels come from internal/dense and internal/sparse. Two optional
 // robustness knobs extend the paper's algorithm: oversampling (factor a few
@@ -48,11 +52,11 @@ type Options struct {
 	Symmetric bool
 }
 
-// Result holds a truncated SVD A ≈ U·diag(Sigma)·Vᵀ.
+// Result holds the left factor of a truncated SVD A ≈ U·diag(Sigma)·Vᵀ; for
+// the symmetric matrices factorized here V equals U up to column signs.
 type Result struct {
 	U     *dense.Matrix // n×d, left singular vectors
 	Sigma []float64     // d singular values, descending
-	V     *dense.Matrix // n×d, right singular vectors
 }
 
 // RandomizedSVD computes a rank-d approximate SVD of the (square, typically
@@ -124,19 +128,12 @@ func RandomizedSVD(a *sparse.CSR, d int, opt Options) (*Result, error) {
 	dense.MatMulATBDet(c, z, b)
 
 	// Step 8: SVD of the small projected matrix.
-	cu, sigma, cv := dense.SVD(c)
+	cu, sigma, _ := dense.SVD(c)
 
-	// Step 9: lift back: U = Z·CU, V = Y·CV; truncate to rank d.
+	// Step 9: lift back U = Z·CU; truncate to rank d.
 	u := dense.NewMatrix(n, k)
 	dense.MatMul(u, z, cu)
-	v := dense.NewMatrix(n, k)
-	dense.MatMul(v, y, cv)
-
-	return &Result{
-		U:     truncateCols(u, d),
-		Sigma: sigma[:d],
-		V:     truncateCols(v, d),
-	}, nil
+	return &Result{U: truncateCols(u, d), Sigma: sigma[:d]}, nil
 }
 
 // truncateCols returns the first d columns of m (copying when d < m.Cols).

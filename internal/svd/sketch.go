@@ -9,7 +9,7 @@
 //	Q, _ = qr(Y)                        // range of A
 //	X = (ΨᵀQ)† (ZᵀQ)                    // least-squares core, X ≈ QᵀAQ
 //	X = (X+Xᵀ)/2; X = Û·Σ·V̂ᵀ           // tiny dense SVD
-//	U = Q·Û, V = Q·V̂                    // lift, truncate to rank d
+//	U = Q·Û                             // lift, truncate to rank d
 //
 // The algebra is the practical sketching scheme of Tropp, Yurtsever,
 // Udell & Cevher specialized to symmetric A: A ≈ QQᵀA together with
@@ -378,16 +378,10 @@ func (sk *Sketch) Factorize() (*Result, error) {
 			x.Set(j, i, v)
 		}
 	}
-	cu, sigma, cv := dense.SVD(x)
+	cu, sigma, _ := dense.SVD(x)
 	u := dense.NewMatrix(sk.n, sk.k)
 	dense.MatMul(u, q, cu)
-	v := dense.NewMatrix(sk.n, sk.k)
-	dense.MatMul(v, q, cv)
-	return &Result{
-		U:     truncateCols(u, sk.d),
-		Sigma: sigma[:sk.d],
-		V:     truncateCols(v, sk.d),
-	}, nil
+	return &Result{U: truncateCols(u, sk.d), Sigma: sigma[:sk.d]}, nil
 }
 
 // signProject computes out = QᵀS (k×width) for a sparse-sign test matrix S

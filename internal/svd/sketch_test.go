@@ -49,22 +49,8 @@ func TestSketchQualityVsExact(t *testing.T) {
 		if err := relSpectralErr(res.Sigma, ad); err > 1e-8 {
 			t.Errorf("%v: relative spectral error %g on an exact rank-%d matrix", kind, err, r)
 		}
-		// Reconstruction U·Σ·Vᵀ ≈ A.
-		us := res.U.Clone()
-		for j, s := range res.Sigma {
-			for i := 0; i < n; i++ {
-				us.Set(i, j, us.At(i, j)*s)
-			}
-		}
-		recon := dense.NewMatrix(n, n)
-		dense.MatMul(recon, us, res.V.Transpose())
-		var num, den float64
-		for i := range recon.Data {
-			dd := recon.Data[i] - ad.Data[i]
-			num += dd * dd
-			den += ad.Data[i] * ad.Data[i]
-		}
-		if rel := math.Sqrt(num / den); rel > 1e-6 {
+		// Reconstruction U·Σ·Uᵀ ≈ A.
+		if rel := reconstructionError(res, ad); rel > 1e-6 {
 			t.Errorf("%v: relative reconstruction error %g", kind, rel)
 		}
 	}
@@ -128,11 +114,6 @@ func TestSketchBitIdenticalAcrossProcs(t *testing.T) {
 				for i := range res.U.Data {
 					if res.U.Data[i] != ref.U.Data[i] {
 						t.Fatalf("%v procs=%d chunk=%d: U not bit-identical", kind, procs, chunk)
-					}
-				}
-				for i := range res.V.Data {
-					if res.V.Data[i] != ref.V.Data[i] {
-						t.Fatalf("%v procs=%d chunk=%d: V not bit-identical", kind, procs, chunk)
 					}
 				}
 				for i := range res.Sigma {
@@ -269,11 +250,6 @@ func TestRandomizedSVDSymmetricEquivalence(t *testing.T) {
 	for i := range plain.U.Data {
 		if plain.U.Data[i] != sym.U.Data[i] {
 			t.Fatalf("U differs at %d", i)
-		}
-	}
-	for i := range plain.V.Data {
-		if plain.V.Data[i] != sym.V.Data[i] {
-			t.Fatalf("V differs at %d", i)
 		}
 	}
 	for i := range plain.Sigma {
