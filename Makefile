@@ -44,7 +44,7 @@ harness:
 # (unsorted-input error reporting races the workers), and the
 # fault-injection harness driving the supervised ingest loop and the
 # leader→follower replication suite (mid-ship kills, corrupt payloads,
-# leader-death degradation), plus the column-parallel QR (dense), the
+# leader-death degradation), plus the pipelined QR (dense: R on the caller, Q groups on the workers), the
 # row-parallel SpMM with its row epilogue (sparse) and the propagation that
 # rewrites shared buffers from that epilogue (prone). The second line runs the
 # determinism tests of the full pipeline (core) and the third the root package's
@@ -115,11 +115,12 @@ bench-sample:
 
 # The rSVD's dense kernels at the harness shapes, each in both forms (the Go
 # loops and, where the CPU has it, AVX: sub-benchmarks go/ and avx/): the
-# panel QR (4096×64, 8192×32, 16384×64), C = Zᵀ·B (MatMulATBDet, 4096×64)
-# and the k×k Jacobi SVD (64×64), each next to the loop it replaced, kept as
-# the test oracle. -count=5 for benchstat.
+# panel QR (4096×64, 8192×32, 16384×64) and its fused update + dot sweep,
+# C = Zᵀ·B (MatMulATBDet, 4096×64) and the k×k Jacobi SVD (64×64), each next
+# to the loop it replaced, kept as the test oracle. On one core and on two,
+# since the QR runs its R and Q phases concurrently. -count=5 for benchstat.
 bench-qr:
-	$(GO) test -run xxx -bench 'BenchmarkQRTallSkinny|BenchmarkQROracle|BenchmarkMatMulATBDet|BenchmarkSVD' -benchmem -count=5 ./internal/dense
+	$(GO) test -run xxx -bench 'BenchmarkQRTallSkinny|BenchmarkQROracle|BenchmarkUpdateDotPanels|BenchmarkMatMulATBDet|BenchmarkSVD' -benchmem -cpu 1,2 -count=5 ./internal/dense
 
 # The row-accumulate kernel at the harness shapes (RMAT-12 adjacency × 64,
 # a ~250 k-entry matrix × 64, RMAT-13 adjacency × 32; Gflop/s reported) and

@@ -97,6 +97,26 @@ func BenchmarkQROracle(b *testing.B) {
 	benchQR(b, func(a *Matrix) (*Matrix, *Matrix) { return qrOracle(a.Clone()) })
 }
 
+// BenchmarkUpdateDotPanels is one row sweep of the QR's fused kernel at the
+// embed-default height (four panels of 4096 rows: update by one reflector,
+// dots with the next), in both kernel forms.
+func BenchmarkUpdateDotPanels(b *testing.B) {
+	const m, np = 4096, 4
+	benchKernelSets(b, func(b *testing.B) {
+		buf := randomMatrix(1, (np+2)*4*m+8*np, 5).Data
+		c, v, u := buf[:np*4*m], buf[np*4*m:], buf[(np+1)*4*m:]
+		s, acc := buf[(np+2)*4*m:][:4*np], buf[(np+2)*4*m+4*np:]
+		for j := range s {
+			s[j] = 1e-9
+		}
+		b.SetBytes(int64(8 * len(c)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			updateDotPanels(v, u, c, m, np, 4*m, s, acc, 0)
+		}
+	})
+}
+
 // BenchmarkSVD is the rSVD's k×k core at the embed-default shape, in both
 // kernel forms and on the At/Set kernel it replaced.
 func BenchmarkSVD(b *testing.B) {

@@ -65,54 +65,93 @@ func addRowsGo(y, a []float64, idx []uint32, x []float64, stride int) {
 	}
 }
 
-// reflectPanels applies H = I − tau·v·vᵀ to the m rows starting at c of np
-// (1–4) consecutive four-column panels ps elements apart (the QR layout of
-// qr.go): v[4i] is the reflector's element i, c[p·ps + 4i + l] column l of
-// panel p at row i. Lanes below lane of the first panel are left untouched.
-func reflectPanels(v, c []float64, m, np, ps int, tau float64, lane int) {
-	_, _ = v[4*(m-1)], c[(np-1)*ps+4*m-1]
-	if useAVX {
-		reflectPanelsAVX(v, c, m, np, ps, tau, lane)
+// The QR's two panel kernels work on np consecutive four-column panels ps
+// elements apart (the layout of qr.go): v[4i] and u[4i] are element i of two
+// reflectors, c[p·ps + 4i + l] is column l of panel p at row i, and column
+// 4p+l of a panel run owns s[4p+l] and acc[4p+l].
+
+// updateDotPanels applies one reflector and dots with the next in the same
+// visit of each row: for i ascending, c ← c − s·v[i] (s the reflector's
+// scaled dot), then acc += u[i]·c with the updated element. Lanes below lane
+// of the first panel are computed but not stored.
+func updateDotPanels(v, u, c []float64, m, np, ps int, s, acc []float64, lane int) {
+	if m == 0 || np == 0 {
 		return
 	}
-	reflectPanelsGo(v, c, m, np, ps, tau, lane)
-}
-
-// reflectPanelsGo keeps one dot-product accumulator per column, so every
-// column's dot is the single sequential sum Σ v[i]·c[i] and the four
-// accumulators of a panel fill the add pipeline together.
-func reflectPanelsGo(v, c []float64, m, np, ps int, tau float64, lane int) {
-	for p := 0; p < np; p++ {
-		reflectPanelGo(v[:4*m-3], c[p*ps:][:4*m], tau, lane)
+	_, _, _ = v[4*(m-1)], u[4*(m-1)], c[(np-1)*ps+4*m-1]
+	_, _ = s[4*np-1], acc[4*np-1]
+	if !useAVX {
+		updateDotPanelsGo(v, u, c, m, np, ps, s, acc, lane)
+		return
+	}
+	for p := 0; p < np; p += 4 {
+		updateDotAVX(v, u, c[p*ps:], m, min(4, np-p), ps, s[4*p:], acc[4*p:], lane)
 		lane = 0
 	}
 }
 
-func reflectPanelGo(v, c []float64, tau float64, lane int) {
-	var d0, d1, d2, d3 float64
-	for i := 0; i < len(v); i += 4 {
-		x, row := v[i], c[i:i+4]
-		d0 += x * row[0]
-		d1 += x * row[1]
-		d2 += x * row[2]
-		d3 += x * row[3]
+func updateDotPanelsGo(v, u, c []float64, m, np, ps int, s, acc []float64, lane int) {
+	for p := 0; p < np; p++ {
+		updateDotPanelGo(v[:4*m-3], u, c[p*ps:][:4*m], s[4*p:4*p+4], acc[4*p:4*p+4], lane)
+		lane = 0
 	}
-	d0, d1, d2, d3 = d0*tau, d1*tau, d2*tau, d3*tau
+}
+
+func updateDotPanelGo(v, u, c, s, acc []float64, lane int) {
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
 	for i := 0; i < len(v); i += 4 {
-		x, row := v[i], c[i:i+4]
+		x, y, row := v[i], u[i], c[i:i+4]
+		r0, r1, r2, r3 := row[0]-s0*x, row[1]-s1*x, row[2]-s2*x, row[3]-s3*x
 		switch lane {
 		case 0:
-			row[0] = row[0] - d0*x
+			row[0] = r0
 			fallthrough
 		case 1:
-			row[1] = row[1] - d1*x
+			row[1] = r1
 			fallthrough
 		case 2:
-			row[2] = row[2] - d2*x
+			row[2] = r2
 			fallthrough
 		default:
-			row[3] = row[3] - d3*x
+			row[3] = r3
 		}
+		a0 += y * r0
+		a1 += y * r1
+		a2 += y * r2
+		a3 += y * r3
+	}
+	acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
+}
+
+// dotPanels sets acc[4p+l] to Σ u[i]·c, i ascending from +0: the dots of a
+// reflector whose predecessor applies nothing.
+func dotPanels(u, c []float64, m, np, ps int, acc []float64) {
+	if m == 0 || np == 0 {
+		clear(acc[:4*np])
+		return
+	}
+	_, _, _ = u[4*(m-1)], c[(np-1)*ps+4*m-1], acc[4*np-1]
+	if !useAVX {
+		dotPanelsGo(u, c, m, np, ps, acc)
+		return
+	}
+	for p := 0; p < np; p += 4 {
+		dotPanelsAVX(u, c[p*ps:], m, min(4, np-p), ps, acc[4*p:])
+	}
+}
+
+func dotPanelsGo(u, c []float64, m, np, ps int, acc []float64) {
+	for p := 0; p < np; p++ {
+		var a0, a1, a2, a3 float64
+		for i, row := 0, c[p*ps:][:4*m]; i < len(row); i += 4 {
+			y := u[i]
+			a0 += y * row[i]
+			a1 += y * row[i+1]
+			a2 += y * row[i+2]
+			a3 += y * row[i+3]
+		}
+		acc[4*p], acc[4*p+1], acc[4*p+2], acc[4*p+3] = a0, a1, a2, a3
 	}
 }
 

@@ -17,7 +17,10 @@ func xgetbv0() uint32
 func addRowsAVX(y, a []float64, idx []uint32, x []float64, stride int)
 
 //go:noescape
-func reflectPanelsAVX(v, c []float64, m, np, ps int, tau float64, lane int)
+func updateDotAVX(v, u, c []float64, m, np, ps int, s, acc []float64, lane int)
+
+//go:noescape
+func dotPanelsAVX(u, c []float64, m, np, ps int, acc []float64)
 
 //go:noescape
 func rotateAVX(x, y []float64, c, s float64)

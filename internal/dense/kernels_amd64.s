@@ -167,47 +167,144 @@ DATA laneMask<>+112(SB)/8, $0
 DATA laneMask<>+120(SB)/8, $-1
 GLOBL laneMask<>(SB), RODATA|NOPTR, $128
 
-// func reflectPanelsAVX(v, c []float64, m, np, ps int, tau float64, lane int)
+// func updateDotAVX(v, u, c []float64, m, np, ps int, s, acc []float64, lane int)
 //
-// Applies I − tau·v·vᵀ to np (1–4) panels; see reflectPanelsGo. The four
-// dot products are four independent accumulators over one broadcast of v[i]
-// (panel pointers past np repeat the last panel; their dots are dropped).
-// Each panel is then updated row by row; the first one, when lane > 0,
-// through a store mask that leaves lanes below lane untouched.
-TEXT ·reflectPanelsAVX(SB), NOSPLIT, $0-88
+// updateDotPanelsGo on np (1–4) panels: per row one broadcast each of v[i]
+// and u[i]; per panel c − s·v[i] stored (the first panel through the lane
+// mask), then acc += u[i]·c. The panel-count branches go the same way on
+// every row.
+TEXT ·updateDotAVX(SB), NOSPLIT, $0-152
 	MOVQ v_base+0(FP), SI
+	MOVQ u_base+24(FP), DI
+	MOVQ c_base+48(FP), R9
+	MOVQ m+72(FP), CX
+	MOVQ np+80(FP), DX
+	MOVQ ps+88(FP), R8
+	MOVQ s_base+96(FP), AX
+	MOVQ acc_base+120(FP), BX
+	SHLQ $3, R8
+	LEAQ (R9)(R8*1), R10
+	LEAQ (R10)(R8*1), R11
+	LEAQ (R11)(R8*1), R12
+	MOVQ lane+144(FP), R13
+	SHLQ $5, R13
+	LEAQ laneMask<>(SB), R8
+	VMOVUPD (R8)(R13*1), Y8
+	VMOVUPD 0(AX), Y0
+	VMOVUPD 0(BX), Y4
+	CMPQ DX, $2
+	JLT  udloaded
+	VMOVUPD 32(AX), Y1
+	VMOVUPD 32(BX), Y5
+	CMPQ DX, $3
+	JLT  udloaded
+	VMOVUPD 64(AX), Y2
+	VMOVUPD 64(BX), Y6
+	CMPQ DX, $4
+	JLT  udloaded
+	VMOVUPD 96(AX), Y3
+	VMOVUPD 96(BX), Y7
+
+udloaded:
+	XORQ R13, R13
+	TESTQ CX, CX
+	JZ   udstore
+
+udloop:
+	VBROADCASTSD (SI)(R13*1), Y12
+	VBROADCASTSD (DI)(R13*1), Y13
+	VMULPD Y12, Y0, Y14
+	VMOVUPD (R9)(R13*1), Y15
+	VSUBPD Y14, Y15, Y15
+	VMASKMOVPD Y15, Y8, (R9)(R13*1)
+	VMULPD Y15, Y13, Y15
+	VADDPD Y15, Y4, Y4
+	CMPQ DX, $2
+	JLT  udnext
+	VMULPD Y12, Y1, Y14
+	VMOVUPD (R10)(R13*1), Y15
+	VSUBPD Y14, Y15, Y15
+	VMOVUPD Y15, (R10)(R13*1)
+	VMULPD Y15, Y13, Y15
+	VADDPD Y15, Y5, Y5
+	CMPQ DX, $3
+	JLT  udnext
+	VMULPD Y12, Y2, Y9
+	VMOVUPD (R11)(R13*1), Y10
+	VSUBPD Y9, Y10, Y10
+	VMOVUPD Y10, (R11)(R13*1)
+	VMULPD Y10, Y13, Y10
+	VADDPD Y10, Y6, Y6
+	CMPQ DX, $4
+	JLT  udnext
+	VMULPD Y12, Y3, Y14
+	VMOVUPD (R12)(R13*1), Y15
+	VSUBPD Y14, Y15, Y15
+	VMOVUPD Y15, (R12)(R13*1)
+	VMULPD Y15, Y13, Y15
+	VADDPD Y15, Y7, Y7
+
+udnext:
+	ADDQ $32, R13
+	DECQ CX
+	JNZ  udloop
+
+udstore:
+	VMOVUPD Y4, 0(BX)
+	CMPQ DX, $2
+	JLT  uddone
+	VMOVUPD Y5, 32(BX)
+	CMPQ DX, $3
+	JLT  uddone
+	VMOVUPD Y6, 64(BX)
+	CMPQ DX, $4
+	JLT  uddone
+	VMOVUPD Y7, 96(BX)
+
+uddone:
+	VZEROUPPER
+	RET
+
+// func dotPanelsAVX(u, c []float64, m, np, ps int, acc []float64)
+//
+// dotPanelsGo on np (1–4) panels: four accumulators from +0 over one
+// broadcast of u[i]. Panel pointers past np repeat the last panel; their
+// dots are not stored.
+TEXT ·dotPanelsAVX(SB), NOSPLIT, $0-96
+	MOVQ u_base+0(FP), SI
 	MOVQ c_base+24(FP), R9
 	MOVQ m+48(FP), CX
 	MOVQ np+56(FP), DX
 	MOVQ ps+64(FP), R8
+	MOVQ acc_base+72(FP), BX
 	SHLQ $3, R8
-	TESTQ CX, CX
-	JZ   panelsdone
 	MOVQ R9, R10
-	MOVQ R9, R11
-	MOVQ R9, R12
 	CMPQ DX, $2
-	JLT  dots
+	JLT  dp2
 	ADDQ R8, R10
+
+dp2:
 	MOVQ R10, R11
-	MOVQ R10, R12
 	CMPQ DX, $3
-	JLT  dots
+	JLT  dp3
 	ADDQ R8, R11
+
+dp3:
 	MOVQ R11, R12
 	CMPQ DX, $4
-	JLT  dots
+	JLT  dp4
 	ADDQ R8, R12
 
-dots:
+dp4:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
 	XORQ R13, R13
-	MOVQ CX, BX
+	TESTQ CX, CX
+	JZ   dpstore
 
-dotloop:
+dploop:
 	VBROADCASTSD (SI)(R13*1), Y4
 	VMULPD (R9)(R13*1), Y4, Y5
 	VADDPD Y5, Y0, Y0
@@ -218,59 +315,22 @@ dotloop:
 	VMULPD (R12)(R13*1), Y4, Y8
 	VADDPD Y8, Y3, Y3
 	ADDQ $32, R13
-	DECQ BX
-	JNZ  dotloop
-	VBROADCASTSD tau+72(FP), Y9
-	VMULPD Y9, Y0, Y0
-	VMULPD Y9, Y1, Y1
-	VMULPD Y9, Y2, Y2
-	VMULPD Y9, Y3, Y3
+	DECQ CX
+	JNZ  dploop
 
-	MOVQ lane+80(FP), AX
-	TESTQ AX, AX
-	JZ   update
-	SHLQ $5, AX
-	LEAQ laneMask<>(SB), BX
-	VMOVUPD (BX)(AX*1), Y11
-	XORQ R13, R13
-	MOVQ CX, BX
+dpstore:
+	VMOVUPD Y0, 0(BX)
+	CMPQ DX, $2
+	JLT  dpdone
+	VMOVUPD Y1, 32(BX)
+	CMPQ DX, $3
+	JLT  dpdone
+	VMOVUPD Y2, 64(BX)
+	CMPQ DX, $4
+	JLT  dpdone
+	VMOVUPD Y3, 96(BX)
 
-maskloop:
-	VBROADCASTSD (SI)(R13*1), Y4
-	VMULPD Y4, Y0, Y5
-	VMOVUPD (R9)(R13*1), Y6
-	VSUBPD Y5, Y6, Y6
-	VMASKMOVPD Y6, Y11, (R9)(R13*1)
-	ADDQ $32, R13
-	DECQ BX
-	JNZ  maskloop
-	JMP  nextpanel
-
-update:
-	XORQ R13, R13
-	MOVQ CX, BX
-
-updateloop:
-	VBROADCASTSD (SI)(R13*1), Y4
-	VMULPD Y4, Y0, Y5
-	VMOVUPD (R9)(R13*1), Y6
-	VSUBPD Y5, Y6, Y6
-	VMOVUPD Y6, (R9)(R13*1)
-	ADDQ $32, R13
-	DECQ BX
-	JNZ  updateloop
-
-nextpanel:
-	VMOVAPD Y1, Y0
-	VMOVAPD Y2, Y1
-	VMOVAPD Y3, Y2
-	MOVQ R10, R9
-	MOVQ R11, R10
-	MOVQ R12, R11
-	DECQ DX
-	JNZ  update
-
-panelsdone:
+dpdone:
 	VZEROUPPER
 	RET
 

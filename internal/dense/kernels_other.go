@@ -6,5 +6,6 @@ package dense
 var useAVX = false
 
 func addRowsAVX([]float64, []float64, []uint32, []float64, int)          { panic("dense: no AVX") }
-func reflectPanelsAVX([]float64, []float64, int, int, int, float64, int) { panic("dense: no AVX") }
+func updateDotAVX(_, _, _ []float64, _, _, _ int, _, _ []float64, _ int) { panic("dense: no AVX") }
+func dotPanelsAVX(_, _ []float64, _, _, _ int, _ []float64)              { panic("dense: no AVX") }
 func rotateAVX([]float64, []float64, float64, float64)                   { panic("dense: no AVX") }

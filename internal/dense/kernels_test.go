@@ -114,39 +114,43 @@ func TestAddRowsChecksOperandRows(t *testing.T) {
 	addRows(make([]float64, 8), []float64{1}, []uint32{3}, x, 8)
 }
 
-// TestReflectPanelsAVXMatchesGo: the AVX panel reflector against the Go loop
-// for 1–4 panels, every first lane, reflector lengths 1–70, an aliased
-// reflector (v inside the first panel, as in QR) and special values.
-func TestReflectPanelsAVXMatchesGo(t *testing.T) {
+// TestUpdateDotPanelsAVXBitIdenticalToGo: the QR's fused update + dot (one
+// loop over up to four panels, the first under a lane mask, chained by
+// updateDotPanels) and its dot-only loop against the Go loops, for 1–6 panels
+// (a full four-panel call plus a remainder), every first
+// lane, row counts 0–70, unaligned sub-slices, reflectors aliased inside the
+// first panel (as in QR) and special values, panels and dots both compared.
+func TestUpdateDotPanelsAVXBitIdenticalToGo(t *testing.T) {
 	needAVX(t)
 	src := rng.New(43, 0)
-	for m := 1; m <= 70; m++ {
-		for np := 1; np <= 4; np++ {
+	for m := 0; m <= 70; m++ {
+		for np := 1; np <= 6; np++ {
 			for lane := 0; lane < 4; lane++ {
 				for _, off := range []int{0, 1, 3} {
 					ps := 4*m + 4*off
-					buf := make([]float64, off+np*ps+4*m)
+					buf := make([]float64, off+np*ps+8*m+8*np)
 					fillValues(buf, src)
-					tau := specialValues[src.Intn(len(specialValues))]
-					if src.Intn(2) == 0 {
-						tau = 2 / (1 + src.Float64())
-					}
 					for _, aliased := range []bool{false, true} {
-						if aliased && lane == 0 {
+						if aliased && lane < 2 {
 							continue
 						}
-						run := func(kernel func(v, c []float64, m, np, ps int, tau float64, lane int)) []float64 {
+						run := func(avx bool) []float64 {
+							defer func(saved bool) { useAVX = saved }(useAVX)
+							useAVX = avx
 							b := append([]float64(nil), buf...)
-							c := b[off:]
-							v := b[off+np*ps:]
+							c, v, u := b[off:], b[off+np*ps:], b[off+np*ps+4*m:]
+							s, acc := b[len(b)-8*np:][:4*np], b[len(b)-4*np:]
 							if aliased {
-								v = c[lane-1:]
+								v, u = c[lane-2:], c[lane-1:]
 							}
-							kernel(v, c, m, np, ps, tau, lane)
+							if lane == 0 {
+								dotPanels(u, c, m, np, ps, acc)
+							}
+							updateDotPanels(v, u, c, m, np, ps, s, acc, lane)
 							return b
 						}
 						compareBits(t, fmt.Sprintf("m=%d np=%d lane=%d off=%d aliased=%v", m, np, lane, off, aliased),
-							run(reflectPanelsAVX), run(reflectPanelsGo))
+							run(true), run(false))
 					}
 				}
 			}

@@ -3,6 +3,8 @@ package dense
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync/atomic"
 
 	"lightne/internal/par"
 )
@@ -15,32 +17,37 @@ import (
 // buffer of four-column panels stored row-interleaved: element (i, j) lives at
 // pw[(j/4)·4n + 4i + j%4]. Row i of a panel is four adjacent doubles, one
 // vector register, so a reflector meets a panel as four dot products sharing
-// one broadcast of v[i] per row and one subtract per row (reflectPanels,
-// kernels.go). Reflector k overwrites column k from the diagonal down (R's
-// entries above it are copied out first), so the elimination allocates
-// nothing per reflector. Q is then accumulated in the same buffer, backwards:
-// at step k columns k+1…d-1 already hold H_{k+1}·…·H_{d-1}·e_j, reflector k
-// is applied to them, and column k — no longer needed as a reflector — is
-// replaced by H_k·e_k. Column j thus only ever sees the reflectors k ≤ j; the
-// textbook formulation's others multiply rows that are still exactly zero, a
-// third of the flops for nothing. The panel holding column k is updated with
-// its lanes ≤ k%4 left untouched; a last panel of fewer than four columns
-// carries zero lanes that are updated and never read back.
+// one broadcast of v[i] per row (updateDotPanels, dotPanels; kernels.go).
+// Reflector k overwrites column k from the diagonal down (R's entries above it
+// are copied out first), and is never written again.
 //
-// Parallel axis and determinism. Applying H_k to a column touches that column
-// only, so each step fans the trailing panels out with par.ForRange. Which
-// goroutine gets which panel is schedule-dependent; what is computed for a
-// column is not: its dot product is one accumulator — one vector lane — adding
-// v[i]·c[i] for i ascending in one goroutine, never a split sum. Every
-// floating-point operation and its operand order are those of the serial
-// At/Set kernel this replaced (qrOracle in qr_oracle_test.go), so Q and R are
-// bit-identical to it for every input whose intermediates stay finite, at
-// every GOMAXPROCS, on either kernel form. Faster orthonormalizations
-// (blocked WY, CholeskyQR2, TSQR) reorder sums and so change every
-// embedding's bits; four columns' independent sums in one register do not.
+// Two phases, concurrent. R is formed on the calling goroutine with one pass
+// over the trailing panels per reflector: H_k is applied to column k+1 alone,
+// reflector k+1 is formed from it and published through an atomic counter,
+// and one sweep then updates every remaining row by H_k while adding it into
+// H_{k+1}'s dots. Q is accumulated on the other workers, two panels at a time
+// in a per-worker scratch that stays in L2, as soon as the counter covers the
+// group's last column: column j of Q is H_0·…·H_j·e_j, so a group needs
+// reflectors 0…j only, starts from H_j·e_j and applies H_{j−1} … H_0 fused
+// the same way (updating by H_k while dotting with H_{k−1}), then writes
+// straight into Q's rows. The caller joins the Q workers once R is done: one
+// fork-join per call. The textbook formulation's other reflectors multiply
+// rows of e_j that are still exactly zero, a third of the flops for nothing.
 //
-// Memory. One working buffer of ⌈d/4⌉·4·n elements (n×d when 4 divides d);
-// QR adds the n×d result, QRInPlace writes the result over its input.
+// Determinism. Every floating-point operation and its operand order are
+// those of the serial At/Set kernel this replaced (qrOracle in
+// qr_oracle_test.go): a column's dot is one accumulator — one vector lane —
+// adding v[i]·c[i] for i ascending from +0 in one goroutine, whoever runs it,
+// never a split sum. So Q and R are bit-identical to it for every input whose
+// intermediates stay finite, at every GOMAXPROCS, on either kernel form: the
+// determinism contract of DESIGN.md. Faster orthonormalizations (blocked WY,
+// CholeskyQR2, TSQR) reorder sums and so change every embedding's bits; four
+// columns' independent sums in one register do not.
+//
+// Memory. One working buffer of ⌈d/4⌉·4·n elements (n×d when 4 divides d)
+// plus a two-panel scratch (8·n elements) per worker, for at most one worker
+// per Q group; QR adds the n×d result,
+// QRInPlace writes the result over its input.
 
 // QR computes the thin QR factorization A = Q·R of an n×d matrix with
 // n >= d, returning Q (n×d, orthonormal columns) and R (d×d, upper
@@ -72,145 +79,246 @@ func Orthonormalize(a *Matrix) *Matrix {
 	return q
 }
 
+// qrGroupPanels is the width, in panels, of a Q group: its scratch of 2·4n
+// doubles (256 KiB at n = 4096) stays in L2 while every reflector below it
+// passes over, and the first group is ready once the eighth reflector exists.
+// One panel per group gives the fused sweep too few panels per row; four
+// start the second core too late (both slower at 4096×64 on two cores).
+const qrGroupPanels = 2
+
+// qrParallelWork is the n·d² below which one goroutine runs both phases: a
+// fork costs more than it can save on a QR of fewer flops.
+const qrParallelWork = 1 << 18
+
 // householderQR factors a and stores Q in q, which may be a itself: a is
 // fully consumed by the copy into panels before q is written.
 func householderQR(a, q *Matrix) (*Matrix, *Matrix) {
 	n, d := a.Rows, a.Cols
 	np, ps := (d+3)/4, 4*n // panel P is pw[P·ps : (P+1)·ps]
 	pw := make([]float64, np*ps)
-	panelCopy(pw, a.Data, n, d, true)
-	taus := make([]float64, d)
+	work := make([]float64, d+8*np)
+	taus, acc, s := work[:d], work[d:d+4*np], work[d+4*np:]
 	r := NewMatrix(d, d)
-
-	// One closure for all 2·d fan-outs: it reads the current step through k
-	// and tau, so no step allocates. The fan-out unit is a panel; step k has
-	// trailing(k) of them, from the one holding column k+1 on.
-	var k int
-	var tau float64
-	trailing := func(k int) int {
-		if k+1 >= d {
-			return 0
-		}
-		return np - (k+1)/4
+	ng := (np + qrGroupPanels - 1) / qrGroupPanels
+	workers := par.Workers()
+	if n*d*d < qrParallelWork {
+		workers = 1
 	}
-	applyToTrailing := func(lo, hi int) {
-		v := pw[(k/4)*ps+4*k+k%4:]
-		first := (k + 1) / 4
-		for p := lo; p < hi; p += 4 {
-			lane := 0
-			if p == 0 {
-				lane = (k + 1) % 4
+	// Workers 0…accumulators−1 take Q groups; any beyond only copy in.
+	accumulators := max(1, min(workers, ng))
+	const gs = qrGroupPanels * 4
+	scratch := make([]float64, accumulators*(qrGroupPanels*ps+2*gs))
+
+	var copied, formed, next, finished atomic.Int64
+	// copyIn moves row block w of a into the panels.
+	copyIn := func(w int) {
+		for i := w * n / workers; i < (w+1)*n/workers; i++ {
+			panelRow(pw[4*i:], a.Data[i*d:(i+1)*d], ps, true)
+		}
+		copied.Add(1)
+	}
+
+	// Q in groups of panels. Column j of Q is H_0·…·H_j·e_j: a group starts
+	// from H_j·e_j for each of its columns j and applies reflectors down to
+	// H_0, in a per-worker scratch of the group's panels, as soon as the
+	// counter says its last column's reflector is formed. Reflector storage
+	// is never written once formed, so the counter is the only
+	// synchronization. Every column sees the serial kernel's operations in
+	// its order: init, then H_{j−1} … H_0, each a dot over rows k… from +0.
+	accumulate := func(w int) {
+		buf := scratch[w*(qrGroupPanels*ps+2*gs):][:qrGroupPanels*ps+2*gs]
+		wq, ga, gsc := buf[:qrGroupPanels*ps], buf[qrGroupPanels*ps:][:gs], buf[qrGroupPanels*ps+gs:]
+		for g := int(next.Add(1)) - 1; g < ng; g = int(next.Add(1)) - 1 {
+			c0, c1 := g*gs, min(d, (g+1)*gs)
+			gp := (c1 - c0 + 3) / 4
+			for spin := 0; formed.Load() < int64(c1); spin++ {
+				if spin >= 64 {
+					runtime.Gosched()
+				}
 			}
-			reflectPanels(v, pw[(first+p)*ps+4*k:], n-k, min(4, hi-p), ps, tau, lane)
+			have := false // ga holds reflector k's dots with the group's columns
+			for k := c1 - 1; k >= 0; k-- {
+				if first := max(k+1, c0); taus[k] != 0 && first < c1 {
+					fp := first/4 - c0/4
+					v, cg := pw[(k/4)*ps+4*k+k%4:], wq[fp*ps+4*k:]
+					a, sc := ga[4*fp:4*gp], gsc[4*fp:4*gp]
+					if !have {
+						dotPanels(v, cg, n-k, gp-fp, ps, a)
+					}
+					for j := range a {
+						sc[j] = a[j] * taus[k]
+					}
+					u := v // reflector k−1's dots: row k−1 here, rows k… fused
+					if k > 0 {
+						u = pw[((k-1)/4)*ps+4*(k-1)+(k-1)%4:]
+						for j := range a {
+							a[j] = 0
+							a[j] += u[0] * wq[(fp+j/4)*ps+4*(k-1)+j%4]
+						}
+						u = u[4:]
+					}
+					updateDotPanels(v, u, cg, n-k, gp-fp, ps, sc, a, first%4)
+					have = true
+				} else {
+					have = false
+				}
+				if k < c0 {
+					continue
+				}
+				// Column k = H_k·e_k. The dot v·e_k is v[0] exactly, and
+				// 0 - x is spelled out because -x would flip a zero's sign.
+				col, v := wq[(k/4-c0/4)*ps+k%4:], pw[(k/4)*ps+k%4:]
+				for i := 0; i < k; i++ {
+					col[4*i] = 0
+				}
+				col[4*k] = 1
+				if tau := taus[k]; tau != 0 {
+					dot := v[4*k] * tau
+					for i := k + 1; i < n; i++ {
+						col[4*i] = 0 - dot*v[4*i]
+					}
+					col[4*k] = 1 - dot*v[4*k]
+				} else {
+					for i := k + 1; i < n; i++ {
+						col[4*i] = 0
+					}
+				}
+				have = false
+			}
+			for i := 0; i < n; i++ {
+				panelRow(wq[4*i:], q.Data[i*d+c0:i*d+c1], ps, false)
+			}
 		}
 	}
 
-	// Elimination: column k becomes R[:k+1, k] above/on the diagonal and
-	// reflector k from the diagonal down. col[4i] is element i of column k.
-	for k = 0; k < d; k++ {
-		col := pw[(k/4)*ps+k%4:]
-		for i := 0; i < k; i++ {
-			r.Data[i*d+k] = col[4*i]
+	// The waits below spin on counters instead of parking, so a call
+	// allocates the same whoever finishes first.
+	for w := 1; w < workers; w++ {
+		go func() {
+			copyIn(w)
+			if w < accumulators {
+				accumulate(w)
+			}
+			finished.Add(1)
+		}()
+	}
+	copyIn(0)
+	for copied.Load() < int64(workers) {
+		runtime.Gosched()
+	}
+
+	// R, one pass over the trailing panels per reflector. Entering step k,
+	// columns k+1… carry H_0…H_{k−1} and acc holds reflector k's dots with
+	// them (computed while H_{k−1} was applied). Step k applies H_k to
+	// column k+1 alone, forms and publishes reflector k+1 from it, then
+	// sweeps the remaining panels once: each row is updated by H_k and added
+	// into reflector k+1's dots. A dot is still v·c over ascending rows of
+	// the updated column from +0, as in the serial kernel. Step −1 forms
+	// reflector 0; after an identity reflector the sweep only takes dots.
+	for k := -1; k < d-1; k++ {
+		tk := 0.0
+		if k >= 0 {
+			tk = taus[k]
 		}
+		col := pw[((k+1)/4)*ps+(k+1)%4:]
 		var normSq float64
-		for i := k; i < n; i++ {
-			x := col[4*i]
-			normSq += x * x
-		}
-		norm := math.Sqrt(normSq)
-		akk := col[4*k]
-		if norm == 0 {
-			r.Data[k*d+k] = akk
-			continue // taus[k] stays 0: H_k = I
-		}
-		alpha := -norm
-		if akk < 0 {
-			alpha = norm
-		}
-		v0 := akk - alpha
-		// ‖v‖² and the dot of v with column k (H_k on column k itself, of
-		// which only the diagonal survives into R). Below the diagonal the
-		// column still equals v, so both sums add the same x·x terms and
-		// differ only in their first: v0·v0 against v0·akk. (dot starts as
-		// 0 + v0·akk, not v0·akk: the sum of a -0 must come out +0.)
-		vnormSq := v0 * v0
-		var dot float64
-		dot += v0 * akk
-		for i := k + 1; i < n; i++ {
-			x := col[4*i]
-			vnormSq += x * x
-			dot += x * x
-		}
-		if vnormSq == 0 {
-			r.Data[k*d+k] = akk
-			continue
-		}
-		tau = 2 / vnormSq
-		taus[k] = tau
-		dot *= tau
-		r.Data[k*d+k] = akk - dot*v0
-		col[4*k] = v0
-		par.ForRange(trailing(k), reflectGrain(n-k), applyToTrailing)
-	}
-
-	// Q = H_0·…·H_{d-1}·[I; 0], accumulated backwards in place.
-	for k = d - 1; k >= 0; k-- {
-		col := pw[(k/4)*ps+k%4:]
-		for i := 0; i < k; i++ {
-			col[4*i] = 0
-		}
-		tau = taus[k]
-		if tau == 0 {
-			col[4*k] = 1
-			for i := k + 1; i < n; i++ {
-				col[4*i] = 0
+		if tk != 0 {
+			for j := k + 1; j < 4*np; j++ {
+				s[j] = acc[j] * tk
 			}
+			v := pw[(k/4)*ps+k%4:]
+			col[4*k] = col[4*k] - s[k+1]*v[4*k]
+			for i := k + 1; i < n; i++ {
+				x := col[4*i] - s[k+1]*v[4*i]
+				col[4*i] = x
+				normSq += x * x
+			}
+		} else {
+			for i := k + 1; i < n; i++ {
+				normSq += col[4*i] * col[4*i]
+			}
+		}
+		formReflector(pw, r, taus, n, d, k+1, normSq)
+		formed.Store(int64(k + 2))
+		if k+2 >= d {
 			continue
 		}
-		par.ForRange(trailing(k), reflectGrain(n-k), applyToTrailing)
-		// Column k = H_k·e_k. The dot v·e_k is v[0] exactly (every other
-		// term is v[i]·0), and 0 - x is spelled out because -x would flip
-		// the sign of a zero.
-		v0 := col[4*k]
-		dot := v0 * tau
-		for i := k + 1; i < n; i++ {
-			col[4*i] = 0 - dot*col[4*i]
+		first := (k + 2) / 4
+		u, c, a := pw[((k+1)/4)*ps+4*(k+1)+(k+1)%4:], pw[first*ps+4*(k+1):], acc[4*first:]
+		if tk != 0 {
+			v := pw[(k/4)*ps+4*k+k%4:]
+			for j := k + 2; j < 4*np; j++ {
+				e := &pw[(j/4)*ps+4*k+j%4]
+				*e = *e - s[j]*v[0]
+			}
+			clear(a)
+			updateDotPanels(v[4:], u, c, n-k-1, np-first, ps, s[4*first:], a, (k+2)%4)
+		} else if taus[k+1] != 0 {
+			dotPanels(u, c, n-k-1, np-first, ps, a)
 		}
-		col[4*k] = 1 - dot*v0
 	}
-
-	panelCopy(pw, q.Data, n, d, false)
+	accumulate(0)
+	for finished.Load() < int64(workers-1) {
+		runtime.Gosched()
+	}
 	return q, r
 }
 
-// reflectGrain is the par.ForRange grain, in panels, for applying a reflector
-// of length m: at least four panels, so one reflectPanels call fills its four
-// accumulators, and enough elements per chunk that a goroutine hand-off is
-// noise. The grain affects only who computes a column, never what is
-// computed.
-func reflectGrain(m int) int {
-	return 4 + 4096/(m+1)
+// panelRow moves the row-major row rm into one row of consecutive panels
+// (toPanels; p is panel 0 at that row) or back out of them.
+func panelRow(p, rm []float64, ps int, toPanels bool) {
+	for j := 0; j < len(rm); j += 4 {
+		dst, src := p[(j/4)*ps:][:min(4, len(rm)-j)], rm[j:]
+		if !toPanels {
+			dst, src = src, dst
+		}
+		if len(src) >= 4 && len(dst) >= 4 {
+			dst[0], dst[1], dst[2], dst[3] = src[0], src[1], src[2], src[3]
+		} else {
+			copy(dst, src)
+		}
+	}
 }
 
-// panelCopy moves the row-major n×d matrix rm into the panel buffer pw
-// (toPanels) or back out of it, parallel over rows. Row i of panel P is
-// the four adjacent elements rm[i·d + 4P …] of the row-major row.
-func panelCopy(pw, rm []float64, n, d int, toPanels bool) {
-	ps := 4 * n
-	par.ForRange(n, 256, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := rm[i*d : (i+1)*d]
-			for j := 0; j < d; j += 4 {
-				dst, src := pw[(j/4)*ps+4*i:][:min(4, d-j)], row[j:]
-				if !toPanels {
-					dst, src = src, dst
-				}
-				if len(src) >= 4 && len(dst) >= 4 {
-					dst[0], dst[1], dst[2], dst[3] = src[0], src[1], src[2], src[3]
-				} else {
-					copy(dst, src)
-				}
-			}
-		}
-	})
+// formReflector turns column k of the panels, whose rows k… have squared
+// norm normSq, into R[:k+1, k] above and on the diagonal and reflector k
+// from the diagonal down, with its tau in taus[k] (left 0 for H_k = I).
+func formReflector(pw []float64, r *Matrix, taus []float64, n, d, k int, normSq float64) {
+	col := pw[(k/4)*4*n+k%4:]
+	for i := 0; i < k; i++ {
+		r.Data[i*d+k] = col[4*i]
+	}
+	norm := math.Sqrt(normSq)
+	akk := col[4*k]
+	if norm == 0 {
+		r.Data[k*d+k] = akk
+		return
+	}
+	alpha := -norm
+	if akk < 0 {
+		alpha = norm
+	}
+	v0 := akk - alpha
+	// ‖v‖² and the dot of v with column k (H_k on column k itself, of which
+	// only the diagonal survives into R). Below the diagonal the column
+	// still equals v, so both sums add the same x·x terms and differ only in
+	// their first: v0·v0 against v0·akk. (dot starts as 0 + v0·akk, not
+	// v0·akk: the sum of a -0 must come out +0.)
+	vnormSq := v0 * v0
+	var dot float64
+	dot += v0 * akk
+	for i := k + 1; i < n; i++ {
+		x := col[4*i]
+		vnormSq += x * x
+		dot += x * x
+	}
+	if vnormSq == 0 {
+		r.Data[k*d+k] = akk
+		return
+	}
+	tau := 2 / vnormSq
+	taus[k] = tau
+	dot *= tau
+	r.Data[k*d+k] = akk - dot*v0
+	col[4*k] = v0
 }

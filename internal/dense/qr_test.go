@@ -147,11 +147,77 @@ func TestQRInPlaceReusesInput(t *testing.T) {
 	}
 }
 
-// TestQRAllocsIndependentOfWidth pins "no per-reflector allocation": a call
-// allocates the working buffer, tau, R, Q and one closure — the same count
-// for 4 columns and for 64. (AllocsPerRun measures at GOMAXPROCS 1; on more
-// cores par's fork-join adds its own few small objects per fan-out.)
+// TestQRPipelineBitIdenticalToOracle holds the pipelined kernel — R formed on
+// the calling goroutine while Q groups accumulate on the others — to qrOracle
+// under schedules that differ from run to run: GOMAXPROCS up to four times the
+// cores, square shapes around the panel and group boundaries, the harness
+// shapes, identity reflectors (a zero column) first, mid-way and last, and
+// graded columns, each factored twice per GOMAXPROCS on both kernel forms.
+func TestQRPipelineBitIdenticalToOracle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var cases []qrCase
+	shapes := [][2]int{{4096, 64}, {8192, 32}}
+	for _, d := range []int{1, 2, 3, 4, 5, 31, 32, 33, 63, 64, 65} {
+		shapes = append(shapes, [2]int{d, d})
+	}
+	for _, s := range shapes {
+		n, d := s[0], s[1]
+		name := fmt.Sprintf("%dx%d", n, d)
+		cases = append(cases, qrCase{name, randomMatrix(n, d, uint64(n+d))})
+		zeros := []int{0, d / 2, d - 1}
+		if n > d {
+			zeros = zeros[1:2] // the harness shapes: mid-way only, for time
+		}
+		for _, z := range zeros {
+			a := randomMatrix(n, d, uint64(n*d+z))
+			for i := 0; i < n; i++ {
+				a.Set(i, z, 0)
+			}
+			cases = append(cases, qrCase{fmt.Sprintf("%s-zero-column-%d", name, z), a})
+		}
+		graded := randomMatrix(n, d, uint64(n*d+1))
+		for j := 0; j < d; j++ {
+			s := math.Pow(10, -12*float64(j)/float64(max(d-1, 1)))
+			for i := 0; i < n; i++ {
+				graded.Set(i, j, graded.At(i, j)*s)
+			}
+		}
+		cases = append(cases, qrCase{name + "-graded", graded})
+	}
+	want := make([][2]*Matrix, len(cases))
+	for c, tc := range cases {
+		want[c][0], want[c][1] = qrOracle(tc.a.Clone())
+	}
+	forEachKernelSet(func(kernels string) {
+		for c, tc := range cases {
+			wantQ, wantR := want[c][0], want[c][1]
+			for _, procs := range []int{1, 2, 3, 4, 8} {
+				runtime.GOMAXPROCS(procs)
+				for rep := 0; rep < 2; rep++ {
+					q, r := QRInPlace(tc.a.Clone())
+					for _, got := range []struct {
+						what      string
+						got, want *Matrix
+					}{{"Q", q, wantQ}, {"R", r, wantR}} {
+						if i, bad := firstBitDiff(got.got, got.want); bad {
+							t.Fatalf("%s %s procs=%d rep=%d: %s differs from oracle at element %d", kernels, tc.name, procs, rep, got.what, i)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestQRAllocsIndependentOfWidth pins "no per-reflector allocation and one
+// fork-join per call": a call allocates the working buffers, R, Q and its
+// closures — the same count for 4 columns and for 64. AllocsPerRun measures
+// at GOMAXPROCS 1, so the count at 2 (one worker goroutine forked) comes from
+// runtime.ReadMemStats, the fewest over a few trials so that the runtime's
+// own background allocations drop out.
 func TestQRAllocsIndependentOfWidth(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
 	allocs := func(d int) float64 {
 		a := randomMatrix(256, d, uint64(d))
 		return testing.AllocsPerRun(5, func() { QR(a) })
@@ -162,6 +228,25 @@ func TestQRAllocsIndependentOfWidth(t *testing.T) {
 	}
 	if wide > 16 {
 		t.Fatalf("QR allocates %v objects per call, want a small constant", wide)
+	}
+
+	runtime.GOMAXPROCS(2)
+	mallocs := func(d int) uint64 {
+		a := randomMatrix(1<<14, d, uint64(d))
+		QR(a)
+		fewest := uint64(math.MaxUint64)
+		for trial := 0; trial < 5; trial++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			QR(a)
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
+		}
+		return fewest
+	}
+	narrow2, wide2 := mallocs(4), mallocs(64)
+	if narrow2 != wide2 || wide2 > 16 {
+		t.Fatalf("at GOMAXPROCS 2, QR allocates %d objects at d=4 and %d at d=64, want the same small constant", narrow2, wide2)
 	}
 }
 

@@ -102,13 +102,14 @@ func RandomizedSVD(a *sparse.CSR, d int, opt Options) (*Result, error) {
 		tmp = dense.NewMatrix(n, k)
 	}
 	for q := 0; q < opt.PowerIters; q++ {
-		y = dense.Orthonormalize(y)
+		dense.QRInPlace(y)
 		sparse.SpMM(tmp, a, y)
 		sparse.SpMM(y, at, tmp)
 	}
 
-	// Step 3: orthonormalize Y.
-	y = dense.Orthonormalize(y)
+	// Step 3: orthonormalize Y. Y is dead once its Q exists, so Q takes its
+	// storage (QRInPlace is bit-identical to QR).
+	dense.QRInPlace(y)
 
 	// Step 4: B = A·Y.
 	b := dense.NewMatrix(n, k)
@@ -118,8 +119,8 @@ func RandomizedSVD(a *sparse.CSR, d int, opt Options) (*Result, error) {
 	z := dense.NewMatrix(n, k)
 	dense.MatMul(z, b, p)
 
-	// Step 6: orthonormalize Z.
-	z = dense.Orthonormalize(z)
+	// Step 6: orthonormalize Z, in place like Y.
+	dense.QRInPlace(z)
 
 	// Step 7: C = Zᵀ·B (k×k). The fixed-geometry product: MatMulATB's fold
 	// order follows the schedule, which made same-seed embeddings differ
