@@ -82,10 +82,14 @@ fuzz:
 check: tier1 vet race
 
 # The second line vets the !amd64 build, whose dense kernels are the Go
-# loops alone, so the fallback cannot stop compiling unnoticed.
+# loops alone, so the fallback cannot stop compiling unnoticed. The third
+# fails when gofmt would reformat any Go file of the module (the nested
+# benchmark/ module and dot-directories such as .bench_build/ excluded).
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
+	@unformatted=$$(find . -name '*.go' ! -path './benchmark/*' ! -path './.*' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # Non-test Go line counts per package directory and for the module (the
 # nested benchmark/ module excluded): run on parent and change to check that
@@ -108,10 +112,13 @@ bench-drain:
 	$(GO) test -run xxx -bench 'BenchmarkInsert|BenchmarkDrain|BenchmarkAggregate|BenchmarkGroupCSR$$|BenchmarkFromCOO' -benchmem -count=5 ./internal/hashtable ./internal/aggregate ./internal/radix ./internal/sparse
 
 # Sampler pipeline benchmarks: the per-arc sampler, the test-only
-# serial-flush reference, the wave pipeline (single-table and sharded), and
-# the pipeline walking the compressed and the weighted adjacency natively.
+# serial-flush reference, the wave pipeline (single-table and sharded), the
+# pipeline walking the compressed and the weighted adjacency natively, and
+# the per-arc vs batched pair at the harness's embed-stream shape (RMAT-13,
+# compressed for the pipeline, raw for per-arc; heads/s and allocs
+# reported). On one core and on two.
 bench-sample:
-	$(GO) test -run xxx -bench 'BenchmarkSample$$|BenchmarkSampleSerialFlush|BenchmarkSampleBatched$$|BenchmarkSamplePipelined|BenchmarkSampleBatchedCompressed|BenchmarkSampleBatchedWeighted' -benchmem -count=3 ./internal/sampler
+	$(GO) test -run xxx -bench 'BenchmarkSample$$|BenchmarkSampleSerialFlush|BenchmarkSampleBatched$$|BenchmarkSamplePipelined|BenchmarkSampleBatchedCompressed|BenchmarkSampleBatchedWeighted|RMAT13' -benchmem -cpu 1,2 -count=3 ./internal/sampler
 
 # The rSVD's dense kernels at the harness shapes, each in both forms (the Go
 # loops and, where the CPU has it, AVX: sub-benchmarks go/ and avx/): the

@@ -23,7 +23,7 @@ func FuzzDecode(f *testing.F) {
 			f.Add(uint16(len(adj[0])), uint8(bs), data[:cut])
 		}
 	}
-	f.Add(uint16(3), uint8(0), []byte{0x80, 0x80, 0x80})                                     // unterminated varint
+	f.Add(uint16(3), uint8(0), []byte{0x80, 0x80, 0x80})                                    // unterminated varint
 	f.Add(uint16(200), uint8(1), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1}) // huge table
 
 	f.Fuzz(func(t *testing.T, degree uint16, blockSize uint8, data []byte) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"lightne/internal/graph"
 	"lightne/internal/par"
@@ -31,7 +32,8 @@ type MemoryEstimate struct {
 	// TableBytes, so the plan stays honest when the size hint is wrong.
 	PeakTableBytes int64
 	// WalkBufferBytes is the batched walker's pipeline scratch (head
-	// records plus wave state/drain buffers); zero unless BatchedWalks.
+	// records with their enumeration slack, plus the wave's stepping-side
+	// state buffers and drain buffers); zero unless BatchedWalks.
 	WalkBufferBytes int64
 	// DecodeBufferBytes is the transient for walking a compressed graph
 	// natively: one NeighborCursor decode buffer per worker, each at most
@@ -124,18 +126,29 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 	// walking costs.
 	est.GraphBytes = g.SizeBytes() - est.AliasTableBytes
 	if cfg.BatchedWalks {
-		// Stage-1 head records (24 B each) plus the per-wave buffers: walk
-		// states + compaction scratch (2 x 2w x 8 B) and the drain's oriented
-		// key/weight pairs (2 x 2w x 8 B), where w heads are in flight; a
-		// sharded sink's partition scratch adds one more pair of 2w arrays.
+		// Stage-1 head records (24 B each), written in one pass into
+		// per-block regions of E_b + 6·(√E_b + 4) records for E_b expected
+		// heads (sampler.enumSlack); over at most 4 blocks per worker the
+		// slack sums to at most 6·(√(heads·blocks) + 4·blocks). Then the
+		// per-wave buffers, where w heads are in flight: walk states +
+		// compaction scratch (2 x 8 B per stepping side: a side steps unless
+		// its split leaves it none, which happens with probability
+		// E[1/r] = H_T/T, so 2·(1 − H_T/T) sides per head, at most 2w), and
+		// the drain's oriented key/weight pairs (2 x 2w x 8 B); a sharded
+		// sink's partition scratch adds one more pair of 2w arrays.
 		wave := int64(cfg.WaveSize)
 		if wave <= 0 || wave > sampler.MaxWaveHeads {
 			wave = sampler.MaxWaveHeads
 		}
-		if wave > heads {
-			wave = heads
+		wave = min(wave, heads)
+		blocks := float64(4 * par.Workers())
+		slack := int64(6 * (math.Sqrt(float64(heads)*blocks) + 4*blocks))
+		var harmonic float64
+		for r := 1; r <= cfg.T; r++ {
+			harmonic += 1 / float64(r)
 		}
-		est.WalkBufferBytes = 24*heads + 64*wave
+		stepping := min(int64(2*float64(heads)*(1-harmonic/float64(cfg.T))), 2*wave)
+		est.WalkBufferBytes = 24*(heads+slack) + 16*stepping + 32*wave
 		if cfg.Shards > 1 {
 			est.WalkBufferBytes += 32 * wave
 		}

@@ -101,11 +101,11 @@ func TestAliasNeighborEdgeCases(t *testing.T) {
 // wide exponent range (2^-20 .. 2^20) so tiny/huge/near-equal mixtures,
 // single edges, and hub-sized rows all appear.
 func FuzzAliasBuild(f *testing.F) {
-	f.Add([]byte{0, 20})                                     // single edge, weight 1
-	f.Add([]byte{0, 0, 0, 40, 128, 20})                      // tiny + huge + mid
-	f.Add([]byte{1, 20, 1, 20, 2, 20, 1, 20})                // near-equal
-	f.Add([]byte{255, 40, 255, 40, 0, 0})                    // two huge + one tiny
-	hub := make([]byte, 128)                                 // 64-slot hub, varied
+	f.Add([]byte{0, 20})                      // single edge, weight 1
+	f.Add([]byte{0, 0, 0, 40, 128, 20})       // tiny + huge + mid
+	f.Add([]byte{1, 20, 1, 20, 2, 20, 1, 20}) // near-equal
+	f.Add([]byte{255, 40, 255, 40, 0, 0})     // two huge + one tiny
+	hub := make([]byte, 128)                  // 64-slot hub, varied
 	for i := range hub {
 		hub[i] = byte(i * 37)
 	}

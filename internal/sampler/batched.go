@@ -20,21 +20,19 @@ import (
 // The pass runs as a three-stage pipeline (see DESIGN.md "Wave pipeline"):
 //
 //	enumerate ──► wave walking ──► sink insertion
-//	(parallel      (parallel        (parallel, overlapped
-//	 count/scan/    advance +        with the NEXT wave's
-//	 fill)          compaction)      walking)
+//	(parallel,     (parallel        (parallel, overlapped
+//	 one pass)      advance +        with the NEXT wave's
+//	                compaction)      walking)
 //
-// Stage 1 (enumerate.go) generates every head up front with per-vertex RNG
-// streams and count/scan/fill over vertex blocks, so the trial distribution
-// and per-head weights are identical to a serial enumeration. Stage 2
-// (wave.go) advances one wave of walks at a time, all states in lock step.
-// Stage 3 (drain.go) inserts a finished wave's (e0, e1, fixed) heads into
-// the Sink concurrently with the walker advancing the next wave — the
-// double-buffered overlap that keeps the machine busy end to end. Walk
-// steps are single keyed-hash draws (rng.Hash64 keyed by (global head,
-// side, step) — see wave.go), which makes the output a pure function of
-// (graph, config): bit-identical across waveSize, Shards and GOMAXPROCS
-// once drained through DrainCSR.
+// Stage 1 (enumerate.go) generates every head up front, running each
+// vertex's RNG stream once, so the trial distribution and per-head weights
+// are identical to a serial enumeration. Stage 2 (wave.go) advances one wave
+// at a time, every stepping side in lock step until its last step. Stage 3
+// (drain.go) inserts a finished wave's (e0, e1, fixed) heads into the Sink
+// while the walker advances the next wave. Walk steps are single keyed-hash
+// draws (rng.Hash64 keyed by (global head, side, step) — see wave.go), which
+// makes the output a pure function of (graph, config): bit-identical across
+// waveSize, Shards and GOMAXPROCS once drained through DrainCSR.
 //
 // Walk states pack into one uint64 so the radix grouping is the only data
 // movement:
@@ -63,14 +61,14 @@ func packState(cur uint32, steps int, side int, head int) uint64 {
 		uint64(head)
 }
 
-// stateTombstone marks a finished walk state awaiting compaction.
+// stateTombstone marks a retired walk state awaiting compaction.
 const stateTombstone = ^uint64(0)
 
 // headRec is one enumerated walk head: the arc it was drawn from, the split
 // walk lengths, and the importance weight it deposits. The endpoint fields
 // double as storage — enumeration writes the arc (u, v), and the wave
-// overwrites them with the walk's final endpoints before the drain reads
-// them. 24 bytes per head.
+// overwrites each stepping side's field with its walk endpoint before the
+// drain reads them. 24 bytes per head.
 type headRec struct {
 	fixed  uint64 // importance weight 1/p_e, fixed point
 	e0, e1 uint32 // arc (u, v) at enumeration; walk endpoints after the wave
@@ -99,7 +97,8 @@ func SampleBatched(g *graph.Graph, cfg Config, waveSize int) (Sink, Stats, error
 		waveSize = MaxWaveHeads
 	}
 
-	heads, stats := enumerateHeads(g, cfg)
+	cursors := newCursors(g)
+	heads, stepping, stats := enumerateHeads(g, cfg, cursors)
 
 	// Presize from the realized head count — known exactly after stage 1,
 	// unlike Sample which must presize from an expectation.
@@ -109,12 +108,21 @@ func SampleBatched(g *graph.Graph, cfg Config, waveSize int) (Sink, Stats, error
 	}
 	table := NewSink(hint, cfg.Shards)
 
-	pipelineWaves(g, table, heads, cfg.Seed, waveSize)
+	pipelineWaves(g, table, heads, stepping, cursors, cfg.Seed, waveSize)
 
 	stats.DistinctEntries = table.Len()
 	stats.TableBytes = table.MemoryBytes()
 	stats.PeakTableBytes = table.PeakMemoryBytes()
 	return table, stats, nil
+}
+
+// newCursors returns one NeighborCursor per worker index.
+func newCursors(g *graph.Graph) []graph.NeighborCursor {
+	cursors := make([]graph.NeighborCursor, par.Workers())
+	for i := range cursors {
+		cursors[i] = g.NewNeighborCursor()
+	}
+	return cursors
 }
 
 // pipelineWaves drives stages 2 and 3: the walker (this goroutine) advances
@@ -123,26 +131,10 @@ func SampleBatched(g *graph.Graph, cfg Config, waveSize int) (Sink, Stats, error
 // advancing the next wave. Wave slices are disjoint regions of the heads
 // array and the channel send orders the walker's endpoint writes before the
 // drain's reads, so the overlap is race-free. The channel holds at most one
-// finished wave: the walker only stalls if walking runs two waves ahead of
-// insertion.
-func pipelineWaves(g *graph.Graph, table Sink, heads []headRec, seed uint64, waveSize int) {
-	if len(heads) == 0 {
-		return
-	}
-	maxWave := waveSize
-	if len(heads) < maxWave {
-		maxWave = len(heads)
-	}
-	states := make([]uint64, 2*maxWave)
-	scratch := make([]uint64, 2*maxWave)
-	// One neighbor cursor per worker: the wave-local decode buffers for
-	// compressed graphs (a no-op slice view otherwise), reused across every
-	// round of every wave so steady state allocates nothing.
-	cursors := make([]graph.NeighborCursor, par.Workers())
-	for i := range cursors {
-		cursors[i] = g.NewNeighborCursor()
-	}
-
+// finished wave. The state buffers hold one wave's stepping sides.
+func pipelineWaves(g *graph.Graph, table Sink, heads []headRec, stepping int64, cursors []graph.NeighborCursor, seed uint64, waveSize int) {
+	states := make([]uint64, min(stepping, 2*int64(min(waveSize, len(heads)))))
+	scratch := make([]uint64, len(states))
 	waveCh := make(chan []headRec, 1)
 	done := make(chan struct{})
 	go func() {
@@ -153,11 +145,7 @@ func pipelineWaves(g *graph.Graph, table Sink, heads []headRec, seed uint64, wav
 		}
 	}()
 	for lo := 0; lo < len(heads); lo += waveSize {
-		hi := lo + waveSize
-		if hi > len(heads) {
-			hi = len(heads)
-		}
-		wave := heads[lo:hi]
+		wave := heads[lo:min(lo+waveSize, len(heads))]
 		runWave(g, wave, states, scratch, cursors, seed, uint64(lo))
 		waveCh <- wave
 	}

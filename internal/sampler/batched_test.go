@@ -223,7 +223,9 @@ func TestSampleBatchedParityOnCycle(t *testing.T) {
 // compressed at any block size). Per-vertex enumeration streams plus
 // per-(head, side, step) walk streams make every draw independent of the
 // execution geometry, and the wave-local cursor decode only changes how a
-// neighbor is fetched, never which one.
+// neighbor is fetched, never which one. It pins the shards × procs × wave
+// size × representation clauses of the determinism contract (DESIGN.md
+// "Numerics") for the batched sampler.
 func TestSampleBatchedGoldenAcrossGeometry(t *testing.T) {
 	g := chordGraph(t, 300, 3, 42)
 	cfg := Config{T: 6, M: 120_000, Downsample: true, Seed: 99}

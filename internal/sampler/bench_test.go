@@ -1,8 +1,10 @@
 package sampler
 
 import (
+	"sync"
 	"testing"
 
+	"lightne/internal/gen"
 	"lightne/internal/graph"
 )
 
@@ -121,6 +123,61 @@ func BenchmarkSampleBatchedWeighted(b *testing.B) {
 		var err error
 		_, stats, err = SampleBatched(g, cfg, 0)
 		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportSamplerMetrics(b, stats)
+}
+
+// rmat13 is the harness's embed-stream shape: RMAT scale 13, edge factor 20,
+// T = 10, M = 2·T·m (m undirected edges), downsampling on, 4 shards. Built
+// once per test binary; raw is the CSR, compressed its parallel-byte twin at
+// the default block size (what the harness's mmap'd LNGC file holds).
+var rmat13 = sync.OnceValues(func() (raw, compressed *graph.Graph) {
+	g, err := gen.RMAT(gen.RMATConfig{Scale: 13, EdgeFactor: 20, Seed: 1})
+	if err != nil {
+		panic(err)
+	}
+	cg, err := g.ToCompressed(0)
+	if err != nil {
+		panic(err)
+	}
+	return g, cg
+})
+
+func rmat13Config(g *graph.Graph) Config {
+	const t = 10
+	return Config{T: t, M: int64(2 * t * g.NumEdges() / 2), Downsample: true, Seed: 1, Shards: 4}
+}
+
+// BenchmarkSampleBatchedRMAT13 is the wave pipeline at the harness's
+// embed-stream shape: the compressed RMAT-13 graph walked natively into a
+// 4-shard sink.
+func BenchmarkSampleBatchedRMAT13(b *testing.B) {
+	_, cg := rmat13()
+	benchmarkSampler(b, func() (Stats, error) {
+		_, stats, err := SampleBatched(cg, rmat13Config(cg), 0)
+		return stats, err
+	})
+}
+
+// BenchmarkSampleRMAT13 is the per-arc sampler on the raw twin of the same
+// graph with the same config: the other side of the per-arc vs batched pair.
+func BenchmarkSampleRMAT13(b *testing.B) {
+	g, _ := rmat13()
+	benchmarkSampler(b, func() (Stats, error) {
+		_, stats, err := Sample(g, rmat13Config(g))
+		return stats, err
+	})
+}
+
+func benchmarkSampler(b *testing.B, run func() (Stats, error)) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	var stats Stats
+	for i := 0; i < b.N; i++ {
+		var err error
+		if stats, err = run(); err != nil {
 			b.Fatal(err)
 		}
 	}

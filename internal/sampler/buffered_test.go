@@ -84,6 +84,8 @@ func referenceTrials(g *graph.Graph, table *hashtable.Table, u, v uint32, ne int
 // CSR must equal, to the bit, a serial per-key reference drawing the same
 // streams, for every shard count and worker count, on an unweighted and a
 // weighted graph. Tiny capacity hints make the flushes grow the table.
+// It pins the shards × procs clauses of the determinism contract (DESIGN.md
+// "Numerics") for the per-arc samplers.
 func TestBufferedSamplersBitIdenticalToPerKey(t *testing.T) {
 	graphs := []struct {
 		name string

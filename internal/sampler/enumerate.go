@@ -1,30 +1,34 @@
 package sampler
 
 import (
+	"math"
+
 	"lightne/internal/graph"
 	"lightne/internal/hashtable"
 	"lightne/internal/par"
 	"lightne/internal/rng"
 )
 
-// Stage 1 of the wave pipeline: parallel head enumeration.
+// Stage 1 of the wave pipeline: parallel head enumeration, one pass.
 //
-// The serial enumeration this replaces walked vertices in order, drawing
-// each vertex's trial coins from a stream seeded (cfg.Seed, u). Those
-// streams make the draw sequence of a vertex independent of every other
-// vertex, so the enumeration parallelizes with the standard two-pass shape:
-// a counting pass runs each vertex block's draws to find per-block head
-// counts, par.ExclusiveScan assigns each block a stable output offset, and
-// a fill pass re-runs the identical draws writing head records at their
-// final indices. Head i of the output is exactly head i of the serial loop
-// — same arc, same split, same weight — for every block geometry and worker
-// count, which is what keeps the pipelined sampler's trial distribution
-// identical to Sample's and its output deterministic.
+// Every vertex draws from a stream seeded (cfg.Seed, u), so vertex blocks run
+// in parallel. A draw-free pass sizes each block's region of one shared array
+// from its expected head count plus slack; each block then runs its draws
+// once, reading each adjacency sequentially through the worker's
+// NeighborCursor, and writes each head once — into its region, or onto a
+// spill slice in the rare block that outgrows it. Prefix sums over the block
+// counts fix every head's global index, and the blocks are packed to the
+// front in order: head i is head i of a serial vertex loop for every block
+// geometry and worker count.
 
-// enumGrain is the minimum vertex count per enumeration block (matches the
-// per-vertex grain Sample uses; degree skew is absorbed by ForBlocks
-// handing out ~4 blocks per worker).
+// enumGrain is the minimum vertex count per enumeration block.
 const enumGrain = 32
+
+// enumSlack sizes a block's region at E + enumSlack·(√E + 4) records for E
+// expected heads: a block's head count is a sum of independent coins with
+// variance at most 2E, so a region overflows with probability below 1e-4.
+// Tests lower it to force the spill path.
+var enumSlack = 6.0
 
 // enumerateHeads generates every walk head of the pass: for each arc
 // (u, v), n_e = ⌊M·w_e/vol⌋ + Bernoulli({M·w_e/vol}) trials — the weighted
@@ -32,9 +36,11 @@ const enumGrain = 32
 // unweighted graphs, so the unweighted stream is unchanged bit for bit) —
 // each surviving the downsampling coin with probability p_e =
 // min(1, C·w_e·(1/s_u + 1/s_v)) over weighted degrees and drawing a walk
-// length r and split s. Returns the heads in serial-enumeration order plus
-// the trial accounting part of Stats.
-func enumerateHeads(g *graph.Graph, cfg Config) ([]headRec, Stats) {
+// length r and split s. Returns the heads in serial-enumeration order, the
+// number of sides with at least one step (what the walker's state buffers
+// hold) and the trial accounting part of Stats. cursors holds one
+// NeighborCursor per worker index.
+func enumerateHeads(g *graph.Graph, cfg Config, cursors []graph.NeighborCursor) ([]headRec, int64, Stats) {
 	n := g.NumVertices()
 	c := cfg.DownsampleC(n)
 	perUnit := float64(cfg.M) / g.TotalWeight()
@@ -42,82 +48,115 @@ func enumerateHeads(g *graph.Graph, cfg Config) ([]headRec, Stats) {
 	if cfg.Downsample {
 		strengths = g.Strengths()
 	}
-
-	// forVertex runs one vertex's full draw sequence, calling emit for every
-	// head. Both passes route through it so their streams cannot drift.
-	forVertex := func(src *rng.Source, u uint32, trials *int64, emit func(v uint32, r, s int, fixed uint64)) {
-		du := g.Degree(u)
-		if du == 0 {
-			return
-		}
-		src.Seed(cfg.Seed, uint64(u))
-		for i := 0; i < du; i++ {
-			v := g.Neighbor(u, i)
-			ew := g.EdgeWeight(u, i)
-			perArc := perUnit * ew
-			ne := int64(perArc)
-			if frac := perArc - float64(ne); frac > 0 && src.Bernoulli(frac) {
-				ne++
-			}
-			if ne == 0 {
-				continue
-			}
-			pe := 1.0
-			if cfg.Downsample {
-				pe = ProbW(c, ew, strengths[u], strengths[v])
-			}
-			fixed := hashtable.ToFixed(1 / pe)
-			for k := int64(0); k < ne; k++ {
-				*trials++
-				if pe < 1 && !src.Bernoulli(pe) {
-					continue
-				}
-				r := 1 + src.Intn(cfg.T)
-				s := src.Intn(r)
-				emit(v, r, s, fixed)
-			}
-		}
-	}
-
 	bounds := par.Blocks(n, enumGrain)
 	nb := len(bounds) - 1
-	counts := make([]int64, nb)
-	trials := make([]int64, nb)
-
-	// Pass 1: count heads per block (the r and s draws keep the stream
-	// aligned with the fill pass; their values are discarded).
-	par.ForBlocks(bounds, func(b, lo, hi int) {
-		var src rng.Source
-		var nHeads int64
-		for ui := lo; ui < hi; ui++ {
-			forVertex(&src, uint32(ui), &trials[b], func(uint32, int, int, uint64) {
-				nHeads++
-			})
-		}
-		counts[b] = nHeads
-	})
-
-	var stats Stats
-	for _, t := range trials {
-		stats.Trials += t
+	forBlocks := func(body func(nc *graph.NeighborCursor, b, lo, hi int)) {
+		par.WorkerFor(nb, 1, func(worker, blo, bhi int) {
+			for b := blo; b < bhi; b++ {
+				body(&cursors[worker], b, bounds[b], bounds[b+1])
+			}
+		})
 	}
-	total := par.ExclusiveScan(counts)
-	stats.Heads = total
-	heads := make([]headRec, total)
 
-	// Pass 2: re-run the identical draws, writing records at the stable
-	// indices the scan assigned.
-	par.ForBlocks(bounds, func(b, lo, hi int) {
-		var src rng.Source
-		var discard int64
-		w := counts[b]
+	// Regions: Σ M·w_e/vol·p_e expected heads per block, plus slack.
+	off := make([]int64, nb+1)
+	forBlocks(func(nc *graph.NeighborCursor, b, lo, hi int) {
+		var e float64
 		for ui := lo; ui < hi; ui++ {
 			u := uint32(ui)
-			forVertex(&src, u, &discard, func(v uint32, r, s int, fixed uint64) {
-				heads[w] = headRec{fixed: fixed, e0: u, e1: v, s0: uint16(s), s1: uint16(r - 1 - s)}
-				w++
-			})
+			du := g.Degree(u)
+			if cfg.Downsample && du > 0 {
+				nc.Begin(u, du)
+			}
+			for i := 0; i < du; i++ {
+				ew, pe := g.EdgeWeight(u, i), 1.0
+				if cfg.Downsample {
+					pe = ProbW(c, ew, strengths[u], strengths[nc.Neighbor(i)])
+				}
+				e += perUnit * ew * pe
+			}
 		}
+		off[b] = max(0, int64(e+enumSlack*(math.Sqrt(e)+4)))
 	})
-	return heads, stats
+	off[nb] = par.ExclusiveScan(off[:nb])
+	arr := make([]headRec, off[nb])
+
+	type block struct {
+		heads, trials, stepping int64
+		spill                   []headRec
+	}
+	out := make([]block, nb)
+	forBlocks(func(nc *graph.NeighborCursor, b, lo, hi int) {
+		var src rng.Source
+		var o block
+		region := arr[off[b]:off[b+1]]
+		for ui := lo; ui < hi; ui++ {
+			u := uint32(ui)
+			du := g.Degree(u)
+			if du == 0 {
+				continue
+			}
+			nc.Begin(u, du)
+			src.Seed(cfg.Seed, uint64(u))
+			for i := 0; i < du; i++ {
+				v := nc.Neighbor(i)
+				ew := g.EdgeWeight(u, i)
+				perArc := perUnit * ew
+				ne := int64(perArc)
+				if frac := perArc - float64(ne); frac > 0 && src.Bernoulli(frac) {
+					ne++
+				}
+				if ne == 0 {
+					continue
+				}
+				pe := 1.0
+				if cfg.Downsample {
+					pe = ProbW(c, ew, strengths[u], strengths[v])
+				}
+				fixed := hashtable.ToFixed(1 / pe)
+				for k := int64(0); k < ne; k++ {
+					o.trials++
+					if pe < 1 && !src.Bernoulli(pe) {
+						continue
+					}
+					r := 1 + src.Intn(cfg.T)
+					s := src.Intn(r)
+					h := headRec{fixed: fixed, e0: u, e1: v, s0: uint16(s), s1: uint16(r - 1 - s)}
+					o.stepping += int64(min(s, 1) + min(r-1-s, 1))
+					if o.heads < int64(len(region)) {
+						region[o.heads] = h
+					} else {
+						o.spill = append(o.spill, h)
+					}
+					o.heads++
+				}
+			}
+		}
+		out[b] = o
+	})
+
+	// Global indices: block b's heads start at fin[b].
+	var stats Stats
+	var stepping int64
+	fin := make([]int64, nb+1)
+	heads := arr
+	for b, o := range out {
+		stats.Trials += o.trials
+		stepping += o.stepping
+		fin[b+1] = fin[b] + o.heads
+		if o.spill != nil {
+			heads = nil // a region overflowed: the blocks no longer pack in place
+		}
+	}
+	stats.Heads = fin[nb]
+	if heads == nil {
+		heads = make([]headRec, stats.Heads)
+	}
+	// Pack in block order: without spills every block moves left, never over
+	// a later block's unread records.
+	for b, o := range out {
+		dst := heads[fin[b]:fin[b+1]]
+		copy(dst[copy(dst, arr[off[b]:off[b+1]]):], o.spill)
+	}
+	return heads[:stats.Heads], stepping, stats
 }

@@ -1,0 +1,324 @@
+package sampler
+
+import (
+	"fmt"
+	"math/bits"
+	"runtime"
+	"testing"
+
+	"lightne/internal/graph"
+	"lightne/internal/hashtable"
+	"lightne/internal/par"
+	"lightne/internal/radix"
+	"lightne/internal/rng"
+)
+
+// The two stages SampleBatched replaced, kept verbatim as oracles: the
+// two-pass enumerator (a counting pass that runs every draw and discards it,
+// then a fill pass that re-runs the identical draws) and the tombstone-round
+// walker (every side, including the ones with no steps, enters the state
+// array and is retired one round after its last step). The one-pass
+// enumerator and the retire-at-last-step walker must reproduce them record
+// for record — the determinism contract of DESIGN.md "Numerics".
+
+// enumerateHeadsTwoPass is the count/scan/fill enumerator.
+func enumerateHeadsTwoPass(g *graph.Graph, cfg Config) ([]headRec, Stats) {
+	n := g.NumVertices()
+	c := cfg.DownsampleC(n)
+	perUnit := float64(cfg.M) / g.TotalWeight()
+	var strengths []float64
+	if cfg.Downsample {
+		strengths = g.Strengths()
+	}
+
+	// forVertex runs one vertex's full draw sequence, calling emit for every
+	// head. Both passes route through it so their streams cannot drift.
+	forVertex := func(src *rng.Source, u uint32, trials *int64, emit func(v uint32, r, s int, fixed uint64)) {
+		du := g.Degree(u)
+		if du == 0 {
+			return
+		}
+		src.Seed(cfg.Seed, uint64(u))
+		for i := 0; i < du; i++ {
+			v := g.Neighbor(u, i)
+			ew := g.EdgeWeight(u, i)
+			perArc := perUnit * ew
+			ne := int64(perArc)
+			if frac := perArc - float64(ne); frac > 0 && src.Bernoulli(frac) {
+				ne++
+			}
+			if ne == 0 {
+				continue
+			}
+			pe := 1.0
+			if cfg.Downsample {
+				pe = ProbW(c, ew, strengths[u], strengths[v])
+			}
+			fixed := hashtable.ToFixed(1 / pe)
+			for k := int64(0); k < ne; k++ {
+				*trials++
+				if pe < 1 && !src.Bernoulli(pe) {
+					continue
+				}
+				r := 1 + src.Intn(cfg.T)
+				s := src.Intn(r)
+				emit(v, r, s, fixed)
+			}
+		}
+	}
+
+	bounds := par.Blocks(n, enumGrain)
+	nb := len(bounds) - 1
+	counts := make([]int64, nb)
+	trials := make([]int64, nb)
+
+	// Pass 1: count heads per block (the r and s draws keep the stream
+	// aligned with the fill pass; their values are discarded).
+	par.ForBlocks(bounds, func(b, lo, hi int) {
+		var src rng.Source
+		var nHeads int64
+		for ui := lo; ui < hi; ui++ {
+			forVertex(&src, uint32(ui), &trials[b], func(uint32, int, int, uint64) {
+				nHeads++
+			})
+		}
+		counts[b] = nHeads
+	})
+
+	var stats Stats
+	for _, t := range trials {
+		stats.Trials += t
+	}
+	total := par.ExclusiveScan(counts)
+	stats.Heads = total
+	heads := make([]headRec, total)
+
+	// Pass 2: re-run the identical draws, writing records at the stable
+	// indices the scan assigned.
+	par.ForBlocks(bounds, func(b, lo, hi int) {
+		var src rng.Source
+		var discard int64
+		w := counts[b]
+		for ui := lo; ui < hi; ui++ {
+			u := uint32(ui)
+			forVertex(&src, u, &discard, func(v uint32, r, s int, fixed uint64) {
+				heads[w] = headRec{fixed: fixed, e0: u, e1: v, s0: uint16(s), s1: uint16(r - 1 - s)}
+				w++
+			})
+		}
+	})
+	return heads, stats
+}
+
+// runWaveTombstone is the tombstone-round walker: states and scratch hold
+// 2*len(wave) states.
+func runWaveTombstone(g *graph.Graph, wave []headRec, states, scratch []uint64, cursors []graph.NeighborCursor, seed, base uint64) {
+	n := 2 * len(wave)
+	if n == 0 {
+		return
+	}
+	par.ForRange(len(wave), walkGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			h := wave[i]
+			states[2*i] = packState(h.e0, int(h.s0), 0, i)
+			states[2*i+1] = packState(h.e1, int(h.s1), 1, i)
+		}
+	})
+
+	// The current vertex lives in the top 32 bits; only the bytes that can
+	// be nonzero for vertex ids < NumVertices need counting passes.
+	curBytes := (bits.Len32(uint32(g.NumVertices()-1)) + 7) / 8
+	if curBytes == 0 {
+		curBytes = 1
+	}
+
+	walkSeed := seed ^ walkSeedTag
+	weighted := g.Weighted()
+	for round := 0; n > 0; round++ {
+		radix.SortBytesBuf(states[:n], scratch, 4, 4+curBytes)
+		par.WorkerFor(n, walkGrain, func(worker, lo, hi int) {
+			nc := &cursors[worker]
+			for rs := lo; rs < hi; {
+				cur := uint32(states[rs] >> batchCurOff)
+				re := rs + 1
+				for re < hi && uint32(states[re]>>batchCurOff) == cur {
+					re++
+				}
+				d := g.Degree(cur)
+				begun := false
+				for i := rs; i < re; i++ {
+					st := states[i]
+					steps := int(st>>batchStepOff) & (1<<batchStepBits - 1)
+					head := int(st & (MaxWaveHeads - 1))
+					side := st >> batchSideBit & 1
+					if steps == 0 {
+						if side == 0 {
+							wave[head].e0 = cur
+						} else {
+							wave[head].e1 = cur
+						}
+						states[i] = stateTombstone
+						continue
+					}
+					// step index == round: all live states advance once per
+					// round.
+					next := cur // isolated: stay (cannot happen on symmetric graphs)
+					if d > 0 {
+						if !begun {
+							// Position once per run; the cursor picks a full
+							// decode vs lazy per-block strategy from the run
+							// size.
+							nc.Begin(cur, re-rs)
+							begun = true
+						}
+						draw := rng.Hash64(walkSeed, (base+uint64(head))<<10|uint64(round)<<1|side)
+						if weighted {
+							next = nc.AliasNeighbor(draw)
+						} else {
+							pick, _ := bits.Mul64(draw, uint64(d))
+							next = nc.Neighbor(int(pick))
+						}
+					}
+					states[i] = packState(next, steps-1, int(side), head)
+				}
+				rs = re
+			}
+		})
+		n = compactStates(states[:n], scratch)
+		states, scratch = scratch, states
+	}
+}
+
+// steppingSides counts the sides of heads with at least one step to walk.
+func steppingSides(heads []headRec) int64 {
+	var n int64
+	for _, h := range heads {
+		n += int64(min(h.s0, 1) + min(h.s1, 1))
+	}
+	return n
+}
+
+// oracleFixture is one graph of the oracle sweeps.
+type oracleFixture struct {
+	name string
+	g    *graph.Graph
+}
+
+// oracleFixtures returns the representations the oracle tests sweep: the raw
+// CSR, its compressed twins at block sizes 2 (lazy per-block cursor path) and
+// 64 (full decode), and a weighted graph (alias draws, weighted budgets).
+func oracleFixtures(t *testing.T) []oracleFixture {
+	t.Helper()
+	g := chordGraph(t, 300, 3, 42)
+	gc2, err := g.ToCompressed(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc64, err := g.ToCompressed(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []oracleFixture{
+		{"raw", g},
+		{"compressed-bs2", gc2},
+		{"compressed-bs64", gc64},
+		{"weighted", weightedChordGraph(t, 300, 3, 43)},
+	}
+}
+
+// oracleConfig sizes M so every T costs a similar number of walk steps: T = 1
+// (every side has zero steps) gets the most heads, T = 512 the fewest.
+func oracleConfig(T int, downsample bool) Config {
+	return Config{T: T, M: int64(16_000 / (1 + T/8)), Downsample: downsample, Seed: uint64(1000 + T)}
+}
+
+// TestEnumerateHeadsBitIdenticalToTwoPass checks the one-pass enumerator
+// against the two-pass oracle record for record — arc, split, weight and
+// global index — with Stats and the stepping-side count equal, across
+// GOMAXPROCS, representation, downsampling and walk length. Besides the production slack it runs with
+// regions sized to the bare expectation (some blocks spill) and to nothing
+// (every head spills). Wave size does not reach enumeration;
+// TestRunWaveBitIdenticalToTombstoneWalk sweeps it.
+func TestEnumerateHeadsBitIdenticalToTwoPass(t *testing.T) {
+	defer func(s float64) { enumSlack = s }(enumSlack)
+	for _, fx := range oracleFixtures(t) {
+		for _, ds := range []bool{false, true} {
+			for _, T := range []int{1, 2, 10, 512} {
+				cfg := oracleConfig(T, ds)
+				for _, procs := range []int{1, 2, 3, 4} {
+					for _, slack := range []float64{6, 0, -1e9} {
+						name := fmt.Sprintf("%s/ds=%v/T=%d/procs=%d/slack=%g", fx.name, ds, T, procs, slack)
+						prev := runtime.GOMAXPROCS(procs)
+						enumSlack = slack
+						want, wantStats := enumerateHeadsTwoPass(fx.g, cfg)
+						got, stepping, gotStats := enumerateHeads(fx.g, cfg, newCursors(fx.g))
+						runtime.GOMAXPROCS(prev)
+						if gotStats != wantStats {
+							t.Fatalf("%s: stats %+v, oracle %+v", name, gotStats, wantStats)
+						}
+						if len(got) != len(want) {
+							t.Fatalf("%s: %d heads, oracle %d", name, len(got), len(want))
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s: head %d = %+v, oracle %+v", name, i, got[i], want[i])
+							}
+						}
+						if want := steppingSides(want); stepping != want {
+							t.Fatalf("%s: %d stepping sides, oracle %d", name, stepping, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRunWaveBitIdenticalToTombstoneWalk checks the retire-at-last-step
+// walker against the tombstone-round oracle: every head's endpoints equal,
+// wave by wave, across GOMAXPROCS, representation, downsampling, walk length
+// and wave size (0 = one wave of everything; one-head waves walk the first
+// 4 heads only, which is all they add).
+func TestRunWaveBitIdenticalToTombstoneWalk(t *testing.T) {
+	for _, fx := range oracleFixtures(t) {
+		for _, ds := range []bool{false, true} {
+			for _, T := range []int{1, 2, 10, 512} {
+				cfg := oracleConfig(T, ds)
+				all, _, _ := enumerateHeads(fx.g, cfg, newCursors(fx.g))
+				for _, waveSize := range []int{1, 1024, 4097, 0} {
+					heads := all
+					if waveSize == 1 {
+						heads = all[:min(len(all), 4)]
+					}
+					ws := waveSize
+					if ws <= 0 {
+						ws = len(heads)
+					}
+					for _, procs := range []int{1, 2, 3, 4} {
+						name := fmt.Sprintf("%s/ds=%v/T=%d/wave=%d/procs=%d", fx.name, ds, T, waveSize, procs)
+						prev := runtime.GOMAXPROCS(procs)
+						got := append([]headRec(nil), heads...)
+						want := append([]headRec(nil), heads...)
+						cursors := newCursors(fx.g)
+						// The walker's buffers are sized like pipelineWaves sizes them.
+						states := make([]uint64, min(steppingSides(heads), int64(2*ws)))
+						scratch := make([]uint64, len(states))
+						oStates := make([]uint64, 2*ws)
+						oScratch := make([]uint64, 2*ws)
+						for lo := 0; lo < len(heads); lo += ws {
+							hi := min(lo+ws, len(heads))
+							runWave(fx.g, got[lo:hi], states, scratch, cursors, cfg.Seed, uint64(lo))
+							runWaveTombstone(fx.g, want[lo:hi], oStates, oScratch, cursors, cfg.Seed, uint64(lo))
+						}
+						runtime.GOMAXPROCS(prev)
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s: head %d = %+v, oracle %+v", name, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -163,6 +163,8 @@ func TestSampleT1IsEdgeDistribution(t *testing.T) {
 	}
 }
 
+// TestSampleDeterministic: the same seed gives the same sample, run to run —
+// the first clause of the determinism contract (DESIGN.md "Numerics").
 func TestSampleDeterministic(t *testing.T) {
 	g := completeGraph(t, 15)
 	cfg := Config{T: 4, M: 30000, Downsample: true, Seed: 11}

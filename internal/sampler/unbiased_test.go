@@ -80,8 +80,8 @@ func TestDownsamplingLaplacianUnbiasedWeighted(t *testing.T) {
 	const rounds = 4000
 	src := rng.New(99, 0)
 	type probe struct {
-		u  uint32
-		i  int // edge index within u's adjacency
+		u uint32
+		i int // edge index within u's adjacency
 	}
 	probes := []probe{{0, 0}, {0, 19}, {5, 1}}
 	sums := make([]float64, len(probes))
