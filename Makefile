@@ -38,7 +38,9 @@ harness:
 # The packages with real concurrency: the lock-free serving store under
 # query-during-hot-swap load, the incremental embedder feeding it, the
 # aggregation path (hash table + sharded aggregators + par primitives) under
-# shared-batch/owned-batch/grow/Get interleaving, the sampler's end-to-end
+# shared-batch/owned-batch/grow/Get interleaving, the radix sorts and the
+# bucketed drain (work-stolen buckets writing disjoint rows) with its sweep
+# over GOMAXPROCS, the row-transform kernel (netsmf), the sampler's end-to-end
 # sampler → sharded table → grouped drain stress test (undersized tables
 # force concurrent grows), the parallel compressed-adjacency builder
 # (unsorted-input error reporting races the workers), and the
@@ -53,7 +55,7 @@ harness:
 # hot-swap) under the detector without dragging the full factorization test
 # suite through -race.
 race:
-	$(GO) test -race ./internal/serve ./internal/ann ./internal/dynamic ./internal/hashtable ./internal/aggregate ./internal/par ./internal/sampler ./internal/compress ./internal/faultinject ./internal/svd ./internal/dense ./internal/sparse ./internal/prone
+	$(GO) test -race ./internal/serve ./internal/ann ./internal/dynamic ./internal/hashtable ./internal/aggregate ./internal/par ./internal/radix ./internal/netsmf ./internal/sampler ./internal/compress ./internal/faultinject ./internal/svd ./internal/dense ./internal/sparse ./internal/prone
 	$(GO) test -race -run Deterministic ./internal/core
 	$(GO) test -race -run 'Checkpoint|Embedding|Replication' .
 
@@ -107,9 +109,13 @@ bench:
 # harness's table shape (BenchmarkInsert, Mop/s), BenchmarkDrain vs
 # BenchmarkDrainSequential, the aggregation strategies, the radix grouping,
 # and the radix vs sort-merge COO build; pipe two runs into
-# `benchstat old.txt new.txt`).
+# `benchstat old.txt new.txt`). The second line times the grouped drain at
+# the harness's two table shapes, sampled for real (RMAT-12 per-arc in one
+# table, RMAT-13 batched in four shards), beside the drain it replaced
+# (oracle/), on one core and on two.
 bench-drain:
-	$(GO) test -run xxx -bench 'BenchmarkInsert|BenchmarkDrain|BenchmarkAggregate|BenchmarkGroupCSR$$|BenchmarkFromCOO' -benchmem -count=5 ./internal/hashtable ./internal/aggregate ./internal/radix ./internal/sparse
+	$(GO) test -run xxx -bench 'BenchmarkInsert|BenchmarkDrain$$|BenchmarkDrainSequential|BenchmarkAggregate|BenchmarkGroupCSR$$|BenchmarkFromCOO' -benchmem -count=5 ./internal/hashtable ./internal/aggregate ./internal/radix ./internal/sparse
+	$(GO) test -run xxx -bench 'BenchmarkDrainCSR' -benchmem -cpu 1,2 -count=5 ./internal/hashtable
 
 # Sampler pipeline benchmarks: the per-arc sampler, the test-only
 # serial-flush reference, the wave pipeline (single-table and sharded), the

@@ -18,7 +18,7 @@ import (
 // binary artifact writer) and compares the artifact's sha256. Every
 // performance change must leave these hashes alone; one that moves a hash
 // says why and re-records it. `make determinism` runs it at GOMAXPROCS 1 and
-// at the core count.
+// at the core count. See DESIGN.md "Numerics".
 func TestCLIOutputGolden(t *testing.T) {
 	g0, err := gen.RMAT(gen.RMATConfig{Scale: 12, EdgeFactor: 20, Seed: 1})
 	if err != nil {

@@ -340,68 +340,19 @@ func (s *SharedTable) Len() int {
 	return n
 }
 
-// Drain merges all shards with one exactly-sized allocation: per-shard
-// lengths, an exclusive scan for shard offsets, then every shard drains in
-// parallel into its disjoint region (each shard's drain is itself the
-// two-pass parallel fill).
+// Drain returns every shard's entries in one parallel pass over all their
+// slots (hashtable.DrainShards).
 func (s *SharedTable) Drain() (us, vs []uint32, ws []float64) {
-	if len(s.shards) == 1 {
-		return s.shards[0].Drain()
-	}
-	offsets := make([]int64, len(s.shards))
-	for i, t := range s.shards {
-		offsets[i] = int64(t.Len())
-	}
-	total := par.ExclusiveScan(offsets)
-	us = make([]uint32, total)
-	vs = make([]uint32, total)
-	ws = make([]float64, total)
-	fns := make([]func(), len(s.shards))
-	for i := range s.shards {
-		i := i
-		fns[i] = func() {
-			lo := offsets[i]
-			s.shards[i].DrainInto(us[lo:], vs[lo:], ws[lo:])
-		}
-	}
-	par.Do(fns...)
-	return us, vs, ws
+	return hashtable.DrainShards(s.shards)
 }
 
-// drainKeys merges every shard's (packed key, weight) pairs into one pair
-// of exactly-sized arrays: per-shard lengths, an exclusive scan for shard
-// offsets, then all shards drain in parallel into disjoint regions.
-func (s *SharedTable) drainKeys() (keys []uint64, ws []float64) {
-	if len(s.shards) == 1 {
-		return s.shards[0].DrainKeys()
-	}
-	offsets := make([]int64, len(s.shards))
-	for i, t := range s.shards {
-		offsets[i] = int64(t.Len())
-	}
-	total := par.ExclusiveScan(offsets)
-	keys = make([]uint64, total)
-	ws = make([]float64, total)
-	fns := make([]func(), len(s.shards))
-	for i := range s.shards {
-		i := i
-		fns[i] = func() {
-			lo := offsets[i]
-			s.shards[i].DrainKeysInto(keys[lo:], ws[lo:])
-		}
-	}
-	par.Do(fns...)
-	return keys, ws
-}
-
-// DrainCSR merges all shards and groups the entries by source vertex into
-// CSR arrays with the fully-sorted radix grouping — bit-identical to what an
-// unsharded table holding the same aggregate would produce, because the full
-// key sort erases shard routing and slot order. Must not run concurrently
-// with Add.
+// DrainCSR groups the entries of every shard by source vertex into CSR
+// arrays in one bucketed drain over all shards (hashtable.DrainShardsCSR):
+// bit-identical to what an unsharded table holding the same aggregate would
+// produce, because the full key sort erases shard routing and slot order.
+// Must not run concurrently with Add.
 func (s *SharedTable) DrainCSR(numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
-	keys, ws := s.drainKeys()
-	return hashtable.GroupKeysCSR(keys, ws, numRows)
+	return hashtable.DrainShardsCSR(s.shards, numRows)
 }
 
 // MemoryBytes returns the aggregate footprint across shards.

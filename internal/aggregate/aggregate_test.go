@@ -89,6 +89,8 @@ func TestMemoryOrdering(t *testing.T) {
 	}
 }
 
+// TestShardedBitIdenticalToUnsharded: sharding changes no bit of the
+// aggregate (DESIGN.md "Numerics").
 func TestShardedBitIdenticalToUnsharded(t *testing.T) {
 	// Sharding must not change a single bit of the fixed-point aggregates:
 	// the same keys land in the same-seeded accumulation, just routed to
@@ -159,7 +161,7 @@ func TestParExposed(t *testing.T) {
 // bit-identical to the unsharded one on the same sample stream — the full
 // key sort erases shard routing and slot order, and fixed-point
 // accumulation is exact, so (rowPtr, cols, ws) must match to the bit across
-// shard counts.
+// shard counts. See DESIGN.md "Numerics".
 func TestShardedDrainCSRBitIdentical(t *testing.T) {
 	const workers, perWorker, distinct = 4, 30000, 900
 	const numRows = 1 << 10 // keys from the workload stay below this
@@ -234,6 +236,7 @@ func TestSharedTableGetRoutesShards(t *testing.T) {
 // TestSharedTableAddFixedBatchBitIdentical: the shard-grouped bulk insert
 // must be bit-identical to routing every pair through AddFixed, on both the
 // small-batch path (grouped into pooled scratch) and the partitioned path.
+// See DESIGN.md "Numerics".
 func TestSharedTableAddFixedBatchBitIdentical(t *testing.T) {
 	s := rng.New(9, 0)
 	const g = hashtable.BatchGrain
@@ -315,9 +318,10 @@ func TestSharedTableOwnedRacesShared(t *testing.T) {
 	if st.Len() != len(want) {
 		t.Fatalf("Len=%d want %d", st.Len(), len(want))
 	}
-	keys, ws := st.drainKeys()
+	us, vs, ws := st.Drain()
 	var total, wantTotal uint64
-	for i, k := range keys {
+	for i := range us {
+		k := hashtable.Key(us[i], vs[i])
 		f := hashtable.ToFixed(ws[i])
 		if f != want[k] {
 			t.Fatalf("key %x: %d want %d", k, f, want[k])

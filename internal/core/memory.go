@@ -20,9 +20,9 @@ type MemoryEstimate struct {
 	Trials int64
 	// ExpectedHeads is E[# samples surviving the downsampling coin].
 	ExpectedHeads int64
-	// TableBytes is the steady-state hash-table footprint at 7/8 load
-	// (power-of-two slots, 16 bytes each, two oriented keys per head upper
-	// bound).
+	// TableBytes is the hash table Sample presizes: power-of-two slots of
+	// 16 bytes at 7/8 load for two oriented keys per expected head, with
+	// the enumerator's slack (sampler.TableHint, sampler.SinkBytes).
 	TableBytes int64
 	// PeakTableBytes is the table's high-water mark including the grow
 	// transient: while a badly-hinted table rehashes to its final capacity,
@@ -75,29 +75,6 @@ func (m MemoryEstimate) Total() int64 {
 		m.SparsifierBytes + m.StreamBytes + m.DenseBytes + m.GraphBytes + m.AliasTableBytes
 }
 
-// expectedHeadFraction computes E[p_e] over directed arcs for the resolved
-// downsampling constant c (1 when c is 0, downsampling off). O(m).
-func expectedHeadFraction(g *graph.Graph, c float64) float64 {
-	if c == 0 {
-		return 1
-	}
-	strengths := g.Strengths()
-	var sum float64
-	n := g.NumVertices()
-	for ui := 0; ui < n; ui++ {
-		u := uint32(ui)
-		d := g.Degree(u)
-		for i := 0; i < d; i++ {
-			v := g.Neighbor(u, i)
-			sum += sampler.ProbW(c, g.EdgeWeight(u, i), strengths[ui], strengths[v])
-		}
-	}
-	if arcs := float64(g.NumEdges()); arcs > 0 {
-		return sum / arcs
-	}
-	return 1
-}
-
 // EstimateMemory predicts an Embed run's peak memory without running it.
 // Estimates are upper-bound-flavored (they treat every head as a distinct
 // sparsifier entry); realized usage is typically 2-4x lower on graphs with
@@ -107,17 +84,16 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 		return MemoryEstimate{}, fmt.Errorf("lightne: dimension and T must be positive")
 	}
 	scfg := cfg.Sampler(g)
-	m := scfg.M
-	frac := expectedHeadFraction(g, scfg.DownsampleC(g.NumVertices()))
-	heads := int64(float64(m) * frac)
-	// Two oriented keys per head, capped by the number of possible entries.
+	e := sampler.ExpectedHeads(g, scfg)
+	heads := int64(e)
+	// Two oriented keys per head; the table is the one Sample presizes.
 	entries := 2 * heads
-	slots := nextPow2(float64(entries) * 8 / 7)
+	tableBytes := sampler.SinkBytes(sampler.TableHint(e), scfg.Shards)
 	est := MemoryEstimate{
-		Trials:          m,
+		Trials:          scfg.M,
 		ExpectedHeads:   heads,
-		TableBytes:      slots * 16,
-		PeakTableBytes:  slots * 16 * 3 / 2,
+		TableBytes:      tableBytes,
+		PeakTableBytes:  tableBytes * 3 / 2,
 		SparsifierBytes: entries*12 + int64(g.NumVertices()+1)*8,
 		AliasTableBytes: g.AliasBytes(),
 	}
@@ -235,13 +211,4 @@ func MaxAffordableSamples(g *graph.Graph, cfg Config, budgetBytes int64) (int64,
 		}
 	}
 	return lo, nil
-}
-
-// nextPow2 rounds up to a power of two (as the hash table does).
-func nextPow2(x float64) int64 {
-	p := int64(1)
-	for float64(p) < x {
-		p <<= 1
-	}
-	return p
 }

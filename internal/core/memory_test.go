@@ -414,3 +414,41 @@ func TestEstimateMemoryPricesPropagationWorkspace(t *testing.T) {
 		}
 	}
 }
+
+// TestSamplePresizeMatchesPlanner: the per-arc sampler presizes its table
+// from sampler.ExpectedHeads, the function the planner prices it with, so at
+// the harness shapes — RMAT-12 at DefaultConfig(64) and RMAT-13 at M = 2·T·m
+// — the table never grows and its footprint is the planned one.
+func TestSamplePresizeMatchesPlanner(t *testing.T) {
+	for _, c := range []struct {
+		scale    int
+		dim      int
+		multiple float64
+	}{{12, 64, 0}, {13, 32, 2}} {
+		for seed := uint64(1); seed <= 10; seed++ {
+			g, err := gen.RMAT(gen.RMATConfig{Scale: c.scale, EdgeFactor: 20, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(c.dim)
+			if c.multiple > 0 {
+				cfg.SampleMultiple = c.multiple
+			}
+			cfg.Seed = seed
+			est, err := EstimateMemory(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, stats, err := sampler.Sample(g, cfg.Sampler(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.PeakTableBytes != stats.TableBytes {
+				t.Errorf("rmat%d seed %d: the table grew (peak %d, final %d)", c.scale, seed, stats.PeakTableBytes, stats.TableBytes)
+			}
+			if stats.TableBytes != est.TableBytes {
+				t.Errorf("rmat%d seed %d: table %d bytes, planned %d", c.scale, seed, stats.TableBytes, est.TableBytes)
+			}
+		}
+	}
+}

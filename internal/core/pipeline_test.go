@@ -349,7 +349,7 @@ func TestStreamedWeightedQuality(t *testing.T) {
 // batched-walker wave sizes. The sparsifier multiset, the drain order, the
 // chunk boundaries, the sketch accumulation, and every dense reduction in the
 // factorization are all schedule-independent, so the full pipeline composes
-// to a deterministic function of (graph, config).
+// to a deterministic function of (graph, config). See DESIGN.md "Numerics".
 func TestStreamedGolden(t *testing.T) {
 	g := randGraph(t, 400, 2, 43)
 	base := Config{
@@ -405,7 +405,7 @@ func TestStreamedGolden(t *testing.T) {
 // TestStreamedWeightedGolden extends the bit-identity contract to weighted
 // graphs, which is what the deterministic volume reduction
 // (par.ReduceFloat64Det behind graph.TotalWeight) buys: the estimator scale
-// is the same float for every worker count.
+// is the same float for every worker count. See DESIGN.md "Numerics".
 func TestStreamedWeightedGolden(t *testing.T) {
 	g := weightedTestGraph(t)
 	cfg := Config{T: 3, M: 100_000, Seed: 19, Dim: 4, NoDownsample: true,

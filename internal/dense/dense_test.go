@@ -333,7 +333,7 @@ func TestMatMulATBDetMatchesNaive(t *testing.T) {
 
 // TestMatMulATBDetBitIdenticalAcrossWorkers pins the determinism contract:
 // the product is bitwise identical for every GOMAXPROCS, including sizes
-// that straddle the fixed block geometry.
+// that straddle the fixed block geometry. See DESIGN.md "Numerics".
 func TestMatMulATBDetBitIdenticalAcrossWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, n := range []int{1, 63, 64, 65, 1000, 4097} {
@@ -417,7 +417,7 @@ func TestSolveSquareSingular(t *testing.T) {
 // TestSVDBitIdenticalToOracle: the column-major Jacobi SVD returns the At/Set
 // kernel's U, σ and V bit for bit, on both kernel forms, for shapes across
 // the 4-element rotation blocks, a rank-deficient input, a zero column and
-// signed zeros.
+// signed zeros. See DESIGN.md "Numerics".
 func TestSVDBitIdenticalToOracle(t *testing.T) {
 	var cases []*Matrix
 	for _, s := range [][2]int{{1, 1}, {3, 1}, {6, 4}, {9, 7}, {40, 12}, {64, 64}, {65, 33}} {

@@ -120,6 +120,7 @@ func TestAddRowsChecksOperandRows(t *testing.T) {
 // (a full four-panel call plus a remainder), every first
 // lane, row counts 0–70, unaligned sub-slices, reflectors aliased inside the
 // first panel (as in QR) and special values, panels and dots both compared.
+// See DESIGN.md "Numerics".
 func TestUpdateDotPanelsAVXBitIdenticalToGo(t *testing.T) {
 	needAVX(t)
 	src := rng.New(43, 0)

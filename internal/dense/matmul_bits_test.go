@@ -22,7 +22,7 @@ func sameBitsOrBothNaN(a, b float64) bool {
 // zeros of both signs in a column whose row of B is all ±Inf/NaN: the skip
 // must still skip them (0·Inf would poison the row), and everything else —
 // unroll remainders from the gather, special values in both operands — must
-// add up in the same order.
+// add up in the same order. See DESIGN.md "Numerics".
 func TestMatMulBitIdenticalToOracle(t *testing.T) {
 	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -88,7 +88,7 @@ func TestMatMulBitIdenticalToOracle(t *testing.T) {
 // of the result) must return the bits of the row-update loop it replaced, on
 // both kernel forms and at every GOMAXPROCS. A carries exact zeros of both
 // signs opposite non-finite rows of B (the skip must still skip) and special
-// values everywhere else.
+// values everywhere else. See DESIGN.md "Numerics".
 func TestMatMulATBDetBitIdenticalToOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	src := rng.New(53, 0)

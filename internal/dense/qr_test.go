@@ -100,7 +100,7 @@ func firstBitDiff(got, want *Matrix) (int, bool) {
 // TestQRBitIdenticalToOracle is the contract the panel kernel was built
 // under: Q and R equal the pre-rewrite serial kernel's bit for bit, for every
 // input class, every GOMAXPROCS and both kernel forms (Go and AVX), through
-// all three entry points.
+// all three entry points. See DESIGN.md "Numerics".
 func TestQRBitIdenticalToOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	forEachKernelSet(func(kernels string) {
@@ -153,6 +153,7 @@ func TestQRInPlaceReusesInput(t *testing.T) {
 // cores, square shapes around the panel and group boundaries, the harness
 // shapes, identity reflectors (a zero column) first, mid-way and last, and
 // graded columns, each factored twice per GOMAXPROCS on both kernel forms.
+// See DESIGN.md "Numerics".
 func TestQRPipelineBitIdenticalToOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var cases []qrCase

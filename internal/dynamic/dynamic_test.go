@@ -253,6 +253,7 @@ func TestEmbedDeterministicAcrossProcsAndShards(t *testing.T) {
 // (edge factor 20, seed 5), New on the first three quarters of its arcs,
 // AddEdges the rest, Embed at DefaultConfig(16) with four shards. The sha256
 // is over the embedding's float64s, little-endian, row-major.
+// See DESIGN.md "Numerics".
 func TestEmbedGolden(t *testing.T) {
 	full, err := gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 20, Seed: 5})
 	if err != nil {

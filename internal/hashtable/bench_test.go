@@ -99,19 +99,6 @@ func BenchmarkDrainSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkDrainCSR measures the grouped drain feeding the sparsifier CSR.
-func BenchmarkDrainCSR(b *testing.B) {
-	const n = 1 << 20
-	t := benchTable(b, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rowPtr, _, _ := t.DrainCSR(n)
-		if rowPtr[n] != n {
-			b.Fatal("bad drain")
-		}
-	}
-}
-
 // insertWorkload is the benchmark harness's embed-stream table shape: pairs
 // inserts over distinct keys (every key once, the rest repeats drawn
 // uniformly), shuffled, with RMAT-13 source vertices.

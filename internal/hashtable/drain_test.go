@@ -1,0 +1,218 @@
+package hashtable_test
+
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"lightne/internal/core"
+	"lightne/internal/gen"
+	"lightne/internal/graph"
+	"lightne/internal/hashtable"
+	"lightne/internal/rng"
+	"lightne/internal/sampler"
+)
+
+// drainCase is a set of tables holding disjoint keys, drained over numRows.
+type drainCase struct {
+	name    string
+	tables  []*hashtable.Table
+	numRows int
+}
+
+// harnessTables samples the two harness table shapes once: RMAT-12 through
+// the per-arc sampler at DefaultConfig(64) (embed-default) and RMAT-13
+// through the wave pipeline at M = 2·T·m (embed-stream), each drained as
+// packed keys and fixed-point weights.
+var harnessTables = sync.OnceValue(func() []harnessTable {
+	var out []harnessTable
+	for _, scale := range []int{12, 13} {
+		g, err := gen.RMAT(gen.RMATConfig{Scale: scale, EdgeFactor: 20, Seed: 7})
+		if err != nil {
+			panic(err)
+		}
+		var sink sampler.Sink
+		if scale == 12 {
+			sink, _, err = sampler.Sample(g, core.DefaultConfig(64).Sampler(g))
+		} else {
+			const t = 10
+			cfg := sampler.Config{T: t, M: int64(t * g.NumEdges()), Downsample: true, Seed: 7, Shards: 4}
+			sink, _, err = sampler.SampleBatched(g, cfg, 0)
+		}
+		if err != nil {
+			panic(err)
+		}
+		us, vs, ws := sink.Drain()
+		h := harnessTable{name: fmt.Sprintf("rmat%d", scale), g: g, sink: sink,
+			keys: make([]uint64, len(us)), fixed: make([]uint64, len(us))}
+		for i := range us {
+			h.keys[i], h.fixed[i] = hashtable.Key(us[i], vs[i]), hashtable.ToFixed(ws[i])
+		}
+		// Shuffled: pairs in one table's slot order would cluster another's.
+		s := rng.New(uint64(scale), 0)
+		for i := len(us) - 1; i > 0; i-- {
+			j := s.Intn(i + 1)
+			h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
+			h.fixed[i], h.fixed[j] = h.fixed[j], h.fixed[i]
+		}
+		out = append(out, h)
+	}
+	return out
+})
+
+type harnessTable struct {
+	name        string
+	g           *graph.Graph
+	sink        sampler.Sink
+	keys, fixed []uint64
+}
+
+// shardTables routes pairs into 1<<bits tables by hashtable.ShardOf, as the
+// sharded aggregator does. A hint of 0 makes every table grow mid-insert.
+func shardTables(keys, fixed []uint64, bits uint, hint int) []*hashtable.Table {
+	tables := make([]*hashtable.Table, 1<<bits)
+	k, f := make([][]uint64, len(tables)), make([][]uint64, len(tables))
+	for i, key := range keys {
+		sh := hashtable.ShardOf(key, bits)
+		k[sh], f[sh] = append(k[sh], key), append(f[sh], fixed[i])
+	}
+	for sh := range tables {
+		tables[sh] = hashtable.New(hint >> bits)
+		tables[sh].AddFixedBatchOwned(k[sh], f[sh])
+	}
+	return tables
+}
+
+// syntheticPairs draws n pairs over rows [0, numRows) and columns [0, cols),
+// a hub fraction of them on row hub.
+func syntheticPairs(seed uint64, n, numRows, cols, hub int, hubFrac float64) (keys, fixed []uint64) {
+	s := rng.New(seed, 0)
+	for i := 0; i < n; i++ {
+		u := uint32(s.Intn(numRows))
+		if s.Float64() < hubFrac {
+			u = uint32(hub)
+		}
+		keys = append(keys, hashtable.Key(u, uint32(s.Intn(cols))))
+		fixed = append(fixed, uint64(1+s.Intn(1<<22)))
+	}
+	return keys, fixed
+}
+
+// drainCases builds the oracle sweep's tables: the harness shapes as sampled,
+// re-sharded and grown; empty tables; synthetic tables around the bucket
+// geometry's edges (one row, 255–257 rows, a non-power of two); a hub row.
+func drainCases() []drainCase {
+	var cases []drainCase
+	for _, h := range harnessTables() {
+		if tab, ok := h.sink.(*hashtable.Table); ok {
+			cases = append(cases, drainCase{h.name + "/sampled", []*hashtable.Table{tab}, h.g.NumVertices()})
+		}
+		for _, bits := range []uint{0, 2, 4} {
+			cases = append(cases, drainCase{fmt.Sprintf("%s/shards=%d", h.name, 1<<bits),
+				shardTables(h.keys, h.fixed, bits, len(h.keys)), h.g.NumVertices()})
+		}
+		cases = append(cases, drainCase{h.name + "/grown", shardTables(h.keys, h.fixed, 0, 0), h.g.NumVertices()})
+	}
+	for _, numRows := range []int{0, 1, 5} {
+		cases = append(cases, drainCase{fmt.Sprintf("empty/rows=%d", numRows), []*hashtable.Table{hashtable.New(0)}, numRows})
+	}
+	for _, numRows := range []int{1, 255, 256, 257, 1000, 4099} {
+		for i, n := range []int{1, 3000, 40000} {
+			keys, fixed := syntheticPairs(uint64(numRows*n), n, numRows, 70000, numRows-1, 0)
+			cases = append(cases, drainCase{fmt.Sprintf("rows=%d/pairs=%d/shards=%d", numRows, n, 1<<i),
+				shardTables(keys, fixed, uint(i), 0), numRows})
+		}
+	}
+	// One hub row holding more entries than an average bucket many times
+	// over, and columns spanning all 32 bits.
+	keys, fixed := syntheticPairs(9, 200000, 3000, 1<<31, 1234, 0.2)
+	keys = append(keys, hashtable.Key(17, 0xffffffff), hashtable.Key(2999, 0))
+	fixed = append(fixed, 5, 6)
+	cases = append(cases, drainCase{"hub", shardTables(keys, fixed, 2, len(keys)), 3000})
+	return cases
+}
+
+// TestDrainCSRBitIdenticalToRadixOracle: the bucketed drain returns exactly
+// the arrays of the replaced one (drain to packed pairs, radix.GroupCSR) for
+// every worker count, shard count, row count and table history. See
+// DESIGN.md "Numerics".
+func TestDrainCSRBitIdenticalToRadixOracle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range drainCases() {
+		wantPtr, wantCols, wantWs := hashtable.DrainCSROracle(c.tables, c.numRows)
+		for _, procs := range []int{1, 2, 3, 4} {
+			runtime.GOMAXPROCS(procs)
+			gotPtr, gotCols, gotWs := hashtable.DrainShardsCSR(c.tables, c.numRows)
+			if !slices.Equal(gotPtr, wantPtr) || !slices.Equal(gotCols, wantCols) || !slices.Equal(gotWs, wantWs) {
+				t.Fatalf("procs=%d %s: drain differs from the radix oracle", procs, c.name)
+			}
+		}
+		if len(c.tables) == 1 {
+			p, cl, w := c.tables[0].DrainCSR(c.numRows)
+			if !slices.Equal(p, wantPtr) || !slices.Equal(cl, wantCols) || !slices.Equal(w, wantWs) {
+				t.Fatalf("%s: Table.DrainCSR differs from the radix oracle", c.name)
+			}
+		}
+	}
+	for _, h := range harnessTables() {
+		p, cl, w := h.sink.DrainCSR(h.g.NumVertices())
+		wp, wc, ww := hashtable.DrainCSROracle(shardTables(h.keys, h.fixed, 0, len(h.keys)), h.g.NumVertices())
+		if !slices.Equal(p, wp) || !slices.Equal(cl, wc) || !slices.Equal(w, ww) {
+			t.Fatalf("%s: the sampler's sink drains differently from the oracle", h.name)
+		}
+	}
+}
+
+// TestDrainCSRPanicsOnRowOutOfRange: a source vertex >= numRows panics, as
+// radix.GroupCSR does — past the last bucket, inside the last bucket's row
+// range, and with no rows at all.
+func TestDrainCSRPanicsOnRowOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		numRows int
+		row     uint32
+		pairs   int
+	}{{0, 0, 1}, {5, 5, 1}, {257, 257, 40000}, {257, 300, 40000}, {1000, 1 << 30, 40000}, {4096, 0xfffffffe, 3}} {
+		keys, fixed := syntheticPairs(3, c.pairs, max(c.numRows, 1), 1000, 0, 0)
+		keys = append(keys, hashtable.Key(c.row, 7))
+		fixed = append(fixed, 1)
+		tables := shardTables(keys, fixed, 1, len(keys))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("numRows=%d row=%d: no panic", c.numRows, c.row)
+				}
+			}()
+			hashtable.DrainShardsCSR(tables, c.numRows)
+		}()
+	}
+}
+
+// BenchmarkDrainCSR times the grouped drain at the harness's two table
+// shapes — RMAT-12 from the per-arc sampler in one table (embed-default) and
+// RMAT-13 from the wave pipeline in four shards (embed-stream) — beside the
+// replaced drain (oracle/). Run at -cpu 1,2.
+func BenchmarkDrainCSR(b *testing.B) {
+	for _, h := range harnessTables() {
+		tables := []*hashtable.Table{}
+		if tab, ok := h.sink.(*hashtable.Table); ok {
+			tables = append(tables, tab)
+		} else {
+			tables = shardTables(h.keys, h.fixed, 2, len(h.keys))
+		}
+		n := h.g.NumVertices()
+		for _, impl := range []struct {
+			name  string
+			drain func([]*hashtable.Table, int) ([]int64, []uint32, []float64)
+		}{{"bucketed", hashtable.DrainShardsCSR}, {"oracle", hashtable.DrainCSROracle}} {
+			b.Run(fmt.Sprintf("%s/shards=%d/%s", h.name, len(tables), impl.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					impl.drain(tables, n)
+				}
+				b.ReportMetric(float64(len(h.keys)), "entries")
+			})
+		}
+	}
+}

@@ -31,6 +31,11 @@
 // sharded sink's partitioned insert): it holds the write lock for the batch
 // and inserts with plain loads and stores, a local count and an inline grow.
 // AddFixed and Add are one-pair calls into the shared kernel.
+//
+// The sparsifier hand-off, DrainShardsCSR, groups a table or the shards of
+// one by source vertex: each entry is scattered once, into a bucket of rows
+// that sorts in cache. The keys being distinct, the fully sorted layout is
+// unique, whatever the shard routing, slot order or worker count.
 package hashtable
 
 import (
@@ -40,7 +45,6 @@ import (
 	"sync/atomic"
 
 	"lightne/internal/par"
-	"lightne/internal/radix"
 )
 
 const (
@@ -129,6 +133,9 @@ func presize(capacityHint int) uint64 {
 	}
 	return c
 }
+
+// SlotBytes is the slot footprint of New(capacityHint).
+func SlotBytes(capacityHint int) int64 { return int64(presize(capacityHint)) * 16 }
 
 func (t *Table) setSlots(capacity uint64) {
 	t.slots = make([]slot, capacity)
@@ -377,150 +384,229 @@ func (t *Table) lookup(key uint64) (uint64, bool) {
 // drainGrain is the slot-array chunk size for the parallel drain passes.
 const drainGrain = 4096
 
-// occupancy counts occupied slots per block of the slot array and returns
-// the block boundaries plus per-block counts: the first pass of the
-// two-pass (count, scan, fill) drain. The same bounds must be reused for
-// the fill pass so block indices line up.
-func (t *Table) occupancy() (bounds []int, counts []int64) {
-	bounds = par.Blocks(len(t.slots), drainGrain)
-	counts = make([]int64, len(bounds)-1)
-	if len(bounds) == 2 {
-		// Single block: the maintained key count already is the occupancy,
-		// so skip the counting pass entirely.
-		counts[0] = int64(t.Len())
-		return bounds, counts
-	}
-	par.ForBlocks(bounds, func(b, lo, hi int) {
-		var c int64
-		for i := lo; i < hi; i++ {
-			if t.slots[i].key != 0 {
-				c++
-			}
+// slotBlocks cuts every table's slot array into par.Blocks blocks and
+// returns them with the tables' total key count.
+func slotBlocks(tables []*Table) (blocks [][]slot, total int) {
+	for _, t := range tables {
+		total += t.Len()
+		bounds := par.Blocks(len(t.slots), drainGrain)
+		for i := 0; i+1 < len(bounds); i++ {
+			blocks = append(blocks, t.slots[bounds[i]:bounds[i+1]])
 		}
-		counts[b] = c
-	})
-	return bounds, counts
+	}
+	return blocks, total
 }
 
-// Drain returns all entries as parallel slices (unordered by key, stable in
-// slot order) and keeps the table intact. Must not run concurrently with
-// Add. The drain is fully parallel: a per-block occupancy count, an
-// exclusive scan over block counts, and a parallel fill into exactly-sized
-// output slices — no append, no lock (paper §4.2: the sparsifier hand-off
-// is part of the parallel pipeline, not a sequential epilogue).
-func (t *Table) Drain() (us, vs []uint32, ws []float64) {
-	bounds, counts := t.occupancy()
-	total := par.ExclusiveScan(counts)
-	us = make([]uint32, total)
-	vs = make([]uint32, total)
-	ws = make([]float64, total)
-	t.fill(bounds, counts, us, vs, ws)
+// Drain is DrainShards over this table alone.
+func (t *Table) Drain() (us, vs []uint32, ws []float64) { return DrainShards([]*Table{t}) }
+
+// DrainShards returns the entries of tables holding disjoint key sets as
+// parallel slices, in slot order, keeping the tables intact: a count per
+// slot block, a scan and a parallel fill (paper §4.2: the hand-off is part
+// of the parallel pipeline). Must not run concurrently with Add.
+func DrainShards(tables []*Table) (us, vs []uint32, ws []float64) {
+	blocks, total := slotBlocks(tables)
+	off := make([]int, len(blocks)+1) // block i starts at off[i]; the last needs no count
+	par.For(len(blocks)-1, 1, func(i int) {
+		n := 0
+		for _, s := range blocks[i] {
+			if s.key != 0 {
+				n++
+			}
+		}
+		off[i+1] = n
+	})
+	for i := 0; i+1 < len(blocks); i++ {
+		off[i+1] += off[i]
+	}
+	us, vs, ws = make([]uint32, total), make([]uint32, total), make([]float64, total)
+	par.For(len(blocks), 1, func(i int) {
+		w := off[i]
+		for _, s := range blocks[i] {
+			if s.key != 0 {
+				us[w], vs[w] = UnpackKey(^s.key)
+				ws[w] = FromFixed(s.val)
+				w++
+			}
+		}
+	})
 	return us, vs, ws
 }
 
-// DrainInto writes every entry into the given slices starting at index 0
-// and returns the number written (== Len()). The slices must have length at
-// least Len(). It is the allocation-free form of Drain, used by sharded
-// aggregators to drain shards in parallel into disjoint regions of one
-// output. Must not run concurrently with Add.
-func (t *Table) DrainInto(us, vs []uint32, ws []float64) int {
-	bounds, counts := t.occupancy()
-	total := par.ExclusiveScan(counts)
-	t.fill(bounds, counts, us[:total], vs[:total], ws[:total])
-	return int(total)
-}
+// DrainCSR is DrainShardsCSR over this table alone.
+func (t *Table) DrainCSR(n int) ([]int64, []uint32, []float64) { return DrainShardsCSR([]*Table{t}, n) }
 
-// fill is the second drain pass: counts must hold the exclusive scan of the
-// per-block occupancy for the same bounds.
-func (t *Table) fill(bounds []int, counts []int64, us, vs []uint32, ws []float64) {
-	slots := t.slots
-	par.ForBlocks(bounds, func(b, lo, hi int) {
-		w := int(counts[b])
-		for i := lo; i < hi; i++ {
-			s := slots[i]
-			if s.key == 0 {
-				continue
-			}
-			us[w], vs[w] = UnpackKey(^s.key)
-			ws[w] = FromFixed(s.val)
-			w++
-		}
+const (
+	bucketEntries = 2048 // mean bucket size: a bucket sorts in L2
+	maxBucketBits = 8    // at most 256 buckets: few streams for the fill
+	maxDigitBits  = 11   // in-bucket radix digit: its counts stay in L1
+)
+
+// DrainShardsCSR returns the entries of tables holding disjoint key sets (one
+// table, or the shards of a sharded aggregator) grouped by source vertex as
+// CSR arrays: rowPtr has numRows+1 entries, and cols/ws hold each row's
+// destination vertices (sorted ascending) and weights. Every source vertex
+// must be < numRows; DrainShardsCSR panics otherwise. The tables are left
+// intact. Must not run concurrently with Add.
+//
+// The rows are cut into buckets of 2^shift rows. A pass over the slots
+// counts entries per (block, bucket) and ORs their columns; a second writes
+// each entry into its bucket's region, keyed row<<colBits | col (in 32 bits
+// when that fits). The buckets are work-stolen, since power-law rows skew
+// their sizes; each sorts in cache and writes its columns, weights and rows.
+func DrainShardsCSR(tables []*Table, numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
+	blocks, total := slotBlocks(tables)
+	rowBits := bits.Len(uint(max(numRows, 1) - 1))
+	shift := uint(rowBits - min(bits.Len(uint(total/bucketEntries)), maxBucketBits, rowBits))
+	nb := (numRows + 1<<shift - 1) >> shift
+	// Per-block counters; counter nb takes the rows past the last bucket.
+	stride := nb + 1
+	counts := make([]int, len(blocks)*stride)
+	colOr := make([]uint32, len(blocks))
+	par.For(len(blocks), 1, func(i int) {
+		colOr[i] = countBuckets(blocks[i], counts[i*stride:(i+1)*stride], shift)
 	})
+	// Bucket-major offsets; each block's counters become its write cursors.
+	start := make([]int, stride)
+	pos, or := 0, uint32(0)
+	for b := 0; b < nb; b++ {
+		start[b] = pos
+		for i := range blocks {
+			c := &counts[i*stride+b]
+			*c, pos = pos, pos+*c
+		}
+	}
+	if start[nb] = pos; pos != total {
+		panic("hashtable: DrainCSR row out of range")
+	}
+	for _, o := range colOr {
+		or |= o
+	}
+	colBits := uint(bits.Len32(or))
+	if uint(rowBits)+colBits <= 32 {
+		return drainBuckets[uint32](blocks, counts, start, numRows, shift, colBits)
+	}
+	return drainBuckets[uint64](blocks, counts, start, numRows, shift, colBits)
 }
 
-// DrainKeys returns all entries as (packed key, weight) pairs in slot order,
-// keeping the table intact — the raw form of Drain used by the CSR builders
-// and by sharded aggregators that group across shards. Must not run
-// concurrently with Add.
-func (t *Table) DrainKeys() (keys []uint64, ws []float64) {
-	bounds, counts := t.occupancy()
-	total := par.ExclusiveScan(counts)
-	keys = make([]uint64, total)
+// countBuckets counts one block's entries per bucket into cnt and returns
+// the OR of their columns. (A branch-free count measured slower: its empty
+// slots all increment one counter.)
+func countBuckets(slots []slot, cnt []int, shift uint) (or uint32) {
+	last := uint64(len(cnt) - 1)
+	for _, s := range slots {
+		if s.key != 0 {
+			k := ^s.key
+			cnt[min(k>>32>>shift, last)]++
+			or |= uint32(k)
+		}
+	}
+	return or
+}
+
+// drainBuckets scatters the entries into their buckets, keys in K, then
+// sorts and writes out every bucket. next holds each block's cursors.
+func drainBuckets[K uint32 | uint64](blocks [][]slot, next, start []int, numRows int, shift, colBits uint) (rowPtr []int64, cols []uint32, ws []float64) {
+	stride, total := len(start), start[len(start)-1]
+	keys := make([]K, total)
 	ws = make([]float64, total)
-	t.fillKeys(bounds, counts, keys, ws)
-	return keys, ws
-}
-
-// DrainKeysInto writes every entry as (packed key, weight) into the given
-// slices starting at index 0 and returns the number written (== Len()). The
-// slices must have length at least Len(). It is the allocation-free form of
-// DrainKeys, used to drain shards in parallel into disjoint regions of one
-// output. Must not run concurrently with Add.
-func (t *Table) DrainKeysInto(keys []uint64, ws []float64) int {
-	bounds, counts := t.occupancy()
-	total := par.ExclusiveScan(counts)
-	t.fillKeys(bounds, counts, keys[:total], ws[:total])
-	return int(total)
-}
-
-// fillKeys is the packed-key fill pass: counts must hold the exclusive scan
-// of the per-block occupancy for the same bounds.
-func (t *Table) fillKeys(bounds []int, counts []int64, keys []uint64, ws []float64) {
-	slots := t.slots
-	par.ForBlocks(bounds, func(b, lo, hi int) {
-		w := counts[b]
-		for i := lo; i < hi; i++ {
-			s := slots[i]
-			if s.key == 0 {
-				continue
-			}
-			keys[w] = ^s.key
-			ws[w] = FromFixed(s.val)
-			w++
+	par.For(len(blocks), 1, func(i int) {
+		scatterBuckets(blocks[i], next[i*stride:(i+1)*stride], keys, ws, shift, colBits)
+	})
+	rowPtr = make([]int64, numRows+1)
+	cols = make([]uint32, total)
+	rowPtr[numRows] = int64(total)
+	scratch, biggest := make([]bucketScratch[K], par.Workers()), 0
+	for b := 0; b+1 < stride; b++ {
+		biggest = max(biggest, start[b+1]-start[b])
+	}
+	var outOfRange atomic.Bool
+	par.WorkerBlocks(start, func(w, b, lo, hi int) {
+		if scratch[w].keys[0] == nil {
+			scratch[w] = bucketScratch[K]{keys: [2][]K{make([]K, biggest), make([]K, biggest)},
+				ws: [2][]float64{make([]float64, biggest), make([]float64, biggest)}}
+		}
+		rows := rowPtr[b<<shift : min((b+1)<<shift, numRows)]
+		if !scratch[w].sort(keys[lo:hi], ws[lo:hi], rows, cols[lo:hi], K(b<<shift), shift+colBits, colBits, lo) {
+			outOfRange.Store(true)
 		}
 	})
+	if outOfRange.Load() {
+		panic("hashtable: DrainCSR row out of range")
+	}
+	return rowPtr, cols, ws
 }
 
-// DrainCSR returns the table's entries grouped by source vertex as CSR
-// arrays: rowPtr has numRows+1 entries, and cols/ws hold each row's
-// destination vertices (sorted ascending) and weights. Keys in the table
-// already being distinct, no merge is needed — the result plugs directly
-// into sparse.FromCSRParts, skipping the COO scatter + per-row comparison
-// sort entirely. The full-key sort makes the layout a pure function of the
-// stored entries, independent of slot order, so repeated runs with the same
-// samples produce bit-identical CSR arrays. Every source vertex stored in
-// the table must be < numRows. The table is left intact. Must not run
-// concurrently with Add.
-func (t *Table) DrainCSR(numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
-	keys, ws := t.DrainKeys()
-	return GroupKeysCSR(keys, ws, numRows)
+// scatterBuckets writes one block's entries at their buckets' cursors in
+// next: the key row<<colBits | col to keys, the weight to ws.
+func scatterBuckets[K uint32 | uint64](slots []slot, next []int, keys []K, ws []float64, shift, colBits uint) {
+	last := uint64(len(next) - 1)
+	for _, s := range slots {
+		if s.key != 0 {
+			k := ^s.key
+			b := min(k>>32>>shift, last)
+			keys[next[b]], ws[next[b]] = K(k>>32<<colBits|uint64(uint32(k))), FromFixed(s.val)
+			next[b]++
+		}
+	}
 }
 
-// GroupKeysCSR turns drained (packed key, weight) pairs into CSR arrays with
-// the fully-sorted radix grouping. The key slice is consumed (sorted in
-// place and reused for the column extraction).
-func GroupKeysCSR(keys []uint64, ws []float64, numRows int) (rowPtr []int64, cols []uint32, outWs []float64) {
-	rowPtr = radix.GroupCSR(keys, ws, numRows)
-	return rowPtr, colsFromKeys(keys), ws
+// bucketScratch is one worker's sort scratch.
+type bucketScratch[K uint32 | uint64] struct {
+	keys [2][]K
+	ws   [2][]float64
+	cnt  [1 << maxDigitBits]int32
 }
 
-// colsFromKeys extracts the low 32 bits (destination vertex) of each key.
-func colsFromKeys(keys []uint64) []uint32 {
-	cols := make([]uint32, len(keys))
-	par.For(len(keys), drainGrain, func(i int) {
-		cols[i] = uint32(keys[i])
-	})
-	return cols
+// sort orders one bucket's entries by key over the rows [row0,
+// row0+len(rows)) and writes columns to cols, weights back to ws and each
+// row's start, offset by base, to rows. It is LSD over the keyBits bits that
+// can differ in the bucket; the last pass writes cols and ws. It returns
+// false if a row lies past rows.
+func (sc *bucketScratch[K]) sort(keys []K, ws []float64, rows []int64, cols []uint32, row0 K, keyBits, colBits uint, base int) bool {
+	clear(rows)
+	for _, k := range keys {
+		r := uint64(k>>(colBits&63) - row0)
+		if r >= uint64(len(rows)) {
+			return false
+		}
+		rows[r]++
+	}
+	sum := int64(base)
+	for r, c := range rows {
+		rows[r], sum = sum, sum+c
+	}
+	// Two passes at least: the last one overwrites ws, so it must not read it.
+	passes := max(2, (keyBits+maxDigitBits-1)/maxDigitBits)
+	width := (keyBits + passes - 1) / passes
+	srcK, srcW := keys, ws
+	for p := uint(0); p+1 < passes; p++ {
+		dstK, dstW := sc.keys[p&1][:len(keys)], sc.ws[p&1][:len(keys)]
+		radixPass(srcK, srcW, dstK, dstW, p*width, width, ^K(0), &sc.cnt)
+		srcK, srcW = dstK, dstW
+	}
+	radixPass(srcK, srcW, cols, ws, (passes-1)*width, width, K(1)<<colBits-1, &sc.cnt)
+	return true
+}
+
+// radixPass is one stable counting pass on the width-bit digit at shift,
+// from (srcK, srcW) to (dstK, dstW), each key masked by keep.
+func radixPass[K, D uint32 | uint64](srcK []K, srcW []float64, dstK []D, dstW []float64, shift, width uint, keep K, cnt *[1 << maxDigitBits]int32) {
+	mask := K(1)<<width - 1
+	clear(cnt[:mask+1])
+	for _, k := range srcK {
+		cnt[k>>(shift&63)&mask&(1<<maxDigitBits-1)]++
+	}
+	var sum int32
+	for d, c := range cnt[:mask+1] {
+		cnt[d], sum = sum, sum+c
+	}
+	srcW = srcW[:len(srcK)]
+	for i, k := range srcK {
+		d := k >> (shift & 63) & mask & (1<<maxDigitBits - 1)
+		dstK[cnt[d]], dstW[cnt[d]] = D(k&keep), srcW[i]
+		cnt[d]++
+	}
 }
 
 // ShardOf routes a packed key to one of 1<<bits shards using the high bits

@@ -2,6 +2,7 @@ package hashtable
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -308,24 +309,27 @@ func TestDrainMatchesSequentialReference(t *testing.T) {
 	}
 }
 
-func TestDrainInto(t *testing.T) {
-	tab := New(64)
-	for i := 0; i < 100; i++ {
-		tab.Add(uint32(i), uint32(i+1), float64(i))
+// TestDrainShards drains three tables with disjoint keys in one call: every
+// entry comes out once, table after table in slot order, as each table's
+// own Drain lists it.
+func TestDrainShards(t *testing.T) {
+	tabs := []*Table{New(64), New(0), New(512)}
+	for i := 0; i < 300; i++ {
+		tabs[i%3].Add(uint32(i), uint32(i+1), float64(i))
 	}
-	us := make([]uint32, tab.Len())
-	vs := make([]uint32, tab.Len())
-	ws := make([]float64, tab.Len())
-	if n := tab.DrainInto(us, vs, ws); n != tab.Len() {
-		t.Fatalf("DrainInto wrote %d want %d", n, tab.Len())
+	us, vs, ws := DrainShards(tabs)
+	var wu, wv []uint32
+	var ww []float64
+	for _, tab := range tabs {
+		u, v, w := tab.Drain()
+		wu, wv, ww = append(wu, u...), append(wv, v...), append(ww, w...)
 	}
-	seen := map[uint64]float64{}
+	if !slices.Equal(us, wu) || !slices.Equal(vs, wv) || !slices.Equal(ws, ww) || len(us) != 300 {
+		t.Fatalf("DrainShards returned %d entries, unlike the tables' own drains", len(us))
+	}
 	for i := range us {
-		seen[Key(us[i], vs[i])] = ws[i]
-	}
-	for i := 0; i < 100; i++ {
-		if w := seen[Key(uint32(i), uint32(i+1))]; math.Abs(w-float64(i)) > 1e-5 {
-			t.Fatalf("key %d: %g", i, w)
+		if us[i]+1 != vs[i] || ws[i] != float64(us[i]) {
+			t.Fatalf("entry %d: (%d, %d) %g", i, us[i], vs[i], ws[i])
 		}
 	}
 }
@@ -453,30 +457,6 @@ func TestMemoryBytes(t *testing.T) {
 	tab := New(1000)
 	if tab.MemoryBytes() != int64(tab.Capacity())*16 {
 		t.Fatalf("MemoryBytes=%d capacity=%d", tab.MemoryBytes(), tab.Capacity())
-	}
-}
-
-// TestDrainKeysInto checks the allocation-free packed drain against Drain.
-func TestDrainKeysInto(t *testing.T) {
-	s := rng.New(23, 0)
-	tab := New(256)
-	for i := 0; i < 5000; i++ {
-		tab.Add(uint32(s.Intn(100)), uint32(s.Intn(100)), 1)
-	}
-	keys := make([]uint64, tab.Len())
-	ws := make([]float64, tab.Len())
-	if got := tab.DrainKeysInto(keys, ws); got != tab.Len() {
-		t.Fatalf("DrainKeysInto wrote %d want %d", got, tab.Len())
-	}
-	oracle := map[uint64]float64{}
-	us, vs, dws := tab.Drain()
-	for i := range us {
-		oracle[Key(us[i], vs[i])] = dws[i]
-	}
-	for i, k := range keys {
-		if w, ok := oracle[k]; !ok || w != ws[i] {
-			t.Fatalf("key %x weight %g not in Drain oracle (%g, %v)", k, ws[i], w, ok)
-		}
 	}
 }
 
@@ -637,9 +617,9 @@ func TestBatchRaceStress(t *testing.T) {
 	if got := fixedTotal(tab); got != total {
 		t.Fatalf("fixed-point total %d want %d (lost or duplicated samples)", got, total)
 	}
-	keys, ws := tab.DrainKeys()
-	for i, k := range keys {
-		if ToFixed(ws[i]) != want[k] {
+	us, vs, ws := tab.Drain()
+	for i := range us {
+		if k := Key(us[i], vs[i]); ToFixed(ws[i]) != want[k] {
 			t.Fatalf("key %x: weight %v want %v", k, ws[i], FromFixed(want[k]))
 		}
 	}

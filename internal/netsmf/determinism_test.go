@@ -64,7 +64,7 @@ func rawSparsifier(g *graph.Graph, cfg sampler.Config) (*sparse.CSR, sampler.Sta
 // is exact and commutative, and the fully-sorted radix drain is a pure
 // function of the accumulated multiset — shard routing and slot order are
 // erased. Any nondeterminism introduced anywhere on the
-// sampler→table→drain→CSR path breaks this test.
+// sampler→table→drain→CSR path breaks this test. See DESIGN.md "Numerics".
 func TestSparsifierGolden(t *testing.T) {
 	g := randGraph(t, 600, 3, 7)
 	base := sampler.Config{T: 5, M: 400_000, Downsample: true, Seed: 99}

@@ -53,6 +53,7 @@ func hubGraph(t *testing.T) *graph.Graph {
 // reused buffer, as the sketch ring reuses its two) is column- and
 // Float64bits-equal to the single [0, n) call the rSVD path makes, which in
 // turn equals the scale-then-TruncLog oracle; the raw drain is never written.
+// See DESIGN.md "Numerics".
 func TestTransformRowsChunkedBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -75,6 +75,13 @@ func Blocks(n, grain int) []int {
 // slice produced by Blocks. The dense block index b lets the body write into
 // per-block scratch (counts, partial sums) without re-deriving the geometry.
 func ForBlocks(bounds []int, body func(b, lo, hi int)) {
+	WorkerBlocks(bounds, func(_, b, lo, hi int) { body(b, lo, hi) })
+}
+
+// WorkerBlocks is ForBlocks with a dense worker index in [0, Workers()), as
+// in WorkerFor: blocks are taken one at a time, so skewed blocks balance,
+// and two blocks never run concurrently under the same worker index.
+func WorkerBlocks(bounds []int, body func(worker, b, lo, hi int)) {
 	nb := len(bounds) - 1
 	if nb <= 0 {
 		return
@@ -82,7 +89,7 @@ func ForBlocks(bounds []int, body func(b, lo, hi int)) {
 	p := Workers()
 	if p == 1 || nb == 1 {
 		for b := 0; b < nb; b++ {
-			body(b, bounds[b], bounds[b+1])
+			body(0, b, bounds[b], bounds[b+1])
 		}
 		return
 	}
@@ -94,16 +101,16 @@ func ForBlocks(bounds []int, body func(b, lo, hi int)) {
 	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
+		go func(worker int) {
 			defer wg.Done()
 			for {
 				b := int(atomic.AddInt64(&next, 1)) - 1
 				if b >= nb {
 					return
 				}
-				body(b, bounds[b], bounds[b+1])
+				body(worker, b, bounds[b], bounds[b+1])
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 }

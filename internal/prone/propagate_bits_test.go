@@ -72,7 +72,7 @@ func assertEmbeddingBits(t *testing.T, what string, got, want *dense.Matrix) {
 // in one pass over Ã's pattern, recurrence in the SpMM epilogue, rotating
 // buffers) must return exactly the bits of the unfused one kept as
 // propagateOracle — all three filters, orders 2, 3 and 10, every fixture
-// graph, GOMAXPROCS 1, 2 and 4.
+// graph, GOMAXPROCS 1, 2 and 4. See DESIGN.md "Numerics".
 func TestPropagateBitIdenticalToOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for name, g := range bitsGraphs(t) {
@@ -106,7 +106,7 @@ func TestPropagateBitIdenticalToOracle(t *testing.T) {
 // against the clone → ScaleRows → negate → AddScaledIdentity chain it
 // replaced: the same value for every distinct (row, column), merged in the
 // same order where Ã stores a column twice, and a stored 0 in the extra
-// slots.
+// slots. See DESIGN.md "Numerics".
 func TestShiftedLaplacianBitIdenticalToCOOBuild(t *testing.T) {
 	for name, g := range bitsGraphs(t) {
 		adj := adjacencyWithSelfLoops(g)

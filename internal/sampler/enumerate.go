@@ -30,6 +30,54 @@ const enumGrain = 32
 // Tests lower it to force the spill path.
 var enumSlack = 6.0
 
+// withSlack is the head count a buffer sized for e expected heads holds.
+func withSlack(e float64) float64 { return e + enumSlack*(math.Sqrt(e)+4) }
+
+// blockHeads sums M·w_e/vol·p_e (perUnit = M/vol; p_e = 1 for nil
+// strengths) over the arcs out of vertices [lo, hi), read through nc.
+func blockHeads(g *graph.Graph, nc *graph.NeighborCursor, c, perUnit float64, strengths []float64, lo, hi int) float64 {
+	var e float64
+	for ui := lo; ui < hi; ui++ {
+		u := uint32(ui)
+		du := g.Degree(u)
+		if strengths != nil && du > 0 {
+			nc.Begin(u, du)
+		}
+		for i := 0; i < du; i++ {
+			ew, pe := g.EdgeWeight(u, i), 1.0
+			if strengths != nil {
+				pe = ProbW(c, ew, strengths[u], strengths[nc.Neighbor(i)])
+			}
+			e += perUnit * ew * pe
+		}
+	}
+	return e
+}
+
+// ExpectedHeads is a pass's E[heads] = Σ_arcs (M·w_e/vol)·p_e, which Sample
+// presizes its table from and core.EstimateMemory plans with. Its blocks
+// (par.DetBounds) add in order: the same result at every GOMAXPROCS.
+func ExpectedHeads(g *graph.Graph, cfg Config) float64 {
+	if !cfg.Downsample {
+		return float64(cfg.M)
+	}
+	c, perUnit, strengths := cfg.DownsampleC(g.NumVertices()), float64(cfg.M)/g.TotalWeight(), g.Strengths()
+	cursors, bounds := newCursors(g), par.DetBounds(g.NumVertices())
+	sums := make([]float64, len(bounds)-1)
+	par.WorkerBlocks(bounds, func(w, b, lo, hi int) {
+		sums[b] = blockHeads(g, &cursors[w], c, perUnit, strengths, lo, hi)
+	})
+	e := 0.0
+	for _, s := range sums {
+		e += s
+	}
+	return e
+}
+
+// TableHint is the table size hint for e expected heads: two oriented keys
+// per head, with the enumerator's slack.
+func TableHint(e float64) int { return int(2 * withSlack(e)) }
+
 // enumerateHeads generates every walk head of the pass: for each arc
 // (u, v), n_e = ⌊M·w_e/vol⌋ + Bernoulli({M·w_e/vol}) trials — the weighted
 // per-arc budget the serial Sample path draws (w_e = 1 and vol = m for
@@ -61,22 +109,7 @@ func enumerateHeads(g *graph.Graph, cfg Config, cursors []graph.NeighborCursor) 
 	// Regions: Σ M·w_e/vol·p_e expected heads per block, plus slack.
 	off := make([]int64, nb+1)
 	forBlocks(func(nc *graph.NeighborCursor, b, lo, hi int) {
-		var e float64
-		for ui := lo; ui < hi; ui++ {
-			u := uint32(ui)
-			du := g.Degree(u)
-			if cfg.Downsample && du > 0 {
-				nc.Begin(u, du)
-			}
-			for i := 0; i < du; i++ {
-				ew, pe := g.EdgeWeight(u, i), 1.0
-				if cfg.Downsample {
-					pe = ProbW(c, ew, strengths[u], strengths[nc.Neighbor(i)])
-				}
-				e += perUnit * ew * pe
-			}
-		}
-		off[b] = max(0, int64(e+enumSlack*(math.Sqrt(e)+4)))
+		off[b] = max(0, int64(withSlack(blockHeads(g, nc, c, perUnit, strengths, lo, hi))))
 	})
 	off[nb] = par.ExclusiveScan(off[:nb])
 	arr := make([]headRec, off[nb])

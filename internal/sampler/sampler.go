@@ -126,19 +126,11 @@ func Sample(g *graph.Graph, cfg Config) (Sink, Stats, error) {
 	perUnit := float64(cfg.M) / totalWeight
 	strengths := g.Strengths()
 
-	// Presize the table: expected heads ≈ M·E[p_e]; each head inserts two
-	// oriented keys. Without downsampling every trial is a head.
+	// Presize the table from the expected head count (every trial without
+	// downsampling) with the enumerator's 6σ slack, so it does not grow.
 	hint := cfg.TableSizeHint
 	if hint <= 0 {
-		headsEst := float64(cfg.M)
-		if cfg.Downsample {
-			// Σ_arcs p_e ≤ Σ_arcs C(1/du+1/dv) = 2nC, so the heads fraction
-			// is at most 2nC/arcs.
-			if cap := 2 * float64(n) * c / float64(arcs); cap < 1 {
-				headsEst *= cap
-			}
-		}
-		hint = int(2*headsEst) + 1024
+		hint = TableHint(ExpectedHeads(g, cfg))
 	}
 	table := NewSink(hint, cfg.Shards)
 

@@ -1,6 +1,8 @@
 package sampler
 
 import (
+	"math/bits"
+
 	"lightne/internal/aggregate"
 	"lightne/internal/hashtable"
 	"lightne/internal/par"
@@ -15,7 +17,7 @@ import (
 //
 // Both implementations produce bit-identical DrainCSR output for the same
 // accumulated multiset: fixed-point accumulation is exact and commutative,
-// and the fully-sorted radix grouping erases shard routing and slot order.
+// and the fully sorted grouping erases shard routing and slot order.
 type Sink interface {
 	// AddFixedBatch accumulates many (key, 44.20 fixed-point weight) pairs.
 	// A batch of at most hashtable.BatchGrain pairs on a single table runs
@@ -59,6 +61,12 @@ func NewSink(capacityHint, shards int) Sink {
 		return hashtable.New(capacityHint)
 	}
 	return aggregate.NewShardedTable(capacityHint, shards)
+}
+
+// SinkBytes is the slot footprint of NewSink(capacityHint, shards).
+func SinkBytes(capacityHint, shards int) int64 {
+	n := 1 << bits.Len(uint(max(shards, 1)-1))
+	return int64(n) * hashtable.SlotBytes((capacityHint+n-1)/n)
 }
 
 // pairBuf is one chunk's pending oriented pairs for a per-arc sampler: each

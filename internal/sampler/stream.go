@@ -3,8 +3,8 @@ package sampler
 // Streaming hand-off from the aggregation sink to a chunk consumer. The
 // single-pass sketched factorization wants to absorb the sparsifier while it
 // drains out of the hash table instead of holding a second, scaled copy of
-// the CSR. The global radix sort inside DrainCSR must finish before any row's
-// final content exists, so "streaming" here means: after grouping, the
+// the CSR. DrainCSR's buckets must all be sorted before every row's final
+// content exists, so "streaming" here means: after grouping, the
 // consumer (core.EmbedTable) walks the rows in bounded whole-row chunks that
 // it transforms (scale + trunc-log) and absorbs one at a time, never
 // materializing the scaled matrix.

@@ -80,7 +80,7 @@ func assertSameBits(t *testing.T, what string, got, want *dense.Matrix) {
 
 // TestSpMMBitIdenticalToOracle: the 4-way row-accumulate kernel must return
 // the bits of the one-entry loop it replaced, for every unroll remainder,
-// special value and worker count.
+// special value and worker count. See DESIGN.md "Numerics".
 func TestSpMMBitIdenticalToOracle(t *testing.T) {
 	src := rng.New(11, 0)
 	plain := rowLengthMatrix(131, 97, []int{0, 1, 3, 4, 5, 8, 9}, src)
@@ -130,6 +130,7 @@ func TestSpMMBitIdenticalToOracle(t *testing.T) {
 // followed by the same update as a separate sweep. Every row must be handed
 // to RowDone exactly once. Run under -race (make race) this is the check
 // that rows are finished before the hook sees them and never shared.
+// See DESIGN.md "Numerics".
 func TestProductRowDoneBitIdentical(t *testing.T) {
 	m := rmatAdjacency(t, 10, 8)
 	n, d := m.NumRows, 33

@@ -98,6 +98,7 @@ func TestSketchChunkingInvariance(t *testing.T) {
 // TestSketchBitIdenticalAcrossProcs pins the determinism contract of the
 // sketch alone: same seed, any GOMAXPROCS and any chunking → bitwise equal
 // factors. (The end-to-end GOMAXPROCS × Shards property lives in core.)
+// See DESIGN.md "Numerics".
 func TestSketchBitIdenticalAcrossProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	a, _ := lowRankSparse(90, 6, 17)
