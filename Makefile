@@ -24,7 +24,7 @@ test:
 # reduction passes a single run by luck (core.TestEmbedDeterministic did for
 # three re-anchors).
 NPROC ?= $(shell nproc 2>/dev/null || echo 2)
-DETERMINISM_PKGS = . ./internal/core ./internal/dense ./internal/sparse ./internal/prone ./internal/svd ./internal/netsmf ./internal/sampler ./internal/dynamic ./internal/hashtable ./internal/aggregate
+DETERMINISM_PKGS = . ./internal/core ./internal/dense ./internal/sparse ./internal/prone ./internal/svd ./internal/netsmf ./internal/sampler ./internal/dynamic ./internal/hashtable
 determinism:
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden' $(DETERMINISM_PKGS)
 	GOMAXPROCS=$(NPROC) $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden' $(DETERMINISM_PKGS)
@@ -37,10 +37,11 @@ harness:
 
 # The packages with real concurrency: the lock-free serving store under
 # query-during-hot-swap load, the incremental embedder feeding it, the
-# aggregation path (hash table + sharded aggregators + par primitives) under
-# shared-batch/owned-batch/grow/Get interleaving, the radix sorts and the
-# bucketed drain (work-stolen buckets writing disjoint rows) with its sweep
-# over GOMAXPROCS, the row-transform kernel (netsmf), the sampler's end-to-end
+# sharded aggregation table (internal/hashtable: shared-kernel batches,
+# partitioned batches inserted by the owned kernel under each shard's write
+# lock, per-shard grows and Get, interleaved) and the par primitives, the
+# radix sorts and the bucketed drain (work-stolen buckets writing disjoint
+# rows) with its sweep over GOMAXPROCS, the row-transform kernel (netsmf), the sampler's end-to-end
 # sampler → sharded table → grouped drain stress test (undersized tables
 # force concurrent grows), the parallel compressed-adjacency builder
 # (unsorted-input error reporting races the workers), and the
@@ -55,7 +56,7 @@ harness:
 # hot-swap) under the detector without dragging the full factorization test
 # suite through -race.
 race:
-	$(GO) test -race ./internal/serve ./internal/ann ./internal/dynamic ./internal/hashtable ./internal/aggregate ./internal/par ./internal/radix ./internal/netsmf ./internal/sampler ./internal/compress ./internal/faultinject ./internal/svd ./internal/dense ./internal/sparse ./internal/prone
+	$(GO) test -race ./internal/serve ./internal/ann ./internal/dynamic ./internal/hashtable ./internal/par ./internal/radix ./internal/netsmf ./internal/sampler ./internal/compress ./internal/faultinject ./internal/svd ./internal/dense ./internal/sparse ./internal/prone
 	$(GO) test -race -run Deterministic ./internal/core
 	$(GO) test -race -run 'Checkpoint|Embedding|Replication' .
 
@@ -107,14 +108,14 @@ bench:
 # Table benchmarks (benchstat-friendly: -count=5 gives enough runs to
 # compare the insert kernels against the replaced per-key kernel at the
 # harness's table shape (BenchmarkInsert, Mop/s), BenchmarkDrain vs
-# BenchmarkDrainSequential, the aggregation strategies, the radix grouping,
+# BenchmarkDrainSequential, the radix grouping,
 # and the radix vs sort-merge COO build; pipe two runs into
 # `benchstat old.txt new.txt`). The second line times the grouped drain at
 # the harness's two table shapes, sampled for real (RMAT-12 per-arc in one
 # table, RMAT-13 batched in four shards), beside the drain it replaced
 # (oracle/), on one core and on two.
 bench-drain:
-	$(GO) test -run xxx -bench 'BenchmarkInsert|BenchmarkDrain$$|BenchmarkDrainSequential|BenchmarkAggregate|BenchmarkGroupCSR$$|BenchmarkFromCOO' -benchmem -count=5 ./internal/hashtable ./internal/aggregate ./internal/radix ./internal/sparse
+	$(GO) test -run xxx -bench 'BenchmarkInsert|BenchmarkDrain$$|BenchmarkDrainSequential|BenchmarkGroupCSR$$|BenchmarkFromCOO' -benchmem -count=5 ./internal/hashtable ./internal/radix ./internal/sparse
 	$(GO) test -run xxx -bench 'BenchmarkDrainCSR' -benchmem -cpu 1,2 -count=5 ./internal/hashtable
 
 # Sampler pipeline benchmarks: the per-arc sampler, the test-only

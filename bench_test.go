@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"lightne"
-	"lightne/internal/aggregate"
 	"lightne/internal/compress"
 	"lightne/internal/dense"
 	"lightne/internal/eval"
@@ -275,69 +274,6 @@ func BenchmarkKernel_RandomWalk(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				u = tc.g.Walk(u, 8, src)
 			}
-		})
-	}
-}
-
-// BenchmarkAblation_Aggregation compares the three sample-aggregation
-// strategies the paper considered (§4.2): per-worker lists + histogram
-// merge, per-worker tables merged at the end, and the shared lock-free
-// hash table LightNE selected. Memory is reported per strategy.
-func BenchmarkAblation_Aggregation(b *testing.B) {
-	const workers, perWorker, distinct = 8, 20000, 50000
-	strategies := []struct {
-		name string
-		mk   func() aggregate.Aggregator
-	}{
-		{"list-histogram", func() aggregate.Aggregator { return aggregate.NewListHistogram(workers) }},
-		{"per-worker-tables", func() aggregate.Aggregator { return aggregate.NewPerWorkerTables(workers) }},
-		{"shared-table", func() aggregate.Aggregator { return aggregate.NewSharedTable(distinct * 2) }},
-	}
-	for _, s := range strategies {
-		b.Run(s.name, func(b *testing.B) {
-			var mem int64
-			for i := 0; i < b.N; i++ {
-				agg := s.mk()
-				total := aggregate.RunWorkload(agg, workers, perWorker, distinct, uint64(i))
-				if total == 0 {
-					b.Fatal("no samples aggregated")
-				}
-				mem = agg.MemoryBytes()
-			}
-			b.ReportMetric(float64(mem), "bytes")
-			b.ReportMetric(float64(workers*perWorker), "samples")
-		})
-	}
-}
-
-// BenchmarkAblation_ArcSampling compares the uniform-arc strategies the
-// paper rejected (flat array: O(m) memory; prefix-sum binary search:
-// O(log n) per draw) against each other; the per-edge schedule that
-// replaced them is measured by BenchmarkKernel_Sampling.
-func BenchmarkAblation_ArcSampling(b *testing.B) {
-	ds, err := gen.OAGLike(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := ds.Graph
-	samplers := []struct {
-		name string
-		s    sampler.ArcSampler
-	}{
-		{"array-o1", sampler.NewArrayArcSampler(g)},
-		{"binary-search", sampler.NewSearchArcSampler(g)},
-	}
-	for _, tc := range samplers {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportMetric(float64(tc.s.MemoryBytes()), "bytes")
-			src := rng.New(7, 0)
-			b.ResetTimer()
-			var sink uint32
-			for i := 0; i < b.N; i++ {
-				u, v := tc.s.Arc(src)
-				sink ^= u ^ v
-			}
-			_ = sink
 		})
 	}
 }

@@ -61,10 +61,13 @@ type Config struct {
 	// pipeline overlap granularity.
 	WaveSize int
 	// Shards splits the sample-aggregation table across a power of two of
-	// sub-tables routed by high hash bits; <= 1 keeps the single shared
-	// table. The sparsifier (and hence the embedding) is bit-identical for
-	// every setting — sharding only confines grow-lock stalls when the
-	// capacity hint is wrong.
+	// shards routed by high hash bits; <= 1 keeps one table, and more than
+	// hashtable.MaxShards (1 024) is an error. The sparsifier (and hence the
+	// embedding) is bit-identical for every setting. Sharding confines a grow
+	// stall to one shard when the capacity hint is wrong, and it lets a batch
+	// longer than hashtable.BatchGrain (2 048) pairs — every wave of the
+	// batched sampler — insert with plain stores, one worker owning each
+	// shard's run under its write lock, instead of one atomic per key.
 	Shards int
 	// StreamedSVD factorizes with the single-pass sketch instead of the
 	// multi-pass randomized SVD: the sparsifier streams out of the hash

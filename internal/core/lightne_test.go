@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"lightne/internal/eval"
 	"lightne/internal/gen"
@@ -177,6 +178,29 @@ func TestEmbedErrors(t *testing.T) {
 	}
 	if _, err := Embed(empty, DefaultConfig(4)); err == nil {
 		t.Fatal("expected empty-graph error")
+	}
+}
+
+// TestShardsAboveBoundRejected: a shard count past hashtable.MaxShards is a
+// prompt error from Embed on both samplers and from the planner: math.MaxInt
+// overflows a power-of-two rounding, and 1<<30 shards do not fit in memory.
+func TestShardsAboveBoundRejected(t *testing.T) {
+	g := karate(t)
+	for _, shards := range []int{math.MaxInt, 1 << 30} {
+		for _, batched := range []bool{false, true} {
+			cfg := DefaultConfig(4)
+			cfg.Shards, cfg.BatchedWalks = shards, batched
+			start := time.Now()
+			if _, err := Embed(g, cfg); err == nil {
+				t.Fatalf("shards=%d batched=%v: Embed accepted it", shards, batched)
+			}
+			if _, err := EstimateMemory(g, cfg); err == nil {
+				t.Fatalf("shards=%d batched=%v: EstimateMemory accepted it", shards, batched)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("shards=%d batched=%v: rejection took %v", shards, batched, d)
+			}
+		}
 	}
 }
 

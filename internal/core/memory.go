@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"lightne/internal/graph"
+	"lightne/internal/hashtable"
 	"lightne/internal/par"
 	"lightne/internal/prone"
 	"lightne/internal/sampler"
@@ -22,7 +23,7 @@ type MemoryEstimate struct {
 	ExpectedHeads int64
 	// TableBytes is the hash table Sample presizes: power-of-two slots of
 	// 16 bytes at 7/8 load for two oriented keys per expected head, with
-	// the enumerator's slack (sampler.TableHint, sampler.SinkBytes).
+	// the enumerator's slack (sampler.TableHint, hashtable.SlotBytes).
 	TableBytes int64
 	// PeakTableBytes is the table's high-water mark including the grow
 	// transient: while a badly-hinted table rehashes to its final capacity,
@@ -84,11 +85,14 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 		return MemoryEstimate{}, fmt.Errorf("lightne: dimension and T must be positive")
 	}
 	scfg := cfg.Sampler(g)
+	if err := scfg.Check(); err != nil {
+		return MemoryEstimate{}, fmt.Errorf("lightne: %w", err)
+	}
 	e := sampler.ExpectedHeads(g, scfg)
 	heads := int64(e)
 	// Two oriented keys per head; the table is the one Sample presizes.
 	entries := 2 * heads
-	tableBytes := sampler.SinkBytes(sampler.TableHint(e), scfg.Shards)
+	tableBytes := hashtable.SlotBytes(sampler.TableHint(e), scfg.Shards)
 	est := MemoryEstimate{
 		Trials:          scfg.M,
 		ExpectedHeads:   heads,

@@ -48,8 +48,8 @@ func New(initial *graph.Graph, cfg core.Config) (*Embedder, error) {
 	if cfg.Dim <= 0 {
 		return nil, fmt.Errorf("dynamic: dimension must be positive")
 	}
-	if cfg.T <= 0 {
-		return nil, fmt.Errorf("dynamic: window size T must be positive")
+	if err := cfg.Sampler(initial).Check(); err != nil {
+		return nil, fmt.Errorf("dynamic: %w", err)
 	}
 	if initial.Weighted() {
 		// The incremental path rebuilds the graph from an unweighted arc

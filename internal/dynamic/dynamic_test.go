@@ -190,6 +190,13 @@ func TestNewErrors(t *testing.T) {
 	if _, err := New(initial, bad); err == nil {
 		t.Fatal("expected T error")
 	}
+	for _, shards := range []int{math.MaxInt, 1 << 30} {
+		bad = testConfig()
+		bad.Shards = shards
+		if _, err := New(initial, bad); err == nil {
+			t.Fatalf("expected an error for %d shards", shards)
+		}
+	}
 }
 
 func TestNewRejectsWeightedGraph(t *testing.T) {

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"lightne/internal/aggregate"
 	"lightne/internal/core"
 	"lightne/internal/dynamic"
 	"lightne/internal/eval"
 	"lightne/internal/gen"
 	"lightne/internal/graph"
+	"lightne/internal/hashtable"
 )
 
 // E11DynamicEmbedding goes beyond the paper's tables into its §6 future
@@ -133,17 +133,17 @@ func E12AggregationStrategies(opt Options) (*Report, error) {
 	}
 	strategies := []struct {
 		name string
-		mk   func() aggregate.Aggregator
+		mk   func() aggregator
 	}{
-		{"per-worker lists + histogram merge", func() aggregate.Aggregator { return aggregate.NewListHistogram(workers) }},
-		{"per-worker tables, merged at end (NetSMF)", func() aggregate.Aggregator { return aggregate.NewPerWorkerTables(workers) }},
-		{"shared lock-free table, xadd (LightNE)", func() aggregate.Aggregator { return aggregate.NewSharedTable(distinct * 2) }},
+		{"per-worker lists + histogram merge", func() aggregator { return newListHistogram(workers) }},
+		{"per-worker tables, merged at end (NetSMF)", func() aggregator { return newPerWorkerTables(workers) }},
+		{"shared lock-free table, xadd (LightNE)", func() aggregator { return sharedTable{hashtable.New(distinct*2, 1)} }},
 	}
 	var rows [][]string
 	for _, s := range strategies {
 		agg := s.mk()
 		t0 := time.Now()
-		total := aggregate.RunWorkload(agg, workers, perWorker, distinct, opt.Seed)
+		total := runWorkload(agg, workers, perWorker, distinct, opt.Seed)
 		elapsed := time.Since(t0)
 		if total != float64(workers*perWorker) {
 			return nil, fmt.Errorf("%s lost samples: %.0f of %d", s.name, total, workers*perWorker)

@@ -9,7 +9,7 @@ import (
 )
 
 func BenchmarkAddSingleWorker(b *testing.B) {
-	t := New(1 << 20)
+	t := New(1<<20, 1)
 	s := rng.New(1, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -20,7 +20,7 @@ func BenchmarkAddSingleWorker(b *testing.B) {
 
 func BenchmarkAddContended(b *testing.B) {
 	// All workers hammer a small key set: stresses the atomic-add path.
-	t := New(1 << 12)
+	t := New(1<<12, 1)
 	workers := 8
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -44,7 +44,7 @@ func BenchmarkAddContended(b *testing.B) {
 // slot layouts.
 func benchTable(b *testing.B, distinct int) *Table {
 	b.Helper()
-	t := New(distinct)
+	t := New(distinct, 1)
 	for i := 0; i < distinct; i++ {
 		t.Add(uint32(i), uint32(i*7), 1)
 	}
@@ -62,7 +62,7 @@ func drainSequential(t *Table) (us, vs []uint32, ws []float64) {
 	us = make([]uint32, 0, n)
 	vs = make([]uint32, 0, n)
 	ws = make([]float64, 0, n)
-	for _, s := range t.slots {
+	for _, s := range t.shards[0].slots {
 		if s.key == 0 {
 			continue
 		}
@@ -123,7 +123,7 @@ func insertWorkload(pairs, distinct int) (keys, fixed []uint64) {
 // BenchmarkInsert times one fresh presized table taking 1.5 M pairs over
 // ~1.06 M distinct keys (the harness's embed-stream shape), allocation
 // included: the single table's shared batch kernel, and four shards each
-// inserted by its own worker with the owned kernel (the sharded sink's path
+// inserted by its own worker with the owned kernel (the sharded table's path
 // after partitioning; the partition itself is not timed). Each runs beside
 // the per-key kernel it replaced (perKeyTable), and the owned shards also
 // beside the shared kernel inserting the same runs, one worker per shard:
@@ -134,7 +134,7 @@ func BenchmarkInsert(b *testing.B) {
 	keys, fixed := insertWorkload(pairs, distinct)
 	var shardKeys, shardFixed [shards][]uint64
 	for i, k := range keys {
-		sh := ShardOf(k, shardBits)
+		sh := shardOf(k, shardBits)
 		shardKeys[sh] = append(shardKeys[sh], k)
 		shardFixed[sh] = append(shardFixed[sh], fixed[i])
 	}
@@ -146,19 +146,19 @@ func BenchmarkInsert(b *testing.B) {
 			b.ReportMetric(float64(pairs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mop/s")
 		})
 	}
-	run("table", func() { New(pairs).AddFixedBatch(keys, fixed) })
+	run("table", func() { New(pairs, 1).AddFixedBatch(keys, fixed) })
 	run("table-per-key-oracle", func() { newPerKeyTable(pairs).AddFixedBatch(keys, fixed) })
 	run("shards-4-owned", func() {
 		par.For(shards, 1, func(sh int) {
-			New(pairs/shards).AddFixedBatchOwned(shardKeys[sh], shardFixed[sh])
+			addOwned(New(pairs/shards, 1), shardKeys[sh], shardFixed[sh])
 		})
 	})
 	run("shards-4-shared", func() {
 		par.For(shards, 1, func(sh int) {
-			t, keys, fixed := New(pairs/shards), shardKeys[sh], shardFixed[sh]
+			t, keys, fixed := New(pairs/shards, 1), shardKeys[sh], shardFixed[sh]
 			for lo := 0; lo < len(keys); lo += BatchGrain {
 				hi := min(lo+BatchGrain, len(keys))
-				t.addShared(keys[lo:hi], fixed[lo:hi])
+				t.shards[0].addShared(keys[lo:hi], fixed[lo:hi])
 			}
 		})
 	})

@@ -15,10 +15,10 @@ import (
 	"lightne/internal/sampler"
 )
 
-// drainCase is a set of tables holding disjoint keys, drained over numRows.
+// drainCase is a table drained over numRows.
 type drainCase struct {
 	name    string
-	tables  []*hashtable.Table
+	table   *hashtable.Table
 	numRows int
 }
 
@@ -69,20 +69,12 @@ type harnessTable struct {
 	keys, fixed []uint64
 }
 
-// shardTables routes pairs into 1<<bits tables by hashtable.ShardOf, as the
-// sharded aggregator does. A hint of 0 makes every table grow mid-insert.
-func shardTables(keys, fixed []uint64, bits uint, hint int) []*hashtable.Table {
-	tables := make([]*hashtable.Table, 1<<bits)
-	k, f := make([][]uint64, len(tables)), make([][]uint64, len(tables))
-	for i, key := range keys {
-		sh := hashtable.ShardOf(key, bits)
-		k[sh], f[sh] = append(k[sh], key), append(f[sh], fixed[i])
-	}
-	for sh := range tables {
-		tables[sh] = hashtable.New(hint >> bits)
-		tables[sh].AddFixedBatchOwned(k[sh], f[sh])
-	}
-	return tables
+// shardTable inserts pairs into a table of 1<<bits shards in one batch. A
+// hint of 0 makes every shard grow mid-insert.
+func shardTable(keys, fixed []uint64, bits uint, hint int) *hashtable.Table {
+	tab := hashtable.New(hint, 1<<bits)
+	tab.AddFixedBatch(keys, fixed)
+	return tab
 }
 
 // syntheticPairs draws n pairs over rows [0, numRows) and columns [0, cols),
@@ -106,23 +98,21 @@ func syntheticPairs(seed uint64, n, numRows, cols, hub int, hubFrac float64) (ke
 func drainCases() []drainCase {
 	var cases []drainCase
 	for _, h := range harnessTables() {
-		if tab, ok := h.sink.(*hashtable.Table); ok {
-			cases = append(cases, drainCase{h.name + "/sampled", []*hashtable.Table{tab}, h.g.NumVertices()})
-		}
+		cases = append(cases, drainCase{h.name + "/sampled", h.sink, h.g.NumVertices()})
 		for _, bits := range []uint{0, 2, 4} {
 			cases = append(cases, drainCase{fmt.Sprintf("%s/shards=%d", h.name, 1<<bits),
-				shardTables(h.keys, h.fixed, bits, len(h.keys)), h.g.NumVertices()})
+				shardTable(h.keys, h.fixed, bits, len(h.keys)), h.g.NumVertices()})
 		}
-		cases = append(cases, drainCase{h.name + "/grown", shardTables(h.keys, h.fixed, 0, 0), h.g.NumVertices()})
+		cases = append(cases, drainCase{h.name + "/grown", shardTable(h.keys, h.fixed, 0, 0), h.g.NumVertices()})
 	}
 	for _, numRows := range []int{0, 1, 5} {
-		cases = append(cases, drainCase{fmt.Sprintf("empty/rows=%d", numRows), []*hashtable.Table{hashtable.New(0)}, numRows})
+		cases = append(cases, drainCase{fmt.Sprintf("empty/rows=%d", numRows), hashtable.New(0, 1), numRows})
 	}
 	for _, numRows := range []int{1, 255, 256, 257, 1000, 4099} {
 		for i, n := range []int{1, 3000, 40000} {
 			keys, fixed := syntheticPairs(uint64(numRows*n), n, numRows, 70000, numRows-1, 0)
 			cases = append(cases, drainCase{fmt.Sprintf("rows=%d/pairs=%d/shards=%d", numRows, n, 1<<i),
-				shardTables(keys, fixed, uint(i), 0), numRows})
+				shardTable(keys, fixed, uint(i), 0), numRows})
 		}
 	}
 	// One hub row holding more entries than an average bucket many times
@@ -130,7 +120,7 @@ func drainCases() []drainCase {
 	keys, fixed := syntheticPairs(9, 200000, 3000, 1<<31, 1234, 0.2)
 	keys = append(keys, hashtable.Key(17, 0xffffffff), hashtable.Key(2999, 0))
 	fixed = append(fixed, 5, 6)
-	cases = append(cases, drainCase{"hub", shardTables(keys, fixed, 2, len(keys)), 3000})
+	cases = append(cases, drainCase{"hub", shardTable(keys, fixed, 2, len(keys)), 3000})
 	return cases
 }
 
@@ -141,24 +131,18 @@ func drainCases() []drainCase {
 func TestDrainCSRBitIdenticalToRadixOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range drainCases() {
-		wantPtr, wantCols, wantWs := hashtable.DrainCSROracle(c.tables, c.numRows)
+		wantPtr, wantCols, wantWs := hashtable.DrainCSROracle(c.table, c.numRows)
 		for _, procs := range []int{1, 2, 3, 4} {
 			runtime.GOMAXPROCS(procs)
-			gotPtr, gotCols, gotWs := hashtable.DrainShardsCSR(c.tables, c.numRows)
+			gotPtr, gotCols, gotWs := c.table.DrainCSR(c.numRows)
 			if !slices.Equal(gotPtr, wantPtr) || !slices.Equal(gotCols, wantCols) || !slices.Equal(gotWs, wantWs) {
 				t.Fatalf("procs=%d %s: drain differs from the radix oracle", procs, c.name)
-			}
-		}
-		if len(c.tables) == 1 {
-			p, cl, w := c.tables[0].DrainCSR(c.numRows)
-			if !slices.Equal(p, wantPtr) || !slices.Equal(cl, wantCols) || !slices.Equal(w, wantWs) {
-				t.Fatalf("%s: Table.DrainCSR differs from the radix oracle", c.name)
 			}
 		}
 	}
 	for _, h := range harnessTables() {
 		p, cl, w := h.sink.DrainCSR(h.g.NumVertices())
-		wp, wc, ww := hashtable.DrainCSROracle(shardTables(h.keys, h.fixed, 0, len(h.keys)), h.g.NumVertices())
+		wp, wc, ww := hashtable.DrainCSROracle(shardTable(h.keys, h.fixed, 0, len(h.keys)), h.g.NumVertices())
 		if !slices.Equal(p, wp) || !slices.Equal(cl, wc) || !slices.Equal(w, ww) {
 			t.Fatalf("%s: the sampler's sink drains differently from the oracle", h.name)
 		}
@@ -177,14 +161,14 @@ func TestDrainCSRPanicsOnRowOutOfRange(t *testing.T) {
 		keys, fixed := syntheticPairs(3, c.pairs, max(c.numRows, 1), 1000, 0, 0)
 		keys = append(keys, hashtable.Key(c.row, 7))
 		fixed = append(fixed, 1)
-		tables := shardTables(keys, fixed, 1, len(keys))
+		tab := shardTable(keys, fixed, 1, len(keys))
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("numRows=%d row=%d: no panic", c.numRows, c.row)
 				}
 			}()
-			hashtable.DrainShardsCSR(tables, c.numRows)
+			tab.DrainCSR(c.numRows)
 		}()
 	}
 }
@@ -195,21 +179,15 @@ func TestDrainCSRPanicsOnRowOutOfRange(t *testing.T) {
 // replaced drain (oracle/). Run at -cpu 1,2.
 func BenchmarkDrainCSR(b *testing.B) {
 	for _, h := range harnessTables() {
-		tables := []*hashtable.Table{}
-		if tab, ok := h.sink.(*hashtable.Table); ok {
-			tables = append(tables, tab)
-		} else {
-			tables = shardTables(h.keys, h.fixed, 2, len(h.keys))
-		}
 		n := h.g.NumVertices()
 		for _, impl := range []struct {
 			name  string
-			drain func([]*hashtable.Table, int) ([]int64, []uint32, []float64)
-		}{{"bucketed", hashtable.DrainShardsCSR}, {"oracle", hashtable.DrainCSROracle}} {
-			b.Run(fmt.Sprintf("%s/shards=%d/%s", h.name, len(tables), impl.name), func(b *testing.B) {
+			drain func(*hashtable.Table, int) ([]int64, []uint32, []float64)
+		}{{"bucketed", (*hashtable.Table).DrainCSR}, {"oracle", hashtable.DrainCSROracle}} {
+			b.Run(fmt.Sprintf("%s/shards=%d/%s", h.name, h.sink.Shards(), impl.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					impl.drain(tables, n)
+					impl.drain(h.sink, n)
 				}
 				b.ReportMetric(float64(len(h.keys)), "entries")
 			})

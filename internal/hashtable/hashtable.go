@@ -18,24 +18,30 @@
 // empty table, with no fill pass. The complement of the reserved pair
 // (0xffffffff, 0xffffffff) is that marker.
 //
-// Inserts are batch-first. AddFixedBatch is the shared kernel: each chunk of
-// up to BatchGrain pairs takes the growth lock's read side once and runs a
-// per-key loop of probes, CASes and xadds with no lock and no counter update.
-// The chunk's first new key reserves headroom for every remaining key with
-// one compare-and-swap on the key count, so hits never touch the count, and
-// unused headroom is returned when the chunk ends. A full
-// table makes the chunk release the lock, double the table under the write
-// lock, and carry on, so a presized table never grows and the 7/8 load
-// factor is never exceeded. AddFixedBatchOwned is the owned kernel for
-// callers that route a batch so one goroutine owns the table for it (the
-// sharded sink's partitioned insert): it holds the write lock for the batch
-// and inserts with plain loads and stores, a local count and an inline grow.
-// AddFixed and Add are one-pair calls into the shared kernel.
+// A Table is split into a power of two of shards (New's shards argument,
+// one for a plain table), each an open-addressing table with its own
+// growth lock, routed by the high bits of the key's hash. Sharding changes
+// no bit of the aggregate; it confines a grow to the keys of one shard, and
+// it lets a long batch be partitioned so that one goroutine owns each
+// shard's run.
 //
-// The sparsifier hand-off, DrainShardsCSR, groups a table or the shards of
-// one by source vertex: each entry is scattered once, into a bucket of rows
-// that sorts in cache. The keys being distinct, the fully sorted layout is
-// unique, whatever the shard routing, slot order or worker count.
+// Inserts are batch-first. The shared kernel (shard.addShared) takes a
+// shard's growth lock's read side once per chunk of up to BatchGrain pairs
+// and runs a per-key loop of probes, CASes and xadds with no lock and no
+// counter update. The chunk's first new key reserves headroom for every
+// remaining key with one compare-and-swap on the key count, so hits never
+// touch the count, and unused headroom is returned when the chunk ends. A
+// full shard makes the chunk release the lock, double the shard under the
+// write lock, and carry on, so a presized table never grows and the 7/8
+// load factor is never exceeded. The owned kernel (shard.addOwned) runs a
+// sharded table's partitioned batch: it holds the shard's write lock for
+// the run and inserts with plain loads and stores, a local count and an
+// inline grow. AddFixed and Add are one-pair calls into the shared kernel.
+//
+// The sparsifier hand-off, DrainCSR, groups every shard's entries by source
+// vertex: each entry is scattered once, into a bucket of rows that sorts in
+// cache. The keys being distinct, the fully sorted layout is unique,
+// whatever the shard count, slot order or worker count.
 package hashtable
 
 import (
@@ -52,7 +58,7 @@ const (
 	FixedPointShift = 20
 	// fixedOne is 1.0 in fixed point.
 	fixedOne = 1 << FixedPointShift
-	// maxLoadNum/maxLoadDen is the load factor at which the table grows.
+	// maxLoadNum/maxLoadDen is the load factor at which a shard grows.
 	maxLoadNum, maxLoadDen = 7, 8
 )
 
@@ -100,8 +106,31 @@ type slot struct {
 	key, val uint64
 }
 
-// Table is a concurrent weighted-count hash table keyed by packed edges.
+// MaxShards is the most shards New accepts. A caller that takes a shard
+// count from outside input checks it against this bound first
+// (sampler.Config.Check): past it a shard holds too few keys to matter, and
+// every small batch into a sharded table clears one cursor per shard.
+const MaxShards = 1024
+
+// shardBits returns log2 of the shard count New makes for shards: shards
+// rounded up to a power of two, at least 1. It panics above MaxShards.
+func shardBits(shards int) uint {
+	if shards > MaxShards {
+		panic("hashtable: shard count exceeds MaxShards")
+	}
+	return uint(bits.Len(uint(max(shards, 1) - 1)))
+}
+
+// Table is a concurrent weighted-count hash table keyed by packed edges,
+// split into 1<<shardBits shards routed by shardOf.
 type Table struct {
+	shards    []shard
+	shardBits uint
+	small     sync.Pool // *smallBatch scratch of a sharded AddFixedBatch
+}
+
+// shard is one open-addressing table of a Table.
+type shard struct {
 	mu    sync.RWMutex
 	slots []slot
 	mask  uint64
@@ -111,12 +140,24 @@ type Table struct {
 	peak  atomic.Int64 // high-water mark of transient slot storage
 }
 
-// New returns a table presized to hold capacityHint distinct keys without
-// growing. A hint <= 0 selects a small default.
-func New(capacityHint int) *Table {
-	t := &Table{}
-	t.setSlots(presize(capacityHint))
-	t.peak.Store(t.MemoryBytes())
+// New returns a table of shards shards (rounded up to a power of two, at
+// least 1), each presized for its share of capacityHint distinct keys, so
+// that the table holds capacityHint keys without growing. A hint <= 0
+// selects a small default. shards must not exceed MaxShards.
+func New(capacityHint, shards int) *Table {
+	b := shardBits(shards)
+	n := 1 << b
+	t := &Table{shards: make([]shard, n), shardBits: b}
+	c := presize((capacityHint + n - 1) / n)
+	for i := range t.shards {
+		t.shards[i].setSlots(c)
+		t.shards[i].peak.Store(int64(c) * 16)
+	}
+	if n > 1 {
+		t.small.New = func() any {
+			return &smallBatch{make([]uint64, BatchGrain), make([]uint64, BatchGrain), make([]int, n)}
+		}
+	}
 	return t
 }
 
@@ -134,18 +175,22 @@ func presize(capacityHint int) uint64 {
 	return c
 }
 
-// SlotBytes is the slot footprint of New(capacityHint).
-func SlotBytes(capacityHint int) int64 { return int64(presize(capacityHint)) * 16 }
-
-func (t *Table) setSlots(capacity uint64) {
-	t.slots = make([]slot, capacity)
-	t.mask = capacity - 1
+// SlotBytes is the slot footprint of New(capacityHint, shards). shards must
+// not exceed MaxShards.
+func SlotBytes(capacityHint, shards int) int64 {
+	n := 1 << shardBits(shards)
+	return int64(n) * int64(presize((capacityHint+n-1)/n)) * 16
 }
 
-// maxKeys is the most distinct keys the current capacity holds under the
+func (s *shard) setSlots(capacity uint64) {
+	s.slots = make([]slot, capacity)
+	s.mask = capacity - 1
+}
+
+// maxKeys is the most distinct keys the shard's capacity holds under the
 // 7/8 load factor (capacities are powers of two >= 16, so this is exact).
-func (t *Table) maxKeys() int64 {
-	return int64(len(t.slots)) / maxLoadDen * maxLoadNum
+func (s *shard) maxKeys() int64 {
+	return int64(len(s.slots)) / maxLoadDen * maxLoadNum
 }
 
 // hash mixes a packed key (SplitMix64 finalizer).
@@ -155,6 +200,19 @@ func hash(k uint64) uint64 {
 	return k ^ (k >> 31)
 }
 
+// shardOf routes a packed key to one of 1<<bits shards using the high bits
+// of the hash, so shard routing and in-shard probing (which uses the low
+// bits via the capacity mask) draw on disjoint parts of the same mix.
+// bits == 0 maps every key to shard 0.
+func shardOf(key uint64, bits uint) int {
+	return int(hash(key) >> (64 - bits))
+}
+
+// shardFor returns key's shard.
+func (t *Table) shardFor(key uint64) *shard {
+	return &t.shards[shardOf(key, t.shardBits)]
+}
+
 // Add accumulates weight w onto key (u, v), inserting it if absent.
 // Safe for concurrent use.
 func (t *Table) Add(u, v uint32, w float64) {
@@ -162,62 +220,166 @@ func (t *Table) Add(u, v uint32, w float64) {
 }
 
 // AddFixed accumulates a fixed-point weight onto a packed key: a one-pair
-// call into the shared batch kernel. Safe for concurrent use.
+// call into the shared batch kernel of its shard. Safe for concurrent use.
 func (t *Table) AddFixed(key, fixed uint64) {
 	k, f := [1]uint64{key}, [1]uint64{fixed}
-	t.addShared(k[:], f[:])
+	t.shardFor(key).addShared(k[:], f[:])
 }
 
 // BatchGrain is the chunk length of AddFixedBatch: a batch of at most
-// BatchGrain pairs is inserted inline on the calling goroutine under one
-// read-lock acquisition, and longer batches split into chunks of about this
-// size that run in parallel. Inserts are memory-bound random probes, so
-// chunks stay small enough to keep all workers busy on modest batches.
+// BatchGrain pairs is inserted inline on the calling goroutine, and longer
+// batches split into chunks or shard runs that run in parallel. Inserts are
+// memory-bound random probes, so chunks stay small enough to keep all
+// workers busy on modest batches.
 const BatchGrain = 2048
 
-// AddFixedBatch accumulates every (key, fixed-point weight) pair,
-// parallelizing the inserts over chunks of the batch. Equivalent to calling
-// AddFixed for each pair — accumulation is commutative, so the result is
-// independent of chunk geometry. Safe for concurrent use with every other
-// insert. len(keys) must equal len(fixed).
+// shardPartGrain is the per-chunk length of the shard-partition counting and
+// scatter passes in AddFixedBatch.
+const shardPartGrain = 4096
+
+// AddFixedBatch accumulates every (key, fixed-point weight) pair. On one
+// shard, a batch of at most BatchGrain pairs runs through the shared kernel
+// inline under one read-lock acquisition, and a longer one in parallel
+// chunks of about BatchGrain pairs. On several shards, a batch of at most
+// BatchGrain pairs — one flush of a per-arc sampler's worker, arriving while
+// every other worker flushes too — is grouped by shard on the calling
+// goroutine into pooled scratch, and each shard's run goes through the
+// shared kernel. A longer batch is partitioned in parallel (per-chunk shard
+// counts, a scan for stable offsets, a scatter into shard-contiguous
+// scratch), and each shard's run goes to one worker, which inserts it with
+// the owned kernel: no atomic operation per key. Equivalent to calling
+// AddFixed per pair (accumulation is commutative), and safe for concurrent
+// use with every other insert. len(keys) must equal len(fixed).
 func (t *Table) AddFixedBatch(keys, fixed []uint64) {
 	if len(keys) != len(fixed) {
 		panic("hashtable: keys and fixed must have equal length")
 	}
-	if len(keys) <= BatchGrain {
-		t.addShared(keys, fixed)
-		return
+	switch {
+	case len(t.shards) == 1 && len(keys) <= BatchGrain:
+		t.shards[0].addShared(keys, fixed)
+	case len(t.shards) == 1:
+		par.ForRange(len(keys), BatchGrain, func(lo, hi int) {
+			t.shards[0].addShared(keys[lo:hi], fixed[lo:hi])
+		})
+	case len(keys) <= BatchGrain:
+		t.addSmall(keys, fixed)
+	default:
+		kbuf, fbuf, starts := t.partition(keys, fixed)
+		par.For(len(t.shards), 1, func(sh int) {
+			lo, hi := starts[sh], starts[sh+1]
+			t.shards[sh].addOwned(kbuf[lo:hi], fbuf[lo:hi])
+		})
 	}
-	par.ForRange(len(keys), BatchGrain, func(lo, hi int) {
-		t.addShared(keys[lo:hi], fixed[lo:hi])
+}
+
+// smallBatch is the grouping scratch of one small batch: room for
+// BatchGrain pairs and one cursor per shard.
+type smallBatch struct {
+	keys, fixed []uint64
+	next        []int
+}
+
+// addSmall groups a batch of at most BatchGrain pairs by shard into scratch
+// from the table's pool — a counting pass, a scan, a stable scatter — and
+// inserts each shard's run inline through the shared kernel.
+func (t *Table) addSmall(keys, fixed []uint64) {
+	b := t.small.Get().(*smallBatch)
+	next := b.next
+	clear(next)
+	for _, k := range keys {
+		next[shardOf(k, t.shardBits)]++
+	}
+	start := 0
+	for sh, c := range next {
+		next[sh] = start
+		start += c
+	}
+	for i, k := range keys {
+		sh := shardOf(k, t.shardBits)
+		b.keys[next[sh]], b.fixed[next[sh]] = k, fixed[i]
+		next[sh]++
+	}
+	// next[sh] is now the end of shard sh's run.
+	lo := 0
+	for sh, hi := range next {
+		if hi > lo {
+			t.shards[sh].addShared(b.keys[lo:hi], b.fixed[lo:hi])
+		}
+		lo = hi
+	}
+	t.small.Put(b)
+}
+
+// partition scatters a batch into shard-contiguous scratch, preserving input
+// order within each shard: shard sh's pairs are kbuf[starts[sh]:starts[sh+1]].
+func (t *Table) partition(keys, fixed []uint64) (kbuf, fbuf []uint64, starts []int64) {
+	n, nShards := len(keys), len(t.shards)
+	bounds := par.Blocks(n, shardPartGrain)
+	nb := len(bounds) - 1
+	// counts[b*nShards+sh]: pairs in chunk b routed to shard sh.
+	counts := make([]int64, nb*nShards)
+	par.ForBlocks(bounds, func(b, lo, hi int) {
+		row := counts[b*nShards : (b+1)*nShards]
+		for i := lo; i < hi; i++ {
+			row[shardOf(keys[i], t.shardBits)]++
+		}
 	})
+	// Stable offsets, shard-major: shard sh's region is contiguous and chunk
+	// order is preserved within it.
+	offs := make([]int64, nShards*nb)
+	starts = make([]int64, nShards+1)
+	var total int64
+	for sh := 0; sh < nShards; sh++ {
+		starts[sh] = total
+		for b := 0; b < nb; b++ {
+			offs[sh*nb+b] = total
+			total += counts[b*nShards+sh]
+		}
+	}
+	starts[nShards] = total
+	kbuf = make([]uint64, n)
+	fbuf = make([]uint64, n)
+	par.ForBlocks(bounds, func(b, lo, hi int) {
+		next := make([]int64, nShards)
+		for sh := 0; sh < nShards; sh++ {
+			next[sh] = offs[sh*nb+b]
+		}
+		for i := lo; i < hi; i++ {
+			sh := shardOf(keys[i], t.shardBits)
+			p := next[sh]
+			next[sh]++
+			kbuf[p] = keys[i]
+			fbuf[p] = fixed[i]
+		}
+	})
+	return kbuf, fbuf, starts
 }
 
 // addShared inserts one chunk concurrently with other shared inserts. Each
 // round holds the read lock, runs the per-key loop and returns the headroom
 // it reserved but did not use. A round that stops short met a new key with
 // no headroom left, so grow makes room for that key.
-func (t *Table) addShared(keys, fixed []uint64) {
+func (s *shard) addShared(keys, fixed []uint64) {
 	for len(keys) > 0 {
-		t.mu.RLock()
-		done, unused := t.insertShared(keys, fixed)
+		s.mu.RLock()
+		done, unused := s.insertShared(keys, fixed)
 		if unused > 0 {
-			t.count.Add(-unused)
+			s.count.Add(-unused)
 		}
-		t.mu.RUnlock()
+		s.mu.RUnlock()
 		keys, fixed = keys[done:], fixed[done:]
 		if len(keys) > 0 {
-			t.grow(keys[0])
+			s.grow(keys[0])
 		}
 	}
 }
 
 // reserve claims up to want of the headroom left under the load factor by
 // adding it to count. The caller holds the read lock.
-func (t *Table) reserve(want int64) int64 {
-	limit := t.maxKeys()
+func (s *shard) reserve(want int64) int64 {
+	limit := s.maxKeys()
 	for {
-		c := t.count.Load()
+		c := s.count.Load()
 		n := limit - c
 		if n <= 0 {
 			return 0
@@ -225,7 +387,7 @@ func (t *Table) reserve(want int64) int64 {
 		if n > want {
 			n = want
 		}
-		if t.count.CompareAndSwap(c, c+n) {
+		if s.count.CompareAndSwap(c, c+n) {
 			return n
 		}
 	}
@@ -237,29 +399,29 @@ func (t *Table) reserve(want int64) int64 {
 // of hits never touches count. The loop stops at a new key for which nothing
 // could be reserved and reports how many pairs it inserted and how many
 // reserved credits it left unspent. The caller holds the read lock.
-func (t *Table) insertShared(keys, fixed []uint64) (done int, unused int64) {
-	slots, mask := t.slots, t.mask
+func (s *shard) insertShared(keys, fixed []uint64) (done int, unused int64) {
+	slots, mask := s.slots, s.mask
 	var credits int64
 	for i, key := range keys {
 		want := ^key
 		for j := hash(key) & mask; ; j = (j + 1) & mask {
-			s := &slots[j]
-			k := atomic.LoadUint64(&s.key)
+			sl := &slots[j]
+			k := atomic.LoadUint64(&sl.key)
 			if k == 0 {
 				if credits == 0 {
-					if credits = t.reserve(int64(len(keys) - i)); credits == 0 {
+					if credits = s.reserve(int64(len(keys) - i)); credits == 0 {
 						return i, 0
 					}
 				}
-				if atomic.CompareAndSwapUint64(&s.key, 0, want) {
+				if atomic.CompareAndSwapUint64(&sl.key, 0, want) {
 					credits--
-					atomic.AddUint64(&s.val, fixed[i])
+					atomic.AddUint64(&sl.val, fixed[i])
 					break
 				}
-				k = atomic.LoadUint64(&s.key) // lost the race: the winner may hold our key
+				k = atomic.LoadUint64(&sl.key) // lost the race: the winner may hold our key
 			}
 			if k == want {
-				atomic.AddUint64(&s.val, fixed[i])
+				atomic.AddUint64(&sl.val, fixed[i])
 				break
 			}
 		}
@@ -267,21 +429,15 @@ func (t *Table) insertShared(keys, fixed []uint64) (done int, unused int64) {
 	return len(keys), credits
 }
 
-// AddFixedBatchOwned accumulates every pair with the table held exclusively:
-// one write-lock acquisition for the batch, then plain loads and stores, a
-// local key count and an inline grow — no atomic operation per key. It is
-// the insert for a caller that has routed a batch so one goroutine owns this
-// table for it (the sharded sink inserts each shard's partition this way);
-// concurrent inserts into the same table wait for the batch rather than
-// race it. len(keys) must equal len(fixed).
-func (t *Table) AddFixedBatchOwned(keys, fixed []uint64) {
-	if len(keys) != len(fixed) {
-		panic("hashtable: keys and fixed must have equal length")
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	count, limit := t.count.Load(), t.maxKeys()
-	slots, mask := t.slots, t.mask
+// addOwned accumulates every pair with the shard held exclusively: one
+// write-lock acquisition for the run, then plain loads and stores, a local
+// key count and an inline grow — no atomic operation per key. Concurrent
+// inserts into the same shard wait for the run rather than race it.
+func (s *shard) addOwned(keys, fixed []uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	count, limit := s.count.Load(), s.maxKeys()
+	slots, mask := s.slots, s.mask
 	for i, key := range keys {
 		want := ^key
 		for j := hash(key) & mask; ; j = (j + 1) & mask {
@@ -294,8 +450,8 @@ func (t *Table) AddFixedBatchOwned(keys, fixed []uint64) {
 				continue
 			}
 			if count == limit {
-				t.rehash()
-				slots, mask, limit = t.slots, t.mask, t.maxKeys()
+				s.rehash()
+				slots, mask, limit = s.slots, s.mask, s.maxKeys()
 				j = (hash(key) - 1) & mask // the loop step lands on the home slot
 				continue
 			}
@@ -304,77 +460,103 @@ func (t *Table) AddFixedBatchOwned(keys, fixed []uint64) {
 			break
 		}
 	}
-	t.count.Store(count)
+	s.count.Store(count)
 }
 
 // grow doubles capacity so that key fits, unless the write lock shows it
 // already does. By then every read-lock holder has returned its reserved
 // headroom, so count is the true key count; and the caller's probe may have
 // seen key's slot empty just before another chunk claimed it. Checking both
-// keeps a table with room, or a table that already holds key, from doubling.
-func (t *Table) grow(key uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.lookup(key); ok || t.count.Load() < t.maxKeys() {
+// keeps a shard with room, or a shard that already holds key, from doubling.
+func (s *shard) grow(key uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.lookup(key); ok || s.count.Load() < s.maxKeys() {
 		return
 	}
-	t.rehash()
+	s.rehash()
 }
 
 // rehash doubles capacity and reinserts every entry. The caller holds the
 // write lock.
-func (t *Table) rehash() {
-	old := t.slots
-	t.setSlots(2 * uint64(len(old)))
+func (s *shard) rehash() {
+	old := s.slots
+	s.setSlots(2 * uint64(len(old)))
 	// While rehashing, old and new slot arrays coexist: the true peak is
 	// their sum (1.5x the post-grow footprint), which MemoryBytes alone
 	// never shows — exactly the transient a capacity planner must budget.
-	t.peak.Store(int64(len(old))*16 + t.MemoryBytes())
-	slots, mask := t.slots, t.mask
-	for _, s := range old {
-		if s.key == 0 {
+	s.peak.Store(int64(len(old))*16 + int64(len(s.slots))*16)
+	slots, mask := s.slots, s.mask
+	for _, sl := range old {
+		if sl.key == 0 {
 			continue
 		}
-		j := hash(^s.key) & mask
+		j := hash(^sl.key) & mask
 		for slots[j].key != 0 {
 			j = (j + 1) & mask
 		}
-		slots[j] = s
+		slots[j] = sl
 	}
 }
 
+// Shards returns the shard count: a power of two.
+func (t *Table) Shards() int { return len(t.shards) }
+
 // Len returns the number of distinct keys. It is exact whenever no insert
 // is in flight; during shared inserts it may include reserved headroom.
-func (t *Table) Len() int { return int(t.count.Load()) }
+func (t *Table) Len() int {
+	n := 0
+	for i := range t.shards {
+		n += int(t.shards[i].count.Load())
+	}
+	return n
+}
 
-// Capacity returns the current slot count.
-func (t *Table) Capacity() int { return len(t.slots) }
+// Capacity returns the current slot count, over all shards.
+func (t *Table) Capacity() int {
+	n := 0
+	for i := range t.shards {
+		n += len(t.shards[i].slots)
+	}
+	return n
+}
 
 // MemoryBytes returns the table's slot storage footprint.
-func (t *Table) MemoryBytes() int64 { return int64(len(t.slots)) * 16 }
+func (t *Table) MemoryBytes() int64 { return int64(t.Capacity()) * 16 }
 
 // PeakMemoryBytes returns the high-water mark of slot storage over the
-// table's lifetime, including the grow transient where the old and new
-// slot arrays coexist. Equals MemoryBytes for a table that never grew.
-func (t *Table) PeakMemoryBytes() int64 { return t.peak.Load() }
+// table's lifetime, including the grow transient where a shard's old and new
+// slot arrays coexist: the sum of every shard's own high-water mark. Shards
+// grow independently, so the sum overstates the instantaneous peak unless
+// every shard grew at once — the conservative direction for capacity
+// planning. Equals MemoryBytes for a table that never grew.
+func (t *Table) PeakMemoryBytes() int64 {
+	var n int64
+	for i := range t.shards {
+		n += t.shards[i].peak.Load()
+	}
+	return n
+}
 
 // Get returns the accumulated weight for (u, v) and whether it is present.
 // Safe for concurrent use with inserts; a key whose insert is in flight may
 // be seen before its first weight is added.
 func (t *Table) Get(u, v uint32) (float64, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	f, ok := t.lookup(Key(u, v))
+	key := Key(u, v)
+	s := t.shardFor(key)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	f, ok := s.lookup(key)
 	return FromFixed(f), ok
 }
 
 // lookup returns key's fixed-point weight and whether it is present. The
 // caller holds either side of the lock.
-func (t *Table) lookup(key uint64) (uint64, bool) {
-	for i := hash(key) & t.mask; ; i = (i + 1) & t.mask {
-		switch atomic.LoadUint64(&t.slots[i].key) {
+func (s *shard) lookup(key uint64) (uint64, bool) {
+	for i := hash(key) & s.mask; ; i = (i + 1) & s.mask {
+		switch atomic.LoadUint64(&s.slots[i].key) {
 		case ^key:
-			return atomic.LoadUint64(&t.slots[i].val), true
+			return atomic.LoadUint64(&s.slots[i].val), true
 		case 0:
 			return 0, false
 		}
@@ -384,28 +566,25 @@ func (t *Table) lookup(key uint64) (uint64, bool) {
 // drainGrain is the slot-array chunk size for the parallel drain passes.
 const drainGrain = 4096
 
-// slotBlocks cuts every table's slot array into par.Blocks blocks and
-// returns them with the tables' total key count.
-func slotBlocks(tables []*Table) (blocks [][]slot, total int) {
-	for _, t := range tables {
-		total += t.Len()
-		bounds := par.Blocks(len(t.slots), drainGrain)
-		for i := 0; i+1 < len(bounds); i++ {
-			blocks = append(blocks, t.slots[bounds[i]:bounds[i+1]])
+// slotBlocks cuts every shard's slot array into par.Blocks blocks and
+// returns them with the table's key count.
+func (t *Table) slotBlocks() (blocks [][]slot, total int) {
+	for i := range t.shards {
+		slots := t.shards[i].slots
+		bounds := par.Blocks(len(slots), drainGrain)
+		for j := 0; j+1 < len(bounds); j++ {
+			blocks = append(blocks, slots[bounds[j]:bounds[j+1]])
 		}
 	}
-	return blocks, total
+	return blocks, t.Len()
 }
 
-// Drain is DrainShards over this table alone.
-func (t *Table) Drain() (us, vs []uint32, ws []float64) { return DrainShards([]*Table{t}) }
-
-// DrainShards returns the entries of tables holding disjoint key sets as
-// parallel slices, in slot order, keeping the tables intact: a count per
-// slot block, a scan and a parallel fill (paper §4.2: the hand-off is part
-// of the parallel pipeline). Must not run concurrently with Add.
-func DrainShards(tables []*Table) (us, vs []uint32, ws []float64) {
-	blocks, total := slotBlocks(tables)
+// Drain returns the entries of every shard as parallel slices, in slot
+// order, keeping the table intact: a count per slot block, a scan and a
+// parallel fill (paper §4.2: the hand-off is part of the parallel
+// pipeline). Must not run concurrently with inserts.
+func (t *Table) Drain() (us, vs []uint32, ws []float64) {
+	blocks, total := t.slotBlocks()
 	off := make([]int, len(blocks)+1) // block i starts at off[i]; the last needs no count
 	par.For(len(blocks)-1, 1, func(i int) {
 		n := 0
@@ -433,29 +612,25 @@ func DrainShards(tables []*Table) (us, vs []uint32, ws []float64) {
 	return us, vs, ws
 }
 
-// DrainCSR is DrainShardsCSR over this table alone.
-func (t *Table) DrainCSR(n int) ([]int64, []uint32, []float64) { return DrainShardsCSR([]*Table{t}, n) }
-
 const (
 	bucketEntries = 2048 // mean bucket size: a bucket sorts in L2
 	maxBucketBits = 8    // at most 256 buckets: few streams for the fill
 	maxDigitBits  = 11   // in-bucket radix digit: its counts stay in L1
 )
 
-// DrainShardsCSR returns the entries of tables holding disjoint key sets (one
-// table, or the shards of a sharded aggregator) grouped by source vertex as
+// DrainCSR returns the entries of every shard grouped by source vertex as
 // CSR arrays: rowPtr has numRows+1 entries, and cols/ws hold each row's
 // destination vertices (sorted ascending) and weights. Every source vertex
-// must be < numRows; DrainShardsCSR panics otherwise. The tables are left
-// intact. Must not run concurrently with Add.
+// must be < numRows; DrainCSR panics otherwise. The table is left intact.
+// Must not run concurrently with inserts.
 //
 // The rows are cut into buckets of 2^shift rows. A pass over the slots
 // counts entries per (block, bucket) and ORs their columns; a second writes
 // each entry into its bucket's region, keyed row<<colBits | col (in 32 bits
 // when that fits). The buckets are work-stolen, since power-law rows skew
 // their sizes; each sorts in cache and writes its columns, weights and rows.
-func DrainShardsCSR(tables []*Table, numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
-	blocks, total := slotBlocks(tables)
+func (t *Table) DrainCSR(numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
+	blocks, total := t.slotBlocks()
 	rowBits := bits.Len(uint(max(numRows, 1) - 1))
 	shift := uint(rowBits - min(bits.Len(uint(total/bucketEntries)), maxBucketBits, rowBits))
 	nb := (numRows + 1<<shift - 1) >> shift
@@ -607,12 +782,4 @@ func radixPass[K, D uint32 | uint64](srcK []K, srcW []float64, dstK []D, dstW []
 		dstK[cnt[d]], dstW[cnt[d]] = D(k&keep), srcW[i]
 		cnt[d]++
 	}
-}
-
-// ShardOf routes a packed key to one of 1<<bits shards using the high bits
-// of the table hash, so shard routing and in-shard probing (which uses the
-// low bits via the capacity mask) draw on disjoint parts of the same mix.
-// bits == 0 maps every key to shard 0.
-func ShardOf(key uint64, bits uint) int {
-	return int(hash(key) >> (64 - bits))
 }

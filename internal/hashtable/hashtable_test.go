@@ -75,7 +75,7 @@ func TestPresizedTableNeverGrows(t *testing.T) {
 			}
 		}},
 		{"batch", (*Table).AddFixedBatch},
-		{"owned", (*Table).AddFixedBatchOwned},
+		{"owned", addOwned},
 		{"concurrent-batches", func(tab *Table, keys, fixed []uint64) {
 			const workers, flush = 4, 37
 			var wg sync.WaitGroup
@@ -104,7 +104,7 @@ func TestPresizedTableNeverGrows(t *testing.T) {
 			fixed[i], fixed[k+i] = fixedOne, fixedOne
 		}
 		for _, p := range paths {
-			tab := New(k)
+			tab := New(k, 1)
 			before := tab.Capacity()
 			p.insert(tab, keys, fixed)
 			if tab.Capacity() != before {
@@ -123,30 +123,35 @@ func TestPresizedTableNeverGrows(t *testing.T) {
 // fixedTotal sums every stored fixed-point weight.
 func fixedTotal(tab *Table) uint64 {
 	var total uint64
-	for _, s := range tab.slots {
-		total += s.val
+	for i := range tab.shards {
+		for _, s := range tab.shards[i].slots {
+			total += s.val
+		}
 	}
 	return total
 }
 
+// addOwned inserts a batch into a one-shard table with the owned kernel.
+func addOwned(tab *Table, keys, fixed []uint64) { tab.shards[0].addOwned(keys, fixed) }
+
 func TestPresizeTightAtExactPowers(t *testing.T) {
 	// A hint of 14 keys fits capacity 16 under the 7/8 load factor; the old
 	// bits.Len64 formula allocated 32.
-	if got := New(14).Capacity(); got != 16 {
-		t.Fatalf("New(14).Capacity()=%d want 16", got)
+	if got := New(14, 1).Capacity(); got != 16 {
+		t.Fatalf("New(14, 1).Capacity()=%d want 16", got)
 	}
 	// 7·64 keys exactly fill capacity 512 at load 7/8.
-	if got := New(7 << 6).Capacity(); got != 512 {
-		t.Fatalf("New(7<<6).Capacity()=%d want 512", got)
+	if got := New(7<<6, 1).Capacity(); got != 512 {
+		t.Fatalf("New(7<<6, 1).Capacity()=%d want 512", got)
 	}
 	// 7·2^10 keys exactly fill capacity 2^13 at load 7/8.
-	if got := New(7 << 10).Capacity(); got != 1<<13 {
-		t.Fatalf("New(7<<10).Capacity()=%d want %d", got, 1<<13)
+	if got := New(7<<10, 1).Capacity(); got != 1<<13 {
+		t.Fatalf("New(7<<10, 1).Capacity()=%d want %d", got, 1<<13)
 	}
 }
 
 func TestAddGet(t *testing.T) {
-	tab := New(8)
+	tab := New(8, 1)
 	tab.Add(1, 2, 1.5)
 	tab.Add(1, 2, 2.5)
 	tab.Add(3, 4, 1)
@@ -164,7 +169,7 @@ func TestAddGet(t *testing.T) {
 
 func TestAgainstMapOracle(t *testing.T) {
 	s := rng.New(31, 0)
-	tab := New(64)
+	tab := New(64, 1)
 	oracle := map[uint64]float64{}
 	for i := 0; i < 20000; i++ {
 		u := uint32(s.Intn(100))
@@ -189,7 +194,7 @@ func TestAgainstMapOracle(t *testing.T) {
 }
 
 func TestGrowthFromTiny(t *testing.T) {
-	tab := New(0)
+	tab := New(0, 1)
 	n := 10000
 	for i := 0; i < n; i++ {
 		tab.Add(uint32(i), uint32(i), 1)
@@ -207,7 +212,7 @@ func TestGrowthFromTiny(t *testing.T) {
 
 func TestConcurrentExactCounts(t *testing.T) {
 	// The paper's key guarantee: every sample is accounted for exactly.
-	tab := New(1024)
+	tab := New(1024, 1)
 	const workers = 8
 	const perWorker = 50000
 	const distinct = 500
@@ -236,7 +241,7 @@ func TestConcurrentExactCounts(t *testing.T) {
 
 func TestConcurrentGrowth(t *testing.T) {
 	// Force growth races: tiny initial table, many concurrent distinct keys.
-	tab := New(0)
+	tab := New(0, 1)
 	const workers = 8
 	const perWorker = 20000
 	var wg sync.WaitGroup
@@ -267,7 +272,7 @@ func TestConcurrentGrowth(t *testing.T) {
 }
 
 func TestDrain(t *testing.T) {
-	tab := New(16)
+	tab := New(16, 1)
 	tab.Add(5, 6, 2)
 	tab.Add(7, 8, 3)
 	us, vs, ws := tab.Drain()
@@ -282,12 +287,12 @@ func TestDrain(t *testing.T) {
 
 func TestDrainMatchesSequentialReference(t *testing.T) {
 	s := rng.New(41, 0)
-	tab := New(256)
+	tab := New(256, 1)
 	for i := 0; i < 50000; i++ {
 		tab.Add(uint32(s.Intn(3000)), uint32(s.Intn(3000)), 0.5)
 	}
 	want := map[uint64]float64{}
-	for _, sl := range tab.slots {
+	for _, sl := range tab.shards[0].slots {
 		if sl.key != 0 {
 			want[^sl.key] = FromFixed(sl.val)
 		}
@@ -309,23 +314,26 @@ func TestDrainMatchesSequentialReference(t *testing.T) {
 	}
 }
 
-// TestDrainShards drains three tables with disjoint keys in one call: every
-// entry comes out once, table after table in slot order, as each table's
-// own Drain lists it.
+// TestDrainShards drains a four-shard table: every entry comes out once,
+// shard after shard in slot order.
 func TestDrainShards(t *testing.T) {
-	tabs := []*Table{New(64), New(0), New(512)}
+	tab := New(0, 4)
 	for i := 0; i < 300; i++ {
-		tabs[i%3].Add(uint32(i), uint32(i+1), float64(i))
+		tab.Add(uint32(i), uint32(i+1), float64(i))
 	}
-	us, vs, ws := DrainShards(tabs)
+	us, vs, ws := tab.Drain()
 	var wu, wv []uint32
 	var ww []float64
-	for _, tab := range tabs {
-		u, v, w := tab.Drain()
-		wu, wv, ww = append(wu, u...), append(wv, v...), append(ww, w...)
+	for i := range tab.shards {
+		for _, sl := range tab.shards[i].slots {
+			if sl.key != 0 {
+				u, v := UnpackKey(^sl.key)
+				wu, wv, ww = append(wu, u), append(wv, v), append(ww, FromFixed(sl.val))
+			}
+		}
 	}
 	if !slices.Equal(us, wu) || !slices.Equal(vs, wv) || !slices.Equal(ws, ww) || len(us) != 300 {
-		t.Fatalf("DrainShards returned %d entries, unlike the tables' own drains", len(us))
+		t.Fatalf("Drain returned %d entries, unlike the shards' slots in order", len(us))
 	}
 	for i := range us {
 		if us[i]+1 != vs[i] || ws[i] != float64(us[i]) {
@@ -335,7 +343,7 @@ func TestDrainShards(t *testing.T) {
 }
 
 func TestDrainCSR(t *testing.T) {
-	tab := New(64)
+	tab := New(64, 1)
 	type entry struct {
 		u, v uint32
 		w    float64
@@ -379,7 +387,7 @@ func TestDrainCSR(t *testing.T) {
 
 func TestDrainCSRLarge(t *testing.T) {
 	s := rng.New(77, 0)
-	tab := New(1024)
+	tab := New(1024, 1)
 	oracle := map[uint64]float64{}
 	const n = 500
 	for i := 0; i < 40000; i++ {
@@ -405,7 +413,7 @@ func TestDrainCSRLarge(t *testing.T) {
 // and concurrent Gets under -race, then asserts the final aggregate is
 // exact in fixed point: every sample accounted for, none duplicated.
 func TestRaceStress(t *testing.T) {
-	tab := New(0) // tiny: forces repeated grows under contention
+	tab := New(0, 1) // tiny: forces repeated grows under contention
 	const workers = 8
 	const perWorker = 30000
 	const distinct = 20000
@@ -454,7 +462,7 @@ func TestRaceStress(t *testing.T) {
 }
 
 func TestMemoryBytes(t *testing.T) {
-	tab := New(1000)
+	tab := New(1000, 1)
 	if tab.MemoryBytes() != int64(tab.Capacity())*16 {
 		t.Fatalf("MemoryBytes=%d capacity=%d", tab.MemoryBytes(), tab.Capacity())
 	}
@@ -465,7 +473,7 @@ func TestMemoryBytes(t *testing.T) {
 // the old and new slot arrays coexist (old = half of new, so the peak is
 // 1.5x the post-grow footprint).
 func TestPeakMemoryBytesTracksGrowth(t *testing.T) {
-	tbl := New(1)
+	tbl := New(1, 1)
 	if got, want := tbl.PeakMemoryBytes(), tbl.MemoryBytes(); got != want {
 		t.Fatalf("fresh table peak %d, want %d", got, want)
 	}
@@ -484,7 +492,7 @@ func TestPeakMemoryBytesTracksGrowth(t *testing.T) {
 // TestPeakMemoryBytesConcurrent: the peak stays coherent when growth happens
 // under concurrent inserts (exercised under -race by the race target).
 func TestPeakMemoryBytesConcurrent(t *testing.T) {
-	tbl := New(1)
+	tbl := New(1, 1)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -514,18 +522,18 @@ func TestAddFixedBatchMatchesSerial(t *testing.T) {
 		keys[i] = Key(uint32(s.Intn(800)), uint32(s.Intn(800)))
 		fixed[i] = uint64(1 + s.Intn(1<<20))
 	}
-	ref := New(2 * n)
+	ref := New(2*n, 1)
 	for i := range keys {
 		ref.AddFixed(keys[i], fixed[i])
 	}
 	us, vs, ws := ref.Drain()
 	kernels := map[string]func(*Table, []uint64, []uint64){
 		"shared": (*Table).AddFixedBatch,
-		"owned":  (*Table).AddFixedBatchOwned,
+		"owned":  addOwned,
 	}
 	for name, insert := range kernels {
 		for _, hint := range []int{2 * n, 4} { // presized and grow-forcing
-			batch := New(hint)
+			batch := New(hint, 1)
 			insert(batch, keys, fixed)
 			if batch.Len() != ref.Len() {
 				t.Fatalf("%s hint=%d: distinct %d want %d", name, hint, batch.Len(), ref.Len())
@@ -546,7 +554,7 @@ func TestAddFixedBatchPanicsOnLengthMismatch(t *testing.T) {
 			t.Fatal("expected panic for mismatched lengths")
 		}
 	}()
-	New(8).AddFixedBatch(make([]uint64, 3), make([]uint64, 2))
+	New(8, 1).AddFixedBatch(make([]uint64, 3), make([]uint64, 2))
 }
 
 // TestBatchRaceStress races shared batches (inline and forked sizes),
@@ -556,7 +564,7 @@ func TestAddFixedBatchPanicsOnLengthMismatch(t *testing.T) {
 // the write-locked owned kernel with its inline grow, and grow's recheck. The
 // aggregate must be exact in fixed point, key by key.
 func TestBatchRaceStress(t *testing.T) {
-	tab := New(0)
+	tab := New(0, 1)
 	const workers, batches, distinct = 6, 40, 30000
 	type batch struct{ keys, fixed []uint64 }
 	work := make([][]batch, workers)
@@ -601,7 +609,7 @@ func TestBatchRaceStress(t *testing.T) {
 			defer writers.Done()
 			for _, bt := range work[w] {
 				if w%3 == 0 {
-					tab.AddFixedBatchOwned(bt.keys, bt.fixed)
+					addOwned(tab, bt.keys, bt.fixed)
 				} else {
 					tab.AddFixedBatch(bt.keys, bt.fixed)
 				}

@@ -114,9 +114,9 @@ func TestKernelsBitIdenticalToPerKeyOracle(t *testing.T) {
 	}
 	oracle := newPerKeyTable(0)
 	oracle.AddFixedBatch(keys, fixed)
-	shared, owned := New(0), New(0)
+	shared, owned := New(0, 1), New(0, 1)
 	shared.AddFixedBatch(keys, fixed)
-	owned.AddFixedBatchOwned(keys, fixed)
+	addOwned(owned, keys, fixed)
 	for _, tab := range []*Table{shared, owned} {
 		if tab.Len() != int(oracle.count) {
 			t.Fatalf("Len=%d, oracle %d", tab.Len(), oracle.count)
@@ -125,7 +125,7 @@ func TestKernelsBitIdenticalToPerKeyOracle(t *testing.T) {
 			if k == perKeyEmpty {
 				continue
 			}
-			if got, ok := tab.lookup(k); !ok || got != oracle.vals[i] {
+			if got, ok := tab.shards[0].lookup(k); !ok || got != oracle.vals[i] {
 				t.Fatalf("key %x: %d,%v, oracle %d", k, got, ok, oracle.vals[i])
 			}
 		}
@@ -141,13 +141,14 @@ func TestKernelsBitIdenticalToPerKeyOracle(t *testing.T) {
 // drainShardsKeys merges every shard's (packed key, weight) pairs into one
 // pair of exactly-sized arrays: per-shard lengths, an exclusive scan for shard
 // offsets, then all shards drain in parallel into disjoint regions.
-func drainShardsKeys(shards []*Table) (keys []uint64, ws []float64) {
+func drainShardsKeys(t *Table) (keys []uint64, ws []float64) {
+	shards := t.shards
 	if len(shards) == 1 {
 		return shards[0].drainKeys()
 	}
 	offsets := make([]int64, len(shards))
-	for i, t := range shards {
-		offsets[i] = int64(t.Len())
+	for i := range shards {
+		offsets[i] = shards[i].count.Load()
 	}
 	total := par.ExclusiveScan(offsets)
 	keys = make([]uint64, total)
@@ -168,13 +169,13 @@ func drainShardsKeys(shards []*Table) (keys []uint64, ws []float64) {
 // the block boundaries plus per-block counts: the first pass of the
 // two-pass (count, scan, fill) drain. The same bounds must be reused for
 // the fill pass so block indices line up.
-func (t *Table) occupancy() (bounds []int, counts []int64) {
+func (t *shard) occupancy() (bounds []int, counts []int64) {
 	bounds = par.Blocks(len(t.slots), drainGrain)
 	counts = make([]int64, len(bounds)-1)
 	if len(bounds) == 2 {
 		// Single block: the maintained key count already is the occupancy,
 		// so skip the counting pass entirely.
-		counts[0] = int64(t.Len())
+		counts[0] = t.count.Load()
 		return bounds, counts
 	}
 	par.ForBlocks(bounds, func(b, lo, hi int) {
@@ -191,7 +192,7 @@ func (t *Table) occupancy() (bounds []int, counts []int64) {
 
 // drainKeys returns all entries as (packed key, weight) pairs in slot order,
 // keeping the table intact.
-func (t *Table) drainKeys() (keys []uint64, ws []float64) {
+func (t *shard) drainKeys() (keys []uint64, ws []float64) {
 	bounds, counts := t.occupancy()
 	total := par.ExclusiveScan(counts)
 	keys = make([]uint64, total)
@@ -202,7 +203,7 @@ func (t *Table) drainKeys() (keys []uint64, ws []float64) {
 
 // drainKeysInto writes every entry as (packed key, weight) into the given
 // slices starting at index 0 and returns the number written (== Len()).
-func (t *Table) drainKeysInto(keys []uint64, ws []float64) int {
+func (t *shard) drainKeysInto(keys []uint64, ws []float64) int {
 	bounds, counts := t.occupancy()
 	total := par.ExclusiveScan(counts)
 	t.fillKeys(bounds, counts, keys[:total], ws[:total])
@@ -211,7 +212,7 @@ func (t *Table) drainKeysInto(keys []uint64, ws []float64) int {
 
 // fillKeys is the packed-key fill pass: counts must hold the exclusive scan
 // of the per-block occupancy for the same bounds.
-func (t *Table) fillKeys(bounds []int, counts []int64, keys []uint64, ws []float64) {
+func (t *shard) fillKeys(bounds []int, counts []int64, keys []uint64, ws []float64) {
 	slots := t.slots
 	par.ForBlocks(bounds, func(b, lo, hi int) {
 		w := counts[b]
@@ -244,8 +245,8 @@ func colsFromKeys(keys []uint64) []uint32 {
 	return cols
 }
 
-// drainCSROracle is the replaced DrainShardsCSR.
-func drainCSROracle(shards []*Table, numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
-	keys, ws := drainShardsKeys(shards)
+// drainCSROracle is the replaced DrainCSR.
+func drainCSROracle(t *Table, numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
+	keys, ws := drainShardsKeys(t)
 	return groupKeysCSR(keys, ws, numRows)
 }

@@ -84,8 +84,11 @@ type headRec struct {
 // heads; <= 0 picks the maximum (2^22). The drained aggregate is
 // bit-identical for every waveSize, shard count and worker count.
 func SampleBatched(g *graph.Graph, cfg Config, waveSize int) (Sink, Stats, error) {
-	if cfg.T <= 0 || cfg.T > 512 {
-		return nil, Stats{}, fmt.Errorf("sampler: batched walking requires 1 <= T <= 512, got %d", cfg.T)
+	if err := cfg.Check(); err != nil {
+		return nil, Stats{}, err
+	}
+	if cfg.T > 512 {
+		return nil, Stats{}, fmt.Errorf("sampler: batched walking requires T <= 512, got %d", cfg.T)
 	}
 	if cfg.M <= 0 {
 		return nil, Stats{}, fmt.Errorf("sampler: M must be positive, got %d", cfg.M)

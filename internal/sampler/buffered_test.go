@@ -105,9 +105,9 @@ func TestBufferedSamplersBitIdenticalToPerKey(t *testing.T) {
 				}
 			}
 		}
-		ref := hashtable.New(0)
+		ref := hashtable.New(0, 1)
 		refTrials, refHeads := sampleReference(g, cfg, ref)
-		refArcs := hashtable.New(0)
+		refArcs := hashtable.New(0, 1)
 		arcTrials, arcHeads := sampleArcsReference(g, refArcs, arcs, 7.5, cfg)
 		for _, shards := range []int{1, 4} {
 			for _, procs := range []int{1, 2, 4} {

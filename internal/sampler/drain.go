@@ -12,10 +12,10 @@ import (
 // runs on its own goroutine so that inserting wave k overlaps walking wave
 // k+1 — the overlap that keeps the machine saturated where the serial-flush
 // sampler idled. Insertion parallelism lives behind Sink.AddFixedBatch: a
-// sharded sink radix-partitions the keys on hashtable.ShardOf so each
-// worker owns a shard's run and inserts it with plain stores under that
-// shard's write lock; a single table runs its shared kernel over parallel
-// chunks, one read-lock acquisition per chunk.
+// sharded sink partitions the keys by shard so each worker owns a shard's
+// run and inserts it with plain stores under that shard's write lock; a
+// one-shard table runs its shared kernel over parallel chunks, one read-lock
+// acquisition per chunk.
 
 // drainGrain is the per-chunk head count when building oriented key pairs.
 const drainGrain = 2048

@@ -322,3 +322,63 @@ func TestRunWaveBitIdenticalToTombstoneWalk(t *testing.T) {
 		}
 	}
 }
+
+// sampleUniform is the textbook NetSMF process Algorithm 2 replaced, kept as
+// the statistical reference of TestSampleUniformMatchesPerEdgeDistribution:
+// each of cfg.M trials draws a uniformly random arc from a flat arc array
+// (paper §4.2: O(1) draws for O(m) extra memory), applies the downsampling
+// coin and PathSamples. Uniform-arc sampling equals Sample's distribution
+// only for unit weights, so weighted graphs are rejected.
+func sampleUniform(g *graph.Graph, cfg Config) (Sink, Stats, error) {
+	if err := cfg.Check(); err != nil {
+		return nil, Stats{}, err
+	}
+	if cfg.M <= 0 {
+		return nil, Stats{}, fmt.Errorf("sampler: M must be positive, got %d", cfg.M)
+	}
+	if g.NumEdges() == 0 {
+		return nil, Stats{}, fmt.Errorf("sampler: graph has no edges")
+	}
+	if g.Weighted() {
+		return nil, Stats{}, fmt.Errorf("sampler: uniform-arc sampling requires an unweighted graph")
+	}
+	c := cfg.DownsampleC(g.NumVertices())
+	us, vs := arcArray(g)
+	table := NewSink(int(2*cfg.M)+1024, cfg.Shards)
+	var trials, heads int64
+	forBuffered(table, int(cfg.M), 1<<12, func(lo, hi int, buf *pairBuf) {
+		var src rng.Source
+		src.Seed(cfg.Seed^0xedce, uint64(lo))
+		var localTrials, localHeads int64
+		for i := lo; i < hi; i++ {
+			a := src.Intn(len(us))
+			u, v := us[a], vs[a]
+			localTrials++
+			pe := 1.0
+			if cfg.Downsample {
+				pe = Prob(c, g.Degree(u), g.Degree(v))
+			}
+			if pe < 1 && !src.Bernoulli(pe) {
+				continue
+			}
+			localHeads++
+			r := 1 + src.Intn(cfg.T)
+			ue, ve := PathSample(g, u, v, r, &src)
+			buf.add(ue, ve, hashtable.ToFixed(1/pe))
+		}
+		atomicAdd(&trials, localTrials)
+		atomicAdd(&heads, localHeads)
+	})
+	return table, Stats{Trials: trials, Heads: heads, DistinctEntries: table.Len()}, nil
+}
+
+// arcArray lists every directed arc of g as parallel source and destination
+// arrays: sampleUniform's flat arc array.
+func arcArray(g *graph.Graph) (us, vs []uint32) {
+	for u := 0; u < g.NumVertices(); u++ {
+		for i := 0; i < g.Degree(uint32(u)); i++ {
+			us, vs = append(us, uint32(u)), append(vs, g.Neighbor(uint32(u), i))
+		}
+	}
+	return us, vs
+}

@@ -46,11 +46,25 @@ type Config struct {
 	Seed uint64
 	// TableSizeHint presizes the hash table; <= 0 derives an estimate.
 	TableSizeHint int
-	// Shards splits the aggregation table across a power of two of
-	// sub-tables routed by high hash bits (see aggregate.NewShardedTable);
-	// <= 1 keeps the single shared table. The drained CSR is bit-identical
-	// either way.
+	// Shards splits the aggregation table across a power of two of shards
+	// routed by high hash bits (hashtable.New); <= 1 keeps one shard, and
+	// more than hashtable.MaxShards (1 024) is an error. The drained CSR is
+	// bit-identical either way.
 	Shards int
+}
+
+// Check validates the fields every sampling pass reads: a positive T and at
+// most hashtable.MaxShards shards. Sample, SampleBatched and SampleArcsInto
+// run it; a caller that sizes a table from Shards before sampling runs it
+// first.
+func (cfg Config) Check() error {
+	if cfg.T <= 0 {
+		return fmt.Errorf("sampler: T must be positive, got %d", cfg.T)
+	}
+	if cfg.Shards > hashtable.MaxShards {
+		return fmt.Errorf("sampler: Shards must be at most %d, got %d", hashtable.MaxShards, cfg.Shards)
+	}
+	return nil
 }
 
 // DownsampleC resolves the effective downsampling constant on an n-vertex
@@ -108,8 +122,8 @@ func ProbW(c, w, su, sv float64) float64 {
 func Sample(g *graph.Graph, cfg Config) (Sink, Stats, error) {
 	n := g.NumVertices()
 	arcs := g.NumEdges()
-	if cfg.T <= 0 {
-		return nil, Stats{}, fmt.Errorf("sampler: T must be positive, got %d", cfg.T)
+	if err := cfg.Check(); err != nil {
+		return nil, Stats{}, err
 	}
 	if cfg.M <= 0 {
 		return nil, Stats{}, fmt.Errorf("sampler: M must be positive, got %d", cfg.M)
@@ -198,8 +212,8 @@ func Sample(g *graph.Graph, cfg Config) (Sink, Stats, error) {
 // batch.
 func SampleArcsInto(g *graph.Graph, table Sink, arcs []graph.Edge, perArc float64, cfg Config) (Stats, error) {
 	t, c, seed := cfg.T, cfg.DownsampleC(g.NumVertices()), cfg.Seed
-	if t <= 0 {
-		return Stats{}, fmt.Errorf("sampler: T must be positive, got %d", t)
+	if err := cfg.Check(); err != nil {
+		return Stats{}, err
 	}
 	if perArc < 0 {
 		return Stats{}, fmt.Errorf("sampler: perArc must be non-negative, got %g", perArc)

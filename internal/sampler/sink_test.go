@@ -1,9 +1,10 @@
 package sampler
 
 import (
+	"math"
 	"testing"
+	"time"
 
-	"lightne/internal/aggregate"
 	"lightne/internal/graph"
 	"lightne/internal/hashtable"
 )
@@ -23,8 +24,8 @@ func TestSinkShardedStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ref.(*hashtable.Table); !ok {
-		t.Fatalf("shards=1 sink is %T, want *hashtable.Table", ref)
+	if ref.Shards() != 1 {
+		t.Fatalf("shards=1 sink has %d shards", ref.Shards())
 	}
 	refRowPtr, refCols, refWs := ref.DrainCSR(g.NumVertices())
 
@@ -33,12 +34,8 @@ func TestSinkShardedStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := sink.(*aggregate.SharedTable)
-	if !ok {
-		t.Fatalf("shards=8 sink is %T, want *aggregate.SharedTable", sink)
-	}
-	if st.Shards() != 8 {
-		t.Fatalf("got %d shards, want 8", st.Shards())
+	if sink.Shards() != 8 {
+		t.Fatalf("got %d shards, want 8", sink.Shards())
 	}
 	if stats.Trials != refStats.Trials || stats.Heads != refStats.Heads {
 		t.Fatalf("stats differ: %+v vs %+v", stats, refStats)
@@ -142,5 +139,37 @@ func TestStatsPeakTableBytes(t *testing.T) {
 	}
 	if stats.PeakTableBytes != stats.TableBytes {
 		t.Fatalf("presized pass grew: peak %d != final %d", stats.PeakTableBytes, stats.TableBytes)
+	}
+}
+
+// TestShardsAboveBoundRejected: a shard count above hashtable.MaxShards, up
+// to math.MaxInt (which overflows a power-of-two rounding), is a prompt
+// error from every sampling pass, before any table is allocated; MaxShards
+// itself is accepted.
+func TestShardsAboveBoundRejected(t *testing.T) {
+	g := completeGraph(t, 8)
+	arcs := []graph.Edge{{U: 0, V: 1}}
+	for _, shards := range []int{hashtable.MaxShards + 1, 1 << 30, math.MaxInt} {
+		cfg := Config{T: 3, M: 1000, Seed: 1, Shards: shards}
+		start := time.Now()
+		if cfg.Check() == nil {
+			t.Fatalf("Shards=%d: Check accepted it", shards)
+		}
+		if _, _, err := Sample(g, cfg); err == nil {
+			t.Fatalf("Shards=%d: Sample accepted it", shards)
+		}
+		if _, _, err := SampleBatched(g, cfg, 0); err == nil {
+			t.Fatalf("Shards=%d: SampleBatched accepted it", shards)
+		}
+		if _, err := SampleArcsInto(g, NewSink(0, 1), arcs, 1, cfg); err == nil {
+			t.Fatalf("Shards=%d: SampleArcsInto accepted it", shards)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("Shards=%d: rejection took %v", shards, d)
+		}
+	}
+	cfg := Config{T: 3, M: 1000, Seed: 1, Shards: hashtable.MaxShards}
+	if _, _, err := Sample(g, cfg); err != nil {
+		t.Fatalf("Shards=MaxShards: %v", err)
 	}
 }

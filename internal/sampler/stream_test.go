@@ -10,7 +10,7 @@ import (
 // empty rows, a heavy row, and duplicate accumulation.
 func streamFixture(t *testing.T, n int) *hashtable.Table {
 	t.Helper()
-	tab := hashtable.New(1 << 10)
+	tab := hashtable.New(1<<10, 1)
 	s := uint64(99)
 	for i := 0; i < 5000; i++ {
 		s = s*6364136223846793005 + 1442695040888963407

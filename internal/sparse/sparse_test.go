@@ -193,7 +193,7 @@ func TestTruncLogProperty(t *testing.T) {
 }
 
 func TestFromTable(t *testing.T) {
-	tab := hashtable.New(16)
+	tab := hashtable.New(16, 1)
 	tab.Add(0, 1, 2)
 	tab.Add(1, 0, 2)
 	tab.Add(2, 2, 5)
