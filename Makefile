@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: tier1 build test determinism harness race vet loc fuzz bench bench-drain bench-sample bench-ann bench-factorize bench-qr bench-spmm bench-cold serve-bench smoke-replication check all
+.PHONY: tier1 build test determinism harness race vet loc fuzz bench bench-drain bench-sample bench-ann bench-factorize bench-absorb bench-qr bench-spmm bench-cold serve-bench smoke-replication check all
 
 all: tier1 vet
 
@@ -126,6 +126,13 @@ bench-drain:
 # reported). On one core and on two.
 bench-sample:
 	$(GO) test -run xxx -bench 'BenchmarkSample$$|BenchmarkSampleSerialFlush|BenchmarkSampleBatched$$|BenchmarkSamplePipelined|BenchmarkSampleBatchedCompressed|BenchmarkSampleBatchedWeighted|RMAT13' -benchmem -cpu 1,2 -count=3 ./internal/sampler
+
+# The sketch's absorb at the harness's embed-stream shape (n = 8 192, d = 32,
+# the trunc-logged RMAT-13 sparsifier, ~0.9 M entries, default sign density):
+# the branch-free kernel beside the branching one it replaced, kept as the
+# test oracle. On one core and on two. -count=5 for benchstat.
+bench-absorb:
+	$(GO) test -run xxx -bench 'BenchmarkSketchAbsorb' -benchmem -cpu 1,2 -count=5 ./internal/svd
 
 # The rSVD's dense kernels at the harness shapes, each in both forms (the Go
 # loops and, where the CPU has it, AVX: sub-benchmarks go/ and avx/): the

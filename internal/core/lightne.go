@@ -193,8 +193,8 @@ func Embed(g *graph.Graph, cfg Config) (*Result, error) {
 }
 
 // streamChunkEntries caps the raw entries per streamed chunk: 2^20 entries is
-// ~12 MiB of drained CSR per buffer, big enough to amortize the per-chunk
-// sketch pass and small enough that the two in-flight transform buffers are
+// ~12 MiB of drained CSR per chunk, big enough to amortize the per-chunk
+// sketch pass and small enough that the one reused transform buffer is
 // noise next to the sketch itself. The value never affects results — chunk
 // boundaries are whole rows (sampler.ChunkRows) and sketch absorption is
 // chunk-order-independent — so it is a constant, not a Config knob.
@@ -225,10 +225,9 @@ const streamChunkEntries = 1 << 20
 // The single-pass path (StreamedSVD) transforms whole-row chunks
 // (sampler.ChunkRows) straight into a sketch accumulator: the scaled matrix
 // is never materialized — the resident sparse state is the drained raw CSR
-// plus two bounded chunk buffers — and the dense working set is the sketch's
-// 3·n·k + Ω instead of the rSVD's 5·n·k. The transform of chunk c overlaps
-// the absorption of chunk c-1 through a two-deep buffer ring and a consumer
-// goroutine. Determinism does not depend on that overlap: chunks cover
+// plus one reused chunk buffer — and the dense working set is the sketch's
+// 3·n·k + Ω instead of the rSVD's 5·n·k. Each chunk is transformed, then
+// absorbed, both row-parallel inside (DESIGN.md, Streaming). Chunks cover
 // disjoint whole rows, per-row accumulation into the sketch is sequential,
 // and the chunk boundaries are a pure function of the (deterministic)
 // drained row pointers.
@@ -255,28 +254,13 @@ func EmbedTable(g *graph.Graph, sink sampler.Sink, trials int64, cfg Config) (*R
 			return nil, fmt.Errorf("lightne: sketch: %w", err)
 		}
 		tr := netsmf.NewTransform(g, rowPtr, cols, ws, b, trials)
-
-		free := make(chan *svd.RowChunk, 2)
-		free <- new(svd.RowChunk)
-		free <- new(svd.RowChunk)
-		work := make(chan *svd.RowChunk, 2)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for cb := range work {
-				sk.Absorb(*cb)
-				free <- cb
-			}
-		}()
+		var chunk svd.RowChunk
 		bounds := sampler.ChunkRows(rowPtr, streamChunkEntries)
 		for c := 0; c+1 < len(bounds); c++ {
-			cb := <-free
-			tr.Rows(bounds[c], bounds[c+1], cb)
-			nnz += cb.NNZ()
-			work <- cb
+			tr.Rows(bounds[c], bounds[c+1], &chunk)
+			nnz += chunk.NNZ()
+			sk.Absorb(chunk)
 		}
-		close(work)
-		<-done
 		sparsifierTime = time.Since(start)
 
 		start = time.Now()

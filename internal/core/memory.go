@@ -150,10 +150,11 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 	if cfg.StreamedSVD {
 		// Sketch mode never materializes the scaled sparsifier: the drained
 		// raw CSR (StreamBytes, same arrays the sparsifier would occupy)
-		// streams through bounded transform buffers into the accumulators,
-		// so SparsifierBytes moves to StreamBytes and the dense side is the
-		// range sketch Y (n×k), the co-range sketch Z (n×l) and the test
-		// matrices: 10·s bytes per row for sparse-sign Ω and Ψ, two more
+		// streams through one bounded transform buffer into the
+		// accumulators, so SparsifierBytes moves to StreamBytes and the dense
+		// side is the range sketch Y (n×k), the co-range sketch Z (n×l) and
+		// the test matrices: 8·s bytes per row for sparse-sign Ω and Ψ (one
+		// folded column-and-sign uint32 per ±1 entry of each), two more
 		// dense matrices for Gaussian. Smaller than the rSVD's five n×k
 		// whenever d ≥ 16 with the sign default (the planner's strict-lower
 		// guarantee); Gaussian is the accuracy cross-check and prices higher.
@@ -164,7 +165,7 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 		if cfg.Sketch == svd.SketchGaussian {
 			est.DenseBytes *= 2
 		} else {
-			est.DenseBytes += n * int64(svd.DefaultSignNNZ) * 10
+			est.DenseBytes += n * int64(svd.DefaultSignNNZ) * 8
 		}
 	} else {
 		// Randomized SVD keeps ~5 dense n×k float64 matrices (O, Y, B, Z and

@@ -38,6 +38,7 @@ package svd
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"lightne/internal/dense"
@@ -51,7 +52,7 @@ type SketchKind int
 const (
 	// SketchSparseSign (the default, and SketchNE's choice) draws s random
 	// ±1 entries per row of Ω and of Ψ. Absorbing an entry costs 2·s ≪ k+l
-	// adds instead of two dense axpys, and each test matrix stores 5·s bytes
+	// adds instead of two dense axpys, and each test matrix stores 4·s bytes
 	// per row instead of 8·k (8·l) — both the flop and the memory win that
 	// make sketching strictly cheaper than the multi-pass path. The common
 	// 1/√s normalization is omitted: it cancels between ΨᵀQ and ZᵀQ (and
@@ -170,18 +171,21 @@ type Sketch struct {
 	omega *dense.Matrix // n×k
 	psi   *dense.Matrix // n×l
 
-	// Sparse-sign test matrices: row v of Ω has ±1 at columns
-	// signIdx[v·s : (v+1)·s] with signs from signNeg; psiIdx/psiNeg likewise
-	// for Ψ (column space of width l).
+	// Sparse-sign test matrices: row v of Ω has ±1 at the folded entries
+	// signIdx[v·s : (v+1)·s] — column in the low 31 bits (e&signCol), sign
+	// in bit 31 (set: −1); psiIdx likewise for Ψ (column space of width l).
 	signIdx []uint32
-	signNeg []bool
 	psiIdx  []uint32
-	psiNeg  []bool
 	s       int
 
 	nnz       atomic.Int64
 	factorize atomic.Bool // Factorize consumed the accumulators
 }
+
+// psiSeedSalt decorrelates Ψ's per-row streams from Ω's; the co-range
+// sketch must be statistically independent of the range sketch for the
+// least-squares core to damp the residual rather than refit it.
+const psiSeedSalt = 0x9e3779b97f4a7c15
 
 // NewSketch prepares a single-pass sketch for an n×n symmetric matrix and
 // target rank d (clamped to n). The test matrix is generated immediately
@@ -198,15 +202,11 @@ func NewSketch(n, d int, opt SketchOptions) (*Sketch, error) {
 		d = n
 	}
 	k, l := SketchWidths(n, d, opt.Oversample)
-	if d > n {
-		d = n
+	if opt.Kind == SketchSparseSign && l > signCol {
+		return nil, fmt.Errorf("svd: sketch width %d exceeds the %d columns a sign entry can index", l, signCol)
 	}
 	sk := &Sketch{n: n, d: d, k: k, l: l, kind: opt.Kind,
 		y: dense.NewMatrix(n, k), z: dense.NewMatrix(n, l)}
-	// psiSeedSalt decorrelates Ψ's per-row streams from Ω's; the co-range
-	// sketch must be statistically independent of the range sketch for the
-	// least-squares core to damp the residual rather than refit it.
-	const psiSeedSalt = 0x9e3779b97f4a7c15
 	switch opt.Kind {
 	case SketchGaussian:
 		sk.omega = dense.NewMatrix(n, k)
@@ -222,20 +222,24 @@ func NewSketch(n, d int, opt SketchOptions) (*Sketch, error) {
 			s = k
 		}
 		sk.s = s
-		sk.signIdx, sk.signNeg = sparseSignRows(n, k, s, opt.Seed)
-		sk.psiIdx, sk.psiNeg = sparseSignRows(n, l, s, opt.Seed^psiSeedSalt)
+		sk.signIdx = sparseSignRows(n, k, s, opt.Seed)
+		sk.psiIdx = sparseSignRows(n, l, s, opt.Seed^psiSeedSalt)
 	default:
 		return nil, fmt.Errorf("svd: unknown sketch kind %d", int(opt.Kind))
 	}
 	return sk, nil
 }
 
+// signCol masks the column out of a folded sparse-sign entry; bit 31 above
+// it is the sign (set: −1). NewSketch keeps every width ≤ signCol.
+const signCol = 1<<31 - 1
+
 // sparseSignRows draws s distinct ±1 column positions per row of an n×width
-// sparse-sign test matrix from per-row RNG streams: row v is a pure function
-// of (seed, v), independent of scheduling.
-func sparseSignRows(n, width, s int, seed uint64) ([]uint32, []bool) {
+// sparse-sign test matrix from per-row RNG streams, each folded with its sign
+// into one entry (see signCol): row v is a pure function of (seed, v),
+// independent of scheduling.
+func sparseSignRows(n, width, s int, seed uint64) []uint32 {
 	idx := make([]uint32, n*s)
-	neg := make([]bool, n*s)
 	par.ForRange(n, 64, func(lo, hi int) {
 		var src rng.Source
 		for v := lo; v < hi; v++ {
@@ -248,7 +252,7 @@ func sparseSignRows(n, width, s int, seed uint64) ([]uint32, []bool) {
 					pos := uint32(src.Intn(width))
 					dup := false
 					for u := 0; u < t; u++ {
-						if idx[base+u] == pos {
+						if idx[base+u]&signCol == pos {
 							dup = true
 							break
 						}
@@ -258,11 +262,11 @@ func sparseSignRows(n, width, s int, seed uint64) ([]uint32, []bool) {
 						break
 					}
 				}
-				neg[base+t] = src.Uint64()&1 == 1
+				idx[base+t] |= uint32(src.Uint64()&1) << 31
 			}
 		}
 	})
-	return idx, neg
+	return idx
 }
 
 // Dims reports the matrix dimension n and realized sketch width k.
@@ -306,24 +310,21 @@ func (sk *Sketch) Absorb(c RowChunk) {
 			}
 		})
 	default: // SketchSparseSign
+		// x − w is x + (−w) in IEEE 754 and flipping w's sign bit is exact,
+		// so xoring the entry's sign into w adds the same bits a branch on
+		// the (fair-coin) sign would, without the mispredicts.
 		s := sk.s
 		par.For(rows, 32, func(i int) {
 			yrow := sk.y.Row(c.RowLo + i)
 			zrow := sk.z.Row(c.RowLo + i)
 			for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
-				w := c.Vals[p]
+				w := math.Float64bits(c.Vals[p])
 				base := int(c.Cols[p]) * s
-				for t := base; t < base+s; t++ {
-					if sk.signNeg[t] {
-						yrow[sk.signIdx[t]] -= w
-					} else {
-						yrow[sk.signIdx[t]] += w
-					}
-					if sk.psiNeg[t] {
-						zrow[sk.psiIdx[t]] -= w
-					} else {
-						zrow[sk.psiIdx[t]] += w
-					}
+				psi := sk.psiIdx[base : base+s]
+				for t, e := range sk.signIdx[base : base+s] {
+					yrow[e&signCol] += math.Float64frombits(w ^ uint64(e>>31)<<63)
+					f := psi[t]
+					zrow[f&signCol] += math.Float64frombits(w ^ uint64(f>>31)<<63)
 				}
 			}
 		})
@@ -352,9 +353,9 @@ func (sk *Sketch) Factorize() (*Result, error) {
 		sk.psi, sk.omega = nil, nil
 	} else {
 		m1t := dense.NewMatrix(sk.k, sk.l)
-		sk.signProject(m1t, q, sk.psiIdx, sk.psiNeg)
+		sk.signProject(m1t, q, sk.psiIdx)
 		m1 = m1t.Transpose()
-		sk.signIdx, sk.signNeg, sk.psiIdx, sk.psiNeg = nil, nil, nil, nil
+		sk.signIdx, sk.psiIdx = nil, nil
 	}
 	m2 := dense.NewMatrix(sk.l, sk.k)
 	dense.MatMulATBDet(m2, sk.z, q)
@@ -385,10 +386,10 @@ func (sk *Sketch) Factorize() (*Result, error) {
 }
 
 // signProject computes out = QᵀS (k×width) for a sparse-sign test matrix S
-// given by (idx, neg): row v of S scatters ±Q[v,:] into the s columns it
-// occupies. Fixed block geometry and a pairwise-tree combine, exactly like
-// MatMulATBDet, keep it bit-identical across worker counts.
-func (sk *Sketch) signProject(out *dense.Matrix, q *dense.Matrix, idx []uint32, neg []bool) {
+// given by its folded entries idx: row v of S scatters ±Q[v,:] into the s
+// columns it occupies. Fixed block geometry and a pairwise-tree combine,
+// exactly like MatMulATBDet, keep it bit-identical across worker counts.
+func (sk *Sketch) signProject(out *dense.Matrix, q *dense.Matrix, idx []uint32) {
 	n, k, s := sk.n, sk.k, sk.s
 	width := out.Cols
 	nb := 64
@@ -408,9 +409,9 @@ func (sk *Sketch) signProject(out *dense.Matrix, q *dense.Matrix, idx []uint32, 
 		for v := lo; v < hi; v++ {
 			qv := q.Row(v)
 			base := v * s
-			for t := base; t < base+s; t++ {
-				col := int(idx[t])
-				if neg[t] {
+			for _, e := range idx[base : base+s] {
+				col := int(e & signCol)
+				if e>>31 != 0 {
 					for a, qa := range qv {
 						acc[a*width+col] -= qa
 					}

@@ -194,6 +194,11 @@ func TestSketchErrorsAndPanics(t *testing.T) {
 	if _, err := NewSketch(10, 2, SketchOptions{Kind: SketchKind(99)}); err == nil {
 		t.Fatal("expected error for unknown kind")
 	}
+	// A sign entry's column must fit the 31 bits below its sign: width 2^31
+	// is an error, reported before any accumulator is allocated.
+	if _, err := NewSketch(1<<31, 1<<30, SketchOptions{}); err == nil {
+		t.Fatal("expected error for a sketch width of 2^31")
+	}
 	// Factorizing an empty stream: Y = 0 is rank-deficient but QR completes
 	// the basis; the solve on C = QᵀΩ must still succeed or error cleanly,
 	// never panic.
