@@ -57,8 +57,11 @@ type Config struct {
 	// WaveSize caps the in-flight heads per wave of the batched walker's
 	// enumerate→walk→drain pipeline; <= 0 picks the maximum (2^22). Only
 	// meaningful with BatchedWalks. The embedding is bit-identical for
-	// every setting — the knob trades walk-state footprint against
-	// pipeline overlap granularity.
+	// every setting. A pass with more heads than WaveSize walks in several
+	// waves, inserting each while the next is walked, at a smaller
+	// walk-state footprint; at the default a pass of up to 2^22 heads (an
+	// RMAT-13 pass at M = 2·T·m draws ~0.8 M) is one wave, walked and then
+	// inserted, with no overlap.
 	WaveSize int
 	// Shards splits the sample-aggregation table across a power of two of
 	// shards routed by high hash bits; <= 1 keeps one table, and more than

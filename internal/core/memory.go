@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"lightne/internal/graph"
 	"lightne/internal/hashtable"
@@ -110,12 +111,15 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 		// per-block regions of E_b + 6·(√E_b + 4) records for E_b expected
 		// heads (sampler.enumSlack); over at most 4 blocks per worker the
 		// slack sums to at most 6·(√(heads·blocks) + 4·blocks). Then the
-		// per-wave buffers, where w heads are in flight: walk states +
-		// compaction scratch (2 x 8 B per stepping side: a side steps unless
-		// its split leaves it none, which happens with probability
-		// E[1/r] = H_T/T, so 2·(1 − H_T/T) sides per head, at most 2w), and
-		// the drain's oriented key/weight pairs (2 x 2w x 8 B); a sharded
-		// sink's partition scratch adds one more pair of 2w arrays.
+		// per-wave buffers, where w heads are in flight: the regroup's two
+		// walk-state buffers, scattered from one into the other each round
+		// (2 x 8 B per stepping side: a side steps unless its split leaves
+		// it none, which happens with probability E[1/r] = H_T/T, so
+		// 2·(1 − H_T/T) sides per head, at most 2w); the regroup's per-block
+		// digit counts (8 B per digit, at most 2^14 digits — the top bits of
+		// a vertex id, no more than 2w — per block); and the drain's
+		// oriented key/weight pairs (2 x 2w x 8 B); a sharded sink's
+		// partition scratch adds one more pair of 2w arrays.
 		wave := int64(cfg.WaveSize)
 		if wave <= 0 || wave > sampler.MaxWaveHeads {
 			wave = sampler.MaxWaveHeads
@@ -128,7 +132,8 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 			harmonic += 1 / float64(r)
 		}
 		stepping := min(int64(2*float64(heads)*(1-harmonic/float64(cfg.T))), 2*wave)
-		est.WalkBufferBytes = 24*(heads+slack) + 16*stepping + 32*wave
+		digitBits := min(bits.Len32(uint32(g.NumVertices()-1)), 14, bits.Len64(uint64(2*wave)))
+		est.WalkBufferBytes = 24*(heads+slack) + 16*stepping + int64(blocks)*8<<digitBits + 32*wave
 		if cfg.Shards > 1 {
 			est.WalkBufferBytes += 32 * wave
 		}

@@ -122,12 +122,13 @@ func insertWorkload(pairs, distinct int) (keys, fixed []uint64) {
 
 // BenchmarkInsert times one fresh presized table taking 1.5 M pairs over
 // ~1.06 M distinct keys (the harness's embed-stream shape), allocation
-// included: the single table's shared batch kernel, and four shards each
-// inserted by its own worker with the owned kernel (the sharded table's path
-// after partitioning; the partition itself is not timed). Each runs beside
-// the per-key kernel it replaced (perKeyTable), and the owned shards also
-// beside the shared kernel inserting the same runs, one worker per shard:
-// the case for keeping a second kernel. Reports Mop/s.
+// included: the single table's shared batch kernel; the four-shard table's
+// whole AddFixedBatch, partition by shard and window included; and its four
+// shards each inserted by its own worker with the owned kernel from runs
+// partitioned by shard alone, in input order (the partition is not timed).
+// Each runs beside the per-key kernel it replaced (perKeyTable), and the
+// owned shards also beside the shared kernel inserting the same runs, one
+// worker per shard: the case for keeping a second kernel. Reports Mop/s.
 func BenchmarkInsert(b *testing.B) {
 	const pairs, distinct, shardBits = 1_500_000, 1_060_000, 2
 	const shards = 1 << shardBits
@@ -148,17 +149,20 @@ func BenchmarkInsert(b *testing.B) {
 	}
 	run("table", func() { New(pairs, 1).AddFixedBatch(keys, fixed) })
 	run("table-per-key-oracle", func() { newPerKeyTable(pairs).AddFixedBatch(keys, fixed) })
+	run("shards-4", func() { New(pairs, shards).AddFixedBatch(keys, fixed) })
 	run("shards-4-owned", func() {
+		t := New(pairs, shards)
 		par.For(shards, 1, func(sh int) {
-			addOwned(New(pairs/shards, 1), shardKeys[sh], shardFixed[sh])
+			t.shards[sh].addOwned(shardKeys[sh], shardFixed[sh])
 		})
 	})
 	run("shards-4-shared", func() {
+		t := New(pairs, shards)
 		par.For(shards, 1, func(sh int) {
-			t, keys, fixed := New(pairs/shards, 1), shardKeys[sh], shardFixed[sh]
+			keys, fixed := shardKeys[sh], shardFixed[sh]
 			for lo := 0; lo < len(keys); lo += BatchGrain {
 				hi := min(lo+BatchGrain, len(keys))
-				t.shards[0].addShared(keys[lo:hi], fixed[lo:hi])
+				t.shards[sh].addShared(keys[lo:hi], fixed[lo:hi])
 			}
 		})
 	})

@@ -20,10 +20,12 @@
 //
 // A Table is split into a power of two of shards (New's shards argument,
 // one for a plain table), each an open-addressing table with its own
-// growth lock, routed by the high bits of the key's hash. Sharding changes
-// no bit of the aggregate; it confines a grow to the keys of one shard, and
-// it lets a long batch be partitioned so that one goroutine owns each
-// shard's run.
+// growth lock, routed by the high bits of the key's hash. A key's home slot
+// in its shard is the next log2(capacity) hash bits, the ones just below the
+// shard bits, so the top bits of a hash name a shard and a window of
+// adjacent slots in it. Sharding changes no bit of the aggregate; it
+// confines a grow to the keys of one shard, and it lets a long batch be
+// partitioned so that one goroutine owns each shard's run.
 //
 // Inserts are batch-first. The shared kernel (shard.addShared) takes a
 // shard's growth lock's read side once per chunk of up to BatchGrain pairs
@@ -36,7 +38,11 @@
 // load factor is never exceeded. The owned kernel (shard.addOwned) runs a
 // sharded table's partitioned batch: it holds the shard's write lock for
 // the run and inserts with plain loads and stores, a local count and an
-// inline grow. AddFixed and Add are one-pair calls into the shared kernel.
+// inline grow. The partition groups the batch by shard and, within a shard,
+// by window of about 256 KiB of home slots (the windows are cut from the
+// presized shard capacity), so an owned run sweeps its shard window by
+// window, probing in cache instead of across the whole shard. AddFixed and
+// Add are one-pair calls into the shared kernel.
 //
 // The sparsifier hand-off, DrainCSR, groups every shard's entries by source
 // vertex: each entry is scattered once, into a bucket of rows that sorts in
@@ -126,6 +132,7 @@ func shardBits(shards int) uint {
 type Table struct {
 	shards    []shard
 	shardBits uint
+	partBits  uint      // top hash bits a long batch is partitioned by: shard, then window
 	small     sync.Pool // *smallBatch scratch of a sharded AddFixedBatch
 }
 
@@ -134,6 +141,7 @@ type shard struct {
 	mu    sync.RWMutex
 	slots []slot
 	mask  uint64
+	home  homeBits
 	// count is the number of distinct keys plus the headroom in-flight
 	// shared chunks have reserved but not yet used.
 	count atomic.Int64
@@ -147,9 +155,11 @@ type shard struct {
 func New(capacityHint, shards int) *Table {
 	b := shardBits(shards)
 	n := 1 << b
-	t := &Table{shards: make([]shard, n), shardBits: b}
 	c := presize((capacityHint + n - 1) / n)
+	windows := uint(max(0, bits.TrailingZeros64(c)-windowSlotBits))
+	t := &Table{shards: make([]shard, n), shardBits: b, partBits: max(b, min(b+windows, maxPartBits))}
 	for i := range t.shards {
+		t.shards[i].home.skip = b
 		t.shards[i].setSlots(c)
 		t.shards[i].peak.Store(int64(c) * 16)
 	}
@@ -185,7 +195,16 @@ func SlotBytes(capacityHint, shards int) int64 {
 func (s *shard) setSlots(capacity uint64) {
 	s.slots = make([]slot, capacity)
 	s.mask = capacity - 1
+	s.home.shift = uint(64 - bits.TrailingZeros64(capacity))
 }
+
+// homeBits picks a key's home slot out of its hash: the log2(capacity) bits
+// just below the table's shard bits. The kernels copy it out of the shard
+// before their loops, off the cache line that count shares.
+type homeBits struct{ skip, shift uint }
+
+// of returns the home slot of a key with hash h.
+func (b homeBits) of(h uint64) uint64 { return h << (b.skip & 63) >> (b.shift & 63) }
 
 // maxKeys is the most distinct keys the shard's capacity holds under the
 // 7/8 load factor (capacities are powers of two >= 16, so this is exact).
@@ -201,9 +220,10 @@ func hash(k uint64) uint64 {
 }
 
 // shardOf routes a packed key to one of 1<<bits shards using the high bits
-// of the hash, so shard routing and in-shard probing (which uses the low
-// bits via the capacity mask) draw on disjoint parts of the same mix.
-// bits == 0 maps every key to shard 0.
+// of the hash; the home slot takes the bits below them, so routing and
+// in-shard probing draw on disjoint parts of the same mix. With bits =
+// partBits it names the key's partition group instead: its shard, then its
+// window. bits == 0 maps every key to shard 0.
 func shardOf(key uint64, bits uint) int {
 	return int(hash(key) >> (64 - bits))
 }
@@ -237,6 +257,11 @@ const BatchGrain = 2048
 // scatter passes in AddFixedBatch.
 const shardPartGrain = 4096
 
+const (
+	windowSlotBits = 14 // a partition window: 2^14 home slots, 256 KiB
+	maxPartBits    = 8  // at most 256 groups unless there are more shards: few scatter streams
+)
+
 // AddFixedBatch accumulates every (key, fixed-point weight) pair. On one
 // shard, a batch of at most BatchGrain pairs runs through the shared kernel
 // inline under one read-lock acquisition, and a longer one in parallel
@@ -244,10 +269,11 @@ const shardPartGrain = 4096
 // BatchGrain pairs — one flush of a per-arc sampler's worker, arriving while
 // every other worker flushes too — is grouped by shard on the calling
 // goroutine into pooled scratch, and each shard's run goes through the
-// shared kernel. A longer batch is partitioned in parallel (per-chunk shard
-// counts, a scan for stable offsets, a scatter into shard-contiguous
-// scratch), and each shard's run goes to one worker, which inserts it with
-// the owned kernel: no atomic operation per key. Equivalent to calling
+// shared kernel. A longer batch is partitioned in parallel by shard and
+// home-slot window (per-chunk group counts, a scan for stable offsets, a
+// scatter into group-contiguous scratch), and each shard's run goes to one
+// worker, which inserts it window by window with the owned kernel: no
+// atomic operation per key. Equivalent to calling
 // AddFixed per pair (accumulation is commutative), and safe for concurrent
 // use with every other insert. len(keys) must equal len(fixed).
 func (t *Table) AddFixedBatch(keys, fixed []uint64) {
@@ -310,44 +336,47 @@ func (t *Table) addSmall(keys, fixed []uint64) {
 	t.small.Put(b)
 }
 
-// partition scatters a batch into shard-contiguous scratch, preserving input
-// order within each shard: shard sh's pairs are kbuf[starts[sh]:starts[sh+1]].
+// partition scatters a batch into scratch grouped by the top partBits of
+// the hash — by shard, and within a shard by window of home slots —
+// preserving input order within each group: shard sh's pairs are
+// kbuf[starts[sh]:starts[sh+1]], in window order.
 func (t *Table) partition(keys, fixed []uint64) (kbuf, fbuf []uint64, starts []int64) {
-	n, nShards := len(keys), len(t.shards)
+	n, pb := len(keys), t.partBits
+	groups := 1 << pb
 	bounds := par.Blocks(n, shardPartGrain)
 	nb := len(bounds) - 1
-	// counts[b*nShards+sh]: pairs in chunk b routed to shard sh.
-	counts := make([]int64, nb*nShards)
+	// counts[b*groups+g]: pairs of chunk b in group g; then chunk b's write
+	// cursor for group g.
+	counts := make([]int64, nb*groups)
 	par.ForBlocks(bounds, func(b, lo, hi int) {
-		row := counts[b*nShards : (b+1)*nShards]
-		for i := lo; i < hi; i++ {
-			row[shardOf(keys[i], t.shardBits)]++
+		row := counts[b*groups : (b+1)*groups]
+		for _, k := range keys[lo:hi] {
+			row[shardOf(k, pb)]++
 		}
 	})
-	// Stable offsets, shard-major: shard sh's region is contiguous and chunk
-	// order is preserved within it.
-	offs := make([]int64, nShards*nb)
-	starts = make([]int64, nShards+1)
+	// Stable offsets, group-major: each group's region is contiguous, chunk
+	// order is preserved within it, and a shard's groups are adjacent.
+	per := groups / len(t.shards)
+	starts = make([]int64, len(t.shards)+1)
 	var total int64
-	for sh := 0; sh < nShards; sh++ {
-		starts[sh] = total
+	for g := 0; g < groups; g++ {
+		if g%per == 0 {
+			starts[g/per] = total
+		}
 		for b := 0; b < nb; b++ {
-			offs[sh*nb+b] = total
-			total += counts[b*nShards+sh]
+			c := &counts[b*groups+g]
+			*c, total = total, total+*c
 		}
 	}
-	starts[nShards] = total
+	starts[len(t.shards)] = total
 	kbuf = make([]uint64, n)
 	fbuf = make([]uint64, n)
 	par.ForBlocks(bounds, func(b, lo, hi int) {
-		next := make([]int64, nShards)
-		for sh := 0; sh < nShards; sh++ {
-			next[sh] = offs[sh*nb+b]
-		}
+		next := counts[b*groups : (b+1)*groups]
 		for i := lo; i < hi; i++ {
-			sh := shardOf(keys[i], t.shardBits)
-			p := next[sh]
-			next[sh]++
+			g := shardOf(keys[i], pb)
+			p := next[g]
+			next[g]++
 			kbuf[p] = keys[i]
 			fbuf[p] = fixed[i]
 		}
@@ -400,11 +429,11 @@ func (s *shard) reserve(want int64) int64 {
 // could be reserved and reports how many pairs it inserted and how many
 // reserved credits it left unspent. The caller holds the read lock.
 func (s *shard) insertShared(keys, fixed []uint64) (done int, unused int64) {
-	slots, mask := s.slots, s.mask
+	slots, mask, home := s.slots, s.mask, s.home
 	var credits int64
 	for i, key := range keys {
 		want := ^key
-		for j := hash(key) & mask; ; j = (j + 1) & mask {
+		for j := home.of(hash(key)); ; j = (j + 1) & mask {
 			sl := &slots[j]
 			k := atomic.LoadUint64(&sl.key)
 			if k == 0 {
@@ -437,10 +466,10 @@ func (s *shard) addOwned(keys, fixed []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	count, limit := s.count.Load(), s.maxKeys()
-	slots, mask := s.slots, s.mask
+	slots, mask, home := s.slots, s.mask, s.home
 	for i, key := range keys {
 		want := ^key
-		for j := hash(key) & mask; ; j = (j + 1) & mask {
+		for j := home.of(hash(key)); ; j = (j + 1) & mask {
 			k := slots[j].key
 			if k == want {
 				slots[j].val += fixed[i]
@@ -451,8 +480,8 @@ func (s *shard) addOwned(keys, fixed []uint64) {
 			}
 			if count == limit {
 				s.rehash()
-				slots, mask, limit = s.slots, s.mask, s.maxKeys()
-				j = (hash(key) - 1) & mask // the loop step lands on the home slot
+				slots, mask, home, limit = s.slots, s.mask, s.home, s.maxKeys()
+				j = (home.of(hash(key)) - 1) & mask // the loop step lands on the home slot
 				continue
 			}
 			slots[j] = slot{want, fixed[i]}
@@ -491,7 +520,7 @@ func (s *shard) rehash() {
 		if sl.key == 0 {
 			continue
 		}
-		j := hash(^sl.key) & mask
+		j := s.home.of(hash(^sl.key))
 		for slots[j].key != 0 {
 			j = (j + 1) & mask
 		}
@@ -553,7 +582,7 @@ func (t *Table) Get(u, v uint32) (float64, bool) {
 // lookup returns key's fixed-point weight and whether it is present. The
 // caller holds either side of the lock.
 func (s *shard) lookup(key uint64) (uint64, bool) {
-	for i := hash(key) & s.mask; ; i = (i + 1) & s.mask {
+	for i := s.home.of(hash(key)); ; i = (i + 1) & s.mask {
 		switch atomic.LoadUint64(&s.slots[i].key) {
 		case ^key:
 			return atomic.LoadUint64(&s.slots[i].val), true

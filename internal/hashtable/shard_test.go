@@ -180,8 +180,9 @@ func TestShardedRoundsUpToPowerOfTwo(t *testing.T) {
 // TestShardedAddFixedBatchBitIdentical: the shard-grouped batch insert is
 // bit-identical to routing every pair through AddFixed, on the small-batch
 // path (grouped into pooled scratch) and the partitioned path, into shards
-// that start at the minimum capacity and grow mid-batch. See DESIGN.md
-// "Numerics".
+// that start at the minimum capacity and grow mid-batch, and into presized
+// shards of 2^18 slots, which the partition cuts into 16 home-slot windows
+// each. See DESIGN.md "Numerics".
 func TestShardedAddFixedBatchBitIdentical(t *testing.T) {
 	s := rng.New(9, 0)
 	for _, n := range []int{1, 100, BatchGrain, BatchGrain + 1, 5 * shardPartGrain} {
@@ -196,15 +197,17 @@ func TestShardedAddFixedBatchBitIdentical(t *testing.T) {
 			for i := range keys {
 				ref.AddFixed(keys[i], fixed[i])
 			}
-			tab := New(16, shards)
-			tab.AddFixedBatch(keys, fixed)
-			if tab.Len() != ref.Len() {
-				t.Fatalf("n=%d shards=%d: distinct %d want %d", n, shards, tab.Len(), ref.Len())
-			}
 			us, vs, ws := ref.Drain()
-			for i := range us {
-				if got, _ := tab.Get(us[i], vs[i]); got != ws[i] {
-					t.Fatalf("n=%d shards=%d key (%d,%d): batch %v want %v", n, shards, us[i], vs[i], got, ws[i])
+			for _, hint := range []int{16, 1 << 19} {
+				tab := New(hint, shards)
+				tab.AddFixedBatch(keys, fixed)
+				if tab.Len() != ref.Len() {
+					t.Fatalf("n=%d shards=%d hint=%d: distinct %d want %d", n, shards, hint, tab.Len(), ref.Len())
+				}
+				for i := range us {
+					if got, _ := tab.Get(us[i], vs[i]); got != ws[i] {
+						t.Fatalf("n=%d shards=%d hint=%d key (%d,%d): batch %v want %v", n, shards, hint, us[i], vs[i], got, ws[i])
+					}
 				}
 			}
 		}

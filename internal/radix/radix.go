@@ -200,34 +200,6 @@ func Sort(keys []uint64) {
 	}
 }
 
-// SortBytesBuf stable-sorts keys by bytes [loByte, hiByte) from least to most
-// significant, using buf as scratch space (len(buf) must be >= len(keys)).
-// The result always ends up in keys. Bytes outside the range do not
-// participate: with loByte > 0 the keys come out ordered by their high bytes
-// only, with equal high bytes keeping input order — the partition-only
-// grouping the batched walker needs between steps, at half the passes of a
-// full sort when the low half of the key is walk metadata rather than sort
-// key. The buffer form exists so per-round sorts in a loop can reuse one
-// scratch allocation.
-func SortBytesBuf(keys, buf []uint64, loByte, hiByte int) {
-	n := len(keys)
-	if n < 2 || hiByte <= loByte {
-		return
-	}
-	if len(buf) < n {
-		panic("radix: scratch buffer shorter than keys")
-	}
-	bounds := par.Blocks(n, passGrain)
-	src, dst := keys, buf[:n]
-	for b := loByte; b < hiByte; b++ {
-		countingPassKeys(src, dst, uint(8*b), bounds)
-		src, dst = dst, src
-	}
-	if &src[0] != &keys[0] {
-		copy(keys, src)
-	}
-}
-
 // countingPassKeys is countingPass without a payload.
 func countingPassKeys(src, dst []uint64, shift uint, bounds []int) {
 	chunks := len(bounds) - 1

@@ -299,58 +299,3 @@ func BenchmarkGroupCSR(b *testing.B) {
 		GroupCSR(work, workV, rows)
 	}
 }
-
-// TestSortBytesBufPartialRange: restricting the byte range must stably order
-// by exactly those bytes — the wave loop sorts only the current-vertex bytes
-// of packed walk states to halve the pass count.
-func TestSortBytesBufPartialRange(t *testing.T) {
-	s := rng.New(77, 0)
-	for _, n := range []int{0, 1, 2, 63, 4096, 120000} {
-		keys := make([]uint64, n)
-		for i := range keys {
-			keys[i] = s.Uint64()
-		}
-		type rec struct {
-			k   uint64
-			pos int
-		}
-		ref := make([]rec, n)
-		for i := range ref {
-			ref[i] = rec{keys[i], i}
-		}
-		sort.SliceStable(ref, func(i, j int) bool { return ref[i].k>>32 < ref[j].k>>32 })
-		buf := make([]uint64, n)
-		SortBytesBuf(keys, buf, 4, 8) // order by the high 32 bits only
-		for i := range keys {
-			if keys[i] != ref[i].k {
-				t.Fatalf("n=%d: partial sort mismatch at %d: %x vs %x", n, i, keys[i], ref[i].k)
-			}
-		}
-	}
-}
-
-// TestSortBytesBufFullRangeMatchesSort: the full byte range reproduces Sort.
-func TestSortBytesBufFullRangeMatchesSort(t *testing.T) {
-	s := rng.New(5, 1)
-	keys := make([]uint64, 50000)
-	for i := range keys {
-		keys[i] = s.Uint64() >> uint(s.Intn(40))
-	}
-	want := append([]uint64(nil), keys...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	SortBytesBuf(keys, make([]uint64, len(keys)), 0, 8)
-	for i := range keys {
-		if keys[i] != want[i] {
-			t.Fatalf("mismatch at %d: %x vs %x", i, keys[i], want[i])
-		}
-	}
-}
-
-func TestSortBytesBufPanicsOnShortBuffer(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for short scratch buffer")
-		}
-	}()
-	SortBytesBuf(make([]uint64, 8), make([]uint64, 4), 0, 8)
-}

@@ -13,28 +13,25 @@ import (
 //
 // SampleBatched draws the same trial distribution as Sample but advances
 // all in-flight walks in lock step: between steps the walk states are
-// radix-grouped by their current vertex, so each step scans vertices in
-// order and every walk positioned at a vertex consumes its adjacency while
-// it is cache-hot — sequential reads instead of Sample's random reads.
+// regrouped by their current vertex, so each step scans vertices in order
+// and every walk positioned at a vertex consumes its adjacency while it is
+// cache-hot — sequential reads instead of Sample's random reads.
 //
-// The pass runs as a three-stage pipeline (see DESIGN.md "Wave pipeline"):
+// The pass runs in three stages (see DESIGN.md "Wave pipeline"): stage 1
+// (enumerate.go) generates every head up front, running each vertex's RNG
+// stream once, so the trial distribution and per-head weights are identical
+// to a serial enumeration; stage 2 (wave.go) walks one wave of heads at a
+// time, every stepping side in lock step until its last step; stage 3
+// (drain.go) inserts a walked wave's (e0, e1, fixed) heads into the Sink,
+// on a goroutine that overlaps wave k's insert with wave k+1's walk. The
+// default wave holds 2^22 heads, more than an RMAT-13 pass at M = 2·T·m
+// draws (~0.8 M), so such a pass is one wave, walked and then inserted. Walk
+// steps are single keyed-hash draws (rng.Hash64 keyed by
+// (global head, side, step) — see wave.go), which makes the output a pure
+// function of (graph, config): bit-identical across waveSize, Shards and
+// GOMAXPROCS once drained through DrainCSR.
 //
-//	enumerate ──► wave walking ──► sink insertion
-//	(parallel,     (parallel        (parallel, overlapped
-//	 one pass)      advance +        with the NEXT wave's
-//	                compaction)      walking)
-//
-// Stage 1 (enumerate.go) generates every head up front, running each
-// vertex's RNG stream once, so the trial distribution and per-head weights
-// are identical to a serial enumeration. Stage 2 (wave.go) advances one wave
-// at a time, every stepping side in lock step until its last step. Stage 3
-// (drain.go) inserts a finished wave's (e0, e1, fixed) heads into the Sink
-// while the walker advances the next wave. Walk steps are single keyed-hash
-// draws (rng.Hash64 keyed by (global head, side, step) — see wave.go), which
-// makes the output a pure function of (graph, config): bit-identical across
-// waveSize, Shards and GOMAXPROCS once drained through DrainCSR.
-//
-// Walk states pack into one uint64 so the radix grouping is the only data
+// Walk states pack into one uint64 so the regroup scatter is the only data
 // movement:
 //
 //	cur(32) | steps(9) | side(1) | head(22)
@@ -61,7 +58,7 @@ func packState(cur uint32, steps int, side int, head int) uint64 {
 		uint64(head)
 }
 
-// stateTombstone marks a retired walk state awaiting compaction.
+// stateTombstone marks a retired walk state, which the regroup drops.
 const stateTombstone = ^uint64(0)
 
 // headRec is one enumerated walk head: the arc it was drawn from, the split
@@ -75,8 +72,8 @@ type headRec struct {
 	s0, s1 uint16 // remaining steps on each side: s and r-1-s
 }
 
-// SampleBatched runs the downsampled PathSampling pass with radix-batched
-// walks and the wave pipeline. Weighted graphs walk natively: head
+// SampleBatched runs the downsampled PathSampling pass with batched walks
+// and the wave pipeline. Weighted graphs walk natively: head
 // enumeration uses the weighted per-arc budget (M·w_e/vol trials, ProbW
 // over strengths) and each walk step resolves a per-vertex Vose alias
 // table from the same single keyed-hash draw the unweighted path uses
@@ -128,13 +125,12 @@ func newCursors(g *graph.Graph) []graph.NeighborCursor {
 	return cursors
 }
 
-// pipelineWaves drives stages 2 and 3: the walker (this goroutine) advances
-// one wave of walks at a time, handing each finished wave to a drain
-// goroutine that inserts its heads into the sink while the walker is already
-// advancing the next wave. Wave slices are disjoint regions of the heads
-// array and the channel send orders the walker's endpoint writes before the
-// drain's reads, so the overlap is race-free. The channel holds at most one
-// finished wave. The state buffers hold one wave's stepping sides.
+// pipelineWaves drives stages 2 and 3: the walker (this goroutine) walks one
+// wave at a time and hands it to a drain goroutine, which inserts its heads
+// while the next wave, if any, is walked. Waves are disjoint regions of the
+// heads array and the channel send orders the walker's endpoint writes
+// before the drain's reads, so the overlap is race-free. The channel holds
+// at most one wave. The state buffers hold one wave's stepping sides.
 func pipelineWaves(g *graph.Graph, table Sink, heads []headRec, stepping int64, cursors []graph.NeighborCursor, seed uint64, waveSize int) {
 	states := make([]uint64, min(stepping, 2*int64(min(waveSize, len(heads)))))
 	scratch := make([]uint64, len(states))

@@ -8,14 +8,13 @@ import (
 // Stage 3 of the wave pipeline: sink insertion.
 //
 // A finished wave's heads are turned into the two oriented (key, fixed)
-// pairs each head deposits and handed to the Sink's bulk path. The stage
-// runs on its own goroutine so that inserting wave k overlaps walking wave
-// k+1 — the overlap that keeps the machine saturated where the serial-flush
-// sampler idled. Insertion parallelism lives behind Sink.AddFixedBatch: a
-// sharded sink partitions the keys by shard so each worker owns a shard's
-// run and inserts it with plain stores under that shard's write lock; a
-// one-shard table runs its shared kernel over parallel chunks, one read-lock
-// acquisition per chunk.
+// pairs each head deposits and handed to the Sink's bulk path, on a
+// goroutine that can overlap inserting wave k with walking wave k+1 — but a
+// pass of one wave, as under the default 2^22-head wave, walks, then
+// inserts. Sink.AddFixedBatch runs the insert in parallel: a sharded sink
+// partitions the keys by shard and home window, and each worker inserts a
+// shard's run window by window with plain stores under the shard's write
+// lock; a one-shard table runs its shared kernel over parallel chunks.
 
 // drainGrain is the per-chunk head count when building oriented key pairs.
 const drainGrain = 2048

@@ -13,13 +13,14 @@ import (
 	"lightne/internal/rng"
 )
 
-// The two stages SampleBatched replaced, kept verbatim as oracles: the
-// two-pass enumerator (a counting pass that runs every draw and discards it,
-// then a fill pass that re-runs the identical draws) and the tombstone-round
-// walker (every side, including the ones with no steps, enters the state
-// array and is retired one round after its last step). The one-pass
-// enumerator and the retire-at-last-step walker must reproduce them record
-// for record — the determinism contract of DESIGN.md "Numerics".
+// The two stages SampleBatched replaced, kept as oracles: the two-pass
+// enumerator (a counting pass that runs every draw and discards it, then a
+// fill pass that re-runs the identical draws) and the tombstone-round walker
+// (every side, including the ones with no steps, enters the state array and
+// is retired one round after its last step; each round sorts the states and
+// compacts them after the visit). The one-pass enumerator and the regrouping
+// walker must reproduce them record for record — the determinism contract of
+// DESIGN.md "Numerics".
 
 // enumerateHeadsTwoPass is the count/scan/fill enumerator.
 func enumerateHeadsTwoPass(g *graph.Graph, cfg Config) ([]headRec, Stats) {
@@ -125,17 +126,10 @@ func runWaveTombstone(g *graph.Graph, wave []headRec, states, scratch []uint64, 
 		}
 	})
 
-	// The current vertex lives in the top 32 bits; only the bytes that can
-	// be nonzero for vertex ids < NumVertices need counting passes.
-	curBytes := (bits.Len32(uint32(g.NumVertices()-1)) + 7) / 8
-	if curBytes == 0 {
-		curBytes = 1
-	}
-
 	walkSeed := seed ^ walkSeedTag
 	weighted := g.Weighted()
 	for round := 0; n > 0; round++ {
-		radix.SortBytesBuf(states[:n], scratch, 4, 4+curBytes)
+		radix.Sort(states[:n]) // visit order cannot change an endpoint
 		par.WorkerFor(n, walkGrain, func(worker, lo, hi int) {
 			nc := &cursors[worker]
 			for rs := lo; rs < hi; {
@@ -187,6 +181,34 @@ func runWaveTombstone(g *graph.Graph, wave []headRec, states, scratch []uint64, 
 		n = compactStates(states[:n], scratch)
 		states, scratch = scratch, states
 	}
+}
+
+// compactStates writes src's live (non-tombstone) states into dst in order
+// and returns how many there are: per-block live counts, an exclusive scan
+// for stable offsets, and an exact-fit parallel fill.
+func compactStates(src, dst []uint64) int {
+	bounds := par.Blocks(len(src), 4096)
+	counts := make([]int64, len(bounds)-1)
+	par.ForBlocks(bounds, func(b, lo, hi int) {
+		var c int64
+		for i := lo; i < hi; i++ {
+			if src[i] != stateTombstone {
+				c++
+			}
+		}
+		counts[b] = c
+	})
+	total := par.ExclusiveScan(counts)
+	par.ForBlocks(bounds, func(b, lo, hi int) {
+		w := counts[b]
+		for i := lo; i < hi; i++ {
+			if src[i] != stateTombstone {
+				dst[w] = src[i]
+				w++
+			}
+		}
+	})
+	return int(total)
 }
 
 // steppingSides counts the sides of heads with at least one step to walk.
@@ -274,13 +296,16 @@ func TestEnumerateHeadsBitIdenticalToTwoPass(t *testing.T) {
 	}
 }
 
-// TestRunWaveBitIdenticalToTombstoneWalk checks the retire-at-last-step
-// walker against the tombstone-round oracle: every head's endpoints equal,
-// wave by wave, across GOMAXPROCS, representation, downsampling, walk length
-// and wave size (0 = one wave of everything; one-head waves walk the first
-// 4 heads only, which is all they add).
+// TestRunWaveBitIdenticalToTombstoneWalk checks the regrouping walker
+// against the tombstone-round oracle: every head's endpoints equal, wave by
+// wave, across GOMAXPROCS, representation, downsampling, walk length and
+// wave size (0 = one wave of everything; one-head waves walk the first 4
+// heads only, which is all they add). The wide-ids fixture has vertex ids
+// of 17 bits, past one regroup digit, so its buckets are sorted after each
+// scatter.
 func TestRunWaveBitIdenticalToTombstoneWalk(t *testing.T) {
-	for _, fx := range oracleFixtures(t) {
+	fixtures := append(oracleFixtures(t), oracleFixture{"wide-ids", chordGraph(t, 100_000, 1, 44)})
+	for _, fx := range fixtures {
 		for _, ds := range []bool{false, true} {
 			for _, T := range []int{1, 2, 10, 512} {
 				cfg := oracleConfig(T, ds)

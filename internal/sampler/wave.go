@@ -2,23 +2,25 @@ package sampler
 
 import (
 	"math/bits"
+	"slices"
 
 	"lightne/internal/graph"
 	"lightne/internal/par"
-	"lightne/internal/radix"
 	"lightne/internal/rng"
 )
 
 // Stage 2 of the wave pipeline: lock-step wave walking.
 //
 // runWave advances every walk of one wave to completion. Only stepping sides
-// enter the state array: a side with no steps ends at the arc end its head
-// record already holds. Each round radix-groups the states by current vertex
-// (the locality batching of §4.2; a partial sort over only the vertex-id
-// bytes) and advances each one step; a side taking its last step writes its
-// endpoint and becomes a tombstone in the same visit, and the count/scan/fill
-// compaction drops it before the next sort. Every live state advances once
-// per round, so step k is drawn in round k.
+// enter the state array; the others end at the arc end their head record
+// holds. The states stay grouped by current vertex (the locality batching of
+// §4.2): each round's visit advances every state one step, counting per
+// block the digit of the vertex it moves to, and a side taking its last step
+// writes its endpoint and becomes a tombstone. One stable scatter into the
+// other buffer then regroups the live states by digit and drops the
+// tombstones. Round 0 counts and scatters from the head records. A digit is
+// the top bits of a vertex id, at most regroupBits; wider ids sort each
+// digit's bucket in cache. Step k is drawn in round k.
 //
 // Every step is one keyed-hash draw, rng.Hash64(seed^walkSeedTag,
 // ghead<<10 | step<<1 | side), reduced to a neighbor index by a
@@ -30,51 +32,49 @@ import (
 // walkSeedTag distinguishes walk-step streams from enumeration streams.
 const walkSeedTag = 0xba7c4ed
 
-const (
-	walkGrain    = 1024
-	compactGrain = 4096
-)
+const walkGrain = 1024
+
+// regroupBits is the widest regroup digit: a block's 2^14 counters and the
+// scatter's write cursors stay in L2.
+const regroupBits = 14
 
 // runWave walks one wave to completion, writing each stepping side's
 // endpoint into its head. states and scratch hold at least the wave's
 // stepping sides; base is the wave's first global head index; cursors holds
-// one NeighborCursor per worker index. A worker positions its cursor once per
-// run of states parked at one vertex, so a compressed graph decodes each
-// needed block once per group instead of once per state; the cursor strategy
-// changes how a neighbor is fetched, never which one.
+// one NeighborCursor per worker index, positioned once per run of states at
+// one vertex (a compressed graph decodes each block once per run); the
+// cursor changes how a neighbor is fetched, never which one.
 func runWave(g *graph.Graph, wave []headRec, states, scratch []uint64, cursors []graph.NeighborCursor, seed, base uint64) {
-	bounds := par.Blocks(len(wave), walkGrain)
-	offs := make([]int64, len(bounds)-1)
+	rg := regroup{idBits: bits.Len32(uint32(g.NumVertices() - 1))}
+	bounds := rg.cut(len(wave), 2*len(wave))
 	par.ForBlocks(bounds, func(b, lo, hi int) {
+		row, shift := rg.row(b), rg.shift
 		for _, h := range wave[lo:hi] {
-			offs[b] += int64(min(h.s0, 1) + min(h.s1, 1))
+			row[h.e0>>shift] += int(min(h.s0, 1))
+			row[h.e1>>shift] += int(min(h.s1, 1))
 		}
 	})
-	n := int(par.ExclusiveScan(offs))
+	n := rg.scan()
 	par.ForBlocks(bounds, func(b, lo, hi int) {
-		w := offs[b]
+		row, shift := rg.row(b), rg.shift
 		for i := lo; i < hi; i++ {
-			h := wave[i]
-			if h.s0 > 0 {
-				states[w] = packState(h.e0, int(h.s0), 0, i)
-				w++
+			if h := wave[i]; h.s0 > 0 {
+				place(states, row, packState(h.e0, int(h.s0), 0, i), shift)
 			}
-			if h.s1 > 0 {
-				states[w] = packState(h.e1, int(h.s1), 1, i)
-				w++
+			if h := wave[i]; h.s1 > 0 {
+				place(states, row, packState(h.e1, int(h.s1), 1, i), shift)
 			}
 		}
 	})
+	rg.sortBuckets(states[:n])
 
-	// The current vertex lives in the top 32 bits; only the bytes that can
-	// be nonzero for vertex ids < NumVertices need counting passes.
-	curBytes := max(1, (bits.Len32(uint32(g.NumVertices()-1))+7)/8)
 	walkSeed := seed ^ walkSeedTag
 	weighted := g.Weighted()
 	for round := 0; n > 0; round++ {
-		radix.SortBytesBuf(states[:n], scratch, 4, 4+curBytes)
-		par.WorkerFor(n, walkGrain, func(worker, lo, hi int) {
+		bounds = rg.cut(n, n)
+		par.WorkerBlocks(bounds, func(worker, b, lo, hi int) {
 			nc := &cursors[worker]
+			row, shift := rg.row(b), rg.shift
 			for rs := lo; rs < hi; {
 				cur := uint32(states[rs] >> batchCurOff)
 				re := rs + 1
@@ -102,6 +102,7 @@ func runWave(g *graph.Graph, wave []headRec, states, scratch []uint64, cursors [
 					}
 					if steps > 1 {
 						states[i] = packState(next, steps-1, int(side), head)
+						row[next>>shift]++
 						continue
 					}
 					// Last step: record the endpoint and retire the side.
@@ -115,35 +116,67 @@ func runWave(g *graph.Graph, wave []headRec, states, scratch []uint64, cursors [
 				rs = re
 			}
 		})
-		n = compactStates(states[:n], scratch)
+		n = rg.scan()
+		par.ForBlocks(bounds, func(b, lo, hi int) {
+			row, shift := rg.row(b), rg.shift
+			for _, st := range states[lo:hi] {
+				if st != stateTombstone {
+					place(scratch, row, st, shift)
+				}
+			}
+		})
 		states, scratch = scratch, states
+		rg.sortBuckets(states[:n])
 	}
 }
 
-// compactStates writes src's live (non-tombstone) states into dst in order
-// and returns how many there are: per-block live counts, an exclusive scan
-// for stable offsets, and an exact-fit parallel fill.
-func compactStates(src, dst []uint64) int {
-	bounds := par.Blocks(len(src), compactGrain)
-	counts := make([]int64, len(bounds)-1)
-	par.ForBlocks(bounds, func(b, lo, hi int) {
-		var c int64
-		for i := lo; i < hi; i++ {
-			if src[i] != stateTombstone {
-				c++
-			}
+// place writes state st at its digit's cursor in row and advances it.
+func place(dst []uint64, row []int, st uint64, shift uint) {
+	d := st >> batchCurOff >> shift
+	dst[row[d]] = st
+	row[d]++
+}
+
+// regroup holds the digit and per-block counters of one regroup: digit d
+// holds the vertices v with v>>shift == d.
+type regroup struct {
+	idBits, digits int
+	shift          uint
+	cnt            []int // digits counters per block; scan makes them write cursors
+}
+
+// cut picks the digit for grouping at most states states and cuts items into
+// blocks with cleared counters.
+func (r *regroup) cut(items, states int) []int {
+	r.shift = uint(max(0, r.idBits-min(regroupBits, bits.Len(uint(states)))))
+	r.digits = 1 << (r.idBits - int(r.shift))
+	bounds := par.Blocks(items, walkGrain)
+	r.cnt = slices.Grow(r.cnt[:0], (len(bounds)-1)*r.digits)[:(len(bounds)-1)*r.digits]
+	clear(r.cnt)
+	return bounds
+}
+
+// row returns block b's counters.
+func (r *regroup) row(b int) []int { return r.cnt[b*r.digits : (b+1)*r.digits] }
+
+// scan turns the counts into stable write cursors, digit-major and
+// block-minor, and returns the total.
+func (r *regroup) scan() int {
+	var pos int
+	for d := 0; d < r.digits; d++ {
+		for c := d; c < len(r.cnt); c += r.digits {
+			r.cnt[c], pos = pos, pos+r.cnt[c]
 		}
-		counts[b] = c
-	})
-	total := par.ExclusiveScan(counts)
-	par.ForBlocks(bounds, func(b, lo, hi int) {
-		w := counts[b]
-		for i := lo; i < hi; i++ {
-			if src[i] != stateTombstone {
-				dst[w] = src[i]
-				w++
-			}
-		}
-	})
-	return int(total)
+	}
+	return pos
+}
+
+// sortBuckets sorts each bucket of a scatter whose digits span several
+// vertices, in cache; the states are distinct, so the order is unique. After
+// the scatter the last block's cursors are the bucket ends.
+func (r *regroup) sortBuckets(states []uint64) {
+	if r.shift > 0 {
+		ends := r.row(len(r.cnt)/r.digits - 1)
+		par.ForBlocks(append([]int{0}, ends...), func(_, lo, hi int) { slices.Sort(states[lo:hi]) })
+	}
 }
