@@ -37,13 +37,13 @@ harness:
 
 # The packages with real concurrency: the lock-free serving store under
 # query-during-hot-swap load, the incremental embedder feeding it, the
-# sharded aggregation table (internal/hashtable: shared-kernel batches,
-# partitioned batches inserted by the owned kernel under each shard's write
-# lock, per-shard grows and Get, interleaved) and the par primitives, the
-# radix sorts and the bucketed drain (work-stolen buckets writing disjoint
-# rows) with its sweep over GOMAXPROCS, the row-transform kernel (netsmf), the sampler's end-to-end
-# sampler → sharded table → grouped drain stress test (undersized tables
-# force concurrent grows), the parallel compressed-adjacency builder
+# sharded aggregation table (internal/hashtable: short and long chunked
+# batches, per-shard grows and Get, interleaved) and the par primitives, the
+# radix sorts and the bucketed drain and grouping (work-stolen buckets
+# writing disjoint rows) with their sweep over GOMAXPROCS, the row-transform
+# kernel (netsmf), the sampler's end-to-end sampler → sharded table →
+# grouped drain stress test (undersized tables force concurrent grows) and
+# the batched pass's waves and grouping, the parallel compressed-adjacency builder
 # (unsorted-input error reporting races the workers), and the
 # fault-injection harness driving the supervised ingest loop and the
 # leader→follower replication suite (mid-ship kills, corrupt payloads,
@@ -106,20 +106,22 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Table benchmarks (benchstat-friendly: -count=5 gives enough runs to
-# compare the insert kernels against the replaced per-key kernel at the
-# harness's table shape (BenchmarkInsert, Mop/s), BenchmarkDrain vs
-# BenchmarkDrainSequential, the radix grouping,
+# compare the batch insert against the replaced per-key kernel at the
+# harness's table shape (BenchmarkInsert, Mop/s), the batched sampler's
+# grouping by sort (hashtable's BenchmarkGroupCSR) against the four-shard
+# insert + drain it replaced, BenchmarkDrain vs BenchmarkDrainSequential, the
+# radix grouping (radix's BenchmarkGroupCSR),
 # and the radix vs sort-merge COO build; pipe two runs into
 # `benchstat old.txt new.txt`). The second line times the grouped drain at
 # the harness's two table shapes, sampled for real (RMAT-12 per-arc in one
-# table, RMAT-13 batched in four shards), beside the drain it replaced
+# table, RMAT-13 batched entries in four shards), beside the drain it replaced
 # (oracle/), on one core and on two.
 bench-drain:
 	$(GO) test -run xxx -bench 'BenchmarkInsert|BenchmarkDrain$$|BenchmarkDrainSequential|BenchmarkGroupCSR$$|BenchmarkFromCOO' -benchmem -count=5 ./internal/hashtable ./internal/radix ./internal/sparse
 	$(GO) test -run xxx -bench 'BenchmarkDrainCSR' -benchmem -cpu 1,2 -count=5 ./internal/hashtable
 
 # Sampler pipeline benchmarks: the per-arc sampler, the test-only
-# serial-flush reference, the wave pipeline (single-table and sharded), the
+# serial-flush reference, the wave pipeline (grouping included), the
 # pipeline walking the compressed and the weighted adjacency natively, and
 # the per-arc vs batched pair at the harness's embed-stream shape (RMAT-13,
 # compressed for the pipeline, raw for per-arc; heads/s and allocs

@@ -55,26 +55,25 @@ type Config struct {
 	// per-batch sampler is per-arc.
 	BatchedWalks bool
 	// WaveSize caps the in-flight heads per wave of the batched walker's
-	// enumerate→walk→drain pipeline; <= 0 picks the maximum (2^22). Only
+	// enumerate→walk→group pass; <= 0 picks the maximum (2^22). Only
 	// meaningful with BatchedWalks. The embedding is bit-identical for
-	// every setting. A pass with more heads than WaveSize walks in several
-	// waves, inserting each while the next is walked, at a smaller
-	// walk-state footprint; at the default a pass of up to 2^22 heads (an
-	// RMAT-13 pass at M = 2·T·m draws ~0.8 M) is one wave, walked and then
-	// inserted, with no overlap.
+	// every setting. A pass with more heads than WaveSize walks them in
+	// several waves, one after another, at a smaller walk-state footprint,
+	// and groups every wave's pairs at the end; at the default a pass of up
+	// to 2^22 heads (an RMAT-13 pass at M = 2·T·m draws ~0.8 M) is one wave.
 	WaveSize int
-	// Shards splits the sample-aggregation table across a power of two of
-	// shards routed by high hash bits; <= 1 keeps one table, and more than
-	// hashtable.MaxShards (1 024) is an error. The sparsifier (and hence the
-	// embedding) is bit-identical for every setting. Sharding confines a grow
-	// stall to one shard when the capacity hint is wrong, and it lets a batch
-	// longer than hashtable.BatchGrain (2 048) pairs — every wave of the
-	// batched sampler — insert with plain stores, one worker owning each
-	// shard's run under its write lock, instead of one atomic per key.
+	// Shards splits the per-arc sampler's aggregation table (and the
+	// incremental embedder's) across a power of two of shards routed by
+	// high hash bits; <= 1 keeps one table, and more than
+	// hashtable.MaxShards (1 024) is an error. The batched sampler groups
+	// its samples by sorting, with no table, and only checks it. The
+	// sparsifier (and hence the embedding) is bit-identical for every
+	// setting. Sharding confines a grow stall to one shard when the
+	// capacity hint is wrong.
 	Shards int
 	// StreamedSVD factorizes with the single-pass sketch instead of the
-	// multi-pass randomized SVD: the sparsifier streams out of the hash
-	// table through the estimator scaling directly into sketch accumulators,
+	// multi-pass randomized SVD: the drained sparsifier streams through the
+	// estimator scaling directly into sketch accumulators,
 	// so the scaled matrix is never resident and the dense working set
 	// shrinks (see EstimateMemory's sketch mode). PowerIters is ignored;
 	// accuracy is bought with oversampling instead.
@@ -208,13 +207,14 @@ const streamChunkEntries = 1 << 20
 // fully-sorted drain, the row transform (estimator scaling + trunc_log), the
 // factorization, X = U·Σ^{1/2} and (unless SkipPropagation) spectral
 // propagation. trials is the realized sample count M̂ accumulated in sink; of
-// cfg the sampling fields are not read. The sink is left intact.
-// Result.SampleStats is the caller's to fill.
+// cfg the sampling fields are not read. A hash-table sink is left intact; a
+// batched pass's sink hands over its grouped arrays, which the multi-pass
+// path scales in place. Result.SampleStats is the caller's to fill.
 //
 // Because per-vertex RNG streams fix the sample multiset, fixed-point
-// accumulation is exact and commutative, and the fully-sorted drain is a pure
-// function of that multiset, the drained matrix is bit-identical for every
-// Shards setting and worker count. The scaled matrix is bit-stable too:
+// accumulation is exact and commutative, and the fully-sorted drain (or the
+// batched pass's sort) is a pure function of that multiset, the drained
+// matrix is bit-identical for every Shards setting and worker count. The scaled matrix is bit-stable too:
 // vol(G) is an exact integer for unweighted graphs and a fixed-geometry
 // deterministic reduction (par.ReduceFloat64Det) for weighted ones, and the
 // transform is a pure function of (entry, vol, degrees).

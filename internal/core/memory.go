@@ -24,7 +24,10 @@ type MemoryEstimate struct {
 	ExpectedHeads int64
 	// TableBytes is the hash table Sample presizes: power-of-two slots of
 	// 16 bytes at 7/8 load for two oriented keys per expected head, with
-	// the enumerator's slack (sampler.TableHint, hashtable.SlotBytes).
+	// the enumerator's slack (sampler.TableHint, hashtable.SlotBytes). With
+	// BatchedWalks, which builds no table, it is what replaces it:
+	// hashtable.GroupCSR's bucket scatter of two oriented pairs per expected
+	// head plus its per-worker sort scratch.
 	TableBytes int64
 	// PeakTableBytes is the table's high-water mark including the grow
 	// transient: while a badly-hinted table rehashes to its final capacity,
@@ -32,10 +35,12 @@ type MemoryEstimate struct {
 	// peak is 1.5x the post-grow footprint (sampler.Stats.PeakTableBytes
 	// reports the realized counterpart). Total budgets this, not
 	// TableBytes, so the plan stays honest when the size hint is wrong.
+	// With BatchedWalks nothing grows, and it equals TableBytes.
 	PeakTableBytes int64
-	// WalkBufferBytes is the batched walker's pipeline scratch (head
-	// records with their enumeration slack, plus the wave's stepping-side
-	// state buffers and drain buffers); zero unless BatchedWalks.
+	// WalkBufferBytes is the batched pass's own buffers (head records with
+	// their enumeration slack, the wave's stepping-side state buffers and
+	// digit counts, and the oriented pairs it groups); zero unless
+	// BatchedWalks.
 	WalkBufferBytes int64
 	// DecodeBufferBytes is the transient for walking a compressed graph
 	// natively: one NeighborCursor decode buffer per worker, each at most
@@ -110,16 +115,19 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 		// Stage-1 head records (24 B each), written in one pass into
 		// per-block regions of E_b + 6·(√E_b + 4) records for E_b expected
 		// heads (sampler.enumSlack); over at most 4 blocks per worker the
-		// slack sums to at most 6·(√(heads·blocks) + 4·blocks). Then the
-		// per-wave buffers, where w heads are in flight: the regroup's two
-		// walk-state buffers, scattered from one into the other each round
-		// (2 x 8 B per stepping side: a side steps unless its split leaves
-		// it none, which happens with probability E[1/r] = H_T/T, so
-		// 2·(1 − H_T/T) sides per head, at most 2w); the regroup's per-block
-		// digit counts (8 B per digit, at most 2^14 digits — the top bits of
-		// a vertex id, no more than 2w — per block); and the drain's
-		// oriented key/weight pairs (2 x 2w x 8 B); a sharded sink's
-		// partition scratch adds one more pair of 2w arrays.
+		// slack sums to at most 6·(√(heads·blocks) + 4·blocks). While a wave
+		// of w heads walks: the regroup's two walk-state buffers, scattered
+		// from one into the other each round (2 x 8 B per stepping side: a
+		// side steps unless its split leaves it none, which happens with
+		// probability E[1/r] = H_T/T, so 2·(1 − H_T/T) sides per head, at
+		// most 2w), and its per-block digit counts (8 B per digit, at most
+		// 2^14 digits — the top bits of a vertex id, no more than 2w — per
+		// block). Then every head's two oriented (key, fixed) pairs
+		// (2 x 2 x 8 B per head), which hashtable.GroupCSR scatters into row
+		// buckets and sorts into the CSR (SparsifierBytes or StreamBytes).
+		// The scatter and the sort scratch replace the table: each worker's
+		// scratch holds its largest bucket, priced at an eighth of the pairs
+		// (power-law rows make buckets uneven: the RMAT-13 hub's holds 7 %).
 		wave := int64(cfg.WaveSize)
 		if wave <= 0 || wave > sampler.MaxWaveHeads {
 			wave = sampler.MaxWaveHeads
@@ -133,10 +141,10 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 		}
 		stepping := min(int64(2*float64(heads)*(1-harmonic/float64(cfg.T))), 2*wave)
 		digitBits := min(bits.Len32(uint32(g.NumVertices()-1)), 14, bits.Len64(uint64(2*wave)))
-		est.WalkBufferBytes = 24*(heads+slack) + 16*stepping + int64(blocks)*8<<digitBits + 32*wave
-		if cfg.Shards > 1 {
-			est.WalkBufferBytes += 32 * wave
-		}
+		est.WalkBufferBytes = 24*(heads+slack) + 16*stepping + int64(blocks)*8<<digitBits + 32*heads
+		scatter := hashtable.GroupScatterBytes(int(entries), g.NumVertices())
+		est.TableBytes = scatter + int64(par.Workers())*scatter/8
+		est.PeakTableBytes = est.TableBytes
 		if g.Compressed() {
 			// Walking compressed never materializes the edge array; the only
 			// new transient is one cursor decode buffer per worker, sized for

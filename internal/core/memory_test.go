@@ -51,7 +51,9 @@ func TestEstimateMemoryBracketsReality(t *testing.T) {
 // old-plus-new slot arrays that coexist mid-rehash), so even a run whose
 // table hint is absurdly wrong — forcing a full chain of doubling grows —
 // must stay within the reported figure, as measured by the realized
-// sampler.Stats.PeakTableBytes high-water mark.
+// sampler.Stats.PeakTableBytes high-water mark. The batched pass builds no
+// table and ignores the hint; its peak is the grouping's scatter beside the
+// grouped arrays, which the same budget must cover.
 func TestPeakBudgetCoversBadlyHintedRun(t *testing.T) {
 	g, _, err := gen.SBM(gen.SBMConfig{N: 1200, Communities: 5, PIn: 0.05, POut: 0.003, Seed: 7})
 	if err != nil {

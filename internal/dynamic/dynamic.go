@@ -33,7 +33,7 @@ type Embedder struct {
 	cfg     core.Config
 	g       *graph.Graph
 	arcs    []graph.Edge // canonical arc list (u < v), current graph
-	table   sampler.Sink
+	table   *hashtable.Table
 	perArc  float64 // expected trials per directed arc, fixed at New
 	trials  int64   // total realized trials in the table
 	batches int

@@ -122,13 +122,11 @@ func insertWorkload(pairs, distinct int) (keys, fixed []uint64) {
 
 // BenchmarkInsert times one fresh presized table taking 1.5 M pairs over
 // ~1.06 M distinct keys (the harness's embed-stream shape), allocation
-// included: the single table's shared batch kernel; the four-shard table's
-// whole AddFixedBatch, partition by shard and window included; and its four
-// shards each inserted by its own worker with the owned kernel from runs
-// partitioned by shard alone, in input order (the partition is not timed).
-// Each runs beside the per-key kernel it replaced (perKeyTable), and the
-// owned shards also beside the shared kernel inserting the same runs, one
-// worker per shard: the case for keeping a second kernel. Reports Mop/s.
+// included: the single table's shared batch kernel, and the four-shard
+// table's whole AddFixedBatch (chunks grouped by shard), each beside the
+// per-key kernel it replaced (perKeyTable; the four shards each filled by
+// its own worker from runs grouped by shard, in input order, the grouping
+// not timed). Reports Mop/s.
 func BenchmarkInsert(b *testing.B) {
 	const pairs, distinct, shardBits = 1_500_000, 1_060_000, 2
 	const shards = 1 << shardBits
@@ -150,22 +148,6 @@ func BenchmarkInsert(b *testing.B) {
 	run("table", func() { New(pairs, 1).AddFixedBatch(keys, fixed) })
 	run("table-per-key-oracle", func() { newPerKeyTable(pairs).AddFixedBatch(keys, fixed) })
 	run("shards-4", func() { New(pairs, shards).AddFixedBatch(keys, fixed) })
-	run("shards-4-owned", func() {
-		t := New(pairs, shards)
-		par.For(shards, 1, func(sh int) {
-			t.shards[sh].addOwned(shardKeys[sh], shardFixed[sh])
-		})
-	})
-	run("shards-4-shared", func() {
-		t := New(pairs, shards)
-		par.For(shards, 1, func(sh int) {
-			keys, fixed := shardKeys[sh], shardFixed[sh]
-			for lo := 0; lo < len(keys); lo += BatchGrain {
-				hi := min(lo+BatchGrain, len(keys))
-				t.shards[sh].addShared(keys[lo:hi], fixed[lo:hi])
-			}
-		})
-	})
 	run("shards-4-per-key-oracle", func() {
 		par.For(shards, 1, func(sh int) {
 			t := newPerKeyTable(pairs / shards)
@@ -174,4 +156,33 @@ func BenchmarkInsert(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkGroupCSR times the batched pass's aggregation at the harness's
+// embed-stream shape (1.5 M pairs over ~1.06 M distinct keys, 8 192 rows):
+// GroupCSR sorting the pairs straight into CSR arrays, beside the path it
+// replaced, a fresh presized four-shard table taking the batch and then
+// DrainCSR. Allocation included; reports Mop/s of pairs.
+func BenchmarkGroupCSR(b *testing.B) {
+	const pairs, distinct, numRows = 1_500_000, 1_060_000, 8192
+	keys, fixed := insertWorkload(pairs, distinct)
+	for _, impl := range []struct {
+		name  string
+		group func()
+	}{
+		{"sort", func() { GroupCSR(keys, fixed, numRows) }},
+		{"table-shards-4", func() {
+			t := New(pairs, 4)
+			t.AddFixedBatch(keys, fixed)
+			t.DrainCSR(numRows)
+		}},
+	} {
+		b.Run(impl.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				impl.group()
+			}
+			b.ReportMetric(float64(pairs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mop/s")
+		})
+	}
 }

@@ -22,10 +22,12 @@ type drainCase struct {
 	numRows int
 }
 
-// harnessTables samples the two harness table shapes once: RMAT-12 through
-// the per-arc sampler at DefaultConfig(64) (embed-default) and RMAT-13
-// through the wave pipeline at M = 2·T·m (embed-stream), each drained as
-// packed keys and fixed-point weights.
+// harnessTables samples the two harness shapes once: RMAT-12 through the
+// per-arc sampler at DefaultConfig(64) (embed-default) and RMAT-13 through
+// the wave pipeline at M = 2·T·m (embed-stream), each drained as packed
+// keys and fixed-point weights. The per-arc pass's table is drained as it
+// was sampled; the batched pass groups without a table, so its entries go
+// into a four-shard table, the embed-stream shape of a sharded table.
 var harnessTables = sync.OnceValue(func() []harnessTable {
 	var out []harnessTable
 	for _, scale := range []int{12, 13} {
@@ -38,34 +40,46 @@ var harnessTables = sync.OnceValue(func() []harnessTable {
 			sink, _, err = sampler.Sample(g, core.DefaultConfig(64).Sampler(g))
 		} else {
 			const t = 10
-			cfg := sampler.Config{T: t, M: int64(t * g.NumEdges()), Downsample: true, Seed: 7, Shards: 4}
+			cfg := sampler.Config{T: t, M: int64(t * g.NumEdges()), Downsample: true, Seed: 7}
 			sink, _, err = sampler.SampleBatched(g, cfg, 0)
 		}
 		if err != nil {
 			panic(err)
 		}
-		us, vs, ws := sink.Drain()
-		h := harnessTable{name: fmt.Sprintf("rmat%d", scale), g: g, sink: sink,
-			keys: make([]uint64, len(us)), fixed: make([]uint64, len(us))}
-		for i := range us {
-			h.keys[i], h.fixed[i] = hashtable.Key(us[i], vs[i]), hashtable.ToFixed(ws[i])
+		h := harnessTable{name: fmt.Sprintf("rmat%d", scale), g: g}
+		h.rowPtr, h.cols, h.ws = sink.DrainCSR(g.NumVertices())
+		for r := 0; r+1 < len(h.rowPtr); r++ {
+			for p := h.rowPtr[r]; p < h.rowPtr[r+1]; p++ {
+				h.keys = append(h.keys, hashtable.Key(uint32(r), h.cols[p]))
+				h.fixed = append(h.fixed, hashtable.ToFixed(h.ws[p]))
+			}
 		}
 		// Shuffled: pairs in one table's slot order would cluster another's.
 		s := rng.New(uint64(scale), 0)
-		for i := len(us) - 1; i > 0; i-- {
+		for i := len(h.keys) - 1; i > 0; i-- {
 			j := s.Intn(i + 1)
 			h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
 			h.fixed[i], h.fixed[j] = h.fixed[j], h.fixed[i]
+		}
+		if tab, ok := sink.(*hashtable.Table); ok {
+			h.table = tab
+		} else {
+			h.table = shardTable(h.keys, h.fixed, 2, len(h.keys))
 		}
 		out = append(out, h)
 	}
 	return out
 })
 
+// harnessTable is one sampled harness shape: the sampler's drained arrays,
+// its entries as shuffled pairs, and a table holding them.
 type harnessTable struct {
 	name        string
 	g           *graph.Graph
-	sink        sampler.Sink
+	table       *hashtable.Table
+	rowPtr      []int64
+	cols        []uint32
+	ws          []float64
 	keys, fixed []uint64
 }
 
@@ -98,7 +112,7 @@ func syntheticPairs(seed uint64, n, numRows, cols, hub int, hubFrac float64) (ke
 func drainCases() []drainCase {
 	var cases []drainCase
 	for _, h := range harnessTables() {
-		cases = append(cases, drainCase{h.name + "/sampled", h.sink, h.g.NumVertices()})
+		cases = append(cases, drainCase{h.name + "/sampled", h.table, h.g.NumVertices()})
 		for _, bits := range []uint{0, 2, 4} {
 			cases = append(cases, drainCase{fmt.Sprintf("%s/shards=%d", h.name, 1<<bits),
 				shardTable(h.keys, h.fixed, bits, len(h.keys)), h.g.NumVertices()})
@@ -141,9 +155,8 @@ func TestDrainCSRBitIdenticalToRadixOracle(t *testing.T) {
 		}
 	}
 	for _, h := range harnessTables() {
-		p, cl, w := h.sink.DrainCSR(h.g.NumVertices())
 		wp, wc, ww := hashtable.DrainCSROracle(shardTable(h.keys, h.fixed, 0, len(h.keys)), h.g.NumVertices())
-		if !slices.Equal(p, wp) || !slices.Equal(cl, wc) || !slices.Equal(w, ww) {
+		if !slices.Equal(h.rowPtr, wp) || !slices.Equal(h.cols, wc) || !slices.Equal(h.ws, ww) {
 			t.Fatalf("%s: the sampler's sink drains differently from the oracle", h.name)
 		}
 	}
@@ -175,8 +188,8 @@ func TestDrainCSRPanicsOnRowOutOfRange(t *testing.T) {
 
 // BenchmarkDrainCSR times the grouped drain at the harness's two table
 // shapes — RMAT-12 from the per-arc sampler in one table (embed-default) and
-// RMAT-13 from the wave pipeline in four shards (embed-stream) — beside the
-// replaced drain (oracle/). Run at -cpu 1,2.
+// RMAT-13's batched-pass entries in four shards (the embed-stream shape) —
+// beside the replaced drain (oracle/). Run at -cpu 1,2.
 func BenchmarkDrainCSR(b *testing.B) {
 	for _, h := range harnessTables() {
 		n := h.g.NumVertices()
@@ -184,10 +197,10 @@ func BenchmarkDrainCSR(b *testing.B) {
 			name  string
 			drain func(*hashtable.Table, int) ([]int64, []uint32, []float64)
 		}{{"bucketed", (*hashtable.Table).DrainCSR}, {"oracle", hashtable.DrainCSROracle}} {
-			b.Run(fmt.Sprintf("%s/shards=%d/%s", h.name, h.sink.Shards(), impl.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/shards=%d/%s", h.name, h.table.Shards(), impl.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					impl.drain(h.sink, n)
+					impl.drain(h.table, n)
 				}
 				b.ReportMetric(float64(len(h.keys)), "entries")
 			})

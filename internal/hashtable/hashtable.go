@@ -20,14 +20,12 @@
 //
 // A Table is split into a power of two of shards (New's shards argument,
 // one for a plain table), each an open-addressing table with its own
-// growth lock, routed by the high bits of the key's hash. A key's home slot
+// growth lock, routed by the high bits of the key's hash; a key's home slot
 // in its shard is the next log2(capacity) hash bits, the ones just below the
-// shard bits, so the top bits of a hash name a shard and a window of
-// adjacent slots in it. Sharding changes no bit of the aggregate; it
-// confines a grow to the keys of one shard, and it lets a long batch be
-// partitioned so that one goroutine owns each shard's run.
+// shard bits. Sharding changes no bit of the aggregate; it confines a grow
+// to the keys of one shard.
 //
-// Inserts are batch-first. The shared kernel (shard.addShared) takes a
+// Inserts are batch-first, through one kernel (shard.addShared). It takes a
 // shard's growth lock's read side once per chunk of up to BatchGrain pairs
 // and runs a per-key loop of probes, CASes and xadds with no lock and no
 // counter update. The chunk's first new key reserves headroom for every
@@ -35,19 +33,17 @@
 // touch the count, and unused headroom is returned when the chunk ends. A
 // full shard makes the chunk release the lock, double the shard under the
 // write lock, and carry on, so a presized table never grows and the 7/8
-// load factor is never exceeded. The owned kernel (shard.addOwned) runs a
-// sharded table's partitioned batch: it holds the shard's write lock for
-// the run and inserts with plain loads and stores, a local count and an
-// inline grow. The partition groups the batch by shard and, within a shard,
-// by window of about 256 KiB of home slots (the windows are cut from the
-// presized shard capacity), so an owned run sweeps its shard window by
-// window, probing in cache instead of across the whole shard. AddFixed and
-// Add are one-pair calls into the shared kernel.
+// load factor is never exceeded. AddFixed and Add are one-pair calls into
+// the same kernel.
 //
 // The sparsifier hand-off, DrainCSR, groups every shard's entries by source
 // vertex: each entry is scattered once, into a bucket of rows that sorts in
 // cache. The keys being distinct, the fully sorted layout is unique,
-// whatever the shard count, slot order or worker count.
+// whatever the shard count, slot order or worker count. GroupCSR runs the
+// same bucket sort on a batch of pairs that has not been through a table —
+// a batched sampling pass's, which holds every pair at once anyway — and
+// merges equal keys, summing their fixed-point weights, after each bucket
+// sorts: the same CSR a table of those pairs drains to, without the table.
 package hashtable
 
 import (
@@ -55,6 +51,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"lightne/internal/par"
 )
@@ -106,8 +103,9 @@ func FromFixed(f uint64) float64 { return float64(f) / fixedOne }
 
 // slot is one table entry. key holds the complemented packed key, so 0 marks
 // an empty slot; val is the accumulated fixed-point weight. The fields are
-// plain words because the owned kernel accesses them without atomics; the
-// shared kernel and Get use sync/atomic's functions on them.
+// plain words because a grow and the drains, which hold the table
+// exclusively, read them without atomics; the insert kernel and Get use
+// sync/atomic's functions on them.
 type slot struct {
 	key, val uint64
 }
@@ -132,7 +130,6 @@ func shardBits(shards int) uint {
 type Table struct {
 	shards    []shard
 	shardBits uint
-	partBits  uint      // top hash bits a long batch is partitioned by: shard, then window
 	small     sync.Pool // *smallBatch scratch of a sharded AddFixedBatch
 }
 
@@ -156,8 +153,7 @@ func New(capacityHint, shards int) *Table {
 	b := shardBits(shards)
 	n := 1 << b
 	c := presize((capacityHint + n - 1) / n)
-	windows := uint(max(0, bits.TrailingZeros64(c)-windowSlotBits))
-	t := &Table{shards: make([]shard, n), shardBits: b, partBits: max(b, min(b+windows, maxPartBits))}
+	t := &Table{shards: make([]shard, n), shardBits: b}
 	for i := range t.shards {
 		t.shards[i].home.skip = b
 		t.shards[i].setSlots(c)
@@ -221,9 +217,8 @@ func hash(k uint64) uint64 {
 
 // shardOf routes a packed key to one of 1<<bits shards using the high bits
 // of the hash; the home slot takes the bits below them, so routing and
-// in-shard probing draw on disjoint parts of the same mix. With bits =
-// partBits it names the key's partition group instead: its shard, then its
-// window. bits == 0 maps every key to shard 0.
+// in-shard probing draw on disjoint parts of the same mix. bits == 0 maps
+// every key to shard 0.
 func shardOf(key uint64, bits uint) int {
 	return int(hash(key) >> (64 - bits))
 }
@@ -248,67 +243,53 @@ func (t *Table) AddFixed(key, fixed uint64) {
 
 // BatchGrain is the chunk length of AddFixedBatch: a batch of at most
 // BatchGrain pairs is inserted inline on the calling goroutine, and longer
-// batches split into chunks or shard runs that run in parallel. Inserts are
-// memory-bound random probes, so chunks stay small enough to keep all
-// workers busy on modest batches.
+// batches split into chunks that run in parallel. Inserts are memory-bound
+// random probes, so chunks stay small enough to keep all workers busy on
+// modest batches.
 const BatchGrain = 2048
 
-// shardPartGrain is the per-chunk length of the shard-partition counting and
-// scatter passes in AddFixedBatch.
-const shardPartGrain = 4096
-
-const (
-	windowSlotBits = 14 // a partition window: 2^14 home slots, 256 KiB
-	maxPartBits    = 8  // at most 256 groups unless there are more shards: few scatter streams
-)
-
-// AddFixedBatch accumulates every (key, fixed-point weight) pair. On one
-// shard, a batch of at most BatchGrain pairs runs through the shared kernel
-// inline under one read-lock acquisition, and a longer one in parallel
-// chunks of about BatchGrain pairs. On several shards, a batch of at most
-// BatchGrain pairs — one flush of a per-arc sampler's worker, arriving while
-// every other worker flushes too — is grouped by shard on the calling
-// goroutine into pooled scratch, and each shard's run goes through the
-// shared kernel. A longer batch is partitioned in parallel by shard and
-// home-slot window (per-chunk group counts, a scan for stable offsets, a
-// scatter into group-contiguous scratch), and each shard's run goes to one
-// worker, which inserts it window by window with the owned kernel: no
-// atomic operation per key. Equivalent to calling
-// AddFixed per pair (accumulation is commutative), and safe for concurrent
-// use with every other insert. len(keys) must equal len(fixed).
+// AddFixedBatch accumulates every (key, fixed-point weight) pair. A batch of
+// at most BatchGrain pairs runs inline on the calling goroutine, and a
+// longer one in parallel, in chunks of at most BatchGrain pairs. On one
+// shard a chunk goes through the shared kernel under one read-lock
+// acquisition. On several, a chunk — one flush of a per-arc sampler's
+// worker, arriving while every other worker flushes too — is grouped by
+// shard into pooled scratch, and each shard's run goes through the shared
+// kernel. Equivalent to calling AddFixed per pair (accumulation is
+// commutative), and safe for concurrent use with every other insert.
+// len(keys) must equal len(fixed).
 func (t *Table) AddFixedBatch(keys, fixed []uint64) {
 	if len(keys) != len(fixed) {
 		panic("hashtable: keys and fixed must have equal length")
 	}
-	switch {
-	case len(t.shards) == 1 && len(keys) <= BatchGrain:
-		t.shards[0].addShared(keys, fixed)
-	case len(t.shards) == 1:
-		par.ForRange(len(keys), BatchGrain, func(lo, hi int) {
-			t.shards[0].addShared(keys[lo:hi], fixed[lo:hi])
-		})
-	case len(keys) <= BatchGrain:
-		t.addSmall(keys, fixed)
-	default:
-		kbuf, fbuf, starts := t.partition(keys, fixed)
-		par.For(len(t.shards), 1, func(sh int) {
-			lo, hi := starts[sh], starts[sh+1]
-			t.shards[sh].addOwned(kbuf[lo:hi], fbuf[lo:hi])
-		})
+	if len(keys) <= BatchGrain {
+		t.addChunk(keys, fixed)
+		return
 	}
+	par.ForRange(len(keys), BatchGrain, func(lo, hi int) {
+		for ; lo < hi; lo += BatchGrain {
+			end := min(lo+BatchGrain, hi)
+			t.addChunk(keys[lo:end], fixed[lo:end])
+		}
+	})
 }
 
-// smallBatch is the grouping scratch of one small batch: room for
-// BatchGrain pairs and one cursor per shard.
+// smallBatch is the grouping scratch of one chunk: room for BatchGrain
+// pairs and one cursor per shard.
 type smallBatch struct {
 	keys, fixed []uint64
 	next        []int
 }
 
-// addSmall groups a batch of at most BatchGrain pairs by shard into scratch
-// from the table's pool — a counting pass, a scan, a stable scatter — and
-// inserts each shard's run inline through the shared kernel.
-func (t *Table) addSmall(keys, fixed []uint64) {
+// addChunk inserts a chunk of at most BatchGrain pairs inline through the
+// shared kernel. On several shards it first groups the chunk by shard into
+// scratch from the table's pool — a counting pass, a scan, a stable
+// scatter — and inserts each shard's run.
+func (t *Table) addChunk(keys, fixed []uint64) {
+	if len(t.shards) == 1 {
+		t.shards[0].addShared(keys, fixed)
+		return
+	}
 	b := t.small.Get().(*smallBatch)
 	next := b.next
 	clear(next)
@@ -334,54 +315,6 @@ func (t *Table) addSmall(keys, fixed []uint64) {
 		lo = hi
 	}
 	t.small.Put(b)
-}
-
-// partition scatters a batch into scratch grouped by the top partBits of
-// the hash — by shard, and within a shard by window of home slots —
-// preserving input order within each group: shard sh's pairs are
-// kbuf[starts[sh]:starts[sh+1]], in window order.
-func (t *Table) partition(keys, fixed []uint64) (kbuf, fbuf []uint64, starts []int64) {
-	n, pb := len(keys), t.partBits
-	groups := 1 << pb
-	bounds := par.Blocks(n, shardPartGrain)
-	nb := len(bounds) - 1
-	// counts[b*groups+g]: pairs of chunk b in group g; then chunk b's write
-	// cursor for group g.
-	counts := make([]int64, nb*groups)
-	par.ForBlocks(bounds, func(b, lo, hi int) {
-		row := counts[b*groups : (b+1)*groups]
-		for _, k := range keys[lo:hi] {
-			row[shardOf(k, pb)]++
-		}
-	})
-	// Stable offsets, group-major: each group's region is contiguous, chunk
-	// order is preserved within it, and a shard's groups are adjacent.
-	per := groups / len(t.shards)
-	starts = make([]int64, len(t.shards)+1)
-	var total int64
-	for g := 0; g < groups; g++ {
-		if g%per == 0 {
-			starts[g/per] = total
-		}
-		for b := 0; b < nb; b++ {
-			c := &counts[b*groups+g]
-			*c, total = total, total+*c
-		}
-	}
-	starts[len(t.shards)] = total
-	kbuf = make([]uint64, n)
-	fbuf = make([]uint64, n)
-	par.ForBlocks(bounds, func(b, lo, hi int) {
-		next := counts[b*groups : (b+1)*groups]
-		for i := lo; i < hi; i++ {
-			g := shardOf(keys[i], pb)
-			p := next[g]
-			next[g]++
-			kbuf[p] = keys[i]
-			fbuf[p] = fixed[i]
-		}
-	})
-	return kbuf, fbuf, starts
 }
 
 // addShared inserts one chunk concurrently with other shared inserts. Each
@@ -456,40 +389,6 @@ func (s *shard) insertShared(keys, fixed []uint64) (done int, unused int64) {
 		}
 	}
 	return len(keys), credits
-}
-
-// addOwned accumulates every pair with the shard held exclusively: one
-// write-lock acquisition for the run, then plain loads and stores, a local
-// key count and an inline grow — no atomic operation per key. Concurrent
-// inserts into the same shard wait for the run rather than race it.
-func (s *shard) addOwned(keys, fixed []uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	count, limit := s.count.Load(), s.maxKeys()
-	slots, mask, home := s.slots, s.mask, s.home
-	for i, key := range keys {
-		want := ^key
-		for j := home.of(hash(key)); ; j = (j + 1) & mask {
-			k := slots[j].key
-			if k == want {
-				slots[j].val += fixed[i]
-				break
-			}
-			if k != 0 {
-				continue
-			}
-			if count == limit {
-				s.rehash()
-				slots, mask, home, limit = s.slots, s.mask, s.home, s.maxKeys()
-				j = (home.of(hash(key)) - 1) & mask // the loop step lands on the home slot
-				continue
-			}
-			slots[j] = slot{want, fixed[i]}
-			count++
-			break
-		}
-	}
-	s.count.Store(count)
 }
 
 // grow doubles capacity so that key fits, unless the write lock shows it
@@ -656,47 +555,117 @@ const (
 // The rows are cut into buckets of 2^shift rows. A pass over the slots
 // counts entries per (block, bucket) and ORs their columns; a second writes
 // each entry into its bucket's region, keyed row<<colBits | col (in 32 bits
-// when that fits). The buckets are work-stolen, since power-law rows skew
-// their sizes; each sorts in cache and writes its columns, weights and rows.
+// when that fits), with its fixed-point weight. The buckets are
+// work-stolen, since power-law rows skew their sizes; each sorts in cache
+// and writes its columns, weights and rows.
 func (t *Table) DrainCSR(numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
 	blocks, total := t.slotBlocks()
-	rowBits := bits.Len(uint(max(numRows, 1) - 1))
-	shift := uint(rowBits - min(bits.Len(uint(total/bucketEntries)), maxBucketBits, rowBits))
-	nb := (numRows + 1<<shift - 1) >> shift
-	// Per-block counters; counter nb takes the rows past the last bucket.
-	stride := nb + 1
-	counts := make([]int, len(blocks)*stride)
+	bk := newBuckets(numRows, total, len(blocks))
 	colOr := make([]uint32, len(blocks))
 	par.For(len(blocks), 1, func(i int) {
-		colOr[i] = countBuckets(blocks[i], counts[i*stride:(i+1)*stride], shift)
+		colOr[i] = countSlots(blocks[i], bk.row(i), bk.shift)
 	})
-	// Bucket-major offsets; each block's counters become its write cursors.
-	start := make([]int, stride)
-	pos, or := 0, uint32(0)
+	bk.scan(colOr, total)
+	if bk.rowBits+bk.colBits <= 32 {
+		return drainSlots[uint32](blocks, bk)
+	}
+	return drainSlots[uint64](blocks, bk)
+}
+
+// GroupCSR groups a batch of (packed key, fixed-point weight) pairs by
+// source vertex into CSR arrays, as DrainCSR groups a table's entries: the
+// pairs of one key merge into one entry whose weight is their fixed-point
+// sum. Every source vertex must be < numRows; GroupCSR panics otherwise, and
+// if len(keys) != len(fixed). The arrays equal those of DrainCSR on a table
+// that took the same pairs, bit for bit: the sums are exact and the layout
+// fully sorted. keys and fixed are read, not modified.
+//
+// It is DrainCSR's bucket sort with the pairs as the source; after a bucket
+// sorts, its equal keys are adjacent and merge, and the buckets are written
+// out once every bucket's merged entry count is known.
+func GroupCSR(keys, fixed []uint64, numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
+	if len(keys) != len(fixed) {
+		panic("hashtable: keys and fixed must have equal length")
+	}
+	bounds := par.Blocks(len(keys), drainGrain)
+	bk := newBuckets(numRows, len(keys), len(bounds)-1)
+	colOr := make([]uint32, len(bounds)-1)
+	par.ForBlocks(bounds, func(i, lo, hi int) {
+		colOr[i] = countPairs(keys[lo:hi], bk.row(i), bk.shift)
+	})
+	bk.scan(colOr, len(keys))
+	if bk.rowBits+bk.colBits <= 32 {
+		return groupPairs[uint32](keys, fixed, bounds, bk)
+	}
+	return groupPairs[uint64](keys, fixed, bounds, bk)
+}
+
+// GroupScatterBytes bounds the bucket scatter GroupCSR allocates beside its
+// output for pairs pairs over numRows rows: a fixed-point weight and a
+// row<<colBits | col key per pair, the key in 4 bytes when two ids below
+// numRows fit in 32 bits together, else in 8.
+func GroupScatterBytes(pairs, numRows int) int64 {
+	if 2*bits.Len(uint(max(numRows, 1)-1)) <= 32 {
+		return 12 * int64(pairs)
+	}
+	return 16 * int64(pairs)
+}
+
+// buckets is the geometry of one bucketed grouping over numRows rows:
+// bucket b holds rows [b<<shift, (b+1)<<shift), and every source block has
+// one counter per bucket plus one for rows past the last bucket.
+type buckets struct {
+	numRows        int
+	rowBits, shift uint
+	colBits        uint  // bits of the widest column; set by scan
+	cnt            []int // per block, len(start) counters; scan makes them write cursors
+	start          []int // bucket b's entries are [start[b], start[b+1])
+}
+
+// newBuckets cuts numRows rows into buckets of about bucketEntries of total
+// entries each, at most 2^maxBucketBits of them, with counters for blocks
+// source blocks.
+func newBuckets(numRows, total, blocks int) *buckets {
+	rowBits := uint(bits.Len(uint(max(numRows, 1) - 1)))
+	shift := rowBits - uint(min(bits.Len(uint(total/bucketEntries)), maxBucketBits, int(rowBits)))
+	nb := (numRows + 1<<shift - 1) >> shift
+	return &buckets{numRows: numRows, rowBits: rowBits, shift: shift,
+		cnt: make([]int, blocks*(nb+1)), start: make([]int, nb+1)}
+}
+
+// row returns source block i's counters.
+func (bk *buckets) row(i int) []int {
+	stride := len(bk.start)
+	return bk.cnt[i*stride : (i+1)*stride]
+}
+
+// scan turns the counts into write cursors, bucket-major and block-minor,
+// fills start and sets colBits from the blocks' column ORs. It panics if
+// the counted entries do not all lie in buckets, that is, if a row is past
+// the last bucket.
+func (bk *buckets) scan(colOr []uint32, total int) {
+	nb, stride := len(bk.start)-1, len(bk.start)
+	pos := 0
 	for b := 0; b < nb; b++ {
-		start[b] = pos
-		for i := range blocks {
-			c := &counts[i*stride+b]
-			*c, pos = pos, pos+*c
+		bk.start[b] = pos
+		for c := b; c < len(bk.cnt); c += stride {
+			bk.cnt[c], pos = pos, pos+bk.cnt[c]
 		}
 	}
-	if start[nb] = pos; pos != total {
-		panic("hashtable: DrainCSR row out of range")
+	if bk.start[nb] = pos; pos != total {
+		panic("hashtable: source row out of range")
 	}
+	var or uint32
 	for _, o := range colOr {
 		or |= o
 	}
-	colBits := uint(bits.Len32(or))
-	if uint(rowBits)+colBits <= 32 {
-		return drainBuckets[uint32](blocks, counts, start, numRows, shift, colBits)
-	}
-	return drainBuckets[uint64](blocks, counts, start, numRows, shift, colBits)
+	bk.colBits = uint(bits.Len32(or))
 }
 
-// countBuckets counts one block's entries per bucket into cnt and returns
+// countSlots counts one block's entries per bucket into cnt and returns
 // the OR of their columns. (A branch-free count measured slower: its empty
 // slots all increment one counter.)
-func countBuckets(slots []slot, cnt []int, shift uint) (or uint32) {
+func countSlots(slots []slot, cnt []int, shift uint) (or uint32) {
 	last := uint64(len(cnt) - 1)
 	for _, s := range slots {
 		if s.key != 0 {
@@ -708,94 +677,172 @@ func countBuckets(slots []slot, cnt []int, shift uint) (or uint32) {
 	return or
 }
 
-// drainBuckets scatters the entries into their buckets, keys in K, then
-// sorts and writes out every bucket. next holds each block's cursors.
-func drainBuckets[K uint32 | uint64](blocks [][]slot, next, start []int, numRows int, shift, colBits uint) (rowPtr []int64, cols []uint32, ws []float64) {
-	stride, total := len(start), start[len(start)-1]
-	keys := make([]K, total)
-	ws = make([]float64, total)
+// countPairs is countSlots over a block of packed keys.
+func countPairs(keys []uint64, cnt []int, shift uint) (or uint32) {
+	last := uint64(len(cnt) - 1)
+	for _, k := range keys {
+		cnt[min(k>>32>>shift, last)]++
+		or |= uint32(k)
+	}
+	return or
+}
+
+// drainSlots scatters the table's entries into their buckets, keys in K,
+// then sorts and writes out every bucket.
+func drainSlots[K uint32 | uint64](blocks [][]slot, bk *buckets) (rowPtr []int64, cols []uint32, ws []float64) {
+	total := bk.start[len(bk.start)-1]
+	keys, fix := make([]K, total), make([]uint64, total)
 	par.For(len(blocks), 1, func(i int) {
-		scatterBuckets(blocks[i], next[i*stride:(i+1)*stride], keys, ws, shift, colBits)
+		next, last, shift, colBits := bk.row(i), uint64(len(bk.start)-1), bk.shift, bk.colBits
+		for _, s := range blocks[i] {
+			if s.key != 0 {
+				k := ^s.key
+				b := min(k>>32>>shift, last)
+				keys[next[b]], fix[next[b]] = K(k>>32<<colBits|uint64(uint32(k))), s.val
+				next[b]++
+			}
+		}
 	})
-	rowPtr = make([]int64, numRows+1)
-	cols = make([]uint32, total)
-	rowPtr[numRows] = int64(total)
+	return sortBuckets(keys, fix, bk, true)
+}
+
+// groupPairs is drainSlots over the pairs, blocked by bounds, which may
+// repeat keys.
+func groupPairs[K uint32 | uint64](src, fixed []uint64, bounds []int, bk *buckets) (rowPtr []int64, cols []uint32, ws []float64) {
+	keys, fix := make([]K, len(src)), make([]uint64, len(src))
+	par.ForBlocks(bounds, func(i, lo, hi int) {
+		next, last, shift, colBits := bk.row(i), uint64(len(bk.start)-1), bk.shift, bk.colBits
+		src, fixed := src[lo:hi], fixed[lo:hi]
+		for j, k := range src {
+			b := min(k>>32>>shift, last)
+			keys[next[b]], fix[next[b]] = K(k>>32<<colBits|uint64(uint32(k))), fixed[j]
+			next[b]++
+		}
+	})
+	return sortBuckets(keys, fix, bk, false)
+}
+
+// sortBuckets sorts every bucket of a scatter in cache and writes the CSR
+// arrays, each run of equal keys merged into one entry. With distinct keys,
+// where the merge has nothing to do, a bucket is written out as soon as it
+// is sorted, where it already lies. Otherwise the sorted buckets count
+// their distinct keys, and they are written out, packed, once every count
+// is known.
+func sortBuckets[K uint32 | uint64](keys []K, fix []uint64, bk *buckets, distinct bool) (rowPtr []int64, cols []uint32, ws []float64) {
+	start, nb := bk.start, len(bk.start)-1
+	rowPtr = make([]int64, bk.numRows+1)
 	scratch, biggest := make([]bucketScratch[K], par.Workers()), 0
-	for b := 0; b+1 < stride; b++ {
+	for b := 0; b < nb; b++ {
 		biggest = max(biggest, start[b+1]-start[b])
 	}
+	keyBits := bk.shift + bk.colBits
 	var outOfRange atomic.Bool
-	par.WorkerBlocks(start, func(w, b, lo, hi int) {
-		if scratch[w].keys[0] == nil {
-			scratch[w] = bucketScratch[K]{keys: [2][]K{make([]K, biggest), make([]K, biggest)},
-				ws: [2][]float64{make([]float64, biggest), make([]float64, biggest)}}
-		}
-		rows := rowPtr[b<<shift : min((b+1)<<shift, numRows)]
-		if !scratch[w].sort(keys[lo:hi], ws[lo:hi], rows, cols[lo:hi], K(b<<shift), shift+colBits, colBits, lo) {
+	// emit writes sorted bucket b to the output from out.
+	emit := func(b, out int) {
+		lo, hi := start[b], start[b+1]
+		rows := rowPtr[b<<bk.shift : min((b+1)<<bk.shift, bk.numRows)]
+		if !emitRows(keys[lo:hi], fix[lo:hi], rows, cols[out:], ws[out:], K(b<<bk.shift), bk.colBits, out) {
 			outOfRange.Store(true)
 		}
-	})
-	if outOfRange.Load() {
-		panic("hashtable: DrainCSR row out of range")
 	}
+	if distinct {
+		// Each bucket is written out where it lies, so every weight converts
+		// from fixed point in place.
+		cols, ws = make([]uint32, start[nb]), unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(fix))), len(fix))
+		par.WorkerBlocks(start, func(w, b, lo, hi int) {
+			scratch[w].sort(keys[lo:hi], fix[lo:hi], keyBits, biggest)
+			emit(b, lo)
+		})
+	} else {
+		off := make([]int, nb+1)
+		par.WorkerBlocks(start, func(w, b, lo, hi int) {
+			scratch[w].sort(keys[lo:hi], fix[lo:hi], keyBits, biggest)
+			off[b+1] = distinctKeys(keys[lo:hi])
+		})
+		for b := 0; b < nb; b++ {
+			off[b+1] += off[b]
+		}
+		cols, ws = make([]uint32, off[nb]), make([]float64, off[nb])
+		par.ForBlocks(off, func(b, lo, _ int) { emit(b, lo) })
+	}
+	if outOfRange.Load() {
+		panic("hashtable: source row out of range")
+	}
+	rowPtr[bk.numRows] = int64(len(cols))
 	return rowPtr, cols, ws
 }
 
-// scatterBuckets writes one block's entries at their buckets' cursors in
-// next: the key row<<colBits | col to keys, the weight to ws.
-func scatterBuckets[K uint32 | uint64](slots []slot, next []int, keys []K, ws []float64, shift, colBits uint) {
-	last := uint64(len(next) - 1)
-	for _, s := range slots {
-		if s.key != 0 {
-			k := ^s.key
-			b := min(k>>32>>shift, last)
-			keys[next[b]], ws[next[b]] = K(k>>32<<colBits|uint64(uint32(k))), FromFixed(s.val)
-			next[b]++
+// distinctKeys counts the distinct keys of a sorted bucket.
+func distinctKeys[K uint32 | uint64](keys []K) int {
+	n := min(len(keys), 1)
+	for i := 1; i < len(keys); i++ {
+		if keys[i] != keys[i-1] {
+			n++
 		}
 	}
+	return n
 }
 
-// bucketScratch is one worker's sort scratch.
-type bucketScratch[K uint32 | uint64] struct {
-	keys [2][]K
-	ws   [2][]float64
-	cnt  [1 << maxDigitBits]int32
-}
-
-// sort orders one bucket's entries by key over the rows [row0,
-// row0+len(rows)) and writes columns to cols, weights back to ws and each
-// row's start, offset by base, to rows. It is LSD over the keyBits bits that
-// can differ in the bucket; the last pass writes cols and ws. It returns
-// false if a row lies past rows.
-func (sc *bucketScratch[K]) sort(keys []K, ws []float64, rows []int64, cols []uint32, row0 K, keyBits, colBits uint, base int) bool {
-	clear(rows)
-	for _, k := range keys {
-		r := uint64(k>>(colBits&63) - row0)
-		if r >= uint64(len(rows)) {
-			return false
+// emitRows writes one sorted bucket over the rows [row0, row0+len(rows)),
+// each run of equal keys merged into one entry whose weight is the run's
+// fixed-point sum: columns to cols, weights to ws, and each row's start,
+// offset by base, to rows. It returns false if a row lies past rows.
+func emitRows[K uint32 | uint64](keys []K, fix []uint64, rows []int64, cols []uint32, ws []float64, row0 K, colBits uint, base int) bool {
+	if len(keys) > 0 && uint64(keys[len(keys)-1]>>(colBits&63)-row0) >= uint64(len(rows)) {
+		return false
+	}
+	mask := K(1)<<(colBits&63) - 1
+	r, j := 0, 0
+	for i := 0; i < len(keys); j++ {
+		k, f := keys[i], fix[i]
+		for i++; i < len(keys) && keys[i] == k; i++ {
+			f += fix[i]
 		}
-		rows[r]++
+		for row := int(k>>(colBits&63) - row0); r <= row; r++ {
+			rows[r] = int64(base + j)
+		}
+		cols[j], ws[j] = uint32(k&mask), FromFixed(f)
 	}
-	sum := int64(base)
-	for r, c := range rows {
-		rows[r], sum = sum, sum+c
+	for ; r < len(rows); r++ {
+		rows[r] = int64(base + j)
 	}
-	// Two passes at least: the last one overwrites ws, so it must not read it.
-	passes := max(2, (keyBits+maxDigitBits-1)/maxDigitBits)
-	width := (keyBits + passes - 1) / passes
-	srcK, srcW := keys, ws
-	for p := uint(0); p+1 < passes; p++ {
-		dstK, dstW := sc.keys[p&1][:len(keys)], sc.ws[p&1][:len(keys)]
-		radixPass(srcK, srcW, dstK, dstW, p*width, width, ^K(0), &sc.cnt)
-		srcK, srcW = dstK, dstW
-	}
-	radixPass(srcK, srcW, cols, ws, (passes-1)*width, width, K(1)<<colBits-1, &sc.cnt)
 	return true
 }
 
+// bucketScratch is one worker's sort scratch, allocated as the passes
+// first need it.
+type bucketScratch[K uint32 | uint64] struct {
+	keys [2][]K
+	fix  [2][]uint64
+	cnt  [1 << maxDigitBits]int32
+}
+
+// sort orders one bucket's entries by key, in place: LSD over the keyBits
+// bits that can differ in the bucket, alternating between the scratch
+// buffers, sized for buckets of up to biggest entries, and the last pass
+// writing back into keys and fix. Stable, so equal keys keep their order.
+func (sc *bucketScratch[K]) sort(keys []K, fix []uint64, keyBits uint, biggest int) {
+	// Two passes at least: the last one overwrites the bucket, so it must
+	// not read it.
+	passes := max(2, (keyBits+maxDigitBits-1)/maxDigitBits)
+	width := (keyBits + passes - 1) / passes
+	srcK, srcF := keys, fix
+	for p := uint(0); p < passes; p++ {
+		dstK, dstF := keys, fix
+		if p+1 < passes {
+			if sc.keys[p&1] == nil {
+				sc.keys[p&1], sc.fix[p&1] = make([]K, biggest), make([]uint64, biggest)
+			}
+			dstK, dstF = sc.keys[p&1][:len(keys)], sc.fix[p&1][:len(keys)]
+		}
+		radixPass(srcK, srcF, dstK, dstF, p*width, width, &sc.cnt)
+		srcK, srcF = dstK, dstF
+	}
+}
+
 // radixPass is one stable counting pass on the width-bit digit at shift,
-// from (srcK, srcW) to (dstK, dstW), each key masked by keep.
-func radixPass[K, D uint32 | uint64](srcK []K, srcW []float64, dstK []D, dstW []float64, shift, width uint, keep K, cnt *[1 << maxDigitBits]int32) {
+// from (srcK, srcF) to (dstK, dstF).
+func radixPass[K uint32 | uint64](srcK []K, srcF []uint64, dstK []K, dstF []uint64, shift, width uint, cnt *[1 << maxDigitBits]int32) {
 	mask := K(1)<<width - 1
 	clear(cnt[:mask+1])
 	for _, k := range srcK {
@@ -805,10 +852,10 @@ func radixPass[K, D uint32 | uint64](srcK []K, srcW []float64, dstK []D, dstW []
 	for d, c := range cnt[:mask+1] {
 		cnt[d], sum = sum, sum+c
 	}
-	srcW = srcW[:len(srcK)]
+	srcF = srcF[:len(srcK)]
 	for i, k := range srcK {
 		d := k >> (shift & 63) & mask & (1<<maxDigitBits - 1)
-		dstK[cnt[d]], dstW[cnt[d]] = D(k&keep), srcW[i]
+		dstK[cnt[d]], dstF[cnt[d]] = k, srcF[i]
 		cnt[d]++
 	}
 }

@@ -75,7 +75,6 @@ func TestPresizedTableNeverGrows(t *testing.T) {
 			}
 		}},
 		{"batch", (*Table).AddFixedBatch},
-		{"owned", addOwned},
 		{"concurrent-batches", func(tab *Table, keys, fixed []uint64) {
 			const workers, flush = 4, 37
 			var wg sync.WaitGroup
@@ -130,9 +129,6 @@ func fixedTotal(tab *Table) uint64 {
 	}
 	return total
 }
-
-// addOwned inserts a batch into a one-shard table with the owned kernel.
-func addOwned(tab *Table, keys, fixed []uint64) { tab.shards[0].addOwned(keys, fixed) }
 
 func TestPresizeTightAtExactPowers(t *testing.T) {
 	// A hint of 14 keys fits capacity 16 under the 7/8 load factor; the old
@@ -509,10 +505,9 @@ func TestPeakMemoryBytesConcurrent(t *testing.T) {
 	}
 }
 
-// TestAddFixedBatchMatchesSerial: both batch kernels — the parallel shared
-// one and the write-locked owned one — must accumulate exactly what the
-// equivalent AddFixed loop does, including when a tiny initial table forces
-// grows mid-batch.
+// TestAddFixedBatchMatchesSerial: the batch insert — inline and in parallel
+// chunks — must accumulate exactly what the equivalent AddFixed loop does,
+// including when a tiny initial table forces grows mid-batch.
 func TestAddFixedBatchMatchesSerial(t *testing.T) {
 	s := rng.New(123, 0)
 	const n = 50000
@@ -527,22 +522,16 @@ func TestAddFixedBatchMatchesSerial(t *testing.T) {
 		ref.AddFixed(keys[i], fixed[i])
 	}
 	us, vs, ws := ref.Drain()
-	kernels := map[string]func(*Table, []uint64, []uint64){
-		"shared": (*Table).AddFixedBatch,
-		"owned":  addOwned,
-	}
-	for name, insert := range kernels {
-		for _, hint := range []int{2 * n, 4} { // presized and grow-forcing
-			batch := New(hint, 1)
-			insert(batch, keys, fixed)
-			if batch.Len() != ref.Len() {
-				t.Fatalf("%s hint=%d: distinct %d want %d", name, hint, batch.Len(), ref.Len())
-			}
-			for i := range us {
-				got, ok := batch.Get(us[i], vs[i])
-				if !ok || got != ws[i] { // fixed-point accumulation is exact
-					t.Fatalf("%s hint=%d: key (%d,%d): batch %v want %v", name, hint, us[i], vs[i], got, ws[i])
-				}
+	for _, hint := range []int{2 * n, 4} { // presized and grow-forcing
+		batch := New(hint, 1)
+		batch.AddFixedBatch(keys, fixed)
+		if batch.Len() != ref.Len() {
+			t.Fatalf("hint=%d: distinct %d want %d", hint, batch.Len(), ref.Len())
+		}
+		for i := range us {
+			got, ok := batch.Get(us[i], vs[i])
+			if !ok || got != ws[i] { // fixed-point accumulation is exact
+				t.Fatalf("hint=%d: key (%d,%d): batch %v want %v", hint, us[i], vs[i], got, ws[i])
 			}
 		}
 	}
@@ -557,12 +546,12 @@ func TestAddFixedBatchPanicsOnLengthMismatch(t *testing.T) {
 	New(8, 1).AddFixedBatch(make([]uint64, 3), make([]uint64, 2))
 }
 
-// TestBatchRaceStress races shared batches (inline and forked sizes),
-// owned batches and Gets on one table that starts at the minimum capacity, so
-// grows interleave with reservations on every path. Under -race this covers
-// the read-lock-per-chunk kernel, the headroom reservation and its return,
-// the write-locked owned kernel with its inline grow, and grow's recheck. The
-// aggregate must be exact in fixed point, key by key.
+// TestBatchRaceStress races batches (inline and forked sizes), single-pair
+// AddFixed calls and Gets on one table that starts at the minimum capacity,
+// so grows interleave with reservations on every path. Under -race this
+// covers the read-lock-per-chunk kernel, the headroom reservation and its
+// return, and grow's recheck. The aggregate must be exact in fixed point,
+// key by key.
 func TestBatchRaceStress(t *testing.T) {
 	tab := New(0, 1)
 	const workers, batches, distinct = 6, 40, 30000
@@ -608,10 +597,12 @@ func TestBatchRaceStress(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			for _, bt := range work[w] {
-				if w%3 == 0 {
-					addOwned(tab, bt.keys, bt.fixed)
-				} else {
+				if w%3 != 0 {
 					tab.AddFixedBatch(bt.keys, bt.fixed)
+					continue
+				}
+				for i := range bt.keys {
+					tab.AddFixed(bt.keys[i], bt.fixed[i])
 				}
 			}
 		}(w)

@@ -104,9 +104,9 @@ func (t *perKeyTable) grow() {
 	}
 }
 
-// TestKernelsBitIdenticalToPerKeyOracle: the shared and owned kernels hold exactly
-// the aggregate the replaced per-key kernel builds from the same pairs.
-// See DESIGN.md "Numerics".
+// TestKernelsBitIdenticalToPerKeyOracle: the batch kernel holds exactly the
+// aggregate the replaced per-key kernel builds from the same pairs. See
+// DESIGN.md "Numerics".
 func TestKernelsBitIdenticalToPerKeyOracle(t *testing.T) {
 	keys, fixed := insertWorkload(60_000, 40_000)
 	for i := range fixed {
@@ -114,20 +114,17 @@ func TestKernelsBitIdenticalToPerKeyOracle(t *testing.T) {
 	}
 	oracle := newPerKeyTable(0)
 	oracle.AddFixedBatch(keys, fixed)
-	shared, owned := New(0, 1), New(0, 1)
-	shared.AddFixedBatch(keys, fixed)
-	addOwned(owned, keys, fixed)
-	for _, tab := range []*Table{shared, owned} {
-		if tab.Len() != int(oracle.count) {
-			t.Fatalf("Len=%d, oracle %d", tab.Len(), oracle.count)
+	tab := New(0, 1)
+	tab.AddFixedBatch(keys, fixed)
+	if tab.Len() != int(oracle.count) {
+		t.Fatalf("Len=%d, oracle %d", tab.Len(), oracle.count)
+	}
+	for i, k := range oracle.keys {
+		if k == perKeyEmpty {
+			continue
 		}
-		for i, k := range oracle.keys {
-			if k == perKeyEmpty {
-				continue
-			}
-			if got, ok := tab.shards[0].lookup(k); !ok || got != oracle.vals[i] {
-				t.Fatalf("key %x: %d,%v, oracle %d", k, got, ok, oracle.vals[i])
-			}
+		if got, ok := tab.shards[0].lookup(k); !ok || got != oracle.vals[i] {
+			t.Fatalf("key %x: %d,%v, oracle %d", k, got, ok, oracle.vals[i])
 		}
 	}
 }

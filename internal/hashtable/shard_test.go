@@ -2,6 +2,7 @@ package hashtable
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -20,9 +21,9 @@ type batch struct {
 
 // shardWorkload draws each worker's batches over keys (k, k>>3) for k in
 // [0, distinct): small batches (grouped in pooled scratch on a sharded
-// table), batches longer than BatchGrain (partitioned, owned inserts) and
-// runs of single-pair AddFixed calls. It returns the batches and the
-// expected fixed-point total of every key.
+// table), batches longer than BatchGrain (split into chunks inserted in
+// parallel) and runs of single-pair AddFixed calls. It returns the batches
+// and the expected fixed-point total of every key.
 func shardWorkload(seed uint64, workers, batches, distinct int) ([][]batch, map[uint64]uint64) {
 	work := make([][]batch, workers)
 	want := map[uint64]uint64{}
@@ -99,36 +100,116 @@ func TestShardedBitIdenticalToUnsharded(t *testing.T) {
 	}
 }
 
+// groupInput is one batch of pairs over numRows rows, split into workers'
+// insert calls.
+type groupInput struct {
+	name        string
+	keys, fixed []uint64
+	work        [][]batch
+	numRows     int
+}
+
+// groupInputs are the inputs of the drain and grouping bit-identity sweep:
+// the sharded workload; heavy duplication with self-pairs and weights large
+// enough that summing them in float64 would round; rows and columns that
+// need more than 32 bits of key together; no pairs; a one-row graph.
+func groupInputs() []groupInput {
+	work, _ := shardWorkload(99, 4, 9, 12000)
+	var in []groupInput
+	add := func(name string, numRows int, work [][]batch) {
+		g := groupInput{name: name, work: work, numRows: numRows}
+		for _, w := range work {
+			for _, bt := range w {
+				g.keys, g.fixed = append(g.keys, bt.keys...), append(g.fixed, bt.fixed...)
+			}
+		}
+		in = append(in, g)
+	}
+	add("workload", 1<<14, work)
+	draw := func(seed uint64, n, numRows, cols int, wide bool) [][]batch {
+		s := rng.New(seed, 0)
+		var bts []batch
+		for left := n; left > 0; {
+			bt := batch{single: len(bts)%3 == 2}
+			for m := min(left, 1+s.Intn(3*BatchGrain)); len(bt.keys) < m; {
+				u, v := uint32(s.Intn(numRows)), uint32(s.Intn(cols))
+				if s.Intn(4) == 0 {
+					v = u
+				}
+				f := uint64(1 + s.Intn(1<<20))
+				if wide {
+					f += uint64(s.Intn(1<<12)) << 40
+				}
+				bt.keys, bt.fixed = append(bt.keys, Key(u, v)), append(bt.fixed, f)
+			}
+			left -= len(bt.keys)
+			bts = append(bts, bt)
+		}
+		return [][]batch{bts[:len(bts)/2], bts[len(bts)/2:]}
+	}
+	add("duplicated", 40, draw(5, 60000, 40, 30, true))
+	add("wide", 1<<20, draw(6, 30000, 1<<20, 1<<31, false))
+	add("empty", 5, nil)
+	add("one-row", 1, draw(7, 20000, 1, 5000, false))
+	return in
+}
+
+// slotSums returns every key the table holds with its fixed-point weight.
+func slotSums(tab *Table) map[uint64]uint64 {
+	m := map[uint64]uint64{}
+	for i := range tab.shards {
+		for _, sl := range tab.shards[i].slots {
+			if sl.key != 0 {
+				m[^sl.key] = sl.val
+			}
+		}
+	}
+	return m
+}
+
 // TestShardedDrainCSRBitIdentical: DrainCSR returns the same arrays, bit for
 // bit, at every shard count and worker count, from a presized table and from
 // one whose shards all start at the minimum capacity, so that every shard
-// grows while the workers insert into it. The full key sort erases shard
-// routing and slot order, and fixed-point accumulation is exact. See
-// DESIGN.md "Numerics".
+// grows while the workers insert into it; and GroupCSR returns them too,
+// from the pairs the tables took. The full key sort erases shard routing and
+// slot order, and fixed-point accumulation is exact. See DESIGN.md
+// "Numerics".
 func TestShardedDrainCSRBitIdentical(t *testing.T) {
-	const numRows = 1 << 14 // keys of the workload stay below this
-	work, want := shardWorkload(99, 4, 9, 12000)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var refPtr []int64
-	var refCols []uint32
-	var refWs []float64
-	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		for _, shards := range []int{1, 2, 4, 8, 16} {
-			for _, hint := range []int{len(want), 0} {
-				name := fmt.Sprintf("procs=%d shards=%d hint=%d", procs, shards, hint)
-				tab := New(hint, shards)
-				runShardWorkload(tab, work)
-				rowPtr, cols, ws := tab.DrainCSR(numRows)
-				if refPtr == nil {
-					checkExact(t, name, tab, want)
-					refPtr, refCols, refWs = rowPtr, cols, ws
-					continue
-				}
-				if !slices.Equal(rowPtr, refPtr) || !slices.Equal(cols, refCols) || !slices.Equal(ws, refWs) {
-					t.Fatalf("%s: DrainCSR differs from procs=1 shards=1", name)
+	for _, in := range groupInputs() {
+		var refPtr []int64
+		var refCols []uint32
+		var refWs []float64
+		check := func(name string, rowPtr []int64, cols []uint32, ws []float64) {
+			t.Helper()
+			if !slices.Equal(rowPtr, refPtr) || !slices.Equal(cols, refCols) || !slices.Equal(ws, refWs) {
+				t.Fatalf("%s/%s: differs from the drain at procs=1 shards=1", in.name, name)
+			}
+		}
+		for _, procs := range []int{1, 2, 3, 4} {
+			runtime.GOMAXPROCS(procs)
+			for _, shards := range []int{1, 2, 4, 8, 16} {
+				for _, hint := range []int{len(in.keys), 0} {
+					name := fmt.Sprintf("procs=%d shards=%d hint=%d", procs, shards, hint)
+					tab := New(hint, shards)
+					runShardWorkload(tab, in.work)
+					rowPtr, cols, ws := tab.DrainCSR(in.numRows)
+					if refPtr == nil {
+						want := map[uint64]uint64{}
+						for i, k := range in.keys {
+							want[k] += in.fixed[i]
+						}
+						if !maps.Equal(slotSums(tab), want) {
+							t.Fatalf("%s/%s: the table's sums are not the pairs' fixed-point sums", in.name, name)
+						}
+						refPtr, refCols, refWs = rowPtr, cols, ws
+						continue
+					}
+					check(name, rowPtr, cols, ws)
 				}
 			}
+			rowPtr, cols, ws := GroupCSR(in.keys, in.fixed, in.numRows)
+			check(fmt.Sprintf("procs=%d GroupCSR", procs), rowPtr, cols, ws)
 		}
 	}
 }
@@ -178,14 +259,13 @@ func TestShardedRoundsUpToPowerOfTwo(t *testing.T) {
 }
 
 // TestShardedAddFixedBatchBitIdentical: the shard-grouped batch insert is
-// bit-identical to routing every pair through AddFixed, on the small-batch
-// path (grouped into pooled scratch) and the partitioned path, into shards
-// that start at the minimum capacity and grow mid-batch, and into presized
-// shards of 2^18 slots, which the partition cuts into 16 home-slot windows
-// each. See DESIGN.md "Numerics".
+// bit-identical to routing every pair through AddFixed, inline and in
+// parallel chunks, into shards that start at the minimum capacity and grow
+// mid-batch and into presized shards of 2^18 slots. See DESIGN.md
+// "Numerics".
 func TestShardedAddFixedBatchBitIdentical(t *testing.T) {
 	s := rng.New(9, 0)
-	for _, n := range []int{1, 100, BatchGrain, BatchGrain + 1, 5 * shardPartGrain} {
+	for _, n := range []int{1, 100, BatchGrain, BatchGrain + 1, 10 * BatchGrain} {
 		keys := make([]uint64, n)
 		fixed := make([]uint64, n)
 		for i := range keys {
@@ -252,18 +332,16 @@ func TestShardedGetRoutesShards(t *testing.T) {
 	}
 }
 
-// TestShardedOwnedRacesShared races long batches (partitioned, each shard's
-// run inserted under its write lock with plain stores) against small batches
-// (grouped in pooled scratch, shared kernel) and single-pair AddFixed calls
-// on one sharded table whose shards start at the minimum capacity, so both
-// kernels grow shards while the other inserts. Under -race this pins the
-// owned kernel's exclusion; the aggregate must be exact in fixed point, key
-// by key.
-func TestShardedOwnedRacesShared(t *testing.T) {
+// TestShardedLongBatchesRaceShort races long batches (chunks inserted in
+// parallel, each grouped by shard) against small batches and single-pair
+// AddFixed calls on one sharded table whose shards start at the minimum
+// capacity, so every path grows shards while the others insert. The
+// aggregate must be exact in fixed point, key by key.
+func TestShardedLongBatchesRaceShort(t *testing.T) {
 	work, want := shardWorkload(4242, 4, 6, 40000)
 	tab := New(0, 4)
 	runShardWorkload(tab, work)
-	checkExact(t, "owned vs shared", tab, want)
+	checkExact(t, "long vs short", tab, want)
 	var wantTotal uint64
 	for _, f := range want {
 		wantTotal += f

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lightne/internal/graph"
+	"lightne/internal/hashtable"
 	"lightne/internal/par"
 )
 
@@ -22,14 +23,18 @@ import (
 // stream once, so the trial distribution and per-head weights are identical
 // to a serial enumeration; stage 2 (wave.go) walks one wave of heads at a
 // time, every stepping side in lock step until its last step; stage 3
-// (drain.go) inserts a walked wave's (e0, e1, fixed) heads into the Sink,
-// on a goroutine that overlaps wave k's insert with wave k+1's walk. The
-// default wave holds 2^22 heads, more than an RMAT-13 pass at M = 2·T·m
-// draws (~0.8 M), so such a pass is one wave, walked and then inserted. Walk
-// steps are single keyed-hash draws (rng.Hash64 keyed by
-// (global head, side, step) — see wave.go), which makes the output a pure
-// function of (graph, config): bit-identical across waveSize, Shards and
-// GOMAXPROCS once drained through DrainCSR.
+// turns every walked head into its two oriented (key, fixed) pairs and
+// groups them all with hashtable.GroupCSR — one bucketed sort that merges
+// equal keys — straight into the sparsifier's CSR arrays. The pass holds
+// every head before it walks, so sorting its pairs costs no more memory
+// than they take, and no aggregation table is built. The default wave
+// holds 2^22 heads, more than an RMAT-13 pass at M = 2·T·m draws (~0.8 M),
+// so such a pass walks in one wave. Walk steps are single keyed-hash draws
+// (rng.Hash64 keyed by (global head, side, step) — see wave.go), and the
+// fixed-point sums are exact and commutative, so the grouped arrays are a
+// pure function of (graph, config): bit-identical across waveSize and
+// GOMAXPROCS, and to DrainCSR of a table of any shard count that took the
+// same pairs.
 //
 // Walk states pack into one uint64 so the regroup scatter is the only data
 // movement:
@@ -65,7 +70,7 @@ const stateTombstone = ^uint64(0)
 // walk lengths, and the importance weight it deposits. The endpoint fields
 // double as storage — enumeration writes the arc (u, v), and the wave
 // overwrites each stepping side's field with its walk endpoint before the
-// drain reads them. 24 bytes per head.
+// pairs are built from them. 24 bytes per head.
 type headRec struct {
 	fixed  uint64 // importance weight 1/p_e, fixed point
 	e0, e1 uint32 // arc (u, v) at enumeration; walk endpoints after the wave
@@ -73,13 +78,15 @@ type headRec struct {
 }
 
 // SampleBatched runs the downsampled PathSampling pass with batched walks
-// and the wave pipeline. Weighted graphs walk natively: head
-// enumeration uses the weighted per-arc budget (M·w_e/vol trials, ProbW
-// over strengths) and each walk step resolves a per-vertex Vose alias
-// table from the same single keyed-hash draw the unweighted path uses
-// (see graph.AliasNeighbor). waveSize caps concurrently in-flight
-// heads; <= 0 picks the maximum (2^22). The drained aggregate is
-// bit-identical for every waveSize, shard count and worker count.
+// and returns its aggregate grouped into CSR arrays over g's vertices, as
+// a Sink whose DrainCSR hands them over. Weighted graphs walk natively:
+// head enumeration uses the weighted per-arc budget (M·w_e/vol trials,
+// ProbW over strengths) and each walk step resolves a per-vertex Vose alias
+// table from the same single keyed-hash draw the unweighted path uses (see
+// graph.AliasNeighbor). waveSize caps concurrently in-flight heads; <= 0
+// picks the maximum (2^22). The grouped aggregate is bit-identical for
+// every waveSize and worker count. Of cfg, Shards and TableSizeHint only
+// size a table, and the pass has none: they are checked, not used.
 func SampleBatched(g *graph.Graph, cfg Config, waveSize int) (Sink, Stats, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, Stats{}, err
@@ -100,21 +107,33 @@ func SampleBatched(g *graph.Graph, cfg Config, waveSize int) (Sink, Stats, error
 	cursors := newCursors(g)
 	heads, stepping, stats := enumerateHeads(g, cfg, cursors)
 
-	// Presize from the realized head count — known exactly after stage 1,
-	// unlike Sample which must presize from an expectation.
-	hint := cfg.TableSizeHint
-	if hint <= 0 {
-		hint = 2*len(heads) + 1024
+	// The state buffers hold one wave's stepping sides.
+	states := make([]uint64, min(stepping, 2*int64(min(waveSize, len(heads)))))
+	scratch := make([]uint64, len(states))
+	for lo := 0; lo < len(heads); lo += waveSize {
+		runWave(g, heads[lo:min(lo+waveSize, len(heads))], states, scratch, cursors, cfg.Seed, uint64(lo))
 	}
-	table := NewSink(hint, cfg.Shards)
 
-	pipelineWaves(g, table, heads, stepping, cursors, cfg.Seed, waveSize)
-
-	stats.DistinctEntries = table.Len()
-	stats.TableBytes = table.MemoryBytes()
-	stats.PeakTableBytes = table.PeakMemoryBytes()
-	return table, stats, nil
+	// Every walked head deposits (e0, e1) and (e1, e0) with its weight.
+	keys, fixed := make([]uint64, 2*len(heads)), make([]uint64, 2*len(heads))
+	par.ForRange(len(heads), pairGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			h := heads[i]
+			keys[2*i], keys[2*i+1] = hashtable.Key(h.e0, h.e1), hashtable.Key(h.e1, h.e0)
+			fixed[2*i], fixed[2*i+1] = h.fixed, h.fixed
+		}
+	})
+	n := g.NumVertices()
+	out := &grouped{}
+	out.rowPtr, out.cols, out.ws = hashtable.GroupCSR(keys, fixed, n)
+	stats.DistinctEntries = len(out.cols)
+	stats.TableBytes = 8*int64(len(out.rowPtr)) + 12*int64(len(out.cols))
+	stats.PeakTableBytes = stats.TableBytes + hashtable.GroupScatterBytes(2*int(stats.Heads), n)
+	return out, stats, nil
 }
+
+// pairGrain is the per-chunk head count when building oriented pairs.
+const pairGrain = 2048
 
 // newCursors returns one NeighborCursor per worker index.
 func newCursors(g *graph.Graph) []graph.NeighborCursor {
@@ -123,31 +142,4 @@ func newCursors(g *graph.Graph) []graph.NeighborCursor {
 		cursors[i] = g.NewNeighborCursor()
 	}
 	return cursors
-}
-
-// pipelineWaves drives stages 2 and 3: the walker (this goroutine) walks one
-// wave at a time and hands it to a drain goroutine, which inserts its heads
-// while the next wave, if any, is walked. Waves are disjoint regions of the
-// heads array and the channel send orders the walker's endpoint writes
-// before the drain's reads, so the overlap is race-free. The channel holds
-// at most one wave. The state buffers hold one wave's stepping sides.
-func pipelineWaves(g *graph.Graph, table Sink, heads []headRec, stepping int64, cursors []graph.NeighborCursor, seed uint64, waveSize int) {
-	states := make([]uint64, min(stepping, 2*int64(min(waveSize, len(heads)))))
-	scratch := make([]uint64, len(states))
-	waveCh := make(chan []headRec, 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var buf drainBuf
-		for wave := range waveCh {
-			buf.drainWave(table, wave)
-		}
-	}()
-	for lo := 0; lo < len(heads); lo += waveSize {
-		wave := heads[lo:min(lo+waveSize, len(heads))]
-		runWave(g, wave, states, scratch, cursors, seed, uint64(lo))
-		waveCh <- wave
-	}
-	close(waveCh)
-	<-done
 }

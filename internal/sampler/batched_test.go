@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lightne/internal/graph"
+	"lightne/internal/hashtable"
 	"lightne/internal/rng"
 )
 
@@ -78,6 +79,20 @@ func weightedChordGraph(t testing.TB, n, extraPerVertex int, seed uint64) *graph
 	return g
 }
 
+// groupedTable inserts a batched pass's grouped aggregate into a table,
+// weight for weight (its fixed-point sums convert back exactly), so that
+// tests can look its entries up.
+func groupedTable(g *graph.Graph, sink Sink) *hashtable.Table {
+	rowPtr, cols, ws := sink.DrainCSR(g.NumVertices())
+	tab := hashtable.New(len(cols), 1)
+	for r := 0; r+1 < len(rowPtr); r++ {
+		for p := rowPtr[r]; p < rowPtr[r+1]; p++ {
+			tab.AddFixed(hashtable.Key(uint32(r), cols[p]), hashtable.ToFixed(ws[p]))
+		}
+	}
+	return tab
+}
+
 func TestPackStateRoundtrip(t *testing.T) {
 	for _, tc := range []struct {
 		cur   uint32
@@ -112,10 +127,11 @@ func TestSampleBatchedMatchesSampleDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, statsB, err := SampleBatched(g, cfg, 0)
+	sink, statsB, err := SampleBatched(g, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	batched := groupedTable(g, sink)
 	// Identical arc enumeration seeds → identical trial/head counts.
 	if statsA.Trials != statsB.Trials || statsA.Heads != statsB.Heads {
 		t.Fatalf("trial accounting differs: %d/%d vs %d/%d",
@@ -140,10 +156,11 @@ func TestSampleBatchedSmallWaves(t *testing.T) {
 	// Tiny waves force many flushes; totals must be conserved exactly.
 	g := cycleGraph(t, 12)
 	cfg := Config{T: 4, M: 50_000, Downsample: true, C: 1, Seed: 11}
-	tab, stats, err := SampleBatched(g, cfg, 64)
+	sink, stats, err := SampleBatched(g, cfg, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := groupedTable(g, sink)
 	_, _, ws := tab.Drain()
 	var total float64
 	for _, w := range ws {
@@ -158,10 +175,11 @@ func TestSampleBatchedSmallWaves(t *testing.T) {
 
 func TestSampleBatchedSymmetric(t *testing.T) {
 	g := completeGraph(t, 10)
-	tab, _, err := SampleBatched(g, Config{T: 3, M: 40_000, Seed: 13}, 0)
+	sink, _, err := SampleBatched(g, Config{T: 3, M: 40_000, Seed: 13}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := groupedTable(g, sink)
 	us, vs, _ := tab.Drain()
 	for i := range us {
 		wa, _ := tab.Get(us[i], vs[i])
@@ -189,11 +207,11 @@ func TestSampleBatchedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, stats, err := SampleBatched(wg, Config{T: 2, M: 10, Seed: 1}, 0)
+	sink, stats, err := SampleBatched(wg, Config{T: 2, M: 10, Seed: 1}, 0)
 	if err != nil {
 		t.Fatalf("weighted batched walking: %v", err)
 	}
-	if stats.Trials == 0 || tab.Len() == 0 {
+	if stats.Trials == 0 || groupedTable(wg, sink).Len() == 0 {
 		t.Fatal("weighted batched run produced nothing")
 	}
 }
@@ -203,10 +221,11 @@ func TestSampleBatchedParityOnCycle(t *testing.T) {
 	// an (r-1)-step split walk on a bipartite cycle keep the sample's
 	// parity): with T=1, samples are exactly the original arcs.
 	g := cycleGraph(t, 8)
-	tab, _, err := SampleBatched(g, Config{T: 1, M: 20_000, Seed: 7}, 0)
+	sink, _, err := SampleBatched(g, Config{T: 1, M: 20_000, Seed: 7}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := groupedTable(g, sink)
 	us, vs, _ := tab.Drain()
 	for i := range us {
 		diff := (int(us[i]) - int(vs[i]) + 8) % 8
@@ -330,15 +349,16 @@ func TestSampleBatchedMatchesSerialFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipeTab, pipeStats, err := SampleBatched(g, cfg, 0)
+	pipeSink, pipeStats, err := SampleBatched(g, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pipeTab := groupedTable(g, pipeSink)
 	if serialStats.Trials != pipeStats.Trials || serialStats.Heads != pipeStats.Heads {
 		t.Fatalf("enumeration accounting differs: serial %d/%d vs pipeline %d/%d",
 			serialStats.Trials, serialStats.Heads, pipeStats.Trials, pipeStats.Heads)
 	}
-	sum := func(tab Sink) float64 {
+	sum := func(tab *hashtable.Table) float64 {
 		_, _, ws := tab.Drain()
 		var s float64
 		for _, w := range ws {
@@ -370,11 +390,13 @@ func TestSampleBatchedMatchesSerialFlush(t *testing.T) {
 	}
 }
 
-// TestSampleBatchedStressGrowMidDrain forces table grows to race the walking
-// stage: an absurd size hint makes every wave's sharded (and single-table)
-// batch insert trigger doubling rehashes while the next wave walks. Run
-// under -race this is the pipeline's concurrency certificate; in any mode it
-// checks conservation and peak accounting.
+// TestSampleBatchedStressGrowMidDrain runs many small waves (256 heads)
+// on four workers, on an unweighted and a weighted graph, with the table
+// knobs set as if to force grows: an absurd size hint and 1 or 4 shards,
+// which the batched pass, holding no table, must ignore. Under -race it
+// covers the waves' walks and the parallel grouping; in any mode it checks
+// conservation and that the grouping's reported peak covers its scatter
+// beside the grouped arrays.
 func TestSampleBatchedStressGrowMidDrain(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -389,18 +411,19 @@ func TestSampleBatchedStressGrowMidDrain(t *testing.T) {
 		for _, shards := range []int{1, 4} {
 			cfg := Config{
 				T: 4, M: 60_000, Downsample: true, Seed: 3,
-				TableSizeHint: 16, // forces a long chain of grows mid-drain
+				TableSizeHint: 16, // ignored: the pass has no table
 				Shards:        shards,
 			}
-			tab, stats, err := SampleBatched(fx.g, cfg, 256)
+			sink, stats, err := SampleBatched(fx.g, cfg, 256)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", fx.name, shards, err)
 			}
+			tab := groupedTable(fx.g, sink)
 			if tab.Len() == 0 || stats.Heads == 0 {
 				t.Fatalf("%s shards=%d: empty run", fx.name, shards)
 			}
 			if stats.PeakTableBytes <= stats.TableBytes {
-				t.Fatalf("%s shards=%d: hint did not force a grow (peak %d steady %d)",
+				t.Fatalf("%s shards=%d: peak %d does not exceed the grouped arrays' %d",
 					fx.name, shards, stats.PeakTableBytes, stats.TableBytes)
 			}
 			_, _, ws := tab.Drain()

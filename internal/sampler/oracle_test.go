@@ -325,7 +325,7 @@ func TestRunWaveBitIdenticalToTombstoneWalk(t *testing.T) {
 						got := append([]headRec(nil), heads...)
 						want := append([]headRec(nil), heads...)
 						cursors := newCursors(fx.g)
-						// The walker's buffers are sized like pipelineWaves sizes them.
+						// The walker's buffers are sized like SampleBatched sizes them.
 						states := make([]uint64, min(steppingSides(heads), int64(2*ws)))
 						scratch := make([]uint64, len(states))
 						oStates := make([]uint64, 2*ws)
@@ -354,7 +354,7 @@ func TestRunWaveBitIdenticalToTombstoneWalk(t *testing.T) {
 // (paper §4.2: O(1) draws for O(m) extra memory), applies the downsampling
 // coin and PathSamples. Uniform-arc sampling equals Sample's distribution
 // only for unit weights, so weighted graphs are rejected.
-func sampleUniform(g *graph.Graph, cfg Config) (Sink, Stats, error) {
+func sampleUniform(g *graph.Graph, cfg Config) (*hashtable.Table, Stats, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, Stats{}, err
 	}

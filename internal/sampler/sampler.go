@@ -6,8 +6,9 @@
 //
 // which Theorem 3.2 (Lovász) justifies as an effective-resistance upper
 // bound; Theorem 3.1 makes the reweighted samples (weight 1/p_e) an unbiased
-// Laplacian estimator. Samples are aggregated in the concurrent hash table
-// from internal/hashtable.
+// Laplacian estimator. The per-arc passes aggregate samples in the
+// concurrent hash table from internal/hashtable; the batched pass
+// (SampleBatched) holds all of its samples and groups them by sorting.
 //
 // The sampler maps over directed arcs grouped by source vertex, exactly the
 // cache-friendly per-edge schedule of Algorithm 2: each arc e draws
@@ -44,12 +45,15 @@ type Config struct {
 	C float64
 	// Seed makes runs reproducible.
 	Seed uint64
-	// TableSizeHint presizes the hash table; <= 0 derives an estimate.
+	// TableSizeHint presizes Sample's hash table; <= 0 derives an
+	// estimate. SampleBatched builds no table and ignores it.
 	TableSizeHint int
-	// Shards splits the aggregation table across a power of two of shards
-	// routed by high hash bits (hashtable.New); <= 1 keeps one shard, and
-	// more than hashtable.MaxShards (1 024) is an error. The drained CSR is
-	// bit-identical either way.
+	// Shards splits Sample's aggregation table (and, through NewSink, an
+	// incremental pass's) across a power of two of shards routed by high
+	// hash bits (hashtable.New); <= 1 keeps one shard, and more than
+	// hashtable.MaxShards (1 024) is an error, from every pass. The drained
+	// CSR is bit-identical either way. SampleBatched builds no table and
+	// otherwise ignores it.
 	Shards int
 }
 
@@ -80,11 +84,14 @@ func (cfg Config) DownsampleC(n int) float64 {
 	return math.Max(1, math.Log(float64(n)))
 }
 
-// Stats reports what a sampling pass actually did.
+// Stats reports what a sampling pass actually did. For SampleBatched, which
+// builds no table, the table fields describe the grouping arrays instead:
+// TableBytes is the grouped CSR and PeakTableBytes adds GroupCSR's bucket
+// scatter, which coexists with it.
 type Stats struct {
 	Trials          int64 // Σ_e n_e, the realized sample count M̂
 	Heads           int64 // trials that passed the downsampling coin
-	DistinctEntries int   // distinct (u',v') keys in the table
+	DistinctEntries int   // distinct (u',v') keys in the aggregate
 	TableBytes      int64 // hash table footprint after the pass
 	PeakTableBytes  int64 // footprint high-water mark, incl. grow transients
 }
@@ -116,10 +123,10 @@ func ProbW(c, w, su, sv float64) float64 {
 }
 
 // Sample runs the downsampled per-edge PathSampling pass over g and returns
-// the aggregation sink plus statistics. The sink maps ordered pairs
+// the aggregation table plus statistics. The table maps ordered pairs
 // (u', v') to accumulated importance weights; every sample is inserted in
 // both orientations so the aggregate is exactly symmetric.
-func Sample(g *graph.Graph, cfg Config) (Sink, Stats, error) {
+func Sample(g *graph.Graph, cfg Config) (*hashtable.Table, Stats, error) {
 	n := g.NumVertices()
 	arcs := g.NumEdges()
 	if err := cfg.Check(); err != nil {
@@ -210,7 +217,7 @@ func Sample(g *graph.Graph, cfg Config) (Sink, Stats, error) {
 // Of cfg, T, Downsample, C and Seed are read (C resolved on g); M, Shards
 // and TableSizeHint belong to the table's owner. The seed should differ per
 // batch.
-func SampleArcsInto(g *graph.Graph, table Sink, arcs []graph.Edge, perArc float64, cfg Config) (Stats, error) {
+func SampleArcsInto(g *graph.Graph, table *hashtable.Table, arcs []graph.Edge, perArc float64, cfg Config) (Stats, error) {
 	t, c, seed := cfg.T, cfg.DownsampleC(g.NumVertices()), cfg.Seed
 	if err := cfg.Check(); err != nil {
 		return Stats{}, err

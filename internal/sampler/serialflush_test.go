@@ -24,7 +24,7 @@ import (
 // SampleBatched (the per-vertex enumeration streams are the same), so Trials
 // and Heads match exactly; walk steps use chunk-seeded RNG streams, so the
 // aggregates agree distributionally but not bitwise.
-func SampleBatchedSerial(g *graph.Graph, cfg Config, waveSize int) (Sink, Stats, error) {
+func SampleBatchedSerial(g *graph.Graph, cfg Config, waveSize int) (*hashtable.Table, Stats, error) {
 	if cfg.T <= 0 || cfg.T > 512 {
 		return nil, Stats{}, fmt.Errorf("sampler: batched walking requires 1 <= T <= 512, got %d", cfg.T)
 	}

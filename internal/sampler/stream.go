@@ -1,10 +1,10 @@
 package sampler
 
 // Streaming hand-off from the aggregation sink to a chunk consumer. The
-// single-pass sketched factorization wants to absorb the sparsifier while it
-// drains out of the hash table instead of holding a second, scaled copy of
-// the CSR. DrainCSR's buckets must all be sorted before every row's final
-// content exists, so "streaming" here means: after grouping, the
+// single-pass sketched factorization wants to absorb the sparsifier as it
+// leaves the sink instead of holding a second, scaled copy of the CSR.
+// DrainCSR's buckets (or GroupCSR's) must all be sorted before every row's
+// final content exists, so "streaming" here means: after grouping, the
 // consumer (core.EmbedTable) walks the rows in bounded whole-row chunks that
 // it transforms (scale + trunc-log) and absorbs one at a time, never
 // materializing the scaled matrix.

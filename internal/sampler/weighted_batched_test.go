@@ -113,10 +113,11 @@ func TestSampleBatchedWeightedExactAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, sb, err := SampleBatched(g, cfg, 0)
+	sink, sb, err := SampleBatched(g, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	batched := groupedTable(g, sink)
 	if sa.Trials != sb.Trials || sa.Heads != sb.Heads {
 		t.Fatalf("accounting differs: serial %d/%d vs batched %d/%d",
 			sa.Trials, sa.Heads, sb.Trials, sb.Heads)
