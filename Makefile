@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: tier1 build test determinism harness race vet loc fuzz bench bench-drain bench-sample bench-ann bench-factorize bench-absorb bench-qr bench-spmm bench-cold serve-bench smoke-replication check all
+.PHONY: tier1 build test determinism harness race vet loc fuzz bench bench-drain bench-sample bench-ann bench-factorize bench-absorb bench-qr bench-spmm bench-cold smoke-replication check all
 
 all: tier1 vet
 
@@ -47,7 +47,8 @@ harness:
 # (unsorted-input error reporting races the workers), and the
 # fault-injection harness driving the supervised ingest loop and the
 # leader→follower replication suite (mid-ship kills, corrupt payloads,
-# leader-death degradation), plus the pipelined QR (dense: R on the caller, Q groups on the workers), the
+# leader-death degradation), the edge-list parser (graph: pieces of a block
+# parsed on all workers, swept over GOMAXPROCS), plus the pipelined QR (dense: R on the caller, Q groups on the workers), the
 # row-parallel SpMM with its row epilogue (sparse) and the propagation that
 # rewrites shared buffers from that epilogue (prone). The second line runs the
 # determinism tests of the full pipeline (core) and the third the root package's
@@ -56,13 +57,14 @@ harness:
 # hot-swap) under the detector without dragging the full factorization test
 # suite through -race.
 race:
-	$(GO) test -race ./internal/serve ./internal/ann ./internal/dynamic ./internal/hashtable ./internal/par ./internal/radix ./internal/netsmf ./internal/sampler ./internal/compress ./internal/faultinject ./internal/svd ./internal/dense ./internal/sparse ./internal/prone
+	$(GO) test -race ./internal/serve ./internal/ann ./internal/dynamic ./internal/hashtable ./internal/par ./internal/radix ./internal/netsmf ./internal/sampler ./internal/compress ./internal/faultinject ./internal/svd ./internal/dense ./internal/sparse ./internal/prone ./internal/graph
 	$(GO) test -race -run Deterministic ./internal/core
 	$(GO) test -race -run 'Checkpoint|Embedding|Replication' .
 
 # Short runs of every fuzz target: the text/binary embedding readers and the
-# public graph loader (root), the edge-list/binary graph loaders and the
-# radix CSR build against its comparison-sort oracle (graph),
+# public graph loader (root), the edge-list parser against its serial
+# oracle in both forms, unweighted and weighted, the binary graph loader and
+# the radix CSR build against its comparison-sort oracle (graph),
 # the COO builder (sparse), and the compressed-adjacency decoders
 # (compress). Each target gets a few seconds — enough to replay the corpus
 # and catch regressions in the checked decode paths; leave a target running
@@ -156,13 +158,14 @@ bench-spmm:
 	$(GO) test -run xxx -bench 'BenchmarkMatMulEmbed' -benchmem -count=5 ./internal/dense
 
 # Cold-path kernels at the harness shapes, each next to the routine it
-# replaced (kept as the test oracle): the radix CSR build vs the
-# comparison-sort build (RMAT-12/13 arc lists), the text writer vs one
-# Fprintf per arc, the chunked artifact codec vs the per-element one
+# replaced (kept as the test oracle): the streamed edge-list parser vs the
+# serial Scanner one (200 000 lines, CSR build included), the radix CSR
+# build vs the comparison-sort build (RMAT-12/13 arc lists), the text writer
+# vs one Fprintf per arc, the chunked artifact codec vs the per-element one
 # (4096×64 and 8192×32), and the tiled IVF assignment vs the scalar kernel
 # (4096×64). -count=5 for benchstat.
 bench-cold:
-	$(GO) test -run xxx -bench 'BenchmarkFromEdges|BenchmarkWriteEdgeList' -benchmem -count=5 ./internal/graph
+	$(GO) test -run xxx -bench 'BenchmarkParseEdgeList|BenchmarkFromEdges|BenchmarkWriteEdgeList' -benchmem -count=5 ./internal/graph
 	$(GO) test -run xxx -bench 'BenchmarkReadEmbeddingBinary|BenchmarkEncodeCheckpoint' -benchmem -count=5 .
 	$(GO) test -run xxx -bench 'BenchmarkANNBuild' -benchmem -count=5 ./internal/ann
 
@@ -172,10 +175,6 @@ bench-cold:
 # and spectrum agreement, printed as the E14 table.
 bench-factorize:
 	$(GO) run ./cmd/lightne-bench -exp e14
-
-# Quick serving throughput/latency check (closed-loop load generator).
-serve-bench:
-	$(GO) test -run xxx -bench BenchmarkServing -benchtime 2000x .
 
 # Failover drill: boot a leader and two followers on loopback, publish two
 # generations, kill the leader, and assert both followers keep answering

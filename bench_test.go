@@ -9,15 +9,12 @@
 package lightne_test
 
 import (
-	"context"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"lightne"
 	"lightne/internal/compress"
-	"lightne/internal/dense"
 	"lightne/internal/eval"
 	"lightne/internal/experiments"
 	"lightne/internal/gen"
@@ -25,7 +22,6 @@ import (
 	"lightne/internal/prone"
 	"lightne/internal/rng"
 	"lightne/internal/sampler"
-	"lightne/internal/serve"
 )
 
 // benchExperiment wraps one paper artifact as a benchmark.
@@ -307,46 +303,6 @@ func BenchmarkAblation_PropagationFilters(b *testing.B) {
 				}
 				b.ReportMetric(100*cr.MicroF1, "microF1%")
 			}
-		})
-	}
-}
-
-// BenchmarkServing measures the serving subsystem's query path — the §1
-// deployments' end product (embeddings consumed by recommendation
-// queries). Closed-loop HTTP clients drive /v1/neighbors over a published
-// snapshot; qps and exact percentile latencies are reported per precision.
-func BenchmarkServing(b *testing.B) {
-	const vertices, dims = 5000, 64
-	x := dense.NewMatrix(vertices, dims)
-	x.FillGaussian(11)
-	for _, precision := range serve.Precisions() {
-		b.Run(precision, func(b *testing.B) {
-			ix, err := serve.NewIndex(x, precision)
-			if err != nil {
-				b.Fatal(err)
-			}
-			store := serve.NewStore()
-			store.Publish(ix, 0)
-			ts := httptest.NewServer(serve.New(store).Handler())
-			defer ts.Close()
-			b.ReportMetric(float64(ix.MemoryBytes()), "bytes")
-			b.ResetTimer()
-			rep, err := serve.RunLoad(context.Background(), ts.URL, serve.LoadConfig{
-				Workers:  8,
-				Requests: b.N,
-				Vertices: vertices,
-				K:        10,
-				Seed:     1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.Errors > 0 {
-				b.Fatalf("%d load errors", rep.Errors)
-			}
-			b.ReportMetric(rep.QPS, "qps")
-			b.ReportMetric(float64(rep.P50.Microseconds()), "p50-µs")
-			b.ReportMetric(float64(rep.P99.Microseconds()), "p99-µs")
 		})
 	}
 }

@@ -1,11 +1,8 @@
 package lightne
 
 import (
-	"io"
-
 	"lightne/internal/eval"
 	"lightne/internal/gen"
-	"lightne/internal/graph"
 )
 
 // Evaluation re-exports: the paper's downstream protocols (§5.1).
@@ -86,10 +83,4 @@ func ProcrustesDistance(a, b *Matrix) (float64, error) {
 // graphs and useful for validating the sampled Ranking.
 func ExactRanking(x *Matrix, test []Edge, ks []int) RankingResult {
 	return eval.ExactRanking(x, test, ks, nil)
-}
-
-// LoadGraphParallel parses an edge list with data-parallel chunked parsing
-// (same semantics as LoadGraph, faster on multi-core machines).
-func LoadGraphParallel(r io.Reader, n int) (*Graph, error) {
-	return graph.LoadEdgeListParallel(r, n, graph.DefaultOptions())
 }

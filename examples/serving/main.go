@@ -2,13 +2,14 @@
 // in downstream machine learning and recommendation algorithms"): embed a
 // community graph, publish it to the serving subsystem, and exercise the
 // real HTTP API end to end — neighbor queries, a hot snapshot swap fed by
-// the dynamic-update layer, a closed-loop load run, and the metrics the
-// server collected about all of it.
+// the dynamic-update layer, batched queries, and the metrics the server
+// collected about all of it.
 //
 //	go run ./examples/serving
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -88,18 +89,14 @@ func main() {
 	}
 	fmt.Println()
 
-	// 6. Load: closed-loop throughput/latency measurement.
-	rep, err := serve.RunLoad(ctx, base, serve.LoadConfig{
-		Workers:  8,
-		Requests: 2000,
-		Vertices: int(n),
-		K:        10,
-		Seed:     1,
-	})
-	if err != nil {
-		log.Fatal(err)
+	// 6. Traffic: a few single and batched neighbor queries for the
+	// metrics below to count.
+	for v := 0; v < 8; v++ {
+		mustGet(base+fmt.Sprintf("/v1/neighbors?vertex=%d&k=10", v), &nbrs)
 	}
-	fmt.Println("load run:", rep)
+	var batchResp serve.BatchResponse
+	mustPost(base+"/v1/batch", serve.BatchRequest{Queries: []serve.NeighborsRequest{{Vertex: 1}, {Vertex: 2}, {Vertex: int(n)}}}, &batchResp)
+	fmt.Printf("batch of %d queries answered from snapshot v%d\n", len(batchResp.Results), batchResp.SnapshotVersion)
 
 	// 7. Observability: what the server recorded about all of the above.
 	resp, err := http.Get(base + "/metrics")
@@ -118,6 +115,19 @@ func main() {
 
 func mustGet(url string, out any) {
 	resp, err := http.Get(url)
+	mustDecode(url, resp, err, out)
+}
+
+func mustPost(url string, in, out any) {
+	body, err := json.Marshal(in)
+	if err != nil {
+		log.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	mustDecode(url, resp, err, out)
+}
+
+func mustDecode(url string, resp *http.Response, err error, out any) {
 	if err != nil {
 		log.Fatal(err)
 	}

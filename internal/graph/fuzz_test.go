@@ -6,8 +6,10 @@ import (
 	"testing"
 )
 
-// FuzzLoadEdgeList asserts the text parser never panics and that any graph
-// it accepts is internally consistent.
+// FuzzLoadEdgeList checks the streamed parser against the serial oracle,
+// unweighted and weighted (arcs, vertex count, accept/reject, the line an
+// error names), with one-megabyte blocks and with 13-byte ones, and that
+// any graph LoadEdgeList accepts is internally consistent.
 func FuzzLoadEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2\n")
 	f.Add("# comment\n5 5\n")
@@ -16,7 +18,17 @@ func FuzzLoadEdgeList(f *testing.F) {
 	f.Add("4294967295 0\n")
 	f.Add("-1 2\n")
 	f.Add("0\t1\r\n")
+	f.Add("0 1 2.5\n1 2\n2 0 0.25")
+	f.Add("0 1 1e-3\r\n% weighted\n1 2 inf\n")
+	f.Add("0 1 x\n")
+	f.Add("0 1 -2\n1 0 0x1p-2\n")
+	f.Add("0\u00a01 3\u20037\n")
 	f.Fuzz(func(t *testing.T, input string) {
+		defer func(b int) { blockBytes = b }(blockBytes)
+		for _, block := range []int{1 << 20, 13} {
+			blockBytes = block
+			checkParser(t, input, 0)
+		}
 		g, err := LoadEdgeList(strings.NewReader(input), 0, DefaultOptions())
 		if err != nil {
 			return

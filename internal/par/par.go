@@ -270,46 +270,6 @@ func ReduceFloat64Det(n int, f func(i int) float64) float64 {
 	return partial[0]
 }
 
-// ReduceInt64 computes the sum of f(i) for i in [0, n) in parallel.
-func ReduceInt64(n, grain int, f func(i int) int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	var s int64
-	ForRange(n, grain, func(lo, hi int) {
-		var local int64
-		for i := lo; i < hi; i++ {
-			local += f(i)
-		}
-		atomic.AddInt64(&s, local)
-	})
-	return s
-}
-
-// MaxInt64 computes the maximum of f(i) for i in [0, n) in parallel.
-// It returns the provided identity when n <= 0.
-func MaxInt64(n, grain int, identity int64, f func(i int) int64) int64 {
-	if n <= 0 {
-		return identity
-	}
-	var mu sync.Mutex
-	best := identity
-	ForRange(n, grain, func(lo, hi int) {
-		local := identity
-		for i := lo; i < hi; i++ {
-			if v := f(i); v > local {
-				local = v
-			}
-		}
-		mu.Lock()
-		if local > best {
-			best = local
-		}
-		mu.Unlock()
-	})
-	return best
-}
-
 // MaxFloat64 computes the maximum of f(i) for i in [0, n) in parallel.
 // It returns the provided identity when n <= 0. Max is order-independent,
 // so the result is exact and schedule-independent (unlike float sums).

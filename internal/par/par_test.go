@@ -110,29 +110,6 @@ func TestForBlocksVisitsEachBlockOnce(t *testing.T) {
 	}
 }
 
-func TestReduceInt64(t *testing.T) {
-	n := 100000
-	got := ReduceInt64(n, 0, func(i int) int64 { return int64(i) })
-	want := int64(n) * int64(n-1) / 2
-	if got != want {
-		t.Fatalf("got %d want %d", got, want)
-	}
-	if ReduceInt64(0, 0, func(int) int64 { return 1 }) != 0 {
-		t.Fatal("empty reduce should be 0")
-	}
-}
-
-func TestMaxInt64(t *testing.T) {
-	vals := []int64{3, 9, 1, 9, 2, 8, 7}
-	got := MaxInt64(len(vals), 2, math.MinInt64, func(i int) int64 { return vals[i] })
-	if got != 9 {
-		t.Fatalf("got %d want 9", got)
-	}
-	if MaxInt64(0, 0, -5, nil) != -5 {
-		t.Fatal("empty max should return identity")
-	}
-}
-
 func TestExclusiveScan(t *testing.T) {
 	counts := []int64{3, 0, 2, 5}
 	total := ExclusiveScan(counts)
@@ -264,13 +241,6 @@ func TestParallelPathsUnderRaisedGOMAXPROCS(t *testing.T) {
 	got := ReduceFloat64Det(n, func(i int) float64 { return float64(i) })
 	if math.Abs(got-want) > 1e-6*want {
 		t.Fatalf("parallel reduce %g want %g", got, want)
-	}
-
-	if s := ReduceInt64(n, 16, func(i int) int64 { return 1 }); s != int64(n) {
-		t.Fatalf("parallel ReduceInt64 %d", s)
-	}
-	if m := MaxInt64(n, 16, math.MinInt64, func(i int) int64 { return int64(i) }); m != int64(n-1) {
-		t.Fatalf("parallel MaxInt64 %d", m)
 	}
 
 	var a, b int32

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -417,67 +416,5 @@ func TestRequestTimeoutMiddleware(t *testing.T) {
 	srv2.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code == http.StatusServiceUnavailable && strings.Contains(rec.Body.String(), "concurrency limit") {
 		t.Fatal("healthz was shed")
-	}
-}
-
-// TestLoadGeneratorRetriesConnectionRefused: a load run racing a server that
-// has not bound its listener yet retries refused connections instead of
-// counting them as errors.
-func TestLoadGeneratorRetriesConnectionRefused(t *testing.T) {
-	store, ts := newTestServer(t, 20, 4)
-	defer ts.Close()
-	// Reserve a port, release it, and only bring a server up there after the
-	// load run has already started issuing requests.
-	ln := newLocalListener(t)
-	addr := ln.Addr().String()
-	ln.Close()
-
-	// With retries disabled every request fails fast.
-	rep, err := RunLoad(context.Background(), "http://"+addr, LoadConfig{
-		Workers:        2,
-		Requests:       4,
-		Vertices:       20,
-		ConnectRetries: -1,
-		Timeout:        2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != rep.Requests {
-		t.Fatalf("no listener: %d errors of %d requests", rep.Errors, rep.Requests)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	bindErr := make(chan error, 1)
-	go func() {
-		time.Sleep(60 * time.Millisecond)
-		ln2, err := net.Listen("tcp", addr)
-		if err != nil {
-			bindErr <- err
-			return
-		}
-		bindErr <- nil
-		_ = New(store).Serve(ctx, ln2)
-	}()
-	rep, err = RunLoad(ctx, "http://"+addr, LoadConfig{
-		Workers:        2,
-		Requests:       10,
-		Vertices:       20,
-		ConnectRetries: 30,
-		Timeout:        5 * time.Second,
-		Seed:           1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-bindErr; err != nil {
-		t.Skipf("could not rebind %s: %v", addr, err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("%d errors despite connect retries: %+v", rep.Errors, rep)
-	}
-	if rep.Requests != 10 {
-		t.Fatalf("issued %d requests", rep.Requests)
 	}
 }

@@ -484,35 +484,6 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-func TestLoadGenerator(t *testing.T) {
-	_, ts := newTestServer(t, 50, 8)
-	rep, err := RunLoad(context.Background(), ts.URL, LoadConfig{
-		Workers:  4,
-		Requests: 80,
-		Vertices: 50,
-		K:        5,
-		Seed:     3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != 80 {
-		t.Fatalf("issued %d requests", rep.Requests)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("%d errors", rep.Errors)
-	}
-	if rep.QPS <= 0 || rep.P50 <= 0 || rep.P99 < rep.P50 {
-		t.Fatalf("implausible report %+v", rep)
-	}
-	if s := rep.String(); !strings.Contains(s, "qps") {
-		t.Fatalf("report string %q", s)
-	}
-	if _, err := RunLoad(context.Background(), ts.URL, LoadConfig{}); err == nil {
-		t.Fatal("expected Vertices validation error")
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	var h latencyHist
 	for i := 0; i < 90; i++ {

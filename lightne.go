@@ -94,8 +94,9 @@ func LoadWeightedGraph(r io.Reader, n int) (*Graph, error) {
 	return graph.LoadWeightedEdgeList(r, n, graph.DefaultOptions())
 }
 
-// LoadGraph parses a whitespace-separated edge list. If n <= 0 the vertex
-// count is inferred from the maximum ID.
+// LoadGraph parses a whitespace-separated edge list ("u v" per line, '#' and
+// '%' lines are comments), streamed in blocks that all workers parse. If
+// n <= 0 the vertex count is inferred from the maximum ID.
 func LoadGraph(r io.Reader, n int) (*Graph, error) {
 	return graph.LoadEdgeList(r, n, graph.DefaultOptions())
 }
