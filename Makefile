@@ -24,7 +24,7 @@ test:
 # reduction passes a single run by luck (core.TestEmbedDeterministic did for
 # three re-anchors).
 NPROC ?= $(shell nproc 2>/dev/null || echo 2)
-DETERMINISM_PKGS = . ./internal/core ./internal/dense ./internal/sparse ./internal/prone ./internal/svd ./internal/netsmf ./internal/sampler ./internal/dynamic ./internal/hashtable
+DETERMINISM_PKGS = . ./internal/core ./internal/dense ./internal/par ./internal/sparse ./internal/prone ./internal/svd ./internal/netsmf ./internal/sampler ./internal/dynamic ./internal/hashtable
 determinism:
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden' $(DETERMINISM_PKGS)
 	GOMAXPROCS=$(NPROC) $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden' $(DETERMINISM_PKGS)
@@ -87,12 +87,15 @@ fuzz:
 check: tier1 vet race
 
 # The second line vets the !amd64 build, whose dense kernels are the Go
-# loops alone, so the fallback cannot stop compiling unnoticed. The third
-# fails when gofmt would reformat any Go file of the module (the nested
-# benchmark/ module and dot-directories such as .bench_build/ excluded).
+# loops alone, so the fallback cannot stop compiling unnoticed; the third
+# vets the !unix build, whose only Mmap is the stub in mmap_stub.go. The
+# fourth fails when gofmt would reformat any Go file of the module (the
+# nested benchmark/ module and dot-directories such as .bench_build/
+# excluded).
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
+	GOOS=windows $(GO) vet ./...
 	@unformatted=$$(find . -name '*.go' ! -path './benchmark/*' ! -path './.*' | xargs gofmt -l); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
@@ -141,11 +144,11 @@ bench-absorb:
 # The rSVD's dense kernels at the harness shapes, each in both forms (the Go
 # loops and, where the CPU has it, AVX: sub-benchmarks go/ and avx/): the
 # panel QR (4096×64, 8192×32, 16384×64) and its fused update + dot sweep,
-# C = Zᵀ·B (MatMulATBDet, 4096×64) and the k×k Jacobi SVD (64×64), each next
+# C = Zᵀ·B (MatMulATB, 4096×64) and the k×k Jacobi SVD (64×64), each next
 # to the loop it replaced, kept as the test oracle. On one core and on two,
 # since the QR runs its R and Q phases concurrently. -count=5 for benchstat.
 bench-qr:
-	$(GO) test -run xxx -bench 'BenchmarkQRTallSkinny|BenchmarkQROracle|BenchmarkUpdateDotPanels|BenchmarkMatMulATBDet|BenchmarkSVD' -benchmem -cpu 1,2 -count=5 ./internal/dense
+	$(GO) test -run xxx -bench 'BenchmarkQRTallSkinny|BenchmarkQROracle|BenchmarkUpdateDotPanels|BenchmarkMatMulATB|BenchmarkSVD' -benchmem -cpu 1,2 -count=5 ./internal/dense
 
 # The row-accumulate kernel at the harness shapes (RMAT-12 adjacency × 64,
 # a ~250 k-entry matrix × 64, RMAT-13 adjacency × 32; Gflop/s reported) and

@@ -19,7 +19,6 @@ import (
 	"lightne/internal/experiments"
 	"lightne/internal/gen"
 	"lightne/internal/graph"
-	"lightne/internal/prone"
 	"lightne/internal/rng"
 	"lightne/internal/sampler"
 )
@@ -269,39 +268,6 @@ func BenchmarkKernel_RandomWalk(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				u = tc.g.Walk(u, 8, src)
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_PropagationFilters compares the three spectral filters
-// (Chebyshev-Gaussian, heat kernel, PPR) on quality and cost.
-func BenchmarkAblation_PropagationFilters(b *testing.B) {
-	ds, err := gen.OAGLike(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := lightne.SmallConfig(32)
-	base.SkipPropagation = true
-	base.Seed = 5
-	res, err := lightne.Embed(ds.Graph, base)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, kind := range []prone.Filter{prone.FilterChebyshevGaussian, prone.FilterHeatKernel, prone.FilterPPR} {
-		b.Run(kind.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := prone.DefaultPropagation()
-				cfg.Kind = kind
-				y, err := lightne.Propagate(ds.Graph, res.Initial, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cr, err := eval.NodeClassification(y, ds.Labels.Of, ds.Labels.NumClasses, 0.1, 3, eval.DefaultTrain())
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(100*cr.MicroF1, "microF1%")
 			}
 		})
 	}

@@ -209,7 +209,9 @@ const streamChunkEntries = 1 << 20
 // propagation. trials is the realized sample count M̂ accumulated in sink; of
 // cfg the sampling fields are not read. A hash-table sink is left intact; a
 // batched pass's sink hands over its grouped arrays, which the multi-pass
-// path scales in place. Result.SampleStats is the caller's to fill.
+// path reads into a separately allocated scaled matrix, so the raw and the
+// scaled CSR are resident together. Result.SampleStats is the caller's to
+// fill.
 //
 // Because per-vertex RNG streams fix the sample multiset, fixed-point
 // accumulation is exact and commutative, and the fully-sorted drain (or the

@@ -138,7 +138,7 @@ func TestEmbedDeterministic(t *testing.T) {
 // same embedding, bit for bit, whatever GOMAXPROCS is — every parallel
 // kernel on the path either owns its output elements outright (SpMM, MatMul,
 // the QR's columns, the element-wise updates) or reduces over a fixed
-// geometry (MatMulATBDet).
+// geometry (MatMulATB).
 func TestEmbedDeterministicAcrossProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	g, _ := sbm(t)

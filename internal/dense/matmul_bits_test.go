@@ -83,13 +83,13 @@ func TestMatMulBitIdenticalToOracle(t *testing.T) {
 	}
 }
 
-// TestMatMulATBDetBitIdenticalToOracle: the fixed-geometry Aᵀ·B on the
+// TestMatMulATBBitIdenticalToOracle: the fixed-geometry Aᵀ·B on the
 // row-accumulate kernel (a column of A gathered, then one accumulate per row
 // of the result) must return the bits of the row-update loop it replaced, on
 // both kernel forms and at every GOMAXPROCS. A carries exact zeros of both
 // signs opposite non-finite rows of B (the skip must still skip) and special
 // values everywhere else. See DESIGN.md "Numerics".
-func TestMatMulATBDetBitIdenticalToOracle(t *testing.T) {
+func TestMatMulATBBitIdenticalToOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	src := rng.New(53, 0)
 	for _, s := range [][3]int{{1, 1, 1}, {63, 7, 5}, {300, 74, 33}, {4097, 64, 64}} {
@@ -113,12 +113,12 @@ func TestMatMulATBDetBitIdenticalToOracle(t *testing.T) {
 			}
 		}
 		want := NewMatrix(p, q)
-		matMulATBDetOracle(want, a, b)
+		matMulATBOracle(want, a, b)
 		forEachKernelSet(func(kernels string) {
 			for _, procs := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(procs)
 				got := NewMatrix(p, q)
-				MatMulATBDet(got, a, b)
+				MatMulATB(got, a, b)
 				compareBits(t, fmt.Sprintf("%dx%dx%d %s procs=%d", n, p, q, kernels, procs), got.Data, want.Data)
 			}
 		})

@@ -32,17 +32,19 @@ func matMulOracle(c, a, b *Matrix) {
 	})
 }
 
-// matMulATBDetOracle is MatMulATBDet's block body before it moved onto the
-// row-accumulate kernel, moved here verbatim: per block, for i ascending and
-// k ascending, the row update acc[k][j] += a[i][k]·b[i][j] with exact zeros
-// of A skipped, then the same CombineTree.
-func matMulATBDetOracle(c, a, b *Matrix) {
+// matMulATBOracle is MatMulATB's block body before it moved onto the
+// row-accumulate kernel, moved here verbatim with its own copy of the block
+// geometry (at most 64 blocks of equal ceiling size, a function of n alone):
+// per block, for i ascending and k ascending, the row update
+// acc[k][j] += a[i][k]·b[i][j] with exact zeros of A skipped, then the same
+// CombineTree.
+func matMulATBOracle(c, a, b *Matrix) {
 	n, p, q := a.Rows, a.Cols, b.Cols
 	if n == 0 || p == 0 || q == 0 {
 		c.Zero()
 		return
 	}
-	nb := atbDetBlocks
+	nb := 64
 	if nb > n {
 		nb = n
 	}

@@ -19,9 +19,7 @@
 // Determinism: a kernel here is bit-identical across GOMAXPROCS when each
 // output element is computed by one goroutine in a fixed order (MatMul and
 // AccumulateRows, QR, Transpose, Scale, FillGaussian) or when its reduction
-// geometry is a function of the shape alone (MatMulATBDet, CombineTree).
-// MatMulATB folds per-worker partials and is deterministic only to rounding;
-// nothing on the embedding path may use it where bits matter.
+// geometry is a function of the shape alone (MatMulATB, CombineTree).
 package dense
 
 import (
@@ -186,53 +184,14 @@ func MatMul(c, a, b *Matrix) {
 	})
 }
 
-// MatMulATB computes C = Aᵀ·B where A is n×p and B is n×q, producing p×q.
-// Parallelized over blocks of shared rows with per-worker accumulators,
-// then reduced; the accumulation order is deterministic.
+// MatMulATB computes C = Aᵀ·B where A is n×p and B is n×q, producing p×q,
+// bit-identically for every GOMAXPROCS: the shared row space is split into
+// the fixed blocks of par.DetBounds (a function of n alone), each block
+// accumulates its p×q partial product sequentially, and the partials are
+// folded by a fixed pairwise tree (CombineTree).
 func MatMulATB(c, a, b *Matrix) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("dense: MatMulATB shape mismatch (%dx%d)ᵀ·(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	p, q := a.Cols, b.Cols
-	workers := par.Workers()
-	partials := make([][]float64, workers)
-	used := make([]bool, workers)
-	par.WorkerFor(a.Rows, 32, func(w, lo, hi int) {
-		if partials[w] == nil {
-			partials[w] = make([]float64, p*q)
-		}
-		used[w] = true
-		atbRows(partials[w], a, b, lo, hi)
-	})
-	c.Zero()
-	for w := 0; w < workers; w++ {
-		if !used[w] {
-			continue
-		}
-		for i, v := range partials[w] {
-			c.Data[i] += v
-		}
-	}
-}
-
-// atbDetBlocks is the fixed row-partition width target for MatMulATBDet.
-// The block count is a pure function of the row count alone — never of
-// Workers() — so the partial-product geometry, and therefore the
-// floating-point combine order, is identical for every GOMAXPROCS.
-const atbDetBlocks = 64
-
-// MatMulATBDet computes C = Aᵀ·B like MatMulATB, but bit-deterministically
-// across worker counts: the shared row space is split into a fixed number of
-// blocks independent of GOMAXPROCS, each block accumulates its p×q partial
-// product sequentially, and the partials are folded by a fixed pairwise tree
-// (CombineTree). MatMulATB's dynamic chunk-to-worker assignment makes its
-// float summation order schedule-dependent; use this variant wherever the
-// product feeds a bit-reproducibility guarantee (the single-pass sketched
-// factorization does).
-func MatMulATBDet(c, a, b *Matrix) {
-	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
-		panic(fmt.Sprintf("dense: MatMulATBDet shape mismatch (%dx%d)ᵀ·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	n, p, q := a.Rows, a.Cols, b.Cols
@@ -240,19 +199,9 @@ func MatMulATBDet(c, a, b *Matrix) {
 		c.Zero()
 		return
 	}
-	nb := atbDetBlocks
-	if nb > n {
-		nb = n
-	}
-	size := (n + nb - 1) / nb
-	nb = (n + size - 1) / size
-	partials := make([][]float64, nb)
-	par.For(nb, 1, func(bi int) {
-		lo := bi * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
+	bounds := par.DetBounds(n)
+	partials := make([][]float64, len(bounds)-1)
+	par.ForBlocks(bounds, func(bi, lo, hi int) {
 		acc := make([]float64, p*q)
 		atbRows(acc, a, b, lo, hi)
 		partials[bi] = acc

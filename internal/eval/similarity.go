@@ -88,7 +88,7 @@ func ProcrustesDistance(a, b *dense.Matrix) (float64, error) {
 	}
 	d := a.Cols
 	m := dense.NewMatrix(d, d)
-	dense.MatMulATBDet(m, a, b)
+	dense.MatMulATB(m, a, b)
 	u, _, v := dense.SVD(m)
 	// R = U·Vᵀ.
 	r := dense.NewMatrix(d, d)

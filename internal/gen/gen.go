@@ -330,51 +330,6 @@ func RMAT(cfg RMATConfig) (*graph.Graph, error) {
 	return graph.FromEdges(n, arcs, graph.DefaultOptions())
 }
 
-// PlantLabels assigns multi-label classes correlated with graph communities
-// found by simple label propagation from random seeds. It is used to give
-// classification structure to generator families that don't plant labels
-// (Chung–Lu, RMAT replicas). Returns sparse labels: roughly labelFrac of
-// vertices carry at least one label.
-func PlantLabels(g *graph.Graph, numClasses int, labelFrac float64, seed uint64) *Labels {
-	n := g.NumVertices()
-	src := rng.New(seed, 3)
-	assign := make([]int, n)
-	for i := range assign {
-		assign[i] = -1
-	}
-	// Seed classes at random vertices, then BFS-style propagate.
-	type qitem struct {
-		v uint32
-		c int
-	}
-	var queue []qitem
-	for c := 0; c < numClasses; c++ {
-		v := uint32(src.Intn(n))
-		assign[v] = c
-		queue = append(queue, qitem{v, c})
-	}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		d := g.Degree(it.v)
-		for k := 0; k < d; k++ {
-			u := g.Neighbor(it.v, k)
-			if assign[u] == -1 {
-				assign[u] = it.c
-				queue = append(queue, qitem{u, it.c})
-			}
-		}
-	}
-	labels := &Labels{NumClasses: numClasses, Of: make([][]int, n)}
-	for v := 0; v < n; v++ {
-		if assign[v] == -1 || !src.Bernoulli(labelFrac) {
-			continue
-		}
-		labels.Of[v] = append(labels.Of[v], assign[v])
-	}
-	return labels
-}
-
 // Stats summarizes a generated graph for reporting (Table 3 analog).
 type Stats struct {
 	Name      string

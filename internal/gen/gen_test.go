@@ -186,29 +186,6 @@ func TestRMATErrors(t *testing.T) {
 	}
 }
 
-func TestPlantLabels(t *testing.T) {
-	g, err := ChungLu(ChungLuConfig{N: 2000, AvgDegree: 10, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := PlantLabels(g, 6, 0.5, 19)
-	if labels.NumClasses != 6 {
-		t.Fatal("NumClasses wrong")
-	}
-	labeled := 0
-	for _, ls := range labels.Of {
-		if len(ls) > 0 {
-			labeled++
-			if ls[0] < 0 || ls[0] >= 6 {
-				t.Fatalf("label out of range: %v", ls)
-			}
-		}
-	}
-	if labeled < 500 || labeled > 1500 {
-		t.Fatalf("labeled count %d outside expected band", labeled)
-	}
-}
-
 func TestAllDatasetsGenerate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset generation is slow in -short mode")

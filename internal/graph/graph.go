@@ -149,11 +149,6 @@ func (g *Graph) BlockSize() int {
 	return g.comp.BlockSize()
 }
 
-// OffsetOf returns the CSR offset of vertex u's neighbor range; OffsetOf(n)
-// equals NumEdges. Exposed for samplers that binary-search degree prefix
-// sums (paper §4.2).
-func (g *Graph) OffsetOf(u int) int64 { return g.offsets[u] }
-
 // Degree returns the out-degree of u.
 func (g *Graph) Degree(u uint32) int {
 	return int(g.offsets[u+1] - g.offsets[u])
@@ -270,25 +265,6 @@ func (g *Graph) MapEdges(fn func(u, v uint32)) {
 		}
 		for _, v := range g.edges[g.offsets[u]:g.offsets[u+1]] {
 			fn(u, v)
-		}
-	})
-}
-
-// MapEdgesWorker calls fn(worker, u, v) for every directed arc in parallel.
-// The worker index is dense in [0, par.Workers()) and never used by two
-// concurrent chunks, letting callers keep per-worker RNGs and buffers —
-// the pattern LightNE's downsampled PathSampling uses (Algorithm 2).
-func (g *Graph) MapEdgesWorker(fn func(worker int, u, v uint32)) {
-	par.WorkerFor(g.n, 64, func(worker, lo, hi int) {
-		for ui := lo; ui < hi; ui++ {
-			u := uint32(ui)
-			if g.comp != nil {
-				g.comp.Decode(u, func(v uint32) { fn(worker, u, v) })
-				continue
-			}
-			for _, v := range g.edges[g.offsets[u]:g.offsets[u+1]] {
-				fn(worker, u, v)
-			}
 		}
 	})
 }

@@ -147,28 +147,6 @@ func TestMapEdgesVisitsEveryArc(t *testing.T) {
 	}
 }
 
-func TestMapEdgesWorker(t *testing.T) {
-	n := 2000
-	arcs := make([]Edge, 0, n)
-	for i := 0; i < n-1; i++ {
-		arcs = append(arcs, Edge{uint32(i), uint32(i + 1)})
-	}
-	g, err := FromEdges(n, arcs, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var visited int64
-	g.MapEdgesWorker(func(worker int, u, v uint32) {
-		if worker < 0 {
-			t.Errorf("bad worker %d", worker)
-		}
-		atomic.AddInt64(&visited, 1)
-	})
-	if visited != g.NumEdges() {
-		t.Fatalf("visited %d want %d", visited, g.NumEdges())
-	}
-}
-
 func TestRandomNeighborDistribution(t *testing.T) {
 	// Star graph: center 0 with leaves 1..4. Random neighbor of 0 must be
 	// roughly uniform over leaves.

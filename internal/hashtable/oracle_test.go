@@ -150,15 +150,10 @@ func drainShardsKeys(t *Table) (keys []uint64, ws []float64) {
 	total := par.ExclusiveScan(offsets)
 	keys = make([]uint64, total)
 	ws = make([]float64, total)
-	fns := make([]func(), len(shards))
-	for i := range shards {
-		i := i
-		fns[i] = func() {
-			lo := offsets[i]
-			shards[i].drainKeysInto(keys[lo:], ws[lo:])
-		}
-	}
-	par.Do(fns...)
+	par.For(len(shards), 1, func(i int) {
+		lo := offsets[i]
+		shards[i].drainKeysInto(keys[lo:], ws[lo:])
+	})
 	return keys, ws
 }
 

@@ -139,7 +139,8 @@ func ForRange(n, grain int, body func(lo, hi int)) {
 
 // WorkerFor runs body(worker, lo, hi) like ForRange but additionally passes
 // a dense worker index in [0, Workers()) so the body can use per-worker
-// scratch state (RNGs, buffers) without allocation or contention. Multiple
+// scratch state (RNGs, buffers) without allocation or contention. The chunks
+// are the blocks of Blocks(n, grain), handed out by WorkerBlocks: multiple
 // chunks may be processed by the same worker index, but two chunks never run
 // concurrently under the same worker index.
 func WorkerFor(n, grain int, body func(worker, lo, hi int)) {
@@ -149,68 +150,11 @@ func WorkerFor(n, grain int, body func(worker, lo, hi int)) {
 	if grain <= 0 {
 		grain = DefaultGrain
 	}
-	p := Workers()
-	if p == 1 || n <= grain {
+	if Workers() == 1 || n <= grain {
 		body(0, 0, n)
 		return
 	}
-	chunks := p * 4
-	if maxChunks := (n + grain - 1) / grain; chunks > maxChunks {
-		chunks = maxChunks
-	}
-	if chunks <= 1 {
-		body(0, 0, n)
-		return
-	}
-	var next int64
-	size := (n + chunks - 1) / chunks
-	var wg sync.WaitGroup
-	workers := p
-	if workers > chunks {
-		workers = chunks
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				c := int(atomic.AddInt64(&next, 1)) - 1
-				lo := c * size
-				if lo >= n {
-					return
-				}
-				hi := lo + size
-				if hi > n {
-					hi = n
-				}
-				body(worker, lo, hi)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// Do runs the given functions concurrently and waits for all of them.
-func Do(fns ...func()) {
-	if len(fns) == 0 {
-		return
-	}
-	if len(fns) == 1 || Workers() == 1 {
-		for _, fn := range fns {
-			fn()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(fns) - 1)
-	for _, fn := range fns[1:] {
-		go func(f func()) {
-			defer wg.Done()
-			f()
-		}(fn)
-	}
-	fns[0]()
-	wg.Wait()
+	WorkerBlocks(Blocks(n, grain), func(worker, _, lo, hi int) { body(worker, lo, hi) })
 }
 
 // detBlocks is the fixed block count of the deterministic reduction. It is a

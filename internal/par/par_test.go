@@ -3,6 +3,7 @@ package par
 import (
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -38,32 +39,36 @@ func TestForRangeDisjointCover(t *testing.T) {
 	}
 }
 
+// TestWorkerForWorkerIndexInRange: every worker index is dense, and the
+// chunks WorkerFor hands out are exactly the blocks of Blocks(n, grain), at
+// the edges of the inline path and past the 4·Workers() chunk cap.
 func TestWorkerForWorkerIndexInRange(t *testing.T) {
-	n := 50000
-	p := Workers()
-	var visited int64
-	WorkerFor(n, 64, func(worker, lo, hi int) {
-		if worker < 0 || worker >= p {
-			t.Errorf("worker index %d out of [0,%d)", worker, p)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const grain = 64
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, grain, grain + 1, 4*procs*grain + 3, 100003} {
+			var mu sync.Mutex
+			got := map[[2]int]int{}
+			WorkerFor(n, grain, func(worker, lo, hi int) {
+				if worker < 0 || worker >= procs {
+					t.Errorf("procs=%d n=%d: worker index %d out of [0,%d)", procs, n, worker, procs)
+				}
+				mu.Lock()
+				got[[2]int{lo, hi}]++
+				mu.Unlock()
+			})
+			bounds := Blocks(n, grain)
+			if len(got) != len(bounds)-1 {
+				t.Fatalf("procs=%d n=%d: WorkerFor cut %d chunks, Blocks %d", procs, n, len(got), len(bounds)-1)
+			}
+			for b := 0; b+1 < len(bounds); b++ {
+				if c := got[[2]int{bounds[b], bounds[b+1]}]; c != 1 {
+					t.Fatalf("procs=%d n=%d: block [%d,%d) run %d times by WorkerFor", procs, n, bounds[b], bounds[b+1], c)
+				}
+			}
 		}
-		atomic.AddInt64(&visited, int64(hi-lo))
-	})
-	if visited != int64(n) {
-		t.Fatalf("visited %d iterations, want %d", visited, n)
 	}
-}
-
-func TestDoRunsAll(t *testing.T) {
-	var a, b, c int32
-	Do(
-		func() { atomic.StoreInt32(&a, 1) },
-		func() { atomic.StoreInt32(&b, 2) },
-		func() { atomic.StoreInt32(&c, 3) },
-	)
-	if a != 1 || b != 2 || c != 3 {
-		t.Fatalf("got %d %d %d", a, b, c)
-	}
-	Do() // must not hang or panic
 }
 
 func TestBlocksCoverDisjoint(t *testing.T) {
@@ -241,12 +246,6 @@ func TestParallelPathsUnderRaisedGOMAXPROCS(t *testing.T) {
 	got := ReduceFloat64Det(n, func(i int) float64 { return float64(i) })
 	if math.Abs(got-want) > 1e-6*want {
 		t.Fatalf("parallel reduce %g want %g", got, want)
-	}
-
-	var a, b int32
-	Do(func() { atomic.StoreInt32(&a, 1) }, func() { atomic.StoreInt32(&b, 1) })
-	if a != 1 || b != 1 {
-		t.Fatal("parallel Do incomplete")
 	}
 }
 

@@ -33,16 +33,12 @@ import (
 type PropagationConfig struct {
 	// Order is the polynomial degree k (paper: "k is set to around 10").
 	Order int
-	// Mu modulates the Laplacian spectrum (ProNE default 0.2). For the PPR
-	// filter it doubles as the damping complement (α = 1 - Mu).
+	// Mu modulates the Laplacian spectrum (ProNE default 0.2).
 	Mu float64
-	// Theta is the Gaussian filter scale (ProNE default 0.5); the heat
-	// kernel reuses it as the diffusion time.
+	// Theta is the Gaussian filter scale (ProNE default 0.5).
 	Theta float64
 	// NormalizeRows L2-normalizes embedding rows at the end (ProNE default).
 	NormalizeRows bool
-	// Kind selects the filter family (Chebyshev-Gaussian by default).
-	Kind Filter
 }
 
 // DefaultPropagation returns the ProNE defaults used by the paper.
@@ -200,20 +196,12 @@ func Propagate(g *graph.Graph, x *dense.Matrix, cfg PropagationConfig) (*dense.M
 		return x.Clone(), nil
 	}
 	adj := adjacencyWithSelfLoops(g)
-	switch cfg.Kind {
-	case FilterHeatKernel:
-		sum, spare := heatPropagate(adj, x, cfg)
-		return finishPropagation(sum, spare, cfg), nil
-	case FilterPPR:
-		sum, spare := pprPropagate(adj, x, cfg)
-		return finishPropagation(sum, spare, cfg), nil
-	}
 	var buf [workBuffers]*dense.Matrix
 	for i := range buf {
 		buf[i] = dense.NewMatrix(n, x.Cols)
 	}
 	lx0, lx1, u, t, conv := buf[0], buf[1], buf[2], buf[3], buf[4]
-	mul := sparse.Product{M: shiftedLaplacian(adj, invRowSums(adj, false), 1-cfg.Mu)}
+	mul := sparse.Product{M: shiftedLaplacian(adj, invRowSums(adj), 1-cfg.Mu)}
 
 	// Lx₁ = ½·M·(M·X) − X and conv = b₀·X − 2b₁·Lx₁, in the second product's
 	// epilogue; lx0 becomes the owned copy of X the loop may overwrite.
@@ -264,11 +252,14 @@ func Propagate(g *graph.Graph, x *dense.Matrix, cfg PropagationConfig) (*dense.M
 		}
 	})
 	sparse.SpMM(t, adj, u)
-	return finishPropagation(t, u, cfg), nil
+	emb := redecompose(t, u)
+	if cfg.NormalizeRows {
+		normalizeRows(emb)
+	}
+	return emb, nil
 }
 
-// workBuffers is the number of n×d matrices the Chebyshev filter allocates
-// (the heat-kernel and PPR filters get by with three).
+// workBuffers is the number of n×d matrices Propagate allocates.
 const workBuffers = 5
 
 // WorkspaceBytes is what Propagate allocates for an n-vertex graph with the
@@ -281,17 +272,6 @@ func WorkspaceBytes(n int, arcs int64, d int) int64 {
 	nnz := arcs + int64(n)
 	pattern := int64(n+1)*8 + nnz*4
 	return pattern + 2*nnz*8 + (workBuffers+1)*int64(n)*int64(d)*8
-}
-
-// finishPropagation applies the shared tail of every filter: dense
-// re-orthogonalization (consuming mm, result in spare's storage) and
-// optional row normalization.
-func finishPropagation(mm, spare *dense.Matrix, cfg PropagationConfig) *dense.Matrix {
-	emb := redecompose(mm, spare)
-	if cfg.NormalizeRows {
-		normalizeRows(emb)
-	}
-	return emb
 }
 
 // Run executes ProNE end to end: factorize, then propagate.
@@ -356,14 +336,12 @@ func adjacencyWithSelfLoops(g *graph.Graph) *sparse.CSR {
 	return m
 }
 
-// invRowSums returns 1/rowsum for every row of m, and 0 for the rows a
-// filter leaves alone. The Chebyshev filter inverts only positive sums; the
-// heat-kernel and PPR filters invert every nonzero sum (nonZero) — the two
-// differ on negative and NaN sums, and each filter keeps its own guard.
-func invRowSums(m *sparse.CSR, nonZero bool) []float64 {
+// invRowSums returns 1/rowsum for every row of m with a positive sum, and 0
+// for the others (negative and NaN sums included).
+func invRowSums(m *sparse.CSR) []float64 {
 	inv := m.RowSums()
 	for i, s := range inv {
-		if s > 0 || (nonZero && s != 0) {
+		if s > 0 {
 			inv[i] = 1 / s
 		} else {
 			inv[i] = 0

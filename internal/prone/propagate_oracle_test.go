@@ -21,13 +21,6 @@ func propagateOracle(g *graph.Graph, x *dense.Matrix, cfg PropagationConfig) *de
 	if cfg.Order <= 1 {
 		return x.Clone()
 	}
-	switch cfg.Kind {
-	case FilterHeatKernel:
-		return finishPropagationOracle(heatPropagateOracle(g, x, cfg), cfg)
-	case FilterPPR:
-		return finishPropagationOracle(pprPropagateOracle(g, x, cfg), cfg)
-	}
-
 	// Ã = A + I; DA = row-normalized Ã; M = (I - DA) - μI.
 	adj := adjacencyWithSelfLoops(g)
 	rowSums := adj.RowSums()
@@ -83,75 +76,11 @@ func propagateOracle(g *graph.Graph, x *dense.Matrix, cfg PropagationConfig) *de
 	addScaledOracle(diff, conv, -1)
 	mm := dense.NewMatrix(n, d)
 	sparse.SpMM(mm, adj, diff)
-	return finishPropagationOracle(mm, cfg)
-}
-
-func finishPropagationOracle(mm *dense.Matrix, cfg PropagationConfig) *dense.Matrix {
 	emb := redecomposeOracle(mm)
 	if cfg.NormalizeRows {
 		normalizeRows(emb)
 	}
 	return emb
-}
-
-func heatPropagateOracle(g *graph.Graph, x *dense.Matrix, cfg PropagationConfig) *dense.Matrix {
-	n, d := x.Rows, x.Cols
-	adj := adjacencyWithSelfLoops(g)
-	da := cloneCSROracle(adj)
-	normalizeRowsCSROracle(da)
-	// L = I - DA.
-	lap := addScaledIdentityOracle(negateOracle(da), 1)
-
-	theta := cfg.Theta
-	if theta <= 0 {
-		theta = 0.5
-	}
-	sum := x.Clone()
-	term := x.Clone()
-	tmp := dense.NewMatrix(n, d)
-	for k := 1; k < cfg.Order; k++ {
-		sparse.SpMM(tmp, lap, term)
-		coef := -theta / float64(k)
-		for i := range term.Data {
-			term.Data[i] = coef * tmp.Data[i]
-		}
-		addScaledOracle(sum, term, 1)
-	}
-	return sum
-}
-
-func pprPropagateOracle(g *graph.Graph, x *dense.Matrix, cfg PropagationConfig) *dense.Matrix {
-	n, d := x.Rows, x.Cols
-	adj := adjacencyWithSelfLoops(g)
-	normalizeRowsCSROracle(adj)
-	alpha := 1 - cfg.Mu
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.85
-	}
-	damp := 1 - alpha
-	sum := x.Clone()
-	sum.Scale(alpha)
-	term := x.Clone()
-	tmp := dense.NewMatrix(n, d)
-	scale := alpha
-	for k := 1; k < cfg.Order; k++ {
-		sparse.SpMM(tmp, adj, term)
-		term, tmp = tmp, term
-		scale *= damp
-		addScaledOracle(sum, term, scale) // = alpha·damp^k
-	}
-	return sum
-}
-
-func normalizeRowsCSROracle(m *sparse.CSR) {
-	sums := m.RowSums()
-	inv := make([]float64, len(sums))
-	for i, s := range sums {
-		if s != 0 {
-			inv[i] = 1 / s
-		}
-	}
-	m.ScaleRows(inv)
 }
 
 func cloneCSROracle(m *sparse.CSR) *sparse.CSR {
@@ -165,7 +94,9 @@ func cloneCSROracle(m *sparse.CSR) *sparse.CSR {
 
 func negateOracle(m *sparse.CSR) *sparse.CSR {
 	out := cloneCSROracle(m)
-	out.Scale(-1)
+	for p := range out.Val {
+		out.Val[p] *= -1
+	}
 	return out
 }
 

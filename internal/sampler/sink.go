@@ -30,9 +30,10 @@ type grouped struct {
 	ws     []float64
 }
 
-// DrainCSR returns the grouped arrays themselves, not copies: a caller that
-// scales ws in place (netsmf.BuildMatrixCSR) scales the sink's. numRows must
-// be the vertex count of the sampled graph; DrainCSR panics otherwise.
+// DrainCSR returns the grouped arrays themselves, not copies; the caller
+// must not write them (netsmf.BuildMatrixCSR only reads them, scaling into a
+// separate row chunk). numRows must be the vertex count of the sampled
+// graph; DrainCSR panics otherwise.
 func (c *grouped) DrainCSR(numRows int) ([]int64, []uint32, []float64) {
 	if numRows != len(c.rowPtr)-1 {
 		panic(fmt.Sprintf("sampler: DrainCSR over %d rows, the pass grouped %d", numRows, len(c.rowPtr)-1))

@@ -129,9 +129,6 @@ func (m *Metrics) ObserveSearch(approx bool, scanned int) {
 // ANNQueries reports how many queries the ANN probe answered.
 func (m *Metrics) ANNQueries() int64 { return m.annQueries.Load() }
 
-// ExactQueries reports how many queries fell to the exact scan.
-func (m *Metrics) ExactQueries() int64 { return m.exactQueries.Load() }
-
 // ScannedRows reports the total row-distance computations spent on queries.
 func (m *Metrics) ScannedRows() int64 { return m.scannedRows.Load() }
 
@@ -157,14 +154,6 @@ func (m *Metrics) Observe(endpoint string, d time.Duration, status int) {
 	if e, ok := m.endpoints[endpoint]; ok {
 		e.observe(d, status)
 	}
-}
-
-// Requests returns the request count recorded for an endpoint.
-func (m *Metrics) Requests(endpoint string) int64 {
-	if e, ok := m.endpoints[endpoint]; ok {
-		return e.requests.Load()
-	}
-	return 0
 }
 
 // WriteTo renders the metrics in the Prometheus text exposition format

@@ -56,9 +56,6 @@ type Index interface {
 	MemoryBytes() int64
 }
 
-// Precisions lists the supported index precisions.
-func Precisions() []string { return []string{"float32", "int8"} }
-
 // NewIndex quantizes a float64 embedding into a serving index at the given
 // precision ("float32" or "int8"; "" defaults to float32).
 func NewIndex(x *dense.Matrix, precision string) (Index, error) {

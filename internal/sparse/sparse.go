@@ -1,7 +1,7 @@
 // Package sparse provides the sparse linear algebra LightNE obtains from
 // MKL's Sparse BLAS in the paper (§4.3): a CSR matrix with parallel
 // sparse-times-dense products (SPMM, the mkl_sparse_s_mm stand-in), builders
-// from COO triples and from the sampler's hash table, diagonal scaling, and
+// from COO triples and from a drained table's CSR parts, row scaling, and
 // the entry-wise truncated logarithm that turns the sparsifier into the
 // NetMF matrix.
 //
@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"lightne/internal/dense"
-	"lightne/internal/hashtable"
 	"lightne/internal/par"
 	"lightne/internal/radix"
 )
@@ -146,13 +145,6 @@ func FromCSRParts(rows, cols int, rowPtr []int64, colIdx []uint32, val []float64
 	return &CSR{NumRows: rows, NumCols: cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}, nil
 }
 
-// FromTable builds an n×n CSR matrix from the sampler's hash table via the
-// parallel grouped drain — no COO scatter, no per-row comparison sort.
-func FromTable(n int, t *hashtable.Table) (*CSR, error) {
-	rowPtr, cols, ws := t.DrainCSR(n)
-	return FromCSRParts(n, n, rowPtr, cols, ws)
-}
-
 // At returns entry (i, j), zero if absent: an O(log degree) binary search,
 // every builder leaving rows column-sorted. Intended for tests and spot
 // checks, not inner loops.
@@ -254,18 +246,6 @@ func (m *CSR) ScaleRows(s []float64) {
 			m.Val[p] *= f
 		}
 	})
-}
-
-// ScaleCols multiplies column j by s[j] in place.
-func (m *CSR) ScaleCols(s []float64) {
-	par.For(int(m.NNZ()), 1<<14, func(p int) {
-		m.Val[p] *= s[m.ColIdx[p]]
-	})
-}
-
-// Scale multiplies every entry by f in place.
-func (m *CSR) Scale(f float64) {
-	par.For(int(m.NNZ()), 1<<14, func(p int) { m.Val[p] *= f })
 }
 
 // TruncLog applies trunc_log(x) = max(0, log x) entry-wise and drops entries

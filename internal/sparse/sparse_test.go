@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"lightne/internal/dense"
-	"lightne/internal/hashtable"
 	"lightne/internal/rng"
 )
 
@@ -119,19 +118,11 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestScaleRowsColsScale(t *testing.T) {
+func TestScaleRows(t *testing.T) {
 	m := mustCOO(t, 2, 2, []uint32{0, 1}, []uint32{1, 0}, []float64{2, 3})
 	m.ScaleRows([]float64{10, 100})
 	if m.At(0, 1) != 20 || m.At(1, 0) != 300 {
 		t.Fatalf("ScaleRows wrong: %g %g", m.At(0, 1), m.At(1, 0))
-	}
-	m.ScaleCols([]float64{0.5, 2})
-	if m.At(0, 1) != 40 || m.At(1, 0) != 150 {
-		t.Fatalf("ScaleCols wrong: %g %g", m.At(0, 1), m.At(1, 0))
-	}
-	m.Scale(2)
-	if m.At(0, 1) != 80 || m.At(1, 0) != 300 {
-		t.Fatalf("Scale wrong: %g %g", m.At(0, 1), m.At(1, 0))
 	}
 }
 
@@ -189,23 +180,6 @@ func TestTruncLogProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFromTable(t *testing.T) {
-	tab := hashtable.New(16, 1)
-	tab.Add(0, 1, 2)
-	tab.Add(1, 0, 2)
-	tab.Add(2, 2, 5)
-	m, err := FromTable(3, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NNZ() != 3 {
-		t.Fatalf("NNZ=%d", m.NNZ())
-	}
-	if math.Abs(m.At(0, 1)-2) > 1e-5 || math.Abs(m.At(2, 2)-5) > 1e-5 {
-		t.Fatal("FromTable entries wrong")
 	}
 }
 

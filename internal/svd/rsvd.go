@@ -122,11 +122,9 @@ func RandomizedSVD(a *sparse.CSR, d int, opt Options) (*Result, error) {
 	// Step 6: orthonormalize Z, in place like Y.
 	dense.QRInPlace(z)
 
-	// Step 7: C = Zᵀ·B (k×k). The fixed-geometry product: MatMulATB's fold
-	// order follows the schedule, which made same-seed embeddings differ
-	// from run to run on more than one core.
+	// Step 7: C = Zᵀ·B (k×k).
 	c := dense.NewMatrix(k, k)
-	dense.MatMulATBDet(c, z, b)
+	dense.MatMulATB(c, z, b)
 
 	// Step 8: SVD of the small projected matrix.
 	cu, sigma, _ := dense.SVD(c)

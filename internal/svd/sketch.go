@@ -31,7 +31,7 @@
 // split a row, so concurrent Absorb calls over disjoint chunks touch
 // disjoint memory and the accumulators are independent of both absorption
 // order and GOMAXPROCS. Everything downstream is either serial (QR, solve,
-// Jacobi SVD) or fixed-geometry tree-reduced (MatMulATBDet, the sparse-sign
+// Jacobi SVD) or fixed-geometry tree-reduced (MatMulATB, the sparse-sign
 // projection), so for a fixed seed the factorization is bit-identical
 // across worker counts — locked down by TestSketchBitIdentical*.
 package svd
@@ -349,7 +349,7 @@ func (sk *Sketch) Factorize() (*Result, error) {
 	var m1 *dense.Matrix
 	if sk.kind == SketchGaussian {
 		m1 = dense.NewMatrix(sk.l, sk.k)
-		dense.MatMulATBDet(m1, sk.psi, q)
+		dense.MatMulATB(m1, sk.psi, q)
 		sk.psi, sk.omega = nil, nil
 	} else {
 		m1t := dense.NewMatrix(sk.k, sk.l)
@@ -358,14 +358,14 @@ func (sk *Sketch) Factorize() (*Result, error) {
 		sk.signIdx, sk.psiIdx = nil, nil
 	}
 	m2 := dense.NewMatrix(sk.l, sk.k)
-	dense.MatMulATBDet(m2, sk.z, q)
+	dense.MatMulATB(m2, sk.z, q)
 	sk.z = nil
 	// Least squares (ΨᵀQ)·X ≈ ZᵀQ via QR of the tall l×k system:
 	// m1 = Q₂R₂, X = R₂⁻¹·(Q₂ᵀ·m2). The pseudo-inverse of the oversampled
 	// system (l > k) is what damps the out-of-range residual of A.
 	q2, r2 := dense.QRInPlace(m1)
 	rhs := dense.NewMatrix(sk.k, sk.k)
-	dense.MatMulATBDet(rhs, q2, m2)
+	dense.MatMulATB(rhs, q2, m2)
 	x, err := dense.SolveSquare(r2, rhs)
 	if err != nil {
 		return nil, fmt.Errorf("svd: sketch core solve: %w (increase Oversample, or the absorbed matrix is empty)", err)
@@ -387,24 +387,15 @@ func (sk *Sketch) Factorize() (*Result, error) {
 
 // signProject computes out = QᵀS (k×width) for a sparse-sign test matrix S
 // given by its folded entries idx: row v of S scatters ±Q[v,:] into the s
-// columns it occupies. Fixed block geometry and a pairwise-tree combine,
-// exactly like MatMulATBDet, keep it bit-identical across worker counts.
+// columns it occupies. The fixed blocks of par.DetBounds and a pairwise-tree
+// combine, exactly like MatMulATB, keep it bit-identical across worker
+// counts.
 func (sk *Sketch) signProject(out *dense.Matrix, q *dense.Matrix, idx []uint32) {
-	n, k, s := sk.n, sk.k, sk.s
+	k, s := sk.k, sk.s
 	width := out.Cols
-	nb := 64
-	if nb > n {
-		nb = n
-	}
-	size := (n + nb - 1) / nb
-	nb = (n + size - 1) / size
-	partials := make([][]float64, nb)
-	par.For(nb, 1, func(bi int) {
-		lo := bi * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
+	bounds := par.DetBounds(sk.n)
+	partials := make([][]float64, len(bounds)-1)
+	par.ForBlocks(bounds, func(bi, lo, hi int) {
 		acc := make([]float64, k*width)
 		for v := lo; v < hi; v++ {
 			qv := q.Row(v)
