@@ -39,8 +39,8 @@ harness:
 # query-during-hot-swap load, the incremental embedder feeding it, the
 # sharded aggregation table (internal/hashtable: short and long chunked
 # batches, per-shard grows and Get, interleaved) and the par primitives, the
-# radix sorts and the bucketed drain and grouping (work-stolen buckets
-# writing disjoint rows) with their sweep over GOMAXPROCS, the row-transform
+# bucketed drain and grouping (work-stolen buckets writing disjoint rows)
+# with their sweep over GOMAXPROCS, the row-transform
 # kernel (netsmf), the sampler's end-to-end sampler → sharded table →
 # grouped drain stress test (undersized tables force concurrent grows) and
 # the batched pass's waves and grouping, the parallel compressed-adjacency builder
@@ -57,14 +57,14 @@ harness:
 # hot-swap) under the detector without dragging the full factorization test
 # suite through -race.
 race:
-	$(GO) test -race ./internal/serve ./internal/ann ./internal/dynamic ./internal/hashtable ./internal/par ./internal/radix ./internal/netsmf ./internal/sampler ./internal/compress ./internal/faultinject ./internal/svd ./internal/dense ./internal/sparse ./internal/prone ./internal/graph
+	$(GO) test -race ./internal/serve ./internal/ann ./internal/dynamic ./internal/hashtable ./internal/par ./internal/netsmf ./internal/sampler ./internal/compress ./internal/faultinject ./internal/svd ./internal/dense ./internal/sparse ./internal/prone ./internal/graph
 	$(GO) test -race -run Deterministic ./internal/core
 	$(GO) test -race -run 'Checkpoint|Embedding|Replication' .
 
 # Short runs of every fuzz target: the text/binary embedding readers and the
 # public graph loader (root), the edge-list parser against its serial
 # oracle in both forms, unweighted and weighted, the binary graph loader and
-# the radix CSR build against its comparison-sort oracle (graph),
+# the grouped CSR build against its comparison-sort oracle (graph),
 # the COO builder (sparse), and the compressed-adjacency decoders
 # (compress). Each target gets a few seconds — enough to replay the corpus
 # and catch regressions in the checked decode paths; leave a target running
@@ -114,15 +114,13 @@ bench:
 # compare the batch insert against the replaced per-key kernel at the
 # harness's table shape (BenchmarkInsert, Mop/s), the batched sampler's
 # grouping by sort (hashtable's BenchmarkGroupCSR) against the four-shard
-# insert + drain it replaced, BenchmarkDrain vs BenchmarkDrainSequential, the
-# radix grouping (radix's BenchmarkGroupCSR),
-# and the radix vs sort-merge COO build; pipe two runs into
-# `benchstat old.txt new.txt`). The second line times the grouped drain at
+# insert + drain it replaced, and BenchmarkDrain vs BenchmarkDrainSequential;
+# pipe two runs into `benchstat old.txt new.txt`). The second line times the grouped drain at
 # the harness's two table shapes, sampled for real (RMAT-12 per-arc in one
 # table, RMAT-13 batched entries in four shards), beside the drain it replaced
 # (oracle/), on one core and on two.
 bench-drain:
-	$(GO) test -run xxx -bench 'BenchmarkInsert|BenchmarkDrain$$|BenchmarkDrainSequential|BenchmarkGroupCSR$$|BenchmarkFromCOO' -benchmem -count=5 ./internal/hashtable ./internal/radix ./internal/sparse
+	$(GO) test -run xxx -bench 'BenchmarkInsert|BenchmarkDrain$$|BenchmarkDrainSequential|BenchmarkGroupCSR$$' -benchmem -count=5 ./internal/hashtable
 	$(GO) test -run xxx -bench 'BenchmarkDrainCSR' -benchmem -cpu 1,2 -count=5 ./internal/hashtable
 
 # Sampler pipeline benchmarks: the per-arc sampler, the test-only
@@ -162,7 +160,7 @@ bench-spmm:
 
 # Cold-path kernels at the harness shapes, each next to the routine it
 # replaced (kept as the test oracle): the streamed edge-list parser vs the
-# serial Scanner one (200 000 lines, CSR build included), the radix CSR
+# serial Scanner one (200 000 lines, CSR build included), the grouped CSR
 # build vs the comparison-sort build (RMAT-12/13 arc lists), the text writer
 # vs one Fprintf per arc, the chunked artifact codec vs the per-element one
 # (4096×64 and 8192×32), and the tiled IVF assignment vs the scalar kernel

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"lightne/internal/hashtable"
-	"lightne/internal/radix"
 )
 
 // E12's aggregation strategies: the ways to aggregate samples the paper
@@ -26,10 +25,10 @@ type sharedTable struct{ *hashtable.Table }
 
 func (s sharedTable) Add(_ int, u, v uint32, w float64) { s.Table.Add(u, v, w) }
 
-// record is one buffered sample of listHistogram.
+// record is one buffered sample of listHistogram: a packed key and a
+// fixed-point weight.
 type record struct {
-	key uint64
-	w   float64
+	key, fixed uint64
 }
 
 // listHistogram buffers every sample in per-worker lists and aggregates at
@@ -46,29 +45,30 @@ func newListHistogram(workers int) *listHistogram {
 
 // Add appends to the worker's private list: no synchronization at all.
 func (l *listHistogram) Add(worker int, u, v uint32, w float64) {
-	l.lists[worker] = append(l.lists[worker], record{hashtable.Key(u, v), w})
+	l.lists[worker] = append(l.lists[worker], record{hashtable.Key(u, v), hashtable.ToFixed(w)})
 }
 
-// Drain concatenates all lists and aggregates with the parallel radix
-// group-sum (the semisort/partial-radix-sort step the paper cites, §4.2).
+// Drain concatenates all lists and aggregates them with hashtable.GroupCSR,
+// the bucketed sort the batched sampler groups its samples with (the
+// semisort/partial-radix-sort step the paper cites, §4.2).
 func (l *listHistogram) Drain() (us, vs []uint32, ws []float64) {
 	var total int
 	for _, lst := range l.lists {
 		total += len(lst)
 	}
-	keys := make([]uint64, 0, total)
-	vals := make([]float64, 0, total)
+	keys, fixed, numRows := make([]uint64, 0, total), make([]uint64, 0, total), 0
 	for _, lst := range l.lists {
 		for _, r := range lst {
-			keys = append(keys, r.key)
-			vals = append(vals, r.w)
+			keys, fixed = append(keys, r.key), append(fixed, r.fixed)
+			numRows = max(numRows, int(r.key>>32)+1)
 		}
 	}
-	n := radix.GroupSum(keys, vals)
-	us, vs, ws = make([]uint32, n), make([]uint32, n), make([]float64, n)
-	for i := 0; i < n; i++ {
-		us[i], vs[i] = hashtable.UnpackKey(keys[i])
-		ws[i] = vals[i]
+	rowPtr, vs, ws := hashtable.GroupCSR(keys, fixed, numRows)
+	us = make([]uint32, len(vs))
+	for u := 0; u < numRows; u++ {
+		for p := rowPtr[u]; p < rowPtr[u+1]; p++ {
+			us[p] = uint32(u)
+		}
 	}
 	return us, vs, ws
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // fromEdgesOracle is the comparison-sort CSR build FromEdges replaced, kept
-// verbatim as the differential oracle for the radix build.
+// as the differential oracle for the grouped build.
 func fromEdgesOracle(n int, arcs []Edge, opt Options) (offsets []int64, edges []uint32) {
 	work := make([]Edge, 0, len(arcs)*2)
 	for _, e := range arcs {
@@ -30,16 +30,14 @@ func fromEdgesOracle(n int, arcs []Edge, opt Options) (offsets []int64, edges []
 		}
 		return work[i].V < work[j].V
 	})
-	if opt.Dedup {
-		out := work[:0]
-		for i, e := range work {
-			if i > 0 && e == work[i-1] {
-				continue
-			}
-			out = append(out, e)
+	out := work[:0]
+	for i, e := range work {
+		if i > 0 && e == work[i-1] {
+			continue
 		}
-		work = out
+		out = append(out, e)
 	}
+	work = out
 	offsets = make([]int64, n+1)
 	edges = make([]uint32, len(work))
 	for i, e := range work {
@@ -111,12 +109,11 @@ func randomMultigraph(n, m int, seed uint64) []Edge {
 	return arcs
 }
 
-// allOptions enumerates every {Symmetrize, Dedup, RemoveSelfLoops}
-// combination.
+// allOptions enumerates every {Symmetrize, RemoveSelfLoops} combination.
 func allOptions() []Options {
 	var out []Options
-	for mask := 0; mask < 8; mask++ {
-		out = append(out, Options{Symmetrize: mask&1 != 0, Dedup: mask&2 != 0, RemoveSelfLoops: mask&4 != 0})
+	for mask := 0; mask < 4; mask++ {
+		out = append(out, Options{Symmetrize: mask&1 != 0, RemoveSelfLoops: mask&2 != 0})
 	}
 	return out
 }
@@ -143,10 +140,10 @@ func checkAgainstOracle(t testing.TB, n int, arcs []Edge, opt Options) {
 	}
 }
 
-// TestFromEdgesMatchesOracle pins the radix CSR build to the comparison-sort
-// build on random multigraphs (self-loops and duplicates in, vertex counts
-// below and above the radix grain) and on RMAT-12 arcs, under every option
-// combination.
+// TestFromEdgesMatchesOracle pins the grouped CSR build to the
+// comparison-sort build on random multigraphs (self-loops and duplicates in;
+// vertex counts from none to past 65 536, where the grouping's bucket keys
+// take 64 bits) and on RMAT-12 arcs, under every option combination.
 func TestFromEdgesMatchesOracle(t *testing.T) {
 	for _, opt := range allOptions() {
 		for seed, size := range [][2]int{{1, 0}, {1, 1}, {5, 40}, {300, 5000}, {70000, 30000}} {
@@ -156,7 +153,7 @@ func TestFromEdgesMatchesOracle(t *testing.T) {
 	}
 }
 
-// FuzzFromEdges drives the radix build and the oracle with the same arc
+// FuzzFromEdges drives the grouped build and the oracle with the same arc
 // list: bytes pair up into arcs over n = first byte + 1 vertices, and the
 // second byte selects the options.
 func FuzzFromEdges(f *testing.F) {
@@ -168,7 +165,7 @@ func FuzzFromEdges(f *testing.F) {
 			return
 		}
 		n, mask := int(data[0])+1, data[1]
-		opt := Options{Symmetrize: mask&1 != 0, Dedup: mask&2 != 0, RemoveSelfLoops: mask&4 != 0}
+		opt := Options{Symmetrize: mask&1 != 0, RemoveSelfLoops: mask&2 != 0}
 		var arcs []Edge
 		for i := 2; i+1 < len(data); i += 2 {
 			arcs = append(arcs, Edge{uint32(int(data[i]) % n), uint32(int(data[i+1]) % n)})
@@ -206,13 +203,13 @@ func TestWriteEdgeListMatchesOracle(t *testing.T) {
 	}
 }
 
-// BenchmarkFromEdges times the radix CSR build next to the comparison-sort
+// BenchmarkFromEdges times the grouped CSR build next to the comparison-sort
 // oracle on the harness's RMAT-12 and RMAT-13 arc lists (default options).
 func BenchmarkFromEdges(b *testing.B) {
 	for _, scale := range []int{12, 13} {
 		arcs := rmatArcs(scale, 20, 1)
 		n := 1 << scale
-		b.Run(fmt.Sprintf("rmat%d/radix", scale), func(b *testing.B) {
+		b.Run(fmt.Sprintf("rmat%d/grouped", scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := FromEdges(n, arcs, DefaultOptions()); err != nil {
 					b.Fatal(err)

@@ -16,8 +16,8 @@ import (
 	"fmt"
 
 	"lightne/internal/compress"
+	"lightne/internal/hashtable"
 	"lightne/internal/par"
-	"lightne/internal/radix"
 	"lightne/internal/rng"
 )
 
@@ -40,15 +40,13 @@ type Graph struct {
 	mapped  []byte // LNGC mmap backing the arrays above, if Mmap-loaded
 }
 
-// Options controls graph construction.
+// Options controls graph construction. Builds always merge duplicate arcs.
 type Options struct {
 	// Symmetrize adds the reverse of every input arc (making the graph
 	// undirected). Embedding pipelines always set this.
 	Symmetrize bool
 	// RemoveSelfLoops drops arcs with U == V.
 	RemoveSelfLoops bool
-	// Dedup removes duplicate arcs after symmetrization.
-	Dedup bool
 	// Compress stores adjacency in the Ligra+ parallel-byte format.
 	Compress bool
 	// BlockSize is the compression block size; <= 0 means the default (64).
@@ -58,13 +56,13 @@ type Options struct {
 // DefaultOptions returns the options used by the embedding pipelines:
 // symmetrized, simple (no loops or duplicates), uncompressed.
 func DefaultOptions() Options {
-	return Options{Symmetrize: true, RemoveSelfLoops: true, Dedup: true}
+	return Options{Symmetrize: true, RemoveSelfLoops: true}
 }
 
 // FromEdges builds a graph with n vertices from an arc list. Vertex IDs must
-// be < n. The input slice is not modified. Arcs are packed as u<<32|v, so
-// one parallel radix sort (internal/radix) orders them by (u, v); a single
-// pass then drops duplicates and counts degrees.
+// be < n. The input slice is not modified. Arcs are packed as u<<32|v and
+// grouped by hashtable.GroupCSR, without weights, into sorted adjacency
+// rows; duplicate arcs merge.
 func FromEdges(n int, arcs []Edge, opt Options) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -82,24 +80,7 @@ func FromEdges(n int, arcs []Edge, opt Options) (*Graph, error) {
 			keys = append(keys, uint64(e.V)<<32|uint64(e.U))
 		}
 	}
-	radix.Sort(keys)
-	offsets := make([]int64, n+1)
-	m := 0
-	for _, k := range keys {
-		if opt.Dedup && m > 0 && k == keys[m-1] {
-			continue
-		}
-		offsets[k>>32+1]++
-		keys[m] = k
-		m++
-	}
-	edges := make([]uint32, m)
-	for i, k := range keys[:m] {
-		edges[i] = uint32(k)
-	}
-	for u := 0; u < n; u++ {
-		offsets[u+1] += offsets[u]
-	}
+	offsets, edges, _ := hashtable.GroupCSR(keys, nil, n)
 	return FromCSR(offsets, edges, opt)
 }
 

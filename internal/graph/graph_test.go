@@ -46,13 +46,13 @@ func TestSelfLoopsAndDuplicates(t *testing.T) {
 	if g.NumEdges() != 2 {
 		t.Fatalf("arcs=%d want 2 (one undirected edge)", g.NumEdges())
 	}
-	// Without loop removal/dedup, loops and duplicates persist.
+	// Without loop removal the loop persists; duplicates always merge.
 	g2, err := FromEdges(2, arcs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.NumEdges() != 4 {
-		t.Fatalf("arcs=%d want 4", g2.NumEdges())
+	if g2.NumEdges() != 3 {
+		t.Fatalf("arcs=%d want 3", g2.NumEdges())
 	}
 }
 

@@ -238,8 +238,8 @@ func inferVertexCount(maxID int64, arcs int) (int, error) {
 }
 
 // WriteEdgeList writes each directed arc as a "u v" line. For a symmetrized
-// graph this writes both directions; consumers that re-load with
-// Symmetrize+Dedup recover the identical graph. Lines are formatted into
+// graph this writes both directions; consumers that re-load with Symmetrize
+// recover the identical graph. Lines are formatted into
 // one reused buffer, the "u " prefix once per vertex.
 func (g *Graph) WriteEdgeList(w io.Writer) error {
 	bw := bufio.NewWriter(w)

@@ -68,8 +68,9 @@ func FromWeightedEdges(n int, arcs []WeightedEdge, opt Options) (*Graph, error) 
 		}
 		return work[i].V < work[j].V
 	})
-	// Merge duplicates by summing weights (always, regardless of Dedup:
-	// a weighted multigraph is equivalent to its weight-summed simple form).
+	// Merge duplicates by summing weights, as FromEdges merges duplicate
+	// arcs (a weighted multigraph is equivalent to its weight-summed simple
+	// form).
 	merged := work[:0]
 	for _, e := range work {
 		if len(merged) > 0 && merged[len(merged)-1].U == e.U && merged[len(merged)-1].V == e.V {

@@ -139,9 +139,9 @@ func drainCases() []drainCase {
 }
 
 // TestDrainCSRBitIdenticalToRadixOracle: the bucketed drain returns exactly
-// the arrays of the replaced one (drain to packed pairs, radix.GroupCSR) for
-// every worker count, shard count, row count and table history. See
-// DESIGN.md "Numerics".
+// the arrays of the replaced one (drain to packed pairs, then sort them by
+// key) for every worker count, shard count, row count and table history.
+// See DESIGN.md "Numerics".
 func TestDrainCSRBitIdenticalToRadixOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range drainCases() {
@@ -150,7 +150,7 @@ func TestDrainCSRBitIdenticalToRadixOracle(t *testing.T) {
 			runtime.GOMAXPROCS(procs)
 			gotPtr, gotCols, gotWs := c.table.DrainCSR(c.numRows)
 			if !slices.Equal(gotPtr, wantPtr) || !slices.Equal(gotCols, wantCols) || !slices.Equal(gotWs, wantWs) {
-				t.Fatalf("procs=%d %s: drain differs from the radix oracle", procs, c.name)
+				t.Fatalf("procs=%d %s: drain differs from the oracle", procs, c.name)
 			}
 		}
 	}
@@ -162,9 +162,9 @@ func TestDrainCSRBitIdenticalToRadixOracle(t *testing.T) {
 	}
 }
 
-// TestDrainCSRPanicsOnRowOutOfRange: a source vertex >= numRows panics, as
-// radix.GroupCSR does — past the last bucket, inside the last bucket's row
-// range, and with no rows at all.
+// TestDrainCSRPanicsOnRowOutOfRange: a source vertex >= numRows panics —
+// past the last bucket, inside the last bucket's row range, and with no
+// rows at all.
 func TestDrainCSRPanicsOnRowOutOfRange(t *testing.T) {
 	for _, c := range []struct {
 		numRows int
@@ -189,7 +189,8 @@ func TestDrainCSRPanicsOnRowOutOfRange(t *testing.T) {
 // BenchmarkDrainCSR times the grouped drain at the harness's two table
 // shapes — RMAT-12 from the per-arc sampler in one table (embed-default) and
 // RMAT-13's batched-pass entries in four shards (the embed-stream shape) —
-// beside the replaced drain (oracle/). Run at -cpu 1,2.
+// beside the drain-to-pairs and standard-library sort it replaced (oracle/).
+// Run at -cpu 1,2.
 func BenchmarkDrainCSR(b *testing.B) {
 	for _, h := range harnessTables() {
 		n := h.g.NumVertices()

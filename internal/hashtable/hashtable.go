@@ -44,6 +44,8 @@
 // a batched sampling pass's, which holds every pair at once anyway — and
 // merges equal keys, summing their fixed-point weights, after each bucket
 // sorts: the same CSR a table of those pairs drains to, without the table.
+// Given keys alone, GroupCSR is the module's one grouping sort: the graph
+// builder turns packed arcs into adjacency through it.
 package hashtable
 
 import (
@@ -576,15 +578,18 @@ func (t *Table) DrainCSR(numRows int) (rowPtr []int64, cols []uint32, ws []float
 // source vertex into CSR arrays, as DrainCSR groups a table's entries: the
 // pairs of one key merge into one entry whose weight is their fixed-point
 // sum. Every source vertex must be < numRows; GroupCSR panics otherwise, and
-// if len(keys) != len(fixed). The arrays equal those of DrainCSR on a table
-// that took the same pairs, bit for bit: the sums are exact and the layout
-// fully sorted. keys and fixed are read, not modified.
+// if fixed is not nil and len(keys) != len(fixed). The arrays equal those of
+// DrainCSR on a table that took the same pairs, bit for bit: the sums are
+// exact and the layout fully sorted. keys and fixed are read, not modified.
+//
+// With fixed nil the keys carry no weight: equal keys still merge, ws is
+// nil, and no weight is scattered, sorted or summed.
 //
 // It is DrainCSR's bucket sort with the pairs as the source; after a bucket
 // sorts, its equal keys are adjacent and merge, and the buckets are written
 // out once every bucket's merged entry count is known.
 func GroupCSR(keys, fixed []uint64, numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
-	if len(keys) != len(fixed) {
+	if fixed != nil && len(keys) != len(fixed) {
 		panic("hashtable: keys and fixed must have equal length")
 	}
 	bounds := par.Blocks(len(keys), drainGrain)
@@ -707,12 +712,24 @@ func drainSlots[K uint32 | uint64](blocks [][]slot, bk *buckets) (rowPtr []int64
 }
 
 // groupPairs is drainSlots over the pairs, blocked by bounds, which may
-// repeat keys.
+// repeat keys; with fixed nil it scatters the keys alone.
 func groupPairs[K uint32 | uint64](src, fixed []uint64, bounds []int, bk *buckets) (rowPtr []int64, cols []uint32, ws []float64) {
-	keys, fix := make([]K, len(src)), make([]uint64, len(src))
+	keys, fix := make([]K, len(src)), []uint64(nil)
+	if fixed != nil {
+		fix = make([]uint64, len(src))
+	}
 	par.ForBlocks(bounds, func(i, lo, hi int) {
 		next, last, shift, colBits := bk.row(i), uint64(len(bk.start)-1), bk.shift, bk.colBits
-		src, fixed := src[lo:hi], fixed[lo:hi]
+		src := src[lo:hi]
+		if fix == nil {
+			for _, k := range src {
+				b := min(k>>32>>shift, last)
+				keys[next[b]] = K(k>>32<<colBits | uint64(uint32(k)))
+				next[b]++
+			}
+			return
+		}
+		fixed := fixed[lo:hi]
 		for j, k := range src {
 			b := min(k>>32>>shift, last)
 			keys[next[b]], fix[next[b]] = K(k>>32<<colBits|uint64(uint32(k))), fixed[j]
@@ -727,7 +744,7 @@ func groupPairs[K uint32 | uint64](src, fixed []uint64, bounds []int, bk *bucket
 // where the merge has nothing to do, a bucket is written out as soon as it
 // is sorted, where it already lies. Otherwise the sorted buckets count
 // their distinct keys, and they are written out, packed, once every count
-// is known.
+// is known; with fix nil, without weights.
 func sortBuckets[K uint32 | uint64](keys []K, fix []uint64, bk *buckets, distinct bool) (rowPtr []int64, cols []uint32, ws []float64) {
 	start, nb := bk.start, len(bk.start)-1
 	rowPtr = make([]int64, bk.numRows+1)
@@ -740,9 +757,13 @@ func sortBuckets[K uint32 | uint64](keys []K, fix []uint64, bk *buckets, distinc
 	// emit writes sorted bucket b to the output from out.
 	emit := func(b, out int) {
 		lo, hi := start[b], start[b+1]
-		rows := rowPtr[b<<bk.shift : min((b+1)<<bk.shift, bk.numRows)]
-		if !emitRows(keys[lo:hi], fix[lo:hi], rows, cols[out:], ws[out:], K(b<<bk.shift), bk.colBits, out) {
+		rows, row0 := rowPtr[b<<bk.shift:min((b+1)<<bk.shift, bk.numRows)], K(b<<bk.shift)
+		if hi > lo && uint64(keys[hi-1]>>(bk.colBits&63)-row0) >= uint64(len(rows)) {
 			outOfRange.Store(true)
+		} else if fix == nil {
+			emitKeys(keys[lo:hi], rows, cols[out:], row0, bk.colBits, out)
+		} else {
+			emitRows(keys[lo:hi], fix[lo:hi], rows, cols[out:], ws[out:], row0, bk.colBits, out)
 		}
 	}
 	if distinct {
@@ -756,13 +777,20 @@ func sortBuckets[K uint32 | uint64](keys []K, fix []uint64, bk *buckets, distinc
 	} else {
 		off := make([]int, nb+1)
 		par.WorkerBlocks(start, func(w, b, lo, hi int) {
-			scratch[w].sort(keys[lo:hi], fix[lo:hi], keyBits, biggest)
+			var f []uint64
+			if fix != nil {
+				f = fix[lo:hi]
+			}
+			scratch[w].sort(keys[lo:hi], f, keyBits, biggest)
 			off[b+1] = distinctKeys(keys[lo:hi])
 		})
 		for b := 0; b < nb; b++ {
 			off[b+1] += off[b]
 		}
-		cols, ws = make([]uint32, off[nb]), make([]float64, off[nb])
+		cols = make([]uint32, off[nb])
+		if fix != nil {
+			ws = make([]float64, off[nb])
+		}
 		par.ForBlocks(off, func(b, lo, _ int) { emit(b, lo) })
 	}
 	if outOfRange.Load() {
@@ -786,11 +814,8 @@ func distinctKeys[K uint32 | uint64](keys []K) int {
 // emitRows writes one sorted bucket over the rows [row0, row0+len(rows)),
 // each run of equal keys merged into one entry whose weight is the run's
 // fixed-point sum: columns to cols, weights to ws, and each row's start,
-// offset by base, to rows. It returns false if a row lies past rows.
-func emitRows[K uint32 | uint64](keys []K, fix []uint64, rows []int64, cols []uint32, ws []float64, row0 K, colBits uint, base int) bool {
-	if len(keys) > 0 && uint64(keys[len(keys)-1]>>(colBits&63)-row0) >= uint64(len(rows)) {
-		return false
-	}
+// offset by base, to rows. No key's row may lie past rows.
+func emitRows[K uint32 | uint64](keys []K, fix []uint64, rows []int64, cols []uint32, ws []float64, row0 K, colBits uint, base int) {
 	mask := K(1)<<(colBits&63) - 1
 	r, j := 0, 0
 	for i := 0; i < len(keys); j++ {
@@ -806,7 +831,25 @@ func emitRows[K uint32 | uint64](keys []K, fix []uint64, rows []int64, cols []ui
 	for ; r < len(rows); r++ {
 		rows[r] = int64(base + j)
 	}
-	return true
+}
+
+// emitKeys is emitRows without weights.
+func emitKeys[K uint32 | uint64](keys []K, rows []int64, cols []uint32, row0 K, colBits uint, base int) {
+	mask := K(1)<<(colBits&63) - 1
+	r, j := 0, 0
+	for i, k := range keys {
+		if i > 0 && k == keys[i-1] {
+			continue
+		}
+		for row := int(k>>(colBits&63) - row0); r <= row; r++ {
+			rows[r] = int64(base + j)
+		}
+		cols[j] = uint32(k & mask)
+		j++
+	}
+	for ; r < len(rows); r++ {
+		rows[r] = int64(base + j)
+	}
 }
 
 // bucketScratch is one worker's sort scratch, allocated as the passes
@@ -821,6 +864,7 @@ type bucketScratch[K uint32 | uint64] struct {
 // bits that can differ in the bucket, alternating between the scratch
 // buffers, sized for buckets of up to biggest entries, and the last pass
 // writing back into keys and fix. Stable, so equal keys keep their order.
+// With fix nil the keys sort alone.
 func (sc *bucketScratch[K]) sort(keys []K, fix []uint64, keyBits uint, biggest int) {
 	// Two passes at least: the last one overwrites the bucket, so it must
 	// not read it.
@@ -831,9 +875,15 @@ func (sc *bucketScratch[K]) sort(keys []K, fix []uint64, keyBits uint, biggest i
 		dstK, dstF := keys, fix
 		if p+1 < passes {
 			if sc.keys[p&1] == nil {
-				sc.keys[p&1], sc.fix[p&1] = make([]K, biggest), make([]uint64, biggest)
+				sc.keys[p&1] = make([]K, biggest)
+				if fix != nil {
+					sc.fix[p&1] = make([]uint64, biggest)
+				}
 			}
-			dstK, dstF = sc.keys[p&1][:len(keys)], sc.fix[p&1][:len(keys)]
+			dstK = sc.keys[p&1][:len(keys)]
+			if fix != nil {
+				dstF = sc.fix[p&1][:len(keys)]
+			}
 		}
 		radixPass(srcK, srcF, dstK, dstF, p*width, width, &sc.cnt)
 		srcK, srcF = dstK, dstF
@@ -841,7 +891,7 @@ func (sc *bucketScratch[K]) sort(keys []K, fix []uint64, keyBits uint, biggest i
 }
 
 // radixPass is one stable counting pass on the width-bit digit at shift,
-// from (srcK, srcF) to (dstK, dstF).
+// from (srcK, srcF) to (dstK, dstF); srcF nil moves the keys alone.
 func radixPass[K uint32 | uint64](srcK []K, srcF []uint64, dstK []K, dstF []uint64, shift, width uint, cnt *[1 << maxDigitBits]int32) {
 	mask := K(1)<<width - 1
 	clear(cnt[:mask+1])
@@ -851,6 +901,14 @@ func radixPass[K uint32 | uint64](srcK []K, srcF []uint64, dstK []K, dstF []uint
 	var sum int32
 	for d, c := range cnt[:mask+1] {
 		cnt[d], sum = sum, sum+c
+	}
+	if srcF == nil {
+		for _, k := range srcK {
+			d := k >> (shift & 63) & mask & (1<<maxDigitBits - 1)
+			dstK[cnt[d]] = k
+			cnt[d]++
+		}
+		return
 	}
 	srcF = srcF[:len(srcK)]
 	for i, k := range srcK {

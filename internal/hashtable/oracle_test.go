@@ -1,12 +1,13 @@
 package hashtable
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"lightne/internal/par"
-	"lightne/internal/radix"
 )
 
 // perKeyTable is the insert kernel this package used before batch-first
@@ -129,116 +130,29 @@ func TestKernelsBitIdenticalToPerKeyOracle(t *testing.T) {
 	}
 }
 
-// The grouped drain this package used before the bucketed one, kept as the
-// oracle of TestDrainCSRBitIdenticalToRadixOracle and the baseline of
-// BenchmarkDrainCSR: drain every table's (packed key, weight) pairs into one
-// pair of arrays in slot order, then sort them with radix.GroupCSR's four
-// out-of-cache passes over 16-byte pairs and extract the columns.
-
-// drainShardsKeys merges every shard's (packed key, weight) pairs into one
-// pair of exactly-sized arrays: per-shard lengths, an exclusive scan for shard
-// offsets, then all shards drain in parallel into disjoint regions.
-func drainShardsKeys(t *Table) (keys []uint64, ws []float64) {
-	shards := t.shards
-	if len(shards) == 1 {
-		return shards[0].drainKeys()
-	}
-	offsets := make([]int64, len(shards))
-	for i := range shards {
-		offsets[i] = shards[i].count.Load()
-	}
-	total := par.ExclusiveScan(offsets)
-	keys = make([]uint64, total)
-	ws = make([]float64, total)
-	par.For(len(shards), 1, func(i int) {
-		lo := offsets[i]
-		shards[i].drainKeysInto(keys[lo:], ws[lo:])
-	})
-	return keys, ws
-}
-
-// occupancy counts occupied slots per block of the slot array and returns
-// the block boundaries plus per-block counts: the first pass of the
-// two-pass (count, scan, fill) drain. The same bounds must be reused for
-// the fill pass so block indices line up.
-func (t *shard) occupancy() (bounds []int, counts []int64) {
-	bounds = par.Blocks(len(t.slots), drainGrain)
-	counts = make([]int64, len(bounds)-1)
-	if len(bounds) == 2 {
-		// Single block: the maintained key count already is the occupancy,
-		// so skip the counting pass entirely.
-		counts[0] = t.count.Load()
-		return bounds, counts
-	}
-	par.ForBlocks(bounds, func(b, lo, hi int) {
-		var c int64
-		for i := lo; i < hi; i++ {
-			if t.slots[i].key != 0 {
-				c++
-			}
-		}
-		counts[b] = c
-	})
-	return bounds, counts
-}
-
-// drainKeys returns all entries as (packed key, weight) pairs in slot order,
-// keeping the table intact.
-func (t *shard) drainKeys() (keys []uint64, ws []float64) {
-	bounds, counts := t.occupancy()
-	total := par.ExclusiveScan(counts)
-	keys = make([]uint64, total)
-	ws = make([]float64, total)
-	t.fillKeys(bounds, counts, keys, ws)
-	return keys, ws
-}
-
-// drainKeysInto writes every entry as (packed key, weight) into the given
-// slices starting at index 0 and returns the number written (== Len()).
-func (t *shard) drainKeysInto(keys []uint64, ws []float64) int {
-	bounds, counts := t.occupancy()
-	total := par.ExclusiveScan(counts)
-	t.fillKeys(bounds, counts, keys[:total], ws[:total])
-	return int(total)
-}
-
-// fillKeys is the packed-key fill pass: counts must hold the exclusive scan
-// of the per-block occupancy for the same bounds.
-func (t *shard) fillKeys(bounds []int, counts []int64, keys []uint64, ws []float64) {
-	slots := t.slots
-	par.ForBlocks(bounds, func(b, lo, hi int) {
-		w := counts[b]
-		for i := lo; i < hi; i++ {
-			s := slots[i]
-			if s.key == 0 {
-				continue
-			}
-			keys[w] = ^s.key
-			ws[w] = FromFixed(s.val)
-			w++
-		}
-	})
-}
-
-// groupKeysCSR turns drained (packed key, weight) pairs into CSR arrays with
-// the fully-sorted radix grouping. The key slice is consumed (sorted in
-// place and reused for the column extraction).
-func groupKeysCSR(keys []uint64, ws []float64, numRows int) (rowPtr []int64, cols []uint32, outWs []float64) {
-	rowPtr = radix.GroupCSR(keys, ws, numRows)
-	return rowPtr, colsFromKeys(keys), ws
-}
-
-// colsFromKeys extracts the low 32 bits (destination vertex) of each key.
-func colsFromKeys(keys []uint64) []uint32 {
-	cols := make([]uint32, len(keys))
-	par.For(len(keys), drainGrain, func(i int) {
-		cols[i] = uint32(keys[i])
-	})
-	return cols
-}
-
-// drainCSROracle is the replaced DrainCSR.
+// drainCSROracle is the grouped drain DrainCSR replaced, kept as the oracle
+// of TestDrainCSRBitIdenticalToRadixOracle and the baseline of
+// BenchmarkDrainCSR: drain every shard to (packed key, weight) pairs, sort
+// them by key with the standard library, and count the rows.
 func drainCSROracle(t *Table, numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
-	keys, ws := drainShardsKeys(t)
-	return groupKeysCSR(keys, ws, numRows)
+	type pair struct {
+		key uint64
+		w   float64
+	}
+	us, vs, drained := t.Drain()
+	pairs := make([]pair, len(us))
+	for i := range pairs {
+		pairs[i] = pair{Key(us[i], vs[i]), drained[i]}
+	}
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.key, b.key) })
+	rowPtr = make([]int64, numRows+1)
+	cols, ws = make([]uint32, len(pairs)), make([]float64, len(pairs))
+	for i, p := range pairs {
+		rowPtr[p.key>>32+1]++
+		cols[i], ws[i] = uint32(p.key), p.w
+	}
+	for r := 0; r < numRows; r++ {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	return rowPtr, cols, ws
 }

@@ -355,7 +355,8 @@ func invRowSums(m *sparse.CSR) []float64 {
 // is −(w·inv[u]), and the diagonal then gains c.
 //
 // A column stored more than once in a row — the diagonal of a graph that
-// already had a self-loop, or a parallel arc of a multigraph — is one entry
+// already had a self-loop, or a parallel arc of a multigraph, which an LNG1
+// file can carry though FromEdges merges duplicates — is one entry
 // of the operator: the run's values are summed left to right into its first
 // slot (c last, as the identity was merged last) and the other slots hold 0,
 // which adds nothing to a finite product. Ã itself keeps every stored entry.

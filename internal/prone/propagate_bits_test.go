@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"lightne/internal/dense"
@@ -44,15 +45,36 @@ func bitsGraphs(t testing.TB) map[string]*graph.Graph {
 		}
 	}
 	noLoops := graph.DefaultOptions()
-	loops := graph.Options{Symmetrize: true, Dedup: true}
-	multi := graph.Options{Symmetrize: true}
 	return map[string]*graph.Graph{
 		"isolated":   must(graph.FromEdges(n, arcs, noLoops)),
-		"self-loops": must(graph.FromEdges(n, arcs, loops)),
-		"multigraph": must(graph.FromEdges(n, arcs, multi)),
+		"self-loops": must(graph.FromEdges(n, arcs, graph.Options{Symmetrize: true})),
+		"multigraph": must(multigraph(n, arcs)),
 		"weighted":   must(graph.FromWeightedEdges(n, warcs, noLoops)),
 		"rmat10":     must(gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 8, Seed: 3})),
 	}
+}
+
+// multigraph builds the symmetrized graph of arcs with every parallel arc
+// and self-loop kept, as an LNG1 file can carry them (FromEdges merges
+// duplicates).
+func multigraph(n int, arcs []graph.Edge) (*graph.Graph, error) {
+	var keys []uint64
+	for _, e := range arcs {
+		keys = append(keys, uint64(e.U)<<32|uint64(e.V))
+		if e.U != e.V {
+			keys = append(keys, uint64(e.V)<<32|uint64(e.U))
+		}
+	}
+	slices.Sort(keys)
+	offsets, edges := make([]int64, n+1), make([]uint32, len(keys))
+	for i, k := range keys {
+		offsets[k>>32+1]++
+		edges[i] = uint32(k)
+	}
+	for u := 0; u < n; u++ {
+		offsets[u+1] += offsets[u]
+	}
+	return graph.FromCSR(offsets, edges, graph.Options{})
 }
 
 func assertEmbeddingBits(t *testing.T, what string, got, want *dense.Matrix) {

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"testing"
 
 	"lightne/internal/graph"
 	"lightne/internal/hashtable"
 	"lightne/internal/par"
-	"lightne/internal/radix"
 	"lightne/internal/rng"
 )
 
@@ -129,7 +129,7 @@ func runWaveTombstone(g *graph.Graph, wave []headRec, states, scratch []uint64, 
 	walkSeed := seed ^ walkSeedTag
 	weighted := g.Weighted()
 	for round := 0; n > 0; round++ {
-		radix.Sort(states[:n]) // visit order cannot change an endpoint
+		slices.Sort(states[:n]) // visit order cannot change an endpoint
 		par.WorkerFor(n, walkGrain, func(worker, lo, hi int) {
 			nc := &cursors[worker]
 			for rs := lo; rs < hi; {

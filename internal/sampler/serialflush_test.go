@@ -2,11 +2,11 @@ package sampler
 
 import (
 	"fmt"
+	"slices"
 
 	"lightne/internal/graph"
 	"lightne/internal/hashtable"
 	"lightne/internal/par"
-	"lightne/internal/radix"
 	"lightne/internal/rng"
 )
 
@@ -132,14 +132,14 @@ type serialWaveHead struct {
 	e1    uint32
 }
 
-// runWaveSerial advances all states to completion, radix-grouping by current
+// runWaveSerial advances all states to completion, sort-grouping by current
 // vertex between steps, and records endpoints into heads. Walk-step RNG
 // streams are seeded per chunk, so output depends on the chunk geometry
 // (hence on GOMAXPROCS) — the determinism gap the pipelined runWave closes.
 func runWaveSerial(g *graph.Graph, heads []serialWaveHead, states []uint64, seed, wave uint64) {
 	round := 0
 	for len(states) > 0 {
-		radix.Sort(states) // group by current vertex (top bits)
+		slices.Sort(states) // group by current vertex (top bits)
 		// Advance every state one step in parallel; finished states record
 		// their endpoint and are dropped by the compaction below.
 		par.ForRange(len(states), 1024, func(lo, hi int) {

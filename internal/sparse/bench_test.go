@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"sort"
 	"testing"
 
 	"lightne/internal/dense"
@@ -42,67 +41,6 @@ func benchSpMM(b *testing.B, spmm func(y *dense.Matrix, m *CSR, x *dense.Matrix)
 func BenchmarkSpMM(b *testing.B)       { benchSpMM(b, SpMM) }
 func BenchmarkSpMMOracle(b *testing.B) { benchSpMM(b, spmmOracle) }
 
-// fromCOOSortMerge is the pre-radix FromCOO kept for benchmark comparison:
-// count/scan/scatter into rows, then per-row comparison sort plus in-place
-// duplicate merge and a sequential compaction.
-func fromCOOSortMerge(rows, cols int, us, vs []uint32, ws []float64) *CSR {
-	counts := make([]int64, rows+1)
-	for _, u := range us {
-		counts[u+1]++
-	}
-	for r := 0; r < rows; r++ {
-		counts[r+1] += counts[r]
-	}
-	colIdx := make([]uint32, len(us))
-	val := make([]float64, len(us))
-	next := make([]int64, rows)
-	copy(next, counts[:rows])
-	for i, u := range us {
-		p := next[u]
-		next[u]++
-		colIdx[p] = vs[i]
-		val[p] = ws[i]
-	}
-	outLens := make([]int64, rows)
-	for r := 0; r < rows; r++ {
-		lo, hi := counts[r], counts[r+1]
-		rc, rv := colIdx[lo:hi], val[lo:hi]
-		sort.Sort(&benchRowSorter{rc, rv})
-		out := 0
-		for i := 0; i < len(rc); i++ {
-			if out > 0 && rc[out-1] == rc[i] {
-				rv[out-1] += rv[i]
-				continue
-			}
-			rc[out] = rc[i]
-			rv[out] = rv[i]
-			out++
-		}
-		outLens[r] = int64(out)
-	}
-	newPtr := make([]int64, rows+1)
-	var w int64
-	for r := 0; r < rows; r++ {
-		copy(colIdx[w:w+outLens[r]], colIdx[counts[r]:counts[r]+outLens[r]])
-		copy(val[w:w+outLens[r]], val[counts[r]:counts[r]+outLens[r]])
-		w += outLens[r]
-		newPtr[r+1] = w
-	}
-	return &CSR{NumRows: rows, NumCols: cols, RowPtr: newPtr, ColIdx: colIdx[:w], Val: val[:w]}
-}
-
-type benchRowSorter struct {
-	cols []uint32
-	vals []float64
-}
-
-func (s *benchRowSorter) Len() int           { return len(s.cols) }
-func (s *benchRowSorter) Less(i, j int) bool { return s.cols[i] < s.cols[j] }
-func (s *benchRowSorter) Swap(i, j int) {
-	s.cols[i], s.cols[j] = s.cols[j], s.cols[i]
-	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
-}
-
 func benchCOOInput(n, nnzPerRow int) (us, vs []uint32, ws []float64) {
 	s := rng.New(7, 0)
 	total := n * nnzPerRow
@@ -117,31 +55,19 @@ func benchCOOInput(n, nnzPerRow int) (us, vs []uint32, ws []float64) {
 	return us, vs, ws
 }
 
-func benchFromCOO(b *testing.B, n, nnzPerRow int, build func(rows, cols int, us, vs []uint32, ws []float64) *CSR) {
+func benchFromCOO(b *testing.B, n, nnzPerRow int) {
 	us, vs, ws := benchCOOInput(n, nnzPerRow)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = build(n, n, us, vs, ws)
+		if _, err := FromCOO(n, n, us, vs, ws); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.SetBytes(int64(len(us)) * 16)
 }
 
-func radixBuild(rows, cols int, us, vs []uint32, ws []float64) *CSR {
-	m, err := FromCOO(rows, cols, us, vs, ws)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-func BenchmarkFromCOO_n50k_nnz40(b *testing.B) { benchFromCOO(b, 50000, 40, radixBuild) }
-func BenchmarkFromCOOSortMerge_n50k_nnz40(b *testing.B) {
-	benchFromCOO(b, 50000, 40, fromCOOSortMerge)
-}
-func BenchmarkFromCOO_n5k_nnz400(b *testing.B) { benchFromCOO(b, 5000, 400, radixBuild) }
-func BenchmarkFromCOOSortMerge_n5k_nnz400(b *testing.B) {
-	benchFromCOO(b, 5000, 400, fromCOOSortMerge)
-}
+func BenchmarkFromCOO_n50k_nnz40(b *testing.B) { benchFromCOO(b, 50000, 40) }
+func BenchmarkFromCOO_n5k_nnz400(b *testing.B) { benchFromCOO(b, 5000, 400) }
 
 func BenchmarkTruncLog(b *testing.B) {
 	s := rng.New(3, 0)

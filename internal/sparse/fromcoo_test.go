@@ -2,15 +2,17 @@ package sparse
 
 import (
 	"encoding/binary"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"lightne/internal/rng"
 )
 
 // naiveFromCOO is the reference build: a map accumulates duplicates in input
-// order (matching the stable radix path bit for bit), then rows are emitted
-// sorted. Deliberately simple — the oracle for the differential and fuzz
+// order (matching FromCOO's stable per-row sort bit for bit), then rows are
+// emitted sorted. Deliberately simple — the oracle for the differential and fuzz
 // tests.
 func naiveFromCOO(rows, cols int, us, vs []uint32, ws []float64) (*CSR, bool) {
 	acc := make(map[uint64]float64)
@@ -69,9 +71,9 @@ func assertCSREqual(t *testing.T, got, want *CSR) {
 	}
 }
 
-// TestFromCOODifferential compares the radix build against the naive
-// reference across the shapes the ISSUE calls out: duplicate entries,
-// unsorted input, empty rows, single-row matrices, and empty input.
+// TestFromCOODifferential compares the build against the naive reference on
+// duplicate entries, unsorted input, empty rows, single-row matrices, and
+// empty input.
 func TestFromCOODifferential(t *testing.T) {
 	s := rng.New(41, 0)
 	type tc struct {
@@ -127,8 +129,44 @@ func TestFromCOORejectsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestFromCOODoesNotMutateInput: the radix build must sort scratch copies,
-// never the caller's slices.
+// TestFromCOOSumsDuplicatesInInputOrder: duplicates are summed left to
+// right in input order, wherever they lie in it — (1e17 + 1) − 1e17 is 0,
+// and any other order of those three gives 1.
+func TestFromCOOSumsDuplicatesInInputOrder(t *testing.T) {
+	us := []uint32{1, 0, 1, 1, 0}
+	vs := []uint32{2, 0, 2, 2, 0}
+	ws := []float64{1e17, 5, 1, -1e17, 6}
+	m, err := FromCOO(2, 3, us, vs, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.At(1, 2) != 0 || m.At(0, 0) != 11 || m.NNZ() != 2 {
+		t.Fatalf("At(1,2)=%g At(0,0)=%g nnz=%d, want 0, 11, 2", m.At(1, 2), m.At(0, 0), m.NNZ())
+	}
+}
+
+// TestFromCOOErrorNamesFirstOutOfRange: with two out-of-range triples far
+// apart, the error names the first, at every GOMAXPROCS.
+func TestFromCOOErrorNamesFirstOutOfRange(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const n = 20000
+	us, vs, ws := make([]uint32, n), make([]uint32, n), make([]float64, n)
+	for i := range us {
+		us[i], vs[i], ws[i] = uint32(i%50), uint32(i%70), 1
+	}
+	us[100], vs[100] = 50, 3               // row out of range
+	us[100+3*4096], vs[100+3*4096] = 7, 70 // column out of range
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		_, err := FromCOO(50, 70, us, vs, ws)
+		if err == nil || !strings.Contains(err.Error(), "(50,3)") {
+			t.Fatalf("procs=%d: error %v, want one naming entry (50,3)", procs, err)
+		}
+	}
+}
+
+// TestFromCOODoesNotMutateInput: the build must sort scratch copies, never
+// the caller's slices.
 func TestFromCOODoesNotMutateInput(t *testing.T) {
 	us := []uint32{3, 0, 3, 1}
 	vs := []uint32{2, 9, 1, 0}

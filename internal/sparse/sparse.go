@@ -14,14 +14,15 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"lightne/internal/dense"
 	"lightne/internal/par"
-	"lightne/internal/radix"
 )
 
 // CSR is a compressed sparse row matrix.
@@ -41,71 +42,50 @@ func (m *CSR) MemoryBytes() int64 {
 }
 
 // FromCOO builds a CSR matrix from triples, summing duplicates. Triples may
-// arrive in any order; the input slices are not modified.
+// arrive in any order; the input slices are not modified. An out-of-range
+// triple is an error naming the first such triple.
 //
-// The build runs entirely on the radix machinery: triples pack into
-// (row<<32|col) keys, one parallel stable LSD grouping sorts them into
-// row-grouped column-sorted order (radix.GroupCSR — no interface-based
-// per-row comparison sort), and a merge pass sums now-adjacent duplicates.
-// Stability makes the result deterministic: duplicates are summed in input
-// order, for any worker count.
+// The build is serial, for the small matrices it serves (the dense NetMF
+// baseline, tests): a count per row, a scatter of each row's triples in
+// input order, a stable sort of each row by column, and a merge of equal
+// columns. Duplicates are summed in input order.
 func FromCOO(rows, cols int, us, vs []uint32, ws []float64) (*CSR, error) {
 	if len(us) != len(vs) || len(us) != len(ws) {
 		return nil, fmt.Errorf("sparse: COO slice lengths differ (%d, %d, %d)", len(us), len(vs), len(ws))
 	}
-	n := len(us)
-	var bad int64 = -1
-	par.For(n, 4096, func(i int) {
-		if int(us[i]) >= rows || int(vs[i]) >= cols {
-			atomic.StoreInt64(&bad, int64(i))
+	rowPtr := make([]int64, rows+1)
+	for i, u := range us {
+		if int(u) >= rows || int(vs[i]) >= cols {
+			return nil, fmt.Errorf("sparse: entry (%d,%d) outside %dx%d", u, vs[i], rows, cols)
 		}
-	})
-	if bad >= 0 {
-		return nil, fmt.Errorf("sparse: entry (%d,%d) outside %dx%d", us[bad], vs[bad], rows, cols)
+		rowPtr[u+1]++
 	}
-	keys := make([]uint64, n)
-	vals := make([]float64, n)
-	par.For(n, 4096, func(i int) {
-		keys[i] = uint64(us[i])<<32 | uint64(vs[i])
-		vals[i] = ws[i]
-	})
-	rawPtr := radix.GroupCSR(keys, vals, rows)
-	// Merge duplicate keys (adjacent after the sort) into the head of each
-	// row segment, then compact into exact-fit output arrays.
-	outLens := make([]int64, rows)
-	par.For(rows, 64, func(r int) {
-		lo, hi := rawPtr[r], rawPtr[r+1]
-		out := lo
-		for i := lo; i < hi; i++ {
-			if out > lo && keys[out-1] == keys[i] {
-				vals[out-1] += vals[i]
+	for r := 0; r < rows; r++ {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	type entry struct {
+		col uint32
+		w   float64
+	}
+	ents, next := make([]entry, len(us)), slices.Clone(rowPtr[:rows])
+	for i, u := range us {
+		ents[next[u]] = entry{vs[i], ws[i]}
+		next[u]++
+	}
+	colIdx, val := make([]uint32, 0, len(us)), make([]float64, 0, len(us))
+	for r := 0; r < rows; r++ {
+		row := ents[rowPtr[r]:rowPtr[r+1]]
+		slices.SortStableFunc(row, func(a, b entry) int { return cmp.Compare(a.col, b.col) })
+		rowPtr[r] = int64(len(colIdx))
+		for i, e := range row {
+			if i > 0 && e.col == row[i-1].col {
+				val[len(val)-1] += e.w
 				continue
 			}
-			keys[out] = keys[i]
-			vals[out] = vals[i]
-			out++
+			colIdx, val = append(colIdx, e.col), append(val, e.w)
 		}
-		outLens[r] = out - lo
-	})
-	total := par.ExclusiveScan(outLens) // outLens now holds output offsets
-	colIdx := make([]uint32, total)
-	val := make([]float64, total)
-	rowPtr := make([]int64, rows+1)
-	par.For(rows, 64, func(r int) {
-		w := outLens[r] // output offset of row r
-		rowPtr[r] = w
-		length := total - w
-		if r+1 < rows {
-			length = outLens[r+1] - w
-		}
-		lo := rawPtr[r]
-		for i := lo; i < lo+length; i++ {
-			colIdx[w] = uint32(keys[i])
-			val[w] = vals[i]
-			w++
-		}
-	})
-	rowPtr[rows] = total
+	}
+	rowPtr[rows] = int64(len(colIdx))
 	return &CSR{NumRows: rows, NumCols: cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}, nil
 }
 

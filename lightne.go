@@ -36,8 +36,8 @@ type Graph = graph.Graph
 // Edge is a directed arc used when constructing graphs.
 type Edge = graph.Edge
 
-// GraphOptions controls graph construction (symmetrization, dedup,
-// compression).
+// GraphOptions controls graph construction (symmetrization, self-loop
+// removal, compression). Builds always merge duplicate arcs.
 type GraphOptions = graph.Options
 
 // Matrix is a row-major dense matrix; embeddings are returned as matrices
