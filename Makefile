@@ -41,8 +41,9 @@ harness:
 # batches, per-shard grows and Get, interleaved) and the par primitives, the
 # bucketed drain and grouping (work-stolen buckets writing disjoint rows)
 # with their sweep over GOMAXPROCS, the row-transform
-# kernel (netsmf), the sampler's end-to-end sampler → sharded table →
-# grouped drain stress test (undersized tables force concurrent grows) and
+# kernel (netsmf), the sampler's end-to-end incremental sampler → sharded
+# table → grouped drain stress test (undersized tables force concurrent
+# grows), the per-arc pass's per-worker pair buffers on four workers and
 # the batched pass's waves and grouping, the parallel compressed-adjacency builder
 # (unsorted-input error reporting races the workers), and the
 # fault-injection harness driving the supervised ingest loop and the
@@ -116,8 +117,8 @@ bench:
 # grouping by sort (hashtable's BenchmarkGroupCSR) against the four-shard
 # insert + drain it replaced, and BenchmarkDrain vs BenchmarkDrainSequential;
 # pipe two runs into `benchstat old.txt new.txt`). The second line times the grouped drain at
-# the harness's two table shapes, sampled for real (RMAT-12 per-arc in one
-# table, RMAT-13 batched entries in four shards), beside the drain it replaced
+# the harness's two table shapes, sampled for real (RMAT-12 per-arc entries
+# in one table, RMAT-13 batched entries in four shards), beside the drain it replaced
 # (oracle/), on one core and on two.
 bench-drain:
 	$(GO) test -run xxx -bench 'BenchmarkInsert|BenchmarkDrain$$|BenchmarkDrainSequential|BenchmarkGroupCSR$$' -benchmem -count=5 ./internal/hashtable
@@ -128,9 +129,11 @@ bench-drain:
 # pipeline walking the compressed and the weighted adjacency natively, and
 # the per-arc vs batched pair at the harness's embed-stream shape (RMAT-13,
 # compressed for the pipeline, raw for per-arc; heads/s and allocs
-# reported). On one core and on two.
+# reported); then the grouping alone, one orientation mirrored (one/)
+# against both orientations sorted (two/), on the RMAT-12 per-arc and
+# RMAT-13 wave pair sets. On one core and on two.
 bench-sample:
-	$(GO) test -run xxx -bench 'BenchmarkSample$$|BenchmarkSampleSerialFlush|BenchmarkSampleBatched$$|BenchmarkSamplePipelined|BenchmarkSampleBatchedCompressed|BenchmarkSampleBatchedWeighted|RMAT13' -benchmem -cpu 1,2 -count=3 ./internal/sampler
+	$(GO) test -run xxx -bench 'BenchmarkSample$$|BenchmarkSampleSerialFlush|BenchmarkSampleBatched$$|BenchmarkSamplePipelined|BenchmarkSampleBatchedCompressed|BenchmarkSampleBatchedWeighted|RMAT13|BenchmarkGroupOrientation' -benchmem -cpu 1,2 -count=3 ./internal/sampler
 
 # The sketch's absorb at the harness's embed-stream shape (n = 8 192, d = 32,
 # the trunc-logged RMAT-13 sparsifier, ~0.9 M entries, default sign density):

@@ -62,11 +62,11 @@ type Config struct {
 	// and groups every wave's pairs at the end; at the default a pass of up
 	// to 2^22 heads (an RMAT-13 pass at M = 2·T·m draws ~0.8 M) is one wave.
 	WaveSize int
-	// Shards splits the per-arc sampler's aggregation table (and the
-	// incremental embedder's) across a power of two of shards routed by
-	// high hash bits; <= 1 keeps one table, and more than
-	// hashtable.MaxShards (1 024) is an error. The batched sampler groups
-	// its samples by sorting, with no table, and only checks it. The
+	// Shards splits the incremental embedder's aggregation table
+	// (internal/dynamic) across a power of two of shards routed by high
+	// hash bits; <= 1 keeps one table, and more than hashtable.MaxShards
+	// (1 024) is an error. Embed's samplers, per-arc and batched, group
+	// their samples by sorting, with no table, and only check it. The
 	// sparsifier (and hence the embedding) is bit-identical for every
 	// setting. Sharding confines a grow stall to one shard when the
 	// capacity hint is wrong.
@@ -208,14 +208,14 @@ const streamChunkEntries = 1 << 20
 // factorization, X = U·Σ^{1/2} and (unless SkipPropagation) spectral
 // propagation. trials is the realized sample count M̂ accumulated in sink; of
 // cfg the sampling fields are not read. A hash-table sink is left intact; a
-// batched pass's sink hands over its grouped arrays, which the multi-pass
+// full pass's sink hands over its grouped arrays, which the multi-pass
 // path reads into a separately allocated scaled matrix, so the raw and the
 // scaled CSR are resident together. Result.SampleStats is the caller's to
 // fill.
 //
 // Because per-vertex RNG streams fix the sample multiset, fixed-point
-// accumulation is exact and commutative, and the fully-sorted drain (or the
-// batched pass's sort) is a pure function of that multiset, the drained
+// accumulation is exact and commutative, and the fully-sorted drain (or a
+// full pass's sort) is a pure function of that multiset, the drained
 // matrix is bit-identical for every Shards setting and worker count. The scaled matrix is bit-stable too:
 // vol(G) is an exact integer for unweighted graphs and a fixed-geometry
 // deterministic reduction (par.ReduceFloat64Det) for weighted ones, and the
@@ -223,7 +223,7 @@ const streamChunkEntries = 1 << 20
 //
 // The multi-pass path transforms all rows at once and runs the randomized
 // SVD on the materialized matrix. The matrix is exactly symmetric bitwise —
-// every sample inserts in both orientations with the same fixed-point weight,
+// every sample counts in both orientations with the same fixed-point weight,
 // and the estimator scaling is symmetric in (i, j) — so the SVD reuses it as
 // its own transpose instead of materializing a second CSR.
 //

@@ -22,25 +22,21 @@ type MemoryEstimate struct {
 	Trials int64
 	// ExpectedHeads is E[# samples surviving the downsampling coin].
 	ExpectedHeads int64
-	// TableBytes is the hash table Sample presizes: power-of-two slots of
-	// 16 bytes at 7/8 load for two oriented keys per expected head, with
-	// the enumerator's slack (sampler.TableHint, hashtable.SlotBytes). With
-	// BatchedWalks, which builds no table, it is what replaces it:
-	// hashtable.GroupCSR's bucket scatter of two oriented pairs per expected
-	// head plus its per-worker sort scratch.
+	// TableBytes is what a sampling pass aggregates its samples in, with no
+	// hash table, in either mode: one 16 B (key, fixed) pair per expected
+	// head (the head's one orientation), hashtable.GroupCSR's bucket scatter
+	// of those pairs plus its per-worker sort scratch, and the
+	// upper-triangle CSR the mirror reads to write the full one
+	// (SparsifierBytes or StreamBytes).
 	TableBytes int64
-	// PeakTableBytes is the table's high-water mark including the grow
-	// transient: while a badly-hinted table rehashes to its final capacity,
-	// the old half-size slot arrays coexist with the new ones, so the true
-	// peak is 1.5x the post-grow footprint (sampler.Stats.PeakTableBytes
-	// reports the realized counterpart). Total budgets this, not
-	// TableBytes, so the plan stays honest when the size hint is wrong.
-	// With BatchedWalks nothing grows, and it equals TableBytes.
+	// PeakTableBytes is the high-water mark of TableBytes' arrays, which
+	// Total budgets (sampler.Stats.PeakTableBytes reports the realized
+	// counterpart). Every array is sized from the pairs it holds, so
+	// nothing grows, and it equals TableBytes.
 	PeakTableBytes int64
 	// WalkBufferBytes is the batched pass's own buffers (head records with
 	// their enumeration slack, the wave's stepping-side state buffers and
-	// digit counts, and the oriented pairs it groups); zero unless
-	// BatchedWalks.
+	// digit counts); zero unless BatchedWalks.
 	WalkBufferBytes int64
 	// DecodeBufferBytes is the transient for walking a compressed graph
 	// natively: one NeighborCursor decode buffer per worker, each at most
@@ -73,10 +69,8 @@ type MemoryEstimate struct {
 	AliasTableBytes int64
 }
 
-// Total sums all components. Table and sparsifier coexist briefly during
-// the drain, so the sum is the honest peak; the table contributes its
-// grow-transient high-water mark (PeakTableBytes), not the steady state,
-// so a run whose size hint was wrong still fits the reported budget.
+// Total sums all components. The grouping arrays and the sparsifier
+// coexist while the mirror writes it, so the sum is the honest peak.
 func (m MemoryEstimate) Total() int64 {
 	return m.PeakTableBytes + m.WalkBufferBytes + m.DecodeBufferBytes +
 		m.SparsifierBytes + m.StreamBytes + m.DenseBytes + m.GraphBytes + m.AliasTableBytes
@@ -95,16 +89,20 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 		return MemoryEstimate{}, fmt.Errorf("lightne: %w", err)
 	}
 	e := sampler.ExpectedHeads(g, scfg)
-	heads := int64(e)
-	// Two oriented keys per head; the table is the one Sample presizes.
+	heads, n := int64(e), int64(g.NumVertices())
+	// One pair per head, which its two orientations make at most two
+	// sparsifier entries. The scatter's sort scratch: each worker's holds
+	// its largest bucket, priced at an eighth of the pairs (power-law rows
+	// make buckets uneven: the RMAT-13 hub's holds 7 %).
 	entries := 2 * heads
-	tableBytes := hashtable.SlotBytes(sampler.TableHint(e), scfg.Shards)
+	scatter := hashtable.GroupScatterBytes(int(heads), int(n))
+	tableBytes := 16*heads + scatter + int64(par.Workers())*scatter/8 + heads*12 + (n+1)*8
 	est := MemoryEstimate{
 		Trials:          scfg.M,
 		ExpectedHeads:   heads,
 		TableBytes:      tableBytes,
-		PeakTableBytes:  tableBytes * 3 / 2,
-		SparsifierBytes: entries*12 + int64(g.NumVertices()+1)*8,
+		PeakTableBytes:  tableBytes,
+		SparsifierBytes: entries*12 + (n+1)*8,
 		AliasTableBytes: g.AliasBytes(),
 	}
 	// SizeBytes already includes the alias tables for weighted graphs; split
@@ -122,12 +120,7 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 		// probability E[1/r] = H_T/T, so 2·(1 − H_T/T) sides per head, at
 		// most 2w), and its per-block digit counts (8 B per digit, at most
 		// 2^14 digits — the top bits of a vertex id, no more than 2w — per
-		// block). Then every head's two oriented (key, fixed) pairs
-		// (2 x 2 x 8 B per head), which hashtable.GroupCSR scatters into row
-		// buckets and sorts into the CSR (SparsifierBytes or StreamBytes).
-		// The scatter and the sort scratch replace the table: each worker's
-		// scratch holds its largest bucket, priced at an eighth of the pairs
-		// (power-law rows make buckets uneven: the RMAT-13 hub's holds 7 %).
+		// block).
 		wave := int64(cfg.WaveSize)
 		if wave <= 0 || wave > sampler.MaxWaveHeads {
 			wave = sampler.MaxWaveHeads
@@ -141,10 +134,7 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 		}
 		stepping := min(int64(2*float64(heads)*(1-harmonic/float64(cfg.T))), 2*wave)
 		digitBits := min(bits.Len32(uint32(g.NumVertices()-1)), 14, bits.Len64(uint64(2*wave)))
-		est.WalkBufferBytes = 24*(heads+slack) + 16*stepping + int64(blocks)*8<<digitBits + 32*heads
-		scatter := hashtable.GroupScatterBytes(int(entries), g.NumVertices())
-		est.TableBytes = scatter + int64(par.Workers())*scatter/8
-		est.PeakTableBytes = est.TableBytes
+		est.WalkBufferBytes = 24*(heads+slack) + 16*stepping + int64(blocks)*8<<digitBits
 		if g.Compressed() {
 			// Walking compressed never materializes the edge array; the only
 			// new transient is one cursor decode buffer per worker, sized for
@@ -159,7 +149,6 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 			est.DecodeBufferBytes = int64(par.Workers()) * int64(maxDeg+g.BlockSize()) * 4
 		}
 	}
-	n := int64(g.NumVertices())
 	if cfg.StreamedSVD {
 		// Sketch mode never materializes the scaled sparsifier: the drained
 		// raw CSR (StreamBytes, same arrays the sparsifier would occupy)

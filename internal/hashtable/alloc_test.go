@@ -7,7 +7,7 @@ package hashtable
 
 import "testing"
 
-// TestSmallShardedBatchDoesNotAllocate: a per-arc sampler's flush into a
+// TestSmallShardedBatchDoesNotAllocate: the incremental sampler's flush into a
 // sharded table is grouped in pooled scratch, so once the keys are present
 // it allocates nothing.
 func TestSmallShardedBatchDoesNotAllocate(t *testing.T) {

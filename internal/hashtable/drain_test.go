@@ -25,9 +25,9 @@ type drainCase struct {
 // harnessTables samples the two harness shapes once: RMAT-12 through the
 // per-arc sampler at DefaultConfig(64) (embed-default) and RMAT-13 through
 // the wave pipeline at M = 2·T·m (embed-stream), each drained as packed
-// keys and fixed-point weights. The per-arc pass's table is drained as it
-// was sampled; the batched pass groups without a table, so its entries go
-// into a four-shard table, the embed-stream shape of a sharded table.
+// keys and fixed-point weights. Both passes group without a table, so
+// their entries go into one: a one-shard table for RMAT-12 and a four-shard
+// one, the embed-stream shape of a sharded table, for RMAT-13.
 var harnessTables = sync.OnceValue(func() []harnessTable {
 	var out []harnessTable
 	for _, scale := range []int{12, 13} {
@@ -61,11 +61,7 @@ var harnessTables = sync.OnceValue(func() []harnessTable {
 			h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
 			h.fixed[i], h.fixed[j] = h.fixed[j], h.fixed[i]
 		}
-		if tab, ok := sink.(*hashtable.Table); ok {
-			h.table = tab
-		} else {
-			h.table = shardTable(h.keys, h.fixed, 2, len(h.keys))
-		}
+		h.table = shardTable(h.keys, h.fixed, uint(2*(scale-12)), len(h.keys))
 		out = append(out, h)
 	}
 	return out
@@ -187,7 +183,7 @@ func TestDrainCSRPanicsOnRowOutOfRange(t *testing.T) {
 }
 
 // BenchmarkDrainCSR times the grouped drain at the harness's two table
-// shapes — RMAT-12 from the per-arc sampler in one table (embed-default) and
+// shapes — RMAT-12's per-arc-pass entries in one table (embed-default) and
 // RMAT-13's batched-pass entries in four shards (the embed-stream shape) —
 // beside the drain-to-pairs and standard-library sort it replaced (oracle/).
 // Run at -cpu 1,2.

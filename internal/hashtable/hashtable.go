@@ -40,12 +40,15 @@
 // vertex: each entry is scattered once, into a bucket of rows that sorts in
 // cache. The keys being distinct, the fully sorted layout is unique,
 // whatever the shard count, slot order or worker count. GroupCSR runs the
-// same bucket sort on a batch of pairs that has not been through a table —
-// a batched sampling pass's, which holds every pair at once anyway — and
-// merges equal keys, summing their fixed-point weights, after each bucket
-// sorts: the same CSR a table of those pairs drains to, without the table.
-// Given keys alone, GroupCSR is the module's one grouping sort: the graph
-// builder turns packed arcs into adjacency through it.
+// same bucket sort on a batch of pairs that has not been through a table
+// and merges equal keys, summing their fixed-point weights, after each
+// bucket sorts: the same CSR a table of those pairs drains to, without the
+// table. GroupSymmetricCSR groups one orientation of symmetric pairs so and
+// writes the other by a transpose: the aggregation of a full sampling pass,
+// which holds every pair at once anyway, so that the table serves the
+// incremental pass alone. Given keys alone, GroupCSR is the module's one
+// grouping sort: the graph builder turns packed arcs into adjacency
+// through it.
 package hashtable
 
 import (
@@ -53,7 +56,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"lightne/internal/par"
 )
@@ -181,13 +183,6 @@ func presize(capacityHint int) uint64 {
 		c = 16
 	}
 	return c
-}
-
-// SlotBytes is the slot footprint of New(capacityHint, shards). shards must
-// not exceed MaxShards.
-func SlotBytes(capacityHint, shards int) int64 {
-	n := 1 << shardBits(shards)
-	return int64(n) * int64(presize((capacityHint+n-1)/n)) * 16
 }
 
 func (s *shard) setSlots(capacity uint64) {
@@ -559,7 +554,8 @@ const (
 // each entry into its bucket's region, keyed row<<colBits | col (in 32 bits
 // when that fits), with its fixed-point weight. The buckets are
 // work-stolen, since power-law rows skew their sizes; each sorts in cache
-// and writes its columns, weights and rows.
+// and counts its keys, and once every count is known each writes its
+// columns, weights and rows.
 func (t *Table) DrainCSR(numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
 	blocks, total := t.slotBlocks()
 	bk := newBuckets(numRows, total, len(blocks))
@@ -586,23 +582,47 @@ func (t *Table) DrainCSR(numRows int) (rowPtr []int64, cols []uint32, ws []float
 // nil, and no weight is scattered, sorted or summed.
 //
 // It is DrainCSR's bucket sort with the pairs as the source; after a bucket
-// sorts, its equal keys are adjacent and merge, and the buckets are written
-// out once every bucket's merged entry count is known.
+// sorts, its equal keys are adjacent and merge as it is written out.
 func GroupCSR(keys, fixed []uint64, numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
-	if fixed != nil && len(keys) != len(fixed) {
-		panic("hashtable: keys and fixed must have equal length")
+	if fixed == nil {
+		return groupSegments([][]uint64{keys}, nil, numRows)
 	}
-	bounds := par.Blocks(len(keys), drainGrain)
-	bk := newBuckets(numRows, len(keys), len(bounds)-1)
-	colOr := make([]uint32, len(bounds)-1)
-	par.ForBlocks(bounds, func(i, lo, hi int) {
-		colOr[i] = countPairs(keys[lo:hi], bk.row(i), bk.shift)
+	return groupSegments([][]uint64{keys}, [][]uint64{fixed}, numRows)
+}
+
+// groupSegments is GroupCSR over pairs given as segments, keys[i] with
+// fixed[i], each read where it lies; fixed nil groups the keys alone. It
+// panics if a segment's weights do not pair up with its keys one to one.
+func groupSegments(keys, fixed [][]uint64, numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
+	total := 0
+	for i, seg := range keys {
+		if fixed != nil && len(fixed[i]) != len(seg) {
+			panic("hashtable: keys and fixed must have equal length")
+		}
+		total += len(seg)
+	}
+	// Blocks of about a quarter of a worker's share, cut from each segment.
+	grain := max(drainGrain, total/(4*par.Workers()))
+	var kb, fb [][]uint64
+	for i, seg := range keys {
+		for lo := 0; lo < len(seg); lo += grain {
+			hi := min(lo+grain, len(seg))
+			kb = append(kb, seg[lo:hi])
+			if fixed != nil {
+				fb = append(fb, fixed[i][lo:hi])
+			}
+		}
+	}
+	bk := newBuckets(numRows, total, len(kb))
+	colOr := make([]uint32, len(kb))
+	par.For(len(kb), 1, func(i int) {
+		colOr[i] = countPairs(kb[i], bk.row(i), bk.shift)
 	})
-	bk.scan(colOr, len(keys))
+	bk.scan(colOr, total)
 	if bk.rowBits+bk.colBits <= 32 {
-		return groupPairs[uint32](keys, fixed, bounds, bk)
+		return groupPairs[uint32](kb, fb, bk)
 	}
-	return groupPairs[uint64](keys, fixed, bounds, bk)
+	return groupPairs[uint64](kb, fb, bk)
 }
 
 // GroupScatterBytes bounds the bucket scatter GroupCSR allocates beside its
@@ -708,44 +728,42 @@ func drainSlots[K uint32 | uint64](blocks [][]slot, bk *buckets) (rowPtr []int64
 			}
 		}
 	})
-	return sortBuckets(keys, fix, bk, true)
+	return sortBuckets(keys, fix, bk)
 }
 
-// groupPairs is drainSlots over the pairs, blocked by bounds, which may
-// repeat keys; with fixed nil it scatters the keys alone.
-func groupPairs[K uint32 | uint64](src, fixed []uint64, bounds []int, bk *buckets) (rowPtr []int64, cols []uint32, ws []float64) {
-	keys, fix := make([]K, len(src)), []uint64(nil)
+// groupPairs is drainSlots over blocks of pairs, which may repeat keys;
+// with fixed nil it scatters the keys alone.
+func groupPairs[K uint32 | uint64](src, fixed [][]uint64, bk *buckets) (rowPtr []int64, cols []uint32, ws []float64) {
+	total := bk.start[len(bk.start)-1]
+	keys, fix := make([]K, total), []uint64(nil)
 	if fixed != nil {
-		fix = make([]uint64, len(src))
+		fix = make([]uint64, total)
 	}
-	par.ForBlocks(bounds, func(i, lo, hi int) {
+	par.For(len(src), 1, func(i int) {
 		next, last, shift, colBits := bk.row(i), uint64(len(bk.start)-1), bk.shift, bk.colBits
-		src := src[lo:hi]
 		if fix == nil {
-			for _, k := range src {
+			for _, k := range src[i] {
 				b := min(k>>32>>shift, last)
 				keys[next[b]] = K(k>>32<<colBits | uint64(uint32(k)))
 				next[b]++
 			}
 			return
 		}
-		fixed := fixed[lo:hi]
-		for j, k := range src {
+		fixed := fixed[i][:len(src[i])]
+		for j, k := range src[i] {
 			b := min(k>>32>>shift, last)
 			keys[next[b]], fix[next[b]] = K(k>>32<<colBits|uint64(uint32(k))), fixed[j]
 			next[b]++
 		}
 	})
-	return sortBuckets(keys, fix, bk, false)
+	return sortBuckets(keys, fix, bk)
 }
 
 // sortBuckets sorts every bucket of a scatter in cache and writes the CSR
-// arrays, each run of equal keys merged into one entry. With distinct keys,
-// where the merge has nothing to do, a bucket is written out as soon as it
-// is sorted, where it already lies. Otherwise the sorted buckets count
-// their distinct keys, and they are written out, packed, once every count
-// is known; with fix nil, without weights.
-func sortBuckets[K uint32 | uint64](keys []K, fix []uint64, bk *buckets, distinct bool) (rowPtr []int64, cols []uint32, ws []float64) {
+// arrays, each run of equal keys merged into one entry: the sorted buckets
+// count their distinct keys, and they are written out, packed, once every
+// count is known; with fix nil, without weights.
+func sortBuckets[K uint32 | uint64](keys []K, fix []uint64, bk *buckets) (rowPtr []int64, cols []uint32, ws []float64) {
 	start, nb := bk.start, len(bk.start)-1
 	rowPtr = make([]int64, bk.numRows+1)
 	scratch, biggest := make([]bucketScratch[K], par.Workers()), 0
@@ -753,9 +771,25 @@ func sortBuckets[K uint32 | uint64](keys []K, fix []uint64, bk *buckets, distinc
 		biggest = max(biggest, start[b+1]-start[b])
 	}
 	keyBits := bk.shift + bk.colBits
+	off := make([]int, nb+1)
+	par.WorkerBlocks(start, func(w, b, lo, hi int) {
+		var f []uint64
+		if fix != nil {
+			f = fix[lo:hi]
+		}
+		scratch[w].sort(keys[lo:hi], f, keyBits, biggest)
+		off[b+1] = distinctKeys(keys[lo:hi])
+	})
+	for b := 0; b < nb; b++ {
+		off[b+1] += off[b]
+	}
+	cols = make([]uint32, off[nb])
+	if fix != nil {
+		ws = make([]float64, off[nb])
+	}
 	var outOfRange atomic.Bool
-	// emit writes sorted bucket b to the output from out.
-	emit := func(b, out int) {
+	// Sorted bucket b is written to the output from off[b].
+	par.ForBlocks(off, func(b, out, _ int) {
 		lo, hi := start[b], start[b+1]
 		rows, row0 := rowPtr[b<<bk.shift:min((b+1)<<bk.shift, bk.numRows)], K(b<<bk.shift)
 		if hi > lo && uint64(keys[hi-1]>>(bk.colBits&63)-row0) >= uint64(len(rows)) {
@@ -765,34 +799,7 @@ func sortBuckets[K uint32 | uint64](keys []K, fix []uint64, bk *buckets, distinc
 		} else {
 			emitRows(keys[lo:hi], fix[lo:hi], rows, cols[out:], ws[out:], row0, bk.colBits, out)
 		}
-	}
-	if distinct {
-		// Each bucket is written out where it lies, so every weight converts
-		// from fixed point in place.
-		cols, ws = make([]uint32, start[nb]), unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(fix))), len(fix))
-		par.WorkerBlocks(start, func(w, b, lo, hi int) {
-			scratch[w].sort(keys[lo:hi], fix[lo:hi], keyBits, biggest)
-			emit(b, lo)
-		})
-	} else {
-		off := make([]int, nb+1)
-		par.WorkerBlocks(start, func(w, b, lo, hi int) {
-			var f []uint64
-			if fix != nil {
-				f = fix[lo:hi]
-			}
-			scratch[w].sort(keys[lo:hi], f, keyBits, biggest)
-			off[b+1] = distinctKeys(keys[lo:hi])
-		})
-		for b := 0; b < nb; b++ {
-			off[b+1] += off[b]
-		}
-		cols = make([]uint32, off[nb])
-		if fix != nil {
-			ws = make([]float64, off[nb])
-		}
-		par.ForBlocks(off, func(b, lo, _ int) { emit(b, lo) })
-	}
+	})
 	if outOfRange.Load() {
 		panic("hashtable: source row out of range")
 	}

@@ -227,8 +227,8 @@ func TestShardedGrowsUnderBadHint(t *testing.T) {
 }
 
 // TestShardedRoundsUpToPowerOfTwo: New rounds the shard count up to a power
-// of two, at least 1; SlotBytes prices exactly what New allocates; and a
-// count above MaxShards panics in both rather than allocating.
+// of two, at least 1; and a count above MaxShards panics rather than
+// allocating.
 func TestShardedRoundsUpToPowerOfTwo(t *testing.T) {
 	for _, c := range []struct{ in, want int }{{-1, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}, {MaxShards - 1, MaxShards}, {MaxShards, MaxShards}} {
 		for _, hint := range []int{-3, 0, 64, 100_000} {
@@ -236,15 +236,11 @@ func TestShardedRoundsUpToPowerOfTwo(t *testing.T) {
 			if got := tab.Shards(); got != c.want {
 				t.Fatalf("New(_, %d).Shards()=%d want %d", c.in, got, c.want)
 			}
-			if got, want := SlotBytes(hint, c.in), tab.MemoryBytes(); got != want {
-				t.Fatalf("SlotBytes(%d, %d)=%d, New allocates %d", hint, c.in, got, want)
-			}
 		}
 	}
 	for _, shards := range []int{MaxShards + 1, 1 << 30, math.MaxInt} {
 		for name, f := range map[string]func(){
-			"New":       func() { New(64, shards) },
-			"SlotBytes": func() { SlotBytes(64, shards) },
+			"New": func() { New(64, shards) },
 		} {
 			func() {
 				defer func() {

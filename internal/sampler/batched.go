@@ -23,9 +23,10 @@ import (
 // stream once, so the trial distribution and per-head weights are identical
 // to a serial enumeration; stage 2 (wave.go) walks one wave of heads at a
 // time, every stepping side in lock step until its last step; stage 3
-// turns every walked head into its two oriented (key, fixed) pairs and
-// groups them all with hashtable.GroupCSR — one bucketed sort that merges
-// equal keys — straight into the sparsifier's CSR arrays. The pass holds
+// turns every walked head into one (key, fixed) pair of one orientation and
+// groups them all with hashtable.GroupSymmetricCSR — one bucketed sort that
+// merges equal keys, then a transpose that writes the other orientation —
+// straight into the sparsifier's CSR arrays, as Sample does. The pass holds
 // every head before it walks, so sorting its pairs costs no more memory
 // than they take, and no aggregation table is built. The default wave
 // holds 2^22 heads, more than an RMAT-13 pass at M = 2·T·m draws (~0.8 M),
@@ -34,7 +35,7 @@ import (
 // fixed-point sums are exact and commutative, so the grouped arrays are a
 // pure function of (graph, config): bit-identical across waveSize and
 // GOMAXPROCS, and to DrainCSR of a table of any shard count that took the
-// same pairs.
+// same pairs in both orientations.
 //
 // Walk states pack into one uint64 so the regroup scatter is the only data
 // movement:
@@ -85,8 +86,8 @@ type headRec struct {
 // table from the same single keyed-hash draw the unweighted path uses (see
 // graph.AliasNeighbor). waveSize caps concurrently in-flight heads; <= 0
 // picks the maximum (2^22). The grouped aggregate is bit-identical for
-// every waveSize and worker count. Of cfg, Shards and TableSizeHint only
-// size a table, and the pass has none: they are checked, not used.
+// every waveSize and worker count. Of cfg, Shards only sizes a table, and
+// the pass has none: it is checked, not used.
 func SampleBatched(g *graph.Graph, cfg Config, waveSize int) (Sink, Stats, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, Stats{}, err
@@ -114,25 +115,17 @@ func SampleBatched(g *graph.Graph, cfg Config, waveSize int) (Sink, Stats, error
 		runWave(g, heads[lo:min(lo+waveSize, len(heads))], states, scratch, cursors, cfg.Seed, uint64(lo))
 	}
 
-	// Every walked head deposits (e0, e1) and (e1, e0) with its weight.
-	keys, fixed := make([]uint64, 2*len(heads)), make([]uint64, 2*len(heads))
+	// Every walked head deposits its one-orientation pair.
+	keys, fixed := make([]uint64, len(heads)), make([]uint64, len(heads))
 	par.ForRange(len(heads), pairGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			h := heads[i]
-			keys[2*i], keys[2*i+1] = hashtable.Key(h.e0, h.e1), hashtable.Key(h.e1, h.e0)
-			fixed[2*i], fixed[2*i+1] = h.fixed, h.fixed
+			keys[i], fixed[i] = hashtable.SymmetricPair(heads[i].e0, heads[i].e1, heads[i].fixed)
 		}
 	})
-	n := g.NumVertices()
-	out := &grouped{}
-	out.rowPtr, out.cols, out.ws = hashtable.GroupCSR(keys, fixed, n)
-	stats.DistinctEntries = len(out.cols)
-	stats.TableBytes = 8*int64(len(out.rowPtr)) + 12*int64(len(out.cols))
-	stats.PeakTableBytes = stats.TableBytes + hashtable.GroupScatterBytes(2*int(stats.Heads), n)
-	return out, stats, nil
+	return group([][]uint64{keys}, [][]uint64{fixed}, g.NumVertices(), &stats), stats, nil
 }
 
-// pairGrain is the per-chunk head count when building oriented pairs.
+// pairGrain is the per-chunk head count when building pairs.
 const pairGrain = 2048
 
 // newCursors returns one NeighborCursor per worker index.

@@ -123,10 +123,11 @@ func TestPackStateRoundtrip(t *testing.T) {
 func TestSampleBatchedMatchesSampleDistribution(t *testing.T) {
 	g := completeGraph(t, 16)
 	cfg := Config{T: 3, M: 1_500_000, Seed: 9}
-	plain, statsA, err := Sample(g, cfg)
+	plainSink, statsA, err := Sample(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain := groupedTable(g, plainSink)
 	sink, statsB, err := SampleBatched(g, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -391,9 +392,8 @@ func TestSampleBatchedMatchesSerialFlush(t *testing.T) {
 }
 
 // TestSampleBatchedStressGrowMidDrain runs many small waves (256 heads)
-// on four workers, on an unweighted and a weighted graph, with the table
-// knobs set as if to force grows: an absurd size hint and 1 or 4 shards,
-// which the batched pass, holding no table, must ignore. Under -race it
+// on four workers, on an unweighted and a weighted graph, with 1 or 4
+// shards, which the batched pass, holding no table, must ignore. Under -race it
 // covers the waves' walks and the parallel grouping; in any mode it checks
 // conservation and that the grouping's reported peak covers its scatter
 // beside the grouped arrays.
@@ -409,11 +409,7 @@ func TestSampleBatchedStressGrowMidDrain(t *testing.T) {
 	}
 	for _, fx := range fixtures {
 		for _, shards := range []int{1, 4} {
-			cfg := Config{
-				T: 4, M: 60_000, Downsample: true, Seed: 3,
-				TableSizeHint: 16, // ignored: the pass has no table
-				Shards:        shards,
-			}
+			cfg := Config{T: 4, M: 60_000, Downsample: true, Seed: 3, Shards: shards}
 			sink, stats, err := SampleBatched(fx.g, cfg, 256)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", fx.name, shards, err)

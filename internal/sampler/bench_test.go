@@ -6,6 +6,7 @@ import (
 
 	"lightne/internal/gen"
 	"lightne/internal/graph"
+	"lightne/internal/hashtable"
 )
 
 // Benchmark fixture: a skewed random graph and a trial budget large enough
@@ -191,4 +192,59 @@ func reportSamplerMetrics(b *testing.B, stats Stats) {
 		b.ReportMetric(float64(stats.Heads)*float64(b.N)/sec, "heads/s")
 	}
 	b.ReportMetric(float64(stats.PeakTableBytes), "peak-table-B")
+}
+
+// BenchmarkGroupOrientation times the grouping alone on the harness's two
+// pair sets: RMAT-12's per-arc pass at the default budget (M = T·m, as
+// embed-default samples it) and RMAT-13's wave pass at M = 2·T·m
+// (embed-stream). one/ groups each head's one-orientation pair and mirrors
+// the upper triangle (hashtable.GroupSymmetricCSR, over Sample's worker
+// segments or the wave pass's one array); two/ groups both orientations of
+// every head with hashtable.GroupCSR, as both passes did before.
+func BenchmarkGroupOrientation(b *testing.B) {
+	rmat12, err := gen.RMAT(gen.RMATConfig{Scale: 12, EdgeFactor: 20, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys, fixed, _ := samplePairs(rmat12, Config{T: 10, M: int64(10 * rmat12.NumEdges() / 2), Downsample: true, Seed: 1})
+	g13, _ := rmat13()
+	heads, stepping, _ := enumerateHeads(g13, rmat13Config(g13), newCursors(g13))
+	states := make([]uint64, stepping)
+	runWave(g13, heads, states, make([]uint64, len(states)), newCursors(g13), 1, 0)
+	wk, wf := make([]uint64, len(heads)), make([]uint64, len(heads))
+	for i, h := range heads {
+		wk[i], wf[i] = hashtable.SymmetricPair(h.e0, h.e1, h.fixed)
+	}
+	for _, set := range []struct {
+		name        string
+		n           int
+		keys, fixed [][]uint64
+	}{
+		{"rmat12-per-arc", rmat12.NumVertices(), keys, fixed},
+		{"rmat13-wave", g13.NumVertices(), [][]uint64{wk}, [][]uint64{wf}},
+	} {
+		var both, bothFixed []uint64
+		for s, seg := range set.keys {
+			for i, k := range seg {
+				u, v := hashtable.UnpackKey(k)
+				f := set.fixed[s][i]
+				if u == v {
+					f /= 2 // the two orientations' weights, which the pair summed
+				}
+				both, bothFixed = append(both, k, hashtable.Key(v, u)), append(bothFixed, f, f)
+			}
+		}
+		b.Run(set.name+"/one", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hashtable.GroupSymmetricCSR(set.keys, set.fixed, set.n)
+			}
+		})
+		b.Run(set.name+"/two", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hashtable.GroupCSR(both, bothFixed, set.n)
+			}
+		})
+	}
 }

@@ -79,14 +79,17 @@ func referenceTrials(g *graph.Graph, table *hashtable.Table, u, v uint32, ne int
 	return trials, heads
 }
 
-// TestBufferedSamplersBitIdenticalToPerKey: Sample and SampleArcsInto buffer
-// each chunk's pairs and flush them through Sink.AddFixedBatch. The drained
-// CSR must equal, to the bit, a serial per-key reference drawing the same
-// streams, for every shard count and worker count, on an unweighted and a
-// weighted graph. Tiny capacity hints make the flushes grow the table.
-// It pins the shards × procs clauses of the determinism contract (DESIGN.md
-// "Numerics") for the per-arc samplers.
+// TestBufferedSamplersBitIdenticalToPerKey: Sample buffers each worker's
+// one-orientation pairs and groups them; SampleArcsInto buffers each chunk's
+// pairs and flushes them through Sink.AddFixedBatch. The drained CSR must
+// equal, to the bit, a serial per-key reference drawing the same streams,
+// for every worker count, on an unweighted and a weighted graph, and for
+// SampleArcsInto for every shard count too, into a table with a tiny
+// capacity hint, which the flushes make grow. It pins the shards × procs
+// clauses of the determinism contract (DESIGN.md "Numerics") for the
+// per-arc samplers.
 func TestBufferedSamplersBitIdenticalToPerKey(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	graphs := []struct {
 		name string
 		g    *graph.Graph
@@ -94,7 +97,7 @@ func TestBufferedSamplersBitIdenticalToPerKey(t *testing.T) {
 		{"unweighted", chordGraph(t, 400, 3, 5)},
 		{"weighted", weightedChordGraph(t, 400, 3, 5)},
 	}
-	cfg := Config{T: 5, M: 60_000, Downsample: true, Seed: 21, TableSizeHint: 16}
+	cfg := Config{T: 5, M: 60_000, Downsample: true, Seed: 21}
 	for _, gr := range graphs {
 		g, n := gr.g, gr.g.NumVertices()
 		var arcs []graph.Edge
@@ -109,27 +112,30 @@ func TestBufferedSamplersBitIdenticalToPerKey(t *testing.T) {
 		refTrials, refHeads := sampleReference(g, cfg, ref)
 		refArcs := hashtable.New(0, 1)
 		arcTrials, arcHeads := sampleArcsReference(g, refArcs, arcs, 7.5, cfg)
-		for _, shards := range []int{1, 4} {
-			for _, procs := range []int{1, 2, 4} {
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			sink, st, err := Sample(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s procs=%d", gr.name, procs)
+			if st.Trials != refTrials || st.Heads != refHeads {
+				t.Fatalf("%s: Sample trials/heads %d/%d, reference %d/%d", name, st.Trials, st.Heads, refTrials, refHeads)
+			}
+			sameCSR(t, name+" Sample", sink, ref, n)
+			for _, shards := range []int{1, 4} {
 				name := fmt.Sprintf("%s shards=%d procs=%d", gr.name, shards, procs)
-				prev := runtime.GOMAXPROCS(procs)
 				c := cfg
 				c.Shards = shards
-				sink, st, err := Sample(g, c)
-				if err != nil {
-					t.Fatal(err)
-				}
 				arcSink := NewSink(16, shards)
 				ast, err := SampleArcsInto(g, arcSink, arcs, 7.5, c)
-				runtime.GOMAXPROCS(prev)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if st.Trials != refTrials || st.Heads != refHeads || ast.Trials != arcTrials || ast.Heads != arcHeads {
-					t.Fatalf("%s: trials/heads %d/%d and %d/%d, reference %d/%d and %d/%d", name,
-						st.Trials, st.Heads, ast.Trials, ast.Heads, refTrials, refHeads, arcTrials, arcHeads)
+				if ast.Trials != arcTrials || ast.Heads != arcHeads {
+					t.Fatalf("%s: SampleArcsInto trials/heads %d/%d, reference %d/%d", name,
+						ast.Trials, ast.Heads, arcTrials, arcHeads)
 				}
-				sameCSR(t, name+" Sample", sink, ref, n)
 				sameCSR(t, name+" SampleArcsInto", arcSink, refArcs, n)
 			}
 		}

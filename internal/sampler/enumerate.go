@@ -54,8 +54,8 @@ func blockHeads(g *graph.Graph, nc *graph.NeighborCursor, c, perUnit float64, st
 	return e
 }
 
-// ExpectedHeads is a pass's E[heads] = Σ_arcs (M·w_e/vol)·p_e, which Sample
-// presizes its table from and core.EstimateMemory plans with. Its blocks
+// ExpectedHeads is a pass's E[heads] = Σ_arcs (M·w_e/vol)·p_e, which
+// core.EstimateMemory plans with. Its blocks
 // (par.DetBounds) add in order: the same result at every GOMAXPROCS.
 func ExpectedHeads(g *graph.Graph, cfg Config) float64 {
 	if !cfg.Downsample {
@@ -73,10 +73,6 @@ func ExpectedHeads(g *graph.Graph, cfg Config) float64 {
 	}
 	return e
 }
-
-// TableHint is the table size hint for e expected heads: two oriented keys
-// per head, with the enumerator's slack.
-func TableHint(e float64) int { return int(2 * withSlack(e)) }
 
 // enumerateHeads generates every walk head of the pass: for each arc
 // (u, v), n_e = ⌊M·w_e/vol⌋ + Bernoulli({M·w_e/vol}) trials — the weighted

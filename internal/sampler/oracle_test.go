@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"lightne/internal/gen"
 	"lightne/internal/graph"
 	"lightne/internal/hashtable"
 	"lightne/internal/par"
@@ -406,4 +407,92 @@ func arcArray(g *graph.Graph) (us, vs []uint32) {
 		}
 	}
 	return us, vs
+}
+
+// sampleTableOracle is the per-arc pass Sample replaced, kept as its oracle:
+// the same draws, every head's two oriented pairs inserted into a hash
+// table presized from the expected head count, drained by the caller.
+func sampleTableOracle(g *graph.Graph, cfg Config) (*hashtable.Table, Stats) {
+	c := cfg.DownsampleC(g.NumVertices())
+	perUnit := float64(cfg.M) / g.TotalWeight()
+	strengths := g.Strengths()
+	table := NewSink(int(2*withSlack(ExpectedHeads(g, cfg))), cfg.Shards)
+	var trials, heads int64
+	forBuffered(table, g.NumVertices(), 32, func(lo, hi int, buf *pairBuf) {
+		var src rng.Source
+		var localTrials, localHeads int64
+		for ui := lo; ui < hi; ui++ {
+			u := uint32(ui)
+			du := g.Degree(u)
+			if du == 0 {
+				continue
+			}
+			src.Seed(cfg.Seed, uint64(u))
+			for i := 0; i < du; i++ {
+				v := g.Neighbor(u, i)
+				ew := g.EdgeWeight(u, i)
+				perArc := perUnit * ew
+				ne := int64(perArc)
+				if frac := perArc - float64(ne); frac > 0 && src.Bernoulli(frac) {
+					ne++
+				}
+				if ne == 0 {
+					continue
+				}
+				pe := 1.0
+				if cfg.Downsample {
+					pe = ProbW(c, ew, strengths[u], strengths[v])
+				}
+				fixed := hashtable.ToFixed(1 / pe)
+				for k := int64(0); k < ne; k++ {
+					localTrials++
+					if pe < 1 && !src.Bernoulli(pe) {
+						continue
+					}
+					localHeads++
+					r := 1 + src.Intn(cfg.T)
+					ue, ve := PathSample(g, u, v, r, &src)
+					buf.add(ue, ve, fixed)
+				}
+			}
+		}
+		atomicAdd(&trials, localTrials)
+		atomicAdd(&heads, localHeads)
+	})
+	return table, Stats{Trials: trials, Heads: heads, DistinctEntries: table.Len()}
+}
+
+// TestSampleBitIdenticalToTableOracle: Sample's grouped CSR equals, to the
+// bit, the drain of the table the replaced pass filled with both
+// orientations of every head, with the same Trials, Heads and distinct
+// entries: on RMAT-12 at the default config's budget (M = T·m) and on a
+// weighted graph, with downsampling on and off, at GOMAXPROCS 1, 2 and 4.
+func TestSampleBitIdenticalToTableOracle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rmat, err := gen.RMAT(gen.RMATConfig{Scale: 12, EdgeFactor: 20, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fx := range []oracleFixture{{"rmat12", rmat}, {"weighted", weightedChordGraph(t, 2000, 3, 44)}} {
+		for _, down := range []bool{true, false} {
+			cfg := Config{T: 10, M: int64(10 * fx.g.NumEdges() / 2), Downsample: down, Seed: 12}
+			if !down {
+				cfg.M /= 8 // every trial is a head without the coin
+			}
+			table, want := sampleTableOracle(fx.g, cfg)
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				name := fmt.Sprintf("%s downsample=%v procs=%d", fx.name, down, procs)
+				sink, got, err := Sample(fx.g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Trials != want.Trials || got.Heads != want.Heads || got.DistinctEntries != want.DistinctEntries {
+					t.Fatalf("%s: trials/heads/entries %d/%d/%d, oracle %d/%d/%d", name,
+						got.Trials, got.Heads, got.DistinctEntries, want.Trials, want.Heads, want.DistinctEntries)
+				}
+				sameCSR(t, name, sink, table, fx.g.NumVertices())
+			}
+		}
+	}
 }

@@ -6,9 +6,10 @@
 //
 // which Theorem 3.2 (Lovász) justifies as an effective-resistance upper
 // bound; Theorem 3.1 makes the reweighted samples (weight 1/p_e) an unbiased
-// Laplacian estimator. The per-arc passes aggregate samples in the
-// concurrent hash table from internal/hashtable; the batched pass
-// (SampleBatched) holds all of its samples and groups them by sorting.
+// Laplacian estimator. The two full passes, per-arc (Sample) and batched
+// (SampleBatched), hold one pair per sample and group them by sorting
+// (hashtable.GroupSymmetricCSR); the incremental pass (SampleArcsInto)
+// aggregates into the concurrent hash table from internal/hashtable.
 //
 // The sampler maps over directed arcs grouped by source vertex, exactly the
 // cache-friendly per-edge schedule of Algorithm 2: each arc e draws
@@ -25,6 +26,7 @@ import (
 
 	"lightne/internal/graph"
 	"lightne/internal/hashtable"
+	"lightne/internal/par"
 	"lightne/internal/rng"
 )
 
@@ -45,15 +47,12 @@ type Config struct {
 	C float64
 	// Seed makes runs reproducible.
 	Seed uint64
-	// TableSizeHint presizes Sample's hash table; <= 0 derives an
-	// estimate. SampleBatched builds no table and ignores it.
-	TableSizeHint int
-	// Shards splits Sample's aggregation table (and, through NewSink, an
-	// incremental pass's) across a power of two of shards routed by high
-	// hash bits (hashtable.New); <= 1 keeps one shard, and more than
+	// Shards splits an incremental pass's aggregation table (NewSink, which
+	// the table's owner calls) across a power of two of shards routed by
+	// high hash bits (hashtable.New); <= 1 keeps one shard, and more than
 	// hashtable.MaxShards (1 024) is an error, from every pass. The drained
-	// CSR is bit-identical either way. SampleBatched builds no table and
-	// otherwise ignores it.
+	// CSR is bit-identical either way. Sample and SampleBatched group their
+	// samples by sorting, with no table, and only check it.
 	Shards int
 }
 
@@ -84,10 +83,11 @@ func (cfg Config) DownsampleC(n int) float64 {
 	return math.Max(1, math.Log(float64(n)))
 }
 
-// Stats reports what a sampling pass actually did. For SampleBatched, which
-// builds no table, the table fields describe the grouping arrays instead:
-// TableBytes is the grouped CSR and PeakTableBytes adds GroupCSR's bucket
-// scatter, which coexists with it.
+// Stats reports what a sampling pass actually did. Sample and SampleBatched
+// build no table, so for them the table fields describe the grouping arrays
+// instead (group): TableBytes is the grouped CSR and PeakTableBytes
+// adds the upper triangle it was mirrored from and the bucket scatter the
+// pairs were sorted in.
 type Stats struct {
 	Trials          int64 // Σ_e n_e, the realized sample count M̂
 	Heads           int64 // trials that passed the downsampling coin
@@ -123,40 +123,43 @@ func ProbW(c, w, su, sv float64) float64 {
 }
 
 // Sample runs the downsampled per-edge PathSampling pass over g and returns
-// the aggregation table plus statistics. The table maps ordered pairs
-// (u', v') to accumulated importance weights; every sample is inserted in
-// both orientations so the aggregate is exactly symmetric.
-func Sample(g *graph.Graph, cfg Config) (*hashtable.Table, Stats, error) {
+// its aggregate grouped into CSR arrays over g's vertices, as a Sink whose
+// DrainCSR hands them over, plus statistics. The aggregate maps ordered
+// pairs (u', v') to accumulated importance weights and is exactly
+// symmetric: every sample counts in both orientations. Each worker appends
+// one pair per head to its own buffer (pairSegs), and the buffers group
+// where they lie (group).
+func Sample(g *graph.Graph, cfg Config) (Sink, Stats, error) {
 	n := g.NumVertices()
-	arcs := g.NumEdges()
 	if err := cfg.Check(); err != nil {
 		return nil, Stats{}, err
 	}
 	if cfg.M <= 0 {
 		return nil, Stats{}, fmt.Errorf("sampler: M must be positive, got %d", cfg.M)
 	}
-	if n == 0 || arcs == 0 {
+	if n == 0 || g.NumEdges() == 0 {
 		return nil, Stats{}, fmt.Errorf("sampler: graph has no edges")
 	}
+	keys, fixed, stats := samplePairs(g, cfg)
+	return group(keys, fixed, n, &stats), stats, nil
+}
+
+// samplePairs draws Sample's heads and returns their one-orientation pairs
+// as segments, with the trial accounting part of Stats.
+func samplePairs(g *graph.Graph, cfg Config) (keys, fixed [][]uint64, stats Stats) {
+	n := g.NumVertices()
 	c := cfg.DownsampleC(n)
 
 	// Per-arc trial budget. Unweighted: M/arcs each. Weighted: the paper's
 	// PathSampling picks edges proportionally to weight, so arc e draws an
 	// expected M·w_e/vol(G) trials.
-	totalWeight := g.TotalWeight()
-	perUnit := float64(cfg.M) / totalWeight
+	perUnit := float64(cfg.M) / g.TotalWeight()
 	strengths := g.Strengths()
 
-	// Presize the table from the expected head count (every trial without
-	// downsampling) with the enumerator's 6σ slack, so it does not grow.
-	hint := cfg.TableSizeHint
-	if hint <= 0 {
-		hint = TableHint(ExpectedHeads(g, cfg))
-	}
-	table := NewSink(hint, cfg.Shards)
-
+	bufs := make([]pairSegs, par.Workers())
 	var trials, heads int64
-	forBuffered(table, n, 32, func(lo, hi int, buf *pairBuf) {
+	par.WorkerFor(n, 32, func(w, lo, hi int) {
+		buf := &bufs[w]
 		var src rng.Source
 		var localTrials, localHeads int64
 		for ui := lo; ui < hi; ui++ {
@@ -197,14 +200,10 @@ func Sample(g *graph.Graph, cfg Config) (*hashtable.Table, Stats, error) {
 		atomicAdd(&trials, localTrials)
 		atomicAdd(&heads, localHeads)
 	})
-
-	return table, Stats{
-		Trials:          trials,
-		Heads:           heads,
-		DistinctEntries: table.Len(),
-		TableBytes:      table.MemoryBytes(),
-		PeakTableBytes:  table.PeakMemoryBytes(),
-	}, nil
+	for _, b := range bufs {
+		keys, fixed = append(keys, b.keys...), append(fixed, b.fixed...)
+	}
+	return keys, fixed, Stats{Trials: trials, Heads: heads}
 }
 
 // SampleArcsInto runs downsampled PathSampling for the given arcs only,
@@ -214,8 +213,8 @@ func Sample(g *graph.Graph, cfg Config) (*hashtable.Table, Stats, error) {
 // arrives, only the new arcs are sampled at the same per-arc rate as the
 // initial pass.
 //
-// Of cfg, T, Downsample, C and Seed are read (C resolved on g); M, Shards
-// and TableSizeHint belong to the table's owner. The seed should differ per
+// Of cfg, T, Downsample, C and Seed are read (C resolved on g); M and
+// Shards belong to the table's owner. The seed should differ per
 // batch.
 func SampleArcsInto(g *graph.Graph, table *hashtable.Table, arcs []graph.Edge, perArc float64, cfg Config) (Stats, error) {
 	t, c, seed := cfg.T, cfg.DownsampleC(g.NumVertices()), cfg.Seed

@@ -111,10 +111,11 @@ func TestSampleDownsamplingReducesHeads(t *testing.T) {
 
 func TestSampleTableSymmetric(t *testing.T) {
 	g := completeGraph(t, 12)
-	tab, _, err := Sample(g, Config{T: 3, M: 20000, Downsample: true, Seed: 5})
+	sink, _, err := Sample(g, Config{T: 3, M: 20000, Downsample: true, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := groupedTable(g, sink)
 	us, vs, _ := tab.Drain()
 	for i := range us {
 		wa, _ := tab.Get(us[i], vs[i])
@@ -132,10 +133,11 @@ func TestSampleTotalWeightUnbiased(t *testing.T) {
 	// Each trial contributes expected weight 1 per orientation (heads add
 	// 1/p_e with probability p_e), so total table weight ≈ 2·Trials.
 	g := completeGraph(t, 25)
-	tab, stats, err := Sample(g, Config{T: 4, M: 200000, Downsample: true, Seed: 6})
+	sink, stats, err := Sample(g, Config{T: 4, M: 200000, Downsample: true, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := groupedTable(g, sink)
 	_, _, ws := tab.Drain()
 	var total float64
 	for _, w := range ws {
@@ -150,10 +152,11 @@ func TestSampleTotalWeightUnbiased(t *testing.T) {
 func TestSampleT1IsEdgeDistribution(t *testing.T) {
 	// With T = 1, r is always 1, s = 0: samples are the original arcs.
 	g := cycleGraph(t, 8)
-	tab, _, err := Sample(g, Config{T: 1, M: 10000, Seed: 7})
+	sink, _, err := Sample(g, Config{T: 1, M: 10000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := groupedTable(g, sink)
 	us, vs, _ := tab.Drain()
 	for i := range us {
 		diff := (int(us[i]) - int(vs[i]) + 8) % 8
@@ -168,14 +171,16 @@ func TestSampleT1IsEdgeDistribution(t *testing.T) {
 func TestSampleDeterministic(t *testing.T) {
 	g := completeGraph(t, 15)
 	cfg := Config{T: 4, M: 30000, Downsample: true, Seed: 11}
-	t1, s1, err := Sample(g, cfg)
+	t1Sink, s1, err := Sample(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, s2, err := Sample(g, cfg)
+	t1 := groupedTable(g, t1Sink)
+	t2Sink, s2, err := Sample(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t2 := groupedTable(g, t2Sink)
 	if s1.Trials != s2.Trials || s1.Heads != s2.Heads || s1.DistinctEntries != s2.DistinctEntries {
 		t.Fatalf("stats differ: %+v vs %+v", s1, s2)
 	}

@@ -42,11 +42,7 @@ func SampleBatchedSerial(g *graph.Graph, cfg Config, waveSize int) (*hashtable.T
 	}
 	c := cfg.DownsampleC(g.NumVertices())
 
-	hint := cfg.TableSizeHint
-	if hint <= 0 {
-		hint = int(2*cfg.M) + 1024
-	}
-	table := NewSink(hint, cfg.Shards)
+	table := NewSink(int(2*cfg.M)+1024, cfg.Shards)
 	var pairKeys, pairFixed [2]uint64
 
 	// Enumerate heads arc by arc (same trial distribution as Sample),

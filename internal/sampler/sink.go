@@ -9,21 +9,21 @@ import (
 
 // Sink is what a sampling pass hands the sparsifier (core.EmbedTable): its
 // aggregate, packed (u', v') keys with fixed-point weights, drained as CSR
-// arrays grouped by source vertex with ascending columns. The per-arc and
-// incremental passes accumulate into a *hashtable.Table, which holds
-// O(distinct) entries however many samples stream in; the batched pass
-// returns its pairs already grouped. The drained CSR is a pure function of
-// the pass's pair multiset either way.
+// arrays grouped by source vertex with ascending columns. Sample and
+// SampleBatched return their pairs already grouped; the incremental pass
+// accumulates into a *hashtable.Table, which holds O(distinct) entries
+// however many samples stream in. The drained CSR is a pure function of the
+// pass's pair multiset either way.
 type Sink interface {
 	DrainCSR(numRows int) (rowPtr []int64, cols []uint32, ws []float64)
 }
 
-// NewSink returns the hash table a per-arc or incremental pass accumulates
-// into, presized for capacityHint distinct keys in shards shards.
+// NewSink returns the hash table an incremental pass accumulates into,
+// presized for capacityHint distinct keys in shards shards.
 func NewSink(capacityHint, shards int) *hashtable.Table { return hashtable.New(capacityHint, shards) }
 
-// grouped is a batched pass's aggregate: the CSR arrays hashtable.GroupCSR
-// grouped its pairs into.
+// grouped is a full pass's aggregate: the CSR arrays
+// hashtable.GroupSymmetricCSR grouped its pairs into.
 type grouped struct {
 	rowPtr []int64
 	cols   []uint32
@@ -41,7 +41,41 @@ func (c *grouped) DrainCSR(numRows int) ([]int64, []uint32, []float64) {
 	return c.rowPtr, c.cols, c.ws
 }
 
-// pairBuf is one chunk's pending oriented pairs for a per-arc sampler: each
+// group groups a full pass's one-orientation pairs, one per head of stats,
+// given as segments, over n vertices and fills the grouping fields of
+// stats: DistinctEntries, the grouped CSR's footprint as TableBytes, and as
+// PeakTableBytes that plus the bucket scatter the pairs sort in and the
+// upper triangle the CSR is mirrored from (at most half the entries plus
+// one per row), which coexist.
+func group(keys, fixed [][]uint64, n int, stats *Stats) Sink {
+	out := &grouped{}
+	out.rowPtr, out.cols, out.ws = hashtable.GroupSymmetricCSR(keys, fixed, n)
+	stats.DistinctEntries = len(out.cols)
+	stats.TableBytes = 8*int64(n+1) + 12*int64(len(out.cols))
+	stats.PeakTableBytes = stats.TableBytes + hashtable.GroupScatterBytes(int(stats.Heads), n) + 8*int64(n+1) + 6*int64(len(out.cols)+n)
+	return out
+}
+
+// segPairs is the pair count of one pairSegs segment.
+const segPairs = 1 << 14
+
+// pairSegs is one worker's pairs for a full pass, one per head in one
+// orientation (hashtable.SymmetricPair), in segments of segPairs pairs that
+// never move once allocated: unlike one growing slice, nothing is copied and
+// at most one segment is partly empty.
+type pairSegs struct{ keys, fixed [][]uint64 }
+
+// add appends the pair of one head with endpoints (e0, e1).
+func (b *pairSegs) add(e0, e1 uint32, fixed uint64) {
+	if n := len(b.keys); n == 0 || len(b.keys[n-1]) == segPairs {
+		b.keys, b.fixed = append(b.keys, make([]uint64, 0, segPairs)), append(b.fixed, make([]uint64, 0, segPairs))
+	}
+	key, f := hashtable.SymmetricPair(e0, e1, fixed)
+	last := len(b.keys) - 1
+	b.keys[last], b.fixed[last] = append(b.keys[last], key), append(b.fixed[last], f)
+}
+
+// pairBuf is one chunk's pending oriented pairs for the incremental pass: each
 // head deposits (e0, e1) and (e1, e0) with its weight, and the buffer
 // flushes through the sink's batch insert every hashtable.BatchGrain pairs —
 // a batch the sink inserts inline on the calling worker.

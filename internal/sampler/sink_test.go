@@ -2,6 +2,7 @@ package sampler
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,18 +10,33 @@ import (
 	"lightne/internal/hashtable"
 )
 
-// TestSinkShardedStress drives the full sampler → sharded table → grouped
-// drain path with a deliberately tiny capacity hint so every shard grows
-// (several times) under concurrent inserts. Run under `go test -race` (wired
-// into `make race`) this covers the CAS insert, xadd accumulate, grow lock,
-// parallel two-pass drain, and radix grouping together. The drained CSR must
-// be bit-identical to the single-table run with the same seed.
+// completeArcs lists every undirected arc of the complete graph on n
+// vertices once, as (u, v) with u < v.
+func completeArcs(n int) []graph.Edge {
+	arcs := make([]graph.Edge, 0, n*(n-1)/2)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			arcs = append(arcs, graph.Edge{U: uint32(u), V: uint32(v)})
+		}
+	}
+	return arcs
+}
+
+// TestSinkShardedStress drives the incremental sampler → sharded table →
+// grouped drain path with a deliberately tiny capacity hint so every shard
+// grows (several times) under concurrent inserts. Run under `go test -race`
+// (wired into `make race`) this covers the CAS insert, xadd accumulate,
+// grow lock, parallel two-pass drain, and bucketed grouping together. The
+// drained CSR must be bit-identical to the single-shard run with the same
+// seed.
 func TestSinkShardedStress(t *testing.T) {
 	g := completeGraph(t, 48)
-	cfg := Config{T: 4, M: 300_000, Downsample: true, Seed: 17, TableSizeHint: 16}
+	arcs := completeArcs(48)
+	cfg := Config{T: 4, Downsample: true, Seed: 17}
+	perArc := 300_000 / float64(len(arcs))
 
-	cfg.Shards = 1
-	ref, refStats, err := Sample(g, cfg)
+	ref := NewSink(16, 1)
+	refStats, err := SampleArcsInto(g, ref, arcs, perArc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +45,8 @@ func TestSinkShardedStress(t *testing.T) {
 	}
 	refRowPtr, refCols, refWs := ref.DrainCSR(g.NumVertices())
 
-	cfg.Shards = 8
-	sink, stats, err := Sample(g, cfg)
+	sink := NewSink(16, 8)
+	stats, err := SampleArcsInto(g, sink, arcs, perArc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +94,7 @@ func TestSinkShardedStress(t *testing.T) {
 // the single table's for the same seed.
 func TestSinkIncrementalSharded(t *testing.T) {
 	g := completeGraph(t, 32)
-	arcs := make([]graph.Edge, 0, 32*31/2)
-	for u := 0; u < 32; u++ {
-		for v := u + 1; v < 32; v++ {
-			arcs = append(arcs, graph.Edge{U: uint32(u), V: uint32(v)})
-		}
-	}
+	arcs := completeArcs(32)
 	n := g.NumVertices()
 	drain := func(shards int) ([]int64, []uint32, []float64) {
 		sink := NewSink(16, shards)
@@ -110,18 +121,19 @@ func TestSinkIncrementalSharded(t *testing.T) {
 	}
 }
 
-// TestStatsPeakTableBytes: an undersized table hint forces growth during the
-// pass and the stats must expose the transient high-water mark (old + new
-// slot arrays = 1.5x the final footprint); a correctly presized pass never
-// grows, so peak and final agree.
+// TestStatsPeakTableBytes: an undersized table hint forces the incremental
+// pass's table to grow, and the stats must expose the transient high-water
+// mark (old + new slot arrays = 1.5x the final footprint); a presized table
+// never grows, so peak and final agree. Sample, which groups without a
+// table, reports the grouped CSR and, above it, the grouping's peak.
 func TestStatsPeakTableBytes(t *testing.T) {
 	g := completeGraph(t, 40)
-	cfg := Config{T: 5, M: 20000, Seed: 9}
+	arcs := completeArcs(40)
+	cfg := Config{T: 5, Seed: 9}
+	perArc := 20000 / float64(len(arcs))
 
-	cfg.TableSizeHint = 1 // guaranteed undersized: forces repeated doubling
 	for _, shards := range []int{1, 4} {
-		cfg.Shards = shards
-		_, stats, err := Sample(g, cfg)
+		stats, err := SampleArcsInto(g, NewSink(1, shards), arcs, perArc, cfg) // guaranteed undersized: forces repeated doubling
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,14 +143,24 @@ func TestStatsPeakTableBytes(t *testing.T) {
 		}
 	}
 
-	cfg.Shards = 1
-	cfg.TableSizeHint = 0 // derived estimate presizes generously
-	_, stats, err := Sample(g, cfg)
+	stats, err := SampleArcsInto(g, NewSink(4*20000, 1), arcs, perArc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.PeakTableBytes != stats.TableBytes {
 		t.Fatalf("presized pass grew: peak %d != final %d", stats.PeakTableBytes, stats.TableBytes)
+	}
+
+	cfg.M = 20000
+	_, stats, err = Sample(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 8*int64(g.NumVertices()+1) + 12*int64(stats.DistinctEntries); stats.TableBytes != want {
+		t.Fatalf("Sample: table %d bytes, the grouped CSR takes %d", stats.TableBytes, want)
+	}
+	if stats.PeakTableBytes <= stats.TableBytes {
+		t.Fatalf("Sample: peak %d does not exceed the grouped CSR's %d", stats.PeakTableBytes, stats.TableBytes)
 	}
 }
 
@@ -172,4 +194,24 @@ func TestShardsAboveBoundRejected(t *testing.T) {
 	if _, _, err := Sample(g, cfg); err != nil {
 		t.Fatalf("Shards=MaxShards: %v", err)
 	}
+}
+
+// TestSampleWorkerBuffersConcurrent runs Sample on four workers over a small
+// graph with enough heads that every worker fills several buffer segments,
+// the pass's shared state being the per-worker buffers the grouping reads. Under -race (`make race`) it checks that no two
+// workers touch one buffer; in any mode, that the grouped CSR equals the
+// table oracle's.
+func TestSampleWorkerBuffersConcurrent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g := completeGraph(t, 48)
+	cfg := Config{T: 3, M: 12 * segPairs, Seed: 29}
+	sink, stats, err := Sample(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, want := sampleTableOracle(g, cfg)
+	if stats.Heads != want.Heads || stats.DistinctEntries != want.DistinctEntries {
+		t.Fatalf("heads/entries %d/%d, oracle %d/%d", stats.Heads, stats.DistinctEntries, want.Heads, want.DistinctEntries)
+	}
+	sameCSR(t, "procs=4", sink, table, g.NumVertices())
 }

@@ -131,10 +131,11 @@ func TestSampleExpectedWeightPerEdgeMatchesNoDownsample(t *testing.T) {
 	g := completeGraph(t, 30)
 	m := int64(400000)
 	sum := func(down bool) float64 {
-		tab, _, err := Sample(g, Config{T: 3, M: m, Downsample: down, C: 1.5, Seed: 5})
+		sink, _, err := Sample(g, Config{T: 3, M: m, Downsample: down, C: 1.5, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
+		tab := groupedTable(g, sink)
 		_, _, ws := tab.Drain()
 		var s float64
 		for _, w := range ws {

@@ -58,10 +58,11 @@ func TestSampleUniformMatchesPerEdgeDistribution(t *testing.T) {
 	// must agree entry-wise up to sampling noise.
 	g := completeGraph(t, 16)
 	cfg := Config{T: 3, M: 1_500_000, Seed: 9}
-	perEdge, statsA, err := Sample(g, cfg)
+	perEdgeSink, statsA, err := Sample(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	perEdge := groupedTable(g, perEdgeSink)
 	uniform, statsB, err := sampleUniform(g, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -109,10 +109,11 @@ func TestSampleBatchedWeightedExactAccounting(t *testing.T) {
 		t.Fatalf("fixture volume %g is not integral", g.TotalWeight())
 	}
 	cfg := Config{T: 4, M: 900 * vol, Seed: 21}
-	plain, sa, err := Sample(g, cfg)
+	plainSink, sa, err := Sample(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain := groupedTable(g, plainSink)
 	sink, sb, err := SampleBatched(g, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
