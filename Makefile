@@ -41,9 +41,9 @@ harness:
 # batches, per-shard grows and Get, interleaved) and the par primitives, the
 # bucketed drain and grouping (work-stolen buckets writing disjoint rows)
 # with their sweep over GOMAXPROCS, the row-transform
-# kernel (netsmf), the sampler's end-to-end incremental sampler → sharded
-# table → grouped drain stress test (undersized tables force concurrent
-# grows), the per-arc pass's per-worker pair buffers on four workers and
+# kernel (netsmf), the sampler's stress test of the incremental pass's pairs
+# inserted into sharded tables from all workers (undersized tables force
+# concurrent grows) and drained, the per-arc and incremental passes' per-worker pair buffers and
 # the batched pass's waves and grouping, the parallel compressed-adjacency builder
 # (unsorted-input error reporting races the workers), and the
 # fault-injection harness driving the supervised ingest loop and the
@@ -116,7 +116,9 @@ bench:
 # harness's table shape (BenchmarkInsert, Mop/s), the batched sampler's
 # grouping by sort (hashtable's BenchmarkGroupCSR) against the four-shard
 # insert + drain it replaced, and BenchmarkDrain vs BenchmarkDrainSequential;
-# pipe two runs into `benchstat old.txt new.txt`). The second line times the grouped drain at
+# pipe two runs into `benchstat old.txt new.txt`). No sampling pass builds a
+# table; these time the paper's aggregation design, which the harness probes.
+# The second line times the grouped drain at
 # the harness's two table shapes, sampled for real (RMAT-12 per-arc entries
 # in one table, RMAT-13 batched entries in four shards), beside the drain it replaced
 # (oracle/), on one core and on two.
@@ -131,9 +133,11 @@ bench-drain:
 # compressed for the pipeline, raw for per-arc; heads/s and allocs
 # reported); then the grouping alone, one orientation mirrored (one/)
 # against both orientations sorted (two/), on the RMAT-12 per-arc and
-# RMAT-13 wave pair sets. On one core and on two.
+# RMAT-13 wave pair sets; then one incremental round of the dynamic
+# embedder (New on 90 % of RMAT-12, AddEdges of the rest, Embed; state_MB is
+# the sample state it keeps between batches). On one core and on two.
 bench-sample:
-	$(GO) test -run xxx -bench 'BenchmarkSample$$|BenchmarkSampleSerialFlush|BenchmarkSampleBatched$$|BenchmarkSamplePipelined|BenchmarkSampleBatchedCompressed|BenchmarkSampleBatchedWeighted|RMAT13|BenchmarkGroupOrientation' -benchmem -cpu 1,2 -count=3 ./internal/sampler
+	$(GO) test -run xxx -bench 'BenchmarkSample$$|BenchmarkSampleSerialFlush|BenchmarkSampleBatched$$|BenchmarkSamplePipelined|BenchmarkSampleBatchedCompressed|BenchmarkSampleBatchedWeighted|RMAT13|BenchmarkGroupOrientation|BenchmarkDynamic' -benchmem -cpu 1,2 -count=3 ./internal/sampler ./internal/dynamic
 
 # The sketch's absorb at the harness's embed-stream shape (n = 8 192, d = 32,
 # the trunc-logged RMAT-13 sparsifier, ~0.9 M entries, default sign density):

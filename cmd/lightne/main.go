@@ -42,7 +42,7 @@ func main() {
 		propOrder  = flag.Int("prop-order", 10, "spectral propagation polynomial order k")
 		oversample = flag.Int("oversample", 0, "extra randomized-SVD sketch columns")
 		powerIters = flag.Int("power-iters", 0, "randomized-SVD subspace iterations")
-		shards     = flag.Int("shards", 1, "split the incremental (dynamic) sampler's aggregation table across this many shards (rounded up to a power of two, at most 1024; output is bit-identical for any value): a grow stalls one shard only; this command's samplers, per-arc and -batched, group their samples by sorting, with no table, and only check it")
+		shards     = flag.Int("shards", 1, "shard count of an aggregation table (at most 1024): every sampler groups its samples by sorting, with no table, so this selects nothing and is only checked")
 		batched    = flag.Bool("batched", false, "use the radix-batched wave walker, which groups its samples by sorting instead of a hash table (weighted graphs walk via alias tables; output is bit-identical for any wave size, shard count or worker count)")
 		waveSize   = flag.Int("wave-size", 0, "in-flight heads per wave of the batched walker (0 = maximum, 2^22); implies nothing without -batched")
 		sketch     = flag.Bool("sketch", false, "factorize with the single-pass sketch: the drained sparsifier streams straight into the range finder, never materializing the scaled matrix (lower peak memory; -power-iters is ignored)")

@@ -62,14 +62,11 @@ type Config struct {
 	// and groups every wave's pairs at the end; at the default a pass of up
 	// to 2^22 heads (an RMAT-13 pass at M = 2·T·m draws ~0.8 M) is one wave.
 	WaveSize int
-	// Shards splits the incremental embedder's aggregation table
-	// (internal/dynamic) across a power of two of shards routed by high
-	// hash bits; <= 1 keeps one table, and more than hashtable.MaxShards
-	// (1 024) is an error. Embed's samplers, per-arc and batched, group
-	// their samples by sorting, with no table, and only check it. The
-	// sparsifier (and hence the embedding) is bit-identical for every
-	// setting. Sharding confines a grow stall to one shard when the
-	// capacity hint is wrong.
+	// Shards is the shard count of an aggregation table
+	// (sampler.Config.Shards). Every sampler, the incremental embedder's
+	// (internal/dynamic) included, groups its samples by sorting, with no
+	// table, so it selects nothing and is only checked: more than
+	// hashtable.MaxShards (1 024) is an error.
 	Shards int
 	// StreamedSVD factorizes with the single-pass sketch instead of the
 	// multi-pass randomized SVD: the drained sparsifier streams through the
@@ -214,9 +211,9 @@ const streamChunkEntries = 1 << 20
 // fill.
 //
 // Because per-vertex RNG streams fix the sample multiset, fixed-point
-// accumulation is exact and commutative, and the fully-sorted drain (or a
-// full pass's sort) is a pure function of that multiset, the drained
-// matrix is bit-identical for every Shards setting and worker count. The scaled matrix is bit-stable too:
+// accumulation is exact and commutative, and the grouping sort (or a
+// table's fully-sorted drain) is a pure function of that multiset, the
+// drained matrix is bit-identical for every worker count. The scaled matrix is bit-stable too:
 // vol(G) is an exact integer for unweighted graphs and a fixed-geometry
 // deterministic reduction (par.ReduceFloat64Det) for weighted ones, and the
 // transform is a pure function of (entry, vol, degrees).

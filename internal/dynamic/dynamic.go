@@ -3,12 +3,14 @@
 // study large-scale network embedding in a streaming or dynamic setting").
 //
 // The key observation is that LightNE's state between samples and embedding
-// is just the sparsifier hash table, and the table is additive: when a
-// batch of edges arrives, it suffices to (1) rebuild the graph, (2) run the
-// downsampled PathSampling for the *new* arcs only, at the same per-arc
-// rate as the initial pass, and (3) re-run the cheap randomized SVD +
-// propagation on the accumulated table. Sampling cost per batch is
-// proportional to the batch, not the graph.
+// is just the samples, and the sparsifier is a sum of independent per-sample
+// terms: when a batch of edges arrives, it suffices to (1) rebuild the
+// graph, (2) run the downsampled PathSampling for the *new* arcs only, at
+// the same per-arc rate as the initial pass, keeping one 16-byte pair per
+// sample beside the earlier ones, and (3) group the kept pairs the way the
+// full passes do (sampler.Group) and re-run the cheap randomized SVD +
+// propagation on them. Sampling cost per batch is proportional to the batch,
+// not the graph.
 //
 // The resulting estimator is slightly stale — samples drawn in earlier
 // epochs used the then-current degrees and walk structure — so the embedder
@@ -20,6 +22,7 @@ package dynamic
 
 import (
 	"fmt"
+	"slices"
 
 	"lightne/internal/core"
 	"lightne/internal/dense"
@@ -30,13 +33,16 @@ import (
 
 // Embedder maintains a LightNE embedding over a growing graph.
 type Embedder struct {
-	cfg     core.Config
-	g       *graph.Graph
-	arcs    []graph.Edge // canonical arc list (u < v), current graph
-	table   *hashtable.Table
-	perArc  float64 // expected trials per directed arc, fixed at New
-	trials  int64   // total realized trials in the table
-	batches int
+	cfg  core.Config
+	g    *graph.Graph
+	arcs []graph.Edge // canonical arc list (u < v), current graph
+	// keys and fixed are the kept samples, one pair per head
+	// (hashtable.SymmetricPair), as segments of exactly their length.
+	keys, fixed [][]uint64
+	perArc      float64 // expected trials per directed arc, fixed at New
+	trials      int64   // total realized trials in the kept samples
+	heads       int64   // kept pairs
+	batches     int
 	// staleArcs counts arcs added since the last full (re)sample; their
 	// siblings' samples were drawn under an older graph snapshot.
 	staleArcs int64
@@ -50,6 +56,10 @@ func New(initial *graph.Graph, cfg core.Config) (*Embedder, error) {
 	}
 	if err := cfg.Sampler(initial).Check(); err != nil {
 		return nil, fmt.Errorf("dynamic: %w", err)
+	}
+	if initial.NumEdges() == 0 {
+		// perArc would be M/0 = +Inf, which no pass can draw.
+		return nil, fmt.Errorf("dynamic: graph has no edges")
 	}
 	if initial.Weighted() {
 		// The incremental path rebuilds the graph from an unweighted arc
@@ -82,25 +92,32 @@ func collectArcs(g *graph.Graph) []graph.Edge {
 	return arcs
 }
 
-// sampleArcs samples arcs of the current graph into the table at the fixed
-// per-arc rate, on a seed derived from the batch number.
-func (e *Embedder) sampleArcs(arcs []graph.Edge) (sampler.Stats, error) {
+// sampleArcs samples arcs of the current graph at the fixed per-arc rate, on
+// a seed derived from the batch number, and keeps their pairs. A partly
+// filled segment is copied to its length, so the kept state is 16 bytes per
+// head however small the batches.
+func (e *Embedder) sampleArcs(arcs []graph.Edge) error {
 	scfg := e.cfg.Sampler(e.g)
 	scfg.Seed += uint64(e.batches) * 1000
-	return sampler.SampleArcsInto(e.g, e.table, arcs, 2*e.perArc, scfg)
-}
-
-// resample rebuilds the sparsifier table from scratch on the current graph,
-// honouring the config's shard count.
-func (e *Embedder) resample() error {
-	e.table = sampler.NewSink(int(2*e.perArc*float64(len(e.arcs)))+1024, e.cfg.Shards)
-	stats, err := e.sampleArcs(e.arcs)
+	keys, fixed, stats, err := sampler.SampleArcs(e.g, arcs, 2*e.perArc, scfg)
 	if err != nil {
 		return err
 	}
-	e.trials = stats.Trials
-	e.staleArcs = 0
+	for i, k := range keys {
+		if cap(k) > len(k) {
+			keys[i], fixed[i] = append(make([]uint64, 0, len(k)), k...), append(make([]uint64, 0, len(k)), fixed[i]...)
+		}
+	}
+	e.keys, e.fixed = append(e.keys, keys...), append(e.fixed, fixed...)
+	e.trials += stats.Trials
+	e.heads += stats.Heads
 	return nil
+}
+
+// resample draws the samples from scratch on the current graph.
+func (e *Embedder) resample() error {
+	e.keys, e.fixed, e.trials, e.heads, e.staleArcs = nil, nil, 0, 0, 0
+	return e.sampleArcs(e.arcs)
 }
 
 // NumVertices returns the current vertex count.
@@ -124,39 +141,11 @@ func (e *Embedder) Staleness() float64 {
 // duplicates are ignored) and samples only the new arcs. n may grow: vertex
 // IDs beyond the current count extend the graph.
 func (e *Embedder) AddEdges(batch []graph.Edge) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	// Determine the new vertex count and dedup against existing arcs.
 	n := e.g.NumVertices()
 	for _, a := range batch {
-		if int(a.U) >= n {
-			n = int(a.U) + 1
-		}
-		if int(a.V) >= n {
-			n = int(a.V) + 1
-		}
+		n = max(n, int(a.U)+1, int(a.V)+1)
 	}
-	existing := make(map[uint64]bool, len(e.arcs))
-	for _, a := range e.arcs {
-		existing[hashtable.Key(a.U, a.V)] = true
-	}
-	var fresh []graph.Edge
-	for _, a := range batch {
-		u, v := a.U, a.V
-		if u == v {
-			continue
-		}
-		if u > v {
-			u, v = v, u
-		}
-		k := hashtable.Key(u, v)
-		if existing[k] {
-			continue
-		}
-		existing[k] = true
-		fresh = append(fresh, graph.Edge{U: u, V: v})
-	}
+	fresh := e.freshArcs(batch)
 	if len(fresh) == 0 {
 		return nil
 	}
@@ -168,12 +157,33 @@ func (e *Embedder) AddEdges(batch []graph.Edge) error {
 	}
 	e.g = g
 	e.batches++
-	stats, err := e.sampleArcs(fresh)
-	if err != nil {
-		return err
+	return e.sampleArcs(fresh)
+}
+
+// freshArcs returns the batch's edges that are neither self loops nor in the
+// current graph, once each, as u < v in ascending (u, v) order: the batch's
+// packed keys sorted and compacted, each looked up by binary search in the
+// current graph's sorted adjacency of u.
+func (e *Embedder) freshArcs(batch []graph.Edge) []graph.Edge {
+	keys := make([]uint64, 0, len(batch))
+	for _, a := range batch {
+		if a.U != a.V {
+			keys = append(keys, hashtable.Key(min(a.U, a.V), max(a.U, a.V)))
+		}
 	}
-	e.trials += stats.Trials
-	return nil
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	fresh := make([]graph.Edge, 0, len(keys))
+	for _, k := range keys {
+		u, v := hashtable.UnpackKey(k)
+		if int(u) < e.g.NumVertices() {
+			if _, ok := slices.BinarySearch(e.g.Neighbors(u, nil), v); ok {
+				continue
+			}
+		}
+		fresh = append(fresh, graph.Edge{U: u, V: v})
+	}
+	return fresh
 }
 
 // Refresh performs a full resample of the current graph, clearing
@@ -183,15 +193,22 @@ func (e *Embedder) Refresh() error {
 	return e.resample()
 }
 
-// Embed factorizes the accumulated sparsifier — core.EmbedTable, the same
-// hand-off core.Embed makes, so the embedding is a pure function of the
-// accumulated samples for every Shards setting and worker count and honours
-// every factorizer and propagation setting of the config — returning the
-// current embedding. The table stays intact for the next batch.
+// Embed groups the kept samples as the full passes do (sampler.Group) and
+// factorizes the sparsifier — core.EmbedTable, the same hand-off core.Embed
+// makes, so the embedding is a pure function of the kept samples for every
+// worker count and honours every factorizer and propagation setting of the
+// config — returning the current embedding. The samples stay kept for the
+// next batch.
 func (e *Embedder) Embed() (*dense.Matrix, error) {
-	res, err := core.EmbedTable(e.g, e.table, e.trials, e.cfg)
+	res, err := core.EmbedTable(e.g, e.sink(), e.trials, e.cfg)
 	if err != nil {
 		return nil, err
 	}
 	return res.Embedding, nil
+}
+
+// sink groups the kept samples over the current vertex set.
+func (e *Embedder) sink() sampler.Sink {
+	stats := sampler.Stats{Trials: e.trials, Heads: e.heads}
+	return sampler.Group(e.keys, e.fixed, e.g.NumVertices(), &stats)
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -176,6 +177,64 @@ func TestAddEdgesIgnoresDuplicatesAndLoops(t *testing.T) {
 	if err := e.AddEdges(nil); err != nil {
 		t.Fatal(err)
 	}
+	// An existing edge in reverse orientation is a duplicate too; an edge to
+	// a vertex beyond the current count is new, once, however often and in
+	// whichever orientation it is given.
+	u, v := uint32(3), initial.Neighbors(3, nil)[0]
+	if err := e.AddEdges([]graph.Edge{{U: max(u, v), V: min(u, v)}}); err != nil {
+		t.Fatal(err)
+	}
+	if e.NumEdges() != before {
+		t.Fatalf("reversed existing edge changed edge count %d -> %d", before, e.NumEdges())
+	}
+	n := uint32(e.NumVertices())
+	if err := e.AddEdges([]graph.Edge{{U: 0, V: n + 4}, {U: n + 4, V: 0}, {U: 0, V: n + 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if e.NumEdges() != before+1 || e.NumVertices() != int(n)+5 {
+		t.Fatalf("edge to vertex %d: %d edges over %d vertices, want %d over %d", n+4, e.NumEdges(), e.NumVertices(), before+1, n+5)
+	}
+}
+
+// TestSampleStateIs16BytesPerHead: the embedder keeps one pair per head, a
+// packed key and a fixed-point weight, in segments of exactly their length,
+// after New, after batches of every size (one edge included) and after
+// Refresh.
+func TestSampleStateIs16BytesPerHead(t *testing.T) {
+	initial, later, _ := growingSBM(t)
+	e, err := New(initial, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if e.heads == 0 {
+			t.Fatalf("%s: no heads kept", when)
+		}
+		if got := stateBytes(e); got != 16*e.heads {
+			t.Fatalf("%s: %d bytes kept for %d heads, want 16 per head", when, got, e.heads)
+		}
+	}
+	check("New")
+	for _, b := range [][]graph.Edge{later[:1], later[1:40], later[40:]} {
+		if err := e.AddEdges(b); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("AddEdges of %d", len(b)))
+	}
+	if err := e.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	check("Refresh")
+}
+
+// stateBytes is the capacity of the embedder's kept pair segments, in bytes.
+func stateBytes(e *Embedder) int64 {
+	var b int64
+	for i := range e.keys {
+		b += 8 * int64(cap(e.keys[i])+cap(e.fixed[i]))
+	}
+	return b
 }
 
 func TestNewErrors(t *testing.T) {
@@ -197,6 +256,15 @@ func TestNewErrors(t *testing.T) {
 			t.Fatalf("expected an error for %d shards", shards)
 		}
 	}
+	// An edgeless graph fixes no per-arc rate (M/0), so New rejects it, as
+	// core.Embed does, rather than embed every later batch from no samples.
+	edgeless, err := graph.FromEdges(5, nil, graph.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(edgeless, testConfig()); err == nil {
+		t.Fatal("expected an edgeless-graph error")
+	}
 }
 
 func TestNewRejectsWeightedGraph(t *testing.T) {
@@ -211,9 +279,10 @@ func TestNewRejectsWeightedGraph(t *testing.T) {
 
 // TestEmbedDeterministicAcrossProcsAndShards puts the incremental path inside
 // the determinism contract: an initial pass plus an ingested batch, factorized
-// and propagated, is a pure function of (graph, batches, seed) — the
-// fully-sorted drain erases slot and shard order, and the symmetric rSVD
-// needs no transpose whose layout could depend on them.
+// and propagated, is a pure function of (graph, batches, seed) — the grouping
+// sort erases the order in which workers kept their pairs, Shards selects
+// nothing, and the symmetric rSVD needs no transpose whose layout could
+// depend on them.
 func TestEmbedDeterministicAcrossProcsAndShards(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	full, err := gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 20, Seed: 5})
@@ -258,7 +327,8 @@ func TestEmbedDeterministicAcrossProcsAndShards(t *testing.T) {
 
 // TestEmbedGolden pins the bits of an incremental embedding: RMAT scale 10
 // (edge factor 20, seed 5), New on the first three quarters of its arcs,
-// AddEdges the rest, Embed at DefaultConfig(16) with four shards. The sha256
+// AddEdges the rest, Embed at DefaultConfig(16) with four shards (which
+// select nothing since the embedder groups its pairs by sorting). The sha256
 // is over the embedding's float64s, little-endian, row-major.
 // See DESIGN.md "Numerics".
 func TestEmbedGolden(t *testing.T) {
@@ -296,8 +366,8 @@ func TestEmbedGolden(t *testing.T) {
 }
 
 // TestEmbedHonoursStreamedSVD: Embed factorizes with the config's factorizer
-// — it is core.EmbedTable over the embedder's own table, bit for bit — so a
-// sketch-configured embedder does not silently run the rSVD.
+// — it is core.EmbedTable over the embedder's grouped pairs, bit for bit —
+// so a sketch-configured embedder does not silently run the rSVD.
 func TestEmbedHonoursStreamedSVD(t *testing.T) {
 	initial, later, _ := growingSBM(t)
 	cfg := testConfig()
@@ -313,7 +383,7 @@ func TestEmbedHonoursStreamedSVD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.EmbedTable(e.g, e.table, e.trials, cfg)
+	want, err := core.EmbedTable(e.g, e.sink(), e.trials, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,9 @@ package hashtable
 
 import "testing"
 
-// TestSmallShardedBatchDoesNotAllocate: the incremental sampler's flush into a
-// sharded table is grouped in pooled scratch, so once the keys are present
-// it allocates nothing.
+// TestSmallShardedBatchDoesNotAllocate: a small batch into a sharded table
+// is grouped in pooled scratch, so once the keys are present it allocates
+// nothing.
 func TestSmallShardedBatchDoesNotAllocate(t *testing.T) {
 	tab := New(1<<14, 4)
 	keys := make([]uint64, BatchGrain)

@@ -1,6 +1,9 @@
 // Package hashtable implements the sparse parallel hash table LightNE uses
 // to aggregate PathSampling results into the sparsifier (paper §4.2,
-// "Sparse Parallel Hashing"). It is the folklore concurrent open-addressing
+// "Sparse Parallel Hashing"), and the grouping sorts that aggregate the
+// same pairs without it. No sampling pass builds the table; it stays as the
+// measured design point of E12 and the benchmark harness's table probe. It
+// is the folklore concurrent open-addressing
 // table: linear probing, no deletions, inserts that claim a slot with one
 // compare-and-swap and accumulate with one atomic fetch-and-add — Go's
 // atomic.AddUint64 compiles to the LOCK XADD instruction the paper singles
@@ -44,9 +47,9 @@
 // and merges equal keys, summing their fixed-point weights, after each
 // bucket sorts: the same CSR a table of those pairs drains to, without the
 // table. GroupSymmetricCSR groups one orientation of symmetric pairs so and
-// writes the other by a transpose: the aggregation of a full sampling pass,
-// which holds every pair at once anyway, so that the table serves the
-// incremental pass alone. Given keys alone, GroupCSR is the module's one
+// writes the other by a transpose: the aggregation of every sampling pass,
+// each of which holds its pairs (the incremental one across batches) until
+// they are grouped. Given keys alone, GroupCSR is the module's one
 // grouping sort: the graph builder turns packed arcs into adjacency
 // through it.
 package hashtable
@@ -146,7 +149,6 @@ type shard struct {
 	// count is the number of distinct keys plus the headroom in-flight
 	// shared chunks have reserved but not yet used.
 	count atomic.Int64
-	peak  atomic.Int64 // high-water mark of transient slot storage
 }
 
 // New returns a table of shards shards (rounded up to a power of two, at
@@ -161,7 +163,6 @@ func New(capacityHint, shards int) *Table {
 	for i := range t.shards {
 		t.shards[i].home.skip = b
 		t.shards[i].setSlots(c)
-		t.shards[i].peak.Store(int64(c) * 16)
 	}
 	if n > 1 {
 		t.small.New = func() any {
@@ -407,10 +408,6 @@ func (s *shard) grow(key uint64) {
 func (s *shard) rehash() {
 	old := s.slots
 	s.setSlots(2 * uint64(len(old)))
-	// While rehashing, old and new slot arrays coexist: the true peak is
-	// their sum (1.5x the post-grow footprint), which MemoryBytes alone
-	// never shows — exactly the transient a capacity planner must budget.
-	s.peak.Store(int64(len(old))*16 + int64(len(s.slots))*16)
 	slots, mask := s.slots, s.mask
 	for _, sl := range old {
 		if sl.key == 0 {
@@ -448,20 +445,6 @@ func (t *Table) Capacity() int {
 
 // MemoryBytes returns the table's slot storage footprint.
 func (t *Table) MemoryBytes() int64 { return int64(t.Capacity()) * 16 }
-
-// PeakMemoryBytes returns the high-water mark of slot storage over the
-// table's lifetime, including the grow transient where a shard's old and new
-// slot arrays coexist: the sum of every shard's own high-water mark. Shards
-// grow independently, so the sum overstates the instantaneous peak unless
-// every shard grew at once — the conservative direction for capacity
-// planning. Equals MemoryBytes for a table that never grew.
-func (t *Table) PeakMemoryBytes() int64 {
-	var n int64
-	for i := range t.shards {
-		n += t.shards[i].peak.Load()
-	}
-	return n
-}
 
 // Get returns the accumulated weight for (u, v) and whether it is present.
 // Safe for concurrent use with inserts; a key whose insert is in flight may

@@ -464,47 +464,6 @@ func TestMemoryBytes(t *testing.T) {
 	}
 }
 
-// TestPeakMemoryBytesTracksGrowth forces the table through several doublings
-// and checks the recorded high-water mark includes the grow transient, where
-// the old and new slot arrays coexist (old = half of new, so the peak is
-// 1.5x the post-grow footprint).
-func TestPeakMemoryBytesTracksGrowth(t *testing.T) {
-	tbl := New(1, 1)
-	if got, want := tbl.PeakMemoryBytes(), tbl.MemoryBytes(); got != want {
-		t.Fatalf("fresh table peak %d, want %d", got, want)
-	}
-	start := tbl.MemoryBytes()
-	for i := 0; i < 1000; i++ {
-		tbl.Add(uint32(i), uint32(i+1), 1)
-	}
-	if tbl.MemoryBytes() <= start {
-		t.Fatal("test did not force growth")
-	}
-	if got, want := tbl.PeakMemoryBytes(), tbl.MemoryBytes()*3/2; got != want {
-		t.Fatalf("peak %d after growth, want old+new = %d", got, want)
-	}
-}
-
-// TestPeakMemoryBytesConcurrent: the peak stays coherent when growth happens
-// under concurrent inserts (exercised under -race by the race target).
-func TestPeakMemoryBytesConcurrent(t *testing.T) {
-	tbl := New(1, 1)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				tbl.Add(uint32(w*500+i), uint32(i), 1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if peak, cur := tbl.PeakMemoryBytes(), tbl.MemoryBytes(); peak < cur*3/2 {
-		t.Fatalf("peak %d, want at least 1.5x current %d after growth", peak, cur)
-	}
-}
-
 // TestAddFixedBatchMatchesSerial: the batch insert — inline and in parallel
 // chunks — must accumulate exactly what the equivalent AddFixed loop does,
 // including when a tiny initial table forces grows mid-batch.

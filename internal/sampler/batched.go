@@ -122,7 +122,7 @@ func SampleBatched(g *graph.Graph, cfg Config, waveSize int) (Sink, Stats, error
 			keys[i], fixed[i] = hashtable.SymmetricPair(heads[i].e0, heads[i].e1, heads[i].fixed)
 		}
 	})
-	return group([][]uint64{keys}, [][]uint64{fixed}, g.NumVertices(), &stats), stats, nil
+	return Group([][]uint64{keys}, [][]uint64{fixed}, g.NumVertices(), &stats), stats, nil
 }
 
 // pairGrain is the per-chunk head count when building pairs.

@@ -38,7 +38,8 @@ func sampleReference(g *graph.Graph, cfg Config, table *hashtable.Table) (trials
 	return trials, heads
 }
 
-// sampleArcsReference is SampleArcsInto without buffering or parallelism.
+// sampleArcsReference is SampleArcs without buffering or parallelism,
+// inserting each head's two oriented pairs one key at a time.
 func sampleArcsReference(g *graph.Graph, table *hashtable.Table, arcs []graph.Edge, perArc float64, cfg Config) (trials, heads int64) {
 	c := cfg.DownsampleC(g.NumVertices())
 	base := int64(perArc)
@@ -79,15 +80,13 @@ func referenceTrials(g *graph.Graph, table *hashtable.Table, u, v uint32, ne int
 	return trials, heads
 }
 
-// TestBufferedSamplersBitIdenticalToPerKey: Sample buffers each worker's
-// one-orientation pairs and groups them; SampleArcsInto buffers each chunk's
-// pairs and flushes them through Sink.AddFixedBatch. The drained CSR must
-// equal, to the bit, a serial per-key reference drawing the same streams,
-// for every worker count, on an unweighted and a weighted graph, and for
-// SampleArcsInto for every shard count too, into a table with a tiny
-// capacity hint, which the flushes make grow. It pins the shards × procs
-// clauses of the determinism contract (DESIGN.md "Numerics") for the
-// per-arc samplers.
+// TestBufferedSamplersBitIdenticalToPerKey: Sample and SampleArcs buffer
+// each worker's one-orientation pairs, and Group groups them. The grouped
+// CSR must equal, to the bit, the drain of a serial per-key reference
+// drawing the same streams, for every worker count, on an unweighted and a
+// weighted graph, and for SampleArcs at a fractional and an integer per-arc
+// rate. It pins the procs clause of the determinism contract (DESIGN.md
+// "Numerics") for the per-arc samplers.
 func TestBufferedSamplersBitIdenticalToPerKey(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	graphs := []struct {
@@ -110,8 +109,6 @@ func TestBufferedSamplersBitIdenticalToPerKey(t *testing.T) {
 		}
 		ref := hashtable.New(0, 1)
 		refTrials, refHeads := sampleReference(g, cfg, ref)
-		refArcs := hashtable.New(0, 1)
-		arcTrials, arcHeads := sampleArcsReference(g, refArcs, arcs, 7.5, cfg)
 		for _, procs := range []int{1, 2, 4} {
 			runtime.GOMAXPROCS(procs)
 			sink, st, err := Sample(g, cfg)
@@ -123,20 +120,22 @@ func TestBufferedSamplersBitIdenticalToPerKey(t *testing.T) {
 				t.Fatalf("%s: Sample trials/heads %d/%d, reference %d/%d", name, st.Trials, st.Heads, refTrials, refHeads)
 			}
 			sameCSR(t, name+" Sample", sink, ref, n)
-			for _, shards := range []int{1, 4} {
-				name := fmt.Sprintf("%s shards=%d procs=%d", gr.name, shards, procs)
-				c := cfg
-				c.Shards = shards
-				arcSink := NewSink(16, shards)
-				ast, err := SampleArcsInto(g, arcSink, arcs, 7.5, c)
+		}
+		for _, perArc := range []float64{7.5, 7} {
+			refArcs := hashtable.New(0, 1)
+			arcTrials, arcHeads := sampleArcsReference(g, refArcs, arcs, perArc, cfg)
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				name := fmt.Sprintf("%s perArc=%g procs=%d", gr.name, perArc, procs)
+				keys, fixed, st, err := SampleArcs(g, arcs, perArc, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ast.Trials != arcTrials || ast.Heads != arcHeads {
-					t.Fatalf("%s: SampleArcsInto trials/heads %d/%d, reference %d/%d", name,
-						ast.Trials, ast.Heads, arcTrials, arcHeads)
+				if st.Trials != arcTrials || st.Heads != arcHeads {
+					t.Fatalf("%s: SampleArcs trials/heads %d/%d, reference %d/%d", name,
+						st.Trials, st.Heads, arcTrials, arcHeads)
 				}
-				sameCSR(t, name+" SampleArcsInto", arcSink, refArcs, n)
+				sameCSR(t, name+" SampleArcs", Group(keys, fixed, n, &st), refArcs, n)
 			}
 		}
 	}

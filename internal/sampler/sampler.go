@@ -6,10 +6,10 @@
 //
 // which Theorem 3.2 (Lovász) justifies as an effective-resistance upper
 // bound; Theorem 3.1 makes the reweighted samples (weight 1/p_e) an unbiased
-// Laplacian estimator. The two full passes, per-arc (Sample) and batched
-// (SampleBatched), hold one pair per sample and group them by sorting
-// (hashtable.GroupSymmetricCSR); the incremental pass (SampleArcsInto)
-// aggregates into the concurrent hash table from internal/hashtable.
+// Laplacian estimator. Every pass — the two full ones, per-arc (Sample) and
+// batched (SampleBatched), and the incremental one over a list of arcs
+// (SampleArcs) — holds one pair per sample, and Group groups the pairs by
+// sorting (hashtable.GroupSymmetricCSR), with no hash table.
 //
 // The sampler maps over directed arcs grouped by source vertex, exactly the
 // cache-friendly per-edge schedule of Algorithm 2: each arc e draws
@@ -47,19 +47,15 @@ type Config struct {
 	C float64
 	// Seed makes runs reproducible.
 	Seed uint64
-	// Shards splits an incremental pass's aggregation table (NewSink, which
-	// the table's owner calls) across a power of two of shards routed by
-	// high hash bits (hashtable.New); <= 1 keeps one shard, and more than
-	// hashtable.MaxShards (1 024) is an error, from every pass. The drained
-	// CSR is bit-identical either way. Sample and SampleBatched group their
-	// samples by sorting, with no table, and only check it.
+	// Shards is the shard count of an aggregation table (NewSink). No pass
+	// builds one — every pass groups its samples by sorting — so the passes
+	// only check it: more than hashtable.MaxShards (1 024) is an error.
 	Shards int
 }
 
 // Check validates the fields every sampling pass reads: a positive T and at
-// most hashtable.MaxShards shards. Sample, SampleBatched and SampleArcsInto
-// run it; a caller that sizes a table from Shards before sampling runs it
-// first.
+// most hashtable.MaxShards shards. Sample, SampleBatched and SampleArcs run
+// it.
 func (cfg Config) Check() error {
 	if cfg.T <= 0 {
 		return fmt.Errorf("sampler: T must be positive, got %d", cfg.T)
@@ -83,17 +79,16 @@ func (cfg Config) DownsampleC(n int) float64 {
 	return math.Max(1, math.Log(float64(n)))
 }
 
-// Stats reports what a sampling pass actually did. Sample and SampleBatched
-// build no table, so for them the table fields describe the grouping arrays
-// instead (group): TableBytes is the grouped CSR and PeakTableBytes
-// adds the upper triangle it was mirrored from and the bucket scatter the
-// pairs were sorted in.
+// Stats reports what a sampling pass actually did. No pass builds a table,
+// so the table fields describe the grouping arrays instead (Group):
+// TableBytes is the grouped CSR and PeakTableBytes adds the upper triangle
+// it was mirrored from and the bucket scatter the pairs were sorted in.
 type Stats struct {
 	Trials          int64 // Σ_e n_e, the realized sample count M̂
 	Heads           int64 // trials that passed the downsampling coin
 	DistinctEntries int   // distinct (u',v') keys in the aggregate
-	TableBytes      int64 // hash table footprint after the pass
-	PeakTableBytes  int64 // footprint high-water mark, incl. grow transients
+	TableBytes      int64 // grouped CSR footprint
+	PeakTableBytes  int64 // grouping high-water mark
 }
 
 // PathSample runs Algorithm 1: given arc (u, v) and walk length r, it splits
@@ -128,7 +123,7 @@ func ProbW(c, w, su, sv float64) float64 {
 // pairs (u', v') to accumulated importance weights and is exactly
 // symmetric: every sample counts in both orientations. Each worker appends
 // one pair per head to its own buffer (pairSegs), and the buffers group
-// where they lie (group).
+// where they lie (Group).
 func Sample(g *graph.Graph, cfg Config) (Sink, Stats, error) {
 	n := g.NumVertices()
 	if err := cfg.Check(); err != nil {
@@ -141,7 +136,7 @@ func Sample(g *graph.Graph, cfg Config) (Sink, Stats, error) {
 		return nil, Stats{}, fmt.Errorf("sampler: graph has no edges")
 	}
 	keys, fixed, stats := samplePairs(g, cfg)
-	return group(keys, fixed, n, &stats), stats, nil
+	return Group(keys, fixed, n, &stats), stats, nil
 }
 
 // samplePairs draws Sample's heads and returns their one-orientation pairs
@@ -159,7 +154,6 @@ func samplePairs(g *graph.Graph, cfg Config) (keys, fixed [][]uint64, stats Stat
 	bufs := make([]pairSegs, par.Workers())
 	var trials, heads int64
 	par.WorkerFor(n, 32, func(w, lo, hi int) {
-		buf := &bufs[w]
 		var src rng.Source
 		var localTrials, localHeads int64
 		for ui := lo; ui < hi; ui++ {
@@ -172,11 +166,7 @@ func samplePairs(g *graph.Graph, cfg Config) (keys, fixed [][]uint64, stats Stat
 			for i := 0; i < du; i++ {
 				v := g.Neighbor(u, i)
 				ew := g.EdgeWeight(u, i)
-				perArc := perUnit * ew
-				ne := int64(perArc)
-				if frac := perArc - float64(ne); frac > 0 && src.Bernoulli(frac) {
-					ne++
-				}
+				ne := trialCount(perUnit*ew, &src)
 				if ne == 0 {
 					continue
 				}
@@ -184,63 +174,49 @@ func samplePairs(g *graph.Graph, cfg Config) (keys, fixed [][]uint64, stats Stat
 				if cfg.Downsample {
 					pe = ProbW(c, ew, strengths[u], strengths[v])
 				}
-				fixed := hashtable.ToFixed(1 / pe)
-				for k := int64(0); k < ne; k++ {
-					localTrials++
-					if pe < 1 && !src.Bernoulli(pe) {
-						continue
-					}
-					localHeads++
-					r := 1 + src.Intn(cfg.T)
-					ue, ve := PathSample(g, u, v, r, &src)
-					buf.add(ue, ve, fixed)
-				}
+				localTrials += ne
+				localHeads += bufs[w].draw(g, u, v, ne, pe, cfg.T, &src)
 			}
 		}
 		atomicAdd(&trials, localTrials)
 		atomicAdd(&heads, localHeads)
 	})
-	for _, b := range bufs {
-		keys, fixed = append(keys, b.keys...), append(fixed, b.fixed...)
-	}
+	keys, fixed = segments(bufs)
 	return keys, fixed, Stats{Trials: trials, Heads: heads}
 }
 
-// SampleArcsInto runs downsampled PathSampling for the given arcs only,
-// drawing perArc expected trials per arc and accumulating into an existing
-// table. Walks run on g (which must already contain the arcs). This is the
-// incremental path used by the dynamic embedder: when a batch of edges
-// arrives, only the new arcs are sampled at the same per-arc rate as the
-// initial pass.
+// SampleArcs runs downsampled PathSampling for the given arcs only, drawing
+// perArc expected trials per arc, and returns one pair per head as segments,
+// as Sample's pass holds them before Group. Walks run on g (which must
+// already contain the arcs). This is the incremental pass of the dynamic
+// embedder: when a batch of edges arrives, only the new arcs are sampled at
+// the same per-arc rate as the initial pass, and their pairs join the ones
+// kept from earlier batches.
 //
-// Of cfg, T, Downsample, C and Seed are read (C resolved on g); M and
-// Shards belong to the table's owner. The seed should differ per
-// batch.
-func SampleArcsInto(g *graph.Graph, table *hashtable.Table, arcs []graph.Edge, perArc float64, cfg Config) (Stats, error) {
-	t, c, seed := cfg.T, cfg.DownsampleC(g.NumVertices()), cfg.Seed
+// Of cfg, T, Downsample, C and Seed are read (C resolved on g); M belongs to
+// the caller, who chose perArc. Arc i draws from stream (Seed, i), so the
+// seed should differ per batch. Of the Stats, Trials and Heads are set.
+func SampleArcs(g *graph.Graph, arcs []graph.Edge, perArc float64, cfg Config) (keys, fixed [][]uint64, stats Stats, err error) {
 	if err := cfg.Check(); err != nil {
-		return Stats{}, err
+		return nil, nil, Stats{}, err
 	}
-	if perArc < 0 {
-		return Stats{}, fmt.Errorf("sampler: perArc must be non-negative, got %g", perArc)
+	if !(perArc >= 0) || math.IsInf(perArc, 1) {
+		return nil, nil, Stats{}, fmt.Errorf("sampler: perArc must be finite and non-negative, got %g", perArc)
 	}
-	base := int64(perArc)
-	frac := perArc - float64(base)
+	c := cfg.DownsampleC(g.NumVertices())
+	bufs := make([]pairSegs, par.Workers())
 	var trials, heads int64
-	forBuffered(table, len(arcs), 16, func(lo, hi int, buf *pairBuf) {
+	par.WorkerFor(len(arcs), 16, func(w, lo, hi int) {
 		var src rng.Source
 		var localTrials, localHeads int64
 		for i := lo; i < hi; i++ {
-			src.Seed(seed, uint64(i))
+			src.Seed(cfg.Seed, uint64(i))
 			u, v := arcs[i].U, arcs[i].V
 			du, dv := g.Degree(u), g.Degree(v)
 			if du == 0 || dv == 0 {
 				continue
 			}
-			ne := base
-			if frac > 0 && src.Bernoulli(frac) {
-				ne++
-			}
+			ne := trialCount(perArc, &src)
 			if ne == 0 {
 				continue
 			}
@@ -248,26 +224,22 @@ func SampleArcsInto(g *graph.Graph, table *hashtable.Table, arcs []graph.Edge, p
 			if c > 0 {
 				pe = Prob(c, du, dv)
 			}
-			fixed := hashtable.ToFixed(1 / pe)
-			for k := int64(0); k < ne; k++ {
-				localTrials++
-				if pe < 1 && !src.Bernoulli(pe) {
-					continue
-				}
-				localHeads++
-				r := 1 + src.Intn(t)
-				ue, ve := PathSample(g, u, v, r, &src)
-				buf.add(ue, ve, fixed)
-			}
+			localTrials += ne
+			localHeads += bufs[w].draw(g, u, v, ne, pe, cfg.T, &src)
 		}
 		atomicAdd(&trials, localTrials)
 		atomicAdd(&heads, localHeads)
 	})
-	return Stats{
-		Trials:          trials,
-		Heads:           heads,
-		DistinctEntries: table.Len(),
-		TableBytes:      table.MemoryBytes(),
-		PeakTableBytes:  table.PeakMemoryBytes(),
-	}, nil
+	keys, fixed = segments(bufs)
+	return keys, fixed, Stats{Trials: trials, Heads: heads}, nil
+}
+
+// trialCount draws an arc's trial count n_e: ⌊perArc⌋, plus one with
+// probability {perArc}.
+func trialCount(perArc float64, src *rng.Source) int64 {
+	ne := int64(perArc)
+	if frac := perArc - float64(ne); frac > 0 && src.Bernoulli(frac) {
+		ne++
+	}
+	return ne
 }

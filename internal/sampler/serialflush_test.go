@@ -117,7 +117,7 @@ func SampleBatchedSerial(g *graph.Graph, cfg Config, waveSize int) (*hashtable.T
 
 	stats.DistinctEntries = table.Len()
 	stats.TableBytes = table.MemoryBytes()
-	stats.PeakTableBytes = table.PeakMemoryBytes()
+	stats.PeakTableBytes = stats.TableBytes // presized for every pair, it never grows
 	return table, stats, nil
 }
 

@@ -3,26 +3,28 @@ package sampler
 import (
 	"fmt"
 
+	"lightne/internal/graph"
 	"lightne/internal/hashtable"
-	"lightne/internal/par"
+	"lightne/internal/rng"
 )
 
 // Sink is what a sampling pass hands the sparsifier (core.EmbedTable): its
 // aggregate, packed (u', v') keys with fixed-point weights, drained as CSR
-// arrays grouped by source vertex with ascending columns. Sample and
-// SampleBatched return their pairs already grouped; the incremental pass
-// accumulates into a *hashtable.Table, which holds O(distinct) entries
-// however many samples stream in. The drained CSR is a pure function of the
-// pass's pair multiset either way.
+// arrays grouped by source vertex with ascending columns. Every pass's pairs
+// are grouped by Group; a *hashtable.Table, which aggregates the same pairs
+// in O(distinct) entries, drains to the same arrays bit for bit, since the
+// drained CSR is a pure function of the pair multiset.
 type Sink interface {
 	DrainCSR(numRows int) (rowPtr []int64, cols []uint32, ws []float64)
 }
 
-// NewSink returns the hash table an incremental pass accumulates into,
-// presized for capacityHint distinct keys in shards shards.
+// NewSink returns a hash table presized for capacityHint distinct keys in
+// shards shards: the paper's aggregation design (§4.2), which no sampling
+// pass builds; the benchmark harness's table probe and the test oracles
+// insert into it.
 func NewSink(capacityHint, shards int) *hashtable.Table { return hashtable.New(capacityHint, shards) }
 
-// grouped is a full pass's aggregate: the CSR arrays
+// grouped is a pass's aggregate: the CSR arrays
 // hashtable.GroupSymmetricCSR grouped its pairs into.
 type grouped struct {
 	rowPtr []int64
@@ -41,13 +43,13 @@ func (c *grouped) DrainCSR(numRows int) ([]int64, []uint32, []float64) {
 	return c.rowPtr, c.cols, c.ws
 }
 
-// group groups a full pass's one-orientation pairs, one per head of stats,
-// given as segments, over n vertices and fills the grouping fields of
-// stats: DistinctEntries, the grouped CSR's footprint as TableBytes, and as
-// PeakTableBytes that plus the bucket scatter the pairs sort in and the
-// upper triangle the CSR is mirrored from (at most half the entries plus
-// one per row), which coexist.
-func group(keys, fixed [][]uint64, n int, stats *Stats) Sink {
+// Group groups a pass's one-orientation pairs, one per head of stats, given
+// as segments (read where they lie, not modified), over n vertices and fills
+// the grouping fields of stats: DistinctEntries, the grouped CSR's footprint
+// as TableBytes, and as PeakTableBytes that plus the bucket scatter the pairs
+// sort in and the upper triangle the CSR is mirrored from (at most half the
+// entries plus one per row), which coexist.
+func Group(keys, fixed [][]uint64, n int, stats *Stats) Sink {
 	out := &grouped{}
 	out.rowPtr, out.cols, out.ws = hashtable.GroupSymmetricCSR(keys, fixed, n)
 	stats.DistinctEntries = len(out.cols)
@@ -59,7 +61,7 @@ func group(keys, fixed [][]uint64, n int, stats *Stats) Sink {
 // segPairs is the pair count of one pairSegs segment.
 const segPairs = 1 << 14
 
-// pairSegs is one worker's pairs for a full pass, one per head in one
+// pairSegs is one worker's pairs for a pass, one per head in one
 // orientation (hashtable.SymmetricPair), in segments of segPairs pairs that
 // never move once allocated: unlike one growing slice, nothing is copied and
 // at most one segment is partly empty.
@@ -75,38 +77,27 @@ func (b *pairSegs) add(e0, e1 uint32, fixed uint64) {
 	b.keys[last], b.fixed[last] = append(b.keys[last], key), append(b.fixed[last], f)
 }
 
-// pairBuf is one chunk's pending oriented pairs for the incremental pass: each
-// head deposits (e0, e1) and (e1, e0) with its weight, and the buffer
-// flushes through the sink's batch insert every hashtable.BatchGrain pairs —
-// a batch the sink inserts inline on the calling worker.
-type pairBuf struct {
-	sink        *hashtable.Table
-	keys, fixed []uint64
-}
-
-// add buffers both orientations of one head, flushing when full.
-func (b *pairBuf) add(e0, e1 uint32, fixed uint64) {
-	b.keys = append(b.keys, hashtable.Key(e0, e1), hashtable.Key(e1, e0))
-	b.fixed = append(b.fixed, fixed, fixed)
-	if len(b.keys) >= hashtable.BatchGrain {
-		b.flush()
+// draw runs ne trials of arc (u, v) at downsampling probability pe: each
+// trial passes the coin with probability pe, and each head walks a length
+// drawn uniformly from [1, t] (PathSample) and deposits its endpoints' pair
+// with weight 1/pe. It returns the number of heads.
+func (b *pairSegs) draw(g *graph.Graph, u, v uint32, ne int64, pe float64, t int, src *rng.Source) (heads int64) {
+	fixed := hashtable.ToFixed(1 / pe)
+	for k := int64(0); k < ne; k++ {
+		if pe < 1 && !src.Bernoulli(pe) {
+			continue
+		}
+		heads++
+		ue, ve := PathSample(g, u, v, 1+src.Intn(t), src)
+		b.add(ue, ve, fixed)
 	}
+	return heads
 }
 
-// flush inserts the pending pairs.
-func (b *pairBuf) flush() {
-	if len(b.keys) > 0 {
-		b.sink.AddFixedBatch(b.keys, b.fixed)
-		b.keys, b.fixed = b.keys[:0], b.fixed[:0]
+// segments lists the workers' segments, worker by worker.
+func segments(bufs []pairSegs) (keys, fixed [][]uint64) {
+	for _, b := range bufs {
+		keys, fixed = append(keys, b.keys...), append(fixed, b.fixed...)
 	}
-}
-
-// forBuffered runs body over [0, n) in par.ForRange chunks, handing each
-// chunk its own pair buffer into sink and flushing it when the chunk ends.
-func forBuffered(sink *hashtable.Table, n, grain int, body func(lo, hi int, buf *pairBuf)) {
-	par.ForRange(n, grain, func(lo, hi int) {
-		buf := pairBuf{sink, make([]uint64, 0, hashtable.BatchGrain), make([]uint64, 0, hashtable.BatchGrain)}
-		body(lo, hi, &buf)
-		buf.flush()
-	})
+	return keys, fixed
 }

@@ -8,6 +8,7 @@ import (
 
 	"lightne/internal/graph"
 	"lightne/internal/hashtable"
+	"lightne/internal/par"
 )
 
 // completeArcs lists every undirected arc of the complete graph on n
@@ -22,137 +23,85 @@ func completeArcs(n int) []graph.Edge {
 	return arcs
 }
 
-// TestSinkShardedStress drives the incremental sampler → sharded table →
-// grouped drain path with a deliberately tiny capacity hint so every shard
-// grows (several times) under concurrent inserts. Run under `go test -race`
-// (wired into `make race`) this covers the CAS insert, xadd accumulate,
-// grow lock, parallel two-pass drain, and bucketed grouping together. The
-// drained CSR must be bit-identical to the single-shard run with the same
-// seed.
+// orientedTable inserts both orientations of every one-orientation pair
+// into a table of the given shard count with a deliberately tiny capacity
+// hint, one AddFixedBatch per segment, the segments on all workers at once,
+// so every shard grows (several times) under concurrent inserts.
+func orientedTable(keys, fixed [][]uint64, shards int) *hashtable.Table {
+	table := NewSink(16, shards)
+	par.ForRange(len(keys), 1, func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			var ok, of []uint64
+			for i, k := range keys[s] {
+				// A self pair's one key carries both orientations' weight.
+				ok, of = append(ok, k), append(of, fixed[s][i])
+				if u, v := hashtable.UnpackKey(k); u != v {
+					ok, of = append(ok, hashtable.Key(v, u)), append(of, fixed[s][i])
+				}
+			}
+			table.AddFixedBatch(ok, of)
+		}
+	})
+	return table
+}
+
+// TestSinkShardedStress drives the incremental sampler's pairs through a
+// sharded table that every shard must grow in, under concurrent batch
+// inserts, and the bucketed drain. Run under `go test -race` (wired into
+// `make race`) this covers the CAS insert, xadd accumulate, grow lock,
+// parallel two-pass drain, and bucketed grouping together. The drained CSR
+// must be bit-identical to the single-shard table's and to Group's.
 func TestSinkShardedStress(t *testing.T) {
 	g := completeGraph(t, 48)
 	arcs := completeArcs(48)
 	cfg := Config{T: 4, Downsample: true, Seed: 17}
 	perArc := 300_000 / float64(len(arcs))
-
-	ref := NewSink(16, 1)
-	refStats, err := SampleArcsInto(g, ref, arcs, perArc, cfg)
+	keys, fixed, stats, err := SampleArcs(g, arcs, perArc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := orientedTable(keys, fixed, 1)
 	if ref.Shards() != 1 {
 		t.Fatalf("shards=1 sink has %d shards", ref.Shards())
 	}
-	refRowPtr, refCols, refWs := ref.DrainCSR(g.NumVertices())
-
-	sink := NewSink(16, 8)
-	stats, err := SampleArcsInto(g, sink, arcs, perArc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sink := orientedTable(keys, fixed, 8)
 	if sink.Shards() != 8 {
 		t.Fatalf("got %d shards, want 8", sink.Shards())
-	}
-	if stats.Trials != refStats.Trials || stats.Heads != refStats.Heads {
-		t.Fatalf("stats differ: %+v vs %+v", stats, refStats)
 	}
 	if sink.Len() != ref.Len() {
 		t.Fatalf("distinct entries %d, want %d", sink.Len(), ref.Len())
 	}
-
-	rowPtr, cols, ws := sink.DrainCSR(g.NumVertices())
-	if len(cols) != len(refCols) {
-		t.Fatalf("nnz %d, want %d", len(cols), len(refCols))
-	}
-	for i := range refRowPtr {
-		if rowPtr[i] != refRowPtr[i] {
-			t.Fatalf("rowPtr[%d]=%d want %d", i, rowPtr[i], refRowPtr[i])
-		}
-	}
-	for i := range refCols {
-		if cols[i] != refCols[i] || ws[i] != refWs[i] {
-			t.Fatalf("entry %d: (%d,%v) want (%d,%v)", i, cols[i], ws[i], refCols[i], refWs[i])
-		}
-	}
-
-	// Weight mass conservation: total drained weight equals Σ heads·(1/p_e)
-	// accumulated in both orientations; cheaper to check the two drains agree
-	// and are symmetric.
-	var total, refTotal float64
-	for i := range ws {
-		total += ws[i]
-		refTotal += refWs[i]
-	}
-	if total != refTotal {
-		t.Fatalf("total weight %v, want %v", total, refTotal)
+	sameCSR(t, "shards=8", sink, ref, g.NumVertices())
+	sameCSR(t, "Group", Group(keys, fixed, g.NumVertices(), &stats), ref, g.NumVertices())
+	if stats.DistinctEntries != ref.Len() {
+		t.Fatalf("Group: %d distinct entries, the table %d", stats.DistinctEntries, ref.Len())
 	}
 }
 
-// TestSinkIncrementalSharded exercises SampleArcsInto against a sharded sink
-// (the dynamic embedder's configuration): concurrent accumulation into an
-// undersized sharded table, whose fully-sorted drain must be bit-identical to
-// the single table's for the same seed.
+// TestSinkIncrementalSharded: the incremental pass's pairs, with the
+// downsampling constant given, aggregated in an undersized four-shard table,
+// drain bit-identical to the single table and to Group.
 func TestSinkIncrementalSharded(t *testing.T) {
 	g := completeGraph(t, 32)
-	arcs := completeArcs(32)
 	n := g.NumVertices()
-	drain := func(shards int) ([]int64, []uint32, []float64) {
-		sink := NewSink(16, shards)
-		stats, err := SampleArcsInto(g, sink, arcs, 50, Config{T: 3, Downsample: true, C: 2, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Trials == 0 || sink.Len() == 0 {
-			t.Fatalf("degenerate run: %+v, len %d", stats, sink.Len())
-		}
-		return sink.DrainCSR(n)
-	}
-	rowPtr, cols, ws := drain(1)
-	sRowPtr, sCols, sWs := drain(4)
-	for i := range rowPtr {
-		if rowPtr[i] != sRowPtr[i] {
-			t.Fatalf("sharded rowPtr[%d]=%d want %d", i, sRowPtr[i], rowPtr[i])
-		}
-	}
-	for i := range cols {
-		if cols[i] != sCols[i] || ws[i] != sWs[i] {
-			t.Fatalf("entry %d: (%d,%v) want (%d,%v)", i, sCols[i], sWs[i], cols[i], ws[i])
-		}
-	}
-}
-
-// TestStatsPeakTableBytes: an undersized table hint forces the incremental
-// pass's table to grow, and the stats must expose the transient high-water
-// mark (old + new slot arrays = 1.5x the final footprint); a presized table
-// never grows, so peak and final agree. Sample, which groups without a
-// table, reports the grouped CSR and, above it, the grouping's peak.
-func TestStatsPeakTableBytes(t *testing.T) {
-	g := completeGraph(t, 40)
-	arcs := completeArcs(40)
-	cfg := Config{T: 5, Seed: 9}
-	perArc := 20000 / float64(len(arcs))
-
-	for _, shards := range []int{1, 4} {
-		stats, err := SampleArcsInto(g, NewSink(1, shards), arcs, perArc, cfg) // guaranteed undersized: forces repeated doubling
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.PeakTableBytes != stats.TableBytes*3/2 {
-			t.Fatalf("shards=%d: peak %d, want 1.5x final %d after growth",
-				shards, stats.PeakTableBytes, stats.TableBytes)
-		}
-	}
-
-	stats, err := SampleArcsInto(g, NewSink(4*20000, 1), arcs, perArc, cfg)
+	keys, fixed, stats, err := SampleArcs(g, completeArcs(32), 50, Config{T: 3, Downsample: true, C: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.PeakTableBytes != stats.TableBytes {
-		t.Fatalf("presized pass grew: peak %d != final %d", stats.PeakTableBytes, stats.TableBytes)
+	if stats.Trials == 0 || stats.Heads == 0 {
+		t.Fatalf("degenerate run: %+v", stats)
 	}
+	ref := orientedTable(keys, fixed, 1)
+	sameCSR(t, "shards=4", orientedTable(keys, fixed, 4), ref, n)
+	sameCSR(t, "Group", Group(keys, fixed, n, &stats), ref, n)
+}
 
-	cfg.M = 20000
-	_, stats, err = Sample(g, cfg)
+// TestStatsPeakTableBytes: Sample, which groups without a table, reports the
+// grouped CSR and, above it, the grouping's peak.
+func TestStatsPeakTableBytes(t *testing.T) {
+	g := completeGraph(t, 40)
+	cfg := Config{T: 5, Seed: 9, M: 20000}
+	_, stats, err := Sample(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +132,8 @@ func TestShardsAboveBoundRejected(t *testing.T) {
 		if _, _, err := SampleBatched(g, cfg, 0); err == nil {
 			t.Fatalf("Shards=%d: SampleBatched accepted it", shards)
 		}
-		if _, err := SampleArcsInto(g, NewSink(0, 1), arcs, 1, cfg); err == nil {
-			t.Fatalf("Shards=%d: SampleArcsInto accepted it", shards)
+		if _, _, _, err := SampleArcs(g, arcs, 1, cfg); err == nil {
+			t.Fatalf("Shards=%d: SampleArcs accepted it", shards)
 		}
 		if d := time.Since(start); d > time.Second {
 			t.Fatalf("Shards=%d: rejection took %v", shards, d)
@@ -193,6 +142,22 @@ func TestShardsAboveBoundRejected(t *testing.T) {
 	cfg := Config{T: 3, M: 1000, Seed: 1, Shards: hashtable.MaxShards}
 	if _, _, err := Sample(g, cfg); err != nil {
 		t.Fatalf("Shards=MaxShards: %v", err)
+	}
+}
+
+// TestSampleArcsRejectsUndrawableRate: a per-arc rate that is negative,
+// NaN or +Inf (an edgeless graph's M/0) fixes no trial count, so the pass
+// rejects it instead of drawing nothing.
+func TestSampleArcsRejectsUndrawableRate(t *testing.T) {
+	g := completeGraph(t, 8)
+	arcs := []graph.Edge{{U: 0, V: 1}}
+	for _, perArc := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, _, _, err := SampleArcs(g, arcs, perArc, Config{T: 3, Seed: 1}); err == nil {
+			t.Fatalf("perArc %g: SampleArcs accepted it", perArc)
+		}
+	}
+	if _, _, _, err := SampleArcs(g, arcs, 0, Config{T: 3, Seed: 1}); err != nil {
+		t.Fatalf("perArc 0: %v", err)
 	}
 }
 
