@@ -37,14 +37,14 @@ harness:
 
 # The packages with real concurrency: the lock-free serving store under
 # query-during-hot-swap load, the incremental embedder feeding it, the
-# sharded aggregation table (internal/hashtable: short and long chunked
-# batches, per-shard grows and Get, interleaved) and the par primitives, the
-# bucketed drain and grouping (work-stolen buckets writing disjoint rows)
-# with their sweep over GOMAXPROCS, the row-transform
-# kernel (netsmf), the sampler's stress test of the incremental pass's pairs
-# inserted into sharded tables from all workers (undersized tables force
-# concurrent grows) and drained, the per-arc and incremental passes' per-worker pair buffers and
-# the batched pass's waves and grouping, the parallel compressed-adjacency builder
+# paper's CAS + xadd table (internal/hashtable: batches split over the
+# workers racing single-pair inserts, claims colliding at the full 7/8
+# load) and the par primitives, the bucketed grouping (work-stolen buckets
+# writing disjoint rows) with its sweep over GOMAXPROCS, the row-transform
+# kernel (netsmf), the sampler's stress test of the incremental pass's
+# pairs inserted into that table from all workers and drained, the per-arc
+# and incremental passes' per-worker pair buffers and the batched pass's
+# waves and grouping, the parallel compressed-adjacency builder
 # (unsorted-input error reporting races the workers), and the
 # fault-injection harness driving the supervised ingest loop and the
 # leader→follower replication suite (mid-ship kills, corrupt payloads,
@@ -52,15 +52,18 @@ harness:
 # parsed on all workers, swept over GOMAXPROCS), plus the pipelined QR (dense: R on the caller, Q groups on the workers), the
 # row-parallel SpMM with its row epilogue (sparse) and the propagation that
 # rewrites shared buffers from that epilogue (prone). The second line runs the
-# determinism tests of the full pipeline (core) and the third the root package's
+# determinism tests of the full pipeline (core), the third the root package's
 # crash-safe checkpoint, fault-injection, and end-to-end replication tests
 # (kill-mid-write, CRC fallback, failover smoke, checkpoint-rewrite racing
 # hot-swap) under the detector without dragging the full factorization test
-# suite through -race.
+# suite through -race, and the fourth E12's three aggregation strategies on
+# one concurrent sample stream (experiments), the table's one concurrent
+# user outside the tests, without the package's other experiments.
 race:
 	$(GO) test -race ./internal/serve ./internal/ann ./internal/dynamic ./internal/hashtable ./internal/par ./internal/netsmf ./internal/sampler ./internal/compress ./internal/faultinject ./internal/svd ./internal/dense ./internal/sparse ./internal/prone ./internal/graph
 	$(GO) test -race -run Deterministic ./internal/core
 	$(GO) test -race -run 'Checkpoint|Embedding|Replication' .
+	$(GO) test -race -run 'AllStrategiesAgree|StreamDeterministic' ./internal/experiments
 
 # Short runs of every fuzz target: the text/binary embedding readers and the
 # public graph loader (root), the edge-list parser against its serial
@@ -111,20 +114,16 @@ loc:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Table benchmarks (benchstat-friendly: -count=5 gives enough runs to
-# compare the batch insert against the replaced per-key kernel at the
-# harness's table shape (BenchmarkInsert, Mop/s), the batched sampler's
-# grouping by sort (hashtable's BenchmarkGroupCSR) against the four-shard
-# insert + drain it replaced, and BenchmarkDrain vs BenchmarkDrainSequential;
-# pipe two runs into `benchstat old.txt new.txt`). No sampling pass builds a
-# table; these time the paper's aggregation design, which the harness probes.
-# The second line times the grouped drain at
-# the harness's two table shapes, sampled for real (RMAT-12 per-arc entries
-# in one table, RMAT-13 batched entries in four shards), beside the drain it replaced
-# (oracle/), on one core and on two.
+# Aggregation benchmarks (benchstat-friendly: -count=5; pipe two runs into
+# `benchstat old.txt new.txt`): GroupCSR, the sort every sampling pass
+# groups with, beside the paper's table (a presized Table taking the batch,
+# drained, its entries grouped) at the harness's embed-stream shape
+# (BenchmarkGroupCSR, Mop/s of pairs); single-worker and contended inserts
+# into the table; and its parallel Drain vs a sequential one. No sampling
+# pass builds a table; these time the paper's aggregation design, which E12
+# and the harness probe measure too.
 bench-drain:
-	$(GO) test -run xxx -bench 'BenchmarkInsert|BenchmarkDrain$$|BenchmarkDrainSequential|BenchmarkGroupCSR$$' -benchmem -count=5 ./internal/hashtable
-	$(GO) test -run xxx -bench 'BenchmarkDrainCSR' -benchmem -cpu 1,2 -count=5 ./internal/hashtable
+	$(GO) test -run xxx -bench 'BenchmarkGroupCSR$$|BenchmarkAdd|BenchmarkDrain$$|BenchmarkDrainSequential' -benchmem -count=5 ./internal/hashtable
 
 # Sampler pipeline benchmarks: the per-arc sampler, the test-only
 # serial-flush reference, the wave pipeline (grouping included), the

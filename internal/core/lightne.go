@@ -62,11 +62,10 @@ type Config struct {
 	// and groups every wave's pairs at the end; at the default a pass of up
 	// to 2^22 heads (an RMAT-13 pass at M = 2·T·m draws ~0.8 M) is one wave.
 	WaveSize int
-	// Shards is the shard count of an aggregation table
-	// (sampler.Config.Shards). Every sampler, the incremental embedder's
-	// (internal/dynamic) included, groups its samples by sorting, with no
-	// table, so it selects nothing and is only checked: more than
-	// hashtable.MaxShards (1 024) is an error.
+	// Shards selects nothing (sampler.Config.Shards): every sampler, the
+	// incremental embedder's (internal/dynamic) included, groups its
+	// samples by sorting, with no table. It is only checked: more than
+	// 1 024 is an error.
 	Shards int
 	// StreamedSVD factorizes with the single-pass sketch instead of the
 	// multi-pass randomized SVD: the drained sparsifier streams through the

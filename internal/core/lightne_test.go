@@ -181,9 +181,9 @@ func TestEmbedErrors(t *testing.T) {
 	}
 }
 
-// TestShardsAboveBoundRejected: a shard count past hashtable.MaxShards is a
-// prompt error from Embed on both samplers and from the planner: math.MaxInt
-// overflows a power-of-two rounding, and 1<<30 shards do not fit in memory.
+// TestShardsAboveBoundRejected: a shard count past the sampler's bound
+// (1 024) is a prompt error from Embed on both samplers and from the
+// planner, at 1<<30 and at math.MaxInt.
 func TestShardsAboveBoundRejected(t *testing.T) {
 	g := karate(t)
 	for _, shards := range []int{math.MaxInt, 1 << 30} {

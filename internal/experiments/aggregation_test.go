@@ -23,7 +23,7 @@ func TestAllStrategiesAgree(t *testing.T) {
 	aggs := map[string]aggregator{
 		"list-histogram":    newListHistogram(workers),
 		"per-worker-tables": newPerWorkerTables(workers),
-		"shared-table":      sharedTable{hashtable.New(distinct*2, 1)},
+		"shared-table":      sharedTable{hashtable.New(distinct * 2)},
 	}
 	results := map[string]map[uint64]float64{}
 	for name, agg := range aggs {
@@ -67,7 +67,7 @@ func TestMemoryOrdering(t *testing.T) {
 	// strategy must report much higher memory.
 	const workers, perWorker, distinct = 4, 50000, 200
 	list := newListHistogram(workers)
-	shared := sharedTable{hashtable.New(distinct*2, 1)}
+	shared := sharedTable{hashtable.New(distinct * 2)}
 	runWorkload(list, workers, perWorker, distinct, 3)
 	runWorkload(shared, workers, perWorker, distinct, 3)
 	if list.MemoryBytes() < 10*shared.MemoryBytes() {

@@ -137,7 +137,7 @@ func E12AggregationStrategies(opt Options) (*Report, error) {
 	}{
 		{"per-worker lists + histogram merge", func() aggregator { return newListHistogram(workers) }},
 		{"per-worker tables, merged at end (NetSMF)", func() aggregator { return newPerWorkerTables(workers) }},
-		{"shared lock-free table, xadd (LightNE)", func() aggregator { return sharedTable{hashtable.New(distinct*2, 1)} }},
+		{"shared lock-free table, xadd (LightNE)", func() aggregator { return sharedTable{hashtable.New(distinct * 2)} }},
 	}
 	var rows [][]string
 	for _, s := range strategies {

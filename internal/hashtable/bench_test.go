@@ -4,12 +4,11 @@ import (
 	"sync"
 	"testing"
 
-	"lightne/internal/par"
 	"lightne/internal/rng"
 )
 
 func BenchmarkAddSingleWorker(b *testing.B) {
-	t := New(1<<20, 1)
+	t := New(1 << 20)
 	s := rng.New(1, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -20,7 +19,7 @@ func BenchmarkAddSingleWorker(b *testing.B) {
 
 func BenchmarkAddContended(b *testing.B) {
 	// All workers hammer a small key set: stresses the atomic-add path.
-	t := New(1<<12, 1)
+	t := New(1 << 12)
 	workers := 8
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -44,12 +43,9 @@ func BenchmarkAddContended(b *testing.B) {
 // slot layouts.
 func benchTable(b *testing.B, distinct int) *Table {
 	b.Helper()
-	t := New(distinct, 1)
+	t := New(distinct)
 	for i := 0; i < distinct; i++ {
 		t.Add(uint32(i), uint32(i*7), 1)
-	}
-	if t.Len() != distinct {
-		b.Fatalf("built %d keys want %d", t.Len(), distinct)
 	}
 	return t
 }
@@ -58,11 +54,11 @@ func benchTable(b *testing.B, distinct int) *Table {
 // kept as the benchmark baseline: compare BenchmarkDrain against
 // BenchmarkDrainSequential with benchstat to measure the drain speedup.
 func drainSequential(t *Table) (us, vs []uint32, ws []float64) {
-	n := t.Len()
+	n := len(t.slots) / maxLoadDen * maxLoadNum // the most keys the table holds
 	us = make([]uint32, 0, n)
 	vs = make([]uint32, 0, n)
 	ws = make([]float64, 0, n)
-	for _, s := range t.shards[0].slots {
+	for _, s := range t.slots {
 		if s.key == 0 {
 			continue
 		}
@@ -120,49 +116,12 @@ func insertWorkload(pairs, distinct int) (keys, fixed []uint64) {
 	return keys, fixed
 }
 
-// BenchmarkInsert times one fresh presized table taking 1.5 M pairs over
-// ~1.06 M distinct keys (the harness's embed-stream shape), allocation
-// included: the single table's shared batch kernel, and the four-shard
-// table's whole AddFixedBatch (chunks grouped by shard), each beside the
-// per-key kernel it replaced (perKeyTable; the four shards each filled by
-// its own worker from runs grouped by shard, in input order, the grouping
-// not timed). Reports Mop/s.
-func BenchmarkInsert(b *testing.B) {
-	const pairs, distinct, shardBits = 1_500_000, 1_060_000, 2
-	const shards = 1 << shardBits
-	keys, fixed := insertWorkload(pairs, distinct)
-	var shardKeys, shardFixed [shards][]uint64
-	for i, k := range keys {
-		sh := shardOf(k, shardBits)
-		shardKeys[sh] = append(shardKeys[sh], k)
-		shardFixed[sh] = append(shardFixed[sh], fixed[i])
-	}
-	run := func(name string, insert func()) {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				insert()
-			}
-			b.ReportMetric(float64(pairs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mop/s")
-		})
-	}
-	run("table", func() { New(pairs, 1).AddFixedBatch(keys, fixed) })
-	run("table-per-key-oracle", func() { newPerKeyTable(pairs).AddFixedBatch(keys, fixed) })
-	run("shards-4", func() { New(pairs, shards).AddFixedBatch(keys, fixed) })
-	run("shards-4-per-key-oracle", func() {
-		par.For(shards, 1, func(sh int) {
-			t := newPerKeyTable(pairs / shards)
-			for i, k := range shardKeys[sh] {
-				t.AddFixed(k, shardFixed[sh][i])
-			}
-		})
-	})
-}
-
-// BenchmarkGroupCSR times the batched pass's aggregation at the harness's
-// embed-stream shape (1.5 M pairs over ~1.06 M distinct keys, 8 192 rows):
-// GroupCSR sorting the pairs straight into CSR arrays, beside the path it
-// replaced, a fresh presized four-shard table taking the batch and then
-// DrainCSR. Allocation included; reports Mop/s of pairs.
+// BenchmarkGroupCSR times the aggregation at the harness's embed-stream
+// shape (1.5 M pairs over ~1.06 M distinct keys, 8 192 rows): GroupCSR
+// sorting the pairs straight into CSR arrays, beside the paper's table (a
+// fresh presized Table taking the batch, drained, its distinct entries
+// grouped into the same arrays). Allocation included; reports Mop/s of
+// pairs.
 func BenchmarkGroupCSR(b *testing.B) {
 	const pairs, distinct, numRows = 1_500_000, 1_060_000, 8192
 	keys, fixed := insertWorkload(pairs, distinct)
@@ -171,10 +130,15 @@ func BenchmarkGroupCSR(b *testing.B) {
 		group func()
 	}{
 		{"sort", func() { GroupCSR(keys, fixed, numRows) }},
-		{"table-shards-4", func() {
-			t := New(pairs, 4)
+		{"table", func() {
+			t := New(distinct)
 			t.AddFixedBatch(keys, fixed)
-			t.DrainCSR(numRows)
+			us, vs, ws := t.Drain()
+			dk, df := make([]uint64, len(us)), make([]uint64, len(us))
+			for i := range us {
+				dk[i], df[i] = Key(us[i], vs[i]), ToFixed(ws[i])
+			}
+			GroupCSR(dk, df, numRows)
 		}},
 	} {
 		b.Run(impl.name, func(b *testing.B) {

@@ -1,13 +1,13 @@
 package hashtable_test
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
-	"lightne/internal/core"
 	"lightne/internal/gen"
 	"lightne/internal/graph"
 	"lightne/internal/hashtable"
@@ -15,76 +15,49 @@ import (
 	"lightne/internal/sampler"
 )
 
-// drainCase is a table drained over numRows.
-type drainCase struct {
-	name    string
-	table   *hashtable.Table
-	numRows int
-}
-
-// harnessTables samples the two harness shapes once: RMAT-12 through the
-// per-arc sampler at DefaultConfig(64) (embed-default) and RMAT-13 through
-// the wave pipeline at M = 2·T·m (embed-stream), each drained as packed
-// keys and fixed-point weights. Both passes group without a table, so
-// their entries go into one: a one-shard table for RMAT-12 and a four-shard
-// one, the embed-stream shape of a sharded table, for RMAT-13.
-var harnessTables = sync.OnceValue(func() []harnessTable {
-	var out []harnessTable
-	for _, scale := range []int{12, 13} {
-		g, err := gen.RMAT(gen.RMATConfig{Scale: scale, EdgeFactor: 20, Seed: 7})
-		if err != nil {
-			panic(err)
-		}
-		var sink sampler.Sink
-		if scale == 12 {
-			sink, _, err = sampler.Sample(g, core.DefaultConfig(64).Sampler(g))
-		} else {
-			const t = 10
-			cfg := sampler.Config{T: t, M: int64(t * g.NumEdges()), Downsample: true, Seed: 7}
-			sink, _, err = sampler.SampleBatched(g, cfg, 0)
-		}
-		if err != nil {
-			panic(err)
-		}
-		h := harnessTable{name: fmt.Sprintf("rmat%d", scale), g: g}
-		h.rowPtr, h.cols, h.ws = sink.DrainCSR(g.NumVertices())
-		for r := 0; r+1 < len(h.rowPtr); r++ {
-			for p := h.rowPtr[r]; p < h.rowPtr[r+1]; p++ {
-				h.keys = append(h.keys, hashtable.Key(uint32(r), h.cols[p]))
-				h.fixed = append(h.fixed, hashtable.ToFixed(h.ws[p]))
+// harnessPairs samples an embed-default-shaped graph once (RMAT-12, edge
+// factor 20) with the incremental pass over every arc at T = 10 and ten
+// trials per arc, downsampled: one pair per head in both orientations, as a
+// table-based pass would insert them, shuffled.
+var harnessPairs = sync.OnceValue(func() harnessCase {
+	g, err := gen.RMAT(gen.RMATConfig{Scale: 12, EdgeFactor: 20, Seed: 7})
+	if err != nil {
+		panic(err)
+	}
+	var arcs []graph.Edge
+	for u := 0; u < g.NumVertices(); u++ {
+		for _, v := range g.Neighbors(uint32(u), nil) {
+			if uint32(u) < v {
+				arcs = append(arcs, graph.Edge{U: uint32(u), V: v})
 			}
 		}
-		// Shuffled: pairs in one table's slot order would cluster another's.
-		s := rng.New(uint64(scale), 0)
-		for i := len(h.keys) - 1; i > 0; i-- {
-			j := s.Intn(i + 1)
-			h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-			h.fixed[i], h.fixed[j] = h.fixed[j], h.fixed[i]
-		}
-		h.table = shardTable(h.keys, h.fixed, uint(2*(scale-12)), len(h.keys))
-		out = append(out, h)
 	}
-	return out
+	segKeys, segFixed, _, err := sampler.SampleArcs(g, arcs, 10, sampler.Config{T: 10, Downsample: true, Seed: 7})
+	if err != nil {
+		panic(err)
+	}
+	h := harnessCase{g: g}
+	for s, seg := range segKeys {
+		for i, k := range seg {
+			h.keys, h.fixed = append(h.keys, k), append(h.fixed, segFixed[s][i])
+			if u, v := hashtable.UnpackKey(k); u != v {
+				h.keys, h.fixed = append(h.keys, hashtable.Key(v, u)), append(h.fixed, segFixed[s][i])
+			}
+		}
+	}
+	s := rng.New(12, 0)
+	for i := len(h.keys) - 1; i > 0; i-- {
+		j := s.Intn(i + 1)
+		h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
+		h.fixed[i], h.fixed[j] = h.fixed[j], h.fixed[i]
+	}
+	return h
 })
 
-// harnessTable is one sampled harness shape: the sampler's drained arrays,
-// its entries as shuffled pairs, and a table holding them.
-type harnessTable struct {
-	name        string
+// harnessCase is the sampled RMAT-12 graph with its oriented pairs.
+type harnessCase struct {
 	g           *graph.Graph
-	table       *hashtable.Table
-	rowPtr      []int64
-	cols        []uint32
-	ws          []float64
 	keys, fixed []uint64
-}
-
-// shardTable inserts pairs into a table of 1<<bits shards in one batch. A
-// hint of 0 makes every shard grow mid-insert.
-func shardTable(keys, fixed []uint64, bits uint, hint int) *hashtable.Table {
-	tab := hashtable.New(hint, 1<<bits)
-	tab.AddFixedBatch(keys, fixed)
-	return tab
 }
 
 // syntheticPairs draws n pairs over rows [0, numRows) and columns [0, cols),
@@ -102,27 +75,28 @@ func syntheticPairs(seed uint64, n, numRows, cols, hub int, hubFrac float64) (ke
 	return keys, fixed
 }
 
-// drainCases builds the oracle sweep's tables: the harness shapes as sampled,
-// re-sharded and grown; empty tables; synthetic tables around the bucket
-// geometry's edges (one row, 255–257 rows, a non-power of two); a hub row.
+// drainCase is a batch of weighted pairs grouped over numRows rows.
+type drainCase struct {
+	name        string
+	keys, fixed []uint64
+	numRows     int
+}
+
+// drainCases are the weighted grouping sweep's inputs: the sampled RMAT-12
+// pairs; no pairs; synthetic pairs around the bucket geometry's edges (one
+// row, 255–257 rows, a non-power of two); a hub row; rows and columns that
+// need 64-bit bucket keys together; heavy duplication with weights whose
+// float64 sums would round.
 func drainCases() []drainCase {
-	var cases []drainCase
-	for _, h := range harnessTables() {
-		cases = append(cases, drainCase{h.name + "/sampled", h.table, h.g.NumVertices()})
-		for _, bits := range []uint{0, 2, 4} {
-			cases = append(cases, drainCase{fmt.Sprintf("%s/shards=%d", h.name, 1<<bits),
-				shardTable(h.keys, h.fixed, bits, len(h.keys)), h.g.NumVertices()})
-		}
-		cases = append(cases, drainCase{h.name + "/grown", shardTable(h.keys, h.fixed, 0, 0), h.g.NumVertices()})
-	}
+	h := harnessPairs()
+	cases := []drainCase{{"rmat12/sampled", h.keys, h.fixed, h.g.NumVertices()}}
 	for _, numRows := range []int{0, 1, 5} {
-		cases = append(cases, drainCase{fmt.Sprintf("empty/rows=%d", numRows), hashtable.New(0, 1), numRows})
+		cases = append(cases, drainCase{fmt.Sprintf("empty/rows=%d", numRows), nil, nil, numRows})
 	}
 	for _, numRows := range []int{1, 255, 256, 257, 1000, 4099} {
-		for i, n := range []int{1, 3000, 40000} {
+		for _, n := range []int{1, 3000, 40000} {
 			keys, fixed := syntheticPairs(uint64(numRows*n), n, numRows, 70000, numRows-1, 0)
-			cases = append(cases, drainCase{fmt.Sprintf("rows=%d/pairs=%d/shards=%d", numRows, n, 1<<i),
-				shardTable(keys, fixed, uint(i), 0), numRows})
+			cases = append(cases, drainCase{fmt.Sprintf("rows=%d/pairs=%d", numRows, n), keys, fixed, numRows})
 		}
 	}
 	// One hub row holding more entries than an average bucket many times
@@ -130,77 +104,64 @@ func drainCases() []drainCase {
 	keys, fixed := syntheticPairs(9, 200000, 3000, 1<<31, 1234, 0.2)
 	keys = append(keys, hashtable.Key(17, 0xffffffff), hashtable.Key(2999, 0))
 	fixed = append(fixed, 5, 6)
-	cases = append(cases, drainCase{"hub", shardTable(keys, fixed, 2, len(keys)), 3000})
-	return cases
+	cases = append(cases, drainCase{"hub", keys, fixed, 3000})
+	wide, wideFixed := syntheticPairs(4, 50000, 100000, 1<<20, 99999, 0.1)
+	cases = append(cases, drainCase{"wide", wide, wideFixed, 100000})
+	dup, dupFixed := syntheticPairs(6, 60000, 40, 30, 3, 0.5)
+	for i := range dupFixed {
+		dupFixed[i] += uint64(i%4096) << 40
+	}
+	return append(cases, drainCase{"duplicated", dup, dupFixed, 40})
 }
 
-// TestDrainCSRBitIdenticalToRadixOracle: the bucketed drain returns exactly
-// the arrays of the replaced one (drain to packed pairs, then sort them by
-// key) for every worker count, shard count, row count and table history.
-// See DESIGN.md "Numerics".
+// sortOracle groups weighted pairs with the standard library: sort by key,
+// sum each run of equal keys in fixed point, count the rows. It shares no
+// code with GroupCSR.
+func sortOracle(keys, fixed []uint64, numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
+	type pair struct{ key, fixed uint64 }
+	pairs := make([]pair, len(keys))
+	for i := range pairs {
+		pairs[i] = pair{keys[i], fixed[i]}
+	}
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.key, b.key) })
+	rowPtr = make([]int64, numRows+1)
+	for i := 0; i < len(pairs); {
+		k, f := pairs[i].key, pairs[i].fixed
+		for i++; i < len(pairs) && pairs[i].key == k; i++ {
+			f += pairs[i].fixed
+		}
+		rowPtr[k>>32+1]++
+		cols, ws = append(cols, uint32(k)), append(ws, hashtable.FromFixed(f))
+	}
+	for r := 0; r < numRows; r++ {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	return rowPtr, cols, ws
+}
+
+// TestDrainCSRBitIdenticalToRadixOracle: GroupCSR's bucket sort returns
+// exactly the arrays of a standard-library sort of the weighted pairs, equal
+// keys summed in fixed point, for every worker count and row count; a
+// source row past numRows panics. See DESIGN.md "Numerics".
 func TestDrainCSRBitIdenticalToRadixOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range drainCases() {
-		wantPtr, wantCols, wantWs := hashtable.DrainCSROracle(c.table, c.numRows)
+		wantPtr, wantCols, wantWs := sortOracle(c.keys, c.fixed, c.numRows)
 		for _, procs := range []int{1, 2, 3, 4} {
 			runtime.GOMAXPROCS(procs)
-			gotPtr, gotCols, gotWs := c.table.DrainCSR(c.numRows)
+			gotPtr, gotCols, gotWs := hashtable.GroupCSR(c.keys, c.fixed, c.numRows)
 			if !slices.Equal(gotPtr, wantPtr) || !slices.Equal(gotCols, wantCols) || !slices.Equal(gotWs, wantWs) {
-				t.Fatalf("procs=%d %s: drain differs from the oracle", procs, c.name)
+				t.Fatalf("procs=%d %s: grouping differs from the oracle", procs, c.name)
 			}
 		}
 	}
-	for _, h := range harnessTables() {
-		wp, wc, ww := hashtable.DrainCSROracle(shardTable(h.keys, h.fixed, 0, len(h.keys)), h.g.NumVertices())
-		if !slices.Equal(h.rowPtr, wp) || !slices.Equal(h.cols, wc) || !slices.Equal(h.ws, ww) {
-			t.Fatalf("%s: the sampler's sink drains differently from the oracle", h.name)
+	h := harnessPairs()
+	keys := append(slices.Clone(h.keys), hashtable.Key(uint32(h.g.NumVertices()), 0))
+	fixed := append(slices.Clone(h.fixed), 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a row past numRows: no panic")
 		}
-	}
-}
-
-// TestDrainCSRPanicsOnRowOutOfRange: a source vertex >= numRows panics —
-// past the last bucket, inside the last bucket's row range, and with no
-// rows at all.
-func TestDrainCSRPanicsOnRowOutOfRange(t *testing.T) {
-	for _, c := range []struct {
-		numRows int
-		row     uint32
-		pairs   int
-	}{{0, 0, 1}, {5, 5, 1}, {257, 257, 40000}, {257, 300, 40000}, {1000, 1 << 30, 40000}, {4096, 0xfffffffe, 3}} {
-		keys, fixed := syntheticPairs(3, c.pairs, max(c.numRows, 1), 1000, 0, 0)
-		keys = append(keys, hashtable.Key(c.row, 7))
-		fixed = append(fixed, 1)
-		tab := shardTable(keys, fixed, 1, len(keys))
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("numRows=%d row=%d: no panic", c.numRows, c.row)
-				}
-			}()
-			tab.DrainCSR(c.numRows)
-		}()
-	}
-}
-
-// BenchmarkDrainCSR times the grouped drain at the harness's two table
-// shapes — RMAT-12's per-arc-pass entries in one table (embed-default) and
-// RMAT-13's batched-pass entries in four shards (the embed-stream shape) —
-// beside the drain-to-pairs and standard-library sort it replaced (oracle/).
-// Run at -cpu 1,2.
-func BenchmarkDrainCSR(b *testing.B) {
-	for _, h := range harnessTables() {
-		n := h.g.NumVertices()
-		for _, impl := range []struct {
-			name  string
-			drain func(*hashtable.Table, int) ([]int64, []uint32, []float64)
-		}{{"bucketed", (*hashtable.Table).DrainCSR}, {"oracle", hashtable.DrainCSROracle}} {
-			b.Run(fmt.Sprintf("%s/shards=%d/%s", h.name, h.table.Shards(), impl.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					impl.drain(h.table, n)
-				}
-				b.ReportMetric(float64(len(h.keys)), "entries")
-			})
-		}
-	}
+	}()
+	hashtable.GroupCSR(keys, fixed, h.g.NumVertices())
 }

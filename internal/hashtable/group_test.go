@@ -16,12 +16,12 @@ type keysCase struct {
 	numRows int
 }
 
-// keysCases are the keys-only inputs: the RMAT-12 sparsifier's pairs, each
+// keysCases are the keys-only inputs: the sampled RMAT-12 pairs, each
 // twice; rows and columns that need 64-bit bucket keys together (more than
 // 65 536 rows); mostly empty rows; heavy duplication; packed arcs whose
 // middle bytes all agree; no keys over no rows.
 func keysCases() []keysCase {
-	h := harnessTables()[0]
+	h := harnessPairs()
 	wide, _ := syntheticPairs(4, 50000, 100000, 1<<20, 99999, 0.1)
 	sparse, _ := syntheticPairs(5, 40, 5000, 5000, 0, 0)
 	dup, _ := syntheticPairs(6, 30000, 40, 30, 3, 0.5)

@@ -2,10 +2,11 @@ package hashtable
 
 import (
 	"math"
-	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"lightne/internal/rng"
 )
@@ -57,21 +58,22 @@ func TestToFixedClampsDomain(t *testing.T) {
 	}
 }
 
+// TestPresizedTableNeverGrows: a table presized for k distinct keys takes
+// them without running out, at hints across power-of-two boundaries and
+// load-factor truncation edges (where a table used to come out one slot
+// short). Every insert path runs, each key twice: per-key Add, one batch,
+// and small batches from four goroutines at once.
 func TestPresizedTableNeverGrows(t *testing.T) {
-	// Sweep hints across power-of-two boundaries (where bits.Len64 used to
-	// double) and load-factor truncation edges (where the table used to come
-	// out one slot short and grow once anyway). Every insert path runs: the batch kernels reserve headroom for hits
-	// too, so each key goes in twice, and the concurrent path races small
-	// batches whose reservations overlap near the load limit.
 	hints := []int{1, 7, 8, 14, 15, 16, 17, 56, 57, 63, 64, 100, 127, 128,
 		255, 256, 896, 897, 1 << 12, 1<<12 + 1, 1 << 16}
 	paths := []struct {
 		name   string
 		insert func(tab *Table, keys, fixed []uint64)
 	}{
-		{"per-key", func(tab *Table, keys, fixed []uint64) {
-			for i := range keys {
-				tab.AddFixed(keys[i], fixed[i])
+		{"per-key", func(tab *Table, keys, _ []uint64) {
+			for _, k := range keys {
+				u, v := UnpackKey(k)
+				tab.Add(u, v, 1)
 			}
 		}},
 		{"batch", (*Table).AddFixedBatch},
@@ -103,14 +105,10 @@ func TestPresizedTableNeverGrows(t *testing.T) {
 			fixed[i], fixed[k+i] = fixedOne, fixedOne
 		}
 		for _, p := range paths {
-			tab := New(k, 1)
-			before := tab.Capacity()
+			tab := New(k)
 			p.insert(tab, keys, fixed)
-			if tab.Capacity() != before {
-				t.Fatalf("%s hint %d: table grew %d -> %d", p.name, k, before, tab.Capacity())
-			}
-			if tab.Len() != k {
-				t.Fatalf("%s hint %d: Len=%d", p.name, k, tab.Len())
+			if n := len(drained(tab)); n != k {
+				t.Fatalf("%s hint %d: %d keys", p.name, k, n)
 			}
 			if got, want := fixedTotal(tab), uint64(2*k)*fixedOne; got != want {
 				t.Fatalf("%s hint %d: fixed-point total %d want %d", p.name, k, got, want)
@@ -122,50 +120,84 @@ func TestPresizedTableNeverGrows(t *testing.T) {
 // fixedTotal sums every stored fixed-point weight.
 func fixedTotal(tab *Table) uint64 {
 	var total uint64
-	for i := range tab.shards {
-		for _, s := range tab.shards[i].slots {
-			total += s.val
-		}
+	for _, s := range tab.slots {
+		total += s.val
 	}
 	return total
 }
 
+// drained returns the table's entries, drained, by packed key.
+func drained(tab *Table) map[uint64]float64 {
+	us, vs, ws := tab.Drain()
+	m := make(map[uint64]float64, len(us))
+	for i := range us {
+		m[Key(us[i], vs[i])] = ws[i]
+	}
+	return m
+}
+
 func TestPresizeTightAtExactPowers(t *testing.T) {
-	// A hint of 14 keys fits capacity 16 under the 7/8 load factor; the old
-	// bits.Len64 formula allocated 32.
-	if got := New(14, 1).Capacity(); got != 16 {
-		t.Fatalf("New(14, 1).Capacity()=%d want 16", got)
+	for _, c := range []struct{ capacity, slots int }{
+		{14, 16},      // 14 keys fit 16 slots under the 7/8 load factor
+		{7 << 6, 512}, // 7·64 keys exactly fill 512 slots at load 7/8
+		{7<<6 + 1, 1024},
+		{7 << 10, 1 << 13}, // 7·2^10 keys exactly fill 2^13 slots
+		{-3, 16}, {0, 16},
+	} {
+		if got := New(c.capacity).MemoryBytes() / 16; got != int64(c.slots) {
+			t.Fatalf("New(%d): %d slots want %d", c.capacity, got, c.slots)
+		}
 	}
-	// 7·64 keys exactly fill capacity 512 at load 7/8.
-	if got := New(7<<6, 1).Capacity(); got != 512 {
-		t.Fatalf("New(7<<6, 1).Capacity()=%d want 512", got)
+}
+
+// TestFullTablePanics: an insert that finds every slot taken by other keys
+// panics, naming the slot count, rather than probing forever. A table
+// presized for 14 keys has 16 slots; it takes 16 distinct keys, and a
+// repeat of one of them, but not a 17th.
+func TestFullTablePanics(t *testing.T) {
+	tab := New(14)
+	for i := uint32(0); i < 16; i++ {
+		tab.Add(i, i, 1)
 	}
-	// 7·2^10 keys exactly fill capacity 2^13 at load 7/8.
-	if got := New(7<<10, 1).Capacity(); got != 1<<13 {
-		t.Fatalf("New(7<<10, 1).Capacity()=%d want %d", got, 1<<13)
+	tab.Add(3, 3, 1)
+	done := make(chan any)
+	go func() {
+		defer func() { done <- recover() }()
+		tab.Add(99, 99, 1)
+	}()
+	select {
+	case r := <-done:
+		if msg, _ := r.(string); !strings.Contains(msg, "16 slots") {
+			t.Fatalf("insert into a full table: recovered %v, want a panic naming its 16 slots", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("insert into a full table did not return")
+	}
+	if got := fixedTotal(tab); got != 17*fixedOne {
+		t.Fatalf("fixed-point total %d want %d", got, 17*fixedOne)
 	}
 }
 
 func TestAddGet(t *testing.T) {
-	tab := New(8, 1)
+	tab := New(8)
 	tab.Add(1, 2, 1.5)
 	tab.Add(1, 2, 2.5)
 	tab.Add(3, 4, 1)
-	if tab.Len() != 2 {
-		t.Fatalf("Len=%d want 2", tab.Len())
+	got := drained(tab)
+	if len(got) != 2 {
+		t.Fatalf("%d keys want 2", len(got))
 	}
-	w, ok := tab.Get(1, 2)
-	if !ok || math.Abs(w-4) > 1e-5 {
-		t.Fatalf("Get(1,2)=(%g,%v)", w, ok)
+	if w, ok := got[Key(1, 2)]; !ok || w != 4 {
+		t.Fatalf("(1,2)=(%g,%v)", w, ok)
 	}
-	if _, ok := tab.Get(9, 9); ok {
-		t.Fatal("Get of absent key returned ok")
+	if _, ok := got[Key(9, 9)]; ok {
+		t.Fatal("absent key present")
 	}
 }
 
 func TestAgainstMapOracle(t *testing.T) {
 	s := rng.New(31, 0)
-	tab := New(64, 1)
+	tab := New(100 * 100)
 	oracle := map[uint64]float64{}
 	for i := 0; i < 20000; i++ {
 		u := uint32(s.Intn(100))
@@ -174,41 +206,21 @@ func TestAgainstMapOracle(t *testing.T) {
 		tab.Add(u, v, w)
 		oracle[Key(u, v)] += w
 	}
-	if tab.Len() != len(oracle) {
-		t.Fatalf("Len=%d oracle=%d", tab.Len(), len(oracle))
+	got := drained(tab)
+	if len(got) != len(oracle) {
+		t.Fatalf("%d keys, oracle %d", len(got), len(oracle))
 	}
 	for k, want := range oracle {
-		u, v := UnpackKey(k)
-		got, ok := tab.Get(u, v)
-		if !ok {
-			t.Fatalf("missing key (%d,%d)", u, v)
-		}
-		if math.Abs(got-want) > 1e-3 {
-			t.Fatalf("key (%d,%d): got %g want %g", u, v, got, want)
-		}
-	}
-}
-
-func TestGrowthFromTiny(t *testing.T) {
-	tab := New(0, 1)
-	n := 10000
-	for i := 0; i < n; i++ {
-		tab.Add(uint32(i), uint32(i), 1)
-	}
-	if tab.Len() != n {
-		t.Fatalf("Len=%d want %d", tab.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		w, ok := tab.Get(uint32(i), uint32(i))
-		if !ok || w != 1 {
-			t.Fatalf("key %d: (%g,%v)", i, w, ok)
+		if w, ok := got[k]; !ok || math.Abs(w-want) > 1e-3 {
+			u, v := UnpackKey(k)
+			t.Fatalf("key (%d,%d): got %g,%v want %g", u, v, w, ok, want)
 		}
 	}
 }
 
 func TestConcurrentExactCounts(t *testing.T) {
 	// The paper's key guarantee: every sample is accounted for exactly.
-	tab := New(1024, 1)
+	tab := New(1024)
 	const workers = 8
 	const perWorker = 50000
 	const distinct = 500
@@ -235,40 +247,8 @@ func TestConcurrentExactCounts(t *testing.T) {
 	}
 }
 
-func TestConcurrentGrowth(t *testing.T) {
-	// Force growth races: tiny initial table, many concurrent distinct keys.
-	tab := New(0, 1)
-	const workers = 8
-	const perWorker = 20000
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				key := uint32(id*perWorker + i)
-				tab.Add(key, key+1, 0.5)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if tab.Len() != workers*perWorker {
-		t.Fatalf("Len=%d want %d", tab.Len(), workers*perWorker)
-	}
-	// Spot-check a sample of keys.
-	for id := 0; id < workers; id++ {
-		for _, i := range []int{0, perWorker / 2, perWorker - 1} {
-			key := uint32(id*perWorker + i)
-			w, ok := tab.Get(key, key+1)
-			if !ok || math.Abs(w-0.5) > 1e-5 {
-				t.Fatalf("key %d: (%g,%v)", key, w, ok)
-			}
-		}
-	}
-}
-
 func TestDrain(t *testing.T) {
-	tab := New(16, 1)
+	tab := New(16)
 	tab.Add(5, 6, 2)
 	tab.Add(7, 8, 3)
 	us, vs, ws := tab.Drain()
@@ -283,63 +263,36 @@ func TestDrain(t *testing.T) {
 
 func TestDrainMatchesSequentialReference(t *testing.T) {
 	s := rng.New(41, 0)
-	tab := New(256, 1)
+	tab := New(50000)
 	for i := 0; i < 50000; i++ {
 		tab.Add(uint32(s.Intn(3000)), uint32(s.Intn(3000)), 0.5)
 	}
-	want := map[uint64]float64{}
-	for _, sl := range tab.shards[0].slots {
-		if sl.key != 0 {
-			want[^sl.key] = FromFixed(sl.val)
-		}
-	}
+	wu, wv, ww := drainSequential(tab)
 	us, vs, ws := tab.Drain()
-	if len(us) != len(want) || len(vs) != len(want) || len(ws) != len(want) {
-		t.Fatalf("Drain lengths %d/%d/%d want %d", len(us), len(vs), len(ws), len(want))
+	if len(us) != len(wu) || len(vs) != len(wu) || len(ws) != len(wu) {
+		t.Fatalf("Drain lengths %d/%d/%d want %d", len(us), len(vs), len(ws), len(wu))
 	}
 	for i := range us {
-		k := Key(us[i], vs[i])
-		w, ok := want[k]
-		if !ok {
-			t.Fatalf("Drain invented key (%d,%d)", us[i], vs[i])
+		if us[i] != wu[i] || vs[i] != wv[i] || ws[i] != ww[i] {
+			t.Fatalf("entry %d: (%d,%d) %g, slot order gives (%d,%d) %g", i, us[i], vs[i], ws[i], wu[i], wv[i], ww[i])
 		}
-		if w != ws[i] {
-			t.Fatalf("key (%d,%d): drained %g want %g", us[i], vs[i], ws[i], w)
-		}
-		delete(want, k)
 	}
 }
 
-// TestDrainShards drains a four-shard table: every entry comes out once,
-// shard after shard in slot order.
-func TestDrainShards(t *testing.T) {
-	tab := New(0, 4)
-	for i := 0; i < 300; i++ {
-		tab.Add(uint32(i), uint32(i+1), float64(i))
-	}
-	us, vs, ws := tab.Drain()
-	var wu, wv []uint32
-	var ww []float64
-	for i := range tab.shards {
-		for _, sl := range tab.shards[i].slots {
-			if sl.key != 0 {
-				u, v := UnpackKey(^sl.key)
-				wu, wv, ww = append(wu, u), append(wv, v), append(ww, FromFixed(sl.val))
-			}
-		}
-	}
-	if !slices.Equal(us, wu) || !slices.Equal(vs, wv) || !slices.Equal(ws, ww) || len(us) != 300 {
-		t.Fatalf("Drain returned %d entries, unlike the shards' slots in order", len(us))
-	}
+// drainCSR drains a table as CSR arrays over numRows rows, the way a
+// table-based pass would hand its entries on: Drain, then GroupCSR of the
+// distinct entries.
+func drainCSR(tab *Table, numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
+	us, vs, drainedWs := tab.Drain()
+	keys, fixed := make([]uint64, len(us)), make([]uint64, len(us))
 	for i := range us {
-		if us[i]+1 != vs[i] || ws[i] != float64(us[i]) {
-			t.Fatalf("entry %d: (%d, %d) %g", i, us[i], vs[i], ws[i])
-		}
+		keys[i], fixed[i] = Key(us[i], vs[i]), ToFixed(drainedWs[i])
 	}
+	return GroupCSR(keys, fixed, numRows)
 }
 
 func TestDrainCSR(t *testing.T) {
-	tab := New(64, 1)
+	tab := New(64)
 	type entry struct {
 		u, v uint32
 		w    float64
@@ -351,7 +304,7 @@ func TestDrainCSR(t *testing.T) {
 		tab.Add(e.u, e.v, e.w)
 	}
 	const numRows = 7
-	rowPtr, cols, ws := tab.DrainCSR(numRows)
+	rowPtr, cols, ws := drainCSR(tab, numRows)
 	if len(rowPtr) != numRows+1 {
 		t.Fatalf("rowPtr len %d want %d", len(rowPtr), numRows+1)
 	}
@@ -376,22 +329,22 @@ func TestDrainCSR(t *testing.T) {
 		}
 	}
 	// The table must survive the drain untouched.
-	if tab.Len() != len(entries) {
-		t.Fatalf("DrainCSR consumed the table: Len=%d", tab.Len())
+	if n := len(drained(tab)); n != len(entries) {
+		t.Fatalf("the drain consumed the table: %d keys", n)
 	}
 }
 
 func TestDrainCSRLarge(t *testing.T) {
 	s := rng.New(77, 0)
-	tab := New(1024, 1)
-	oracle := map[uint64]float64{}
 	const n = 500
+	tab := New(n * n)
+	oracle := map[uint64]float64{}
 	for i := 0; i < 40000; i++ {
 		u, v := uint32(s.Intn(n)), uint32(s.Intn(n))
 		tab.Add(u, v, 0.25)
 		oracle[Key(u, v)] += 0.25
 	}
-	rowPtr, cols, ws := tab.DrainCSR(n)
+	rowPtr, cols, ws := drainCSR(tab, n)
 	if rowPtr[n] != int64(len(oracle)) {
 		t.Fatalf("nnz %d want %d", rowPtr[n], len(oracle))
 	}
@@ -405,92 +358,90 @@ func TestDrainCSRLarge(t *testing.T) {
 	}
 }
 
-// TestRaceStress interleaves AddFixed, growth from a tiny initial capacity,
-// and concurrent Gets under -race, then asserts the final aggregate is
-// exact in fixed point: every sample accounted for, none duplicated.
-func TestRaceStress(t *testing.T) {
-	tab := New(0, 1) // tiny: forces repeated grows under contention
-	const workers = 8
-	const perWorker = 30000
-	const distinct = 20000
-	var writers, readers sync.WaitGroup
-	stop := make(chan struct{})
-	// Two reader goroutines hammer Get while writers insert and force grows.
-	readers.Add(2)
-	for r := 0; r < 2; r++ {
-		go func(id int) {
-			defer readers.Done()
-			s := rng.New(101, uint64(id))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+// TestDrainCSRPanicsOnRowOutOfRange: a table holding a source vertex >=
+// numRows panics when drained as CSR — past the last bucket, inside the
+// last bucket's row range, and with no rows at all.
+func TestDrainCSRPanicsOnRowOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		numRows int
+		row     uint32
+		pairs   int
+	}{{0, 0, 1}, {5, 5, 1}, {257, 257, 40000}, {257, 300, 40000}, {1000, 1 << 30, 40000}, {4096, 0xfffffffe, 3}} {
+		s := rng.New(3, 0)
+		tab := New(c.pairs + 1)
+		for i := 0; i < c.pairs; i++ {
+			tab.Add(uint32(s.Intn(max(c.numRows, 1))), uint32(s.Intn(1000)), 1)
+		}
+		tab.Add(c.row, 7, 1)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("numRows=%d row=%d: no panic", c.numRows, c.row)
 				}
-				k := uint32(s.Intn(distinct))
-				// A key whose claim is visible may not have its first weight
-				// added yet, so a present key can read 0; a weight is always
-				// a whole number of samples and never more than were inserted.
-				if w, ok := tab.Get(k, k^1); ok && (w != math.Trunc(w) || w > workers*perWorker) {
-					t.Errorf("Get returned impossible weight %v", w)
-					return
-				}
-			}
-		}(r)
+			}()
+			drainCSR(tab, c.numRows)
+		}()
 	}
-	writers.Add(workers)
+}
+
+// TestRaceStress races single-pair inserts of 7·2^12 distinct keys from
+// eight goroutines into a table presized for exactly that many, so the
+// last claims collide at the full 7/8 load, on long probe runs. The
+// aggregate must be exact in fixed point: every sample accounted for, none
+// duplicated.
+func TestRaceStress(t *testing.T) {
+	const workers, perWorker, distinct = 8, 30000, 7 << 12
+	tab := New(distinct)
+	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(id int) {
-			defer writers.Done()
-			s := rng.New(55, uint64(id))
+			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				k := uint32(s.Intn(distinct))
-				tab.AddFixed(Key(k, k^1), ToFixed(1))
+				k := uint32((i*workers + id) % distinct)
+				tab.Add(k, k^1, 1)
 			}
 		}(w)
 	}
-	writers.Wait()
-	close(stop)
-	readers.Wait()
+	wg.Wait()
+	if n := len(drained(tab)); n != distinct {
+		t.Fatalf("%d keys want %d", n, distinct)
+	}
 	if total, want := fixedTotal(tab), uint64(workers)*perWorker*fixedOne; total != want {
 		t.Fatalf("fixed-point total %d want %d (lost or duplicated samples)", total, want)
 	}
 }
 
 func TestMemoryBytes(t *testing.T) {
-	tab := New(1000, 1)
-	if tab.MemoryBytes() != int64(tab.Capacity())*16 {
-		t.Fatalf("MemoryBytes=%d capacity=%d", tab.MemoryBytes(), tab.Capacity())
+	tab := New(1000)
+	if tab.MemoryBytes() != int64(len(tab.slots))*16 || len(tab.slots) != int(presize(1000)) {
+		t.Fatalf("MemoryBytes=%d slots=%d", tab.MemoryBytes(), len(tab.slots))
 	}
 }
 
-// TestAddFixedBatchMatchesSerial: the batch insert — inline and in parallel
-// chunks — must accumulate exactly what the equivalent AddFixed loop does,
-// including when a tiny initial table forces grows mid-batch.
+// TestAddFixedBatchMatchesSerial: the batch insert — inline and split over
+// the workers — accumulates exactly what a serial fixed-point sum does.
 func TestAddFixedBatchMatchesSerial(t *testing.T) {
 	s := rng.New(123, 0)
-	const n = 50000
-	keys := make([]uint64, n)
-	fixed := make([]uint64, n)
-	for i := range keys {
-		keys[i] = Key(uint32(s.Intn(800)), uint32(s.Intn(800)))
-		fixed[i] = uint64(1 + s.Intn(1<<20))
-	}
-	ref := New(2*n, 1)
-	for i := range keys {
-		ref.AddFixed(keys[i], fixed[i])
-	}
-	us, vs, ws := ref.Drain()
-	for _, hint := range []int{2 * n, 4} { // presized and grow-forcing
-		batch := New(hint, 1)
-		batch.AddFixedBatch(keys, fixed)
-		if batch.Len() != ref.Len() {
-			t.Fatalf("hint=%d: distinct %d want %d", hint, batch.Len(), ref.Len())
+	want := map[uint64]uint64{}
+	for _, n := range []int{1, 100, 50000} {
+		keys := make([]uint64, n)
+		fixed := make([]uint64, n)
+		clear(want)
+		for i := range keys {
+			keys[i] = Key(uint32(s.Intn(800)), uint32(s.Intn(800)))
+			fixed[i] = uint64(1 + s.Intn(1<<20))
+			want[keys[i]] += fixed[i]
 		}
-		for i := range us {
-			got, ok := batch.Get(us[i], vs[i])
-			if !ok || got != ws[i] { // fixed-point accumulation is exact
-				t.Fatalf("hint=%d: key (%d,%d): batch %v want %v", hint, us[i], vs[i], got, ws[i])
+		tab := New(n)
+		tab.AddFixedBatch(keys, fixed)
+		got := drained(tab)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: %d keys want %d", n, len(got), len(want))
+		}
+		for k, f := range want {
+			if got[k] != FromFixed(f) { // fixed-point accumulation is exact
+				t.Fatalf("n=%d key %x: batch %v want %v", n, k, got[k], FromFixed(f))
 			}
 		}
 	}
@@ -502,17 +453,15 @@ func TestAddFixedBatchPanicsOnLengthMismatch(t *testing.T) {
 			t.Fatal("expected panic for mismatched lengths")
 		}
 	}()
-	New(8, 1).AddFixedBatch(make([]uint64, 3), make([]uint64, 2))
+	New(8).AddFixedBatch(make([]uint64, 3), make([]uint64, 2))
 }
 
-// TestBatchRaceStress races batches (inline and forked sizes), single-pair
-// AddFixed calls and Gets on one table that starts at the minimum capacity,
-// so grows interleave with reservations on every path. Under -race this
-// covers the read-lock-per-chunk kernel, the headroom reservation and its
-// return, and grow's recheck. The aggregate must be exact in fixed point,
-// key by key.
+// TestBatchRaceStress races batches (inline and split over the workers) and
+// single-pair inserts on one table presized for exactly the distinct keys.
+// Under -race this covers the claim CAS, the accumulate xadd and the
+// batch's fork-join. The aggregate must be exact in fixed point, key by
+// key.
 func TestBatchRaceStress(t *testing.T) {
-	tab := New(0, 1)
 	const workers, batches, distinct = 6, 40, 30000
 	type batch struct{ keys, fixed []uint64 }
 	work := make([][]batch, workers)
@@ -521,7 +470,7 @@ func TestBatchRaceStress(t *testing.T) {
 	for w := range work {
 		s := rng.New(808, uint64(w))
 		for b := 0; b < batches; b++ {
-			n := 1 + s.Intn(3*BatchGrain) // some batches fork, most run inline
+			n := 1 + s.Intn(6*batchGrain) // some batches fork, most run inline
 			bt := batch{make([]uint64, n), make([]uint64, n)}
 			for i := range bt.keys {
 				k := uint32(s.Intn(distinct))
@@ -532,58 +481,34 @@ func TestBatchRaceStress(t *testing.T) {
 			work[w] = append(work[w], bt)
 		}
 	}
-	stop := make(chan struct{})
-	var readers, writers sync.WaitGroup
-	readers.Add(1)
-	go func() {
-		defer readers.Done()
-		s := rng.New(909, 0)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			k := uint32(s.Intn(distinct))
-			if w, ok := tab.Get(k, k*7); ok && ToFixed(w) > want[Key(k, k*7)] {
-				t.Errorf("Get returned %v, more than was ever inserted", w)
-				return
-			}
-		}
-	}()
-	writers.Add(workers)
+	tab := New(len(want))
+	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := range work {
 		go func(w int) {
-			defer writers.Done()
+			defer wg.Done()
 			for _, bt := range work[w] {
 				if w%3 != 0 {
 					tab.AddFixedBatch(bt.keys, bt.fixed)
 					continue
 				}
 				for i := range bt.keys {
-					tab.AddFixed(bt.keys[i], bt.fixed[i])
+					tab.AddFixedBatch(bt.keys[i:i+1], bt.fixed[i:i+1])
 				}
 			}
 		}(w)
 	}
-	writers.Wait()
-	close(stop)
-	readers.Wait()
-	if tab.Len() != len(want) {
-		t.Fatalf("Len=%d want %d distinct keys", tab.Len(), len(want))
-	}
+	wg.Wait()
 	if got := fixedTotal(tab); got != total {
 		t.Fatalf("fixed-point total %d want %d (lost or duplicated samples)", got, total)
 	}
-	us, vs, ws := tab.Drain()
-	for i := range us {
-		if k := Key(us[i], vs[i]); ToFixed(ws[i]) != want[k] {
-			t.Fatalf("key %x: weight %v want %v", k, ws[i], FromFixed(want[k]))
-		}
+	got := drained(tab)
+	if len(got) != len(want) {
+		t.Fatalf("%d keys want %d", len(got), len(want))
 	}
-	// Growth happens only when the table is truly full, so the final
-	// capacity is the smallest one that admits the keys.
-	if got, want := tab.Capacity(), int(presize(len(want))); got != want {
-		t.Fatalf("capacity %d, want %d: the table grew while it had room", got, want)
+	for k, f := range want {
+		if got[k] != FromFixed(f) {
+			t.Fatalf("key %x: weight %v want %v", k, got[k], FromFixed(f))
+		}
 	}
 }

@@ -34,8 +34,8 @@ import (
 // (rng.Hash64 keyed by (global head, side, step) — see wave.go), and the
 // fixed-point sums are exact and commutative, so the grouped arrays are a
 // pure function of (graph, config): bit-identical across waveSize and
-// GOMAXPROCS, and to DrainCSR of a table of any shard count that took the
-// same pairs in both orientations.
+// GOMAXPROCS, and to a table that took the same pairs in both
+// orientations, drained and grouped by hashtable.GroupCSR.
 //
 // Walk states pack into one uint64 so the regroup scatter is the only data
 // movement:
@@ -86,8 +86,8 @@ type headRec struct {
 // table from the same single keyed-hash draw the unweighted path uses (see
 // graph.AliasNeighbor). waveSize caps concurrently in-flight heads; <= 0
 // picks the maximum (2^22). The grouped aggregate is bit-identical for
-// every waveSize and worker count. Of cfg, Shards only sizes a table, and
-// the pass has none: it is checked, not used.
+// every waveSize and worker count. Of cfg, Shards selects nothing: it is
+// checked, not used.
 func SampleBatched(g *graph.Graph, cfg Config, waveSize int) (Sink, Stats, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, Stats{}, err

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"lightne/internal/graph"
-	"lightne/internal/hashtable"
 	"lightne/internal/rng"
 )
 
@@ -77,20 +76,6 @@ func weightedChordGraph(t testing.TB, n, extraPerVertex int, seed uint64) *graph
 		t.Fatal(err)
 	}
 	return g
-}
-
-// groupedTable inserts a batched pass's grouped aggregate into a table,
-// weight for weight (its fixed-point sums convert back exactly), so that
-// tests can look its entries up.
-func groupedTable(g *graph.Graph, sink Sink) *hashtable.Table {
-	rowPtr, cols, ws := sink.DrainCSR(g.NumVertices())
-	tab := hashtable.New(len(cols), 1)
-	for r := 0; r+1 < len(rowPtr); r++ {
-		for p := rowPtr[r]; p < rowPtr[r+1]; p++ {
-			tab.AddFixed(hashtable.Key(uint32(r), cols[p]), hashtable.ToFixed(ws[p]))
-		}
-	}
-	return tab
 }
 
 func TestPackStateRoundtrip(t *testing.T) {
@@ -359,7 +344,7 @@ func TestSampleBatchedMatchesSerialFlush(t *testing.T) {
 		t.Fatalf("enumeration accounting differs: serial %d/%d vs pipeline %d/%d",
 			serialStats.Trials, serialStats.Heads, pipeStats.Trials, pipeStats.Heads)
 	}
-	sum := func(tab *hashtable.Table) float64 {
+	sum := func(tab *csrView) float64 {
 		_, _, ws := tab.Drain()
 		var s float64
 		for _, w := range ws {

@@ -11,9 +11,9 @@ import (
 )
 
 // sampleReference is Sample without buffering or parallelism: one serial
-// vertex loop drawing from the same per-vertex RNG streams, inserting each
-// head's two oriented pairs one key at a time.
-func sampleReference(g *graph.Graph, cfg Config, table *hashtable.Table) (trials, heads int64) {
+// vertex loop drawing from the same per-vertex RNG streams, handing the
+// reference each head's two oriented pairs as it draws them.
+func sampleReference(g *graph.Graph, cfg Config, table *refSink) (trials, heads int64) {
 	c := cfg.DownsampleC(g.NumVertices())
 	perUnit := float64(cfg.M) / g.TotalWeight()
 	strengths := g.Strengths()
@@ -39,8 +39,8 @@ func sampleReference(g *graph.Graph, cfg Config, table *hashtable.Table) (trials
 }
 
 // sampleArcsReference is SampleArcs without buffering or parallelism,
-// inserting each head's two oriented pairs one key at a time.
-func sampleArcsReference(g *graph.Graph, table *hashtable.Table, arcs []graph.Edge, perArc float64, cfg Config) (trials, heads int64) {
+// handing the reference each head's two oriented pairs as it draws them.
+func sampleArcsReference(g *graph.Graph, table *refSink, arcs []graph.Edge, perArc float64, cfg Config) (trials, heads int64) {
 	c := cfg.DownsampleC(g.NumVertices())
 	base := int64(perArc)
 	frac := perArc - float64(base)
@@ -64,8 +64,8 @@ func sampleArcsReference(g *graph.Graph, table *hashtable.Table, arcs []graph.Ed
 	return trials, heads
 }
 
-// referenceTrials runs one arc's ne trials, inserting every head per key.
-func referenceTrials(g *graph.Graph, table *hashtable.Table, u, v uint32, ne int64, pe float64, t int, src *rng.Source, trials, heads int64) (int64, int64) {
+// referenceTrials runs one arc's ne trials, handing over every head.
+func referenceTrials(g *graph.Graph, table *refSink, u, v uint32, ne int64, pe float64, t int, src *rng.Source, trials, heads int64) (int64, int64) {
 	fixed := hashtable.ToFixed(1 / pe)
 	for k := int64(0); k < ne; k++ {
 		trials++
@@ -74,18 +74,17 @@ func referenceTrials(g *graph.Graph, table *hashtable.Table, u, v uint32, ne int
 		}
 		heads++
 		ue, ve := PathSample(g, u, v, 1+src.Intn(t), src)
-		table.AddFixed(hashtable.Key(ue, ve), fixed)
-		table.AddFixed(hashtable.Key(ve, ue), fixed)
+		table.add([]uint64{hashtable.Key(ue, ve), hashtable.Key(ve, ue)}, []uint64{fixed, fixed})
 	}
 	return trials, heads
 }
 
 // TestBufferedSamplersBitIdenticalToPerKey: Sample and SampleArcs buffer
 // each worker's one-orientation pairs, and Group groups them. The grouped
-// CSR must equal, to the bit, the drain of a serial per-key reference
-// drawing the same streams, for every worker count, on an unweighted and a
-// weighted graph, and for SampleArcs at a fractional and an integer per-arc
-// rate. It pins the procs clause of the determinism contract (DESIGN.md
+// CSR must equal, to the bit, a serial reference drawing the same streams
+// and grouping both orientations of every head by the reference sort, for
+// every worker count, on an unweighted and a weighted graph, and for
+// SampleArcs at a fractional and an integer per-arc rate. It pins the procs clause of the determinism contract (DESIGN.md
 // "Numerics") for the per-arc samplers.
 func TestBufferedSamplersBitIdenticalToPerKey(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -107,8 +106,9 @@ func TestBufferedSamplersBitIdenticalToPerKey(t *testing.T) {
 				}
 			}
 		}
-		ref := hashtable.New(0, 1)
-		refTrials, refHeads := sampleReference(g, cfg, ref)
+		var ref refSink
+		refTrials, refHeads := sampleReference(g, cfg, &ref)
+		want := ref.group(n)
 		for _, procs := range []int{1, 2, 4} {
 			runtime.GOMAXPROCS(procs)
 			sink, st, err := Sample(g, cfg)
@@ -119,11 +119,12 @@ func TestBufferedSamplersBitIdenticalToPerKey(t *testing.T) {
 			if st.Trials != refTrials || st.Heads != refHeads {
 				t.Fatalf("%s: Sample trials/heads %d/%d, reference %d/%d", name, st.Trials, st.Heads, refTrials, refHeads)
 			}
-			sameCSR(t, name+" Sample", sink, ref, n)
+			sameCSR(t, name+" Sample", sink, want, n)
 		}
 		for _, perArc := range []float64{7.5, 7} {
-			refArcs := hashtable.New(0, 1)
-			arcTrials, arcHeads := sampleArcsReference(g, refArcs, arcs, perArc, cfg)
+			var refArcs refSink
+			arcTrials, arcHeads := sampleArcsReference(g, &refArcs, arcs, perArc, cfg)
+			wantArcs := refArcs.group(n)
 			for _, procs := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(procs)
 				name := fmt.Sprintf("%s perArc=%g procs=%d", gr.name, perArc, procs)
@@ -135,7 +136,7 @@ func TestBufferedSamplersBitIdenticalToPerKey(t *testing.T) {
 					t.Fatalf("%s: SampleArcs trials/heads %d/%d, reference %d/%d", name,
 						st.Trials, st.Heads, arcTrials, arcHeads)
 				}
-				sameCSR(t, name+" SampleArcs", Group(keys, fixed, n, &st), refArcs, n)
+				sameCSR(t, name+" SampleArcs", Group(keys, fixed, n, &st), wantArcs, n)
 			}
 		}
 	}

@@ -1,10 +1,12 @@
 package sampler
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"lightne/internal/gen"
@@ -355,7 +357,7 @@ func TestRunWaveBitIdenticalToTombstoneWalk(t *testing.T) {
 // (paper §4.2: O(1) draws for O(m) extra memory), applies the downsampling
 // coin and PathSamples. Uniform-arc sampling equals Sample's distribution
 // only for unit weights, so weighted graphs are rejected.
-func sampleUniform(g *graph.Graph, cfg Config) (*hashtable.Table, Stats, error) {
+func sampleUniform(g *graph.Graph, cfg Config) (*csrView, Stats, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, Stats{}, err
 	}
@@ -370,9 +372,9 @@ func sampleUniform(g *graph.Graph, cfg Config) (*hashtable.Table, Stats, error) 
 	}
 	c := cfg.DownsampleC(g.NumVertices())
 	us, vs := arcArray(g)
-	table := NewSink(int(2*cfg.M)+1024, cfg.Shards)
+	var ref refSink
 	var trials, heads int64
-	forBuffered(table, int(cfg.M), 1<<12, func(lo, hi int, buf *pairBuf) {
+	forBuffered(&ref, int(cfg.M), 1<<12, func(lo, hi int, buf *pairBuf) {
 		var src rng.Source
 		src.Seed(cfg.Seed^0xedce, uint64(lo))
 		var localTrials, localHeads int64
@@ -395,6 +397,7 @@ func sampleUniform(g *graph.Graph, cfg Config) (*hashtable.Table, Stats, error) 
 		atomicAdd(&trials, localTrials)
 		atomicAdd(&heads, localHeads)
 	})
+	table := ref.group(g.NumVertices())
 	return table, Stats{Trials: trials, Heads: heads, DistinctEntries: table.Len()}, nil
 }
 
@@ -410,15 +413,16 @@ func arcArray(g *graph.Graph) (us, vs []uint32) {
 }
 
 // sampleTableOracle is the per-arc pass Sample replaced, kept as its oracle:
-// the same draws, every head's two oriented pairs inserted into a hash
-// table presized from the expected head count, drained by the caller.
-func sampleTableOracle(g *graph.Graph, cfg Config) (*hashtable.Table, Stats) {
+// the same draws, every head's two oriented pairs aggregated as that pass
+// aggregated them in a hash table, here by the reference sort (refSink),
+// which gives the table's sums and the sorted layout bit for bit.
+func sampleTableOracle(g *graph.Graph, cfg Config) (*csrView, Stats) {
 	c := cfg.DownsampleC(g.NumVertices())
 	perUnit := float64(cfg.M) / g.TotalWeight()
 	strengths := g.Strengths()
-	table := NewSink(int(2*withSlack(ExpectedHeads(g, cfg))), cfg.Shards)
+	var ref refSink
 	var trials, heads int64
-	forBuffered(table, g.NumVertices(), 32, func(lo, hi int, buf *pairBuf) {
+	forBuffered(&ref, g.NumVertices(), 32, func(lo, hi int, buf *pairBuf) {
 		var src rng.Source
 		var localTrials, localHeads int64
 		for ui := lo; ui < hi; ui++ {
@@ -459,6 +463,7 @@ func sampleTableOracle(g *graph.Graph, cfg Config) (*hashtable.Table, Stats) {
 		atomicAdd(&trials, localTrials)
 		atomicAdd(&heads, localHeads)
 	})
+	table := ref.group(g.NumVertices())
 	return table, Stats{Trials: trials, Heads: heads, DistinctEntries: table.Len()}
 }
 
@@ -499,36 +504,117 @@ func TestSampleBitIdenticalToTableOracle(t *testing.T) {
 
 // pairBuf is one chunk's pending oriented pairs for the table oracles: each
 // head deposits (e0, e1) and (e1, e0) with its weight, and the buffer
-// flushes through the sink's batch insert every hashtable.BatchGrain pairs —
-// a batch the sink inserts inline on the calling worker.
+// flushes into the reference every pairBufLen pairs.
 type pairBuf struct {
-	sink        *hashtable.Table
+	ref         *refSink
 	keys, fixed []uint64
 }
+
+// pairBufLen is a pairBuf's flush length.
+const pairBufLen = 2048
 
 // add buffers both orientations of one head, flushing when full.
 func (b *pairBuf) add(e0, e1 uint32, fixed uint64) {
 	b.keys = append(b.keys, hashtable.Key(e0, e1), hashtable.Key(e1, e0))
 	b.fixed = append(b.fixed, fixed, fixed)
-	if len(b.keys) >= hashtable.BatchGrain {
+	if len(b.keys) >= pairBufLen {
 		b.flush()
 	}
 }
 
-// flush inserts the pending pairs.
+// flush hands the pending pairs to the reference.
 func (b *pairBuf) flush() {
-	if len(b.keys) > 0 {
-		b.sink.AddFixedBatch(b.keys, b.fixed)
-		b.keys, b.fixed = b.keys[:0], b.fixed[:0]
-	}
+	b.ref.add(b.keys, b.fixed)
+	b.keys, b.fixed = b.keys[:0], b.fixed[:0]
 }
 
 // forBuffered runs body over [0, n) in par.ForRange chunks, handing each
-// chunk its own pair buffer into sink and flushing it when the chunk ends.
-func forBuffered(sink *hashtable.Table, n, grain int, body func(lo, hi int, buf *pairBuf)) {
+// chunk its own pair buffer into ref and flushing it when the chunk ends.
+func forBuffered(ref *refSink, n, grain int, body func(lo, hi int, buf *pairBuf)) {
 	par.ForRange(n, grain, func(lo, hi int) {
-		buf := pairBuf{sink, make([]uint64, 0, hashtable.BatchGrain), make([]uint64, 0, hashtable.BatchGrain)}
+		buf := pairBuf{ref, make([]uint64, 0, pairBufLen), make([]uint64, 0, pairBufLen)}
 		body(lo, hi, &buf)
 		buf.flush()
 	})
+}
+
+// refSink is the reference aggregate of the sampler's differential tests.
+// It keeps every pair it is given, from any goroutine, and group aggregates
+// them by a standard-library sort and a run-length fixed-point sum, sharing
+// no code with Group, which the tests check against it.
+type refSink struct {
+	mu          sync.Mutex
+	keys, fixed []uint64
+}
+
+// add keeps a batch of pairs.
+func (s *refSink) add(keys, fixed []uint64) {
+	s.mu.Lock()
+	s.keys, s.fixed = append(s.keys, keys...), append(s.fixed, fixed...)
+	s.mu.Unlock()
+}
+
+// group returns the kept pairs grouped over n vertices: sorted by key, each
+// run of equal keys one entry whose weight is the run's fixed-point sum.
+func (s *refSink) group(n int) *csrView {
+	type pair struct{ key, fixed uint64 }
+	pairs := make([]pair, len(s.keys))
+	for i := range pairs {
+		pairs[i] = pair{s.keys[i], s.fixed[i]}
+	}
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.key, b.key) })
+	c := &csrView{rowPtr: make([]int64, n+1)}
+	for i := 0; i < len(pairs); {
+		k, f := pairs[i].key, pairs[i].fixed
+		for i++; i < len(pairs) && pairs[i].key == k; i++ {
+			f += pairs[i].fixed
+		}
+		c.rowPtr[k>>32+1]++
+		c.cols, c.ws = append(c.cols, uint32(k)), append(c.ws, hashtable.FromFixed(f))
+	}
+	for r := 0; r < n; r++ {
+		c.rowPtr[r+1] += c.rowPtr[r]
+	}
+	return c
+}
+
+// csrView is a grouped aggregate, a Sink whose entries tests can look up.
+type csrView struct {
+	rowPtr []int64
+	cols   []uint32
+	ws     []float64
+}
+
+// groupedTable views a pass's grouped aggregate.
+func groupedTable(g *graph.Graph, sink Sink) *csrView {
+	rowPtr, cols, ws := sink.DrainCSR(g.NumVertices())
+	return &csrView{rowPtr, cols, ws}
+}
+
+// DrainCSR returns the arrays themselves.
+func (c *csrView) DrainCSR(int) ([]int64, []uint32, []float64) { return c.rowPtr, c.cols, c.ws }
+
+// Len returns the number of entries.
+func (c *csrView) Len() int { return len(c.cols) }
+
+// Get returns the weight of (u, v) and whether it is present: a binary
+// search of row u.
+func (c *csrView) Get(u, v uint32) (float64, bool) {
+	lo := c.rowPtr[u]
+	i, ok := slices.BinarySearch(c.cols[lo:c.rowPtr[u+1]], v)
+	if !ok {
+		return 0, false
+	}
+	return c.ws[lo+int64(i)], true
+}
+
+// Drain returns every entry as parallel slices, row by row.
+func (c *csrView) Drain() (us, vs []uint32, ws []float64) {
+	us = make([]uint32, len(c.cols))
+	for r := 0; r+1 < len(c.rowPtr); r++ {
+		for p := c.rowPtr[r]; p < c.rowPtr[r+1]; p++ {
+			us[p] = uint32(r)
+		}
+	}
+	return us, c.cols, c.ws
 }

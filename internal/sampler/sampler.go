@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 
 	"lightne/internal/graph"
-	"lightne/internal/hashtable"
 	"lightne/internal/par"
 	"lightne/internal/rng"
 )
@@ -47,21 +46,24 @@ type Config struct {
 	C float64
 	// Seed makes runs reproducible.
 	Seed uint64
-	// Shards is the shard count of an aggregation table (NewSink). No pass
-	// builds one — every pass groups its samples by sorting — so the passes
-	// only check it: more than hashtable.MaxShards (1 024) is an error.
+	// Shards selects nothing: every pass groups its samples by sorting, and
+	// the one table (NewSink) has no shards. Check still bounds it: more
+	// than maxShards (1 024) is an error. It goes with the other
+	// implementation selectors (ROADMAP item 15).
 	Shards int
 }
 
+// maxShards is the largest Config.Shards that Check accepts.
+const maxShards = 1024
+
 // Check validates the fields every sampling pass reads: a positive T and at
-// most hashtable.MaxShards shards. Sample, SampleBatched and SampleArcs run
-// it.
+// most maxShards shards. Sample, SampleBatched and SampleArcs run it.
 func (cfg Config) Check() error {
 	if cfg.T <= 0 {
 		return fmt.Errorf("sampler: T must be positive, got %d", cfg.T)
 	}
-	if cfg.Shards > hashtable.MaxShards {
-		return fmt.Errorf("sampler: Shards must be at most %d, got %d", hashtable.MaxShards, cfg.Shards)
+	if cfg.Shards > maxShards {
+		return fmt.Errorf("sampler: Shards must be at most %d, got %d", maxShards, cfg.Shards)
 	}
 	return nil
 }

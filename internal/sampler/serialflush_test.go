@@ -15,16 +15,16 @@ import (
 // *advances* are parallel (the original radix-batching win), but head
 // enumeration is a single-threaded vertex loop, every wave flushes into the
 // sink through a sequential loop of one-head (two-pair) inserts before the
-// next wave may start, and tombstone compaction is a serial sweep. It lives
-// in a _test.go file so the shipped package carries exactly one batched
-// sampler; tests and in-package benchmarks still exercise it as the
-// reference implementation.
+// next wave may start, and tombstone compaction is a serial sweep. Its sink
+// is the reference sort (refSink). It lives in a _test.go file so the
+// shipped package carries exactly one batched sampler; tests and in-package
+// benchmarks still exercise it as the reference implementation.
 //
 // It draws the identical trial distribution and per-head weights as
 // SampleBatched (the per-vertex enumeration streams are the same), so Trials
 // and Heads match exactly; walk steps use chunk-seeded RNG streams, so the
 // aggregates agree distributionally but not bitwise.
-func SampleBatchedSerial(g *graph.Graph, cfg Config, waveSize int) (*hashtable.Table, Stats, error) {
+func SampleBatchedSerial(g *graph.Graph, cfg Config, waveSize int) (*csrView, Stats, error) {
 	if cfg.T <= 0 || cfg.T > 512 {
 		return nil, Stats{}, fmt.Errorf("sampler: batched walking requires 1 <= T <= 512, got %d", cfg.T)
 	}
@@ -42,7 +42,7 @@ func SampleBatchedSerial(g *graph.Graph, cfg Config, waveSize int) (*hashtable.T
 	}
 	c := cfg.DownsampleC(g.NumVertices())
 
-	table := NewSink(int(2*cfg.M)+1024, cfg.Shards)
+	var ref refSink
 	var pairKeys, pairFixed [2]uint64
 
 	// Enumerate heads arc by arc (same trial distribution as Sample),
@@ -64,7 +64,7 @@ func SampleBatchedSerial(g *graph.Graph, cfg Config, waveSize int) (*hashtable.T
 		for _, h := range heads {
 			pairKeys = [2]uint64{hashtable.Key(h.e0, h.e1), hashtable.Key(h.e1, h.e0)}
 			pairFixed = [2]uint64{h.fixed, h.fixed}
-			table.AddFixedBatch(pairKeys[:], pairFixed[:])
+			ref.add(pairKeys[:], pairFixed[:])
 		}
 		wave++
 		heads = heads[:0]
@@ -115,9 +115,10 @@ func SampleBatchedSerial(g *graph.Graph, cfg Config, waveSize int) (*hashtable.T
 	}
 	flush()
 
+	table := ref.group(n)
 	stats.DistinctEntries = table.Len()
-	stats.TableBytes = table.MemoryBytes()
-	stats.PeakTableBytes = stats.TableBytes // presized for every pair, it never grows
+	stats.TableBytes = 16 * int64(len(ref.keys)) // the kept pairs
+	stats.PeakTableBytes = stats.TableBytes
 	return table, stats, nil
 }
 

@@ -11,18 +11,18 @@ import (
 // Sink is what a sampling pass hands the sparsifier (core.EmbedTable): its
 // aggregate, packed (u', v') keys with fixed-point weights, drained as CSR
 // arrays grouped by source vertex with ascending columns. Every pass's pairs
-// are grouped by Group; a *hashtable.Table, which aggregates the same pairs
-// in O(distinct) entries, drains to the same arrays bit for bit, since the
-// drained CSR is a pure function of the pair multiset.
+// are grouped by Group. The drained CSR is a pure function of the pair
+// multiset, so a hashtable.Table that took the same pairs, drained and
+// grouped by hashtable.GroupCSR, gives the same arrays bit for bit.
 type Sink interface {
 	DrainCSR(numRows int) (rowPtr []int64, cols []uint32, ws []float64)
 }
 
-// NewSink returns a hash table presized for capacityHint distinct keys in
-// shards shards: the paper's aggregation design (§4.2), which no sampling
-// pass builds; the benchmark harness's table probe and the test oracles
-// insert into it.
-func NewSink(capacityHint, shards int) *hashtable.Table { return hashtable.New(capacityHint, shards) }
+// NewSink returns the paper's aggregation table (§4.2), presized for
+// capacityHint distinct keys, which no sampling pass builds; the benchmark
+// harness's table probe inserts into it. shards is ignored: the table is one
+// region. NewSink goes with that probe (ROADMAP items 1 and 15).
+func NewSink(capacityHint, shards int) *hashtable.Table { return hashtable.New(capacityHint) }
 
 // grouped is a pass's aggregate: the CSR arrays
 // hashtable.GroupSymmetricCSR grouped its pairs into.

@@ -24,11 +24,15 @@ func completeArcs(n int) []graph.Edge {
 }
 
 // orientedTable inserts both orientations of every one-orientation pair
-// into a table of the given shard count with a deliberately tiny capacity
-// hint, one AddFixedBatch per segment, the segments on all workers at once,
-// so every shard grows (several times) under concurrent inserts.
-func orientedTable(keys, fixed [][]uint64, shards int) *hashtable.Table {
-	table := NewSink(16, shards)
+// into NewSink(…, shards), presized for them all, one AddFixedBatch per
+// segment, the segments on all workers at once, and groups the table's
+// drained entries over n vertices with the reference sort.
+func orientedTable(keys, fixed [][]uint64, shards, n int) *csrView {
+	pairs := 0
+	for _, seg := range keys {
+		pairs += 2 * len(seg)
+	}
+	table := NewSink(pairs, shards)
 	par.ForRange(len(keys), 1, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			var ok, of []uint64
@@ -42,17 +46,23 @@ func orientedTable(keys, fixed [][]uint64, shards int) *hashtable.Table {
 			table.AddFixedBatch(ok, of)
 		}
 	})
-	return table
+	us, vs, ws := table.Drain()
+	ref := refSink{keys: make([]uint64, len(us)), fixed: make([]uint64, len(us))}
+	for i := range us {
+		ref.keys[i], ref.fixed[i] = hashtable.Key(us[i], vs[i]), hashtable.ToFixed(ws[i])
+	}
+	return ref.group(n)
 }
 
-// TestSinkShardedStress drives the incremental sampler's pairs through a
-// sharded table that every shard must grow in, under concurrent batch
-// inserts, and the bucketed drain. Run under `go test -race` (wired into
-// `make race`) this covers the CAS insert, xadd accumulate, grow lock,
-// parallel two-pass drain, and bucketed grouping together. The drained CSR
-// must be bit-identical to the single-shard table's and to Group's.
+// TestSinkShardedStress drives the incremental sampler's pairs through the
+// table NewSink returns, under concurrent batch inserts from all workers,
+// with one shard asked for and with eight, which NewSink ignores. Run under
+// `go test -race` (wired into `make race`) this covers the table's CAS
+// claim, xadd accumulate and parallel drain together. The drained entries,
+// sorted, must be bit-identical across the two tables and to Group's CSR.
 func TestSinkShardedStress(t *testing.T) {
 	g := completeGraph(t, 48)
+	n := g.NumVertices()
 	arcs := completeArcs(48)
 	cfg := Config{T: 4, Downsample: true, Seed: 17}
 	perArc := 300_000 / float64(len(arcs))
@@ -60,27 +70,18 @@ func TestSinkShardedStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := orientedTable(keys, fixed, 1)
-	if ref.Shards() != 1 {
-		t.Fatalf("shards=1 sink has %d shards", ref.Shards())
-	}
-	sink := orientedTable(keys, fixed, 8)
-	if sink.Shards() != 8 {
-		t.Fatalf("got %d shards, want 8", sink.Shards())
-	}
-	if sink.Len() != ref.Len() {
-		t.Fatalf("distinct entries %d, want %d", sink.Len(), ref.Len())
-	}
-	sameCSR(t, "shards=8", sink, ref, g.NumVertices())
-	sameCSR(t, "Group", Group(keys, fixed, g.NumVertices(), &stats), ref, g.NumVertices())
+	ref := orientedTable(keys, fixed, 1, n)
+	sameCSR(t, "shards=8", orientedTable(keys, fixed, 8, n), ref, n)
+	sameCSR(t, "Group", Group(keys, fixed, n, &stats), ref, n)
 	if stats.DistinctEntries != ref.Len() {
 		t.Fatalf("Group: %d distinct entries, the table %d", stats.DistinctEntries, ref.Len())
 	}
 }
 
 // TestSinkIncrementalSharded: the incremental pass's pairs, with the
-// downsampling constant given, aggregated in an undersized four-shard table,
-// drain bit-identical to the single table and to Group.
+// downsampling constant given, aggregated in NewSink's table with a shard
+// count of four, which it ignores, drain bit-identical to one with a shard
+// count of one and to Group.
 func TestSinkIncrementalSharded(t *testing.T) {
 	g := completeGraph(t, 32)
 	n := g.NumVertices()
@@ -91,8 +92,8 @@ func TestSinkIncrementalSharded(t *testing.T) {
 	if stats.Trials == 0 || stats.Heads == 0 {
 		t.Fatalf("degenerate run: %+v", stats)
 	}
-	ref := orientedTable(keys, fixed, 1)
-	sameCSR(t, "shards=4", orientedTable(keys, fixed, 4), ref, n)
+	ref := orientedTable(keys, fixed, 1, n)
+	sameCSR(t, "shards=4", orientedTable(keys, fixed, 4, n), ref, n)
 	sameCSR(t, "Group", Group(keys, fixed, n, &stats), ref, n)
 }
 
@@ -113,14 +114,13 @@ func TestStatsPeakTableBytes(t *testing.T) {
 	}
 }
 
-// TestShardsAboveBoundRejected: a shard count above hashtable.MaxShards, up
-// to math.MaxInt (which overflows a power-of-two rounding), is a prompt
-// error from every sampling pass, before any table is allocated; MaxShards
-// itself is accepted.
+// TestShardsAboveBoundRejected: a shard count above maxShards, up to
+// math.MaxInt, is a prompt error from every sampling pass; maxShards itself
+// is accepted.
 func TestShardsAboveBoundRejected(t *testing.T) {
 	g := completeGraph(t, 8)
 	arcs := []graph.Edge{{U: 0, V: 1}}
-	for _, shards := range []int{hashtable.MaxShards + 1, 1 << 30, math.MaxInt} {
+	for _, shards := range []int{maxShards + 1, 1 << 30, math.MaxInt} {
 		cfg := Config{T: 3, M: 1000, Seed: 1, Shards: shards}
 		start := time.Now()
 		if cfg.Check() == nil {
@@ -139,9 +139,9 @@ func TestShardsAboveBoundRejected(t *testing.T) {
 			t.Fatalf("Shards=%d: rejection took %v", shards, d)
 		}
 	}
-	cfg := Config{T: 3, M: 1000, Seed: 1, Shards: hashtable.MaxShards}
+	cfg := Config{T: 3, M: 1000, Seed: 1, Shards: maxShards}
 	if _, _, err := Sample(g, cfg); err != nil {
-		t.Fatalf("Shards=MaxShards: %v", err)
+		t.Fatalf("Shards=maxShards: %v", err)
 	}
 }
 

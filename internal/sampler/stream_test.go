@@ -6,11 +6,11 @@ import (
 	"lightne/internal/hashtable"
 )
 
-// streamFixture fills a table with a deterministic scatter of keys including
-// empty rows, a heavy row, and duplicate accumulation.
-func streamFixture(t *testing.T, n int) *hashtable.Table {
+// streamFixture groups a deterministic scatter of keys including empty
+// rows, a heavy row, and duplicate accumulation.
+func streamFixture(t *testing.T, n int) Sink {
 	t.Helper()
-	tab := hashtable.New(1<<10, 1)
+	var keys, fixed []uint64
 	s := uint64(99)
 	for i := 0; i < 5000; i++ {
 		s = s*6364136223846793005 + 1442695040888963407
@@ -19,9 +19,11 @@ func streamFixture(t *testing.T, n int) *hashtable.Table {
 		if i%7 == 0 {
 			u = 3 // heavy row
 		}
-		tab.AddFixed(uint64(u)<<32|uint64(v), (s%1000)+1)
+		keys, fixed = append(keys, hashtable.Key(u, v)), append(fixed, (s%1000)+1)
 	}
-	return tab
+	var sink grouped
+	sink.rowPtr, sink.cols, sink.ws = hashtable.GroupCSR(keys, fixed, n)
+	return &sink
 }
 
 func TestChunkRowsBoundaries(t *testing.T) {

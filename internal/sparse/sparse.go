@@ -93,7 +93,7 @@ func FromCOO(rows, cols int, us, vs []uint32, ws []float64) (*CSR, error) {
 // already be in CSR form: rowPtr non-decreasing with rowPtr[0] == 0 and
 // rowPtr[rows] == len(colIdx) == len(val), and each row's columns strictly
 // ascending (grouped, sorted, duplicates merged) — exactly what
-// hashtable.DrainCSR produces. All invariants are validated (in parallel),
+// hashtable.GroupCSR produces. All invariants are validated (in parallel),
 // so a malformed hand-off fails loudly instead of corrupting the SVD input.
 func FromCSRParts(rows, cols int, rowPtr []int64, colIdx []uint32, val []float64) (*CSR, error) {
 	if len(rowPtr) != rows+1 {
