@@ -134,9 +134,11 @@ bench-drain:
 # against both orientations sorted (two/), on the RMAT-12 per-arc and
 # RMAT-13 wave pair sets; then one incremental round of the dynamic
 # embedder (New on 90 % of RMAT-12, AddEdges of the rest, Embed; state_MB is
-# the sample state it keeps between batches). On one core and on two.
+# the sample state it keeps between batches) and one AddEdges of 10 edges on
+# an RMAT-14 embedder (the merge into the CSR plus the batch's sampling). On
+# one core and on two.
 bench-sample:
-	$(GO) test -run xxx -bench 'BenchmarkSample$$|BenchmarkSampleSerialFlush|BenchmarkSampleBatched$$|BenchmarkSamplePipelined|BenchmarkSampleBatchedCompressed|BenchmarkSampleBatchedWeighted|RMAT13|BenchmarkGroupOrientation|BenchmarkDynamic' -benchmem -cpu 1,2 -count=3 ./internal/sampler ./internal/dynamic
+	$(GO) test -run xxx -bench 'BenchmarkSample$$|BenchmarkSampleSerialFlush|BenchmarkSampleBatched$$|BenchmarkSamplePipelined|BenchmarkSampleBatchedCompressed|BenchmarkSampleBatchedWeighted|RMAT13|BenchmarkGroupOrientation|BenchmarkDynamic|BenchmarkAddEdges' -benchmem -cpu 1,2 -count=3 ./internal/sampler ./internal/dynamic
 
 # The sketch's absorb at the harness's embed-stream shape (n = 8 192, d = 32,
 # the trunc-logged RMAT-13 sparsifier, ~0.9 M entries, default sign density):
@@ -145,21 +147,24 @@ bench-sample:
 bench-absorb:
 	$(GO) test -run xxx -bench 'BenchmarkSketchAbsorb' -benchmem -cpu 1,2 -count=5 ./internal/svd
 
-# The rSVD's dense kernels at the harness shapes, each in both forms (the Go
-# loops and, where the CPU has it, AVX: sub-benchmarks go/ and avx/): the
-# panel QR (4096×64, 8192×32, 16384×64) and its fused update + dot sweep,
-# C = Zᵀ·B (MatMulATB, 4096×64) and the k×k Jacobi SVD (64×64), each next
-# to the loop it replaced, kept as the test oracle. On one core and on two,
+# The rSVD's dense kernels at the harness shapes, each in every form the CPU
+# runs (sub-benchmarks go/, avx/ and avx512/; the QR panels and the Jacobi
+# rotations have no AVX-512 loop, so their avx512/ rows time the AVX loops):
+# the panel QR (4096×64, 8192×32, 16384×64) and its fused update + dot sweep,
+# C = Zᵀ·B (MatMulATB, 4096×64, on the row accumulate) and the k×k Jacobi
+# SVD (64×64), each next to the loop it replaced, kept as the test oracle. On one core and on two,
 # since the QR runs its R and Q phases concurrently. -count=5 for benchstat.
 bench-qr:
 	$(GO) test -run xxx -bench 'BenchmarkQRTallSkinny|BenchmarkQROracle|BenchmarkUpdateDotPanels|BenchmarkMatMulATB|BenchmarkSVD' -benchmem -cpu 1,2 -count=5 ./internal/dense
 
 # The row-accumulate kernel at the harness shapes (RMAT-12 adjacency × 64,
 # a ~250 k-entry matrix × 64, RMAT-13 adjacency × 32; Gflop/s reported) and
-# one default-order propagation at RMAT-12 × 64, each next to the pre-rewrite
-# code kept as the test oracle; the same kernel under MatMul (4096×64 · 64×64)
-# in both forms (go/, avx/) next to the one-entry loop. -count=5 for
-# benchstat.
+# one default-order propagation at RMAT-12 × 64 (its SpMMs and Chebyshev
+# epilogue), each in every form the CPU runs (go/, avx/, avx512/; at d = 32
+# the avx512/ rows run the AVX loop, which has no 64-column block to take)
+# and next to the pre-rewrite code kept as the test oracle; the same kernel
+# under MatMul (4096×64 · 64×64) in every form next to the one-entry loop.
+# -count=5 for benchstat.
 bench-spmm:
 	$(GO) test -run xxx -bench 'BenchmarkSpMM|BenchmarkPropagate' -benchmem -count=5 ./internal/sparse ./internal/prone
 	$(GO) test -run xxx -bench 'BenchmarkMatMulEmbed' -benchmem -count=5 ./internal/dense

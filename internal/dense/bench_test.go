@@ -22,21 +22,21 @@ func BenchmarkMatMulTallSkinny(b *testing.B)  { benchMatMul(b, 4096, 128, 128, M
 func BenchmarkMatMulSquareSmall(b *testing.B) { benchMatMul(b, 128, 128, 128, MatMul) }
 
 // benchKernelSets runs f as one sub-benchmark per kernel form this machine
-// has ("go", and "avx" where the CPU supports it), so each kernel is timed
-// next to its Go twin.
+// has ("go", then "avx" and "avx512" where the CPU supports them), so each
+// kernel is timed next to its Go twin.
 func benchKernelSets(b *testing.B, f func(b *testing.B)) {
-	forEachKernelSet(func(name string) { b.Run(name, f) })
+	ForEachKernel(func(name string) { b.Run(name, f) })
 }
 
 // The lift-back products of a default embed (Z·P, Z·CU, Q·U_R), on the
-// production kernel in both forms and on the one-entry loop it replaced.
+// production kernel in every form and on the one-entry loop it replaced.
 func BenchmarkMatMulEmbed(b *testing.B) {
 	benchKernelSets(b, func(b *testing.B) { benchMatMul(b, 4096, 64, 64, MatMul) })
 }
 func BenchmarkMatMulEmbedOracle(b *testing.B) { benchMatMul(b, 4096, 64, 64, matMulOracle) }
 
 // BenchmarkMatMulATB is the rSVD's C = Zᵀ·B at the embed-default shape,
-// in both kernel forms and on the row-update loop it replaced.
+// in every kernel form and on the row-update loop it replaced.
 func BenchmarkMatMulATB(b *testing.B) {
 	benchKernelSets(b, func(b *testing.B) { benchATB(b, MatMulATB) })
 }
@@ -74,7 +74,7 @@ func benchQR(b *testing.B, qr func(*Matrix) (*Matrix, *Matrix)) {
 	}
 }
 
-// BenchmarkQRTallSkinny times the production kernel in both forms;
+// BenchmarkQRTallSkinny times the production kernel in every form;
 // BenchmarkQROracle is the pre-rewrite serial kernel on the same inputs
 // (clone included, as the old QR did). `make bench-qr` runs them
 // benchstat-friendly.
@@ -88,7 +88,7 @@ func BenchmarkQROracle(b *testing.B) {
 
 // BenchmarkUpdateDotPanels is one row sweep of the QR's fused kernel at the
 // embed-default height (four panels of 4096 rows: update by one reflector,
-// dots with the next), in both kernel forms.
+// dots with the next), in every kernel form.
 func BenchmarkUpdateDotPanels(b *testing.B) {
 	const m, np = 4096, 4
 	benchKernelSets(b, func(b *testing.B) {

@@ -1,6 +1,9 @@
 package dense
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"runtime"
@@ -257,6 +260,22 @@ func TestFillGaussianDeterministic(t *testing.T) {
 	}
 }
 
+// TestFillGaussianGolden pins the bits of FillGaussian (rng.FillNorm per
+// row): the rSVD's test matrix, hence every embedding, depends on them. The
+// sha256 is over a 1024×64 fill at seed 7, float64s little-endian, row-major.
+func TestFillGaussianGolden(t *testing.T) {
+	a := NewMatrix(1024, 64)
+	a.FillGaussian(7)
+	h := sha256.New()
+	for _, v := range a.Data {
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+	}
+	const golden = "acae942379744849b07d26a6015fce5738ea36d96619b5b34be553cf6f14e3e4"
+	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+		t.Fatalf("FillGaussian sha256 %s, golden %s", got, golden)
+	}
+}
+
 func TestScaleAndMaxAbs(t *testing.T) {
 	a := FromSlice(2, 2, []float64{3, 0, 0, -4})
 	a.Scale(2)
@@ -419,7 +438,7 @@ func TestSolveSquareSingular(t *testing.T) {
 }
 
 // TestSVDBitIdenticalToOracle: the column-major Jacobi SVD returns the At/Set
-// kernel's U, σ and V bit for bit, on both kernel forms, for shapes across
+// kernel's U, σ and V bit for bit, on every kernel form, for shapes across
 // the 4-element rotation blocks, a rank-deficient input, a zero column and
 // signed zeros. See DESIGN.md "Numerics".
 func TestSVDBitIdenticalToOracle(t *testing.T) {
@@ -441,7 +460,7 @@ func TestSVDBitIdenticalToOracle(t *testing.T) {
 	cases = append(cases, rank1, zeros)
 	for _, a := range cases {
 		wantU, wantS, wantV := svdOracle(a)
-		forEachKernelSet(func(kernels string) {
+		ForEachKernel(func(kernels string) {
 			u, s, v := SVD(a)
 			what := fmt.Sprintf("%dx%d %s", a.Rows, a.Cols, kernels)
 			compareBits(t, what+" U", u.Data, wantU.Data)

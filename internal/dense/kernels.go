@@ -1,20 +1,78 @@
 package dense
 
-// The package's inner loops, each in two forms: the Go loop in this file,
-// which runs everywhere and is the reference the tests hold the other to, and
-// an AVX loop (kernels_amd64.s) used when the CPU and OS support it. Both are
-// bit-identical because a vector lane is one output element: each element gets
-// exactly the Go loop's operations in the Go loop's order, a multiply and then
-// a separate add or subtract (never a fused multiply-add), and no sum is split
-// across lanes. VEX-encoded and scalar SSE2 arithmetic share MXCSR, so both
-// round to nearest with subnormals kept. Only NaN payloads may differ: with
-// two NaN operands an add keeps its first source, and which operand is first
-// is the register allocator's choice in compiled Go.
+// The package's inner loops, each in up to three forms: the Go loop in this
+// file, which runs everywhere and is the reference the tests hold the others
+// to, an AVX loop (kernels_amd64.s, YMM registers) and, for the row
+// accumulate and the Chebyshev epilogue, an AVX-512 loop (ZMM registers). The
+// form is chosen once at start-up from CPUID and XGETBV (selectKernel). All
+// are bit-identical because a vector lane is one output element: each element
+// gets exactly the Go loop's operations in the Go loop's order, a multiply and
+// then a separate add or subtract (never a fused multiply-add), and no sum is
+// split across lanes. VEX- and EVEX-encoded and scalar SSE2 arithmetic share
+// MXCSR, so all round to nearest with subnormals kept (the EVEX forms here
+// carry no rounding override). Only NaN payloads may differ: with two NaN
+// operands an add keeps its first source, and which operand is first is the
+// register allocator's choice in compiled Go.
+
+// kernelLevel is a form of the package's inner loops. Each form runs the one
+// below it where it has no loop of its own: AVX-512 runs the AVX QR panels,
+// rotations and row-accumulate columns past the last 64-column block.
+type kernelLevel uint8
+
+const (
+	kernelGo     kernelLevel = iota // the Go loops
+	kernelAVX                       // YMM loops (kernels_amd64.s)
+	kernelAVX512                    // ZMM row accumulate and Chebyshev epilogue
+)
+
+func (k kernelLevel) String() string {
+	switch k {
+	case kernelAVX:
+		return "avx"
+	case kernelAVX512:
+		return "avx512"
+	}
+	return "go"
+}
+
+// kernel is the form this process runs, the best the CPU and OS support.
+var kernel = detectKernel()
+
+// selectKernel picks the form from the CPUID and XCR0 words: AVX needs
+// CPUID.1:ECX OSXSAVE (bit 27) and AVX (bit 28) and the OS saving SSE and YMM
+// state (XCR0 bits 1–2); AVX-512 also needs CPUID.(EAX=7,ECX=0):EBX AVX512F
+// (bit 16), a CPU whose highest basic leaf is at least 7, and the OS saving
+// the opmask and both halves of the ZMM file (XCR0 bits 5–7). The ZMM loops
+// use AVX512F instructions only.
+func selectKernel(maxLeaf, ecx1, ebx7, xcr0 uint32) kernelLevel {
+	const osxsave, avx, avx512f = 1 << 27, 1 << 28, 1 << 16
+	const ymmState, zmmState = 0x06, 0xE6
+	switch {
+	case ecx1&osxsave == 0 || ecx1&avx == 0 || xcr0&ymmState != ymmState:
+		return kernelGo
+	case maxLeaf >= 7 && ebx7&avx512f != 0 && xcr0&zmmState == zmmState:
+		return kernelAVX512
+	}
+	return kernelAVX
+}
+
+// ForEachKernel runs f once per form this process can run, from the Go loops
+// up to the one selected at start-up, with that form selected, and restores
+// the selection. Tests and benchmarks use it to check and time every form; it
+// must not run while another goroutine calls into this package.
+func ForEachKernel(f func(name string)) {
+	defer func(saved kernelLevel) { kernel = saved }(kernel)
+	for k, best := kernelGo, kernel; k <= best; k++ {
+		kernel = k
+		f(k.String())
+	}
+}
 
 // addRows adds Σ_p a[p]·x[idx[p]·stride : idx[p]·stride+len(y)] to y, each
 // element one left-to-right sum over p starting from its current value. The
-// AVX loop takes the columns in multiples of four; the rest go through the
-// Go loop. Every operand row is checked to lie inside x first.
+// AVX-512 loop takes the columns in blocks of 64, the AVX loop the rest in
+// multiples of four, and the Go loop what is left. Every operand row is
+// checked to lie inside x first.
 func addRows(y, a []float64, idx []uint32, x []float64, stride int) {
 	if len(y) == 0 || len(idx) == 0 {
 		return
@@ -25,7 +83,12 @@ func addRows(y, a []float64, idx []uint32, x []float64, stride int) {
 		top = max(top, r)
 	}
 	_ = x[int(top)*stride+len(y)-1]
-	if useAVX {
+	if kernel >= kernelAVX512 {
+		w := len(y) &^ 63
+		addRowsAVX512(y[:w], a, idx, x, stride)
+		y, x = y[w:], x[w:]
+	}
+	if kernel >= kernelAVX {
 		w := len(y) &^ 3
 		addRowsAVX(y[:w], a, idx, x, stride)
 		y, x = y[w:], x[w:]
@@ -80,7 +143,7 @@ func updateDotPanels(v, u, c []float64, m, np, ps int, s, acc []float64, lane in
 	}
 	_, _, _ = v[4*(m-1)], u[4*(m-1)], c[(np-1)*ps+4*m-1]
 	_, _ = s[4*np-1], acc[4*np-1]
-	if !useAVX {
+	if kernel < kernelAVX {
 		updateDotPanelsGo(v, u, c, m, np, ps, s, acc, lane)
 		return
 	}
@@ -132,7 +195,7 @@ func dotPanels(u, c []float64, m, np, ps int, acc []float64) {
 		return
 	}
 	_, _, _ = u[4*(m-1)], c[(np-1)*ps+4*m-1], acc[4*np-1]
-	if !useAVX {
+	if kernel < kernelAVX {
 		dotPanelsGo(u, c, m, np, ps, acc)
 		return
 	}
@@ -159,7 +222,7 @@ func dotPanelsGo(u, c []float64, m, np, ps int, acc []float64) {
 // element-wise.
 func rotate(x, y []float64, c, s float64) {
 	y = y[:len(x)]
-	if useAVX {
+	if kernel >= kernelAVX {
 		w := len(x) &^ 3
 		rotateAVX(x[:w], y[:w], c, s)
 		x, y = x[w:], y[w:]
@@ -173,5 +236,36 @@ func rotateGo(x, y []float64, c, s float64) {
 		yi := y[i]
 		x[i] = c*xi - s*yi
 		y[i] = s*xi + c*yi
+	}
+}
+
+// ChebyshevStep is one row of the Chebyshev recurrence and of the filter sum
+// it feeds (prone.Propagate): for each j, l2 = (t[j] − 2·l1[j]) − l0[j] is
+// written over l0[j], then conv[j] += c·l2. l1, conv and t must be at least
+// as long as l0 and must not overlap it except element for element. The
+// AVX-512 loop takes the elements in multiples of eight, the AVX loop the
+// rest in multiples of four, and the Go loop what is left.
+func ChebyshevStep(l0, l1, conv, t []float64, c float64) {
+	n := len(l0)
+	l1, conv, t = l1[:n], conv[:n], t[:n]
+	if kernel >= kernelAVX512 {
+		w := n &^ 7
+		chebyshevAVX512(l0[:w], l1, conv, t, c)
+		l0, l1, conv, t = l0[w:], l1[w:], conv[w:], t[w:]
+	}
+	if kernel >= kernelAVX {
+		w := len(l0) &^ 3
+		chebyshevAVX(l0[:w], l1, conv, t, c)
+		l0, l1, conv, t = l0[w:], l1[w:], conv[w:], t[w:]
+	}
+	chebyshevGo(l0, l1, conv, t, c)
+}
+
+func chebyshevGo(l0, l1, conv, t []float64, c float64) {
+	l1, conv, t = l1[:len(l0)], conv[:len(l0)], t[:len(l0)]
+	for j, tv := range t {
+		l2 := tv - 2*l1[j] - l0[j]
+		l0[j] = l2
+		conv[j] += c * l2
 	}
 }

@@ -1,17 +1,20 @@
 #include "textflag.h"
 
-// The AVX forms of the inner loops in kernels.go. Each YMM lane holds one
-// output element and receives exactly the Go loop's operations in its order:
-// VMULPD then VADDPD/VSUBPD, never a fused multiply-add, and no sum is split
-// across lanes. Every function ends with VZEROUPPER so the SSE code around it
-// pays no transition penalty.
+// The AVX and AVX-512 forms of the inner loops in kernels.go. Each YMM or
+// ZMM lane holds one output element and receives exactly the Go loop's
+// operations in its order: VMULPD then VADDPD/VSUBPD, never a fused
+// multiply-add, and no sum is split across lanes. Every function ends with
+// VZEROUPPER so the SSE code around it pays no transition penalty.
 
-// func cpuid1ECX() uint32
-TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
-	MOVL $1, AX
-	XORL CX, CX
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
 	CPUID
-	MOVL CX, ret+0(FP)
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
 	RET
 
 // func xgetbv0() uint32
@@ -144,6 +147,77 @@ loop4:
 	JMP  rows4
 
 rowsdone:
+	VZEROUPPER
+	RET
+
+// func addRowsAVX512(y, a []float64, idx []uint32, x []float64, stride int)
+//
+// addRowsAVX for len(y) a multiple of 64: each 64-column block of y is held
+// in Z0–Z7 through every entry, one pass over idx and a per block, so an
+// element's sum is y + a[0]·x₀ + a[1]·x₁ + … left to right.
+TEXT ·addRowsAVX512(SB), NOSPLIT, $0-104
+	MOVQ y_base+0(FP), DI
+	MOVQ y_len+8(FP), DX
+	MOVQ a_base+24(FP), SI
+	MOVQ idx_base+48(FP), R8
+	MOVQ idx_len+56(FP), R9
+	MOVQ x_base+72(FP), R10
+	MOVQ stride+96(FP), R11
+	SHLQ $3, R11
+	TESTQ R9, R9
+	JZ   zrowsdone
+	SHRQ $6, DX
+	JZ   zrowsdone
+
+zrows64:
+	VMOVUPD 0(DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD 256(DI), Z4
+	VMOVUPD 320(DI), Z5
+	VMOVUPD 384(DI), Z6
+	VMOVUPD 448(DI), Z7
+	XORQ R12, R12
+
+zloop64:
+	MOVL  (R8)(R12*4), AX
+	IMULQ R11, AX
+	ADDQ  R10, AX
+	VBROADCASTSD (SI)(R12*8), Z16
+	VMULPD 0(AX), Z16, Z8
+	VADDPD Z8, Z0, Z0
+	VMULPD 64(AX), Z16, Z9
+	VADDPD Z9, Z1, Z1
+	VMULPD 128(AX), Z16, Z10
+	VADDPD Z10, Z2, Z2
+	VMULPD 192(AX), Z16, Z11
+	VADDPD Z11, Z3, Z3
+	VMULPD 256(AX), Z16, Z12
+	VADDPD Z12, Z4, Z4
+	VMULPD 320(AX), Z16, Z13
+	VADDPD Z13, Z5, Z5
+	VMULPD 384(AX), Z16, Z14
+	VADDPD Z14, Z6, Z6
+	VMULPD 448(AX), Z16, Z15
+	VADDPD Z15, Z7, Z7
+	INCQ R12
+	CMPQ R12, R9
+	JLT  zloop64
+	VMOVUPD Z0, 0(DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	ADDQ $512, DI
+	ADDQ $512, R10
+	DECQ DX
+	JNZ  zrows64
+
+zrowsdone:
 	VZEROUPPER
 	RET
 
@@ -364,5 +438,76 @@ rotateloop:
 	JNZ  rotateloop
 
 rotatedone:
+	VZEROUPPER
+	RET
+
+// two<> is the 2 of the recurrence's 2·l1, multiplied as the Go loop does.
+DATA two<>+0(SB)/8, $0x4000000000000000
+GLOBL two<>(SB), RODATA|NOPTR, $8
+
+// func chebyshevAVX(l0, l1, conv, t []float64, c float64)
+//
+// chebyshevGo for the first len(l0) &^ 3 elements: l2 = (t − 2·l1) − l0
+// stored over l0, then conv + c·l2 stored over conv.
+TEXT ·chebyshevAVX(SB), NOSPLIT, $0-104
+	MOVQ l0_base+0(FP), DI
+	MOVQ l0_len+8(FP), CX
+	MOVQ l1_base+24(FP), SI
+	MOVQ conv_base+48(FP), BX
+	MOVQ t_base+72(FP), DX
+	VBROADCASTSD c+96(FP), Y0
+	VBROADCASTSD two<>(SB), Y1
+	XORQ R8, R8
+	SHRQ $2, CX
+	JZ   chebdone
+
+chebloop:
+	VMULPD  (SI)(R8*1), Y1, Y2
+	VMOVUPD (DX)(R8*1), Y3
+	VSUBPD  Y2, Y3, Y3
+	VSUBPD  (DI)(R8*1), Y3, Y3
+	VMOVUPD Y3, (DI)(R8*1)
+	VMULPD  Y3, Y0, Y4
+	VMOVUPD (BX)(R8*1), Y5
+	VADDPD  Y4, Y5, Y5
+	VMOVUPD Y5, (BX)(R8*1)
+	ADDQ $32, R8
+	DECQ CX
+	JNZ  chebloop
+
+chebdone:
+	VZEROUPPER
+	RET
+
+// func chebyshevAVX512(l0, l1, conv, t []float64, c float64)
+//
+// chebyshevAVX on ZMM registers, for len(l0) a multiple of 8.
+TEXT ·chebyshevAVX512(SB), NOSPLIT, $0-104
+	MOVQ l0_base+0(FP), DI
+	MOVQ l0_len+8(FP), CX
+	MOVQ l1_base+24(FP), SI
+	MOVQ conv_base+48(FP), BX
+	MOVQ t_base+72(FP), DX
+	VBROADCASTSD c+96(FP), Z0
+	VBROADCASTSD two<>(SB), Z1
+	XORQ R8, R8
+	SHRQ $3, CX
+	JZ   zchebdone
+
+zchebloop:
+	VMULPD  (SI)(R8*1), Z1, Z2
+	VMOVUPD (DX)(R8*1), Z3
+	VSUBPD  Z2, Z3, Z3
+	VSUBPD  (DI)(R8*1), Z3, Z3
+	VMOVUPD Z3, (DI)(R8*1)
+	VMULPD  Z3, Z0, Z4
+	VMOVUPD (BX)(R8*1), Z5
+	VADDPD  Z4, Z5, Z5
+	VMOVUPD Z5, (BX)(R8*1)
+	ADDQ $64, R8
+	DECQ CX
+	JNZ  zchebloop
+
+zchebdone:
 	VZEROUPPER
 	RET

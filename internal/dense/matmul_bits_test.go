@@ -86,7 +86,7 @@ func TestMatMulBitIdenticalToOracle(t *testing.T) {
 // TestMatMulATBBitIdenticalToOracle: the fixed-geometry Aᵀ·B on the
 // row-accumulate kernel (a column of A gathered, then one accumulate per row
 // of the result) must return the bits of the row-update loop it replaced, on
-// both kernel forms and at every GOMAXPROCS. A carries exact zeros of both
+// every kernel form and at every GOMAXPROCS. A carries exact zeros of both
 // signs opposite non-finite rows of B (the skip must still skip) and special
 // values everywhere else. See DESIGN.md "Numerics".
 func TestMatMulATBBitIdenticalToOracle(t *testing.T) {
@@ -114,7 +114,7 @@ func TestMatMulATBBitIdenticalToOracle(t *testing.T) {
 		}
 		want := NewMatrix(p, q)
 		matMulATBOracle(want, a, b)
-		forEachKernelSet(func(kernels string) {
+		ForEachKernel(func(kernels string) {
 			for _, procs := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(procs)
 				got := NewMatrix(p, q)

@@ -13,8 +13,9 @@
 // copies and only ever sees d×d inputs. Householder QR is the other exception
 // to row-major: its inner loops run down columns, so qr.go works on
 // four-column panels and parallelizes over them (layout, parallel axis and
-// determinism in its header). The inner loops exist in Go and in AVX,
-// bit-identical to each other (kernels.go).
+// determinism in its header). The inner loops exist in Go, in AVX and, for
+// the row accumulate and the Chebyshev epilogue, in AVX-512, bit-identical
+// to each other (kernels.go).
 //
 // Determinism: a kernel here is bit-identical across GOMAXPROCS when each
 // output element is computed by one goroutine in a fixed order (MatMul and
@@ -148,7 +149,7 @@ func (m *Matrix) FillGaussian(seed uint64) {
 // nonzeros of a row of A). x must have len(y) columns.
 //
 // y[j] is 0 + a[0]·x₀[j] + a[1]·x₁[j] + … added left to right in one
-// goroutine, on either form of addRows (kernels.go), so the result is
+// goroutine, on every form of addRows (kernels.go), so the result is
 // bit-identical to the one-entry loop (signed zeros and infinities included;
 // a NaN stays a NaN, its payload being the register allocator's choice in
 // either loop) and to itself at every GOMAXPROCS.

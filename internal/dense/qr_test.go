@@ -99,11 +99,11 @@ func firstBitDiff(got, want *Matrix) (int, bool) {
 
 // TestQRBitIdenticalToOracle is the contract the panel kernel was built
 // under: Q and R equal the pre-rewrite serial kernel's bit for bit, for every
-// input class, every GOMAXPROCS and both kernel forms (Go and AVX), through
+// input class, every GOMAXPROCS and every kernel form (Go, AVX, AVX-512), through
 // all three entry points. See DESIGN.md "Numerics".
 func TestQRBitIdenticalToOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	forEachKernelSet(func(kernels string) {
+	ForEachKernel(func(kernels string) {
 		testQRBitIdenticalToOracle(t, kernels)
 	})
 }
@@ -152,7 +152,7 @@ func TestQRInPlaceReusesInput(t *testing.T) {
 // under schedules that differ from run to run: GOMAXPROCS up to four times the
 // cores, square shapes around the panel and group boundaries, the harness
 // shapes, identity reflectors (a zero column) first, mid-way and last, and
-// graded columns, each factored twice per GOMAXPROCS on both kernel forms.
+// graded columns, each factored twice per GOMAXPROCS on every kernel form.
 // See DESIGN.md "Numerics".
 func TestQRPipelineBitIdenticalToOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -189,7 +189,7 @@ func TestQRPipelineBitIdenticalToOracle(t *testing.T) {
 	for c, tc := range cases {
 		want[c][0], want[c][1] = qrOracle(tc.a.Clone())
 	}
-	forEachKernelSet(func(kernels string) {
+	ForEachKernel(func(kernels string) {
 		for c, tc := range cases {
 			wantQ, wantR := want[c][0], want[c][1]
 			for _, procs := range []int{1, 2, 3, 4, 8} {

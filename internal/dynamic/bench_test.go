@@ -6,6 +6,7 @@ import (
 	"lightne/internal/core"
 	"lightne/internal/gen"
 	"lightne/internal/graph"
+	"lightne/internal/rng"
 )
 
 // BenchmarkDynamic times one incremental round at DefaultConfig(64) on
@@ -40,4 +41,29 @@ func BenchmarkDynamic(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(state)/1e6, "state_MB")
+}
+
+// BenchmarkAddEdges times AddEdges of 10 random new edges on an embedder
+// over RMAT-14 (edge factor 20, seed 1) at DefaultConfig(64): the graph
+// update and the batch's sampling. Each round grows the same embedder.
+func BenchmarkAddEdges(b *testing.B) {
+	g, err := gen.RMAT(gen.RMATConfig{Scale: 14, EdgeFactor: 20, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := New(g, core.DefaultConfig(64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := rng.New(3, 0)
+	batch := make([]graph.Edge, 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range batch {
+			batch[k] = graph.Edge{U: uint32(src.Intn(g.NumVertices())), V: uint32(src.Intn(g.NumVertices()))}
+		}
+		if err := e.AddEdges(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -4,13 +4,13 @@
 //
 // The key observation is that LightNE's state between samples and embedding
 // is just the samples, and the sparsifier is a sum of independent per-sample
-// terms: when a batch of edges arrives, it suffices to (1) rebuild the
-// graph, (2) run the downsampled PathSampling for the *new* arcs only, at
-// the same per-arc rate as the initial pass, keeping one 16-byte pair per
-// sample beside the earlier ones, and (3) group the kept pairs the way the
-// full passes do (sampler.Group) and re-run the cheap randomized SVD +
-// propagation on them. Sampling cost per batch is proportional to the batch,
-// not the graph.
+// terms: when a batch of edges arrives, it suffices to (1) merge the batch
+// into the graph's CSR, (2) run the downsampled PathSampling for the *new*
+// arcs only, at the same per-arc rate as the initial pass, keeping one
+// 16-byte pair per sample beside the earlier ones, and (3) group the kept
+// pairs the way the full passes do (sampler.Group) and re-run the cheap
+// randomized SVD + propagation on them. Sampling cost per batch is
+// proportional to the batch, not the graph; the merge copies the CSR once.
 //
 // The resulting estimator is slightly stale — samples drawn in earlier
 // epochs used the then-current degrees and walk structure — so the embedder
@@ -33,9 +33,13 @@ import (
 
 // Embedder maintains a LightNE embedding over a growing graph.
 type Embedder struct {
-	cfg  core.Config
-	g    *graph.Graph
-	arcs []graph.Edge // canonical arc list (u < v), current graph
+	cfg core.Config
+	g   *graph.Graph
+	// simple is whether g is what graph.FromEdges builds from its own edges
+	// (graph.Simple), so that a batch merges into its CSR (WithEdges). Only
+	// an initial graph can fail it; the first batch then rebuilds.
+	simple   bool
+	numEdges int // undirected edges of g, counted as u < v
 	// keys and fixed are the kept samples, one pair per head
 	// (hashtable.SymmetricPair), as segments of exactly their length.
 	keys, fixed [][]uint64
@@ -70,7 +74,7 @@ func New(initial *graph.Graph, cfg core.Config) (*Embedder, error) {
 	e := &Embedder{
 		cfg:    cfg,
 		g:      initial,
-		arcs:   collectArcs(initial),
+		simple: initial.Simple(),
 		perArc: float64(cfg.Sampler(initial).M) / float64(initial.NumEdges()),
 	}
 	if err := e.resample(); err != nil {
@@ -114,32 +118,36 @@ func (e *Embedder) sampleArcs(arcs []graph.Edge) error {
 	return nil
 }
 
-// resample draws the samples from scratch on the current graph.
+// resample draws the samples from scratch on the current graph's edges, in
+// ascending (u, v) order.
 func (e *Embedder) resample() error {
-	e.keys, e.fixed, e.trials, e.heads, e.staleArcs = nil, nil, 0, 0, 0
-	return e.sampleArcs(e.arcs)
+	arcs := collectArcs(e.g)
+	e.keys, e.fixed, e.trials, e.heads, e.staleArcs, e.numEdges = nil, nil, 0, 0, 0, len(arcs)
+	return e.sampleArcs(arcs)
 }
 
 // NumVertices returns the current vertex count.
 func (e *Embedder) NumVertices() int { return e.g.NumVertices() }
 
 // NumEdges returns the current undirected edge count.
-func (e *Embedder) NumEdges() int { return len(e.arcs) }
+func (e *Embedder) NumEdges() int { return e.numEdges }
 
 // Staleness reports the fraction of the current edge set added since the
 // last full (re)sample — a proxy for how much of the accumulated sample
 // mass was drawn under an outdated graph. 0 immediately after New or
 // Refresh; callers refresh when it exceeds their drift tolerance.
 func (e *Embedder) Staleness() float64 {
-	if len(e.arcs) == 0 {
+	if e.numEdges == 0 {
 		return 0
 	}
-	return float64(e.staleArcs) / float64(len(e.arcs))
+	return float64(e.staleArcs) / float64(e.numEdges)
 }
 
 // AddEdges grows the graph by a batch of undirected edges (self loops and
 // duplicates are ignored) and samples only the new arcs. n may grow: vertex
-// IDs beyond the current count extend the graph.
+// IDs beyond the current count extend the graph. The new edges are merged
+// into the current CSR (graph.WithEdges), so the rebuild costs one copy of
+// it, not a regrouping of every arc.
 func (e *Embedder) AddEdges(batch []graph.Edge) error {
 	n := e.g.NumVertices()
 	for _, a := range batch {
@@ -149,13 +157,19 @@ func (e *Embedder) AddEdges(batch []graph.Edge) error {
 	if len(fresh) == 0 {
 		return nil
 	}
-	e.staleArcs += int64(len(fresh))
-	e.arcs = append(e.arcs, fresh...)
-	g, err := graph.FromEdges(n, e.arcs, graph.DefaultOptions())
+	var g *graph.Graph
+	var err error
+	if e.simple {
+		g, err = e.g.WithEdges(n, fresh)
+	} else {
+		g, err = graph.FromEdges(n, append(collectArcs(e.g), fresh...), graph.DefaultOptions())
+	}
 	if err != nil {
 		return err
 	}
-	e.g = g
+	e.g, e.simple = g, true
+	e.numEdges += len(fresh)
+	e.staleArcs += int64(len(fresh))
 	e.batches++
 	return e.sampleArcs(fresh)
 }

@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"lightne/internal/core"
 	"lightne/internal/eval"
 	"lightne/internal/gen"
 	"lightne/internal/graph"
+	"lightne/internal/rng"
 )
 
 func growingSBM(t *testing.T) (*graph.Graph, []graph.Edge, *gen.Labels) {
@@ -193,6 +195,87 @@ func TestAddEdgesIgnoresDuplicatesAndLoops(t *testing.T) {
 	}
 	if e.NumEdges() != before+1 || e.NumVertices() != int(n)+5 {
 		t.Fatalf("edge to vertex %d: %d edges over %d vertices, want %d over %d", n+4, e.NumEdges(), e.NumVertices(), before+1, n+5)
+	}
+}
+
+// TestAddEdgesGraphEqualsFromEdges: after every batch the embedder's graph,
+// merged into the previous CSR, is the graph FromEdges builds from all edges
+// delivered so far, over random batches with repeats, reversed pairs, edges
+// already present, self loops and vertex ids past the current count, from a
+// simple initial graph and from one with a self loop and a one-way arc
+// (which the first batch rebuilds).
+func TestAddEdgesGraphEqualsFromEdges(t *testing.T) {
+	full, err := gen.RMAT(gen.RMATConfig{Scale: 9, EdgeFactor: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arcs := collectArcs(full)
+	cut := len(arcs) * 9 / 10
+	simple, err := graph.FromEdges(full.NumVertices(), arcs[:cut], graph.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// loose is simple plus a self loop at 0 and a vertex n0 whose one arc,
+	// n0 → 0, has no reverse.
+	n0 := full.NumVertices()
+	offsets, edges := []int64{0}, []uint32{0}
+	for u := 0; u < n0; u++ {
+		edges = append(edges, simple.Neighbors(uint32(u), nil)...)
+		offsets = append(offsets, int64(len(edges)))
+	}
+	edges = append(edges, 0)
+	offsets = append(offsets, int64(len(edges)))
+	loose, err := graph.FromCSR(offsets, edges, graph.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, start := range []*graph.Graph{simple, loose} {
+		e, err := New(start, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.simple != (start == simple) {
+			t.Fatalf("New: simple = %v on the %v graph", e.simple, start == simple)
+		}
+		delivered := collectArcs(start)
+		src := rng.New(7, 0)
+		for batch := 0; batch < 6; batch++ {
+			n := e.NumVertices()
+			var b []graph.Edge
+			for k := 0; k < 1+src.Intn(30); k++ {
+				switch src.Intn(5) {
+				case 0: // an edge from the rest of the RMAT graph
+					b = append(b, arcs[cut+src.Intn(len(arcs)-cut)])
+				case 1: // an edge already present, in either orientation
+					a := delivered[src.Intn(len(delivered))]
+					b = append(b, a, graph.Edge{U: a.V, V: a.U})
+				case 2: // a self loop
+					u := uint32(src.Intn(n))
+					b = append(b, graph.Edge{U: u, V: u})
+				case 3: // a vertex past the current count
+					b = append(b, graph.Edge{U: uint32(n + src.Intn(3)), V: uint32(src.Intn(n))})
+				default: // a random pair, repeated reversed
+					u, v := uint32(src.Intn(n)), uint32(src.Intn(n))
+					b = append(b, graph.Edge{U: u, V: v}, graph.Edge{U: v, V: u})
+				}
+			}
+			if err := e.AddEdges(b); err != nil {
+				t.Fatal(err)
+			}
+			delivered = append(delivered, b...)
+			want, err := graph.FromEdges(e.NumVertices(), delivered, graph.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.g.NumVertices() != want.NumVertices() || e.g.NumEdges() != want.NumEdges() || int64(e.NumEdges()) != want.NumEdges()/2 {
+				t.Fatalf("batch %d: %d vertices, %d arcs (%d edges); want %d, %d", batch, e.g.NumVertices(), e.g.NumEdges(), e.NumEdges(), want.NumVertices(), want.NumEdges())
+			}
+			for u := 0; u < want.NumVertices(); u++ {
+				if got, w := e.g.Neighbors(uint32(u), nil), want.Neighbors(uint32(u), nil); !slices.Equal(got, w) {
+					t.Fatalf("batch %d: row %d = %v, want %v", batch, u, got, w)
+				}
+			}
+		}
 	}
 }
 

@@ -14,6 +14,8 @@ package graph
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"lightne/internal/compress"
 	"lightne/internal/hashtable"
@@ -106,6 +108,93 @@ func FromCSR(offsets []int64, edges []uint32, opt Options) (*Graph, error) {
 		g.edges = edges
 	}
 	return g, nil
+}
+
+// Simple reports whether g is a graph FromEdges builds with DefaultOptions:
+// uncompressed and unweighted, each row strictly ascending without its own
+// vertex, and the reverse of every arc stored.
+func (g *Graph) Simple() bool {
+	if g.comp != nil || g.weights != nil {
+		return false
+	}
+	var bad atomic.Bool
+	par.ForRange(g.n, 256, func(lo, hi int) {
+		for u := lo; u < hi && !bad.Load(); u++ {
+			row := g.edges[g.offsets[u]:g.offsets[u+1]]
+			for i, v := range row {
+				if v == uint32(u) || int(v) >= g.n || i > 0 && row[i-1] >= v {
+					bad.Store(true)
+					return
+				}
+				if _, ok := slices.BinarySearch(g.edges[g.offsets[v]:g.offsets[v+1]], uint32(u)); !ok {
+					bad.Store(true)
+					return
+				}
+			}
+		}
+	})
+	return !bad.Load()
+}
+
+// WithEdges returns a new graph over n ≥ g.NumVertices() vertices holding
+// g's arcs and both orientations of every edge in add, which must be sorted
+// by (U, V) with U < V, without repeats and without edges g already has. g
+// must be uncompressed and unweighted and is not modified. Rows no added
+// edge touches are copied in bulk and each touched row is merged with its
+// added neighbors, so the cost is one copy of the CSR plus the batch; for a
+// Simple g the result is the graph FromEdges builds with DefaultOptions from
+// g's edges and add.
+func (g *Graph) WithEdges(n int, add []Edge) (*Graph, error) {
+	if g.comp != nil || g.weights != nil {
+		return nil, fmt.Errorf("graph: WithEdges needs an uncompressed, unweighted graph")
+	}
+	if n < g.n {
+		return nil, fmt.Errorf("graph: WithEdges cannot shrink %d vertices to %d", g.n, n)
+	}
+	keys := make([]uint64, 0, 2*len(add))
+	for i, e := range add {
+		if e.U >= e.V || int(e.V) >= n || i > 0 && (add[i-1].U > e.U || add[i-1].U == e.U && add[i-1].V >= e.V) {
+			return nil, fmt.Errorf("graph: WithEdges needs sorted, distinct edges u < v < %d; got (%d,%d) at %d", n, e.U, e.V, i)
+		}
+		keys = append(keys, uint64(e.U)<<32|uint64(e.V), uint64(e.V)<<32|uint64(e.U))
+	}
+	slices.Sort(keys)
+	old := func(u int) int64 { return g.offsets[min(u, g.n)] }
+	offsets := make([]int64, n+1)
+	edges := make([]uint32, len(g.edges)+len(keys))
+	// shift counts the arcs added so far and next is the first row not yet
+	// placed; place copies the untouched rows next…end-1 and sets the offsets
+	// of rows next…end.
+	shift, next := int64(0), 0
+	place := func(end int) {
+		for r := next; r <= end; r++ {
+			offsets[r] = old(r) + shift
+		}
+		copy(edges[old(next)+shift:], g.edges[old(next):old(end)])
+	}
+	for k := 0; k < len(keys); {
+		u := int(keys[k] >> 32)
+		place(u)
+		row, dst := g.edges[old(u):old(u+1)], edges[old(u)+shift:]
+		i, w := 0, 0
+		for ; k < len(keys) && int(keys[k]>>32) == u; k++ {
+			v := uint32(keys[k])
+			for ; i < len(row) && row[i] < v; i++ {
+				dst[w] = row[i]
+				w++
+			}
+			if i < len(row) && row[i] == v {
+				return nil, fmt.Errorf("graph: WithEdges: arc (%d,%d) is already in the graph", u, v)
+			}
+			dst[w] = v
+			w++
+		}
+		copy(dst[w:], row[i:])
+		shift += int64(w - i)
+		next = u + 1
+	}
+	place(n)
+	return FromCSR(offsets, edges, Options{})
 }
 
 // NumVertices returns n.
@@ -269,6 +358,19 @@ func (g *Graph) RandomNeighbor(u uint32, r *rng.Source) (uint32, bool) {
 // returns the final vertex. If the walk reaches an isolated vertex it stays
 // there (symmetrized graphs never hit this unless u itself is isolated).
 func (g *Graph) Walk(u uint32, steps int, r *rng.Source) uint32 {
+	if g.weights == nil && g.comp == nil {
+		// RandomNeighbor's draws on the raw CSR, its arrays held in locals.
+		offsets, edges := g.offsets, g.edges
+		for s := 0; s < steps; s++ {
+			lo := offsets[u]
+			d := int(offsets[u+1] - lo)
+			if d == 0 {
+				return u
+			}
+			u = edges[lo+int64(r.Intn(d))]
+		}
+		return u
+	}
 	for s := 0; s < steps; s++ {
 		v, ok := g.RandomNeighbor(u, r)
 		if !ok {

@@ -24,13 +24,20 @@ func benchPropagate(b *testing.B, propagate func(*graph.Graph, *dense.Matrix, Pr
 	}
 }
 
+// BenchmarkPropagate times Propagate in every kernel form this machine runs
+// (sub-benchmarks go/, avx/, avx512/: the row accumulate under its SpMMs and
+// the Chebyshev epilogue); BenchmarkPropagateOracle is the unfused version.
 func BenchmarkPropagate(b *testing.B) {
-	benchPropagate(b, func(g *graph.Graph, x *dense.Matrix, cfg PropagationConfig) *dense.Matrix {
-		y, err := Propagate(g, x, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return y
+	dense.ForEachKernel(func(name string) {
+		b.Run(name, func(b *testing.B) {
+			benchPropagate(b, func(g *graph.Graph, x *dense.Matrix, cfg PropagationConfig) *dense.Matrix {
+				y, err := Propagate(g, x, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return y
+			})
+		})
 	})
 }
 

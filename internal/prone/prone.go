@@ -222,15 +222,11 @@ func Propagate(g *graph.Graph, x *dense.Matrix, cfg PropagationConfig) (*dense.M
 	mul.Run()
 
 	// One closure for all terms, reading the rotating buffers and the term's
-	// coefficient through the captured variables.
+	// coefficient through the captured variables; the row update is the
+	// vector kernel dense.ChebyshevStep.
 	var coeff float64
 	recur := func(i int, yi []float64) {
-		l0, l1, cv := lx0.Row(i), lx1.Row(i), conv.Row(i)
-		for j, tv := range yi {
-			l2 := tv - 2*l1[j] - l0[j]
-			l0[j] = l2
-			cv[j] += coeff * l2
-		}
+		dense.ChebyshevStep(lx0.Row(i), lx1.Row(i), conv.Row(i), yi, coeff)
 	}
 	for i := 2; i < cfg.Order; i++ {
 		coeff = 2 * besselI(i, cfg.Theta)

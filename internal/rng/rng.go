@@ -141,10 +141,10 @@ func (s *Source) NormFloat64() float64 {
 	u1 := 1.0 - s.Float64()
 	u2 := s.Float64()
 	r := math.Sqrt(-2 * math.Log(u1))
-	theta := 2 * math.Pi * u2
-	s.spare = r * math.Sin(theta)
+	sin, cos := math.Sincos(2 * math.Pi * u2)
+	s.spare = r * sin
 	s.hasSpare = true
-	return r * math.Cos(theta)
+	return r * cos
 }
 
 // FillNorm fills dst with independent standard normal variates.

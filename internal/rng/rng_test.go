@@ -126,6 +126,43 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
+// TestSincosMatchesSinCos: NormFloat64 takes both Box–Muller factors from
+// one math.Sincos, which must return exactly math.Sin and math.Cos on the
+// angles it sees, 2π·u for u in [0, 1) (the extremes included).
+func TestSincosMatchesSinCos(t *testing.T) {
+	s := New(17, 0)
+	thetas := []float64{0, 2 * math.Pi * math.Nextafter(1, 0), math.Pi / 2, math.Pi, 1.5 * math.Pi}
+	for i := 0; i < 1<<20; i++ {
+		thetas = append(thetas, 2*math.Pi*s.Float64())
+	}
+	for _, theta := range thetas {
+		sin, cos := math.Sincos(theta)
+		if math.Float64bits(sin) != math.Float64bits(math.Sin(theta)) || math.Float64bits(cos) != math.Float64bits(math.Cos(theta)) {
+			t.Fatalf("Sincos(%v) = (%v, %v), Sin, Cos = (%v, %v)", theta, sin, cos, math.Sin(theta), math.Cos(theta))
+		}
+	}
+}
+
+// TestFillNormMatchesSinCosOracle: FillNorm's variates are those of the
+// Box–Muller pair computed with math.Sin and math.Cos, bit for bit.
+func TestFillNormMatchesSinCosOracle(t *testing.T) {
+	got := make([]float64, 1<<16+1)
+	New(19, 3).FillNorm(got)
+	s := New(19, 3)
+	for i := 0; i < len(got); i += 2 {
+		u1 := 1.0 - s.Float64()
+		u2 := s.Float64()
+		r := math.Sqrt(-2 * math.Log(u1))
+		theta := 2 * math.Pi * u2
+		want := []float64{r * math.Cos(theta), r * math.Sin(theta)}
+		for k := 0; k < 2 && i+k < len(got); k++ {
+			if math.Float64bits(got[i+k]) != math.Float64bits(want[k]) {
+				t.Fatalf("variate %d = %v, Sin/Cos pair %v", i+k, got[i+k], want[k])
+			}
+		}
+	}
+}
+
 func TestFillNorm(t *testing.T) {
 	s := New(3, 0)
 	buf := make([]float64, 4096)

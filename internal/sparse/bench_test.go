@@ -38,7 +38,14 @@ func benchSpMM(b *testing.B, spmm func(y *dense.Matrix, m *CSR, x *dense.Matrix)
 	}
 }
 
-func BenchmarkSpMM(b *testing.B)       { benchSpMM(b, SpMM) }
+// BenchmarkSpMM times the production product in every kernel form this
+// machine runs (sub-benchmarks go/, avx/, avx512/); BenchmarkSpMMOracle is
+// the one-entry loop it replaced.
+func BenchmarkSpMM(b *testing.B) {
+	dense.ForEachKernel(func(name string) {
+		b.Run(name, func(b *testing.B) { benchSpMM(b, SpMM) })
+	})
+}
 func BenchmarkSpMMOracle(b *testing.B) { benchSpMM(b, spmmOracle) }
 
 func benchCOOInput(n, nnzPerRow int) (us, vs []uint32, ws []float64) {

@@ -8,9 +8,9 @@
 // SpMM is the largest single function of a default embed (21 products: two
 // in the rSVD, nineteen in the propagation). A row of the product is one
 // dense.AccumulateRows — the row-accumulate kernel shared with
-// dense.MatMul, in Go and in AVX, whose header says why no sum moves — so
-// SpMM returns the bits of the one-entry loop it replaced (spmmOracle in the
-// tests) at every GOMAXPROCS.
+// dense.MatMul, in Go, AVX and AVX-512, whose header says why no sum
+// moves — so SpMM returns the bits of the one-entry loop it replaced
+// (spmmOracle in the tests) at every GOMAXPROCS.
 package sparse
 
 import (
