@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: tier1 build test determinism harness race vet loc fuzz bench bench-drain bench-sample bench-ann bench-factorize bench-absorb bench-qr bench-spmm bench-cold smoke-replication check all
+.PHONY: tier1 build test determinism harness race vet loc fuzz bench bench-drain bench-sample bench-ann bench-factorize bench-absorb bench-qr bench-spmm bench-cold bench-compress smoke-replication check all
 
 all: tier1 vet
 
@@ -139,6 +139,16 @@ bench-drain:
 # one core and on two.
 bench-sample:
 	$(GO) test -run xxx -bench 'BenchmarkSample$$|BenchmarkSampleSerialFlush|BenchmarkSampleBatched$$|BenchmarkSamplePipelined|BenchmarkSampleBatchedCompressed|BenchmarkSampleBatchedWeighted|RMAT13|BenchmarkGroupOrientation|BenchmarkDynamic|BenchmarkAddEdges' -benchmem -cpu 1,2 -count=3 ./internal/sampler ./internal/dynamic
+
+# The compressed-adjacency read path: the block decoder sweeping every vertex
+# of the compressed RMAT-13 graph into one reused buffer (BenchmarkNeighbors,
+# Marc/s), one random i-th-neighbor fetch (BenchmarkNth: a partial block
+# decode), and the wave sampler walking that graph natively at the harness's
+# embed-stream shape, whose cursors read through both. On one core and on
+# two. -count=5 for benchstat.
+bench-compress:
+	$(GO) test -run xxx -bench 'BenchmarkNeighbors|BenchmarkNth' -benchmem -cpu 1,2 -count=5 ./internal/compress
+	$(GO) test -run xxx -bench 'BenchmarkSampleBatchedRMAT13' -benchmem -cpu 1,2 -count=5 ./internal/sampler
 
 # The sketch's absorb at the harness's embed-stream shape (n = 8 192, d = 32,
 # the trunc-logged RMAT-13 sparsifier, ~0.9 M entries, default sign density):

@@ -59,11 +59,11 @@ func LINE(g *graph.Graph, cfg LINEConfig) (*dense.Matrix, error) {
 	srcOf := make([]uint32, arcs)
 	dstOf := make([]uint32, arcs)
 	var w int64
+	nc := g.NewNeighborCursor()
 	for u := 0; u < n; u++ {
-		d := g.Degree(uint32(u))
-		for i := 0; i < d; i++ {
+		for _, v := range nc.List(uint32(u)) {
 			srcOf[w] = uint32(u)
-			dstOf[w] = g.Neighbor(uint32(u), i)
+			dstOf[w] = v
 			w++
 		}
 	}

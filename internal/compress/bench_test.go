@@ -38,21 +38,6 @@ func BenchmarkBuild(b *testing.B) {
 	b.SetBytes(int64(len(edges) * 4))
 }
 
-func BenchmarkDecodeAll(b *testing.B) {
-	offsets, edges := buildRandomCSR(20000, 20, 2)
-	adj, err := Build(offsets, edges, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var sink uint32
-	for i := 0; i < b.N; i++ {
-		u := uint32(i % 20000)
-		adj.Decode(u, func(v uint32) { sink ^= v })
-	}
-	_ = sink
-}
-
 func BenchmarkNth(b *testing.B) {
 	offsets, edges := buildRandomCSR(20000, 64, 3)
 	adj, err := Build(offsets, edges, 64)

@@ -18,8 +18,10 @@
 package compress
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"lightne/internal/par"
@@ -92,10 +94,7 @@ func encodedSize(u uint32, neighbors []uint32, blockSize int) int {
 	size := 4 * (numBlocks - 1) // offset table
 	for b := 0; b < numBlocks; b++ {
 		lo := b * blockSize
-		hi := lo + blockSize
-		if hi > d {
-			hi = d
-		}
+		hi := min(lo+blockSize, d)
 		size += varintLen(zigzag(int64(neighbors[lo]) - int64(u)))
 		for i := lo + 1; i < hi; i++ {
 			size += varintLen(uint64(neighbors[i] - neighbors[i-1]))
@@ -116,17 +115,10 @@ func encodeInto(dst []byte, u uint32, neighbors []uint32, blockSize int) int {
 	pos := tab
 	for b := 0; b < numBlocks; b++ {
 		if b > 0 {
-			rel := uint32(pos - tab)
-			dst[4*(b-1)] = byte(rel)
-			dst[4*(b-1)+1] = byte(rel >> 8)
-			dst[4*(b-1)+2] = byte(rel >> 16)
-			dst[4*(b-1)+3] = byte(rel >> 24)
+			binary.LittleEndian.PutUint32(dst[4*(b-1):], uint32(pos-tab))
 		}
 		lo := b * blockSize
-		hi := lo + blockSize
-		if hi > d {
-			hi = d
-		}
+		hi := min(lo+blockSize, d)
 		pos += putVarint(dst[pos:], zigzag(int64(neighbors[lo])-int64(u)))
 		for i := lo + 1; i < hi; i++ {
 			pos += putVarint(dst[pos:], uint64(neighbors[i]-neighbors[i-1]))
@@ -212,35 +204,15 @@ func (a *Adjacency) region(u uint32) (data []byte, tab int, d int, ok bool) {
 	if d == 0 {
 		return nil, 0, 0, false
 	}
-	numBlocks := (d + a.blockSize - 1) / a.blockSize
-	tab = 4 * (numBlocks - 1)
+	tab = 4 * (a.NumBlocks(u) - 1)
 	return a.data[a.vtxOffsets[u]:a.vtxOffsets[u+1]], tab, d, true
 }
 
 // Decode calls fn for every neighbor of u in ascending order.
 func (a *Adjacency) Decode(u uint32, fn func(v uint32)) {
-	data, tab, d, ok := a.region(u)
-	if !ok {
-		return
-	}
-	pos := tab
-	remaining := d
-	for remaining > 0 {
-		cnt := a.blockSize
-		if cnt > remaining {
-			cnt = remaining
-		}
-		raw, p := getVarint(data, pos)
-		pos = p
-		v := uint32(int64(u) + unzigzag(raw))
+	var buf [4 * DefaultBlockSize]uint32 // longer lists decode to the heap
+	for _, v := range a.Neighbors(u, buf[:0]) {
 		fn(v)
-		for i := 1; i < cnt; i++ {
-			diff, p := getVarint(data, pos)
-			pos = p
-			v += uint32(diff)
-			fn(v)
-		}
-		remaining -= cnt
 	}
 }
 
@@ -252,21 +224,59 @@ func (a *Adjacency) Nth(u uint32, i int) uint32 {
 	if !ok || i < 0 || i >= d {
 		panic(fmt.Sprintf("compress: neighbor index %d out of range for vertex %d (degree %d)", i, u, d))
 	}
-	block := i / a.blockSize
-	pos := blockStart(data, tab, block)
-	raw, p := getVarint(data, pos)
-	pos = p
-	v := uint32(int64(u) + unzigzag(raw))
-	for k := block*a.blockSize + 1; k <= i; k++ {
-		diff, p := getVarint(data, pos)
-		pos = p
-		v += uint32(diff)
+	var buf [DefaultBlockSize]uint32
+	pos := decodeBlock(data, blockStart(data, tab, i/a.blockSize), u, buf[:1])
+	v := buf[0]
+	for k := i % a.blockSize; k > 0; k -= len(buf) {
+		pos, v = decodeGaps(data, pos, v, buf[:min(k, len(buf))])
 	}
 	return v
 }
 
 // Neighbors appends u's neighbors to dst and returns the extended slice.
 func (a *Adjacency) Neighbors(u uint32, dst []uint32) []uint32 {
-	a.Decode(u, func(v uint32) { dst = append(dst, v) })
+	data, tab, d, ok := a.region(u)
+	if !ok {
+		return dst
+	}
+	w := len(dst)
+	dst = slices.Grow(dst, d)[:w+d]
+	for pos, lo := tab, 0; lo < d; lo += a.blockSize {
+		pos = decodeBlock(data, pos, u, dst[w+lo:w+min(lo+a.blockSize, d)])
+	}
 	return dst
+}
+
+// decodeBlock writes the first len(dst) >= 1 neighbors of u's block at
+// data[pos] into dst and returns the position after them: with decodeGaps,
+// the one decoder of every unchecked read path.
+func decodeBlock(data []byte, pos int, u uint32, dst []uint32) int {
+	raw, pos := getVarint(data, pos)
+	dst[0] = uint32(int64(u) + unzigzag(raw))
+	pos, _ = decodeGaps(data, pos, dst[0], dst[1:])
+	return pos
+}
+
+// decodeGaps adds the len(dst) gap varints at data[pos] to v in turn, writes
+// each running sum to dst, and returns the next position and the last sum.
+// One- and two-byte gaps (nearly all in a sorted list) decode inline; longer
+// ones, and a second byte past len(data), go to getVarint.
+func decodeGaps(data []byte, pos int, v uint32, dst []uint32) (int, uint32) {
+	for i := range dst {
+		b := data[pos]
+		switch {
+		case b < 0x80:
+			v += uint32(b)
+			pos++
+		case pos+1 < len(data) && data[pos+1] < 0x80:
+			v += uint32(b&0x7f) | uint32(data[pos+1])<<7
+			pos += 2
+		default:
+			var g uint64
+			g, pos = getVarint(data, pos)
+			v += uint32(g)
+		}
+		dst[i] = v
+	}
+	return pos, v
 }

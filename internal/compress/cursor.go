@@ -1,5 +1,10 @@
 package compress
 
+import (
+	"encoding/binary"
+	"slices"
+)
+
 // Block-granular decoding for the batched walker (paper §4.2). The wave
 // sampler radix-groups walk states by current vertex between steps, so all
 // lookups against one vertex's adjacency arrive back to back. A Cursor
@@ -11,11 +16,7 @@ package compress
 // NumBlocks returns the number of encoded blocks of vertex u (0 for
 // isolated vertices).
 func (a *Adjacency) NumBlocks(u uint32) int {
-	d := int(a.degrees[u])
-	if d == 0 {
-		return 0
-	}
-	return (d + a.blockSize - 1) / a.blockSize
+	return (int(a.degrees[u]) + a.blockSize - 1) / a.blockSize
 }
 
 // blockStart returns the position of the given block inside the vertex
@@ -24,9 +25,7 @@ func blockStart(data []byte, tab, block int) int {
 	if block == 0 {
 		return tab
 	}
-	off := block - 1
-	rel := uint32(data[4*off]) | uint32(data[4*off+1])<<8 | uint32(data[4*off+2])<<16 | uint32(data[4*off+3])<<24
-	return tab + int(rel)
+	return tab + int(binary.LittleEndian.Uint32(data[4*(block-1):]))
 }
 
 // DecodeBlock appends the neighbors of vertex u stored in the given block
@@ -38,22 +37,10 @@ func (a *Adjacency) DecodeBlock(u uint32, block int, dst []uint32) []uint32 {
 	if !ok || block < 0 || block >= a.NumBlocks(u) {
 		panic("compress: block index out of range")
 	}
-	lo := block * a.blockSize
-	hi := lo + a.blockSize
-	if hi > d {
-		hi = d
-	}
-	pos := blockStart(data, tab, block)
-	raw, p := getVarint(data, pos)
-	pos = p
-	v := uint32(int64(u) + unzigzag(raw))
-	dst = append(dst, v)
-	for i := lo + 1; i < hi; i++ {
-		diff, p := getVarint(data, pos)
-		pos = p
-		v += uint32(diff)
-		dst = append(dst, v)
-	}
+	cnt := min(a.blockSize, d-block*a.blockSize)
+	w := len(dst)
+	dst = slices.Grow(dst, cnt)[:w+cnt]
+	decodeBlock(data, blockStart(data, tab, block), u, dst[w:])
 	return dst
 }
 
@@ -75,21 +62,17 @@ type Cursor struct {
 // sequentially is cheaper than per-block table hops. For sparser groups the
 // cursor stays lazy, decoding only the blocks lookups actually land in.
 func (c *Cursor) Begin(a *Adjacency, u uint32, k int) {
-	c.a, c.u = a, u
-	nb := a.NumBlocks(u)
-	if nb == 0 {
-		c.lazy = false
-		c.buf = c.buf[:0]
-		return
-	}
-	if k >= nb {
-		c.lazy = false
+	c.a, c.u, c.block = a, u, -1
+	c.lazy = k < a.NumBlocks(u)
+	if !c.lazy {
 		c.buf = a.Neighbors(u, c.buf[:0])
-		return
 	}
-	c.lazy = true
-	c.block = -1
 }
+
+// List returns the cursor's buffer and whether it is lazy. Unless lazy, the
+// buffer is the vertex's whole neighbor list, which the caller may index
+// directly until the next Begin.
+func (c *Cursor) List() (list []uint32, lazy bool) { return c.buf, c.lazy }
 
 // Nth returns the i-th neighbor (0-based) of the vertex passed to Begin.
 // Panics if i is out of range, like Adjacency.Nth.

@@ -1,13 +1,17 @@
 package compress
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // FuzzDecode drives the checked decode path over arbitrary single-vertex
 // encodings: a fuzzer-controlled payload with a claimed degree and block
 // size, exactly what an attacker controls in an mmap'd LNGC file. The
-// checked path must never panic; when it accepts the bytes, the cursor,
-// block and Nth decoders must all agree with the sequential decode (a nil
-// DecodeChecked certifies the unchecked paths are in-bounds).
+// checked path must never panic; when it accepts the bytes, every unchecked
+// decoder — Neighbors, Decode, DecodeBlock, Nth and the lazy and full
+// cursors — must agree with the sequential decode (a nil DecodeChecked
+// certifies the unchecked paths are in-bounds).
 func FuzzDecode(f *testing.F) {
 	// Seed with a real encoding and truncations of it at every length —
 	// truncated varints, severed block tables, and short final blocks.
@@ -25,6 +29,19 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(uint16(3), uint8(0), []byte{0x80, 0x80, 0x80})                                    // unterminated varint
 	f.Add(uint16(200), uint8(1), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1}) // huge table
+	// Gap mixes of every varint width, each list's last varint ending the
+	// payload, at block sizes 1, 2 and 64 (TestDecodersAgreeOnAdversarialGaps).
+	for _, nbrs := range gapAdj(rand.New(rand.NewSource(44)), 12) {
+		offsets, edges := buildCSR([][]uint32{nbrs})
+		for _, bs := range []int{1, 2, 64} {
+			a, err := Build(offsets, edges, bs)
+			if err != nil {
+				f.Fatal(err)
+			}
+			_, _, data := a.Sections()
+			f.Add(uint16(len(nbrs)), uint8(bs), data)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, degree uint16, blockSize uint8, data []byte) {
 		bs := int(blockSize)
@@ -52,34 +69,6 @@ func FuzzDecode(f *testing.F) {
 		if len(seq) != int(degree) {
 			t.Fatalf("accepted decode yielded %d neighbors for degree %d", len(seq), degree)
 		}
-		if degree == 0 {
-			return
-		}
-		// Cross-validate every random-access decoder against the sequence.
-		var blocks []uint32
-		for b := 0; b < a.NumBlocks(0); b++ {
-			blocks = a.DecodeBlock(0, b, blocks)
-		}
-		var cur Cursor
-		cur.Begin(a, 0, 1) // lazy mode
-		var full Cursor
-		full.Begin(a, 0, int(degree)+1) // full-decode mode
-		for i, want := range seq {
-			if got, err := a.NthChecked(0, i); err != nil || got != want {
-				t.Fatalf("NthChecked(0,%d)=(%d,%v) want %d", i, got, err, want)
-			}
-			if got := a.Nth(0, i); got != want {
-				t.Fatalf("Nth(0,%d)=%d want %d", i, got, want)
-			}
-			if blocks[i] != want {
-				t.Fatalf("DecodeBlock[%d]=%d want %d", i, blocks[i], want)
-			}
-			if got := cur.Nth(i); got != want {
-				t.Fatalf("lazy cursor Nth(%d)=%d want %d", i, got, want)
-			}
-			if got := full.Nth(i); got != want {
-				t.Fatalf("full cursor Nth(%d)=%d want %d", i, got, want)
-			}
-		}
+		checkDecoders(t, a, [][]uint32{seq})
 	})
 }

@@ -21,10 +21,9 @@ func SplitEdges(g *graph.Graph, testFrac float64, seed uint64) (*graph.Graph, []
 	}
 	var all []graph.Edge
 	n := g.NumVertices()
+	nc := g.NewNeighborCursor()
 	for u := 0; u < n; u++ {
-		d := g.Degree(uint32(u))
-		for i := 0; i < d; i++ {
-			v := g.Neighbor(uint32(u), i)
+		for _, v := range nc.List(uint32(u)) {
 			if uint32(u) < v {
 				all = append(all, graph.Edge{U: uint32(u), V: v})
 			}

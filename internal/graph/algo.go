@@ -25,12 +25,12 @@ func (g *Graph) ConnectedComponents() ([]uint32, int) {
 		var changed int64
 		par.ForRange(n, 256, func(lo, hi int) {
 			var localChanged int64
+			nc := g.NewNeighborCursor()
 			for ui := lo; ui < hi; ui++ {
 				u := uint32(ui)
 				best := labels[u]
-				d := g.Degree(u)
-				for i := 0; i < d; i++ {
-					if l := labels[g.Neighbor(u, i)]; l < best {
+				for _, v := range nc.List(u) {
+					if l := labels[v]; l < best {
 						best = l
 					}
 				}
@@ -70,12 +70,11 @@ func (g *Graph) BFS(src uint32) []int32 {
 	}
 	dist[src] = 0
 	frontier := []uint32{src}
+	nc := g.NewNeighborCursor()
 	for depth := int32(1); len(frontier) > 0; depth++ {
 		var next []uint32
 		for _, u := range frontier {
-			d := g.Degree(u)
-			for i := 0; i < d; i++ {
-				v := g.Neighbor(u, i)
+			for _, v := range nc.List(u) {
 				if dist[v] == -1 {
 					dist[v] = depth
 					next = append(next, v)

@@ -248,17 +248,21 @@ func (g *Graph) Neighbors(u uint32, dst []uint32) []uint32 {
 
 // NeighborCursor serves runs of i-th-neighbor lookups against one vertex at
 // a time — the access pattern of the batched walker, whose radix grouping
-// makes all lookups at a vertex arrive back to back. On uncompressed graphs
-// a lookup is the same slice index Neighbor performs; on compressed graphs
-// the cursor decodes each block the run touches once into its own reusable
-// buffer (compress.Cursor) instead of paying Nth's per-lookup block
-// re-decode. Weighted graphs (never compressed) additionally expose the
-// vertex's alias-table row so a run of keyed weighted draws resolves
-// without re-slicing per state (AliasNeighbor). Keep one cursor per worker;
-// it is not safe for concurrent use.
+// makes all lookups at a vertex arrive back to back, and of every loop over
+// a vertex's adjacency in order (List). On uncompressed graphs a lookup is
+// the same slice index Neighbor performs. On compressed graphs a run that
+// covers the vertex's blocks decodes the whole list once into the cursor's
+// reusable buffer, which the cursor then indexes exactly like a CSR row; a
+// sparser run decodes only the blocks it touches (compress.Cursor) instead
+// of paying Nth's per-lookup block re-decode. Weighted graphs (never
+// compressed) additionally expose the vertex's alias-table row so a run of
+// keyed weighted draws resolves without re-slicing per state
+// (AliasNeighbor). Keep one cursor per worker; it is not safe for
+// concurrent use.
 type NeighborCursor struct {
 	g     *Graph
-	span  []uint32  // current vertex's neighbor view (uncompressed graphs)
+	span  []uint32  // current vertex's neighbors, unless lazy
+	lazy  bool      // compressed, served block by block through cc
 	prob  []float64 // current vertex's alias acceptance row (weighted graphs)
 	alias []uint32  // current vertex's alias fallback row (weighted graphs)
 	cc    compress.Cursor
@@ -275,6 +279,7 @@ func (g *Graph) NewNeighborCursor() NeighborCursor {
 func (c *NeighborCursor) Begin(u uint32, k int) {
 	if c.g.comp != nil {
 		c.cc.Begin(c.g.comp, u, k)
+		c.span, c.lazy = c.cc.List()
 		return
 	}
 	lo, hi := c.g.offsets[u], c.g.offsets[u+1]
@@ -287,10 +292,19 @@ func (c *NeighborCursor) Begin(u uint32, k int) {
 
 // Neighbor returns the i-th neighbor of the vertex passed to Begin.
 func (c *NeighborCursor) Neighbor(i int) uint32 {
-	if c.g.comp != nil {
+	if c.lazy {
 		return c.cc.Nth(i)
 	}
 	return c.span[i]
+}
+
+// List positions the cursor at u and returns all of u's neighbors in
+// ascending order: a view of the CSR row, or on compressed graphs the list
+// decoded into the cursor's buffer. The slice is valid until the next Begin
+// or List and must not be modified.
+func (c *NeighborCursor) List(u uint32) []uint32 {
+	c.Begin(u, c.g.Degree(u))
+	return c.span
 }
 
 // AliasNeighbor draws a weight-proportional neighbor of the vertex passed
@@ -320,21 +334,16 @@ func (g *Graph) ToCompressed(blockSize int) (*Graph, error) {
 	return &Graph{n: g.n, offsets: g.offsets, comp: a}, nil
 }
 
-// MapVertices calls fn(u) for every vertex in parallel.
-func (g *Graph) MapVertices(fn func(u uint32)) {
-	par.For(g.n, 512, func(i int) { fn(uint32(i)) })
-}
-
 // MapEdges calls fn(u, v) for every directed arc in parallel, partitioned by
-// source vertex. This is the GBBS MapEdges primitive Algorithm 2 is built on.
+// source vertex, each vertex's arcs in ascending order. This is the GBBS
+// MapEdges primitive Algorithm 2 is built on.
 func (g *Graph) MapEdges(fn func(u, v uint32)) {
-	g.MapVertices(func(u uint32) {
-		if g.comp != nil {
-			g.comp.Decode(u, func(v uint32) { fn(u, v) })
-			return
-		}
-		for _, v := range g.edges[g.offsets[u]:g.offsets[u+1]] {
-			fn(u, v)
+	par.ForRange(g.n, 512, func(lo, hi int) {
+		nc := g.NewNeighborCursor()
+		for u := lo; u < hi; u++ {
+			for _, v := range nc.List(uint32(u)) {
+				fn(uint32(u), v)
+			}
 		}
 	})
 }

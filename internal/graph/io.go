@@ -246,11 +246,9 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	var buf [24]byte // fits "4294967295 4294967295\n"
 	c := g.NewNeighborCursor()
 	for u := 0; u < g.n; u++ {
-		d := g.Degree(uint32(u))
-		c.Begin(uint32(u), d)
 		head := append(strconv.AppendUint(buf[:0], uint64(u), 10), ' ')
-		for i := 0; i < d; i++ {
-			line := append(strconv.AppendUint(head, uint64(c.Neighbor(i)), 10), '\n')
+		for _, v := range c.List(uint32(u)) {
+			line := append(strconv.AppendUint(head, uint64(v), 10), '\n')
 			if _, err := bw.Write(line); err != nil {
 				return err
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"lightne/internal/rng"
@@ -234,6 +235,42 @@ func TestNeighborCursorUncompressed(t *testing.T) {
 		for i := 0; i < d; i++ {
 			if c.Neighbor(i) != g.Neighbor(u, i) {
 				t.Fatalf("cursor mismatch at vertex %d idx %d", u, i)
+			}
+		}
+	}
+}
+
+// TestNeighborCursorCompressedMatchesNth checks the cursor on compressed
+// graphs at block sizes 1, 2 and 64 against Neighbor (compress.Nth) in both
+// modes: a run covering the vertex's blocks (the decoded list indexed
+// directly) and a single lookup (lazy, block by block), and List against
+// Neighbors.
+func TestNeighborCursorCompressedMatchesNth(t *testing.T) {
+	r := rng.New(9, 0)
+	var arcs []Edge
+	for i := 0; i < 6000; i++ {
+		u := uint32(r.Intn(300))
+		arcs = append(arcs, Edge{u, uint32(r.Intn(300))}, Edge{0, u}) // vertex 0 is a hub
+	}
+	for _, bs := range []int{1, 2, 64} {
+		g, err := FromEdges(300, arcs, Options{Symmetrize: true, RemoveSelfLoops: true, Compress: true, BlockSize: bs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := g.NewNeighborCursor()
+		for u := uint32(0); int(u) < g.NumVertices(); u++ {
+			d := g.Degree(u)
+			list := c.List(u)
+			if want := g.Neighbors(u, nil); !slices.Equal(list, want) {
+				t.Fatalf("bs=%d vertex %d: List %v, Neighbors %v", bs, u, list, want)
+			}
+			for _, k := range []int{d, 1} {
+				c.Begin(u, k)
+				for i := 0; i < d; i++ {
+					if got, want := c.Neighbor(i), g.Neighbor(u, i); got != want {
+						t.Fatalf("bs=%d vertex %d k=%d idx %d: cursor %d, Nth %d", bs, u, k, i, got, want)
+					}
+				}
 			}
 		}
 	}

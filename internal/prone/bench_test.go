@@ -42,3 +42,36 @@ func BenchmarkPropagate(b *testing.B) {
 }
 
 func BenchmarkPropagateOracle(b *testing.B) { benchPropagate(b, propagateOracle) }
+
+// BenchmarkAdjacencyReads times the two per-arc adjacency sweeps Propagate
+// and Factorize start from — A + I (adjacencyWithSelfLoops) and ProNE's
+// modulated matrix (FactorizationMatrix) — on RMAT-13 (edge factor 20), raw
+// and compressed at the default block size: the compressed rows read each
+// list through one full decode.
+func BenchmarkAdjacencyReads(b *testing.B) {
+	raw, err := gen.RMAT(gen.RMATConfig{Scale: 13, EdgeFactor: 20, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	comp, err := raw.ToCompressed(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, form := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"raw", raw}, {"compressed", comp}} {
+		b.Run("selfloops/"+form.name, func(b *testing.B) {
+			for range b.N {
+				adjacencyWithSelfLoops(form.g)
+			}
+		})
+		b.Run("factorization/"+form.name, func(b *testing.B) {
+			for range b.N {
+				if _, err := FactorizationMatrix(form.g, 0.75, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -96,14 +96,15 @@ func FactorizationMatrix(g *graph.Graph, alpha, b float64) (*sparse.CSR, error) 
 	deg := g.Strengths() // weighted degrees; equals Degrees when unweighted
 	// t_v = Σ_i A_iv/d_i. For an undirected graph, iterate arcs (v, i).
 	tv := make([]float64, n)
-	par.For(n, 64, func(vi int) {
-		v := uint32(vi)
-		d := g.Degree(v)
-		var s float64
-		for k := 0; k < d; k++ {
-			s += g.EdgeWeight(v, k) / deg[g.Neighbor(v, k)]
+	par.ForRange(n, 64, func(lo, hi int) {
+		nc := g.NewNeighborCursor()
+		for vi := lo; vi < hi; vi++ {
+			var s float64
+			for k, u := range nc.List(uint32(vi)) {
+				s += g.EdgeWeight(uint32(vi), k) / deg[u]
+			}
+			tv[vi] = s
 		}
-		tv[vi] = s
 	})
 	var z float64
 	talpha := make([]float64, n)
@@ -124,15 +125,15 @@ func FactorizationMatrix(g *graph.Graph, alpha, b float64) (*sparse.CSR, error) 
 		ColIdx: make([]uint32, counts[n]),
 		Val:    make([]float64, counts[n]),
 	}
-	par.For(n, 64, func(ui int) {
-		u := uint32(ui)
-		d := g.Degree(u)
-		w := mat.RowPtr[ui]
-		for k := 0; k < d; k++ {
-			v := g.Neighbor(u, k)
-			mat.ColIdx[w] = v
-			mat.Val[w] = (g.EdgeWeight(u, k) / deg[ui]) * z / (b * talpha[v])
-			w++
+	par.ForRange(n, 64, func(lo, hi int) {
+		nc := g.NewNeighborCursor()
+		for ui := lo; ui < hi; ui++ {
+			w := mat.RowPtr[ui]
+			for k, v := range nc.List(uint32(ui)) {
+				mat.ColIdx[w] = v
+				mat.Val[w] = (g.EdgeWeight(uint32(ui), k) / deg[ui]) * z / (b * talpha[v])
+				w++
+			}
 		}
 	})
 	return mat.TruncLog(), nil
@@ -307,26 +308,27 @@ func adjacencyWithSelfLoops(g *graph.Graph) *sparse.CSR {
 		ColIdx: make([]uint32, counts[n]),
 		Val:    make([]float64, counts[n]),
 	}
-	par.For(n, 64, func(ui int) {
-		u := uint32(ui)
-		w := m.RowPtr[ui]
-		placedSelf := false
-		d := g.Degree(u)
-		for k := 0; k < d; k++ {
-			v := g.Neighbor(u, k)
-			if !placedSelf && v > u {
+	par.ForRange(n, 64, func(lo, hi int) {
+		nc := g.NewNeighborCursor()
+		for ui := lo; ui < hi; ui++ {
+			u := uint32(ui)
+			w := m.RowPtr[ui]
+			placedSelf := false
+			for k, v := range nc.List(u) {
+				if !placedSelf && v > u {
+					m.ColIdx[w] = u
+					m.Val[w] = 1
+					w++
+					placedSelf = true
+				}
+				m.ColIdx[w] = v
+				m.Val[w] = g.EdgeWeight(u, k)
+				w++
+			}
+			if !placedSelf {
 				m.ColIdx[w] = u
 				m.Val[w] = 1
-				w++
-				placedSelf = true
 			}
-			m.ColIdx[w] = v
-			m.Val[w] = g.EdgeWeight(u, k)
-			w++
-		}
-		if !placedSelf {
-			m.ColIdx[w] = u
-			m.Val[w] = 1
 		}
 	})
 	return m

@@ -121,14 +121,12 @@ func enumerateHeads(g *graph.Graph, cfg Config, cursors []graph.NeighborCursor) 
 		region := arr[off[b]:off[b+1]]
 		for ui := lo; ui < hi; ui++ {
 			u := uint32(ui)
-			du := g.Degree(u)
-			if du == 0 {
+			nbrs := nc.List(u)
+			if len(nbrs) == 0 {
 				continue
 			}
-			nc.Begin(u, du)
 			src.Seed(cfg.Seed, uint64(u))
-			for i := 0; i < du; i++ {
-				v := nc.Neighbor(i)
+			for i, v := range nbrs {
 				ew := g.EdgeWeight(u, i)
 				perArc := perUnit * ew
 				ne := int64(perArc)

@@ -158,15 +158,15 @@ func samplePairs(g *graph.Graph, cfg Config) (keys, fixed [][]uint64, stats Stat
 	par.WorkerFor(n, 32, func(w, lo, hi int) {
 		var src rng.Source
 		var localTrials, localHeads int64
+		nc := g.NewNeighborCursor()
 		for ui := lo; ui < hi; ui++ {
 			u := uint32(ui)
-			du := g.Degree(u)
-			if du == 0 {
+			nbrs := nc.List(u)
+			if len(nbrs) == 0 {
 				continue
 			}
 			src.Seed(cfg.Seed, uint64(u))
-			for i := 0; i < du; i++ {
-				v := g.Neighbor(u, i)
+			for i, v := range nbrs {
 				ew := g.EdgeWeight(u, i)
 				ne := trialCount(perUnit*ew, &src)
 				if ne == 0 {
