@@ -40,28 +40,32 @@ harness:
 # paper's CAS + xadd table (internal/hashtable: batches split over the
 # workers racing single-pair inserts, claims colliding at the full 7/8
 # load) and the par primitives, the bucketed grouping (work-stolen buckets
-# writing disjoint rows) with its sweep over GOMAXPROCS, the row-transform
-# kernel (netsmf), the sampler's stress test of the incremental pass's
-# pairs inserted into that table from all workers and drained, the per-arc
-# and incremental passes' per-worker pair buffers and the batched pass's
-# waves and grouping, the parallel compressed-adjacency builder
-# (unsorted-input error reporting races the workers), and the
-# fault-injection harness driving the supervised ingest loop and the
-# leader→follower replication suite (mid-ship kills, corrupt payloads,
-# leader-death degradation), the edge-list parser (graph: pieces of a block
-# parsed on all workers, swept over GOMAXPROCS), plus the pipelined QR (dense: R on the caller, Q groups on the workers), the
+# writing disjoint rows) with its sweep over GOMAXPROCS and the upper
+# triangle's mirror, the sparsifier build (netsmf: the entry-balanced
+# transform and the mirror, swept over GOMAXPROCS), the sampler's stress
+# test of the incremental pass's pairs inserted into that table from all
+# workers and drained, the per-arc and incremental passes' per-worker pair
+# buffers and the batched pass's waves and grouping, the parallel
+# compressed-adjacency builder (unsorted-input error reporting races the
+# workers), and the fault-injection harness driving the supervised ingest
+# loop and the leader→follower replication suite (mid-ship kills, corrupt
+# payloads, leader-death degradation), the edge-list parser (graph: pieces
+# of a block parsed on all workers, swept over GOMAXPROCS), plus the
+# pipelined QR (dense: R on the caller, Q groups on the workers), the
 # row-parallel SpMM with its row epilogue (sparse) and the propagation that
-# rewrites shared buffers from that epilogue (prone). The second line runs the
-# determinism tests of the full pipeline (core), the third the root package's
-# crash-safe checkpoint, fault-injection, and end-to-end replication tests
-# (kill-mid-write, CRC fallback, failover smoke, checkpoint-rewrite racing
-# hot-swap) under the detector without dragging the full factorization test
-# suite through -race, and the fourth E12's three aggregation strategies on
-# one concurrent sample stream (experiments), the table's one concurrent
-# user outside the tests, without the package's other experiments.
+# rewrites shared buffers from that epilogue (prone). The second line runs
+# the determinism and bit-identity tests of the full pipeline (core), so
+# the sparsifier build inside EmbedTable runs under the detector end to
+# end, the third the root package's crash-safe checkpoint, fault-injection,
+# and end-to-end replication tests (kill-mid-write, CRC fallback, failover
+# smoke, checkpoint-rewrite racing hot-swap) under the detector without
+# dragging the full factorization test suite through -race, and the fourth
+# E12's three aggregation strategies on one concurrent sample stream
+# (experiments), the table's one concurrent user outside the tests, without
+# the package's other experiments.
 race:
 	$(GO) test -race ./internal/serve ./internal/ann ./internal/dynamic ./internal/hashtable ./internal/par ./internal/netsmf ./internal/sampler ./internal/compress ./internal/faultinject ./internal/svd ./internal/dense ./internal/sparse ./internal/prone ./internal/graph
-	$(GO) test -race -run Deterministic ./internal/core
+	$(GO) test -race -run 'Deterministic|BitIdentical' ./internal/core
 	$(GO) test -race -run 'Checkpoint|Embedding|Replication' .
 	$(GO) test -race -run 'AllStrategiesAgree|StreamDeterministic' ./internal/experiments
 

@@ -68,11 +68,11 @@ type Config struct {
 	// 1 024 is an error.
 	Shards int
 	// StreamedSVD factorizes with the single-pass sketch instead of the
-	// multi-pass randomized SVD: the drained sparsifier streams through the
-	// estimator scaling directly into sketch accumulators,
-	// so the scaled matrix is never resident and the dense working set
-	// shrinks (see EstimateMemory's sketch mode). PowerIters is ignored;
-	// accuracy is bought with oversampling instead.
+	// multi-pass randomized SVD: the sketch absorbs the scaled sparsifier,
+	// built as for the rSVD, in one pass, so the dense working set shrinks
+	// (see EstimateMemory's sketch mode). The scaled matrix is resident, as
+	// for the rSVD; the raw full one never is, on either path. PowerIters is
+	// ignored; accuracy is bought with oversampling instead.
 	StreamedSVD bool
 	// Sketch picks the StreamedSVD test-matrix family (zero value:
 	// svd.SketchSparseSign, the cheap default; svd.SketchGaussian is the
@@ -168,20 +168,20 @@ func Embed(g *graph.Graph, cfg Config) (*Result, error) {
 	}
 	start := time.Now()
 	var (
-		table sampler.Sink
+		up    *sampler.Upper
 		stats sampler.Stats
 		err   error
 	)
 	if cfg.BatchedWalks {
-		table, stats, err = sampler.SampleBatched(g, cfg.Sampler(g), cfg.WaveSize)
+		up, stats, err = sampler.SampleBatched(g, cfg.Sampler(g), cfg.WaveSize)
 	} else {
-		table, stats, err = sampler.Sample(g, cfg.Sampler(g))
+		up, stats, err = sampler.Sample(g, cfg.Sampler(g))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("lightne: sampling: %w", err)
 	}
 	sampling := time.Since(start)
-	res, err := EmbedTable(g, table, stats.Trials, cfg)
+	res, err := EmbedTable(g, up, stats.Trials, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -190,63 +190,50 @@ func Embed(g *graph.Graph, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// streamChunkEntries caps the raw entries per streamed chunk: 2^20 entries is
-// ~12 MiB of drained CSR per chunk, big enough to amortize the per-chunk
-// sketch pass and small enough that the one reused transform buffer is
-// noise next to the sketch itself. The value never affects results — chunk
-// boundaries are whole rows (sampler.ChunkRows) and sketch absorption is
-// chunk-order-independent — so it is a constant, not a Config knob.
-const streamChunkEntries = 1 << 20
-
-// EmbedTable is the one hand-off from an aggregation sink to the embedding,
+// EmbedTable is the one hand-off from a sampling pass to the embedding,
 // shared by Embed and the incremental embedder (internal/dynamic): the
-// fully-sorted drain, the row transform (estimator scaling + trunc_log), the
-// factorization, X = U·Σ^{1/2} and (unless SkipPropagation) spectral
-// propagation. trials is the realized sample count M̂ accumulated in sink; of
-// cfg the sampling fields are not read. A hash-table sink is left intact; a
-// full pass's sink hands over its grouped arrays, which the multi-pass
-// path reads into a separately allocated scaled matrix, so the raw and the
-// scaled CSR are resident together. Result.SampleStats is the caller's to
-// fill.
+// sparsifier build (netsmf.Sparsifier: estimator scaling and trunc_log of
+// the pass's grouped upper triangle, then one mirror into the full scaled
+// CSR), the factorization, X = U·Σ^{1/2} and (unless SkipPropagation)
+// spectral propagation. trials is the realized sample count M̂ of up; of
+// cfg the sampling fields are not read. No path writes the raw full CSR:
+// the sparse state peaks while the mirror writes the full scaled CSR beside
+// the upper triangles, and after the build only the full scaled CSR stays.
+// Result.SampleStats is the caller's to fill. Timing.Sparsifier covers the
+// build; Timing.SVD covers the factorization, the sketch's allocation and
+// absorb of the matrix included.
 //
 // Because per-vertex RNG streams fix the sample multiset, fixed-point
-// accumulation is exact and commutative, and the grouping sort (or a
-// table's fully-sorted drain) is a pure function of that multiset, the
-// drained matrix is bit-identical for every worker count. The scaled matrix is bit-stable too:
-// vol(G) is an exact integer for unweighted graphs and a fixed-geometry
-// deterministic reduction (par.ReduceFloat64Det) for weighted ones, and the
-// transform is a pure function of (entry, vol, degrees).
+// accumulation is exact and commutative, and the grouping sort is a pure
+// function of that multiset, the upper triangle is bit-identical for every
+// worker count. The scaled matrix is bit-stable too: vol(G) is an exact
+// integer for unweighted graphs and a fixed-geometry deterministic
+// reduction (par.ReduceFloat64Det) for weighted ones, the transform is a
+// pure function of (entry, vol, degrees), and the mirror copies entries.
+// The matrix is exactly symmetric bitwise (DESIGN.md "Numerics"), so both
+// factorizers take it as its own transpose.
 //
-// The multi-pass path transforms all rows at once and runs the randomized
-// SVD on the materialized matrix. The matrix is exactly symmetric bitwise —
-// every sample counts in both orientations with the same fixed-point weight,
-// and the estimator scaling is symmetric in (i, j) — so the SVD reuses it as
-// its own transpose instead of materializing a second CSR.
-//
-// The single-pass path (StreamedSVD) transforms whole-row chunks
-// (sampler.ChunkRows) straight into a sketch accumulator: the scaled matrix
-// is never materialized — the resident sparse state is the drained raw CSR
-// plus one reused chunk buffer — and the dense working set is the sketch's
-// 3·n·k + Ω instead of the rSVD's 5·n·k. Each chunk is transformed, then
-// absorbed, both row-parallel inside (DESIGN.md, Streaming). Chunks cover
-// disjoint whole rows, per-row accumulation into the sketch is sequential,
-// and the chunk boundaries are a pure function of the (deterministic)
-// drained row pointers.
-func EmbedTable(g *graph.Graph, sink sampler.Sink, trials int64, cfg Config) (*Result, error) {
+// The multi-pass path runs the randomized SVD on the matrix. The
+// single-pass path (StreamedSVD) absorbs the whole matrix into a sketch
+// accumulator in one row-parallel Absorb (per-row accumulation is
+// sequential, so the sketch is bit-stable) and factorizes it; its dense
+// working set is the sketch's 3·n·k + Ω instead of the rSVD's 5·n·k.
+func EmbedTable(g *graph.Graph, up *sampler.Upper, trials int64, cfg Config) (*Result, error) {
 	b := cfg.NegSamples
 	if b <= 0 {
 		b = 1
 	}
-	n := g.NumVertices()
 	start := time.Now()
-	rowPtr, cols, ws := sink.DrainCSR(n)
-	var (
-		res            *svd.Result
-		nnz            int64
-		sparsifierTime time.Duration
-	)
+	mat, err := netsmf.Sparsifier(g, up, b, trials)
+	if err != nil {
+		return nil, err
+	}
+	sparsifierTime := time.Since(start)
+
+	start = time.Now()
+	var res *svd.Result
 	if cfg.StreamedSVD {
-		sk, err := svd.NewSketch(n, cfg.Dim, svd.SketchOptions{
+		sk, err := svd.NewSketch(g.NumVertices(), cfg.Dim, svd.SketchOptions{
 			Seed:       cfg.Seed + 1,
 			Kind:       cfg.Sketch,
 			Oversample: cfg.Oversample,
@@ -254,29 +241,11 @@ func EmbedTable(g *graph.Graph, sink sampler.Sink, trials int64, cfg Config) (*R
 		if err != nil {
 			return nil, fmt.Errorf("lightne: sketch: %w", err)
 		}
-		tr := netsmf.NewTransform(g, rowPtr, cols, ws, b, trials)
-		var chunk svd.RowChunk
-		bounds := sampler.ChunkRows(rowPtr, streamChunkEntries)
-		for c := 0; c+1 < len(bounds); c++ {
-			tr.Rows(bounds[c], bounds[c+1], &chunk)
-			nnz += chunk.NNZ()
-			sk.Absorb(chunk)
-		}
-		sparsifierTime = time.Since(start)
-
-		start = time.Now()
+		sk.Absorb(svd.RowChunk{RowPtr: mat.RowPtr, Cols: mat.ColIdx, Vals: mat.Val})
 		if res, err = sk.Factorize(); err != nil {
 			return nil, fmt.Errorf("lightne: sketch factorization: %w", err)
 		}
 	} else {
-		mat, err := netsmf.BuildMatrixCSR(g, rowPtr, cols, ws, b, trials)
-		if err != nil {
-			return nil, err
-		}
-		nnz = mat.NNZ()
-		sparsifierTime = time.Since(start)
-
-		start = time.Now()
 		res, err = svd.RandomizedSVD(mat, cfg.Dim, svd.Options{
 			Seed:       cfg.Seed + 1,
 			Oversample: cfg.Oversample,
@@ -292,7 +261,7 @@ func EmbedTable(g *graph.Graph, sink sampler.Sink, trials int64, cfg Config) (*R
 		Embedding:     x,
 		Initial:       x,
 		Sigma:         res.Sigma,
-		SparsifierNNZ: nnz,
+		SparsifierNNZ: mat.NNZ(),
 		Timing:        Timing{Sparsifier: sparsifierTime, SVD: time.Since(start)},
 	}
 	if cfg.SkipPropagation {

@@ -26,8 +26,8 @@ type MemoryEstimate struct {
 	// hash table, in either mode: one 16 B (key, fixed) pair per expected
 	// head (the head's one orientation), hashtable.GroupCSR's bucket scatter
 	// of those pairs plus its per-worker sort scratch, and the
-	// upper-triangle CSR the mirror reads to write the full one
-	// (SparsifierBytes or StreamBytes).
+	// upper-triangle CSR they group into, which the sparsifier build scales
+	// and mirrors into SparsifierBytes. No raw full CSR is written.
 	TableBytes int64
 	// PeakTableBytes is the high-water mark of TableBytes' arrays, which
 	// Total budgets (sampler.Stats.PeakTableBytes reports the realized
@@ -45,15 +45,9 @@ type MemoryEstimate struct {
 	// BatchedWalks on a compressed graph — the raw-CSR walker reads
 	// adjacency in place.
 	DecodeBufferBytes int64
-	// SparsifierBytes is the CSR holding the drained, trunc-logged matrix.
-	// Zero in sketch mode (StreamedSVD): the scaled matrix is never
-	// materialized — see StreamBytes.
+	// SparsifierBytes is the full CSR of the trunc-logged matrix, which
+	// both factorizers read: 12 bytes per entry plus row pointers.
 	SparsifierBytes int64
-	// StreamBytes is the drained raw CSR resident while the streamed
-	// factorization consumes it chunk by chunk (StreamedSVD only): the same
-	// 12 bytes per entry plus row pointers the sparsifier would occupy, but
-	// no scaled copy ever coexists with it. Zero in rSVD mode.
-	StreamBytes int64
 	// DenseBytes covers the factorization's dense working set (the
 	// randomized-SVD iterates, or in sketch mode the two sketch accumulators
 	// plus test matrices) and the propagation workspace
@@ -69,11 +63,11 @@ type MemoryEstimate struct {
 	AliasTableBytes int64
 }
 
-// Total sums all components. The grouping arrays and the sparsifier
+// Total sums all components. The upper triangle and the sparsifier
 // coexist while the mirror writes it, so the sum is the honest peak.
 func (m MemoryEstimate) Total() int64 {
 	return m.PeakTableBytes + m.WalkBufferBytes + m.DecodeBufferBytes +
-		m.SparsifierBytes + m.StreamBytes + m.DenseBytes + m.GraphBytes + m.AliasTableBytes
+		m.SparsifierBytes + m.DenseBytes + m.GraphBytes + m.AliasTableBytes
 }
 
 // EstimateMemory predicts an Embed run's peak memory without running it.
@@ -150,18 +144,13 @@ func EstimateMemory(g *graph.Graph, cfg Config) (MemoryEstimate, error) {
 		}
 	}
 	if cfg.StreamedSVD {
-		// Sketch mode never materializes the scaled sparsifier: the drained
-		// raw CSR (StreamBytes, same arrays the sparsifier would occupy)
-		// streams through one bounded transform buffer into the
-		// accumulators, so SparsifierBytes moves to StreamBytes and the dense
-		// side is the range sketch Y (n×k), the co-range sketch Z (n×l) and
-		// the test matrices: 8·s bytes per row for sparse-sign Ω and Ψ (one
-		// folded column-and-sign uint32 per ±1 entry of each), two more
-		// dense matrices for Gaussian. Smaller than the rSVD's five n×k
-		// whenever d ≥ 16 with the sign default (the planner's strict-lower
+		// Sketch mode absorbs the same sparsifier; its dense side is the
+		// range sketch Y (n×k), the co-range sketch Z (n×l) and the test
+		// matrices: 8·s bytes per row for sparse-sign Ω and Ψ (one folded
+		// column-and-sign uint32 per ±1 entry of each), two more dense
+		// matrices for Gaussian. Smaller than the rSVD's five n×k whenever
+		// d ≥ 16 with the sign default (the planner's strict-lower
 		// guarantee); Gaussian is the accuracy cross-check and prices higher.
-		est.StreamBytes = est.SparsifierBytes
-		est.SparsifierBytes = 0
 		k, l := svd.SketchWidths(g.NumVertices(), cfg.Dim, cfg.Oversample)
 		est.DenseBytes = n * int64(k+l) * 8
 		if cfg.Sketch == svd.SketchGaussian {

@@ -1,7 +1,8 @@
 package core
 
 // The factorization-stage tests: each runs Embed with SkipPropagation, i.e.
-// the sampling pass plus EmbedTable's drain → transform → {rSVD | sketch}.
+// the sampling pass plus EmbedTable's build (trunc-log the upper triangle,
+// mirror) → {rSVD | sketch}.
 
 import (
 	"fmt"
@@ -235,10 +236,9 @@ func TestWeightedRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStreamedNNZMatchesMaterialized pins the streamed path against the
-// materializing one in aggregate: the chunks EmbedTable absorbs must hold
-// exactly as many trunc-logged entries as BuildMatrixCSR keeps on the same
-// drain.
+// TestStreamedNNZMatchesMaterialized pins the sketch path against the
+// full drain in aggregate: the matrix EmbedTable absorbs must hold exactly
+// as many trunc-logged entries as BuildMatrixCSR keeps on the same drain.
 func TestStreamedNNZMatchesMaterialized(t *testing.T) {
 	g := randGraph(t, 400, 2, 11)
 	cfg := Config{T: 4, M: 200_000, Seed: 23, Dim: 8, Oversample: 8, SkipPropagation: true}
@@ -264,6 +264,69 @@ func TestStreamedNNZMatchesMaterialized(t *testing.T) {
 	}
 	if res.SampleStats.Trials != stats.Trials {
 		t.Fatalf("trials diverged: %d vs %d", res.SampleStats.Trials, stats.Trials)
+	}
+}
+
+// TestEmbedTableBitIdenticalToDrainPath: EmbedTable, which builds the
+// sparsifier from the pass's upper triangle, gives the embedding of the
+// path it replaced, bit for bit, at GOMAXPROCS 1, 2 and 4: BuildMatrixCSR
+// on the full drain, then the rSVD, or a sketch absorbing that matrix in
+// whole-row chunks of at most 1 000 entries (sampler.ChunkRows), as the
+// streamed path did.
+func TestEmbedTableBitIdenticalToDrainPath(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	g := randGraph(t, 400, 2, 11)
+	n := g.NumVertices()
+	up, stats, err := sampler.Sample(g, sampler.Config{T: 4, M: 200_000, Downsample: true, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		rowPtr, cols, ws := up.DrainCSR(n)
+		mat, err := netsmf.BuildMatrixCSR(g, rowPtr, cols, ws, 1, stats.Trials)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, streamed := range []bool{false, true} {
+			cfg := Config{T: 4, Seed: 23, Dim: 8, Oversample: 8, SkipPropagation: true, StreamedSVD: streamed}
+			var want *svd.Result
+			if streamed {
+				sk, err := svd.NewSketch(n, cfg.Dim, svd.SketchOptions{Seed: cfg.Seed + 1, Oversample: cfg.Oversample})
+				if err != nil {
+					t.Fatal(err)
+				}
+				bounds := sampler.ChunkRows(mat.RowPtr, 1000)
+				for c := 0; c+1 < len(bounds); c++ {
+					lo, hi := bounds[c], bounds[c+1]
+					local := make([]int64, hi-lo+1)
+					for i := range local {
+						local[i] = mat.RowPtr[lo+i] - mat.RowPtr[lo]
+					}
+					sk.Absorb(svd.RowChunk{RowLo: lo, RowPtr: local,
+						Cols: mat.ColIdx[mat.RowPtr[lo]:mat.RowPtr[hi]], Vals: mat.Val[mat.RowPtr[lo]:mat.RowPtr[hi]]})
+				}
+				want, err = sk.Factorize()
+			} else {
+				want, err = svd.RandomizedSVD(mat, cfg.Dim, svd.Options{Seed: cfg.Seed + 1, Oversample: cfg.Oversample, Symmetric: true})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantX := svd.EmbedFromSVD(want)
+			res, err := EmbedTable(g, up, stats.Trials, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SparsifierNNZ != mat.NNZ() {
+				t.Fatalf("procs=%d streamed=%v: EmbedTable kept %d entries, the drain build %d", procs, streamed, res.SparsifierNNZ, mat.NNZ())
+			}
+			for i, w := range wantX.Data {
+				if got := res.Embedding.Data[i]; math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("procs=%d streamed=%v: element %d = %v, drain path %v", procs, streamed, i, got, w)
+				}
+			}
+		}
 	}
 }
 
@@ -346,10 +409,11 @@ func TestStreamedWeightedQuality(t *testing.T) {
 
 // TestStreamedGolden: with a fixed seed the streamed embedding is
 // bit-identical across worker counts, aggregation shard counts, and
-// batched-walker wave sizes. The sparsifier multiset, the drain order, the
-// chunk boundaries, the sketch accumulation, and every dense reduction in the
-// factorization are all schedule-independent, so the full pipeline composes
-// to a deterministic function of (graph, config). See DESIGN.md "Numerics".
+// batched-walker wave sizes. The sparsifier multiset, the grouping order,
+// the build's blocks, the sketch accumulation, and every dense reduction in
+// the factorization are all schedule-independent, so the full pipeline
+// composes to a deterministic function of (graph, config). See DESIGN.md
+// "Numerics".
 func TestStreamedGolden(t *testing.T) {
 	g := randGraph(t, 400, 2, 43)
 	base := Config{

@@ -222,7 +222,7 @@ func (e *Embedder) Embed() (*dense.Matrix, error) {
 }
 
 // sink groups the kept samples over the current vertex set.
-func (e *Embedder) sink() sampler.Sink {
+func (e *Embedder) sink() *sampler.Upper {
 	stats := sampler.Stats{Trials: e.trials, Heads: e.heads}
 	return sampler.Group(e.keys, e.fixed, e.g.NumVertices(), &stats)
 }

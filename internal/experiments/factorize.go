@@ -129,7 +129,7 @@ func E14FactorizationModes(opt Options) (*Report, error) {
 				}
 			}
 		}
-		fact := est.SparsifierBytes + est.StreamBytes + est.DenseBytes
+		fact := est.SparsifierBytes + est.DenseBytes
 		rows = append(rows, []string{
 			v.name,
 			dur(res.Timing.Total()),
@@ -144,8 +144,8 @@ func E14FactorizationModes(opt Options) (*Report, error) {
 		ID:    "E14",
 		Title: "Extension: single-pass sketched factorization vs multi-pass rSVD",
 		PaperRef: "paper §3.2/§5.3: the factorization's dense working set and the resident sparsifier bound " +
-			"the affordable sample count under the memory bottleneck; the single-pass sketch removes the " +
-			"scaled CSR and three of the five dense iterates",
+			"the affordable sample count under the memory bottleneck; the single-pass sketch removes three " +
+			"of the five dense iterates",
 		Headers: []string{"factorization", "time", "planner total", "planner factorize", "measured heap HW", "sigma rel err"},
 		Rows:    rows,
 		Notes: []string{

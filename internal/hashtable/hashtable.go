@@ -5,12 +5,13 @@
 // buckets of rows, each bucket sorts in cache, and equal keys merge as it is
 // written out, their fixed-point weights summed. The fully sorted layout is
 // unique, so the arrays are a pure function of the pair multiset, whatever
-// the worker count. GroupSymmetricCSR groups one orientation of symmetric
-// pairs so and writes the other by a transpose: the aggregation of every
-// sampling pass, each of which holds its pairs (the incremental one across
-// batches) until they are grouped. Given keys alone, GroupCSR is the
-// module's one grouping sort: the graph builder turns packed arcs into
-// adjacency through it.
+// the worker count. GroupUpperCSR groups one orientation of symmetric pairs
+// so, into the upper triangle, and Mirror writes the other orientation by a
+// transpose: the aggregation of every sampling pass, each of which holds its
+// pairs (the incremental one across batches) until they are grouped, and
+// the sparsifier build, which mirrors the trunc-logged upper triangle once.
+// Given keys alone, GroupCSR is the module's one grouping sort: the graph
+// builder turns packed arcs into adjacency through it.
 //
 // Table is the design the paper aggregates with instead (§4.2, "Sparse
 // Parallel Hashing"): the folklore concurrent open-addressing table, whose

@@ -3,7 +3,7 @@ package hashtable
 import "lightne/internal/par"
 
 // SymmetricPair is the one pair a symmetric sample of (u, v) deposits for
-// GroupSymmetricCSR: the key of its endpoints in ascending order, with its
+// GroupUpperCSR: the key of its endpoints in ascending order, with its
 // fixed-point weight, doubled when u == v, where both orientations land on
 // one key. In uint64 arithmetic the doubled weight equals the sum of the two
 // oriented pairs, wraparound included.
@@ -14,45 +14,57 @@ func SymmetricPair(u, v uint32, fixed uint64) (key, f uint64) {
 	return Key(min(u, v), max(u, v)), fixed
 }
 
-// GroupSymmetricCSR groups one-orientation pairs into the symmetric CSR
-// their two orientations make. Each key (u, v) has u <= v and stands for
-// (u, v) and (v, u), each with its weight; SymmetricPair builds such pairs.
-// The pairs are given as segments, keys[i] with fixed[i], which are read
-// where they lie, never concatenated, and not modified. The arrays equal
-// GroupCSR's on the pairs in both orientations, bit for bit, since a key's
-// two orientations carry the same fixed-point sum. It panics if a key has
-// u > v, if a vertex is >= numRows, or if a segment's weights do not pair
-// up with its keys.
-//
-// The pairs group once, into the upper triangle (diagonal included), by
-// GroupCSR's bucket sort; a stable counting transpose then writes each full
-// row as the row's entries below the diagonal, which are the upper
-// triangle's column r in ascending row order, followed by its upper row.
-func GroupSymmetricCSR(keys, fixed [][]uint64, numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
+// GroupUpperCSR groups one-orientation pairs into the upper triangle
+// (diagonal included) of the symmetric CSR their two orientations make.
+// Each key (u, v) has u <= v and stands for (u, v) and (v, u), each with its
+// weight; SymmetricPair builds such pairs. The pairs are given as segments,
+// keys[i] with fixed[i], which are read where they lie, never concatenated,
+// and not modified. The grouping is GroupCSR's bucket sort, and Mirror of
+// its arrays equals GroupCSR's on the pairs in both orientations, bit for
+// bit, since a key's two orientations carry the same fixed-point sum. It
+// panics if a key has u > v, if a vertex is >= numRows, or if a segment's
+// weights do not pair up with its keys.
+func GroupUpperCSR(keys, fixed [][]uint64, numRows int) (rowPtr []int64, cols []uint32, ws []float64) {
 	if fixed == nil {
-		panic("hashtable: GroupSymmetricCSR needs weights")
+		panic("hashtable: GroupUpperCSR needs weights")
 	}
-	return mirror(groupSegments(keys, fixed, numRows))
+	rowPtr, cols, ws = groupSegments(keys, fixed, numRows)
+	checkUpper(rowPtr, cols)
+	return rowPtr, cols, ws
 }
 
-// mirror returns the symmetric CSR whose upper triangle, diagonal included,
-// is (ptr, cols, ws). Rows are cut into blocks, each with one counter per
-// column and at most one block per n entries, so the counters stay within
-// the entries' size. A first pass counts each block's entries per column,
-// a pass over the columns turns the counts into per-block cursors and row
-// lengths, and a second pass over the blocks copies each upper row into
-// place and writes each of its entries above the diagonal, transposed, at
-// its column's cursor (a diagonal entry, counted in its own column last,
-// moves no cursor that is read after it). Blocks run in row order,
-// so each row's transposed entries land in ascending column order.
-func mirror(ptr []int64, cols []uint32, ws []float64) ([]int64, []uint32, []float64) {
+// checkUpper panics unless each row of the column-sorted CSR (ptr, cols)
+// starts at or past the diagonal and ends inside the matrix.
+func checkUpper(ptr []int64, cols []uint32) {
 	n := len(ptr) - 1
 	for r := 0; r < n; r++ {
 		if p, end := ptr[r], ptr[r+1]; p < end && (cols[p] < uint32(r) || int(cols[end-1]) >= n) {
 			panic("hashtable: key below the diagonal or vertex out of range")
 		}
 	}
-	bounds := par.Blocks(n, n/max(1, len(cols)/max(n, 1)))
+}
+
+// Mirror returns the symmetric CSR whose upper triangle, diagonal included,
+// is (ptr, cols, ws), a column-sorted CSR such as GroupUpperCSR returns, in
+// fresh arrays: each full row is the row's entries below the diagonal,
+// which are the upper triangle's column r in ascending row order, followed
+// by its upper row. It panics if an entry lies below the diagonal or past
+// the last row.
+//
+// Rows are cut into blocks of about equal entry counts (par.PrefixBlocks),
+// each with one counter per column and any two adjacent ones holding more
+// than n entries, so the counters number at most twice the entries plus n.
+// A first pass counts each block's entries per column, a pass over the
+// columns turns the counts into per-block cursors and row lengths, and a
+// second pass over the blocks copies each upper row into place and writes
+// each of its entries above the diagonal, transposed, at its column's
+// cursor (a diagonal entry, counted in its own column last, moves no cursor
+// that is read after it). Blocks run in row order, so each row's transposed
+// entries land in ascending column order, whatever the cut.
+func Mirror(ptr []int64, cols []uint32, ws []float64) ([]int64, []uint32, []float64) {
+	checkUpper(ptr, cols)
+	n := len(ptr) - 1
+	bounds := par.PrefixBlocks(ptr, int64(max(n, 1)))
 	cnt := make([]uint32, (len(bounds)-1)*n)
 	par.ForBlocks(bounds, func(b, lo, hi int) {
 		for _, col := range cols[ptr[lo]:ptr[hi]] {

@@ -85,33 +85,62 @@ func (c symmetricCase) twoOrientations() (keys, fixed []uint64) {
 	return keys, fixed
 }
 
-// TestGroupSymmetricCSRBitIdenticalToGroupCSR: grouping one orientation and
-// mirroring it gives GroupCSR's arrays on both orientations, bit for bit, at
-// GOMAXPROCS 1, 2 and 4, and leaves the segments as they were.
-func TestGroupSymmetricCSRBitIdenticalToGroupCSR(t *testing.T) {
+// TestGroupUpperMirrorBitIdenticalToGroupCSR: grouping one orientation into
+// the upper triangle and mirroring it gives GroupCSR's arrays on both
+// orientations, bit for bit, at GOMAXPROCS 1, 2 and 4; the upper triangle is
+// GroupCSR's entries on or above the diagonal; and neither step modifies
+// what it reads.
+func TestGroupUpperMirrorBitIdenticalToGroupCSR(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for i, c := range symmetricCases() {
 		both, bothFixed := c.twoOrientations()
 		wantPtr, wantCols, wantWs := hashtable.GroupCSR(both, bothFixed, c.numRows)
+		var upCols []uint32
+		var upWs []float64
+		for r := 0; r < c.numRows; r++ {
+			for p := wantPtr[r]; p < wantPtr[r+1]; p++ {
+				if wantCols[p] >= uint32(r) {
+					upCols, upWs = append(upCols, wantCols[p]), append(upWs, wantWs[p])
+				}
+			}
+		}
 		keys, fixed := c.segments(uint64(i))
 		before := slices.Clone(slices.Concat(keys...))
 		for _, procs := range []int{1, 2, 4} {
 			runtime.GOMAXPROCS(procs)
-			rowPtr, cols, ws := hashtable.GroupSymmetricCSR(keys, fixed, c.numRows)
-			if !slices.Equal(rowPtr, wantPtr) || !slices.Equal(cols, wantCols) || !slices.Equal(ws, wantWs) {
-				t.Fatalf("%s procs=%d: differs from GroupCSR on both orientations", c.name, procs)
+			ptr, cols, ws := hashtable.GroupUpperCSR(keys, fixed, c.numRows)
+			if !slices.Equal(cols, upCols) || !slices.Equal(ws, upWs) {
+				t.Fatalf("%s procs=%d: upper triangle differs from GroupCSR's", c.name, procs)
+			}
+			upper := slices.Clone(ws)
+			rowPtr, fullCols, fullWs := hashtable.Mirror(ptr, cols, ws)
+			if !slices.Equal(rowPtr, wantPtr) || !slices.Equal(fullCols, wantCols) || !slices.Equal(fullWs, wantWs) {
+				t.Fatalf("%s procs=%d: mirror differs from GroupCSR on both orientations", c.name, procs)
+			}
+			if !slices.Equal(ws, upper) {
+				t.Fatalf("%s procs=%d: Mirror modified the upper triangle", c.name, procs)
 			}
 		}
 		if !slices.Equal(slices.Concat(keys...), before) {
-			t.Fatalf("%s: GroupSymmetricCSR modified its keys", c.name)
+			t.Fatalf("%s: GroupUpperCSR modified its keys", c.name)
 		}
 	}
 }
 
-// TestGroupSymmetricCSRPanics: a key below the diagonal, a vertex past the
-// rows as a row or as a column, weights that do not pair up with the keys
-// and no weights at all each panic.
-func TestGroupSymmetricCSRPanics(t *testing.T) {
+// TestGroupUpperCSRPanics: a key below the diagonal, a vertex past the rows
+// as a row or as a column, weights that do not pair up with the keys and no
+// weights at all each panic, and so does Mirror given an entry below the
+// diagonal or past the last row.
+func TestGroupUpperCSRPanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
 	for _, c := range []struct {
 		name    string
 		keys    [][]uint64
@@ -124,15 +153,10 @@ func TestGroupSymmetricCSRPanics(t *testing.T) {
 		{"length-mismatch", [][]uint64{{hashtable.Key(1, 2)}, {hashtable.Key(1, 3)}}, [][]uint64{{1}, {}}, 5},
 		{"no-weights", [][]uint64{{hashtable.Key(1, 2)}}, nil, 5},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: no panic", c.name)
-				}
-			}()
-			hashtable.GroupSymmetricCSR(c.keys, c.fixed, c.numRows)
-		}()
+		mustPanic(c.name, func() { hashtable.GroupUpperCSR(c.keys, c.fixed, c.numRows) })
 	}
+	mustPanic("mirror below-diagonal", func() { hashtable.Mirror([]int64{0, 0, 1}, []uint32{0}, []float64{1}) })
+	mustPanic("mirror column-out-of-range", func() { hashtable.Mirror([]int64{0, 1, 1}, []uint32{2}, []float64{1}) })
 }
 
 // TestSymmetricPairDoublesSelfPairs: a self pair's weight is the sum of its

@@ -5,9 +5,9 @@
 //	M = trunc_log( vol(G)/(bT) · Σ_{r=1..T} (D⁻¹A)^r D⁻¹ )
 //
 // from the PathSampling aggregate that internal/sampler accumulates. The
-// composition — sampling, the drain, the factorizer and propagation — lives
-// in internal/core (core.Embed, core.EmbedTable); this package only turns a
-// drained aggregate into the trunc-logged matrix.
+// composition — sampling, the factorizer and propagation — lives in
+// internal/core (core.Embed, core.EmbedTable); this package only turns a
+// grouped aggregate into the trunc-logged matrix.
 //
 // Estimator. For a sample of length r from arc (u,v) ending at (u',v'),
 // reversibility of the walk gives
@@ -31,9 +31,10 @@ import (
 	"math"
 
 	"lightne/internal/graph"
+	"lightne/internal/hashtable"
 	"lightne/internal/par"
+	"lightne/internal/sampler"
 	"lightne/internal/sparse"
-	"lightne/internal/svd"
 )
 
 // MFromMultiple returns M = mult·T·m for a graph with m undirected edges
@@ -48,80 +49,77 @@ func MFromMultiple(g *graph.Graph, t int, mult float64) int64 {
 	return int64(v)
 }
 
-// BuildMatrixCSR converts a fully-sorted drain (Sink.DrainCSR) into the
-// trunc-log NetMF matrix estimate: the row transform over all rows, wrapped
-// (and validated) as a CSR. b is the negative-sample count and trials the
-// realized sample count M̂ (see the package comment). The drained arrays are
-// read, never written.
+// BuildMatrixCSR turns grouped rows of g's aggregate — the full drain
+// (sampler.Upper.DrainCSR) or its upper triangle (sampler.Upper) — into the
+// same rows of the trunc-log NetMF matrix estimate, wrapped (and validated)
+// as a CSR: the only place the unbiased estimator scaling (package comment)
+// and the truncated logarithm of Eq. 1 are applied. b is the negative-sample
+// count and trials the realized sample count M̂. Entry (r, c) scales to
+//
+//	x = w · vol² / (2·b·M̂) / (d_r·d_c)
+//
+// and is kept as log(x) iff x > 1, in the rows' order. The grouped arrays
+// are read, never written. Over blocks of about equal entry counts
+// (par.PrefixBlocks), a parallel count of each row's kept entries, a scan
+// and a parallel fill give the same output for every worker count.
 func BuildMatrixCSR(g *graph.Graph, rowPtr []int64, cols []uint32, ws []float64, b float64, trials int64) (*sparse.CSR, error) {
 	n := g.NumVertices()
-	var c svd.RowChunk
-	NewTransform(g, rowPtr, cols, ws, b, trials).Rows(0, n, &c)
-	mat, err := sparse.FromCSRParts(n, n, c.RowPtr, c.Cols, c.Vals)
+	if len(rowPtr) != n+1 {
+		return nil, fmt.Errorf("netsmf: %d row pointers for %d vertices", len(rowPtr), n)
+	}
+	vol, deg := g.Volume(), g.Strengths()
+	scale := vol * vol / (2 * b * float64(trials))
+	bounds := par.PrefixBlocks(rowPtr, transformGrain)
+	ptr := make([]int64, n+1)
+	par.ForBlocks(bounds, func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			var kept int64
+			dr := deg[r]
+			for p := rowPtr[r]; p < rowPtr[r+1]; p++ {
+				if ws[p]*scale/(dr*deg[cols[p]]) > 1 {
+					kept++
+				}
+			}
+			ptr[r] = kept
+		}
+	})
+	ptr[n] = par.ExclusiveScan(ptr[:n])
+	keptCols, vals := make([]uint32, ptr[n]), make([]float64, ptr[n])
+	par.ForBlocks(bounds, func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			w, dr := ptr[r], deg[r]
+			for p := rowPtr[r]; p < rowPtr[r+1]; p++ {
+				if x := ws[p] * scale / (dr * deg[cols[p]]); x > 1 {
+					keptCols[w] = cols[p]
+					vals[w] = math.Log(x)
+					w++
+				}
+			}
+		}
+	})
+	mat, err := sparse.FromCSRParts(n, n, ptr, keptCols, vals)
 	if err != nil {
 		return nil, fmt.Errorf("netsmf: building sparsifier: %w", err)
 	}
 	return mat, nil
 }
 
-// Transform is the row kernel behind both factorizers — the only place the
-// unbiased estimator scaling (package comment) and the truncated logarithm
-// of Eq. 1 are applied. It reads a raw drained CSR and never writes it.
-type Transform struct {
-	rowPtr []int64
-	cols   []uint32
-	ws     []float64
-	deg    []float64 // weighted degrees; equals Degrees for unweighted graphs
-	scale  float64   // vol² / (2·b·M̂)
-}
+// transformGrain is BuildMatrixCSR's least entry count per block.
+const transformGrain = 1 << 12
 
-// NewTransform prepares the kernel over a drained CSR of g's rows, for b
-// negative samples and trials realized samples.
-func NewTransform(g *graph.Graph, rowPtr []int64, cols []uint32, ws []float64, b float64, trials int64) *Transform {
-	vol := g.Volume()
-	return &Transform{rowPtr: rowPtr, cols: cols, ws: ws, deg: g.Strengths(), scale: vol * vol / (2 * b * float64(trials))}
-}
-
-// x is the scaled estimate of raw entry p of row r, the argument of trunc_log.
-func (t *Transform) x(r int, p int64) float64 {
-	return t.ws[p] * t.scale / (t.deg[r] * t.deg[t.cols[p]])
-}
-
-// Rows writes trunc_log of raw rows [lo, hi) into out as a chunk-local CSR
-// (RowLo = lo, RowPtr zero-based), keeping log(x) iff x > 1 in raw order:
-// a parallel per-row count, a scan, and a parallel fill into exactly-sized
-// arrays, so the output is the same for every worker count and for every
-// split of the rows into ranges. out's arrays are reused when large enough.
-func (t *Transform) Rows(lo, hi int, out *svd.RowChunk) {
-	n := hi - lo
-	if cap(out.RowPtr) < n+1 {
-		out.RowPtr = make([]int64, n+1)
+// Sparsifier builds the trunc-log NetMF matrix estimate from a pass's
+// grouped upper triangle: BuildMatrixCSR on the upper rows (validated
+// there, once), then hashtable.Mirror writes the full symmetric CSR. It
+// equals BuildMatrixCSR on the full drain bit for bit, so no path needs the
+// raw full CSR: (c, r) carries the fixed-point sum of (r, c) and
+// deg[c]·deg[r] is bitwise deg[r]·deg[c], so x > 1 and log(x) agree on both
+// sides of the diagonal, and the mirror writes the full drain's order
+// (DESIGN.md "Numerics").
+func Sparsifier(g *graph.Graph, up *sampler.Upper, b float64, trials int64) (*sparse.CSR, error) {
+	upper, err := BuildMatrixCSR(g, up.RowPtr, up.Cols, up.Ws, b, trials)
+	if err != nil {
+		return nil, err
 	}
-	ptr := out.RowPtr[:n+1]
-	par.For(n, 64, func(i int) {
-		var kept int64
-		for p := t.rowPtr[lo+i]; p < t.rowPtr[lo+i+1]; p++ {
-			if t.x(lo+i, p) > 1 {
-				kept++
-			}
-		}
-		ptr[i] = kept
-	})
-	ptr[n] = par.ExclusiveScan(ptr[:n])
-	if int64(cap(out.Cols)) < ptr[n] {
-		out.Cols = make([]uint32, ptr[n])
-		out.Vals = make([]float64, ptr[n])
-	}
-	cols, vals := out.Cols[:ptr[n]], out.Vals[:ptr[n]]
-	par.For(n, 64, func(i int) {
-		w := ptr[i]
-		for p := t.rowPtr[lo+i]; p < t.rowPtr[lo+i+1]; p++ {
-			if x := t.x(lo+i, p); x > 1 {
-				cols[w] = t.cols[p]
-				vals[w] = math.Log(x)
-				w++
-			}
-		}
-	})
-	*out = svd.RowChunk{RowLo: lo, RowPtr: ptr, Cols: cols, Vals: vals}
+	rowPtr, cols, vals := hashtable.Mirror(upper.RowPtr, upper.ColIdx, upper.Val)
+	return &sparse.CSR{NumRows: upper.NumRows, NumCols: upper.NumCols, RowPtr: rowPtr, ColIdx: cols, Val: vals}, nil
 }

@@ -71,9 +71,42 @@ func Blocks(n, grain int) []int {
 	return bounds
 }
 
+// PrefixBlocks is Blocks over [0, len(prefix)-1) with [lo, hi) weighing
+// prefix[hi] - prefix[lo], so a CSR's row pointer cuts its rows into blocks
+// of about equal entry counts, however skewed the rows: CutPrefix at a
+// quarter of a worker's share of the weight, or at grain if that is more
+// (DefaultGrain if grain <= 0), and one block on one worker.
+func PrefixBlocks(prefix []int64, grain int64) []int {
+	if grain <= 0 {
+		grain = DefaultGrain
+	}
+	total := prefix[len(prefix)-1] - prefix[0]
+	if Workers() == 1 {
+		return CutPrefix(prefix, total)
+	}
+	return CutPrefix(prefix, max(grain, total/int64(4*Workers())))
+}
+
+// CutPrefix cuts [0, len(prefix)-1), weighed as in PrefixBlocks, greedily
+// into blocks of at most maxWeight (a heavier index is a block of its own),
+// any two adjacent ones weighing more, and returns bounds as Blocks does.
+func CutPrefix(prefix []int64, maxWeight int64) []int {
+	bounds := []int{0}
+	for i := 1; i < len(prefix)-1; i++ {
+		if prefix[i+1]-prefix[bounds[len(bounds)-1]] > maxWeight {
+			bounds = append(bounds, i)
+		}
+	}
+	if len(prefix) > 1 {
+		bounds = append(bounds, len(prefix)-1)
+	}
+	return bounds
+}
+
 // ForBlocks runs body(b, lo, hi) in parallel for every block of a boundary
-// slice produced by Blocks. The dense block index b lets the body write into
-// per-block scratch (counts, partial sums) without re-deriving the geometry.
+// slice produced by Blocks or PrefixBlocks. The dense block index b lets the
+// body write into per-block scratch (counts, partial sums) without
+// re-deriving the geometry.
 func ForBlocks(bounds []int, body func(b, lo, hi int)) {
 	WorkerBlocks(bounds, func(_, b, lo, hi int) { body(b, lo, hi) })
 }

@@ -87,6 +87,61 @@ func TestBlocksCoverDisjoint(t *testing.T) {
 	}
 }
 
+// TestPrefixBlocksBalanceWeight: PrefixBlocks tiles [0, n) with increasing
+// bounds into blocks of at most its cap, max(grain, weight/(4·workers)),
+// unless one index alone outweighs it, with any two adjacent blocks over the
+// cap — so at most 2·weight/cap + 1 blocks — and one block on one worker:
+// on skewed weights (one index holding most of them), runs of empty
+// indices, and no weight at all.
+func TestPrefixBlocksBalanceWeight(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	weights := map[string][]int64{"skewed": {}, "uniform": {}, "empty-runs": {}, "zero": make([]int64, 100)}
+	for i := 0; i < 1000; i++ {
+		weights["uniform"] = append(weights["uniform"], 7)
+		weights["skewed"] = append(weights["skewed"], int64(1000-i))
+		weights["empty-runs"] = append(weights["empty-runs"], int64(i%50/49)*100)
+	}
+	weights["skewed"][3] = 500_000
+	for name, w := range weights {
+		prefix := make([]int64, len(w)+1)
+		for i, x := range w {
+			prefix[i+1] = prefix[i] + x
+		}
+		total := prefix[len(w)]
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for _, grain := range []int64{0, 1, 100, 1 << 40} {
+				bounds := PrefixBlocks(prefix, grain)
+				if bounds[0] != 0 || bounds[len(bounds)-1] != len(w) {
+					t.Fatalf("%s procs=%d grain=%d: bad endpoints %v", name, procs, grain, bounds)
+				}
+				if procs == 1 && len(bounds) != 2 {
+					t.Fatalf("%s grain=%d: %d blocks on one worker", name, grain, len(bounds)-1)
+				}
+				if grain == 0 {
+					grain = DefaultGrain
+				}
+				limit := max(grain, total/int64(4*procs))
+				for b := 1; b < len(bounds); b++ {
+					lo, hi := bounds[b-1], bounds[b]
+					if hi <= lo {
+						t.Fatalf("%s procs=%d grain=%d: non-increasing bounds %v", name, procs, grain, bounds)
+					}
+					if wb := prefix[hi] - prefix[lo]; procs > 1 && wb > limit && hi-lo > 1 {
+						t.Fatalf("%s procs=%d grain=%d: block [%d,%d) weighs %d, over %d", name, procs, grain, lo, hi, wb, limit)
+					}
+					if b > 1 && procs > 1 && prefix[hi]-prefix[bounds[b-2]] <= limit {
+						t.Fatalf("%s procs=%d grain=%d: blocks %d and %d fit in one", name, procs, grain, b-2, b-1)
+					}
+				}
+			}
+		}
+	}
+	if got := PrefixBlocks([]int64{0}, 0); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("no indices: bounds %v", got)
+	}
+}
+
 func TestForBlocksVisitsEachBlockOnce(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)

@@ -24,9 +24,9 @@ import (
 // to a serial enumeration; stage 2 (wave.go) walks one wave of heads at a
 // time, every stepping side in lock step until its last step; stage 3
 // turns every walked head into one (key, fixed) pair of one orientation and
-// groups them all with hashtable.GroupSymmetricCSR — one bucketed sort that
-// merges equal keys, then a transpose that writes the other orientation —
-// straight into the sparsifier's CSR arrays, as Sample does. The pass holds
+// groups them all with hashtable.GroupUpperCSR — one bucketed sort that
+// merges equal keys — into the upper triangle of the aggregate, as Sample
+// does. The pass holds
 // every head before it walks, so sorting its pairs costs no more memory
 // than they take, and no aggregation table is built. The default wave
 // holds 2^22 heads, more than an RMAT-13 pass at M = 2·T·m draws (~0.8 M),
@@ -79,16 +79,15 @@ type headRec struct {
 }
 
 // SampleBatched runs the downsampled PathSampling pass with batched walks
-// and returns its aggregate grouped into CSR arrays over g's vertices, as
-// a Sink whose DrainCSR hands them over. Weighted graphs walk natively:
-// head enumeration uses the weighted per-arc budget (M·w_e/vol trials,
-// ProbW over strengths) and each walk step resolves a per-vertex Vose alias
-// table from the same single keyed-hash draw the unweighted path uses (see
-// graph.AliasNeighbor). waveSize caps concurrently in-flight heads; <= 0
+// and returns its aggregate grouped into the upper triangle over g's
+// vertices. Weighted graphs walk natively: head enumeration uses the
+// weighted per-arc budget (M·w_e/vol trials, ProbW over strengths) and each
+// walk step resolves a per-vertex Vose alias table from the same single
+// keyed-hash draw the unweighted path uses (see graph.AliasNeighbor). waveSize caps concurrently in-flight heads; <= 0
 // picks the maximum (2^22). The grouped aggregate is bit-identical for
 // every waveSize and worker count. Of cfg, Shards selects nothing: it is
 // checked, not used.
-func SampleBatched(g *graph.Graph, cfg Config, waveSize int) (Sink, Stats, error) {
+func SampleBatched(g *graph.Graph, cfg Config, waveSize int) (*Upper, Stats, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, Stats{}, err
 	}

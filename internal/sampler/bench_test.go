@@ -197,10 +197,11 @@ func reportSamplerMetrics(b *testing.B, stats Stats) {
 // BenchmarkGroupOrientation times the grouping alone on the harness's two
 // pair sets: RMAT-12's per-arc pass at the default budget (M = T·m, as
 // embed-default samples it) and RMAT-13's wave pass at M = 2·T·m
-// (embed-stream). one/ groups each head's one-orientation pair and mirrors
-// the upper triangle (hashtable.GroupSymmetricCSR, over Sample's worker
-// segments or the wave pass's one array); two/ groups both orientations of
-// every head with hashtable.GroupCSR, as both passes did before.
+// (embed-stream). one/ groups each head's one-orientation pair into the
+// upper triangle, as both passes hand it over (hashtable.GroupUpperCSR, over
+// Sample's worker segments or the wave pass's one array); two/ groups both
+// orientations of every head with hashtable.GroupCSR, as both passes did
+// before.
 func BenchmarkGroupOrientation(b *testing.B) {
 	rmat12, err := gen.RMAT(gen.RMATConfig{Scale: 12, EdgeFactor: 20, Seed: 1})
 	if err != nil {
@@ -237,7 +238,7 @@ func BenchmarkGroupOrientation(b *testing.B) {
 		b.Run(set.name+"/one", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				hashtable.GroupSymmetricCSR(set.keys, set.fixed, set.n)
+				hashtable.GroupUpperCSR(set.keys, set.fixed, set.n)
 			}
 		})
 		b.Run(set.name+"/two", func(b *testing.B) {

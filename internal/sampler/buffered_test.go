@@ -142,8 +142,14 @@ func TestBufferedSamplersBitIdenticalToPerKey(t *testing.T) {
 	}
 }
 
+// drainer is a grouped aggregate that drains to full CSR arrays: a pass's
+// upper triangle or a reference's csrView.
+type drainer interface {
+	DrainCSR(numRows int) ([]int64, []uint32, []float64)
+}
+
 // sameCSR fails unless got and want drain to bit-identical CSR arrays.
-func sameCSR(t *testing.T, name string, got, want Sink, n int) {
+func sameCSR(t *testing.T, name string, got, want drainer, n int) {
 	t.Helper()
 	gp, gc, gw := got.DrainCSR(n)
 	wp, wc, ww := want.DrainCSR(n)

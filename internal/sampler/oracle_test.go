@@ -578,7 +578,7 @@ func (s *refSink) group(n int) *csrView {
 	return c
 }
 
-// csrView is a grouped aggregate, a Sink whose entries tests can look up.
+// csrView is a full grouped aggregate whose entries tests can look up.
 type csrView struct {
 	rowPtr []int64
 	cols   []uint32
@@ -586,8 +586,8 @@ type csrView struct {
 }
 
 // groupedTable views a pass's grouped aggregate.
-func groupedTable(g *graph.Graph, sink Sink) *csrView {
-	rowPtr, cols, ws := sink.DrainCSR(g.NumVertices())
+func groupedTable(g *graph.Graph, up *Upper) *csrView {
+	rowPtr, cols, ws := up.DrainCSR(g.NumVertices())
 	return &csrView{rowPtr, cols, ws}
 }
 

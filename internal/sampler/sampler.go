@@ -9,7 +9,8 @@
 // Laplacian estimator. Every pass — the two full ones, per-arc (Sample) and
 // batched (SampleBatched), and the incremental one over a list of arcs
 // (SampleArcs) — holds one pair per sample, and Group groups the pairs by
-// sorting (hashtable.GroupSymmetricCSR), with no hash table.
+// sorting into the upper triangle (hashtable.GroupUpperCSR), with no hash
+// table.
 //
 // The sampler maps over directed arcs grouped by source vertex, exactly the
 // cache-friendly per-edge schedule of Algorithm 2: each arc e draws
@@ -83,13 +84,13 @@ func (cfg Config) DownsampleC(n int) float64 {
 
 // Stats reports what a sampling pass actually did. No pass builds a table,
 // so the table fields describe the grouping arrays instead (Group):
-// TableBytes is the grouped CSR and PeakTableBytes adds the upper triangle
-// it was mirrored from and the bucket scatter the pairs were sorted in.
+// TableBytes is the grouped upper triangle and PeakTableBytes adds the
+// bucket scatter the pairs were sorted in.
 type Stats struct {
 	Trials          int64 // Σ_e n_e, the realized sample count M̂
 	Heads           int64 // trials that passed the downsampling coin
-	DistinctEntries int   // distinct (u',v') keys in the aggregate
-	TableBytes      int64 // grouped CSR footprint
+	DistinctEntries int   // distinct ordered (u',v') keys in the aggregate
+	TableBytes      int64 // grouped upper-triangle CSR footprint
 	PeakTableBytes  int64 // grouping high-water mark
 }
 
@@ -120,13 +121,13 @@ func ProbW(c, w, su, sv float64) float64 {
 }
 
 // Sample runs the downsampled per-edge PathSampling pass over g and returns
-// its aggregate grouped into CSR arrays over g's vertices, as a Sink whose
-// DrainCSR hands them over, plus statistics. The aggregate maps ordered
-// pairs (u', v') to accumulated importance weights and is exactly
-// symmetric: every sample counts in both orientations. Each worker appends
-// one pair per head to its own buffer (pairSegs), and the buffers group
-// where they lie (Group).
-func Sample(g *graph.Graph, cfg Config) (Sink, Stats, error) {
+// its aggregate grouped into the upper triangle over g's vertices, plus
+// statistics. The aggregate maps ordered pairs (u', v') to accumulated
+// importance weights and is exactly symmetric: every sample counts in both
+// orientations, so the upper triangle holds it all. Each worker appends one
+// pair per head to its own buffer (pairSegs), and the buffers group where
+// they lie (Group).
+func Sample(g *graph.Graph, cfg Config) (*Upper, Stats, error) {
 	n := g.NumVertices()
 	if err := cfg.Check(); err != nil {
 		return nil, Stats{}, err

@@ -8,15 +8,24 @@ import (
 	"lightne/internal/rng"
 )
 
-// Sink is what a sampling pass hands the sparsifier (core.EmbedTable): its
-// aggregate, packed (u', v') keys with fixed-point weights, drained as CSR
-// arrays grouped by source vertex with ascending columns. Every pass's pairs
-// are grouped by Group. The drained CSR is a pure function of the pair
-// multiset, so a hashtable.Table that took the same pairs, drained and
-// grouped by hashtable.GroupCSR, gives the same arrays bit for bit.
-type Sink interface {
-	DrainCSR(numRows int) (rowPtr []int64, cols []uint32, ws []float64)
+// Upper is what a sampling pass hands the sparsifier (core.EmbedTable): its
+// aggregate, packed (u', v') keys with fixed-point weights, grouped into the
+// upper triangle of the symmetric CSR, diagonal included. Row r holds the
+// entries (r, c) with c >= r, columns ascending, each weighing the
+// fixed-point sum of its one-orientation pairs; the aggregate is symmetric,
+// so (c, r) carries the same weight. Every pass's pairs are grouped by
+// Group. The arrays are a pure function of the pair multiset, so a
+// hashtable.Table that took the same pairs in both orientations, drained
+// and grouped by hashtable.GroupCSR, gives DrainCSR's arrays bit for bit.
+type Upper struct {
+	RowPtr []int64
+	Cols   []uint32
+	Ws     []float64
 }
+
+// Sink is the type a sampling pass hands over; the benchmark harness
+// declares its pass results with it.
+type Sink = *Upper
 
 // NewSink returns the paper's aggregation table (§4.2), presized for
 // capacityHint distinct keys, which no sampling pass builds; the benchmark
@@ -24,37 +33,37 @@ type Sink interface {
 // region. NewSink goes with that probe (ROADMAP items 1 and 15).
 func NewSink(capacityHint, shards int) *hashtable.Table { return hashtable.New(capacityHint) }
 
-// grouped is a pass's aggregate: the CSR arrays
-// hashtable.GroupSymmetricCSR grouped its pairs into.
-type grouped struct {
-	rowPtr []int64
-	cols   []uint32
-	ws     []float64
-}
-
-// DrainCSR returns the grouped arrays themselves, not copies; the caller
-// must not write them (netsmf.BuildMatrixCSR only reads them, scaling into a
-// separate row chunk). numRows must be the vertex count of the sampled
-// graph; DrainCSR panics otherwise.
-func (c *grouped) DrainCSR(numRows int) ([]int64, []uint32, []float64) {
-	if numRows != len(c.rowPtr)-1 {
-		panic(fmt.Sprintf("sampler: DrainCSR over %d rows, the pass grouped %d", numRows, len(c.rowPtr)-1))
+// DrainCSR mirrors the upper triangle into the full grouped CSR, every
+// ordered pair (u', v') a row entry, in fresh arrays (hashtable.Mirror).
+// The embedding never calls it: the sparsifier trunc-logs the upper
+// triangle and mirrors that (netsmf.Sparsifier). numRows must be the
+// vertex count of the sampled graph; DrainCSR panics otherwise.
+func (u *Upper) DrainCSR(numRows int) ([]int64, []uint32, []float64) {
+	if numRows != len(u.RowPtr)-1 {
+		panic(fmt.Sprintf("sampler: DrainCSR over %d rows, the pass grouped %d", numRows, len(u.RowPtr)-1))
 	}
-	return c.rowPtr, c.cols, c.ws
+	return hashtable.Mirror(u.RowPtr, u.Cols, u.Ws)
 }
 
 // Group groups a pass's one-orientation pairs, one per head of stats, given
-// as segments (read where they lie, not modified), over n vertices and fills
-// the grouping fields of stats: DistinctEntries, the grouped CSR's footprint
-// as TableBytes, and as PeakTableBytes that plus the bucket scatter the pairs
-// sort in and the upper triangle the CSR is mirrored from (at most half the
-// entries plus one per row), which coexist.
-func Group(keys, fixed [][]uint64, n int, stats *Stats) Sink {
-	out := &grouped{}
-	out.rowPtr, out.cols, out.ws = hashtable.GroupSymmetricCSR(keys, fixed, n)
-	stats.DistinctEntries = len(out.cols)
-	stats.TableBytes = 8*int64(n+1) + 12*int64(len(out.cols))
-	stats.PeakTableBytes = stats.TableBytes + hashtable.GroupScatterBytes(int(stats.Heads), n) + 8*int64(n+1) + 6*int64(len(out.cols)+n)
+// as segments (read where they lie, not modified), over n vertices into
+// their upper triangle and fills the grouping fields of stats:
+// DistinctEntries, the ordered entries of the full aggregate (twice the
+// upper triangle's, less its diagonal), the upper triangle's footprint as
+// TableBytes, and as PeakTableBytes that plus the bucket scatter the pairs
+// sort in, which coexist.
+func Group(keys, fixed [][]uint64, n int, stats *Stats) *Upper {
+	out := &Upper{}
+	out.RowPtr, out.Cols, out.Ws = hashtable.GroupUpperCSR(keys, fixed, n)
+	diag := 0
+	for r := 0; r < n; r++ {
+		if p := out.RowPtr[r]; p < out.RowPtr[r+1] && out.Cols[p] == uint32(r) {
+			diag++
+		}
+	}
+	stats.DistinctEntries = 2*len(out.Cols) - diag
+	stats.TableBytes = 8*int64(n+1) + 12*int64(len(out.Cols))
+	stats.PeakTableBytes = stats.TableBytes + hashtable.GroupScatterBytes(int(stats.Heads), n)
 	return out
 }
 

@@ -7,9 +7,9 @@ import (
 )
 
 // streamFixture groups a deterministic scatter of keys including empty
-// rows, a heavy row, and duplicate accumulation.
-func streamFixture(t *testing.T, n int) Sink {
-	t.Helper()
+// rows, a heavy row, and duplicate accumulation, and returns the grouped
+// row pointers.
+func streamFixture(n int) []int64 {
 	var keys, fixed []uint64
 	s := uint64(99)
 	for i := 0; i < 5000; i++ {
@@ -21,9 +21,8 @@ func streamFixture(t *testing.T, n int) Sink {
 		}
 		keys, fixed = append(keys, hashtable.Key(u, v)), append(fixed, (s%1000)+1)
 	}
-	var sink grouped
-	sink.rowPtr, sink.cols, sink.ws = hashtable.GroupCSR(keys, fixed, n)
-	return &sink
+	rowPtr, _, _ := hashtable.GroupCSR(keys, fixed, n)
+	return rowPtr
 }
 
 func TestChunkRowsBoundaries(t *testing.T) {
@@ -70,7 +69,7 @@ func TestChunkRowsBoundaries(t *testing.T) {
 // sum to the drained total.
 func TestChunkRowsTilesDrain(t *testing.T) {
 	const n = 64
-	rowPtr, _, _ := streamFixture(t, n).DrainCSR(n)
+	rowPtr := streamFixture(n)
 	for _, max := range []int64{1, 13, 100, 1 << 40} {
 		bounds := ChunkRows(rowPtr, max)
 		if bounds[0] != 0 || bounds[len(bounds)-1] != n {

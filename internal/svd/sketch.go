@@ -138,7 +138,7 @@ type SketchOptions struct {
 // within the chunk, len = rows+1). Chunks from one producer must cover
 // disjoint row ranges; within a row, entry order fixes the float
 // accumulation order, so producers that guarantee sorted columns (the
-// sampler's DrainCSR stream) extend their bit-stability through the sketch.
+// sparsifier's CSR) extend their bit-stability through the sketch.
 type RowChunk struct {
 	RowLo  int
 	RowPtr []int64
