@@ -22,12 +22,14 @@ test:
 # cross-GOMAXPROCS sweeps and the root package's cmd/lightne artifact hashes),
 # repeated on one core and on all of them: a schedule-dependent float
 # reduction passes a single run by luck (core.TestEmbedDeterministic did for
-# three re-anchors).
+# three re-anchors). graph.TestEdgesRoundTrip and eval.TestSplitEdgesGolden
+# pin the edge order and the train/test split the benchmark's link
+# prediction is measured on.
 NPROC ?= $(shell nproc 2>/dev/null || echo 2)
-DETERMINISM_PKGS = . ./internal/core ./internal/dense ./internal/par ./internal/sparse ./internal/prone ./internal/svd ./internal/netsmf ./internal/sampler ./internal/dynamic ./internal/hashtable
+DETERMINISM_PKGS = . ./internal/core ./internal/dense ./internal/par ./internal/sparse ./internal/prone ./internal/svd ./internal/netsmf ./internal/sampler ./internal/dynamic ./internal/hashtable ./internal/graph ./internal/eval
 determinism:
-	GOMAXPROCS=1 $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden' $(DETERMINISM_PKGS)
-	GOMAXPROCS=$(NPROC) $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden' $(DETERMINISM_PKGS)
+	GOMAXPROCS=1 $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden|EdgesRoundTrip' $(DETERMINISM_PKGS)
+	GOMAXPROCS=$(NPROC) $(GO) test -count=3 -run 'Deterministic|BitIdentical|Golden|EdgesRoundTrip' $(DETERMINISM_PKGS)
 
 # The benchmark harness is a nested module that recomposes the pipeline from
 # the internal packages' APIs; nothing else compiles it, so an API move that

@@ -243,18 +243,7 @@ func BenchmarkKernel_RandomWalk(b *testing.B) {
 		b.Fatal(err)
 	}
 	plain := ds.Graph
-	// Build a compressed copy.
-	var arcs []graph.Edge
-	for u := 0; u < plain.NumVertices(); u++ {
-		for _, v := range plain.Neighbors(uint32(u), nil) {
-			if uint32(u) < v {
-				arcs = append(arcs, graph.Edge{U: uint32(u), V: v})
-			}
-		}
-	}
-	copt := graph.DefaultOptions()
-	copt.Compress = true
-	compressed, err := graph.FromEdges(plain.NumVertices(), arcs, copt)
+	compressed, err := plain.ToCompressed(0)
 	if err != nil {
 		b.Fatal(err)
 	}

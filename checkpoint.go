@@ -26,34 +26,15 @@ import (
 // trailer catches it: ReadCheckpoint fails loudly and the caller falls
 // back to a cold start instead of serving corrupt vectors.
 
-// WriteCheckpoint atomically persists x to path in the LNEB v3 format.
+// WriteCheckpoint atomically persists x to path in the LNEB v3 format: it
+// encodes x in memory (EncodeCheckpoint) and writes the payload with
+// WriteCheckpointBytes.
 func WriteCheckpoint(path string, x *Matrix) error {
-	return WriteCheckpointHooked(path, x, nil)
-}
-
-// WriteCheckpointHooked is WriteCheckpoint with fault-injection hooks
-// (faultinject.CheckpointData / CheckpointSync / CheckpointRename) for
-// crash-recovery tests; nil hooks means no injection.
-func WriteCheckpointHooked(path string, x *Matrix, h faultinject.Hooks) error {
-	hooks := faultinject.OrNop(h)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	payload, err := EncodeCheckpoint(x)
 	if err != nil {
-		return fmt.Errorf("lightne: creating checkpoint temp file: %w", err)
+		return err
 	}
-	// An injected mid-write failure simulates a kill: return without
-	// cleanup, leaving the torn temp file exactly as a crash would. The
-	// final path is untouched either way.
-	mid := func() error { return hooks.Fire(faultinject.CheckpointData) }
-	if err := writeEmbeddingV3(f, x, mid); err != nil {
-		f.Close()
-		return fmt.Errorf("lightne: writing checkpoint %s: %w", tmp, err)
-	}
-	if err := hooks.Fire(faultinject.CheckpointSync); err != nil {
-		f.Close()
-		return fmt.Errorf("lightne: syncing checkpoint %s: %w", tmp, err)
-	}
-	return commitCheckpointHooked(f, tmp, path, hooks)
+	return WriteCheckpointBytes(path, payload, nil)
 }
 
 // ReadCheckpoint loads a checkpoint written by WriteCheckpoint, verifying
@@ -102,7 +83,7 @@ func ReadCheckpointFrom(r io.Reader, size int64) (*Matrix, error) {
 // framing to w, without any of the atomic-replace file protocol — this is
 // the serialization half a leader uses to ship snapshots over HTTP.
 func WriteCheckpointTo(w io.Writer, x *Matrix) error {
-	return writeEmbeddingV3(w, x, nil)
+	return writeEmbeddingV3(w, x)
 }
 
 // EncodeCheckpoint serializes x to one in-memory checkpoint payload. A
@@ -111,7 +92,7 @@ func WriteCheckpointTo(w io.Writer, x *Matrix) error {
 func EncodeCheckpoint(x *Matrix) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Grow(20 + 8*len(x.Data))
-	if err := writeEmbeddingV3(&buf, x, nil); err != nil {
+	if err := writeEmbeddingV3(&buf, x); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -154,31 +135,44 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// WriteCheckpointBytes atomically persists an already-encoded checkpoint
-// payload (the bytes a follower just fetched and decoded) to path with the
-// same temp-file + fsync + rename protocol as WriteCheckpoint, after
-// validating the payload so a corrupt buffer can never become the recovery
-// point.
-func WriteCheckpointBytes(path string, payload []byte) error {
+// WriteCheckpointBytes atomically persists an encoded checkpoint payload
+// (EncodeCheckpoint's, or the bytes a follower just fetched and decoded) to
+// path, after validating it so a corrupt buffer can never become the
+// recovery point. It is the one checkpoint file writer: the payload goes
+// to <path>.tmp in two halves, the header plus half the elements and then
+// the rest, before the file is fsynced, renamed over path and the
+// directory fsynced. h fires faultinject.CheckpointData between the two
+// halves, CheckpointSync before the fsync and CheckpointRename before the
+// rename, for crash-recovery tests; nil means no injection.
+func WriteCheckpointBytes(path string, payload []byte, h faultinject.Hooks) error {
 	if err := ValidateCheckpointPayload(payload); err != nil {
 		return err
 	}
+	hooks := faultinject.OrNop(h)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("lightne: creating checkpoint temp file: %w", err)
 	}
-	if _, err := f.Write(payload); err != nil {
+	// An injected failure simulates a kill: return without cleanup, leaving
+	// the torn temp file exactly as a crash would. The final path is
+	// untouched either way.
+	mid := 16 + 8*((len(payload)-20)/16) // 16 B header + half the 8 B elements
+	_, err = f.Write(payload[:mid])
+	if err == nil {
+		err = hooks.Fire(faultinject.CheckpointData)
+	}
+	if err == nil {
+		_, err = f.Write(payload[mid:])
+	}
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("lightne: writing checkpoint %s: %w", tmp, err)
 	}
-	return commitCheckpointHooked(f, tmp, path, faultinject.Nop)
-}
-
-// commitCheckpointHooked finishes the atomic-replace protocol for a fully
-// written temp file: fsync file, rename over path, best-effort fsync of
-// the directory. hooks fires CheckpointRename before the rename.
-func commitCheckpointHooked(f *os.File, tmp, path string, hooks faultinject.Hooks) error {
+	if err := hooks.Fire(faultinject.CheckpointSync); err != nil {
+		f.Close()
+		return fmt.Errorf("lightne: syncing checkpoint %s: %w", tmp, err)
+	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		return fmt.Errorf("lightne: syncing checkpoint %s: %w", tmp, err)

@@ -21,6 +21,16 @@ func gaussian(t *testing.T, rows, cols int, seed uint64) *dense.Matrix {
 	return x
 }
 
+// encode returns x's checkpoint payload.
+func encode(t *testing.T, x *dense.Matrix) []byte {
+	t.Helper()
+	payload, err := lightne.EncodeCheckpoint(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
 func bitIdentical(t *testing.T, want, got *dense.Matrix) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols {
@@ -64,7 +74,7 @@ func TestCheckpointKillMidWritePreservesOld(t *testing.T) {
 	inj := faultinject.New()
 	inj.FailAt(faultinject.CheckpointData, 1, nil)
 	next := gaussian(t, 20, 4, 8)
-	if err := lightne.WriteCheckpointHooked(path, next, inj); err == nil {
+	if err := lightne.WriteCheckpointBytes(path, encode(t, next), inj); err == nil {
 		t.Fatal("killed write must report failure")
 	}
 	// The torn temp file exists (as after a real crash) and is shorter
@@ -101,7 +111,7 @@ func TestCheckpointKillBeforeRename(t *testing.T) {
 	inj := faultinject.New()
 	inj.FailAt(faultinject.CheckpointRename, 1, nil)
 	x := gaussian(t, 9, 3, 11)
-	if err := lightne.WriteCheckpointHooked(path, x, inj); err == nil {
+	if err := lightne.WriteCheckpointBytes(path, encode(t, x), inj); err == nil {
 		t.Fatal("killed rename must report failure")
 	}
 	if _, err := lightne.ReadCheckpoint(path); !os.IsNotExist(err) {
@@ -235,7 +245,7 @@ func TestCheckpointPayloadRoundTrip(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "replica.ckpt")
-	if err := lightne.WriteCheckpointBytes(path, payload); err != nil {
+	if err := lightne.WriteCheckpointBytes(path, payload, nil); err != nil {
 		t.Fatal(err)
 	}
 	y, err := lightne.ReadCheckpoint(path)
@@ -299,7 +309,7 @@ func TestCheckpointPayloadValidation(t *testing.T) {
 			t.Fatalf("%s: got %v, want %q", tc.name, err, tc.wantErr)
 		}
 		path := filepath.Join(t.TempDir(), "bad.ckpt")
-		if err := lightne.WriteCheckpointBytes(path, p); err == nil {
+		if err := lightne.WriteCheckpointBytes(path, p, nil); err == nil {
 			t.Fatalf("%s: WriteCheckpointBytes accepted a corrupt payload", tc.name)
 		}
 		if _, err := os.Stat(path); !os.IsNotExist(err) {

@@ -69,13 +69,9 @@ func main() {
 			fatal(fmt.Errorf("-compress requires -binary (the text format is uncompressed)"))
 		}
 		bw := bufio.NewWriter(w)
-		for u := 0; u < g.NumVertices(); u++ {
-			for _, v := range g.Neighbors(uint32(u), nil) {
-				if uint32(u) < v {
-					if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
-						fatal(err)
-					}
-				}
+		for _, e := range g.Edges() {
+			if _, err := fmt.Fprintf(bw, "%d %d\n", e.U, e.V); err != nil {
+				fatal(err)
 			}
 		}
 		if err := bw.Flush(); err != nil {

@@ -174,7 +174,7 @@ func main() {
 				if *checkpoint == "" {
 					return
 				}
-				if err := lightne.WriteCheckpointBytes(*checkpoint, payload); err != nil {
+				if err := lightne.WriteCheckpointBytes(*checkpoint, payload, nil); err != nil {
 					log.Printf("checkpoint write failed: %v", err)
 				}
 			},
@@ -308,7 +308,7 @@ func (p *publisher) publish(x *lightne.Matrix, rewriteCheckpoint bool, read time
 	}
 	p.shipper.Publish(serve.NewShipment(payload, snap.Version, x.Rows, x.Cols))
 	if rewriteCheckpoint && p.checkpoint != "" {
-		if err := lightne.WriteCheckpointBytes(p.checkpoint, payload); err != nil {
+		if err := lightne.WriteCheckpointBytes(p.checkpoint, payload, nil); err != nil {
 			log.Printf("checkpoint write failed: %v", err)
 		} else {
 			log.Printf("checkpointed snapshot to %s", p.checkpoint)

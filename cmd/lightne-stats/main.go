@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"lightne"
-	"lightne/internal/graph"
 )
 
 func main() {
@@ -73,24 +72,14 @@ func main() {
 	fmt.Printf("components:      %d\n", comps)
 
 	plainBytes := g.SizeBytes()
-	// Rebuild compressed to measure the parallel-byte ratio.
-	var arcs []lightne.Edge
-	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(uint32(u), nil) {
-			if uint32(u) < v {
-				arcs = append(arcs, lightne.Edge{U: uint32(u), V: v})
-			}
-		}
-	}
-	copt := graph.DefaultOptions()
-	copt.Compress = true
-	cg, err := graph.FromEdges(n, arcs, copt)
+	// Compress to measure the parallel-byte ratio.
+	cg, err := lightne.CompressGraph(g, 0)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("CSR bytes:       %d\n", plainBytes)
 	fmt.Printf("compressed:      %d (%.1f%% of CSR, parallel-byte block %d)\n",
-		cg.SizeBytes(), 100*float64(cg.SizeBytes())/float64(plainBytes), 64)
+		cg.SizeBytes(), 100*float64(cg.SizeBytes())/float64(plainBytes), cg.BlockSize())
 }
 
 func fatal(err error) {

@@ -38,14 +38,14 @@ func main() {
 		mmapIn     = flag.Bool("mmap", false, "memory-map -input as an LNGC compressed graph file (O(1) load, adjacency served from the page cache)")
 		validate   = flag.Bool("validate", false, "deep-check graph consistency after loading (recommended for untrusted -mmap files)")
 		binaryOut  = flag.Bool("binary", false, "write the embedding in the versioned binary format (what lightne-serve loads fastest)")
-		vertices   = flag.Int("n", 0, "vertex count (0 = infer from max ID)")
+		vertices   = flag.Int("n", 0, "vertex count (0 = infer from max ID + 1; a text edge list names no isolated vertex past its largest ID, so pass the count to keep those vertices)")
 		propOrder  = flag.Int("prop-order", 10, "spectral propagation polynomial order k")
 		oversample = flag.Int("oversample", 0, "extra randomized-SVD sketch columns")
 		powerIters = flag.Int("power-iters", 0, "randomized-SVD subspace iterations")
 		shards     = flag.Int("shards", 1, "shard count of an aggregation table (at most 1024): every sampler groups its samples by sorting, with no table, so this selects nothing and is only checked")
 		batched    = flag.Bool("batched", false, "use the radix-batched wave walker, which groups its samples by sorting instead of a hash table (weighted graphs walk via alias tables; output is bit-identical for any wave size, shard count or worker count)")
 		waveSize   = flag.Int("wave-size", 0, "in-flight heads per wave of the batched walker (0 = maximum, 2^22); implies nothing without -batched")
-		sketch     = flag.Bool("sketch", false, "factorize with the single-pass sketch: the drained sparsifier streams straight into the range finder, never materializing the scaled matrix (lower peak memory; -power-iters is ignored)")
+		sketch     = flag.Bool("sketch", false, "factorize with the single-pass sketch: the range finder absorbs the scaled sparsifier in one pass (lower peak memory: the dense working set shrinks, the scaled matrix is resident as for the rSVD; -power-iters is ignored)")
 		sketchKind = flag.String("sketch-kind", "sign", "test-matrix family for -sketch: \"sign\" (sparse ±1, memory-optimal) or \"gaussian\" (dense cross-check)")
 	)
 	flag.Parse()
@@ -79,18 +79,19 @@ func main() {
 			defer f.Close()
 			in = f
 		}
-		opts := lightne.DefaultGraphOptions()
-		opts.Compress = *compress
 		switch {
 		case *binaryIn:
-			g, err = lightne.LoadGraphBinary(bufio.NewReader(in), opts)
+			g, err = lightne.LoadGraphBinary(bufio.NewReader(in))
 		case *weighted:
 			if *compress {
 				fatal(fmt.Errorf("-weighted and -compress are mutually exclusive"))
 			}
 			g, err = lightne.LoadWeightedGraph(bufio.NewReader(in), *vertices)
 		default:
-			g, err = lightne.LoadGraphWithOptions(bufio.NewReader(in), *vertices, opts)
+			g, err = lightne.LoadGraph(bufio.NewReader(in), *vertices)
+		}
+		if err == nil && *compress {
+			g, err = lightne.CompressGraph(g, 0)
 		}
 		if err != nil {
 			fatal(err)

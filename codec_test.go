@@ -20,7 +20,7 @@ import (
 
 // writeEmbeddingV3Oracle is the per-element v3 writer the chunked codec
 // replaced, kept as the byte-identity oracle.
-func writeEmbeddingV3Oracle(w io.Writer, x *Matrix, mid func() error) error {
+func writeEmbeddingV3Oracle(w io.Writer, x *Matrix) error {
 	bw := bufio.NewWriter(w)
 	crc := crc32.New(crcTable)
 	out := io.MultiWriter(bw, crc)
@@ -32,17 +32,8 @@ func writeEmbeddingV3Oracle(w io.Writer, x *Matrix, mid func() error) error {
 	if _, err := out.Write(hdr[:]); err != nil {
 		return err
 	}
-	half := len(x.Data) / 2
 	var buf [8]byte
-	for i, v := range x.Data {
-		if i == half && mid != nil {
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-			if err := mid(); err != nil {
-				return err
-			}
-		}
+	for _, v := range x.Data {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 		if _, err := out.Write(buf[:]); err != nil {
 			return err
@@ -173,7 +164,7 @@ func TestCodecMatchesPerElementOracle(t *testing.T) {
 	for _, n := range codecSizes() {
 		x := codecMatrix(n)
 		var want bytes.Buffer
-		if err := writeEmbeddingV3Oracle(&want, x, nil); err != nil {
+		if err := writeEmbeddingV3Oracle(&want, x); err != nil {
 			t.Fatal(err)
 		}
 		var streamed bytes.Buffer
@@ -244,16 +235,20 @@ func TestTruncationInSecondChunk(t *testing.T) {
 	}
 }
 
-// TestCheckpointSeamTornLength: the fault seam fires with exactly
-// len(Data)/2 elements written and flushed, so the torn temp file is as
-// long as the per-element writer left it.
+// TestCheckpointSeamTornLength: the fault seam fires with the header and
+// exactly len(Data)/2 elements written, so the torn temp file is as long as
+// the per-element writer left it.
 func TestCheckpointSeamTornLength(t *testing.T) {
 	dir := t.TempDir()
 	for _, n := range codecSizes() {
 		path := filepath.Join(dir, fmt.Sprintf("emb-%d.ckpt", n))
 		inj := faultinject.New()
 		inj.FailAt(faultinject.CheckpointData, 1, nil)
-		if err := WriteCheckpointHooked(path, codecMatrix(n), inj); err == nil {
+		payload, err := EncodeCheckpoint(codecMatrix(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteCheckpointBytes(path, payload, inj); err == nil {
 			t.Fatalf("n=%d: killed write must report failure", n)
 		}
 		st, err := os.Stat(path + ".tmp")
@@ -339,7 +334,7 @@ func BenchmarkEncodeCheckpoint(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var buf bytes.Buffer
 				buf.Grow(20 + 8*len(x.Data))
-				if err := writeEmbeddingV3Oracle(&buf, x, nil); err != nil {
+				if err := writeEmbeddingV3Oracle(&buf, x); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -15,7 +15,7 @@ func ExampleEmbed() {
 		{U: 2, V: 3},                             // bridge
 		{U: 3, V: 4}, {U: 4, V: 5}, {U: 5, V: 3}, // triangle
 	}
-	g, err := lightne.NewGraph(6, arcs, lightne.DefaultGraphOptions())
+	g, err := lightne.NewGraph(6, arcs)
 	if err != nil {
 		log.Fatal(err)
 	}

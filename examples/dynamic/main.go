@@ -24,16 +24,9 @@ func main() {
 	full, labels := ds.Graph, ds.Labels
 
 	// Split edges: 70% initial, 30% streaming in 3 batches.
-	var all []lightne.Edge
-	for u := 0; u < full.NumVertices(); u++ {
-		for _, v := range full.Neighbors(uint32(u), nil) {
-			if uint32(u) < v {
-				all = append(all, lightne.Edge{U: uint32(u), V: v})
-			}
-		}
-	}
+	all := full.Edges()
 	cut := len(all) * 7 / 10
-	initial, err := lightne.NewGraph(full.NumVertices(), all[:cut], lightne.DefaultGraphOptions())
+	initial, err := lightne.NewGraph(full.NumVertices(), all[:cut])
 	if err != nil {
 		log.Fatal(err)
 	}

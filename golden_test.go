@@ -35,7 +35,7 @@ func TestCLIOutputGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadText := func() (*lightne.Graph, error) {
-		return lightne.LoadGraphWithOptions(bytes.NewReader(text.Bytes()), 0, lightne.DefaultGraphOptions())
+		return lightne.LoadGraph(bytes.NewReader(text.Bytes()), 0)
 	}
 	// The LNGC file holds the graph the text load builds (4 083 vertices: the
 	// edge list does not name RMAT's isolated tail).

@@ -24,7 +24,7 @@ func clusters(t *testing.T, half int, p float64, seed uint64) *graph.Graph {
 		}
 	}
 	arcs = append(arcs, graph.Edge{U: 0, V: uint32(half)})
-	g, err := graph.FromEdges(2*half, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(2*half, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestBaselineErrors(t *testing.T) {
 	if _, err := NetMFExact(g, NetMFConfig{Dim: 0}); err == nil {
 		t.Fatal("expected dim error")
 	}
-	empty, err := graph.FromEdges(4, nil, graph.DefaultOptions())
+	empty, err := graph.FromEdges(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestNegTableDistribution(t *testing.T) {
 	for i := 1; i < n; i++ {
 		arcs = append(arcs, graph.Edge{U: 0, V: uint32(i)})
 	}
-	g, err := graph.FromEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestDeepWalkDeterministicInit(t *testing.T) {
 func TestWeightedGraphRejections(t *testing.T) {
 	wg, err := graph.FromWeightedEdges(4, []graph.WeightedEdge{
 		{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 3},
-	}, graph.DefaultOptions())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestNode2VecStepBiases(t *testing.T) {
 	// Path graph 0-1-2 plus triangle edge 0-2: from cur=1 with prev=0,
 	// candidate 0 has bias 1/p (return), candidate 2 has bias 1 (neighbor
 	// of prev thanks to edge 0-2). With p huge, returns become rare.
-	g, err := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}}, graph.DefaultOptions())
+	g, err := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestNode2VecErrors(t *testing.T) {
 	if _, err := Node2Vec(g, Node2VecConfig{Dim: 4, P: 0, Q: 1}); err == nil {
 		t.Fatal("expected p error")
 	}
-	empty, err := graph.FromEdges(3, nil, graph.DefaultOptions())
+	empty, err := graph.FromEdges(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package compress
 
 import "fmt"
 
-// Checked decoding for untrusted bytes. The hot-path decoders (Decode, Nth,
+// Checked decoding for untrusted bytes. The hot-path decoders (Neighbors, Nth,
 // DecodeBlock) trust the encoding: on truncated or corrupt input they fail
 // with a bare index-out-of-range panic, which is fine for adjacency this
 // process built but not for bytes mmap'd from a file. The *Checked variants

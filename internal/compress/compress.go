@@ -208,14 +208,6 @@ func (a *Adjacency) region(u uint32) (data []byte, tab int, d int, ok bool) {
 	return a.data[a.vtxOffsets[u]:a.vtxOffsets[u+1]], tab, d, true
 }
 
-// Decode calls fn for every neighbor of u in ascending order.
-func (a *Adjacency) Decode(u uint32, fn func(v uint32)) {
-	var buf [4 * DefaultBlockSize]uint32 // longer lists decode to the heap
-	for _, v := range a.Neighbors(u, buf[:0]) {
-		fn(v)
-	}
-}
-
 // Nth returns the i-th neighbor (0-based, ascending order) of u. It decodes
 // only the block containing index i — the operation LightNE's random-walk
 // step relies on (paper §4.2). Panics if i is out of range.

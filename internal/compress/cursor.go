@@ -30,7 +30,7 @@ func blockStart(data []byte, tab, block int) int {
 
 // DecodeBlock appends the neighbors of vertex u stored in the given block
 // (full blocks hold BlockSize neighbors; the last may be short) to dst and
-// returns the extended slice. Like Decode, it trusts the encoding; use the
+// returns the extended slice. Like Neighbors, it trusts the encoding; use the
 // checked path for untrusted bytes. Panics if block is out of range.
 func (a *Adjacency) DecodeBlock(u uint32, block int, dst []uint32) []uint32 {
 	data, tab, d, ok := a.region(u)

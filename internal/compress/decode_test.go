@@ -6,7 +6,7 @@ import (
 )
 
 // checkDecoders checks every decoder of a against adj, the sorted lists a
-// was built from: Neighbors (appending after a non-empty prefix), Decode,
+// was built from: Neighbors (appending after a non-empty prefix),
 // DecodeBlock, Nth, the lazy and the full Cursor, DecodeChecked and
 // NthChecked. The unchecked decoders share one block decoder; the checked
 // ones are separate code, so each pair is a differential.
@@ -20,8 +20,7 @@ func checkDecoders(t *testing.T, a *Adjacency, adj [][]uint32) {
 		if len(buf) != len(want)+1 || buf[0] != 7 {
 			t.Fatalf("bs=%d u=%d: Neighbors returned %d values (prefix %d) for degree %d", a.BlockSize(), u, len(buf), buf[0], len(want))
 		}
-		var seq, checked []uint32
-		a.Decode(u, func(v uint32) { seq = append(seq, v) })
+		var checked []uint32
 		if err := a.DecodeChecked(u, func(v uint32) { checked = append(checked, v) }); err != nil {
 			t.Fatalf("bs=%d u=%d: DecodeChecked: %v", a.BlockSize(), u, err)
 		}
@@ -29,18 +28,18 @@ func checkDecoders(t *testing.T, a *Adjacency, adj [][]uint32) {
 		for b := 0; b < a.NumBlocks(u); b++ {
 			blocks = a.DecodeBlock(u, b, blocks)
 		}
-		if len(seq) != len(want) || len(checked) != len(want) || len(blocks) != len(want) {
-			t.Fatalf("bs=%d u=%d: Decode %d, DecodeChecked %d, DecodeBlock %d values for degree %d",
-				a.BlockSize(), u, len(seq), len(checked), len(blocks), len(want))
+		if len(checked) != len(want) || len(blocks) != len(want) {
+			t.Fatalf("bs=%d u=%d: DecodeChecked %d, DecodeBlock %d values for degree %d",
+				a.BlockSize(), u, len(checked), len(blocks), len(want))
 		}
 		lazy.Begin(a, u, 1)
 		full.Begin(a, u, len(want))
 		for i, w := range want {
 			nth, err := a.NthChecked(u, i)
-			got := [...]uint32{buf[i+1], seq[i], checked[i], blocks[i], a.Nth(u, i), lazy.Nth(i), full.Nth(i), nth}
+			got := [...]uint32{buf[i+1], checked[i], blocks[i], a.Nth(u, i), lazy.Nth(i), full.Nth(i), nth}
 			for k, g := range got {
 				if g != w || err != nil {
-					name := [...]string{"Neighbors", "Decode", "DecodeChecked", "DecodeBlock", "Nth", "lazy Cursor", "full Cursor", "NthChecked"}[k]
+					name := [...]string{"Neighbors", "DecodeChecked", "DecodeBlock", "Nth", "lazy Cursor", "full Cursor", "NthChecked"}[k]
 					t.Fatalf("bs=%d u=%d i=%d: %s %d (err %v), want %d", a.BlockSize(), u, i, name, g, err, w)
 				}
 			}

@@ -172,7 +172,7 @@ func TestEmbedErrors(t *testing.T) {
 	if _, err := Embed(g, Config{T: 0, Dim: 8}); err == nil {
 		t.Fatal("expected T error")
 	}
-	empty, err := graph.FromEdges(5, nil, graph.DefaultOptions())
+	empty, err := graph.FromEdges(5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,16 +161,10 @@ func TestEstimateMemoryAliasTableBytes(t *testing.T) {
 	}
 	// Weighted twin: same arcs, unit-ish weights.
 	var arcs []graph.WeightedEdge
-	for u := 0; u < g.NumVertices(); u++ {
-		d := g.Degree(uint32(u))
-		for i := 0; i < d; i++ {
-			v := g.Neighbor(uint32(u), i)
-			if uint32(u) < v {
-				arcs = append(arcs, graph.WeightedEdge{U: uint32(u), V: v, W: 1 + float64(i%3)})
-			}
-		}
+	for k, e := range g.Edges() {
+		arcs = append(arcs, graph.WeightedEdge{U: e.U, V: e.V, W: 1 + float64(k%3)})
 	}
-	wg, err := graph.FromWeightedEdges(g.NumVertices(), arcs, graph.DefaultOptions())
+	wg, err := graph.FromWeightedEdges(g.NumVertices(), arcs)
 	if err != nil {
 		t.Fatal(err)
 	}

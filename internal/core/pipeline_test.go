@@ -29,7 +29,7 @@ func karate(t *testing.T) *graph.Graph {
 	for i := 0; i < n; i += 3 {
 		arcs = append(arcs, graph.Edge{U: uint32(i), V: uint32((i + 7) % n)})
 	}
-	g, err := graph.FromEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func randGraph(t *testing.T, n, extraPerVertex int, seed uint64) *graph.Graph {
 			add(uint32(i), uint32(s.Intn(n)))
 		}
 	}
-	g, err := graph.FromEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func weightedTestGraph(t *testing.T) *graph.Graph {
 	for i := 0; i < n; i += 4 {
 		arcs = append(arcs, graph.WeightedEdge{U: uint32(i), V: uint32((i + 5) % n), W: 3})
 	}
-	g, err := graph.FromWeightedEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromWeightedEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func communityGraph(t *testing.T, blocks, per, chords int, seed uint64) *graph.G
 		}
 		arcs = append(arcs, graph.Edge{U: uint32(base), V: uint32((base + per) % n)})
 	}
-	g, err := graph.FromEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestEmbeddingSeparatesCommunities(t *testing.T) {
 		}
 	}
 	arcs = append(arcs, graph.Edge{U: 0, V: uint32(half)})
-	g, err := graph.FromEdges(2*half, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(2*half, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,92 +1,50 @@
 package dense
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// SolveSquare solves A·X = B for a square k×k matrix A and k×q right-hand
-// side B, returning X (k×q). Neither input is modified. Gaussian elimination
-// with partial pivoting; the elimination is sequential, so the result is
-// bit-identical for every worker count. In the embedding pipeline it only
-// ever runs on the small k×k core problem of the single-pass sketch
-// (k = d + oversample), where O(k³) is negligible next to the streaming
-// pass that produced the operands.
+// SolveUpper solves R·X = B for an upper-triangular k×k matrix R and k×q
+// right-hand side B by back substitution, returning X (k×q). Entries of R
+// below the diagonal are not read, and neither input is modified. The
+// substitution is sequential, so the result is bit-identical for every
+// worker count. In the embedding pipeline it only ever runs on the R factor
+// of the single-pass sketch's small k×k core problem (k = d + oversample),
+// where O(k²·q) is negligible next to the streaming pass that produced the
+// operands.
 //
-// Returns an error if A is exactly singular (a zero pivot column);
-// near-singular systems solve but amplify rounding like any unpivoted
-// factor would.
-func SolveSquare(a, b *Matrix) (*Matrix, error) {
-	if a.Rows != a.Cols {
-		panic(fmt.Sprintf("dense: SolveSquare requires a square system, got %dx%d", a.Rows, a.Cols))
+// Returns an error if R is exactly singular (a zero on the diagonal);
+// near-singular systems solve but amplify rounding.
+func SolveUpper(r, b *Matrix) (*Matrix, error) {
+	if r.Rows != r.Cols {
+		panic(fmt.Sprintf("dense: SolveUpper requires a square system, got %dx%d", r.Rows, r.Cols))
 	}
-	if b.Rows != a.Rows {
-		panic(fmt.Sprintf("dense: SolveSquare shape mismatch (%dx%d)·X = (%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols))
+	if b.Rows != r.Rows {
+		panic(fmt.Sprintf("dense: SolveUpper shape mismatch (%dx%d)·X = (%dx%d)",
+			r.Rows, r.Cols, b.Rows, b.Cols))
 	}
-	k := a.Rows
-	lu := a.Clone()
+	k := r.Rows
+	for i := 0; i < k; i++ {
+		if r.At(i, i) == 0 {
+			return nil, fmt.Errorf("dense: singular system (pivot column %d)", i)
+		}
+	}
 	x := b.Clone()
-	for col := 0; col < k; col++ {
-		// Partial pivot: the largest |entry| in the column at or below the
-		// diagonal.
-		piv, best := col, math.Abs(lu.At(col, col))
-		for r := col + 1; r < k; r++ {
-			if v := math.Abs(lu.At(r, col)); v > best {
-				piv, best = r, v
-			}
-		}
-		if best == 0 {
-			return nil, fmt.Errorf("dense: singular system (pivot column %d)", col)
-		}
-		if piv != col {
-			swapRows(lu, piv, col)
-			swapRows(x, piv, col)
-		}
-		inv := 1 / lu.At(col, col)
-		pivRow := lu.Row(col)
-		pivRHS := x.Row(col)
-		for r := col + 1; r < k; r++ {
-			f := lu.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			row := lu.Row(r)
-			for j := col; j < k; j++ {
-				row[j] -= f * pivRow[j]
-			}
-			rhs := x.Row(r)
-			for j, v := range pivRHS {
-				rhs[j] -= f * v
-			}
-		}
-	}
-	// Back substitution on the upper-triangular factor.
 	for i := k - 1; i >= 0; i-- {
 		xi := x.Row(i)
-		li := lu.Row(i)
-		for r := i + 1; r < k; r++ {
-			f := li[r]
+		ri := r.Row(i)
+		for c := i + 1; c < k; c++ {
+			f := ri[c]
 			if f == 0 {
 				continue
 			}
-			xr := x.Row(r)
-			for j, v := range xr {
+			xc := x.Row(c)
+			for j, v := range xc {
 				xi[j] -= f * v
 			}
 		}
-		inv := 1 / li[i]
+		inv := 1 / ri[i]
 		for j := range xi {
 			xi[j] *= inv
 		}
 	}
 	return x, nil
-}
-
-// swapRows exchanges rows i and j of m in place.
-func swapRows(m *Matrix, i, j int) {
-	ri, rj := m.Row(i), m.Row(j)
-	for t, v := range ri {
-		ri[t], rj[t] = rj[t], v
-	}
 }

@@ -18,9 +18,9 @@ func BenchmarkDynamic(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	arcs := collectArcs(full)
+	arcs := full.Edges()
 	cut := len(arcs) * 9 / 10
-	initial, err := graph.FromEdges(full.NumVertices(), arcs[:cut], graph.DefaultOptions())
+	initial, err := graph.FromEdges(full.NumVertices(), arcs[:cut])
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -83,19 +83,6 @@ func New(initial *graph.Graph, cfg core.Config) (*Embedder, error) {
 	return e, nil
 }
 
-// collectArcs lists each undirected edge once (u < v).
-func collectArcs(g *graph.Graph) []graph.Edge {
-	var arcs []graph.Edge
-	for u := 0; u < g.NumVertices(); u++ {
-		for _, v := range g.Neighbors(uint32(u), nil) {
-			if uint32(u) < v {
-				arcs = append(arcs, graph.Edge{U: uint32(u), V: v})
-			}
-		}
-	}
-	return arcs
-}
-
 // sampleArcs samples arcs of the current graph at the fixed per-arc rate, on
 // a seed derived from the batch number, and keeps their pairs. A partly
 // filled segment is copied to its length, so the kept state is 16 bytes per
@@ -121,7 +108,7 @@ func (e *Embedder) sampleArcs(arcs []graph.Edge) error {
 // resample draws the samples from scratch on the current graph's edges, in
 // ascending (u, v) order.
 func (e *Embedder) resample() error {
-	arcs := collectArcs(e.g)
+	arcs := e.g.Edges()
 	e.keys, e.fixed, e.trials, e.heads, e.staleArcs, e.numEdges = nil, nil, 0, 0, 0, len(arcs)
 	return e.sampleArcs(arcs)
 }
@@ -162,7 +149,7 @@ func (e *Embedder) AddEdges(batch []graph.Edge) error {
 	if e.simple {
 		g, err = e.g.WithEdges(n, fresh)
 	} else {
-		g, err = graph.FromEdges(n, append(collectArcs(e.g), fresh...), graph.DefaultOptions())
+		g, err = graph.FromEdges(n, append(e.g.Edges(), fresh...))
 	}
 	if err != nil {
 		return err

@@ -26,16 +26,9 @@ func growingSBM(t *testing.T) (*graph.Graph, []graph.Edge, *gen.Labels) {
 		t.Fatal(err)
 	}
 	// Split the edge set: 80% initial graph, 20% arriving later.
-	var all []graph.Edge
-	for u := 0; u < g.NumVertices(); u++ {
-		for _, v := range g.Neighbors(uint32(u), nil) {
-			if uint32(u) < v {
-				all = append(all, graph.Edge{U: uint32(u), V: v})
-			}
-		}
-	}
+	all := g.Edges()
 	cut := len(all) * 8 / 10
-	initial, err := graph.FromEdges(g.NumVertices(), all[:cut], graph.DefaultOptions())
+	initial, err := graph.FromEdges(g.NumVertices(), all[:cut])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,9 +202,9 @@ func TestAddEdgesGraphEqualsFromEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arcs := collectArcs(full)
+	arcs := full.Edges()
 	cut := len(arcs) * 9 / 10
-	simple, err := graph.FromEdges(full.NumVertices(), arcs[:cut], graph.DefaultOptions())
+	simple, err := graph.FromEdges(full.NumVertices(), arcs[:cut])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +218,7 @@ func TestAddEdgesGraphEqualsFromEdges(t *testing.T) {
 	}
 	edges = append(edges, 0)
 	offsets = append(offsets, int64(len(edges)))
-	loose, err := graph.FromCSR(offsets, edges, graph.Options{})
+	loose, err := graph.FromCSR(offsets, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +230,7 @@ func TestAddEdgesGraphEqualsFromEdges(t *testing.T) {
 		if e.simple != (start == simple) {
 			t.Fatalf("New: simple = %v on the %v graph", e.simple, start == simple)
 		}
-		delivered := collectArcs(start)
+		delivered := start.Edges()
 		src := rng.New(7, 0)
 		for batch := 0; batch < 6; batch++ {
 			n := e.NumVertices()
@@ -263,7 +256,7 @@ func TestAddEdgesGraphEqualsFromEdges(t *testing.T) {
 				t.Fatal(err)
 			}
 			delivered = append(delivered, b...)
-			want, err := graph.FromEdges(e.NumVertices(), delivered, graph.DefaultOptions())
+			want, err := graph.FromEdges(e.NumVertices(), delivered)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -341,7 +334,7 @@ func TestNewErrors(t *testing.T) {
 	}
 	// An edgeless graph fixes no per-arc rate (M/0), so New rejects it, as
 	// core.Embed does, rather than embed every later batch from no samples.
-	edgeless, err := graph.FromEdges(5, nil, graph.DefaultOptions())
+	edgeless, err := graph.FromEdges(5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +344,7 @@ func TestNewErrors(t *testing.T) {
 }
 
 func TestNewRejectsWeightedGraph(t *testing.T) {
-	wg, err := graph.FromWeightedEdges(3, []graph.WeightedEdge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 1}}, graph.DefaultOptions())
+	wg, err := graph.FromWeightedEdges(3, []graph.WeightedEdge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,9 +365,9 @@ func TestEmbedDeterministicAcrossProcsAndShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arcs := collectArcs(full)
+	arcs := full.Edges()
 	cut := len(arcs) * 3 / 4
-	initial, err := graph.FromEdges(full.NumVertices(), arcs[:cut], graph.DefaultOptions())
+	initial, err := graph.FromEdges(full.NumVertices(), arcs[:cut])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,9 +412,9 @@ func TestEmbedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arcs := collectArcs(full)
+	arcs := full.Edges()
 	cut := len(arcs) * 3 / 4
-	initial, err := graph.FromEdges(full.NumVertices(), arcs[:cut], graph.DefaultOptions())
+	initial, err := graph.FromEdges(full.NumVertices(), arcs[:cut])
 	if err != nil {
 		t.Fatal(err)
 	}

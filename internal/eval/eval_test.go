@@ -137,7 +137,7 @@ func ringGraph(t *testing.T, n int) *graph.Graph {
 	for i := 0; i < n; i++ {
 		arcs[i] = graph.Edge{U: uint32(i), V: uint32((i + 1) % n)}
 	}
-	g, err := graph.FromEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,16 +19,7 @@ func SplitEdges(g *graph.Graph, testFrac float64, seed uint64) (*graph.Graph, []
 	if testFrac <= 0 || testFrac >= 1 {
 		return nil, nil, fmt.Errorf("eval: test fraction must be in (0,1), got %g", testFrac)
 	}
-	var all []graph.Edge
-	n := g.NumVertices()
-	nc := g.NewNeighborCursor()
-	for u := 0; u < n; u++ {
-		for _, v := range nc.List(uint32(u)) {
-			if uint32(u) < v {
-				all = append(all, graph.Edge{U: uint32(u), V: v})
-			}
-		}
-	}
+	all := g.Edges()
 	if len(all) < 2 {
 		return nil, nil, fmt.Errorf("eval: too few edges to split")
 	}
@@ -45,7 +36,7 @@ func SplitEdges(g *graph.Graph, testFrac float64, seed uint64) (*graph.Graph, []
 		nTest = len(all) - 1
 	}
 	test := append([]graph.Edge(nil), all[:nTest]...)
-	train, err := graph.FromEdges(n, all[nTest:], graph.DefaultOptions())
+	train, err := graph.FromEdges(g.NumVertices(), all[nTest:])
 	if err != nil {
 		return nil, nil, err
 	}

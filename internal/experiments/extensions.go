@@ -25,16 +25,9 @@ func E11DynamicEmbedding(opt Options) (*Report, error) {
 		return nil, err
 	}
 	full, labels := ds.Graph, ds.Labels
-	var all []graph.Edge
-	for u := 0; u < full.NumVertices(); u++ {
-		for _, v := range full.Neighbors(uint32(u), nil) {
-			if uint32(u) < v {
-				all = append(all, graph.Edge{U: uint32(u), V: v})
-			}
-		}
-	}
+	all := full.Edges()
 	cut := len(all) * 7 / 10
-	initial, err := graph.FromEdges(full.NumVertices(), all[:cut], graph.DefaultOptions())
+	initial, err := graph.FromEdges(full.NumVertices(), all[:cut])
 	if err != nil {
 		return nil, err
 	}
@@ -182,18 +175,7 @@ func E13CompressionScaling(opt Options) (*Report, error) {
 			return nil, err
 		}
 		plain := ds.Graph
-		// Rebuild with parallel-byte compression.
-		var arcs []graph.Edge
-		for u := 0; u < plain.NumVertices(); u++ {
-			for _, v := range plain.Neighbors(uint32(u), nil) {
-				if uint32(u) < v {
-					arcs = append(arcs, graph.Edge{U: uint32(u), V: v})
-				}
-			}
-		}
-		copt := graph.DefaultOptions()
-		copt.Compress = true
-		compressed, err := graph.FromEdges(plain.NumVertices(), arcs, copt)
+		compressed, err := plain.ToCompressed(0)
 		if err != nil {
 			return nil, err
 		}

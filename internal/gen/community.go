@@ -100,7 +100,7 @@ func CommunityPowerLaw(cfg CommunityPowerLawConfig) (*graph.Graph, *Labels, erro
 			arcs = append(arcs, graph.Edge{U: u, V: v})
 		}
 	}
-	g, err := graph.FromEdges(cfg.N, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(cfg.N, arcs)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -105,7 +105,7 @@ func SBM(cfg SBMConfig) (*graph.Graph, *Labels, error) {
 			}
 		}
 	}
-	g, err := graph.FromEdges(cfg.N, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(cfg.N, arcs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -271,7 +271,7 @@ func ChungLu(cfg ChungLuConfig) (*graph.Graph, error) {
 		}
 		arcs = append(arcs, graph.Edge{U: u, V: v})
 	}
-	return graph.FromEdges(n, arcs, graph.DefaultOptions())
+	return graph.FromEdges(n, arcs)
 }
 
 // RMATConfig parameterizes a recursive-matrix generator.
@@ -327,7 +327,7 @@ func RMAT(cfg RMATConfig) (*graph.Graph, error) {
 		}
 		arcs = append(arcs, graph.Edge{U: u, V: v})
 	}
-	return graph.FromEdges(n, arcs, graph.DefaultOptions())
+	return graph.FromEdges(n, arcs)
 }
 
 // Stats summarizes a generated graph for reporting (Table 3 analog).

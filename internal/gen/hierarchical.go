@@ -129,7 +129,7 @@ func HierarchicalSBM(cfg HierarchicalSBMConfig) (*graph.Graph, *Labels, error) {
 		sampleGroup(all, cfg.DOut)
 	}
 
-	g, err := graph.FromEdges(cfg.N, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(cfg.N, arcs)
 	if err != nil {
 		return nil, nil, err
 	}

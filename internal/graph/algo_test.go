@@ -8,7 +8,7 @@ import (
 
 func TestConnectedComponentsTwoIslands(t *testing.T) {
 	arcs := []Edge{{0, 1}, {1, 2}, {3, 4}}
-	g, err := FromEdges(6, arcs, DefaultOptions()) // vertex 5 isolated
+	g, err := FromEdges(6, arcs) // vertex 5 isolated
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestConnectedComponentsRandomMatchesBFS(t *testing.T) {
 	for i := 0; i < 350; i++ {
 		arcs = append(arcs, Edge{uint32(s.Intn(n)), uint32(s.Intn(n))})
 	}
-	g, err := FromEdges(n, arcs, DefaultOptions())
+	g, err := FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestConnectedComponentsRandomMatchesBFS(t *testing.T) {
 func TestBFSDistances(t *testing.T) {
 	// Path graph 0-1-2-3-4.
 	arcs := []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}}
-	g, err := FromEdges(5, arcs, DefaultOptions())
+	g, err := FromEdges(5, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestBFSDistances(t *testing.T) {
 func TestDegreeHistogram(t *testing.T) {
 	// Star with 4 leaves: one vertex of degree 4, four of degree 1.
 	arcs := []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}}
-	g, err := FromEdges(6, arcs, DefaultOptions()) // vertex 5 has degree 0
+	g, err := FromEdges(6, arcs) // vertex 5 has degree 0
 	if err != nil {
 		t.Fatal(err)
 	}

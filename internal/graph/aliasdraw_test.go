@@ -8,11 +8,19 @@ import (
 	"lightne/internal/rng"
 )
 
-// Tests for the keyed alias draw API (AliasNeighbor / aliasPick) and the
-// scratch-based alias construction: a chi-square goodness-of-fit harness
-// over keyed-hash draws, a fuzzer pitting buildAlias against the naive
-// normalized-weight reference, and an allocation regression for the
-// per-worker scratch.
+// Tests for the keyed alias draw (NeighborCursor.AliasNeighbor /
+// aliasPick) and the scratch-based alias construction: a chi-square
+// goodness-of-fit harness over keyed-hash draws, a fuzzer pitting
+// buildAlias against the naive normalized-weight reference, and an
+// allocation regression for the per-worker scratch.
+
+// aliasDraw resolves one keyed draw at u through a NeighborCursor, as the
+// batched walker does.
+func aliasDraw(g *Graph, u uint32, draw uint64) uint32 {
+	c := g.NewNeighborCursor()
+	c.Begin(u, 1)
+	return c.AliasNeighbor(draw)
+}
 
 // chiSquareCrit01 returns the upper 0.01 critical value of the chi-square
 // distribution with df degrees of freedom via the Wilson–Hilferty cube
@@ -46,16 +54,13 @@ func TestAliasNeighborChiSquare(t *testing.T) {
 			arcs[i] = WeightedEdge{U: 0, V: uint32(i + 1), W: w}
 			total += w
 		}
-		g, err := FromWeightedEdges(len(weights)+1, arcs, Options{Symmetrize: true})
+		g, err := FromWeightedEdges(len(weights)+1, arcs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		counts := make([]int64, len(weights)+1)
 		for k := 0; k < draws; k++ {
-			v, ok := g.AliasNeighbor(0, rng.Hash64(uint64(pi)*7919+3, uint64(k)))
-			if !ok {
-				t.Fatalf("profile %d: hub reported isolated", pi)
-			}
+			v := aliasDraw(g, 0, rng.Hash64(uint64(pi)*7919+3, uint64(k)))
 			if v == 0 || int(v) > len(weights) {
 				t.Fatalf("profile %d: draw returned non-neighbor %d", pi, v)
 			}
@@ -74,21 +79,20 @@ func TestAliasNeighborChiSquare(t *testing.T) {
 	}
 }
 
-// TestAliasNeighborEdgeCases pins the degenerate shapes: a single-edge
-// vertex always returns its only neighbor, and an isolated vertex reports
-// ok=false for any draw.
+// TestAliasNeighborEdgeCases pins the degenerate shape: a single-edge
+// vertex always returns its only neighbor, whatever the draw.
 func TestAliasNeighborEdgeCases(t *testing.T) {
-	g, err := FromWeightedEdges(3, []WeightedEdge{{U: 0, V: 1, W: 42}}, Options{Symmetrize: true})
+	g, err := FromWeightedEdges(3, []WeightedEdge{{U: 0, V: 1, W: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := uint64(0); k < 64; k++ {
 		draw := rng.Hash64(17, k)
-		if v, ok := g.AliasNeighbor(0, draw); !ok || v != 1 {
-			t.Fatalf("single-edge vertex: got (%d, %v)", v, ok)
+		if v := aliasDraw(g, 0, draw); v != 1 {
+			t.Fatalf("single-edge vertex: got %d", v)
 		}
-		if _, ok := g.AliasNeighbor(2, draw); ok {
-			t.Fatal("isolated vertex must report ok=false")
+		if v := aliasDraw(g, 1, draw); v != 0 {
+			t.Fatalf("its neighbor's single edge: got %d", v)
 		}
 	}
 }
@@ -127,7 +131,7 @@ func FuzzAliasBuild(f *testing.F) {
 			arcs[i] = WeightedEdge{U: 0, V: uint32(i + 1), W: w}
 			total += w
 		}
-		g, err := FromWeightedEdges(d+1, arcs, Options{})
+		g, err := FromWeightedEdges(d+1, arcs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,9 +160,8 @@ func FuzzAliasBuild(f *testing.F) {
 		}
 		// Keyed draws must always land on a stored neighbor.
 		for k := uint64(0); k < 32; k++ {
-			v, ok := g.AliasNeighbor(0, rng.Hash64(1, k))
-			if !ok || v == 0 || int(v) > d {
-				t.Fatalf("draw %d: got (%d, %v)", k, v, ok)
+			if v := aliasDraw(g, 0, rng.Hash64(1, k)); v == 0 || int(v) > d {
+				t.Fatalf("draw %d: got %d", k, v)
 			}
 		}
 	})
@@ -184,7 +187,7 @@ func TestBuildAliasAllocs(t *testing.T) {
 				arcs = append(arcs, WeightedEdge{U: uint32(i), V: v, W: 1 + s.Float64()})
 			}
 		}
-		g, err := FromWeightedEdges(n, arcs, DefaultOptions())
+		g, err := FromWeightedEdges(n, arcs)
 		if err != nil {
 			t.Fatal(err)
 		}

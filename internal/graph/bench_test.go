@@ -15,9 +15,10 @@ func benchGraph(b *testing.B, compressed bool) *Graph {
 	for i := 0; i < n*10; i++ {
 		arcs = append(arcs, Edge{uint32(s.Intn(n)), uint32(s.Intn(n))})
 	}
-	opt := DefaultOptions()
-	opt.Compress = compressed
-	g, err := FromEdges(n, arcs, opt)
+	g, err := FromEdges(n, arcs)
+	if err == nil && compressed {
+		g, err = g.ToCompressed(0)
+	}
 	if err != nil {
 		b.Fatal(err)
 	}

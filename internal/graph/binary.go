@@ -247,10 +247,9 @@ func parseLNGCHeader(hdr []byte) (lngcHeader, error) {
 }
 
 // ReadBinary loads a graph written by WriteBinary, detecting the format
-// from the magic. LNG1 honors the compression options (the CSR structure is
-// taken as stored); LNGC is already compressed, so the options are ignored
-// and no CSR edge array is ever allocated.
-func ReadBinary(r io.Reader, opt Options) (*Graph, error) {
+// from the magic. LNG1 loads the CSR structure as stored (FromCSR); LNGC is
+// already compressed and no CSR edge array is ever allocated.
+func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic, err := br.Peek(4)
 	if err != nil {
@@ -291,7 +290,7 @@ func ReadBinary(r io.Reader, opt Options) (*Graph, error) {
 		}
 		edges = append(edges, binary.LittleEndian.Uint32(buf[:4]))
 	}
-	return FromCSR(offsets, edges, opt)
+	return FromCSR(offsets, edges)
 }
 
 // readLNGC streams an LNGC file into freshly allocated section arrays —

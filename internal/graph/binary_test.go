@@ -15,7 +15,7 @@ func TestBinaryRoundtrip(t *testing.T) {
 	for i := 0; i < 1500; i++ {
 		arcs = append(arcs, Edge{uint32(s.Intn(n)), uint32(s.Intn(n))})
 	}
-	g, err := FromEdges(n, arcs, DefaultOptions())
+	g, err := FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestBinaryRoundtrip(t *testing.T) {
 	if err := g.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadBinary(bytes.NewReader(buf.Bytes()), Options{})
+	g2, err := ReadBinary(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +45,12 @@ func TestBinaryRoundtrip(t *testing.T) {
 
 func TestBinaryRoundtripCompressedSource(t *testing.T) {
 	// A compressed graph serializes to LNGC and reloads compressed without
-	// re-encoding (the stored block size wins over the requested one).
+	// re-encoding.
 	arcs := []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}}
-	opt := DefaultOptions()
-	opt.Compress = true
-	g, err := FromEdges(4, arcs, opt)
+	g, err := FromEdges(4, arcs)
+	if err == nil {
+		g, err = g.ToCompressed(0)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +58,12 @@ func TestBinaryRoundtripCompressedSource(t *testing.T) {
 	if err := g.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadBinary(bytes.NewReader(buf.Bytes()), Options{Compress: true, BlockSize: 2})
+	g2, err := ReadBinary(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g2.Compressed() {
-		t.Fatal("requested compression lost on load")
+	if !g2.Compressed() || g2.BlockSize() != g.BlockSize() {
+		t.Fatal("compression lost on load")
 	}
 	for u := uint32(0); u < 4; u++ {
 		a, b := g.Neighbors(u, nil), g2.Neighbors(u, nil)
@@ -84,7 +85,7 @@ func TestBinaryRoundtripCompressedSource(t *testing.T) {
 func TestBinaryWeightedRejected(t *testing.T) {
 	wg, err := FromWeightedEdges(3, []WeightedEdge{
 		{0, 1, 2.5}, {1, 2, 0.5},
-	}, DefaultOptions())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +99,14 @@ func TestBinaryWeightedRejected(t *testing.T) {
 		t.Fatalf("rejected write still emitted %d bytes", buf.Len())
 	}
 
-	g, err := FromEdges(3, []Edge{{0, 1}, {1, 2}}, DefaultOptions())
+	g, err := FromEdges(3, []Edge{{0, 1}, {1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := g.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadBinary(bytes.NewReader(buf.Bytes()), Options{})
+	g2, err := ReadBinary(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +130,14 @@ func TestBinaryWeightedRejected(t *testing.T) {
 }
 
 func TestBinaryErrors(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("nope")), Options{}); err == nil {
+	if _, err := ReadBinary(bytes.NewReader([]byte("nope"))); err == nil {
 		t.Fatal("expected header error")
 	}
-	if _, err := ReadBinary(bytes.NewReader([]byte("XXXXYYYYYYYYZZZZZZZZ")), Options{}); err == nil {
+	if _, err := ReadBinary(bytes.NewReader([]byte("XXXXYYYYYYYYZZZZZZZZ"))); err == nil {
 		t.Fatal("expected magic error")
 	}
 	// Truncated payload.
-	g, err := FromEdges(3, []Edge{{0, 1}, {1, 2}}, DefaultOptions())
+	g, err := FromEdges(3, []Edge{{0, 1}, {1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestBinaryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadBinary(bytes.NewReader(trunc), Options{}); err == nil {
+	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("expected truncation error")
 	}
 }

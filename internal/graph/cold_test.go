@@ -13,15 +13,11 @@ import (
 
 // fromEdgesOracle is the comparison-sort CSR build FromEdges replaced, kept
 // as the differential oracle for the grouped build.
-func fromEdgesOracle(n int, arcs []Edge, opt Options) (offsets []int64, edges []uint32) {
+func fromEdgesOracle(n int, arcs []Edge) (offsets []int64, edges []uint32) {
 	work := make([]Edge, 0, len(arcs)*2)
 	for _, e := range arcs {
-		if opt.RemoveSelfLoops && e.U == e.V {
-			continue
-		}
-		work = append(work, e)
-		if opt.Symmetrize && e.U != e.V {
-			work = append(work, Edge{e.V, e.U})
+		if e.U != e.V {
+			work = append(work, e, Edge{e.V, e.U})
 		}
 	}
 	sort.Slice(work, func(i, j int) bool {
@@ -109,33 +105,24 @@ func randomMultigraph(n, m int, seed uint64) []Edge {
 	return arcs
 }
 
-// allOptions enumerates every {Symmetrize, RemoveSelfLoops} combination.
-func allOptions() []Options {
-	var out []Options
-	for mask := 0; mask < 4; mask++ {
-		out = append(out, Options{Symmetrize: mask&1 != 0, RemoveSelfLoops: mask&2 != 0})
-	}
-	return out
-}
-
-func checkAgainstOracle(t testing.TB, n int, arcs []Edge, opt Options) {
+func checkAgainstOracle(t testing.TB, n int, arcs []Edge) {
 	t.Helper()
-	g, err := FromEdges(n, arcs, opt)
+	g, err := FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	offsets, edges := fromEdgesOracle(n, arcs, opt)
+	offsets, edges := fromEdgesOracle(n, arcs)
 	if len(g.offsets) != len(offsets) || len(g.edges) != len(edges) {
-		t.Fatalf("%+v: %d offsets / %d edges, oracle %d / %d", opt, len(g.offsets), len(g.edges), len(offsets), len(edges))
+		t.Fatalf("n=%d: %d offsets / %d edges, oracle %d / %d", n, len(g.offsets), len(g.edges), len(offsets), len(edges))
 	}
 	for i := range offsets {
 		if g.offsets[i] != offsets[i] {
-			t.Fatalf("%+v: offsets[%d] = %d, oracle %d", opt, i, g.offsets[i], offsets[i])
+			t.Fatalf("n=%d: offsets[%d] = %d, oracle %d", n, i, g.offsets[i], offsets[i])
 		}
 	}
 	for i := range edges {
 		if g.edges[i] != edges[i] {
-			t.Fatalf("%+v: edges[%d] = %d, oracle %d", opt, i, g.edges[i], edges[i])
+			t.Fatalf("n=%d: edges[%d] = %d, oracle %d", n, i, g.edges[i], edges[i])
 		}
 	}
 }
@@ -143,41 +130,38 @@ func checkAgainstOracle(t testing.TB, n int, arcs []Edge, opt Options) {
 // TestFromEdgesMatchesOracle pins the grouped CSR build to the
 // comparison-sort build on random multigraphs (self-loops and duplicates in;
 // vertex counts from none to past 65 536, where the grouping's bucket keys
-// take 64 bits) and on RMAT-12 arcs, under every option combination.
+// take 64 bits) and on RMAT-12 arcs.
 func TestFromEdgesMatchesOracle(t *testing.T) {
-	for _, opt := range allOptions() {
-		for seed, size := range [][2]int{{1, 0}, {1, 1}, {5, 40}, {300, 5000}, {70000, 30000}} {
-			checkAgainstOracle(t, size[0], randomMultigraph(size[0], size[1], uint64(seed)), opt)
-		}
-		checkAgainstOracle(t, 1<<12, rmatArcs(12, 20, 1), opt)
+	for seed, size := range [][2]int{{1, 0}, {1, 1}, {5, 40}, {300, 5000}, {70000, 30000}} {
+		checkAgainstOracle(t, size[0], randomMultigraph(size[0], size[1], uint64(seed)))
 	}
+	checkAgainstOracle(t, 1<<12, rmatArcs(12, 20, 1))
 }
 
 // FuzzFromEdges drives the grouped build and the oracle with the same arc
-// list: bytes pair up into arcs over n = first byte + 1 vertices, and the
-// second byte selects the options.
+// list: the bytes after the first pair up into arcs over n = first byte + 1
+// vertices.
 func FuzzFromEdges(f *testing.F) {
-	f.Add([]byte{3, 7, 0, 1, 1, 2, 2, 0, 1, 1, 0, 1})
-	f.Add([]byte{0, 0})
-	f.Add([]byte{255, 5, 200, 3, 3, 200, 200, 3, 17, 17})
+	f.Add([]byte{3, 0, 1, 1, 2, 2, 0, 1, 1, 0, 1})
+	f.Add([]byte{0})
+	f.Add([]byte{255, 200, 3, 3, 200, 200, 3, 17, 17})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		if len(data) < 1 {
 			return
 		}
-		n, mask := int(data[0])+1, data[1]
-		opt := Options{Symmetrize: mask&1 != 0, RemoveSelfLoops: mask&2 != 0}
+		n := int(data[0]) + 1
 		var arcs []Edge
-		for i := 2; i+1 < len(data); i += 2 {
+		for i := 1; i+1 < len(data); i += 2 {
 			arcs = append(arcs, Edge{uint32(int(data[i]) % n), uint32(int(data[i+1]) % n)})
 		}
-		checkAgainstOracle(t, n, arcs, opt)
+		checkAgainstOracle(t, n, arcs)
 	})
 }
 
 // TestWriteEdgeListMatchesOracle pins the line formatter byte for byte to
-// the Fprintf writer on plain, compressed and weighted graphs.
+// the Fprintf writer on plain, compressed, weighted and non-simple graphs.
 func TestWriteEdgeListMatchesOracle(t *testing.T) {
-	plain, err := FromEdges(1<<12, rmatArcs(12, 20, 3), DefaultOptions())
+	plain, err := FromEdges(1<<12, rmatArcs(12, 20, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +169,16 @@ func TestWriteEdgeListMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := FromWeightedEdges(5, []WeightedEdge{{U: 0, V: 4, W: 2}, {U: 3, V: 1, W: 0.5}, {U: 4, V: 4, W: 1}}, Options{Symmetrize: true})
+	weighted, err := FromWeightedEdges(5, []WeightedEdge{{U: 0, V: 4, W: 2}, {U: 3, V: 1, W: 0.5}, {U: 4, V: 4, W: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, g := range map[string]*Graph{"plain": plain, "compressed": compressed, "weighted": weighted} {
+	// A self-loop at 1 and the one-way arc 2 → 0, as an LNG1 file can carry.
+	loose, err := FromCSR([]int64{0, 0, 1, 2}, []uint32{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{"plain": plain, "compressed": compressed, "weighted": weighted, "loose": loose} {
 		var got, want bytes.Buffer
 		if err := g.WriteEdgeList(&got); err != nil {
 			t.Fatal(err)
@@ -204,21 +193,21 @@ func TestWriteEdgeListMatchesOracle(t *testing.T) {
 }
 
 // BenchmarkFromEdges times the grouped CSR build next to the comparison-sort
-// oracle on the harness's RMAT-12 and RMAT-13 arc lists (default options).
+// oracle on the harness's RMAT-12 and RMAT-13 arc lists.
 func BenchmarkFromEdges(b *testing.B) {
 	for _, scale := range []int{12, 13} {
 		arcs := rmatArcs(scale, 20, 1)
 		n := 1 << scale
 		b.Run(fmt.Sprintf("rmat%d/grouped", scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := FromEdges(n, arcs, DefaultOptions()); err != nil {
+				if _, err := FromEdges(n, arcs); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("rmat%d/oracle", scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fromEdgesOracle(n, arcs, DefaultOptions())
+				fromEdgesOracle(n, arcs)
 			}
 		})
 	}
@@ -227,7 +216,7 @@ func BenchmarkFromEdges(b *testing.B) {
 // BenchmarkWriteEdgeList times the text writer next to the Fprintf oracle
 // on the RMAT-12 graph.
 func BenchmarkWriteEdgeList(b *testing.B) {
-	g, err := FromEdges(1<<12, rmatArcs(12, 20, 1), DefaultOptions())
+	g, err := FromEdges(1<<12, rmatArcs(12, 20, 1))
 	if err != nil {
 		b.Fatal(err)
 	}

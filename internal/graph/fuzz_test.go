@@ -29,7 +29,7 @@ func FuzzLoadEdgeList(f *testing.F) {
 			blockBytes = block
 			checkParser(t, input, 0)
 		}
-		g, err := LoadEdgeList(strings.NewReader(input), 0, DefaultOptions())
+		g, err := LoadEdgeList(strings.NewReader(input), 0)
 		if err != nil {
 			return
 		}
@@ -43,7 +43,7 @@ func FuzzLoadEdgeList(f *testing.F) {
 // panicking and that accepted graphs are consistent.
 func FuzzReadBinary(f *testing.F) {
 	// Seed with a valid serialization.
-	g, err := FromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}}, DefaultOptions())
+	g, err := FromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte("LNG1garbage"))
 	f.Add([]byte("LNGCgarbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data), Options{})
+		g, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

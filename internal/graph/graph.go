@@ -5,11 +5,15 @@
 // near-constant-time i-th-neighbor access (needed by random walk steps), and
 // the random walk itself (Algorithm 1's building block).
 //
-// Graphs here are, for embedding purposes, undirected: the builder
-// symmetrizes edge lists so each undirected edge {u,v} is stored as two
-// directed arcs. NumEdges reports directed arcs, so vol(G) = NumEdges for a
-// symmetrized unweighted graph, matching the paper's vol(G) = 2m convention
-// (weighted graphs — weighted.go — generalize it to vol(G) = total weight).
+// Graphs here are undirected, as LightNE and NetSMF embed them, and there is
+// one way to build one: FromEdges (and FromWeightedEdges) drops self-loops,
+// stores each undirected edge {u,v} as the two arcs u→v and v→u, and merges
+// duplicates. FromCSR wraps arrays as stored, for CSR that arrives from
+// outside the program (binary files), which Validate checks; ToCompressed is
+// the one way to the parallel-byte form, and Edges lists each edge once.
+// NumEdges reports directed arcs, so vol(G) = NumEdges for an unweighted
+// graph, matching the paper's vol(G) = 2m convention (weighted graphs —
+// weighted.go — generalize it to vol(G) = total weight).
 package graph
 
 import (
@@ -23,13 +27,14 @@ import (
 	"lightne/internal/rng"
 )
 
-// Edge is a directed arc; builders interpret pairs per their options.
+// Edge is a pair of vertices: an undirected edge to the builders, which
+// store both of its arcs.
 type Edge struct {
 	U, V uint32
 }
 
 // Graph is an immutable CSR graph. Exactly one of (edges) or (comp) backs
-// the adjacency data depending on whether compression was requested.
+// the adjacency data: comp for graphs from ToCompressed or an LNGC file.
 // Weighted graphs (FromWeightedEdges) additionally carry per-edge weights
 // and per-vertex alias tables for O(1) weighted neighbor sampling.
 type Graph struct {
@@ -42,30 +47,12 @@ type Graph struct {
 	mapped  []byte // LNGC mmap backing the arrays above, if Mmap-loaded
 }
 
-// Options controls graph construction. Builds always merge duplicate arcs.
-type Options struct {
-	// Symmetrize adds the reverse of every input arc (making the graph
-	// undirected). Embedding pipelines always set this.
-	Symmetrize bool
-	// RemoveSelfLoops drops arcs with U == V.
-	RemoveSelfLoops bool
-	// Compress stores adjacency in the Ligra+ parallel-byte format.
-	Compress bool
-	// BlockSize is the compression block size; <= 0 means the default (64).
-	BlockSize int
-}
-
-// DefaultOptions returns the options used by the embedding pipelines:
-// symmetrized, simple (no loops or duplicates), uncompressed.
-func DefaultOptions() Options {
-	return Options{Symmetrize: true, RemoveSelfLoops: true}
-}
-
-// FromEdges builds a graph with n vertices from an arc list. Vertex IDs must
-// be < n. The input slice is not modified. Arcs are packed as u<<32|v and
-// grouped by hashtable.GroupCSR, without weights, into sorted adjacency
-// rows; duplicate arcs merge.
-func FromEdges(n int, arcs []Edge, opt Options) (*Graph, error) {
+// FromEdges builds the undirected simple graph with n vertices whose edges
+// are arcs: self-loops are dropped, both orientations of every other pair
+// are stored and duplicates merge. Vertex IDs must be < n. The input slice
+// is not modified. Arcs are packed as u<<32|v and grouped by
+// hashtable.GroupCSR, without weights, into sorted adjacency rows.
+func FromEdges(n int, arcs []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
@@ -74,22 +61,19 @@ func FromEdges(n int, arcs []Edge, opt Options) (*Graph, error) {
 		if int(e.U) >= n || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: arc (%d,%d) exceeds vertex count %d", e.U, e.V, n)
 		}
-		if opt.RemoveSelfLoops && e.U == e.V {
-			continue
-		}
-		keys = append(keys, uint64(e.U)<<32|uint64(e.V))
-		if opt.Symmetrize && e.U != e.V {
-			keys = append(keys, uint64(e.V)<<32|uint64(e.U))
+		if e.U != e.V {
+			keys = append(keys, uint64(e.U)<<32|uint64(e.V), uint64(e.V)<<32|uint64(e.U))
 		}
 	}
 	offsets, edges, _ := hashtable.GroupCSR(keys, nil, n)
-	return FromCSR(offsets, edges, opt)
+	return FromCSR(offsets, edges)
 }
 
 // FromCSR wraps existing CSR arrays (offsets len n+1, per-vertex neighbor
-// ranges sorted ascending). Only the compression options are honored. The
-// arrays are retained; callers must not mutate them afterwards.
-func FromCSR(offsets []int64, edges []uint32, opt Options) (*Graph, error) {
+// ranges sorted ascending) as stored: it neither symmetrizes nor drops
+// self-loops, so the result need not be Simple. The arrays are retained;
+// callers must not mutate them afterwards.
+func FromCSR(offsets []int64, edges []uint32) (*Graph, error) {
 	if len(offsets) == 0 {
 		return nil, fmt.Errorf("graph: offsets must have at least one element")
 	}
@@ -97,20 +81,10 @@ func FromCSR(offsets []int64, edges []uint32, opt Options) (*Graph, error) {
 	if offsets[n] != int64(len(edges)) {
 		return nil, fmt.Errorf("graph: offsets[n]=%d does not match edge count %d", offsets[n], len(edges))
 	}
-	g := &Graph{n: n, offsets: offsets}
-	if opt.Compress {
-		a, err := compress.Build(offsets, edges, opt.BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		g.comp = a
-	} else {
-		g.edges = edges
-	}
-	return g, nil
+	return &Graph{n: n, offsets: offsets, edges: edges}, nil
 }
 
-// Simple reports whether g is a graph FromEdges builds with DefaultOptions:
+// Simple reports whether g is a graph FromEdges builds:
 // uncompressed and unweighted, each row strictly ascending without its own
 // vertex, and the reverse of every arc stored.
 func (g *Graph) Simple() bool {
@@ -142,8 +116,7 @@ func (g *Graph) Simple() bool {
 // must be uncompressed and unweighted and is not modified. Rows no added
 // edge touches are copied in bulk and each touched row is merged with its
 // added neighbors, so the cost is one copy of the CSR plus the batch; for a
-// Simple g the result is the graph FromEdges builds with DefaultOptions from
-// g's edges and add.
+// Simple g the result is the graph FromEdges builds from g's edges and add.
 func (g *Graph) WithEdges(n int, add []Edge) (*Graph, error) {
 	if g.comp != nil || g.weights != nil {
 		return nil, fmt.Errorf("graph: WithEdges needs an uncompressed, unweighted graph")
@@ -194,7 +167,7 @@ func (g *Graph) WithEdges(n int, add []Edge) (*Graph, error) {
 		next = u + 1
 	}
 	place(n)
-	return FromCSR(offsets, edges, Options{})
+	return FromCSR(offsets, edges)
 }
 
 // NumVertices returns n.
@@ -307,9 +280,19 @@ func (c *NeighborCursor) List(u uint32) []uint32 {
 	return c.span
 }
 
-// AliasNeighbor draws a weight-proportional neighbor of the vertex passed
-// to Begin from a single 64-bit keyed value (see Graph.AliasNeighbor for
-// the slot/coin layout). Only valid on weighted graphs.
+// AliasNeighbor draws a neighbor of the vertex passed to Begin
+// proportionally to edge weight from a SINGLE 64-bit uniform value
+// (typically rng.Hash64 keyed by the caller's draw identity): the slot is
+// the multiply-shift reduction of the high bits and the Vose acceptance
+// coin is the low 32 bits as a fixed-point fraction (aliasPick). The draw
+// is stateless — the result is a pure function of (graph, vertex, draw) —
+// which is what lets the batched walker keep its bit-identical-across-
+// geometry guarantee on weighted graphs: one keyed hash per walk step, no
+// RNG stream to advance. Slot selection reuses the low bits only through
+// the 128-bit product's carry, so slot/coin correlation is bounded by
+// d/2^32 — far below the sampler's statistical noise, same argument as the
+// unweighted multiply-shift bias (see sampler/wave.go). Only valid on
+// weighted graphs, at a vertex with at least one neighbor.
 func (c *NeighborCursor) AliasNeighbor(draw uint64) uint32 {
 	return c.span[aliasPick(c.prob, c.alias, draw)]
 }
@@ -332,6 +315,22 @@ func (g *Graph) ToCompressed(blockSize int) (*Graph, error) {
 		return nil, err
 	}
 	return &Graph{n: g.n, offsets: g.offsets, comp: a}, nil
+}
+
+// Edges lists each undirected edge once, as U < V, in ascending (U, V)
+// order: the arcs u→v with u < v. For a Simple g, or g compressed,
+// FromEdges(g.NumVertices(), g.Edges()) rebuilds g uncompressed.
+func (g *Graph) Edges() []Edge {
+	out := make([]Edge, 0, g.NumEdges()/2)
+	nc := g.NewNeighborCursor()
+	for u := 0; u < g.n; u++ {
+		for _, v := range nc.List(uint32(u)) {
+			if uint32(u) < v {
+				out = append(out, Edge{U: uint32(u), V: v})
+			}
+		}
+	}
+	return out
 }
 
 // MapEdges calls fn(u, v) for every directed arc in parallel, partitioned by
@@ -422,7 +421,7 @@ func (g *Graph) SizeBytes() int64 {
 // blockSize) per vertex, quadratic in degree for hubs. Compressed graphs
 // use the bounds-checked decoder, so corrupt or truncated encodings return
 // errors instead of panicking, and a nil result certifies the unchecked
-// hot paths (Decode, Nth, NeighborCursor) are in-bounds.
+// hot paths (Neighbors, Nth, NeighborCursor) are in-bounds.
 func (g *Graph) Validate() error {
 	if len(g.offsets) != g.n+1 {
 		return fmt.Errorf("graph: offsets length %d, want %d", len(g.offsets), g.n+1)

@@ -10,9 +10,9 @@ import (
 	"lightne/internal/rng"
 )
 
-func triangle(t *testing.T, opt Options) *Graph {
+func triangle(t *testing.T) *Graph {
 	t.Helper()
-	g, err := FromEdges(3, []Edge{{0, 1}, {1, 2}, {2, 0}}, opt)
+	g, err := FromEdges(3, []Edge{{0, 1}, {1, 2}, {2, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func triangle(t *testing.T, opt Options) *Graph {
 }
 
 func TestFromEdgesSymmetrize(t *testing.T) {
-	g := triangle(t, DefaultOptions())
+	g := triangle(t)
 	if g.NumVertices() != 3 {
 		t.Fatalf("n=%d", g.NumVertices())
 	}
@@ -39,41 +39,33 @@ func TestFromEdgesSymmetrize(t *testing.T) {
 
 func TestSelfLoopsAndDuplicates(t *testing.T) {
 	arcs := []Edge{{0, 0}, {0, 1}, {0, 1}, {1, 0}}
-	g, err := FromEdges(2, arcs, DefaultOptions())
+	g, err := FromEdges(2, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumEdges() != 2 {
 		t.Fatalf("arcs=%d want 2 (one undirected edge)", g.NumEdges())
 	}
-	// Without loop removal the loop persists; duplicates always merge.
-	g2, err := FromEdges(2, arcs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumEdges() != 3 {
-		t.Fatalf("arcs=%d want 3", g2.NumEdges())
-	}
 }
 
 func TestOutOfRangeVertexRejected(t *testing.T) {
-	if _, err := FromEdges(2, []Edge{{0, 5}}, DefaultOptions()); err == nil {
+	if _, err := FromEdges(2, []Edge{{0, 5}}); err == nil {
 		t.Fatal("expected error for out-of-range vertex")
 	}
-	if _, err := FromEdges(-1, nil, DefaultOptions()); err == nil {
+	if _, err := FromEdges(-1, nil); err == nil {
 		t.Fatal("expected error for negative n")
 	}
 }
 
 func TestEmptyAndSingleVertex(t *testing.T) {
-	g, err := FromEdges(0, nil, DefaultOptions())
+	g, err := FromEdges(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumVertices() != 0 || g.NumEdges() != 0 {
 		t.Fatal("empty graph mismatch")
 	}
-	g, err = FromEdges(1, nil, DefaultOptions())
+	g, err = FromEdges(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +85,11 @@ func TestCompressedEquivalence(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		arcs = append(arcs, Edge{uint32(s.Intn(n)), uint32(s.Intn(n))})
 	}
-	plain, err := FromEdges(n, arcs, DefaultOptions())
+	plain, err := FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copt := DefaultOptions()
-	copt.Compress = true
-	copt.BlockSize = 7
-	comp, err := FromEdges(n, arcs, copt)
+	comp, err := plain.ToCompressed(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +120,7 @@ func TestCompressedEquivalence(t *testing.T) {
 }
 
 func TestMapEdgesVisitsEveryArc(t *testing.T) {
-	g := triangle(t, DefaultOptions())
+	g := triangle(t)
 	var count int64
 	sum := int64(0)
 	g.MapEdges(func(u, v uint32) {
@@ -151,7 +140,7 @@ func TestRandomNeighborDistribution(t *testing.T) {
 	// Star graph: center 0 with leaves 1..4. Random neighbor of 0 must be
 	// roughly uniform over leaves.
 	arcs := []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}}
-	g, err := FromEdges(5, arcs, DefaultOptions())
+	g, err := FromEdges(5, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +164,7 @@ func TestRandomNeighborDistribution(t *testing.T) {
 
 func TestWalkStaysInGraph(t *testing.T) {
 	arcs := []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}}
-	g, err := FromEdges(4, arcs, DefaultOptions())
+	g, err := FromEdges(4, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +186,7 @@ func TestWalkStaysInGraph(t *testing.T) {
 
 func TestLoadEdgeList(t *testing.T) {
 	input := "# comment\n0 1\n1 2\n% another\n2 0\n"
-	g, err := LoadEdgeList(strings.NewReader(input), 0, DefaultOptions())
+	g, err := LoadEdgeList(strings.NewReader(input), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,19 +198,19 @@ func TestLoadEdgeList(t *testing.T) {
 func TestLoadEdgeListErrors(t *testing.T) {
 	cases := []string{"0\n", "a b\n", "0 x\n"}
 	for _, in := range cases {
-		if _, err := LoadEdgeList(strings.NewReader(in), 0, DefaultOptions()); err == nil {
+		if _, err := LoadEdgeList(strings.NewReader(in), 0); err == nil {
 			t.Fatalf("input %q: expected error", in)
 		}
 	}
 }
 
 func TestWriteEdgeListRoundtrip(t *testing.T) {
-	g := triangle(t, DefaultOptions())
+	g := triangle(t)
 	var sb strings.Builder
 	if err := g.WriteEdgeList(&sb); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := LoadEdgeList(strings.NewReader(sb.String()), g.NumVertices(), DefaultOptions())
+	g2, err := LoadEdgeList(strings.NewReader(sb.String()), g.NumVertices())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +231,7 @@ func TestWriteEdgeListRoundtrip(t *testing.T) {
 }
 
 func TestDegreesAndVolume(t *testing.T) {
-	g := triangle(t, DefaultOptions())
+	g := triangle(t)
 	d := g.Degrees()
 	want := []float64{2, 2, 2}
 	for i := range want {
@@ -262,7 +251,7 @@ func TestNeighborsSorted(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		arcs = append(arcs, Edge{uint32(s.Intn(n)), uint32(s.Intn(n))})
 	}
-	g, err := FromEdges(n, arcs, DefaultOptions())
+	g, err := FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}

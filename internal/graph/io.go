@@ -35,24 +35,26 @@ const maxLine = 1 << 20
 // until lines straddle blocks.
 var blockBytes = 1 << 20
 
-// LoadEdgeList parses an edge list ("u v" per line) and builds a graph. If
-// n <= 0, the vertex count is inferred as max ID + 1.
-func LoadEdgeList(r io.Reader, n int, opt Options) (*Graph, error) {
+// LoadEdgeList parses an edge list ("u v" per line) and builds the graph
+// FromEdges builds from its arcs. If n <= 0, the vertex count is inferred
+// as max ID + 1.
+func LoadEdgeList(r io.Reader, n int) (*Graph, error) {
 	arcs, n, err := readArcs(r, n, edgeArc)
 	if err != nil {
 		return nil, err
 	}
-	return FromEdges(n, arcs, opt)
+	return FromEdges(n, arcs)
 }
 
 // LoadWeightedEdgeList parses "u v w" lines (a missing w means weight 1) and
-// builds a weighted graph. If n <= 0, the vertex count is inferred.
-func LoadWeightedEdgeList(r io.Reader, n int, opt Options) (*Graph, error) {
+// builds the graph FromWeightedEdges builds from them. If n <= 0, the
+// vertex count is inferred.
+func LoadWeightedEdgeList(r io.Reader, n int) (*Graph, error) {
 	arcs, n, err := readArcs(r, n, weightedArc)
 	if err != nil {
 		return nil, err
 	}
-	return FromWeightedEdges(n, arcs, opt)
+	return FromWeightedEdges(n, arcs)
 }
 
 func edgeArc(u, v uint32, _ []byte) (Edge, error) { return Edge{u, v}, nil }
@@ -237,9 +239,9 @@ func inferVertexCount(maxID int64, arcs int) (int, error) {
 	return int(n), nil
 }
 
-// WriteEdgeList writes each directed arc as a "u v" line. For a symmetrized
-// graph this writes both directions; consumers that re-load with Symmetrize
-// recover the identical graph. Lines are formatted into
+// WriteEdgeList writes each directed arc as a "u v" line, so both
+// directions of every edge; LoadEdgeList recovers the identical Simple
+// graph. Lines are formatted into
 // one reused buffer, the "u " prefix once per vertex.
 func (g *Graph) WriteEdgeList(w io.Writer) error {
 	bw := bufio.NewWriter(w)

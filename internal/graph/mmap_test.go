@@ -23,10 +23,10 @@ func testCompressedGraph(t testing.TB, n, blockSize int) *Graph {
 		// Hubs: everything also attaches to vertex 0 and 1.
 		arcs = append(arcs, Edge{uint32(i), uint32(s.Intn(2))})
 	}
-	opt := DefaultOptions()
-	opt.Compress = true
-	opt.BlockSize = blockSize
-	g, err := FromEdges(n, arcs, opt)
+	g, err := FromEdges(n, arcs)
+	if err == nil {
+		g, err = g.ToCompressed(blockSize)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestLNGCStreamRoundtrip(t *testing.T) {
 	if err := g.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadBinary(bytes.NewReader(buf.Bytes()), Options{})
+	g2, err := ReadBinary(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestMmapRejectsCorruptFiles(t *testing.T) {
 		t.Fatal("expected header error")
 	}
 	// A plain CSR file must be refused with a helpful error, not misparsed.
-	g, err := FromEdges(3, []Edge{{0, 1}, {1, 2}}, DefaultOptions())
+	g, err := FromEdges(3, []Edge{{0, 1}, {1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestToCompressedSharesStructure(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		arcs = append(arcs, Edge{uint32(s.Intn(400)), uint32(s.Intn(400))})
 	}
-	g, err := FromEdges(400, arcs, DefaultOptions())
+	g, err := FromEdges(400, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestToCompressedSharesStructure(t *testing.T) {
 	if cg2, err := cg.ToCompressed(0); err != nil || cg2 != cg {
 		t.Fatal("ToCompressed on a compressed graph must be the identity")
 	}
-	wg, err := FromWeightedEdges(3, []WeightedEdge{{U: 0, V: 1, W: 2}}, DefaultOptions())
+	wg, err := FromWeightedEdges(3, []WeightedEdge{{U: 0, V: 1, W: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +212,10 @@ func TestValidateHighDegreeCompressed(t *testing.T) {
 	for v := 1; v < n; v++ {
 		arcs = append(arcs, Edge{0, uint32(v)}) // star: vertex 0 has degree n-1
 	}
-	opt := DefaultOptions()
-	opt.Compress = true
-	g, err := FromEdges(n, arcs, opt)
+	g, err := FromEdges(n, arcs)
+	if err == nil {
+		g, err = g.ToCompressed(0)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestValidateHighDegreeCompressed(t *testing.T) {
 }
 
 func TestNeighborCursorUncompressed(t *testing.T) {
-	g, err := FromEdges(5, []Edge{{0, 1}, {0, 2}, {0, 3}, {3, 4}}, DefaultOptions())
+	g, err := FromEdges(5, []Edge{{0, 1}, {0, 2}, {0, 3}, {3, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,10 @@ func TestNeighborCursorCompressedMatchesNth(t *testing.T) {
 		arcs = append(arcs, Edge{u, uint32(r.Intn(300))}, Edge{0, u}) // vertex 0 is a hub
 	}
 	for _, bs := range []int{1, 2, 64} {
-		g, err := FromEdges(300, arcs, Options{Symmetrize: true, RemoveSelfLoops: true, Compress: true, BlockSize: bs})
+		g, err := FromEdges(300, arcs)
+		if err == nil {
+			g, err = g.ToCompressed(bs)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

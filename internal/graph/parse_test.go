@@ -184,7 +184,7 @@ func sweepParser(t *testing.T, blocks []int, check func(t *testing.T)) {
 // harnessEdgeText is the benchmark harness's text input: the RMAT graph
 // (edge factor 20) written by WriteEdgeList.
 func harnessEdgeText(t testing.TB, scale int) string {
-	g, err := FromEdges(1<<scale, rmatArcs(scale, 20, 1), DefaultOptions())
+	g, err := FromEdges(1<<scale, rmatArcs(scale, 20, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +235,11 @@ func checkCSR(t *testing.T, input string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := FromEdges(n, arcs, DefaultOptions())
+	want, err := FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadEdgeList(strings.NewReader(input), 0, DefaultOptions())
+	got, err := LoadEdgeList(strings.NewReader(input), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func BenchmarkParseEdgeList(b *testing.B) {
 	b.Run("parser", func(b *testing.B) {
 		b.SetBytes(int64(len(input)))
 		for i := 0; i < b.N; i++ {
-			if _, err := LoadEdgeList(strings.NewReader(input), 0, DefaultOptions()); err != nil {
+			if _, err := LoadEdgeList(strings.NewReader(input), 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -337,7 +337,7 @@ func BenchmarkParseEdgeList(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := FromEdges(n, arcs, DefaultOptions()); err != nil {
+			if _, err := FromEdges(n, arcs); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -19,10 +19,9 @@ import (
 // "one random draw per walk step" cost model.
 //
 // Weighted adjacency is not combinable with parallel-byte compression (the
-// weights would dominate memory anyway); FromWeightedEdges rejects the
-// combination.
+// weights would dominate memory anyway); ToCompressed rejects it.
 
-// WeightedEdge is a directed arc with a positive weight.
+// WeightedEdge is an edge with a positive weight.
 type WeightedEdge struct {
 	U, V uint32
 	W    float64
@@ -36,15 +35,13 @@ type aliasTables struct {
 	alias []uint32
 }
 
-// FromWeightedEdges builds a weighted graph. Duplicate arcs (after optional
-// symmetrization) have their weights summed; non-positive weights are
-// rejected.
-func FromWeightedEdges(n int, arcs []WeightedEdge, opt Options) (*Graph, error) {
+// FromWeightedEdges builds the undirected weighted graph whose edges are
+// arcs, as FromEdges does: self-loops are dropped, both orientations are
+// stored, and duplicates (after symmetrization) have their weights summed.
+// Non-positive weights are rejected.
+func FromWeightedEdges(n int, arcs []WeightedEdge) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
-	}
-	if opt.Compress {
-		return nil, fmt.Errorf("graph: weighted graphs do not support parallel-byte compression")
 	}
 	work := make([]WeightedEdge, 0, len(arcs)*2)
 	for _, e := range arcs {
@@ -54,12 +51,8 @@ func FromWeightedEdges(n int, arcs []WeightedEdge, opt Options) (*Graph, error) 
 		if e.W <= 0 {
 			return nil, fmt.Errorf("graph: arc (%d,%d) has non-positive weight %g", e.U, e.V, e.W)
 		}
-		if opt.RemoveSelfLoops && e.U == e.V {
-			continue
-		}
-		work = append(work, e)
-		if opt.Symmetrize && e.U != e.V {
-			work = append(work, WeightedEdge{e.V, e.U, e.W})
+		if e.U != e.V {
+			work = append(work, e, WeightedEdge{e.V, e.U, e.W})
 		}
 	}
 	sort.Slice(work, func(i, j int) bool {
@@ -267,27 +260,6 @@ func aliasPick(prob []float64, alias []uint32, draw uint64) int {
 		i = int(alias[i])
 	}
 	return i
-}
-
-// AliasNeighbor draws a neighbor of u proportionally to edge weight from a
-// SINGLE 64-bit uniform value (typically rng.Hash64 keyed by the caller's
-// draw identity): the slot is the multiply-shift reduction of the high bits
-// and the Vose acceptance coin is the low 32 bits as a fixed-point fraction.
-// The draw is stateless — the result is a pure function of (graph, draw) —
-// which is what lets the batched walker keep its bit-identical-across-
-// geometry guarantee on weighted graphs: one keyed hash per walk step, no
-// RNG stream to advance. Slot selection reuses the low bits only through the
-// 128-bit product's carry, so slot/coin correlation is bounded by d/2^32 —
-// far below the sampler's statistical noise, same argument as the unweighted
-// multiply-shift bias (see sampler/wave.go). Returns (0, false) for
-// isolated vertices. Panics if the graph is unweighted (no alias tables).
-func (g *Graph) AliasNeighbor(u uint32, draw uint64) (uint32, bool) {
-	lo, hi := g.offsets[u], g.offsets[u+1]
-	if lo == hi {
-		return 0, false
-	}
-	i := aliasPick(g.alias.prob[lo:hi], g.alias.alias[lo:hi], draw)
-	return g.edges[lo+int64(i)], true
 }
 
 // AliasBytes reports the alias-table footprint: 12 bytes per stored arc

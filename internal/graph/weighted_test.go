@@ -11,7 +11,7 @@ func weightedTriangle(t *testing.T) *Graph {
 	t.Helper()
 	g, err := FromWeightedEdges(3, []WeightedEdge{
 		{0, 1, 1}, {1, 2, 2}, {2, 0, 3},
-	}, DefaultOptions())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestWeightedBasics(t *testing.T) {
 func TestWeightedDuplicateMerging(t *testing.T) {
 	g, err := FromWeightedEdges(2, []WeightedEdge{
 		{0, 1, 1}, {0, 1, 2.5}, {1, 0, 0.5},
-	}, DefaultOptions())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,18 +62,20 @@ func TestWeightedDuplicateMerging(t *testing.T) {
 }
 
 func TestWeightedErrors(t *testing.T) {
-	if _, err := FromWeightedEdges(2, []WeightedEdge{{0, 1, 0}}, DefaultOptions()); err == nil {
+	if _, err := FromWeightedEdges(2, []WeightedEdge{{0, 1, 0}}); err == nil {
 		t.Fatal("expected non-positive weight error")
 	}
-	if _, err := FromWeightedEdges(2, []WeightedEdge{{0, 1, -1}}, DefaultOptions()); err == nil {
+	if _, err := FromWeightedEdges(2, []WeightedEdge{{0, 1, -1}}); err == nil {
 		t.Fatal("expected negative weight error")
 	}
-	if _, err := FromWeightedEdges(1, []WeightedEdge{{0, 5, 1}}, DefaultOptions()); err == nil {
+	if _, err := FromWeightedEdges(1, []WeightedEdge{{0, 5, 1}}); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
-	opt := DefaultOptions()
-	opt.Compress = true
-	if _, err := FromWeightedEdges(2, []WeightedEdge{{0, 1, 1}}, opt); err == nil {
+	wg, err := FromWeightedEdges(2, []WeightedEdge{{0, 1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wg.ToCompressed(0); err == nil {
 		t.Fatal("expected compression rejection")
 	}
 }
@@ -82,7 +84,7 @@ func TestWeightedRandomNeighborDistribution(t *testing.T) {
 	// Star from center 0 with weights 1, 2, 7: draws must follow weights.
 	g, err := FromWeightedEdges(4, []WeightedEdge{
 		{0, 1, 1}, {0, 2, 2}, {0, 3, 7},
-	}, DefaultOptions())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestAliasTableExactMatch(t *testing.T) {
 			arcs[i] = WeightedEdge{0, uint32(i + 1), w}
 			total += w
 		}
-		g, err := FromWeightedEdges(d+1, arcs, Options{Symmetrize: true})
+		g, err := FromWeightedEdges(d+1, arcs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +145,7 @@ func TestAliasTableExactMatch(t *testing.T) {
 }
 
 func TestUnweightedEdgeWeightIsOne(t *testing.T) {
-	g, err := FromEdges(3, []Edge{{0, 1}, {1, 2}}, DefaultOptions())
+	g, err := FromEdges(3, []Edge{{0, 1}, {1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestWeightedWalkPrefersHeavyEdges(t *testing.T) {
 	// should land on 2 ~90% of the time.
 	g, err := FromWeightedEdges(3, []WeightedEdge{
 		{0, 1, 1}, {1, 2, 9},
-	}, DefaultOptions())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

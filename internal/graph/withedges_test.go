@@ -34,7 +34,7 @@ func TestWithEdgesMatchesFromEdges(t *testing.T) {
 		for k := src.Intn(4 * n); k > 0; k-- {
 			edges = append(edges, Edge{uint32(src.Intn(n)), uint32(src.Intn(n))})
 		}
-		g, err := FromEdges(n, edges, DefaultOptions())
+		g, err := FromEdges(n, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestWithEdgesMatchesFromEdges(t *testing.T) {
 				t.Fatal(err)
 			}
 			all := append(keys, allEdges(g)...)
-			want, err := FromEdges(n2, all, DefaultOptions())
+			want, err := FromEdges(n2, all)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func allEdges(g *Graph) []Edge {
 // edge of the graph, a self loop, a reversed pair or a vertex past n, a
 // shrinking n, and a compressed graph are errors, and the graph is unchanged.
 func TestWithEdgesRejects(t *testing.T) {
-	g, err := FromEdges(5, []Edge{{0, 1}, {1, 2}, {3, 4}}, DefaultOptions())
+	g, err := FromEdges(5, []Edge{{0, 1}, {1, 2}, {3, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestWithEdgesRejects(t *testing.T) {
 // rows, no self loops and every reverse arc is Simple.
 func TestSimple(t *testing.T) {
 	csr := func(offsets []int64, edges []uint32) *Graph {
-		g, err := FromCSR(offsets, edges, Options{})
+		g, err := FromCSR(offsets, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestSimple(t *testing.T) {
 			t.Errorf("%s: Simple() = %v, want %v", c.name, got, c.want)
 		}
 	}
-	cg, err := triangle(t, DefaultOptions()).ToCompressed(0)
+	cg, err := triangle(t).ToCompressed(0)
 	if err != nil {
 		t.Fatal(err)
 	}

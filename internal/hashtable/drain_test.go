@@ -24,15 +24,7 @@ var harnessPairs = sync.OnceValue(func() harnessCase {
 	if err != nil {
 		panic(err)
 	}
-	var arcs []graph.Edge
-	for u := 0; u < g.NumVertices(); u++ {
-		for _, v := range g.Neighbors(uint32(u), nil) {
-			if uint32(u) < v {
-				arcs = append(arcs, graph.Edge{U: uint32(u), V: v})
-			}
-		}
-	}
-	segKeys, segFixed, _, err := sampler.SampleArcs(g, arcs, 10, sampler.Config{T: 10, Downsample: true, Seed: 7})
+	segKeys, segFixed, _, err := sampler.SampleArcs(g, g.Edges(), 10, sampler.Config{T: 10, Downsample: true, Seed: 7})
 	if err != nil {
 		panic(err)
 	}

@@ -36,16 +36,11 @@ func hubGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	base := randGraph(t, 300, 2, 17)
 	n := base.NumVertices()
-	var arcs []graph.Edge
+	arcs := base.Edges()
 	for u := 0; u < n; u++ {
-		for _, v := range base.Neighbors(uint32(u), nil) {
-			if uint32(u) < v {
-				arcs = append(arcs, graph.Edge{U: uint32(u), V: v})
-			}
-		}
 		arcs = append(arcs, graph.Edge{U: uint32(u), V: uint32(n)})
 	}
-	g, err := graph.FromEdges(n+11, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(n+11, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func randGraph(t *testing.T, n, extraPerVertex int, seed uint64) *graph.Graph {
 			add(uint32(i), uint32(s.Intn(n)))
 		}
 	}
-	g, err := graph.FromEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func karate(t *testing.T) *graph.Graph {
 	for i := 0; i < n; i += 3 {
 		arcs = append(arcs, graph.Edge{U: uint32(i), V: uint32((i + 7) % n)})
 	}
-	g, err := graph.FromEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func weightedTestGraph(t *testing.T) *graph.Graph {
 	for i := 0; i < n; i += 4 {
 		arcs = append(arcs, graph.WeightedEdge{U: uint32(i), V: uint32((i + 5) % n), W: 3})
 	}
-	g, err := graph.FromWeightedEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromWeightedEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestIntegerWeightsMatchMultigraphEstimate(t *testing.T) {
 		warcs = append(warcs, graph.WeightedEdge{U: uint32(i), V: uint32((i + 1) % n), W: 2})
 		warcs = append(warcs, graph.WeightedEdge{U: uint32(i), V: uint32((i + 2) % n), W: 1})
 	}
-	wg, err := graph.FromWeightedEdges(n, warcs, graph.DefaultOptions())
+	wg, err := graph.FromWeightedEdges(n, warcs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func twoBlocks(t *testing.T) *graph.Graph {
 		}
 	}
 	arcs = append(arcs, graph.Edge{U: 0, V: uint32(half)})
-	g, err := graph.FromEdges(2*half, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(2*half, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(g, bad); err == nil {
 		t.Fatal("expected dimension error")
 	}
-	empty, err := graph.FromEdges(0, nil, graph.DefaultOptions())
+	empty, err := graph.FromEdges(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,20 +44,19 @@ func bitsGraphs(t testing.TB) map[string]*graph.Graph {
 			warcs = append(warcs, graph.WeightedEdge{U: u, V: v, W: 0.25 + 3*src.Float64()})
 		}
 	}
-	noLoops := graph.DefaultOptions()
 	return map[string]*graph.Graph{
-		"isolated":   must(graph.FromEdges(n, arcs, noLoops)),
-		"self-loops": must(graph.FromEdges(n, arcs, graph.Options{Symmetrize: true})),
-		"multigraph": must(multigraph(n, arcs)),
-		"weighted":   must(graph.FromWeightedEdges(n, warcs, noLoops)),
+		"isolated":   must(graph.FromEdges(n, arcs)),
+		"self-loops": must(looseCSR(n, arcs, true)),
+		"multigraph": must(looseCSR(n, arcs, false)),
+		"weighted":   must(graph.FromWeightedEdges(n, warcs)),
 		"rmat10":     must(gen.RMAT(gen.RMATConfig{Scale: 10, EdgeFactor: 8, Seed: 3})),
 	}
 }
 
-// multigraph builds the symmetrized graph of arcs with every parallel arc
-// and self-loop kept, as an LNG1 file can carry them (FromEdges merges
-// duplicates).
-func multigraph(n int, arcs []graph.Edge) (*graph.Graph, error) {
+// looseCSR builds the symmetrized graph of arcs with every self-loop kept,
+// and every parallel arc too unless merge is set, as an LNG1 file can carry
+// them (FromEdges drops self-loops and merges duplicates).
+func looseCSR(n int, arcs []graph.Edge, merge bool) (*graph.Graph, error) {
 	var keys []uint64
 	for _, e := range arcs {
 		keys = append(keys, uint64(e.U)<<32|uint64(e.V))
@@ -66,6 +65,9 @@ func multigraph(n int, arcs []graph.Edge) (*graph.Graph, error) {
 		}
 	}
 	slices.Sort(keys)
+	if merge {
+		keys = slices.Compact(keys)
+	}
 	offsets, edges := make([]int64, n+1), make([]uint32, len(keys))
 	for i, k := range keys {
 		offsets[k>>32+1]++
@@ -74,7 +76,7 @@ func multigraph(n int, arcs []graph.Edge) (*graph.Graph, error) {
 	for u := 0; u < n; u++ {
 		offsets[u+1] += offsets[u]
 	}
-	return graph.FromCSR(offsets, edges, graph.Options{})
+	return graph.FromCSR(offsets, edges)
 }
 
 func assertEmbeddingBits(t *testing.T, what string, got, want *dense.Matrix) {

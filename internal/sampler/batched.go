@@ -83,10 +83,11 @@ type headRec struct {
 // vertices. Weighted graphs walk natively: head enumeration uses the
 // weighted per-arc budget (M·w_e/vol trials, ProbW over strengths) and each
 // walk step resolves a per-vertex Vose alias table from the same single
-// keyed-hash draw the unweighted path uses (see graph.AliasNeighbor). waveSize caps concurrently in-flight heads; <= 0
-// picks the maximum (2^22). The grouped aggregate is bit-identical for
-// every waveSize and worker count. Of cfg, Shards selects nothing: it is
-// checked, not used.
+// keyed-hash draw the unweighted path uses (see
+// graph.NeighborCursor.AliasNeighbor). waveSize caps concurrently in-flight
+// heads; <= 0 picks the maximum (2^22). The grouped aggregate is
+// bit-identical for every waveSize and worker count. Of cfg, Shards selects
+// nothing: it is checked, not used.
 func SampleBatched(g *graph.Graph, cfg Config, waveSize int) (*Upper, Stats, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, Stats{}, err

@@ -37,7 +37,7 @@ func chordGraph(t testing.TB, n, extraPerVertex int, seed uint64) *graph.Graph {
 			add(uint32(i), uint32(s.Intn(n)))
 		}
 	}
-	g, err := graph.FromEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func weightedChordGraph(t testing.TB, n, extraPerVertex int, seed uint64) *graph
 			add(uint32(i), uint32(s.Intn(n)))
 		}
 	}
-	g, err := graph.FromWeightedEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromWeightedEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestSampleBatchedErrors(t *testing.T) {
 	}
 	// Weighted graphs are accepted: the wave walker resolves alias tables
 	// from the same keyed draws (this rejection used to be the last gap).
-	wg, err := graph.FromWeightedEdges(3, []graph.WeightedEdge{{U: 0, V: 1, W: 2}}, graph.DefaultOptions())
+	wg, err := graph.FromWeightedEdges(3, []graph.WeightedEdge{{U: 0, V: 1, W: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,14 +98,7 @@ func TestBufferedSamplersBitIdenticalToPerKey(t *testing.T) {
 	cfg := Config{T: 5, M: 60_000, Downsample: true, Seed: 21}
 	for _, gr := range graphs {
 		g, n := gr.g, gr.g.NumVertices()
-		var arcs []graph.Edge
-		for u := 0; u < n; u++ {
-			for i := 0; i < g.Degree(uint32(u)); i++ {
-				if v := g.Neighbor(uint32(u), i); uint32(u) < v {
-					arcs = append(arcs, graph.Edge{U: uint32(u), V: v})
-				}
-			}
-		}
+		arcs := g.Edges()
 		var ref refSink
 		refTrials, refHeads := sampleReference(g, cfg, &ref)
 		want := ref.group(n)

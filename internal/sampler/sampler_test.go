@@ -15,7 +15,7 @@ func cycleGraph(t *testing.T, n int) *graph.Graph {
 	for i := 0; i < n; i++ {
 		arcs[i] = graph.Edge{U: uint32(i), V: uint32((i + 1) % n)}
 	}
-	g, err := graph.FromEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func completeGraph(t *testing.T, n int) *graph.Graph {
 			arcs = append(arcs, graph.Edge{U: uint32(i), V: uint32(j)})
 		}
 	}
-	g, err := graph.FromEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestSampleErrors(t *testing.T) {
 	if _, _, err := Sample(g, Config{T: 2, M: 0}); err == nil {
 		t.Fatal("expected M error")
 	}
-	empty, err := graph.FromEdges(3, nil, graph.DefaultOptions())
+	empty, err := graph.FromEdges(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestDownsamplingLaplacianUnbiased(t *testing.T) {
 	for i := 1; i < n-1; i++ {
 		arcs = append(arcs, graph.Edge{U: uint32(i), V: uint32(i + 1)})
 	}
-	g, err := graph.FromEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestDownsamplingLaplacianUnbiasedWeighted(t *testing.T) {
 	for i := 1; i < n-1; i++ {
 		arcs = append(arcs, graph.WeightedEdge{U: uint32(i), V: uint32(i + 1), W: 2})
 	}
-	g, err := graph.FromWeightedEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromWeightedEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestArcSamplersUniform(t *testing.T) {
 	for i := 1; i < n-1; i++ {
 		arcs = append(arcs, graph.Edge{U: uint32(i), V: uint32(i + 1)})
 	}
-	g, err := graph.FromEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSampleUniformErrors(t *testing.T) {
 	if _, _, err := sampleUniform(g, Config{T: 2, M: 0}); err == nil {
 		t.Fatal("expected M error")
 	}
-	wg, err := graph.FromWeightedEdges(3, []graph.WeightedEdge{{U: 0, V: 1, W: 2}}, graph.DefaultOptions())
+	wg, err := graph.FromWeightedEdges(3, []graph.WeightedEdge{{U: 0, V: 1, W: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

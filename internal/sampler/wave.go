@@ -25,9 +25,10 @@ import (
 // Every step is one keyed-hash draw, rng.Hash64(seed^walkSeedTag,
 // ghead<<10 | step<<1 | side), reduced to a neighbor index by a
 // multiply-shift (bias < 2^-32 for 32-bit vertex ids) or, on weighted
-// graphs, through the vertex's Vose alias table (graph.AliasNeighbor). A draw
-// depends on nothing but (head, side, step), so endpoints are a pure function
-// of (graph, seed, heads): independent of waveSize, GOMAXPROCS and order.
+// graphs, through the vertex's Vose alias table
+// (graph.NeighborCursor.AliasNeighbor). A draw depends on nothing but
+// (head, side, step), so endpoints are a pure function of (graph, seed,
+// heads): independent of waveSize, GOMAXPROCS and order.
 
 // walkSeedTag distinguishes walk-step streams from enumeration streams.
 const walkSeedTag = 0xba7c4ed

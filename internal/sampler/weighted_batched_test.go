@@ -31,7 +31,7 @@ func weightedStar(t testing.TB, weights []float64) *graph.Graph {
 	for i, w := range weights {
 		arcs[i] = graph.WeightedEdge{U: 0, V: uint32(i + 1), W: w}
 	}
-	g, err := graph.FromWeightedEdges(len(weights)+1, arcs, graph.DefaultOptions())
+	g, err := graph.FromWeightedEdges(len(weights)+1, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestSampleBatchedWeightedExactAccounting(t *testing.T) {
 		arcs = append(arcs, graph.WeightedEdge{U: uint32(i), V: uint32((i + 1) % n), W: float64(1 + i%4)})
 		arcs = append(arcs, graph.WeightedEdge{U: uint32(i), V: uint32((i + 7) % n), W: float64(1 + (i*3)%8)})
 	}
-	g, err := graph.FromWeightedEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromWeightedEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func newRingIngester(t *testing.T, cfg IngestConfig) (*Ingester, *Store) {
 		arcs = append(arcs, graph.Edge{U: uint32(i), V: uint32((i + 1) % ringN)})
 		arcs = append(arcs, graph.Edge{U: uint32(i), V: uint32((i + 2) % ringN)})
 	}
-	g, err := graph.FromEdges(ringN, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(ringN, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -403,7 +403,7 @@ func TestIngesterPublishesSnapshots(t *testing.T) {
 		arcs = append(arcs, graph.Edge{U: uint32(i), V: uint32((i + 1) % n)})
 		arcs = append(arcs, graph.Edge{U: uint32(i), V: uint32((i + 2) % n)})
 	}
-	g, err := graph.FromEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +661,7 @@ func TestIngesterPublishesANNSnapshots(t *testing.T) {
 		arcs = append(arcs, graph.Edge{U: uint32(i), V: uint32((i + 1) % n)})
 		arcs = append(arcs, graph.Edge{U: uint32(i), V: uint32((i + 2) % n)})
 	}
-	g, err := graph.FromEdges(n, arcs, graph.DefaultOptions())
+	g, err := graph.FromEdges(n, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}

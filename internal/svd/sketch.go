@@ -366,7 +366,7 @@ func (sk *Sketch) Factorize() (*Result, error) {
 	q2, r2 := dense.QRInPlace(m1)
 	rhs := dense.NewMatrix(sk.k, sk.k)
 	dense.MatMulATB(rhs, q2, m2)
-	x, err := dense.SolveSquare(r2, rhs)
+	x, err := dense.SolveUpper(r2, rhs)
 	if err != nil {
 		return nil, fmt.Errorf("svd: sketch core solve: %w (increase Oversample, or the absorbed matrix is empty)", err)
 	}

@@ -119,11 +119,8 @@ func ReadEmbeddingText(r io.Reader) (*Matrix, error) {
 }
 
 // writeEmbeddingV3 streams the matrix in the v3 framing (header, data,
-// CRC-32C trailer) to w. mid, when non-nil, runs after roughly half the
-// data has been written and flushed — the fault-injection seam the
-// checkpoint writer uses to simulate a kill mid-write; its error aborts
-// the write, leaving a torn prefix with no trailer behind.
-func writeEmbeddingV3(w io.Writer, x *Matrix, mid func() error) error {
+// CRC-32C trailer) to w.
+func writeEmbeddingV3(w io.Writer, x *Matrix) error {
 	bw := bufio.NewWriter(w)
 	crc := crc32.New(crcTable)
 	out := io.MultiWriter(bw, crc)
@@ -135,23 +132,9 @@ func writeEmbeddingV3(w io.Writer, x *Matrix, mid func() error) error {
 	if _, err := out.Write(hdr[:]); err != nil {
 		return err
 	}
-	// Data moves in chunks; one chunk boundary sits at the midpoint so mid
-	// fires with exactly len(x.Data)/2 elements written and flushed.
-	half := len(x.Data) / 2
 	buf := make([]byte, 8*min(len(x.Data), codecChunkElems))
-	for lo := 0; lo < len(x.Data); {
-		if lo == half && mid != nil {
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-			if err := mid(); err != nil {
-				return err
-			}
-		}
+	for lo := 0; lo < len(x.Data); lo += codecChunkElems {
 		hi := min(lo+codecChunkElems, len(x.Data))
-		if lo < half && hi > half {
-			hi = half
-		}
 		chunk := buf[:8*(hi-lo)]
 		for i, v := range x.Data[lo:hi] {
 			binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(v))
@@ -159,7 +142,6 @@ func writeEmbeddingV3(w io.Writer, x *Matrix, mid func() error) error {
 		if _, err := out.Write(chunk); err != nil {
 			return err
 		}
-		lo = hi
 	}
 	var trailer [4]byte
 	binary.LittleEndian.PutUint32(trailer[:], crc.Sum32())
@@ -172,7 +154,7 @@ func writeEmbeddingV3(w io.Writer, x *Matrix, mid func() error) error {
 // WriteEmbeddingBinary writes the matrix in the current (v3, CRC-trailed)
 // binary format.
 func WriteEmbeddingBinary(w io.Writer, x *Matrix) error {
-	return writeEmbeddingV3(w, x, nil)
+	return writeEmbeddingV3(w, x)
 }
 
 // ReadEmbeddingBinary reads a binary embedding, accepting the current

@@ -255,7 +255,7 @@ func TestReadEmbeddingErrors(t *testing.T) {
 
 func TestDynamicThroughPublicAPI(t *testing.T) {
 	arcs := []lightne.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 5}, {U: 5, V: 3}}
-	g, err := lightne.NewGraph(6, arcs, lightne.DefaultGraphOptions())
+	g, err := lightne.NewGraph(6, arcs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,12 +33,8 @@ import (
 // Graph is an immutable CSR graph (optionally Ligra+ compressed).
 type Graph = graph.Graph
 
-// Edge is a directed arc used when constructing graphs.
+// Edge is a vertex pair used when constructing graphs: an undirected edge.
 type Edge = graph.Edge
-
-// GraphOptions controls graph construction (symmetrization, self-loop
-// removal, compression). Builds always merge duplicate arcs.
-type GraphOptions = graph.Options
 
 // Matrix is a row-major dense matrix; embeddings are returned as matrices
 // whose i-th row is vertex i's vector.
@@ -69,44 +65,34 @@ const (
 	SketchGaussian = svd.SketchGaussian
 )
 
-// DefaultGraphOptions returns the embedding pipelines' graph options:
-// symmetrized, self-loop-free, deduplicated.
-func DefaultGraphOptions() GraphOptions { return graph.DefaultOptions() }
-
-// NewGraph builds a graph with n vertices from an arc list.
-func NewGraph(n int, arcs []Edge, opt GraphOptions) (*Graph, error) {
-	return graph.FromEdges(n, arcs, opt)
+// NewGraph builds the undirected graph with n vertices whose edges are
+// arcs: self-loops dropped, both orientations stored, duplicates merged.
+func NewGraph(n int, arcs []Edge) (*Graph, error) {
+	return graph.FromEdges(n, arcs)
 }
 
-// WeightedEdge is a directed arc with a positive weight.
+// WeightedEdge is an undirected edge with a positive weight.
 type WeightedEdge = graph.WeightedEdge
 
-// NewWeightedGraph builds a weighted graph; the pipeline then uses weighted
-// degrees, weight-proportional sampling and weighted random walks, per the
-// paper's A_uv-carrying formulas (§3.2).
-func NewWeightedGraph(n int, arcs []WeightedEdge, opt GraphOptions) (*Graph, error) {
-	return graph.FromWeightedEdges(n, arcs, opt)
+// NewWeightedGraph builds a weighted graph as NewGraph does, summing the
+// weights of duplicates; the pipeline then uses weighted degrees,
+// weight-proportional sampling and weighted random walks, per the paper's
+// A_uv-carrying formulas (§3.2).
+func NewWeightedGraph(n int, arcs []WeightedEdge) (*Graph, error) {
+	return graph.FromWeightedEdges(n, arcs)
 }
 
 // LoadWeightedGraph parses "u v w" lines into a weighted graph (weight
 // defaults to 1 when the third column is absent).
 func LoadWeightedGraph(r io.Reader, n int) (*Graph, error) {
-	return graph.LoadWeightedEdgeList(r, n, graph.DefaultOptions())
+	return graph.LoadWeightedEdgeList(r, n)
 }
 
 // LoadGraph parses a whitespace-separated edge list ("u v" per line, '#' and
 // '%' lines are comments), streamed in blocks that all workers parse. If
 // n <= 0 the vertex count is inferred from the maximum ID.
 func LoadGraph(r io.Reader, n int) (*Graph, error) {
-	return graph.LoadEdgeList(r, n, graph.DefaultOptions())
-}
-
-// LoadGraphWithOptions parses a whitespace-separated edge list under
-// explicit graph options — in particular Compress, which builds the
-// parallel-byte adjacency directly instead of forcing callers to rebuild
-// the graph from its own neighbor lists.
-func LoadGraphWithOptions(r io.Reader, n int, opt GraphOptions) (*Graph, error) {
-	return graph.LoadEdgeList(r, n, opt)
+	return graph.LoadEdgeList(r, n)
 }
 
 // CompressGraph returns a structurally identical graph whose adjacency is
@@ -226,9 +212,9 @@ func MaxAffordableSamples(g *Graph, cfg Config, budgetBytes int64) (int64, error
 	return core.MaxAffordableSamples(g, cfg, budgetBytes)
 }
 
-// LoadGraphBinary reads a graph in the LNG1 binary CSR format (written by
-// Graph.WriteBinary or lightne-gen -binary); only the compression options
-// are honored.
-func LoadGraphBinary(r io.Reader, opt GraphOptions) (*Graph, error) {
-	return graph.ReadBinary(r, opt)
+// LoadGraphBinary reads a graph written by Graph.WriteBinary or
+// lightne-gen -binary: LNG1 binary CSR, taken as stored, or compressed
+// LNGC.
+func LoadGraphBinary(r io.Reader) (*Graph, error) {
+	return graph.ReadBinary(r)
 }
