@@ -190,8 +190,9 @@ bench-spmm:
 # serial Scanner one (200 000 lines, CSR build included), the grouped CSR
 # build vs the comparison-sort build (RMAT-12/13 arc lists), the text writer
 # vs one Fprintf per arc, the chunked artifact codec vs the per-element one
-# (4096×64 and 8192×32), and the tiled IVF assignment vs the scalar kernel
-# (4096×64). -count=5 for benchstat.
+# (4096×64 and 8192×32), and the IVF build on the row-accumulate kernel vs
+# the scalar kernel at both serving shapes (4096×64 nlist 64, 8192×32
+# nlist 91). -count=5 for benchstat.
 bench-cold:
 	$(GO) test -run xxx -bench 'BenchmarkParseEdgeList|BenchmarkFromEdges|BenchmarkWriteEdgeList' -benchmem -count=5 ./internal/graph
 	$(GO) test -run xxx -bench 'BenchmarkReadEmbeddingBinary|BenchmarkEncodeCheckpoint' -benchmem -count=5 .
@@ -211,7 +212,8 @@ smoke-replication:
 	$(GO) test -race -run TestReplicationSmoke -v -count=1 .
 
 # ANN benchmarks: exact scan vs IVF at several probe widths plus index
-# build cost (internal/ann). Recall on real embeddings is the benchmark
+# build cost at both serving shapes, the row-accumulate kernel next to the
+# scalar oracle (internal/ann). Recall on real embeddings is the benchmark
 # harness's ann.* rows (benchmark/README.md).
 bench-ann:
 	$(GO) test -run xxx -bench 'BenchmarkANN' -benchmem ./internal/ann

@@ -11,6 +11,12 @@
 // distance computations, at a recall@10 ≥ 0.95 on clustered embeddings
 // (pinned by the package's differential tests against eval.NearestNeighbors).
 //
+// Every centroid score, in training, in filing and in query routing, is one
+// dense.AccumulateRows of a row against the centroids' float64 transpose:
+// the row-accumulate kernel behind SpMM and MatMul, whose per-column sums are
+// the scalar dot's left-to-right sums, so the index and every probe list are
+// the scalar kernel's bit for bit on every kernel form and at any GOMAXPROCS.
+//
 // An Index is immutable after Build, so it can sit beside its embedding in
 // a serving snapshot behind one atomic pointer: the pair is constructed at
 // snapshot-publish time and swapped together, preserving the lock-free read
@@ -24,6 +30,7 @@ import (
 	"fmt"
 	"math"
 
+	"lightne/internal/dense"
 	"lightne/internal/par"
 	"lightne/internal/quant"
 	"lightne/internal/rng"
@@ -97,19 +104,21 @@ const (
 // vectors it was built from — pass the same Vectors to Search.
 type Index struct {
 	rows, dims int
-	nlist      int
 	nprobe     int       // default probe width
 	centroids  []float32 // nlist × dims, rows unit-normalized
+	router               // nlist, and the centroids as Search scores them
 	start      []int64   // nlist+1 CSR offsets into ids
 	ids        []int32   // row ids grouped by assigned centroid
 }
 
 // Build constructs an IVF index over v: spherical k-means on a strided
-// training sample (parallel assignment, deterministic per-centroid
-// accumulation), then one parallel assignment pass filing every row into
-// its centroid's posting list with the count/scan/fill idiom.
+// training sample, then one parallel pass filing every row into its
+// centroid's posting list with the count/scan/fill idiom. A row's scores
+// against all centroids are one dense.AccumulateRows against Cᵀ, the
+// row-accumulate kernel behind SpMM and MatMul; each score is the scalar
+// dot's left-to-right sum, so the index is the scalar kernel's bit for bit.
 func Build(v Vectors, cfg Config) (*Index, error) {
-	return build(v, cfg, assignTiled)
+	return build(v, cfg, assignRows)
 }
 
 // build is Build with the assignment kernel as a parameter, so tests can run
@@ -155,13 +164,14 @@ func build(v Vectors, cfg Config, assignAll assigner) (*Index, error) {
 	// Normalization is skipped — argmax of the dot is scale-invariant, so
 	// raw dequantized rows route identically to unit rows.
 	assign := make([]int32, n)
-	assignAll(assign, func(i int, buf []float32) []float32 { v.DequantTo(buf, i); return buf }, centroids, d, nlist)
+	assignAll(assign, func(i int, f32 []float32, f64 []float64) []float64 { v.DequantTo(f32, i); return widen(f64, f32) }, centroids, d, nlist)
 	start, ids := groupAssign(assign, nlist)
 
 	return &Index{
 		rows: n, dims: d,
-		nlist: nlist, nprobe: nprobe,
+		nprobe:    nprobe,
 		centroids: centroids,
+		router:    newRouter(centroids, d, nlist),
 		start:     start,
 		ids:       ids,
 	}, nil
@@ -174,14 +184,16 @@ func train(v Vectors, n, d, nlist, iters, perList int, seed uint64, assignAll as
 	if m > n {
 		m = n
 	}
-	// Materialize the training rows, unit-normalized: sample i is row i·n/m
-	// (distinct for m <= n; stride order is irrelevant to k-means).
-	train := make([]float32, m*d)
+	// Materialize the training rows, unit-normalized, and their float64
+	// widening once per build: sample i is row i·n/m (distinct for m <= n;
+	// stride order is irrelevant to k-means).
+	train, wide := make([]float32, m*d), make([]float64, m*d)
 	par.ForRange(m, 256, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := train[i*d : (i+1)*d]
 			v.DequantTo(row, i*n/m)
 			normalize(row)
+			widen(wide[i*d:(i+1)*d], row)
 		}
 	})
 
@@ -200,7 +212,7 @@ func train(v Vectors, n, d, nlist, iters, perList int, seed uint64, assignAll as
 
 	assign := make([]int32, m)
 	for it := 0; it < iters; it++ {
-		assignAll(assign, func(i int, _ []float32) []float32 { return train[i*d : (i+1)*d] }, centroids, d, nlist)
+		assignAll(assign, func(i int, _ []float32, _ []float64) []float64 { return wide[i*d : (i+1)*d] }, centroids, d, nlist)
 		start, ids := groupAssign(assign, nlist)
 		// Per-centroid accumulation: members are visited in ascending row
 		// order (groupAssign fills stably), so the float sums — and thus the
@@ -214,9 +226,8 @@ func train(v Vectors, n, d, nlist, iters, perList int, seed uint64, assignAll as
 			}
 			sum := make([]float64, d)
 			for _, r := range members {
-				row := train[int(r)*d : (int(r)+1)*d]
-				for j, x := range row {
-					sum[j] += float64(x)
+				for j, x := range wide[int(r)*d : (int(r)+1)*d] {
+					sum[j] += x
 				}
 			}
 			out := centroids[c*d : (c+1)*d]
@@ -246,53 +257,62 @@ func train(v Vectors, n, d, nlist, iters, perList int, seed uint64, assignAll as
 	return centroids
 }
 
-// assigner writes the nearest centroid (max dot) of each of len(assign) rows
-// into assign; row(i, buf) returns row i, dequantizing into buf (len d) if
-// it must. assignTiled is the one Build uses.
-type assigner func(assign []int32, row func(i int, buf []float32) []float32, centroids []float32, d, nlist int)
+// assigner files each of len(assign) rows under its nearest centroid: the
+// largest dot, the lowest id on ties. row(i, f32, f64) returns row i widened
+// to float64, dequantizing through the scratch rows f32 and f64 (len d) if it
+// must. assignRows is the one Build uses.
+type assigner func(assign []int32, row func(i int, f32 []float32, f64 []float64) []float64, centroids []float32, d, nlist int)
 
-// assignTiled widens the centroids to float64 once per call and each row
-// once, then scores them with nearestCentroid.
-func assignTiled(assign []int32, row func(int, []float32) []float32, centroids []float32, d, nlist int) {
-	cents := make([]float64, len(centroids))
-	for i, x := range centroids {
-		cents[i] = float64(x)
-	}
+// assignRows lays the centroids out once as a router and files each row with
+// its nearest.
+func assignRows(assign []int32, row func(int, []float32, []float64) []float64, centroids []float32, d, nlist int) {
+	r := newRouter(centroids, d, nlist)
 	par.ForRange(len(assign), 64, func(lo, hi int) {
-		buf, wide := make([]float32, d), make([]float64, d)
+		f32, f64, scores := make([]float32, d), make([]float64, d), make([]float64, r.ct.Cols)
 		for i := lo; i < hi; i++ {
-			for j, x := range row(i, buf) {
-				wide[j] = float64(x)
-			}
-			assign[i] = nearestCentroid(wide, cents, nlist)
+			assign[i] = r.nearest(scores, row(i, f32, f64))
 		}
 	})
 }
 
-// nearestCentroid returns the centroid (a row of cents, len(row) wide) with
-// the largest dot product against row; ties break toward the lower id. Four
-// centroids are scored per pass over the row, one accumulator each, so every
-// dot is the same left-to-right sum as a one-centroid loop, and the strict
-// comparisons run in ascending id order: the result is the scalar kernel's.
-// A last group short of four re-scores centroid nlist-1 in its spare lanes
-// and never compares them.
-func nearestCentroid(row, cents []float64, nlist int) int32 {
-	d := len(row)
-	lane := func(c int) []float64 { return cents[min(c, nlist-1)*d:][:d] }
-	best, bestDot := int32(0), math.Inf(-1)
-	for c := 0; c < nlist; c += 4 {
-		c0, c1, c2, c3 := lane(c), lane(c+1), lane(c+2), lane(c+3)
-		var s0, s1, s2, s3 float64
-		for j, x := range row {
-			s0 += x * c0[j]
-			s1 += x * c1[j]
-			s2 += x * c2[j]
-			s3 += x * c3[j]
+// router holds the centroids as dense.AccumulateRows takes them: Cᵀ widened
+// to float64, d × nlist zero-padded to a multiple of 32 columns (the AVX
+// loop's widest block, so no score column falls to the narrow tail loops),
+// and the term list 0…d−1.
+type router struct {
+	nlist int
+	ct    *dense.Matrix
+	terms []uint32
+}
+
+func newRouter(centroids []float32, d, nlist int) router {
+	r := router{nlist, dense.NewMatrix(d, (nlist+31)&^31), make([]uint32, d)}
+	for j := range r.terms {
+		r.terms[j] = uint32(j)
+		for c := 0; c < nlist; c++ {
+			r.ct.Data[j*r.ct.Cols+c] = float64(centroids[c*d+j])
 		}
-		for k, dot := range [4]float64{s0, s1, s2, s3} {
-			if c+k < nlist && dot > bestDot {
-				best, bestDot = int32(c+k), dot
-			}
+	}
+	return r
+}
+
+// score scores row into s (len ct.Cols) and returns s[:nlist], s[c] being
+// row · centroid c. It takes all d terms and skips no zeros, so each score is
+// 0 + row[0]·C[c][0] + row[1]·C[c][1] + … left to right: the one-centroid
+// scalar loop's sum, bit for bit, on every kernel form. The padded scores
+// are never read.
+func (r router) score(s, row []float64) []float64 {
+	dense.AccumulateRows(s, row, r.terms, r.ct)
+	return s[:r.nlist]
+}
+
+// nearest returns the centroid with the largest score against row; the strict
+// comparison in ascending id order breaks ties toward the lower id.
+func (r router) nearest(s, row []float64) int32 {
+	best, bestDot := int32(0), math.Inf(-1)
+	for c, dot := range r.score(s, row) {
+		if dot > bestDot {
+			best, bestDot = int32(c), dot
 		}
 	}
 	return best
@@ -338,6 +358,14 @@ func groupAssign(assign []int32, nlist int) (start []int64, ids []int32) {
 	return start, ids
 }
 
+// widen sets dst[j] = float64(src[j]), which is exact, and returns dst.
+func widen(dst []float64, src []float32) []float64 {
+	for j, x := range src {
+		dst[j] = float64(x)
+	}
+	return dst
+}
+
 // normalize scales row to unit L2 norm in place (zero rows stay zero).
 func normalize(row []float32) {
 	var s float64
@@ -376,22 +404,7 @@ func (ix *Index) Search(v Vectors, q, k, nprobe int) ([]int, []float64, int, err
 	if nprobe > ix.nlist {
 		nprobe = ix.nlist
 	}
-
-	// Route: score every centroid against the query row and keep the top
-	// nprobe (the shared top-k heap; centroid count is small, so this is
-	// the cheap O(nlist·d) part).
-	buf := make([]float32, d)
-	v.DequantTo(buf, q)
-	cs := make([]float64, ix.nlist)
-	par.For(ix.nlist, 64, func(c int) {
-		cent := ix.centroids[c*d : (c+1)*d]
-		var dot float64
-		for j, x := range buf {
-			dot += float64(x) * float64(cent[j])
-		}
-		cs[c] = dot
-	})
-	probe, _ := quant.SelectTopK(cs, nprobe)
+	probe := ix.route(v, q, nprobe)
 
 	// Scan: gather the probed lists' candidates and compute similarities in
 	// parallel through the quantized store (int8 stays in the integer
@@ -421,6 +434,17 @@ func (ix *Index) Search(v Vectors, q, k, nprobe int) ([]int, []float64, int, err
 	return out, vals, len(cands), nil
 }
 
+// route returns the nprobe centroids nearest row q: every centroid scored
+// against the query with one row accumulate on the caller's goroutine (the
+// cheap O(nlist·d) part), then the shared top-k heap.
+func (ix *Index) route(v Vectors, q, nprobe int) []int {
+	buf := make([]float32, ix.dims)
+	v.DequantTo(buf, q)
+	cs := ix.score(make([]float64, ix.ct.Cols), widen(make([]float64, ix.dims), buf))
+	probe, _ := quant.SelectTopK(cs, nprobe)
+	return probe
+}
+
 // NList returns the number of posting lists (coarse centroids).
 func (ix *Index) NList() int { return ix.nlist }
 
@@ -433,10 +457,12 @@ func (ix *Index) Rows() int { return ix.rows }
 // Dims returns the embedding dimension the index was built for.
 func (ix *Index) Dims() int { return ix.dims }
 
-// MemoryBytes is the index's resident size: centroids, offsets and posting
-// lists (the vectors themselves live in the embedding store).
+// MemoryBytes is the index's resident size: centroids, their routing
+// layout, offsets and posting lists (the vectors themselves live in the
+// embedding store).
 func (ix *Index) MemoryBytes() int64 {
-	return int64(len(ix.centroids))*4 + int64(len(ix.start))*8 + int64(len(ix.ids))*4
+	return int64(len(ix.centroids))*4 + int64(len(ix.ct.Data))*8 + int64(len(ix.terms))*4 +
+		int64(len(ix.start))*8 + int64(len(ix.ids))*4
 }
 
 // Stats describes an index's layout for logs and health endpoints.

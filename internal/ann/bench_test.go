@@ -43,21 +43,23 @@ func BenchmarkANN(b *testing.B) {
 }
 
 // BenchmarkANNBuild measures index construction — the cost added to every
-// snapshot publish when -ann is on — at the harness's 4096×64 snapshot and
-// the server's defaults, with the tiled assignment kernel next to the
-// scalar oracle.
+// snapshot publish when -ann is on — at the benchmark's two serving shapes
+// and the server's defaults (4096×64 with nlist 64, 8192×32 with nlist 91),
+// with the row-accumulate kernel Build runs next to the scalar oracle.
 func BenchmarkANNBuild(b *testing.B) {
-	e := quant.ToFloat32(clusteredMatrix(4096, 64, 64, 0.15, 7))
-	for _, k := range []struct {
-		name   string
-		assign assigner
-	}{{"tiled", assignTiled}, {"oracle", assignScalar}} {
-		b.Run(k.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := build(e, Config{Seed: 3}, k.assign); err != nil {
-					b.Fatal(err)
+	for _, shape := range []struct{ n, d int }{{4096, 64}, {8192, 32}} {
+		e := quant.ToFloat32(clusteredMatrix(shape.n, shape.d, 64, 0.15, 7))
+		for _, k := range []struct {
+			name   string
+			assign assigner
+		}{{"rows", assignRows}, {"oracle", assignScalar}} {
+			b.Run(fmt.Sprintf("%dx%d/%s", shape.n, shape.d, k.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := build(e, Config{Seed: 3}, k.assign); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

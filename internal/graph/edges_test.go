@@ -65,3 +65,25 @@ func TestEdgesRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgesKeepsOneWayArcs lists a non-Simple graph's edges: a one-way arc
+// stored only from the higher ID (3 → 0) and one stored only from the lower
+// ID (1 → 4) are both kept as {min, max}, in ascending order among the
+// two-way edges, and a self loop (2 → 2) is not listed, raw and compressed.
+func TestEdgesKeepsOneWayArcs(t *testing.T) {
+	// 0: 1 2    1: 0 4    2: 0 2 3    3: 0 2    4: (none)
+	raw, err := FromCSR([]int64{0, 2, 4, 7, 9, 9}, []uint32{1, 2, 0, 4, 0, 2, 3, 0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := raw.ToCompressed(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Edge{{0, 1}, {0, 2}, {0, 3}, {1, 4}, {2, 3}}
+	for _, g := range []*Graph{raw, comp} {
+		if got := g.Edges(); !slices.Equal(got, want) {
+			t.Fatalf("Edges() = %v, want %v", got, want)
+		}
+	}
+}

@@ -17,6 +17,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -318,17 +319,40 @@ func (g *Graph) ToCompressed(blockSize int) (*Graph, error) {
 }
 
 // Edges lists each undirected edge once, as U < V, in ascending (U, V)
-// order: the arcs u→v with u < v. For a Simple g, or g compressed,
-// FromEdges(g.NumVertices(), g.Edges()) rebuilds g uncompressed.
+// order: every arc u→v with u ≠ v as {min(u, v), max(u, v)}, listed once
+// when its reverse is stored too. So an arc stored only from the higher ID
+// of a non-Simple g is kept, and FromEdges(g.NumVertices(), g.Edges()) is
+// the simple graph of g's arcs: g itself, uncompressed, for a Simple g or
+// one compressed from it.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.NumEdges()/2)
+	// An arc u→v with v < u comes after v's own edges {v, ·} are all listed,
+	// and for each v in ascending u, so next[v], the place in out that the
+	// search for v's reverses has reached, only moves forward.
+	next := make([]int, g.n)
+	var oneWay []Edge
 	nc := g.NewNeighborCursor()
 	for u := 0; u < g.n; u++ {
+		next[u] = len(out)
 		for _, v := range nc.List(uint32(u)) {
-			if uint32(u) < v {
-				out = append(out, Edge{U: uint32(u), V: v})
+			switch e := (Edge{U: min(uint32(u), v), V: max(uint32(u), v)}); {
+			case e.U == e.V:
+			case e.U == uint32(u):
+				out = append(out, e)
+			default:
+				p := next[v]
+				for p < len(out) && out[p].U == v && out[p].V < e.V {
+					p++
+				}
+				if next[v] = p; p == len(out) || out[p] != e {
+					oneWay = append(oneWay, e)
+				}
 			}
 		}
+	}
+	if len(oneWay) > 0 {
+		out = append(out, oneWay...)
+		slices.SortFunc(out, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
 	}
 	return out
 }
