@@ -128,9 +128,9 @@ func addRowsGo(y, a []float64, idx []uint32, x []float64, stride int) {
 	}
 }
 
-// The QR's two panel kernels work on np consecutive four-column panels ps
-// elements apart (the layout of qr.go): v[4i] and u[4i] are element i of two
-// reflectors, c[p·ps + 4i + l] is column l of panel p at row i, and column
+// The QR's two panel kernels work on np four-column panels ps elements apart
+// (the layout of qr.go): v[i] and u[i] are element i of two reflectors, held
+// contiguously, c[p·ps + 4i + l] is column l of panel p at row i, and column
 // 4p+l of a panel run owns s[4p+l] and acc[4p+l].
 
 // updateDotPanels applies one reflector and dots with the next in the same
@@ -141,7 +141,7 @@ func updateDotPanels(v, u, c []float64, m, np, ps int, s, acc []float64, lane in
 	if m == 0 || np == 0 {
 		return
 	}
-	_, _, _ = v[4*(m-1)], u[4*(m-1)], c[(np-1)*ps+4*m-1]
+	_, _, _ = v[m-1], u[m-1], c[(np-1)*ps+4*m-1]
 	_, _ = s[4*np-1], acc[4*np-1]
 	if kernel < kernelAVX {
 		updateDotPanelsGo(v, u, c, m, np, ps, s, acc, lane)
@@ -155,7 +155,7 @@ func updateDotPanels(v, u, c []float64, m, np, ps int, s, acc []float64, lane in
 
 func updateDotPanelsGo(v, u, c []float64, m, np, ps int, s, acc []float64, lane int) {
 	for p := 0; p < np; p++ {
-		updateDotPanelGo(v[:4*m-3], u, c[p*ps:][:4*m], s[4*p:4*p+4], acc[4*p:4*p+4], lane)
+		updateDotPanelGo(v[:m], u[:m], c[p*ps:][:4*m], s[4*p:4*p+4], acc[4*p:4*p+4], lane)
 		lane = 0
 	}
 }
@@ -163,8 +163,8 @@ func updateDotPanelsGo(v, u, c []float64, m, np, ps int, s, acc []float64, lane 
 func updateDotPanelGo(v, u, c, s, acc []float64, lane int) {
 	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
 	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
-	for i := 0; i < len(v); i += 4 {
-		x, y, row := v[i], u[i], c[i:i+4]
+	for i, x := range v {
+		y, row := u[i], c[4*i:4*i+4]
 		r0, r1, r2, r3 := row[0]-s0*x, row[1]-s1*x, row[2]-s2*x, row[3]-s3*x
 		switch lane {
 		case 0:
@@ -194,7 +194,7 @@ func dotPanels(u, c []float64, m, np, ps int, acc []float64) {
 		clear(acc[:4*np])
 		return
 	}
-	_, _, _ = u[4*(m-1)], c[(np-1)*ps+4*m-1], acc[4*np-1]
+	_, _, _ = u[m-1], c[(np-1)*ps+4*m-1], acc[4*np-1]
 	if kernel < kernelAVX {
 		dotPanelsGo(u, c, m, np, ps, acc)
 		return
@@ -205,14 +205,16 @@ func dotPanels(u, c []float64, m, np, ps int, acc []float64) {
 }
 
 func dotPanelsGo(u, c []float64, m, np, ps int, acc []float64) {
+	u = u[:m]
 	for p := 0; p < np; p++ {
 		var a0, a1, a2, a3 float64
-		for i, row := 0, c[p*ps:][:4*m]; i < len(row); i += 4 {
-			y := u[i]
-			a0 += y * row[i]
-			a1 += y * row[i+1]
-			a2 += y * row[i+2]
-			a3 += y * row[i+3]
+		c := c[p*ps:][:4*m]
+		for i, y := range u {
+			row := c[4*i : 4*i+4]
+			a0 += y * row[0]
+			a1 += y * row[1]
+			a2 += y * row[2]
+			a3 += y * row[3]
 		}
 		acc[4*p], acc[4*p+1], acc[4*p+2], acc[4*p+3] = a0, a1, a2, a3
 	}

@@ -244,9 +244,9 @@ GLOBL laneMask<>(SB), RODATA|NOPTR, $128
 // func updateDotAVX(v, u, c []float64, m, np, ps int, s, acc []float64, lane int)
 //
 // updateDotPanelsGo on np (1–4) panels: per row one broadcast each of v[i]
-// and u[i]; per panel c − s·v[i] stored (the first panel through the lane
-// mask), then acc += u[i]·c. The panel-count branches go the same way on
-// every row.
+// and u[i] (R8 steps through them, R13 through the panel rows); per panel
+// c − s·v[i] stored (the first panel through the lane mask), then
+// acc += u[i]·c. The panel-count branches go the same way on every row.
 TEXT ·updateDotAVX(SB), NOSPLIT, $0-152
 	MOVQ v_base+0(FP), SI
 	MOVQ u_base+24(FP), DI
@@ -280,13 +280,14 @@ TEXT ·updateDotAVX(SB), NOSPLIT, $0-152
 	VMOVUPD 96(BX), Y7
 
 udloaded:
+	XORQ R8, R8
 	XORQ R13, R13
 	TESTQ CX, CX
 	JZ   udstore
 
 udloop:
-	VBROADCASTSD (SI)(R13*1), Y12
-	VBROADCASTSD (DI)(R13*1), Y13
+	VBROADCASTSD (SI)(R8*8), Y12
+	VBROADCASTSD (DI)(R8*8), Y13
 	VMULPD Y12, Y0, Y14
 	VMOVUPD (R9)(R13*1), Y15
 	VSUBPD Y14, Y15, Y15
@@ -319,9 +320,10 @@ udloop:
 	VADDPD Y15, Y7, Y7
 
 udnext:
+	INCQ R8
 	ADDQ $32, R13
-	DECQ CX
-	JNZ  udloop
+	CMPQ R8, CX
+	JLT  udloop
 
 udstore:
 	VMOVUPD Y4, 0(BX)
@@ -342,8 +344,8 @@ uddone:
 // func dotPanelsAVX(u, c []float64, m, np, ps int, acc []float64)
 //
 // dotPanelsGo on np (1–4) panels: four accumulators from +0 over one
-// broadcast of u[i]. Panel pointers past np repeat the last panel; their
-// dots are not stored.
+// broadcast of u[i] (R8 steps through u, R13 through the panel rows).
+// Panel pointers past np repeat the last panel; their dots are not stored.
 TEXT ·dotPanelsAVX(SB), NOSPLIT, $0-96
 	MOVQ u_base+0(FP), SI
 	MOVQ c_base+24(FP), R9
@@ -374,12 +376,13 @@ dp4:
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
+	XORQ R8, R8
 	XORQ R13, R13
 	TESTQ CX, CX
 	JZ   dpstore
 
 dploop:
-	VBROADCASTSD (SI)(R13*1), Y4
+	VBROADCASTSD (SI)(R8*8), Y4
 	VMULPD (R9)(R13*1), Y4, Y5
 	VADDPD Y5, Y0, Y0
 	VMULPD (R10)(R13*1), Y4, Y6
@@ -388,9 +391,10 @@ dploop:
 	VADDPD Y7, Y2, Y2
 	VMULPD (R12)(R13*1), Y4, Y8
 	VADDPD Y8, Y3, Y3
+	INCQ R8
 	ADDQ $32, R13
-	DECQ CX
-	JNZ  dploop
+	CMPQ R8, CX
+	JLT  dploop
 
 dpstore:
 	VMOVUPD Y0, 0(BX)

@@ -172,10 +172,10 @@ func TestAddRowsChecksOperandRows(t *testing.T) {
 // TestUpdateDotPanelsAVXBitIdenticalToGo: the QR's fused update + dot (one
 // loop over up to four panels, the first under a lane mask, chained by
 // updateDotPanels) and its dot-only loop against the Go loops, for 1–6 panels
-// (a full four-panel call plus a remainder), every first
-// lane, row counts 0–70, unaligned sub-slices, reflectors aliased inside the
-// first panel (as in QR) and special values, panels and dots both compared.
-// See DESIGN.md "Numerics".
+// (a full four-panel call plus a remainder), every first lane, row counts
+// 0–70, panel strides of one and two panels (an owner's panels are every
+// W-th), contiguous reflectors at unaligned offsets and special values,
+// panels and dots both compared. See DESIGN.md "Numerics".
 func TestUpdateDotPanelsAVXBitIdenticalToGo(t *testing.T) {
 	needKernel(t, kernelAVX)
 	src := rng.New(43, 0)
@@ -183,29 +183,23 @@ func TestUpdateDotPanelsAVXBitIdenticalToGo(t *testing.T) {
 		for np := 1; np <= 6; np++ {
 			for lane := 0; lane < 4; lane++ {
 				for _, off := range []int{0, 1, 3} {
-					ps := 4*m + 4*off
-					buf := make([]float64, off+np*ps+8*m+8*np)
-					fillValues(buf, src)
-					for _, aliased := range []bool{false, true} {
-						if aliased && lane < 2 {
-							continue
-						}
+					for _, stride := range []int{1, 2} {
+						ps := stride * (4*m + 4*off)
+						buf := make([]float64, off+np*ps+2*m+8*np)
+						fillValues(buf, src)
 						run := func(k kernelLevel) []float64 {
 							defer func(saved kernelLevel) { kernel = saved }(kernel)
 							kernel = k
 							b := append([]float64(nil), buf...)
-							c, v, u := b[off:], b[off+np*ps:], b[off+np*ps+4*m:]
+							c, v, u := b[off:], b[off+np*ps:][:m], b[off+np*ps+m:][:m]
 							s, acc := b[len(b)-8*np:][:4*np], b[len(b)-4*np:]
-							if aliased {
-								v, u = c[lane-2:], c[lane-1:]
-							}
 							if lane == 0 {
 								dotPanels(u, c, m, np, ps, acc)
 							}
 							updateDotPanels(v, u, c, m, np, ps, s, acc, lane)
 							return b
 						}
-						compareBits(t, fmt.Sprintf("m=%d np=%d lane=%d off=%d aliased=%v", m, np, lane, off, aliased),
+						compareBits(t, fmt.Sprintf("m=%d np=%d lane=%d off=%d stride=%d", m, np, lane, off, stride),
 							run(kernelAVX), run(kernelGo))
 					}
 				}

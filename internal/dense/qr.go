@@ -18,36 +18,48 @@ import (
 // pw[(j/4)·4n + 4i + j%4]. Row i of a panel is four adjacent doubles, one
 // vector register, so a reflector meets a panel as four dot products sharing
 // one broadcast of v[i] per row (updateDotPanels, dotPanels; kernels.go).
-// Reflector k overwrites column k from the diagonal down (R's entries above it
-// are copied out first), and is never written again.
+// Reflector k is formed in column k from the diagonal down (R's entries above
+// it are copied out first) and copied into contiguous storage, refl[k·n+k…],
+// which is never written again: every later reader takes it from there.
 //
-// Two phases, concurrent. R is formed on the calling goroutine with one pass
-// over the trailing panels per reflector: H_k is applied to column k+1 alone,
-// reflector k+1 is formed from it and published through an atomic counter,
-// and one sweep then updates every remaining row by H_k while adding it into
-// H_{k+1}'s dots. Q is accumulated on the other workers, two panels at a time
-// in a per-worker scratch that stays in L2, as soon as the counter covers the
-// group's last column: column j of Q is H_0·…·H_j·e_j, so a group needs
-// reflectors 0…j only, starts from H_j·e_j and applies H_{j−1} … H_0 fused
-// the same way (updating by H_k while dotting with H_{k−1}), then writes
-// straight into Q's rows. The caller joins the Q workers once R is done: one
+// R on every worker. The panels are owned cyclically — panel P by worker
+// P mod W — and each owner keeps its columns' dots and scaled dots in lines
+// of its own. Entering step k, columns k+1… carry H_0…H_{k−1} and each owner
+// holds reflector k's dots with its columns (taken while H_{k−1} was
+// applied). The owner of column k+1 applies H_k to that column alone, forms
+// reflector k+1 from it and publishes it through an atomic counter. Every
+// owner, once the counter covers k+1, sweeps its own trailing panels once:
+// each row is updated by H_k and added into reflector k+1's dots. The owner
+// of column k+2 sweeps that column's panel first and forms reflector k+2 as
+// soon as it has, before the rest of its step-k sweep, so the next
+// formation never waits for a whole step. The sweep after an identity
+// reflector only takes dots.
+//
+// Q on every worker too, in groups of two panels kept in a per-worker scratch
+// that stays in L2, claimed in order by whichever worker has finished its
+// share of R, as soon as the counter covers the group's last column: column
+// j of Q is H_0·…·H_j·e_j, so a group needs reflectors 0…j only, starts from
+// H_j·e_j and applies H_{j−1} … H_0 fused the same way (updating by H_k
+// while dotting with H_{k−1}), then writes straight into Q's rows. One
 // fork-join per call. The textbook formulation's other reflectors multiply
 // rows of e_j that are still exactly zero, a third of the flops for nothing.
 //
 // Determinism. Every floating-point operation and its operand order are
 // those of the serial At/Set kernel this replaced (qrOracle in
 // qr_oracle_test.go): a column's dot is one accumulator — one vector lane —
-// adding v[i]·c[i] for i ascending from +0 in one goroutine, whoever runs it,
-// never a split sum. So Q and R are bit-identical to it for every input whose
-// intermediates stay finite, at every GOMAXPROCS, on either kernel form: the
-// determinism contract of DESIGN.md. Faster orthonormalizations (blocked WY,
+// adding v[i]·c[i] for i ascending from +0 in one goroutine, the column's
+// owner, never a split sum, and every reflector is formed by the same scalar
+// chains on one goroutine. Which worker owns a column moves no bit. So Q and
+// R are bit-identical to it for every input whose intermediates stay
+// finite, at every GOMAXPROCS, on every kernel form: the determinism
+// contract of DESIGN.md. Faster orthonormalizations (blocked WY,
 // CholeskyQR2, TSQR) reorder sums and so change every embedding's bits; four
 // columns' independent sums in one register do not.
 //
-// Memory. One working buffer of ⌈d/4⌉·4·n elements (n×d when 4 divides d)
-// plus a two-panel scratch (8·n elements) per worker, for at most one worker
-// per Q group; QR adds the n×d result,
-// QRInPlace writes the result over its input.
+// Memory. The panels, ⌈d/4⌉·4·n elements (n×d when 4 divides d), the
+// reflectors, n·d, and a two-panel scratch (8·n elements) per worker, for at
+// most one worker per Q group; QR adds the n×d result, QRInPlace writes the
+// result over its input.
 
 // QR computes the thin QR factorization A = Q·R of an n×d matrix with
 // n >= d, returning Q (n×d, orthonormal columns) and R (d×d, upper
@@ -79,189 +91,288 @@ func Orthonormalize(a *Matrix) *Matrix {
 	return q
 }
 
-// qrGroupPanels is the width, in panels, of a Q group: its scratch of 2·4n
-// doubles (256 KiB at n = 4096) stays in L2 while every reflector below it
-// passes over, and the first group is ready once the eighth reflector exists.
-// One panel per group gives the fused sweep too few panels per row; four
-// start the second core too late (both slower at 4096×64 on two cores).
+// qrGroupPanels is the width, in panels, of a Q group: its 2·4n doubles
+// (256 KiB at n = 4096) stay in L2 while every reflector below it passes
+// over, and the first group is ready once the eighth reflector exists. One
+// panel per group gives the fused sweep too few panels per row; four start
+// Q too late (both slower at 4096×64 on two cores).
 const qrGroupPanels = 2
 
 // qrParallelWork is the n·d² below which one goroutine runs both phases: a
 // fork costs more than it can save on a QR of fewer flops.
 const qrParallelWork = 1 << 18
 
+// qrGroupColumns is the width, in columns, of a Q group.
+const qrGroupColumns = qrGroupPanels * 4
+
+// qrFactor is one call's shared state. The panels are written only by their
+// owners once copied in, and by the Q group that takes them over once their
+// last reflector is formed; the reflectors, taus and R's columns are written
+// once each, before the formed counter publishes them.
+type qrFactor struct {
+	a, q, r                   *Matrix
+	n, d, np, ps, ng          int
+	workers, owners, lpw      int // all workers, those owning panels, panels per owner at most
+	pw, refl, work, taus      []float64
+	copied, formed, next, qed atomic.Int64
+	finished                  atomic.Int64
+}
+
+// qGroup is the Q group a worker holds: group g, its next reflector k
+// (−1 when it holds none), and whether its dots with reflector k are in hand.
+type qGroup struct {
+	g, k int
+	have bool
+}
+
 // householderQR factors a and stores Q in q, which may be a itself: a is
-// fully consumed by the copy into panels before q is written.
+// fully consumed by the copy into panels before q's storage holds the
+// reflectors, and those are dead before Q is copied out over them.
 func householderQR(a, q *Matrix) (*Matrix, *Matrix) {
 	n, d := a.Rows, a.Cols
-	np, ps := (d+3)/4, 4*n // panel P is pw[P·ps : (P+1)·ps]
-	pw := make([]float64, np*ps)
-	work := make([]float64, d+8*np)
-	taus, acc, s := work[:d], work[d:d+4*np], work[d+4*np:]
-	r := NewMatrix(d, d)
-	ng := (np + qrGroupPanels - 1) / qrGroupPanels
-	workers := par.Workers()
+	f := &qrFactor{a: a, q: q, r: NewMatrix(d, d), n: n, d: d, np: (d + 3) / 4, ps: 4 * n}
+	f.workers = par.Workers()
 	if n*d*d < qrParallelWork {
-		workers = 1
+		f.workers = 1
 	}
-	// Workers 0…accumulators−1 take Q groups; any beyond only copy in.
-	accumulators := max(1, min(workers, ng))
-	const gs = qrGroupPanels * 4
-	scratch := make([]float64, accumulators*(qrGroupPanels*ps+2*gs))
-
-	var copied, formed, next, finished atomic.Int64
-	// copyIn moves row block w of a into the panels.
-	copyIn := func(w int) {
-		for i := w * n / workers; i < (w+1)*n/workers; i++ {
-			panelRow(pw[4*i:], a.Data[i*d:(i+1)*d], ps, true)
-		}
-		copied.Add(1)
-	}
-
-	// Q in groups of panels. Column j of Q is H_0·…·H_j·e_j: a group starts
-	// from H_j·e_j for each of its columns j and applies reflectors down to
-	// H_0, in a per-worker scratch of the group's panels, as soon as the
-	// counter says its last column's reflector is formed. Reflector storage
-	// is never written once formed, so the counter is the only
-	// synchronization. Every column sees the serial kernel's operations in
-	// its order: init, then H_{j−1} … H_0, each a dot over rows k… from +0.
-	accumulate := func(w int) {
-		buf := scratch[w*(qrGroupPanels*ps+2*gs):][:qrGroupPanels*ps+2*gs]
-		wq, ga, gsc := buf[:qrGroupPanels*ps], buf[qrGroupPanels*ps:][:gs], buf[qrGroupPanels*ps+gs:]
-		for g := int(next.Add(1)) - 1; g < ng; g = int(next.Add(1)) - 1 {
-			c0, c1 := g*gs, min(d, (g+1)*gs)
-			gp := (c1 - c0 + 3) / 4
-			for spin := 0; formed.Load() < int64(c1); spin++ {
-				if spin >= 64 {
-					runtime.Gosched()
-				}
-			}
-			have := false // ga holds reflector k's dots with the group's columns
-			for k := c1 - 1; k >= 0; k-- {
-				if first := max(k+1, c0); taus[k] != 0 && first < c1 {
-					fp := first/4 - c0/4
-					v, cg := pw[(k/4)*ps+4*k+k%4:], wq[fp*ps+4*k:]
-					a, sc := ga[4*fp:4*gp], gsc[4*fp:4*gp]
-					if !have {
-						dotPanels(v, cg, n-k, gp-fp, ps, a)
-					}
-					for j := range a {
-						sc[j] = a[j] * taus[k]
-					}
-					u := v // reflector k−1's dots: row k−1 here, rows k… fused
-					if k > 0 {
-						u = pw[((k-1)/4)*ps+4*(k-1)+(k-1)%4:]
-						for j := range a {
-							a[j] = 0
-							a[j] += u[0] * wq[(fp+j/4)*ps+4*(k-1)+j%4]
-						}
-						u = u[4:]
-					}
-					updateDotPanels(v, u, cg, n-k, gp-fp, ps, sc, a, first%4)
-					have = true
-				} else {
-					have = false
-				}
-				if k < c0 {
-					continue
-				}
-				// Column k = H_k·e_k. The dot v·e_k is v[0] exactly, and
-				// 0 - x is spelled out because -x would flip a zero's sign.
-				col, v := wq[(k/4-c0/4)*ps+k%4:], pw[(k/4)*ps+k%4:]
-				for i := 0; i < k; i++ {
-					col[4*i] = 0
-				}
-				col[4*k] = 1
-				if tau := taus[k]; tau != 0 {
-					dot := v[4*k] * tau
-					for i := k + 1; i < n; i++ {
-						col[4*i] = 0 - dot*v[4*i]
-					}
-					col[4*k] = 1 - dot*v[4*k]
-				} else {
-					for i := k + 1; i < n; i++ {
-						col[4*i] = 0
-					}
-				}
-				have = false
-			}
-			for i := 0; i < n; i++ {
-				panelRow(wq[4*i:], q.Data[i*d+c0:i*d+c1], ps, false)
-			}
-		}
-	}
-
-	// The waits below spin on counters instead of parking, so a call
-	// allocates the same whoever finishes first.
-	for w := 1; w < workers; w++ {
+	f.ng = (f.np + qrGroupPanels - 1) / qrGroupPanels
+	// Workers 0…owners−1 own panels of R; every worker takes Q groups.
+	f.owners = max(1, min(f.workers, f.np))
+	f.lpw = (f.np + f.owners - 1) / f.owners
+	buf := make([]float64, f.np*f.ps+d+8+f.workers*f.lineLen())
+	f.pw, f.work, f.refl = buf[:f.np*f.ps], buf[f.np*f.ps:], q.Data[:d*n]
+	f.taus = f.work[:d]
+	for w := 1; w < f.workers; w++ {
 		go func() {
-			copyIn(w)
-			if w < accumulators {
-				accumulate(w)
-			}
-			finished.Add(1)
+			f.run(w)
+			f.finished.Add(1)
 		}()
 	}
-	copyIn(0)
-	for copied.Load() < int64(workers) {
+	f.run(0)
+	for f.finished.Load() < int64(f.workers-1) {
 		runtime.Gosched()
 	}
+	return q, f.r
+}
 
-	// R, one pass over the trailing panels per reflector. Entering step k,
-	// columns k+1… carry H_0…H_{k−1} and acc holds reflector k's dots with
-	// them (computed while H_{k−1} was applied). Step k applies H_k to
-	// column k+1 alone, forms and publishes reflector k+1 from it, then
-	// sweeps the remaining panels once: each row is updated by H_k and added
-	// into reflector k+1's dots. A dot is still v·c over ascending rows of
-	// the updated column from +0, as in the serial kernel. Step −1 forms
-	// reflector 0; after an identity reflector the sweep only takes dots.
+// lineLen is the length of each worker's lines in work: the acc and s lines
+// of its panels, its Q group's dots and scaled dots, and a cache line of
+// padding, so no two workers write one line.
+func (f *qrFactor) lineLen() int { return 8*f.lpw + 2*qrGroupColumns + 8 }
+
+// lines returns worker w's acc and s lines and its Q group's.
+func (f *qrFactor) lines(w int) (acc, s, ga, gsc []float64) {
+	l := f.work[f.d+8+w*f.lineLen():]
+	return l[:4*f.lpw], l[4*f.lpw : 8*f.lpw], l[8*f.lpw:][:qrGroupColumns], l[8*f.lpw+qrGroupColumns:][:qrGroupColumns]
+}
+
+// run is worker w: it copies a row block of a into the panels, takes its
+// share of R, doing Q steps while it waits for a reflector, takes Q groups
+// until none is left, and once every worker has, copies a row block of Q
+// out of the panels. The waits spin on counters instead of parking, so a
+// call allocates the same whoever finishes first.
+func (f *qrFactor) run(w int) {
+	n, d := f.n, f.d
+	lo, hi := w*n/f.workers, (w+1)*n/f.workers
+	for i := lo; i < hi; i++ {
+		panelRow(f.pw[4*i:], f.a.Data[i*d:(i+1)*d], f.ps, true)
+	}
+	f.copied.Add(1)
+	for f.copied.Load() < int64(f.workers) {
+		runtime.Gosched()
+	}
+	qg := qGroup{k: -1}
+	if w < f.owners {
+		f.rShare(w, &qg)
+	}
+	for spin := 0; qg.k >= 0 || f.next.Load() < int64(f.ng); spin++ {
+		if f.qStep(w, &qg) {
+			spin = 0
+		} else if spin >= 64 {
+			runtime.Gosched()
+		}
+	}
+	f.qed.Add(1)
+	for f.qed.Load() < int64(f.workers) {
+		runtime.Gosched()
+	}
+	for i := lo; i < hi; i++ {
+		panelRow(f.pw[4*i:], f.q.Data[i*d:(i+1)*d], f.ps, false)
+	}
+}
+
+// waitFormed returns once reflectors 0…k−1 are formed, advancing worker w's
+// Q group meanwhile.
+func (f *qrFactor) waitFormed(w, k int, qg *qGroup) {
+	for spin := 0; f.formed.Load() < int64(k); spin++ {
+		if f.qStep(w, qg) {
+			spin = 0
+		} else if spin >= 64 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// rShare is worker w's share of R: formations of its columns and sweeps of
+// its panels, P ≡ w (mod owners), step by step, until none of its panels is
+// left. Its acc and s lines hold entry 4l + j%4 for column j of its local
+// panel l = P/owners.
+func (f *qrFactor) rShare(w int, qg *qGroup) {
+	d, np, owners := f.d, f.np, f.owners
+	acc, s, _, _ := f.lines(w)
+	ahead := -2 // the step whose formation ran early, at the end of the last
 	for k := -1; k < d-1; k++ {
-		tk := 0.0
-		if k >= 0 {
-			tk = taus[k]
+		if (k+1)/4%owners == w && ahead != k {
+			f.form(k, acc)
 		}
-		col := pw[((k+1)/4)*ps+(k+1)%4:]
-		var normSq float64
-		if tk != 0 {
-			for j := k + 1; j < 4*np; j++ {
-				s[j] = acc[j] * tk
-			}
-			v := pw[(k/4)*ps+k%4:]
-			col[4*k] = col[4*k] - s[k+1]*v[4*k]
-			for i := k + 1; i < n; i++ {
-				x := col[4*i] - s[k+1]*v[4*i]
-				col[4*i] = x
-				normSq += x * x
-			}
-		} else {
-			for i := k + 1; i < n; i++ {
-				normSq += col[4*i] * col[4*i]
-			}
-		}
-		formReflector(pw, r, taus, n, d, k+1, normSq)
-		formed.Store(int64(k + 2))
 		if k+2 >= d {
-			continue
+			break
 		}
 		first := (k + 2) / 4
-		u, c, a := pw[((k+1)/4)*ps+4*(k+1)+(k+1)%4:], pw[first*ps+4*(k+1):], acc[4*first:]
-		if tk != 0 {
-			v := pw[(k/4)*ps+4*k+k%4:]
-			for j := k + 2; j < 4*np; j++ {
-				e := &pw[(j/4)*ps+4*k+j%4]
-				*e = *e - s[j]*v[0]
-			}
-			clear(a)
-			updateDotPanels(v[4:], u, c, n-k-1, np-first, ps, s[4*first:], a, (k+2)%4)
-		} else if taus[k+1] != 0 {
-			dotPanels(u, c, n-k-1, np-first, ps, a)
+		P := first + (w-first%owners+owners)%owners
+		if P >= np {
+			break
+		}
+		f.waitFormed(w, k+2, qg)
+		l, cnt := P/owners, (np-1-P)/owners+1
+		if P == first {
+			// This worker forms reflector k+2 next: sweep its column first.
+			f.sweep(k, P, l, 1, acc, s)
+			f.form(k+1, acc)
+			ahead = k + 1
+			P, l, cnt = P+owners, l+1, cnt-1
+		}
+		f.sweep(k, P, l, cnt, acc, s)
+	}
+}
+
+// form is step k's formation, on the owner of column k+1 (acc its dots
+// line): H_k is applied to column k+1 alone, from row k down, and reflector
+// k+1 is formed from it, copied out and published. Step −1 forms
+// reflector 0.
+func (f *qrFactor) form(k int, acc []float64) {
+	n, ps, taus := f.n, f.ps, f.taus
+	col := f.pw[((k+1)/4)*ps+(k+1)%4:]
+	var normSq float64
+	if k >= 0 && taus[k] != 0 {
+		sk := acc[4*((k+1)/4/f.owners)+(k+1)%4] * taus[k]
+		v := f.refl[k*n+k : (k+1)*n]
+		col[4*k] = col[4*k] - sk*v[0]
+		for i := k + 1; i < n; i++ {
+			x := col[4*i] - sk*v[i-k]
+			col[4*i] = x
+			normSq += x * x
+		}
+	} else {
+		for i := k + 1; i < n; i++ {
+			normSq += col[4*i] * col[4*i]
 		}
 	}
-	accumulate(0)
-	for finished.Load() < int64(workers-1) {
-		runtime.Gosched()
+	formReflector(col, f.refl[(k+1)*n:(k+2)*n], f.r, taus, k+1, normSq)
+	f.formed.Store(int64(k + 2))
+}
+
+// sweep is step k's pass over cnt panels of one owner, from panel P, its
+// local panel l (the next are P+owners, …): row k is updated by H_k, then
+// rows k+1… are updated and added into reflector k+1's dots. In the panel
+// holding column k+2, lanes below it are left alone.
+func (f *qrFactor) sweep(k, P, l, cnt int, acc, s []float64) {
+	if cnt == 0 {
+		return
 	}
-	return q, r
+	n, ps, owners, taus := f.n, f.ps, f.owners, f.taus
+	lane := 0
+	if P == (k+2)/4 {
+		lane = (k + 2) % 4
+	}
+	u, c := f.refl[(k+1)*n+k+1:(k+2)*n], f.pw[P*ps+4*(k+1):]
+	a, sl := acc[4*l:4*(l+cnt)], s[4*l:4*(l+cnt)]
+	if k >= 0 && taus[k] != 0 {
+		tk, v := taus[k], f.refl[k*n+k:(k+1)*n]
+		for j := range a {
+			sl[j] = a[j] * tk
+		}
+		for p, lo := 0, lane; p < cnt; p, lo = p+1, 0 {
+			row := f.pw[(P+p*owners)*ps+4*k:][:4]
+			for j := lo; j < 4; j++ {
+				row[j] = row[j] - sl[4*p+j]*v[0]
+			}
+		}
+		clear(a)
+		updateDotPanels(v[1:], u, c, n-k-1, cnt, owners*ps, sl, a, lane)
+	} else if taus[k+1] != 0 {
+		dotPanels(u, c, n-k-1, cnt, owners*ps, a)
+	}
+}
+
+// qStep advances worker w's Q group by one reflector, first claiming the
+// next group if it holds none and that group's last reflector is formed;
+// it reports whether there was anything to do. Column j of Q is
+// H_0·…·H_j·e_j: a group starts from H_j·e_j for each of its columns j and
+// applies reflectors down to H_0, in place in the group's panels, which R
+// no longer reads once the group's last reflector is formed. Every column
+// sees the serial kernel's operations in its order: init, then H_{j−1} …
+// H_0, each a dot over rows k… from +0.
+func (f *qrFactor) qStep(w int, qg *qGroup) bool {
+	n, d, ps, taus, refl := f.n, f.d, f.ps, f.taus, f.refl
+	if qg.k < 0 {
+		g := f.next.Load()
+		if g >= int64(f.ng) || f.formed.Load() < int64(min(d, int(g+1)*qrGroupColumns)) ||
+			!f.next.CompareAndSwap(g, g+1) {
+			return false
+		}
+		qg.g, qg.k, qg.have = int(g), min(d, int(g+1)*qrGroupColumns)-1, false
+	}
+	_, _, ga, gsc := f.lines(w)
+	k, c0, c1 := qg.k, qg.g*qrGroupColumns, min(d, (qg.g+1)*qrGroupColumns)
+	gp, wq := (c1-c0+3)/4, f.pw[c0/4*ps:]
+	if first := max(k+1, c0); taus[k] != 0 && first < c1 {
+		fp := first/4 - c0/4
+		v, cg := refl[k*n+k:(k+1)*n], wq[fp*ps+4*k:]
+		a, sc := ga[4*fp:4*gp], gsc[4*fp:4*gp]
+		if !qg.have {
+			dotPanels(v, cg, n-k, gp-fp, ps, a)
+		}
+		for j := range a {
+			sc[j] = a[j] * taus[k]
+		}
+		u := v // reflector k−1's dots: row k−1 here, rows k… fused
+		if k > 0 {
+			u = refl[(k-1)*n+k-1 : k*n]
+			for j := range a {
+				a[j] = 0
+				a[j] += u[0] * wq[(fp+j/4)*ps+4*(k-1)+j%4]
+			}
+			u = u[1:]
+		}
+		updateDotPanels(v, u, cg, n-k, gp-fp, ps, sc, a, first%4)
+		qg.have = true
+	} else {
+		qg.have = false
+	}
+	if k >= c0 {
+		// Column k = H_k·e_k. The dot v·e_k is v[k] exactly, and 0 - x is
+		// spelled out because -x would flip a zero's sign.
+		col, v := wq[(k/4-c0/4)*ps+k%4:], refl[k*n:(k+1)*n]
+		for i := 0; i < k; i++ {
+			col[4*i] = 0
+		}
+		col[4*k] = 1
+		if tau := taus[k]; tau != 0 {
+			dot := v[k] * tau
+			for i := k + 1; i < n; i++ {
+				col[4*i] = 0 - dot*v[i]
+			}
+			col[4*k] = 1 - dot*v[k]
+		} else {
+			for i := k + 1; i < n; i++ {
+				col[4*i] = 0
+			}
+		}
+		qg.have = false
+	}
+	qg.k--
+	return true
 }
 
 // panelRow moves the row-major row rm into one row of consecutive panels
@@ -280,11 +391,12 @@ func panelRow(p, rm []float64, ps int, toPanels bool) {
 	}
 }
 
-// formReflector turns column k of the panels, whose rows k… have squared
-// norm normSq, into R[:k+1, k] above and on the diagonal and reflector k
-// from the diagonal down, with its tau in taus[k] (left 0 for H_k = I).
-func formReflector(pw []float64, r *Matrix, taus []float64, n, d, k int, normSq float64) {
-	col := pw[(k/4)*4*n+k%4:]
+// formReflector turns column k of the panels (col, from row 0, four
+// elements a row), whose rows k… have squared norm normSq, into R[:k+1, k]
+// above and on the diagonal and reflector k, stored in rv[k:], with its tau in
+// taus[k] (left 0 for H_k = I, rv then unwritten).
+func formReflector(col, rv []float64, r *Matrix, taus []float64, k int, normSq float64) {
+	n, d := len(rv), r.Cols
 	for i := 0; i < k; i++ {
 		r.Data[i*d+k] = col[4*i]
 	}
@@ -309,6 +421,7 @@ func formReflector(pw []float64, r *Matrix, taus []float64, n, d, k int, normSq 
 	dot += v0 * akk
 	for i := k + 1; i < n; i++ {
 		x := col[4*i]
+		rv[i] = x
 		vnormSq += x * x
 		dot += x * x
 	}
@@ -320,5 +433,5 @@ func formReflector(pw []float64, r *Matrix, taus []float64, n, d, k int, normSq 
 	taus[k] = tau
 	dot *= tau
 	r.Data[k*d+k] = akk - dot*v0
-	col[4*k] = v0
+	rv[k] = v0
 }

@@ -20,7 +20,7 @@ type qrCase struct {
 // take the kernel's tau == 0 and signed-zero branches.
 func qrDifferentialCases() []qrCase {
 	var cases []qrCase
-	shapes := [][2]int{{65, 64}, {1000, 33}, {4096, 64}, {8192, 32}, {777, 1}}
+	shapes := [][2]int{{65, 64}, {1000, 33}, {4096, 64}, {8192, 40}, {777, 1}}
 	for _, d := range []int{1, 2, 3, 4, 5, 31, 32, 33, 64, 65} {
 		shapes = append(shapes, [2]int{d, d})
 	}
@@ -111,7 +111,7 @@ func TestQRBitIdenticalToOracle(t *testing.T) {
 func testQRBitIdenticalToOracle(t *testing.T, kernels string) {
 	for _, tc := range qrDifferentialCases() {
 		wantQ, wantR := qrOracle(tc.a.Clone())
-		for _, procs := range []int{1, 2, 4} {
+		for _, procs := range []int{1, 2, 3, 4, 8} {
 			runtime.GOMAXPROCS(procs)
 			input := tc.a.Clone()
 			q, r := QR(input)
@@ -147,8 +147,8 @@ func TestQRInPlaceReusesInput(t *testing.T) {
 	}
 }
 
-// TestQRPipelineBitIdenticalToOracle holds the pipelined kernel — R formed on
-// the calling goroutine while Q groups accumulate on the others — to qrOracle
+// TestQRPipelineBitIdenticalToOracle holds the pipelined kernel — R shared by
+// every worker while Q groups accumulate in the gaps — to qrOracle
 // under schedules that differ from run to run: GOMAXPROCS up to four times the
 // cores, square shapes around the panel and group boundaries, the harness
 // shapes, identity reflectors (a zero column) first, mid-way and last, and
@@ -157,7 +157,7 @@ func TestQRInPlaceReusesInput(t *testing.T) {
 func TestQRPipelineBitIdenticalToOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var cases []qrCase
-	shapes := [][2]int{{4096, 64}, {8192, 32}}
+	shapes := [][2]int{{4096, 64}, {8192, 40}}
 	for _, d := range []int{1, 2, 3, 4, 5, 31, 32, 33, 63, 64, 65} {
 		shapes = append(shapes, [2]int{d, d})
 	}
