@@ -23,7 +23,7 @@ import (
 // which is never written again: every later reader takes it from there.
 //
 // R on every worker. The panels are owned cyclically — panel P by worker
-// P mod W — and each owner keeps its columns' dots and scaled dots in lines
+// P mod W, W at most the panel count — and each owner keeps its columns' dots and scaled dots in lines
 // of its own. Entering step k, columns k+1… carry H_0…H_{k−1} and each owner
 // holds reflector k's dots with its columns (taken while H_{k−1} was
 // applied). The owner of column k+1 applies H_k to that column alone, forms
@@ -35,14 +35,18 @@ import (
 // formation never waits for a whole step. The sweep after an identity
 // reflector only takes dots.
 //
-// Q on every worker too, in groups of two panels kept in a per-worker scratch
-// that stays in L2, claimed in order by whichever worker has finished its
-// share of R, as soon as the counter covers the group's last column: column
-// j of Q is H_0·…·H_j·e_j, so a group needs reflectors 0…j only, starts from
+// Q on every worker too, in groups of two panels, claimed in order by any
+// worker as soon as the counter covers the group's last column: column j of
+// Q is H_0·…·H_j·e_j, so a group needs reflectors 0…j only, starts from
 // H_j·e_j and applies H_{j−1} … H_0 fused the same way (updating by H_k
-// while dotting with H_{k−1}), then writes straight into Q's rows. One
-// fork-join per call. The textbook formulation's other reflectors multiply
-// rows of e_j that are still exactly zero, a third of the flops for nothing.
+// while dotting with H_{k−1}). R never reads a panel again once its last
+// reflector is formed, so a group runs in place in its own panels. A worker
+// advances its group one reflector at a time, also while it waits for R's
+// next reflector, so the formation chain's waits are filled with Q work.
+// After a barrier every worker copies a row block of Q out of the panels.
+// One fork-join per call. The textbook formulation's other reflectors
+// multiply rows of e_j that are still exactly zero, a third of the flops for
+// nothing.
 //
 // Determinism. Every floating-point operation and its operand order are
 // those of the serial At/Set kernel this replaced (qrOracle in
@@ -56,10 +60,10 @@ import (
 // CholeskyQR2, TSQR) reorder sums and so change every embedding's bits; four
 // columns' independent sums in one register do not.
 //
-// Memory. The panels, ⌈d/4⌉·4·n elements (n×d when 4 divides d), the
-// reflectors, n·d, and a two-panel scratch (8·n elements) per worker, for at
-// most one worker per Q group; QR adds the n×d result, QRInPlace writes the
-// result over its input.
+// Memory. The panels, ⌈d/4⌉·4·n elements (n×d when 4 divides d), and a few
+// cache lines per worker; the reflectors are kept in the result's storage,
+// which is dead until Q is copied out. QR adds the n×d result, QRInPlace
+// writes the result over its input.
 
 // QR computes the thin QR factorization A = Q·R of an n×d matrix with
 // n >= d, returning Q (n×d, orthonormal columns) and R (d×d, upper
@@ -220,14 +224,10 @@ func (f *qrFactor) waitFormed(w, k int, qg *qGroup) {
 func (f *qrFactor) rShare(w int, qg *qGroup) {
 	d, np, owners := f.d, f.np, f.owners
 	acc, s, _, _ := f.lines(w)
-	ahead := -2 // the step whose formation ran early, at the end of the last
-	for k := -1; k < d-1; k++ {
-		if (k+1)/4%owners == w && ahead != k {
-			f.form(k, acc)
-		}
-		if k+2 >= d {
-			break
-		}
+	if w == 0 {
+		f.form(-1, acc)
+	}
+	for k := -1; k+2 < d; k++ {
 		first := (k + 2) / 4
 		P := first + (w-first%owners+owners)%owners
 		if P >= np {
@@ -236,10 +236,10 @@ func (f *qrFactor) rShare(w int, qg *qGroup) {
 		f.waitFormed(w, k+2, qg)
 		l, cnt := P/owners, (np-1-P)/owners+1
 		if P == first {
-			// This worker forms reflector k+2 next: sweep its column first.
+			// This worker owns column k+2: sweep its panel first and form
+			// reflector k+2 before the rest of the step.
 			f.sweep(k, P, l, 1, acc, s)
 			f.form(k+1, acc)
-			ahead = k + 1
 			P, l, cnt = P+owners, l+1, cnt-1
 		}
 		f.sweep(k, P, l, cnt, acc, s)

@@ -20,7 +20,7 @@ type qrCase struct {
 // take the kernel's tau == 0 and signed-zero branches.
 func qrDifferentialCases() []qrCase {
 	var cases []qrCase
-	shapes := [][2]int{{65, 64}, {1000, 33}, {4096, 64}, {8192, 40}, {777, 1}}
+	shapes := [][2]int{{65, 64}, {1000, 33}, {4096, 64}, {8192, 32}, {8192, 40}, {777, 1}}
 	for _, d := range []int{1, 2, 3, 4, 5, 31, 32, 33, 64, 65} {
 		shapes = append(shapes, [2]int{d, d})
 	}
@@ -150,8 +150,8 @@ func TestQRInPlaceReusesInput(t *testing.T) {
 // TestQRPipelineBitIdenticalToOracle holds the pipelined kernel — R shared by
 // every worker while Q groups accumulate in the gaps — to qrOracle
 // under schedules that differ from run to run: GOMAXPROCS up to four times the
-// cores, square shapes around the panel and group boundaries, the harness
-// shapes, identity reflectors (a zero column) first, mid-way and last, and
+// cores, square shapes around the panel boundaries, tall ones around the
+// group boundaries, the harness shapes, identity reflectors (a zero column) first, mid-way and last, and
 // graded columns, each factored twice per GOMAXPROCS on every kernel form.
 // See DESIGN.md "Numerics".
 func TestQRPipelineBitIdenticalToOracle(t *testing.T) {
@@ -161,12 +161,16 @@ func TestQRPipelineBitIdenticalToOracle(t *testing.T) {
 	for _, d := range []int{1, 2, 3, 4, 5, 31, 32, 33, 63, 64, 65} {
 		shapes = append(shapes, [2]int{d, d})
 	}
+	// Widths around the Q group (8 columns), tall enough to run in parallel.
+	for _, d := range []int{8, 9, 12, 16, 17} {
+		shapes = append(shapes, [2]int{4096, d})
+	}
 	for _, s := range shapes {
 		n, d := s[0], s[1]
 		name := fmt.Sprintf("%dx%d", n, d)
 		cases = append(cases, qrCase{name, randomMatrix(n, d, uint64(n+d))})
 		zeros := []int{0, d / 2, d - 1}
-		if n > d {
+		if n*d > 1<<17 {
 			zeros = zeros[1:2] // the harness shapes: mid-way only, for time
 		}
 		for _, z := range zeros {
