@@ -53,7 +53,8 @@ harness:
 # loop and the leader→follower replication suite (mid-ship kills, corrupt
 # payloads, leader-death degradation), the edge-list parser (graph: pieces
 # of a block parsed on all workers, swept over GOMAXPROCS), plus the
-# pipelined QR (dense: R on the caller, Q groups on the workers), the
+# pipelined QR (dense: R shared by every worker, Q groups in its waits,
+# swept over GOMAXPROCS {1,2,3,4,8}), the
 # row-parallel SpMM with its row epilogue (sparse) and the propagation that
 # rewrites shared buffers from that epilogue (prone). The second line runs
 # the determinism and bit-identity tests of the full pipeline (core), so
@@ -166,12 +167,14 @@ bench-absorb:
 # The rSVD's dense kernels at the harness shapes, each in every form the CPU
 # runs (sub-benchmarks go/, avx/ and avx512/; the QR panels and the Jacobi
 # rotations have no AVX-512 loop, so their avx512/ rows time the AVX loops):
-# the panel QR (4096×64, 8192×32, 16384×64) and its fused update + dot sweep,
-# C = Zᵀ·B (MatMulATB, 4096×64, on the row accumulate) and the k×k Jacobi
-# SVD (64×64), each next to the loop it replaced, kept as the test oracle. On one core and on two,
-# since the QR runs its R and Q phases concurrently. -count=5 for benchstat.
+# the panel QR (4096×64, 8192×40, 16384×64) and its fused update + dot sweep,
+# C = Zᵀ·B (MatMulATB, 4096×64, on the row accumulate), the k×k Jacobi
+# SVD (64×64), each next to the loop it replaced, kept as the test oracle,
+# and the Gaussian test matrix (FillGaussian, 4096×64; its avx512/ rows time
+# the eight-lane Box–Muller). On one core and on two, since the QR shares
+# its R and Q phases among the workers. -count=5 for benchstat.
 bench-qr:
-	$(GO) test -run xxx -bench 'BenchmarkQRTallSkinny|BenchmarkQROracle|BenchmarkUpdateDotPanels|BenchmarkMatMulATB|BenchmarkSVD' -benchmem -cpu 1,2 -count=5 ./internal/dense
+	$(GO) test -run xxx -bench 'BenchmarkQRTallSkinny|BenchmarkQROracle|BenchmarkUpdateDotPanels|BenchmarkMatMulATB|BenchmarkSVD|BenchmarkFillGaussian' -benchmem -cpu 1,2 -count=5 ./internal/dense
 
 # The row-accumulate kernel at the harness shapes (RMAT-12 adjacency × 64,
 # a ~250 k-entry matrix × 64, RMAT-13 adjacency × 32; Gflop/s reported) and

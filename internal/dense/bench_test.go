@@ -122,11 +122,15 @@ func benchSVD(b *testing.B, svd func(*Matrix) (*Matrix, []float64, *Matrix)) {
 	}
 }
 
+// BenchmarkFillGaussian is the rSVD's Gaussian test matrix at the
+// embed-default shape, in every kernel form.
 func BenchmarkFillGaussian(b *testing.B) {
-	a := NewMatrix(1024, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.FillGaussian(uint64(i))
-	}
-	b.SetBytes(int64(8 * len(a.Data)))
+	benchKernelSets(b, func(b *testing.B) {
+		a := NewMatrix(4096, 64)
+		b.SetBytes(int64(8 * len(a.Data)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a.FillGaussian(uint64(i))
+		}
+	})
 }

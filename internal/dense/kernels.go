@@ -1,5 +1,7 @@
 package dense
 
+import "lightne/internal/rng"
+
 // The package's inner loops, each in up to three forms: the Go loop in this
 // file, which runs everywhere and is the reference the tests hold the others
 // to, an AVX loop (kernels_amd64.s, YMM registers) and, for the row
@@ -269,5 +271,36 @@ func chebyshevGo(l0, l1, conv, t []float64, c float64) {
 		l2 := tv - 2*l1[j] - l0[j]
 		l0[j] = l2
 		conv[j] += c * l2
+	}
+}
+
+// gaussLanes is normLanesAVX512's input: the xoshiro256++ state words of
+// eight rows' streams, lane l in st[0…3][l], and each row's offset l·cols in
+// st[4].
+type gaussLanes [5][8]uint64
+
+// fillNormRows fills rows lo…hi−1 of the cols-column row-major data, row i
+// with rng.Source.FillNorm's draws from stream (seed, i). The AVX-512 loop
+// runs eight rows' streams in the lanes of ZMM registers with Box–Muller's
+// exact operation sequence (math.Log's, math.Sincos's, math.Sqrt); the Go
+// loop, the reference, takes the rows left over.
+func fillNormRows(data []float64, cols int, seed uint64, lo, hi int) {
+	var src rng.Source
+	if kernel == kernelAVX512 && cols > 0 {
+		var st gaussLanes
+		for l := range st[4] {
+			st[4][l] = uint64(l * cols)
+		}
+		for ; lo+8 <= hi; lo += 8 {
+			for l := range 8 {
+				src.Seed(seed, uint64(lo+l))
+				st[0][l], st[1][l], st[2][l], st[3][l] = src.State()
+			}
+			normLanesAVX512(data[lo*cols:(lo+8)*cols], cols, &st)
+		}
+	}
+	for ; lo < hi; lo++ {
+		src.Seed(seed, uint64(lo))
+		src.FillNorm(data[lo*cols : (lo+1)*cols])
 	}
 }

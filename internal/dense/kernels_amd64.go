@@ -40,3 +40,9 @@ func chebyshevAVX(l0, l1, conv, t []float64, c float64)
 
 //go:noescape
 func chebyshevAVX512(l0, l1, conv, t []float64, c float64)
+
+//go:noescape
+func normLanesAVX512(dst []float64, cols int, st *gaussLanes)
+
+//go:noescape
+func logSincosAVX512(lg, sn, cs *[8]float64)

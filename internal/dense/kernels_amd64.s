@@ -515,3 +515,307 @@ zchebloop:
 zchebdone:
 	VZEROUPPER
 	RET
+
+// The Box–Muller constants of normLanesAVX512, each the float64 the Go code
+// it copies multiplies or adds: math.Log's (log_amd64.s), math.Sincos's
+// (sin.go, sincos.go) and the conversion's 2^52 and 2^−53.
+DATA bm<>+0(SB)/8, $0x3fe6a09e667f3bcd   // √2/2
+DATA bm<>+8(SB)/8, $0x3fe62e42fee00000   // Ln2Hi
+DATA bm<>+16(SB)/8, $0x3dea39ef35793c76  // Ln2Lo
+DATA bm<>+24(SB)/8, $0x3fe5555555555593  // L1
+DATA bm<>+32(SB)/8, $0x3fd999999997fa04  // L2
+DATA bm<>+40(SB)/8, $0x3fd2492494229359  // L3
+DATA bm<>+48(SB)/8, $0x3fcc71c51d8e78af  // L4
+DATA bm<>+56(SB)/8, $0x3fc7466496cb03de  // L5
+DATA bm<>+64(SB)/8, $0x3fc39a09d078c69f  // L6
+DATA bm<>+72(SB)/8, $0x3fc2f112df3e5244  // L7
+DATA bm<>+80(SB)/8, $0x3fe921fb40000000  // PI4A
+DATA bm<>+88(SB)/8, $0x3e64442d00000000  // PI4B
+DATA bm<>+96(SB)/8, $0x3ce8469898cc5170  // PI4C
+DATA bm<>+104(SB)/8, $0x3ff45f306dc9c883 // 4/π
+DATA bm<>+112(SB)/8, $0x401921fb54442d18 // 2π
+DATA bm<>+120(SB)/8, $0x3de5d8fd1fd19ccd // _sin[0]
+DATA bm<>+128(SB)/8, $0xbe5ae5e5a9291f5d
+DATA bm<>+136(SB)/8, $0x3ec71de3567d48a1
+DATA bm<>+144(SB)/8, $0xbf2a01a019bfdf03
+DATA bm<>+152(SB)/8, $0x3f8111111110f7d0
+DATA bm<>+160(SB)/8, $0xbfc5555555555548 // _sin[5]
+DATA bm<>+168(SB)/8, $0xbda8fa49a0861a9b // _cos[0]
+DATA bm<>+176(SB)/8, $0x3e21ee9d7b4e3f05
+DATA bm<>+184(SB)/8, $0xbe927e4f7eac4bc6
+DATA bm<>+192(SB)/8, $0x3efa01a019c844f5
+DATA bm<>+200(SB)/8, $0xbf56c16c16c14f91
+DATA bm<>+208(SB)/8, $0x3fa555555555554b // _cos[5]
+DATA bm<>+216(SB)/8, $0x43300000000003fe // 2^52 + 1022
+DATA bm<>+224(SB)/8, $0x4330000000000000 // 2^52
+DATA bm<>+232(SB)/8, $0x3ca0000000000000 // 2^−53
+DATA bm<>+240(SB)/8, $0x000fffffffffffff // mantissa mask
+DATA bm<>+248(SB)/8, $0x3fe0000000000000 // 0.5
+DATA bm<>+256(SB)/8, $0x3ff0000000000000 // 1
+DATA bm<>+264(SB)/8, $0x4000000000000000 // 2
+DATA bm<>+272(SB)/8, $0xc000000000000000 // −2
+DATA bm<>+280(SB)/8, $1
+DATA bm<>+288(SB)/8, $2
+DATA bm<>+296(SB)/8, $4
+GLOBL bm<>(SB), RODATA|NOPTR, $304
+
+#define bmHSqrt2 bm<>+0(SB)
+#define bmLn2Hi bm<>+8(SB)
+#define bmLn2Lo bm<>+16(SB)
+#define bmL1 bm<>+24(SB)
+#define bmL2 bm<>+32(SB)
+#define bmL3 bm<>+40(SB)
+#define bmL4 bm<>+48(SB)
+#define bmL5 bm<>+56(SB)
+#define bmL6 bm<>+64(SB)
+#define bmL7 bm<>+72(SB)
+#define bmPI4A bm<>+80(SB)
+#define bmPI4B bm<>+88(SB)
+#define bmPI4C bm<>+96(SB)
+#define bmFourOverPi bm<>+104(SB)
+#define bmTwoPi bm<>+112(SB)
+#define bmS0 bm<>+120(SB)
+#define bmS1 bm<>+128(SB)
+#define bmS2 bm<>+136(SB)
+#define bmS3 bm<>+144(SB)
+#define bmS4 bm<>+152(SB)
+#define bmS5 bm<>+160(SB)
+#define bmC0 bm<>+168(SB)
+#define bmC1 bm<>+176(SB)
+#define bmC2 bm<>+184(SB)
+#define bmC3 bm<>+192(SB)
+#define bmC4 bm<>+200(SB)
+#define bmC5 bm<>+208(SB)
+#define bmKBias bm<>+216(SB)
+#define bmTwoP52 bm<>+224(SB)
+#define bmTwoM53 bm<>+232(SB)
+#define bmMant bm<>+240(SB)
+#define bmHalf bm<>+248(SB)
+#define bmOne bm<>+256(SB)
+#define bmTwo bm<>+264(SB)
+#define bmMinusTwo bm<>+272(SB)
+#define bmInt1 bm<>+280(SB)
+#define bmInt2 bm<>+288(SB)
+#define bmInt4 bm<>+296(SB)
+
+// BMCONST loads the constants the macros below keep in registers: Z31 = 1,
+// Z30 = 2^52, Z29 = the mantissa mask, Z28 = 0.5, Z27 = √2/2, Z26 = 1,
+// Z25 = 2 and Z24 = 4 (the last three as integers).
+#define BMCONST \
+	VBROADCASTSD bmOne, Z31;    \
+	VBROADCASTSD bmTwoP52, Z30; \
+	VBROADCASTSD bmMant, Z29;   \
+	VBROADCASTSD bmHalf, Z28;   \
+	VBROADCASTSD bmHSqrt2, Z27; \
+	VBROADCASTSD bmInt1, Z26;   \
+	VBROADCASTSD bmInt2, Z25;   \
+	VBROADCASTSD bmInt4, Z24
+
+// XOSHIRO sets out to the next xoshiro256++ output of the eight streams
+// whose states are in Z0–Z3 (rng.Source.Uint64, lane by lane).
+#define XOSHIRO(out, t) \
+	VPADDQ Z3, Z0, t;   \
+	VPROLQ $23, t, t;   \
+	VPADDQ Z0, t, out;  \
+	VPSLLQ $17, Z1, t;  \
+	VPXORQ Z0, Z2, Z2;  \
+	VPXORQ Z1, Z3, Z3;  \
+	VPXORQ Z2, Z1, Z1;  \
+	VPXORQ Z3, Z0, Z0;  \
+	VPXORQ t, Z2, Z2;   \
+	VPROLQ $45, Z3, Z3
+
+// UNIFORM turns 64 random bits into rng.Source.Float64's
+// float64(x>>11)·2^−53. The 53-bit integer converts exactly without AVX512DQ:
+// its low 52 bits are or-ed into 2^52's mantissa and 2^52 subtracted, and
+// 2^52 is added back where bit 52 is set; every step is exact.
+#define UNIFORM(x, t)             \
+	VPSRLQ $11, x, x;             \
+	VPSRLQ $52, x, t;             \
+	VPTESTMQ t, t, K2;            \
+	VPANDQ Z29, x, x;             \
+	VPORQ Z30, x, x;              \
+	VSUBPD Z30, x, x;             \
+	VADDPD Z30, x, K2, x;         \
+	VMULPD.BCST bmTwoM53, x, x
+
+// LOG sets x to math.Log(x) for normal positive x, by log_amd64.s's
+// operations in its order: frexp, the √2/2 adjustment through a 0-or-1
+// multiplier, s = f/(2+f), the two polynomials in s⁴ and the final
+// k·Ln2Hi − ((hfsq − (s·(hfsq+R) + k·Ln2Lo)) − f).
+#define LOG(x, k, f, s, s2, s4, t)   \
+	VPSRLQ $52, x, k;                \
+	VPORQ Z30, k, k;                 \
+	VSUBPD.BCST bmKBias, k, k;       \
+	VPANDQ Z29, x, f;                \
+	VPORQ Z28, f, f;                 \
+	VCMPPD $2, Z27, f, K1;           \
+	VMOVAPD.Z Z31, K1, t;            \
+	VSUBPD t, k, k;                  \
+	VADDPD Z31, t, t;                \
+	VMULPD t, f, f;                  \
+	VSUBPD Z31, f, f;                \
+	VADDPD.BCST bmTwo, f, t;         \
+	VDIVPD t, f, s;                  \
+	VMULPD s, s, s2;                 \
+	VMULPD s2, s2, s4;               \
+	VMULPD.BCST bmL7, s4, t;         \
+	VADDPD.BCST bmL5, t, t;          \
+	VMULPD s4, t, t;                 \
+	VADDPD.BCST bmL3, t, t;          \
+	VMULPD s4, t, t;                 \
+	VADDPD.BCST bmL1, t, t;          \
+	VMULPD t, s2, s2;                \
+	VMULPD.BCST bmL6, s4, t;         \
+	VADDPD.BCST bmL4, t, t;          \
+	VMULPD s4, t, t;                 \
+	VADDPD.BCST bmL2, t, t;          \
+	VMULPD t, s4, s4;                \
+	VADDPD s4, s2, s2;               \
+	VMULPD Z28, f, t;                \
+	VMULPD f, t, t;                  \
+	VADDPD t, s2, s2;                \
+	VMULPD s2, s, s;                 \
+	VMULPD.BCST bmLn2Lo, k, s4;      \
+	VADDPD s4, s, s;                 \
+	VSUBPD s, t, t;                  \
+	VSUBPD f, t, t;                  \
+	VMULPD.BCST bmLn2Hi, k, k;       \
+	VSUBPD t, k, x
+
+// SINCOS sets s, c to math.Sincos(x) for 0 ≤ x < 2^29, by its operations in
+// its order: j = ⌊x·4/π⌋ made even, z = ((x − j·PI4A) − j·PI4B) − j·PI4C,
+// both polynomials in z², then the octant's swap and signs. j is read from
+// j + 2^52's low bits: bit 1 swaps, bit 2 negates the sine and bit 1 ⊕ bit 2
+// the cosine.
+#define SINCOS(x, s, c, y, j, z, zz, t) \
+	VMULPD.BCST bmFourOverPi, x, y;     \
+	VRNDSCALEPD $11, y, y;              \
+	VADDPD Z30, y, j;                   \
+	VPTESTMQ Z26, j, K2;                \
+	VADDPD Z31, y, K2, y;               \
+	VPADDQ Z26, j, K2, j;               \
+	VMULPD.BCST bmPI4A, y, t;           \
+	VSUBPD t, x, z;                     \
+	VMULPD.BCST bmPI4B, y, t;           \
+	VSUBPD t, z, z;                     \
+	VMULPD.BCST bmPI4C, y, t;           \
+	VSUBPD t, z, z;                     \
+	VMULPD z, z, zz;                    \
+	VMULPD.BCST bmC0, zz, c;            \
+	VADDPD.BCST bmC1, c, c;             \
+	VMULPD zz, c, c;                    \
+	VADDPD.BCST bmC2, c, c;             \
+	VMULPD zz, c, c;                    \
+	VADDPD.BCST bmC3, c, c;             \
+	VMULPD zz, c, c;                    \
+	VADDPD.BCST bmC4, c, c;             \
+	VMULPD zz, c, c;                    \
+	VADDPD.BCST bmC5, c, c;             \
+	VMULPD zz, zz, t;                   \
+	VMULPD c, t, c;                     \
+	VMULPD Z28, zz, t;                  \
+	VSUBPD t, Z31, t;                   \
+	VADDPD c, t, c;                     \
+	VMULPD.BCST bmS0, zz, s;            \
+	VADDPD.BCST bmS1, s, s;             \
+	VMULPD zz, s, s;                    \
+	VADDPD.BCST bmS2, s, s;             \
+	VMULPD zz, s, s;                    \
+	VADDPD.BCST bmS3, s, s;             \
+	VMULPD zz, s, s;                    \
+	VADDPD.BCST bmS4, s, s;             \
+	VMULPD zz, s, s;                    \
+	VADDPD.BCST bmS5, s, s;             \
+	VMULPD zz, z, t;                    \
+	VMULPD s, t, s;                     \
+	VADDPD s, z, s;                     \
+	VPTESTMQ Z25, j, K3;                \
+	VBLENDMPD c, s, K3, t;              \
+	VBLENDMPD s, c, K3, c;              \
+	VPSRLQ $1, j, y;                    \
+	VPXORQ j, y, y;                     \
+	VPANDQ Z25, y, y;                   \
+	VPSLLQ $62, y, y;                   \
+	VPXORQ y, c, c;                     \
+	VPANDQ Z24, j, y;                   \
+	VPSLLQ $61, y, y;                   \
+	VPXORQ y, t, s
+
+// NORMPAIR draws one Box–Muller pair in each lane, rng.Source.NormFloat64's
+// u1 = 1 − Float64(), u2 = Float64(), r = √(−2·log u1), and leaves r·cos(2π·u2)
+// in Z14 and r·sin(2π·u2) in Z13.
+#define NORMPAIR                                   \
+	XOSHIRO(Z5, Z6);                               \
+	XOSHIRO(Z7, Z6);                               \
+	UNIFORM(Z5, Z6);                               \
+	UNIFORM(Z7, Z6);                               \
+	VSUBPD Z5, Z31, Z5;                            \
+	LOG(Z5, Z8, Z9, Z10, Z11, Z12, Z13);           \
+	VMULPD.BCST bmMinusTwo, Z5, Z5;                \
+	VSQRTPD Z5, Z5;                                \
+	VMULPD.BCST bmTwoPi, Z7, Z7;                   \
+	SINCOS(Z7, Z13, Z14, Z8, Z9, Z10, Z11, Z12);   \
+	VMULPD Z14, Z5, Z14;                           \
+	VMULPD Z13, Z5, Z13
+
+// func normLanesAVX512(dst []float64, cols int, st *gaussLanes)
+//
+// Fills eight consecutive rows of cols columns from dst[0] with
+// rng.Source.FillNorm's draws, row l from the xoshiro256++ state in lane l of
+// st[0…3]; st[4] holds each row's offset l·cols. Each pair of columns is one
+// NormFloat64 pair, r·cos then r·sin, scattered to the eight rows; an odd
+// last column takes the cosine alone.
+TEXT ·normLanesAVX512(SB), NOSPLIT, $0-40
+	MOVQ dst_base+0(FP), DI
+	MOVQ cols+24(FP), CX
+	MOVQ st+32(FP), SI
+	VMOVDQU64 0(SI), Z0
+	VMOVDQU64 64(SI), Z1
+	VMOVDQU64 128(SI), Z2
+	VMOVDQU64 192(SI), Z3
+	VMOVDQU64 256(SI), Z4
+	BMCONST
+	MOVQ CX, DX
+	SHRQ $1, CX
+	JZ   normtail
+
+normloop:
+	NORMPAIR
+	KXNORW K4, K4, K4
+	VSCATTERQPD Z14, K4, (DI)(Z4*8)
+	KXNORW K4, K4, K4
+	VSCATTERQPD Z13, K4, 8(DI)(Z4*8)
+	ADDQ $16, DI
+	DECQ CX
+	JNZ  normloop
+
+normtail:
+	TESTQ $1, DX
+	JZ    normdone
+	NORMPAIR
+	KXNORW K4, K4, K4
+	VSCATTERQPD Z14, K4, (DI)(Z4*8)
+
+normdone:
+	VZEROUPPER
+	RET
+
+// func logSincosAVX512(lg, sn, cs *[8]float64)
+//
+// The LOG and SINCOS lanes alone, for the tests: lg[l] = log(lg[l]), and
+// sn[l], cs[l] = sin, cos of sn[l].
+TEXT ·logSincosAVX512(SB), NOSPLIT, $0-24
+	MOVQ lg+0(FP), DI
+	MOVQ sn+8(FP), SI
+	MOVQ cs+16(FP), DX
+	BMCONST
+	VMOVUPD 0(DI), Z5
+	LOG(Z5, Z8, Z9, Z10, Z11, Z12, Z13)
+	VMOVUPD Z5, 0(DI)
+	VMOVUPD 0(SI), Z7
+	SINCOS(Z7, Z13, Z14, Z8, Z9, Z10, Z11, Z12)
+	VMOVUPD Z13, 0(SI)
+	VMOVUPD Z14, 0(DX)
+	VZEROUPPER
+	RET

@@ -12,3 +12,5 @@ func dotPanelsAVX(_, _ []float64, _, _, _ int, _ []float64)              { panic
 func rotateAVX([]float64, []float64, float64, float64)                   { panic("dense: no AVX") }
 func chebyshevAVX(_, _, _, _ []float64, _ float64)                       { panic("dense: no AVX") }
 func chebyshevAVX512(_, _, _, _ []float64, _ float64)                    { panic("dense: no AVX") }
+func normLanesAVX512([]float64, int, *gaussLanes)                        { panic("dense: no AVX") }
+func logSincosAVX512(_, _, _ *[8]float64)                                { panic("dense: no AVX") }

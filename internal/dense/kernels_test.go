@@ -234,3 +234,95 @@ func TestRotateAVXMatchesGo(t *testing.T) {
 		}
 	}
 }
+
+// TestFillGaussianBitIdenticalToFillNorm holds FillGaussian, on every kernel
+// form, to rng.FillNorm row by row: row counts 0–70 (eight-row lane groups
+// and the Go loop's remainder), column counts 0–70 (odd ones end on a
+// cosine alone), many seeds, and fills that start mid-matrix.
+func TestFillGaussianBitIdenticalToFillNorm(t *testing.T) {
+	want := func(rows, cols int, seed uint64) []float64 {
+		out := make([]float64, rows*cols)
+		var src rng.Source
+		for i := 0; i < rows; i++ {
+			src.Seed(seed, uint64(i))
+			src.FillNorm(out[i*cols : (i+1)*cols])
+		}
+		return out
+	}
+	check := func(t *testing.T, got, want []float64, what string) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: element %d is %x, FillNorm gives %x", what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+	runEachKernel(t, func(t *testing.T) {
+		for rows := 0; rows <= 70; rows++ {
+			for cols := 0; cols <= 70; cols += 1 + rows%3 {
+				seed := uint64(rows*131 + cols)
+				m := NewMatrix(rows, cols)
+				m.FillGaussian(seed)
+				check(t, m.Data, want(rows, cols, seed), fmt.Sprintf("%dx%d seed %d", rows, cols, seed))
+			}
+		}
+		for seed := uint64(0); seed < 200; seed++ {
+			m := NewMatrix(24, 64)
+			m.FillGaussian(seed * 0x9e3779b97f4a7c15)
+			check(t, m.Data, want(24, 64, seed*0x9e3779b97f4a7c15), fmt.Sprintf("24x64 seed %d", seed))
+		}
+		got, w := make([]float64, 40*9), want(40, 9, 5)
+		fillNormRows(got, 9, 5, 3, 37)
+		clear(w[:3*9])
+		clear(w[37*9:])
+		check(t, got, w, "rows 3…36 of 40x9")
+	})
+}
+
+// TestLogSincosLanesBitIdentical holds the vector loop's log and sincos
+// lanes to math.Log and math.Sincos on the inputs Box–Muller can hand them
+// where a branch or a rounding turns: log of 1, 2⁻⁵³, the √2/2 threshold of
+// every binade and its neighbours, and random multiples of 2⁻⁵³; sincos of 0,
+// the octant boundaries k·π/4 of 2π·u and their neighbours, the top of the
+// range, and random 2π·u.
+func TestLogSincosLanesBitIdentical(t *testing.T) {
+	needKernel(t, kernelAVX512)
+	var logs, angles []float64
+	logs = append(logs, 1, 0x1p-53, math.Nextafter(1, 0), 0.5, math.Nextafter(0.5, 1), math.Nextafter(0.5, 0))
+	for e := 0; e <= 53; e++ {
+		h := math.Ldexp(math.Sqrt2/2, -e)
+		logs = append(logs, h, math.Nextafter(h, 0), math.Nextafter(h, 1), math.Ldexp(1, -e))
+	}
+	angles = append(angles, 0, 0x1p-53, 2*math.Pi*(1-0x1p-53), 2*math.Pi*0.5)
+	for k := 0; k <= 8; k++ {
+		x := float64(k) * math.Pi / 4
+		angles = append(angles, x, math.Nextafter(x, 0), math.Nextafter(x, 10))
+	}
+	src := rng.New(1, 2)
+	for len(logs) < 4096 {
+		logs = append(logs, 1-src.Float64())
+		angles = append(angles, 2*math.Pi*src.Float64())
+	}
+	for len(angles) < len(logs) {
+		angles = append(angles, 2*math.Pi*src.Float64())
+	}
+	for i := 0; i+8 <= len(logs); i += 8 {
+		var lg, sn, cs [8]float64
+		copy(lg[:], logs[i:])
+		copy(sn[:], angles[i:])
+		logSincosAVX512(&lg, &sn, &cs)
+		for l := range 8 {
+			x, a := logs[i+l], angles[i+l]
+			ws, wc := math.Sincos(a)
+			for _, c := range []struct {
+				what      string
+				in        float64
+				got, want float64
+			}{{"log", x, lg[l], math.Log(x)}, {"sin", a, sn[l], ws}, {"cos", a, cs[l], wc}} {
+				if math.Float64bits(c.got) != math.Float64bits(c.want) {
+					t.Fatalf("%s(%x) = %x, math gives %x", c.what, math.Float64bits(c.in), math.Float64bits(c.got), math.Float64bits(c.want))
+				}
+			}
+		}
+	}
+}

@@ -28,7 +28,6 @@ import (
 	"math"
 
 	"lightne/internal/par"
-	"lightne/internal/rng"
 )
 
 // Matrix is a row-major dense matrix.
@@ -135,12 +134,8 @@ func (m *Matrix) MaxAbs() float64 {
 // streams derived from seed, so the result is deterministic under any
 // parallel schedule. This replaces MKL's vsRngGaussian.
 func (m *Matrix) FillGaussian(seed uint64) {
-	par.ForRange(m.Rows, 16, func(lo, hi int) {
-		var src rng.Source
-		for i := lo; i < hi; i++ {
-			src.Seed(seed, uint64(i))
-			src.FillNorm(m.Row(i))
-		}
+	par.ForRange((m.Rows+7)/8, 2, func(lo, hi int) {
+		fillNormRows(m.Data, m.Cols, seed, 8*lo, min(8*hi, m.Rows))
 	})
 }
 

@@ -74,6 +74,10 @@ func (s *Source) Seed(seed, stream uint64) {
 	s.hasSpare = false
 }
 
+// State returns the four xoshiro256++ state words, for a vector loop that
+// runs the generator in lanes (dense.FillGaussian).
+func (s *Source) State() (s0, s1, s2, s3 uint64) { return s.s0, s.s1, s.s2, s.s3 }
+
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
 // Uint64 returns the next 64 uniformly random bits.
