@@ -302,32 +302,43 @@ func RMAT(cfg RMATConfig) (*graph.Graph, error) {
 	if a+b+c >= 1 || a < 0 || b < 0 || c < 0 {
 		return nil, fmt.Errorf("gen: RMAT quadrant probabilities invalid (a=%g b=%g c=%g)", a, b, c)
 	}
-	n := 1 << cfg.Scale
-	m := int64(cfg.EdgeFactor) * int64(n)
-	src := rng.New(cfg.Seed, 2)
+	return graph.FromEdges(1<<cfg.Scale, rmatArcs(cfg.Scale, cfg.EdgeFactor, cfg.Seed, a, b, c))
+}
+
+// rmatArcs draws RMAT's EdgeFactor·2^scale arcs, self-loops dropped. Each
+// level's quadrant is decided without a branch from the uniform draw r: the
+// u bit is r ≥ a+b, the v bit (r ≥ a) ⊕ (r ≥ a+b) ⊕ (r ≥ a+b+c), the same
+// quadrants as testing r < a, < a+b, < a+b+c in turn.
+func rmatArcs(scale, edgeFactor int, seed uint64, a, b, c float64) []graph.Edge {
+	n := 1 << scale
+	m := int64(edgeFactor) * int64(n)
+	ab := a + b
+	abc := ab + c
+	src := rng.New(seed, 2)
 	arcs := make([]graph.Edge, 0, m)
 	for k := int64(0); k < m; k++ {
 		var u, v uint32
-		for level := 0; level < cfg.Scale; level++ {
+		for level := 0; level < scale; level++ {
 			r := src.Float64()
-			switch {
-			case r < a:
-				// top-left: no bits set
-			case r < a+b:
-				v |= 1 << level
-			case r < a+b+c:
-				u |= 1 << level
-			default:
-				u |= 1 << level
-				v |= 1 << level
-			}
+			hi := bit(r >= ab)
+			u |= hi << level
+			v |= (bit(r >= a) ^ hi ^ bit(r >= abc)) << level
 		}
 		if u == v {
 			continue
 		}
 		arcs = append(arcs, graph.Edge{U: u, V: v})
 	}
-	return graph.FromEdges(n, arcs)
+	return arcs
+}
+
+// bit is 1 for true and 0 for false; the compiler makes it a SETcc.
+func bit(b bool) uint32 {
+	var x uint32
+	if b {
+		x = 1
+	}
+	return x
 }
 
 // Stats summarizes a generated graph for reporting (Table 3 analog).

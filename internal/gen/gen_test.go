@@ -2,9 +2,11 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"lightne/internal/graph"
 	"lightne/internal/rng"
 )
 
@@ -218,5 +220,62 @@ func TestDescribeEmpty(t *testing.T) {
 	st := Describe("x", g)
 	if st.Name != "x" || st.N != 10 {
 		t.Fatal("Describe basic fields wrong")
+	}
+}
+
+// rmatArcsOracle is rmatArcs with the quadrant chosen by testing r < a,
+// < a+b, < a+b+c in turn, as RMAT did before its choice went branch-free.
+func rmatArcsOracle(scale, edgeFactor int, seed uint64, a, b, c float64) []graph.Edge {
+	n := 1 << scale
+	m := int64(edgeFactor) * int64(n)
+	src := rng.New(seed, 2)
+	arcs := make([]graph.Edge, 0, m)
+	for k := int64(0); k < m; k++ {
+		var u, v uint32
+		for level := 0; level < scale; level++ {
+			r := src.Float64()
+			switch {
+			case r < a:
+			case r < a+b:
+				v |= 1 << level
+			case r < a+b+c:
+				u |= 1 << level
+			default:
+				u |= 1 << level
+				v |= 1 << level
+			}
+		}
+		if u == v {
+			continue
+		}
+		arcs = append(arcs, graph.Edge{U: u, V: v})
+	}
+	return arcs
+}
+
+// TestRMATArcsMatchSwitchOracle holds the branch-free quadrant choice to the
+// switch it replaced, arc for arc, over scales 1–14, several seeds, the
+// default probabilities and custom ones: b = 0, c = 0, a = 0, a+b+c just
+// below 1, and quadrant bounds that r hits exactly (multiples of 2⁻⁵³).
+func TestRMATArcsMatchSwitchOracle(t *testing.T) {
+	probs := [][3]float64{
+		{0.57, 0.19, 0.19}, {0.45, 0, 0.3}, {0.6, 0.2, 0}, {0, 0.5, 0.25},
+		{0.25, 0.25, math.Nextafter(0.5, 0)}, {0.4, 0.3, math.Nextafter(0.3, 0) - 1e-16},
+		{0.5, 0.25, 0.125},
+	}
+	for _, p := range probs {
+		for scale := 1; scale <= 14; scale++ {
+			for _, seed := range []uint64{1, 2, 77} {
+				ef := 4
+				if scale <= 6 {
+					ef = 64
+				}
+				got := rmatArcs(scale, ef, seed, p[0], p[1], p[2])
+				want := rmatArcsOracle(scale, ef, seed, p[0], p[1], p[2])
+				if !slices.Equal(got, want) {
+					t.Fatalf("a=%g b=%g c=%g scale %d seed %d: arcs differ from the switch oracle", p[0], p[1], p[2], scale, seed)
+				}
+			}
+		}
 	}
 }

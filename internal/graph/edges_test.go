@@ -87,3 +87,62 @@ func TestEdgesKeepsOneWayArcs(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgesSimpleSkipMatchesSearch holds the listing of graphs built simple
+// (FromEdges, WithEdges of one, ToCompressed of one), which skips the
+// search for one-way arcs, to the searched listing of the same arrays
+// wrapped by FromCSR. It also drops the arc from the lower ID of one edge in
+// a FromCSR copy: the edge is still listed, from the arc left.
+func TestEdgesSimpleSkipMatchesSearch(t *testing.T) {
+	raw, err := FromEdges(1<<12+3, rmatArcs(12, 8, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := raw.WithEdges(raw.NumVertices()+2, []Edge{{0, 1<<12 + 4}, {7, 1<<12 + 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := grown.ToCompressed(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{"FromEdges": raw, "WithEdges": grown, "ToCompressed": comp} {
+		if !g.simple {
+			t.Fatalf("%s: not marked simple", name)
+		}
+		base := g
+		if g.comp != nil {
+			base = grown
+		}
+		searched, err := FromCSR(base.offsets, base.edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if searched.simple {
+			t.Fatal("FromCSR marked its graph simple")
+		}
+		if got, want := g.Edges(), searched.Edges(); !slices.Equal(got, want) {
+			t.Fatalf("%s: listing without the search differs from the searched one", name)
+		}
+	}
+
+	// Drop v→u for the first stored arc u→v with v < u.
+	u := slices.IndexFunc(raw.offsets[1:], func(end int64) bool { return end > 0 })
+	for raw.Degree(uint32(u)) == 0 || raw.edges[raw.offsets[u]] > uint32(u) {
+		u++
+	}
+	v := raw.edges[raw.offsets[u]]
+	drop := raw.offsets[v] + int64(slices.Index(raw.edges[raw.offsets[v]:raw.offsets[v+1]], uint32(u)))
+	edges := slices.Delete(slices.Clone(raw.edges), int(drop), int(drop)+1)
+	offsets := slices.Clone(raw.offsets)
+	for r := int(v) + 1; r < len(offsets); r++ {
+		offsets[r]--
+	}
+	oneWay, err := FromCSR(offsets, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := oneWay.Edges(), raw.Edges(); !slices.Equal(got, want) {
+		t.Fatalf("dropping %d→%d changed the listing: %d edges, want %d", v, u, len(got), len(want))
+	}
+}

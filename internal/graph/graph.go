@@ -46,6 +46,10 @@ type Graph struct {
 	weights []float64 // nil for unweighted graphs; aligned with edges
 	alias   *aliasTables
 	mapped  []byte // LNGC mmap backing the arrays above, if Mmap-loaded
+	// simple is set by the builders whose graphs are simple by construction
+	// (FromEdges, WithEdges of one, ToCompressed of one): Edges then needs no
+	// search for arcs stored one way only.
+	simple bool
 }
 
 // FromEdges builds the undirected simple graph with n vertices whose edges
@@ -67,7 +71,7 @@ func FromEdges(n int, arcs []Edge) (*Graph, error) {
 		}
 	}
 	offsets, edges, _ := hashtable.GroupCSR(keys, nil, n)
-	return FromCSR(offsets, edges)
+	return &Graph{n: n, offsets: offsets, edges: edges, simple: true}, nil
 }
 
 // FromCSR wraps existing CSR arrays (offsets len n+1, per-vertex neighbor
@@ -168,7 +172,7 @@ func (g *Graph) WithEdges(n int, add []Edge) (*Graph, error) {
 		next = u + 1
 	}
 	place(n)
-	return FromCSR(offsets, edges)
+	return &Graph{n: n, offsets: offsets, edges: edges, simple: g.simple}, nil
 }
 
 // NumVertices returns n.
@@ -315,7 +319,7 @@ func (g *Graph) ToCompressed(blockSize int) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{n: g.n, offsets: g.offsets, comp: a}, nil
+	return &Graph{n: g.n, offsets: g.offsets, comp: a, simple: g.simple}, nil
 }
 
 // Edges lists each undirected edge once, as U < V, in ascending (U, V)
@@ -323,15 +327,27 @@ func (g *Graph) ToCompressed(blockSize int) (*Graph, error) {
 // when its reverse is stored too. So an arc stored only from the higher ID
 // of a non-Simple g is kept, and FromEdges(g.NumVertices(), g.Edges()) is
 // the simple graph of g's arcs: g itself, uncompressed, for a Simple g or
-// one compressed from it.
+// one compressed from it. A graph built simple (by FromEdges, or WithEdges
+// or ToCompressed of one) lists its arcs u→v with u < v and skips the
+// search for one-way arcs; FromCSR and loaded graphs keep it.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.NumEdges()/2)
+	nc := g.NewNeighborCursor()
+	if g.simple {
+		for u := 0; u < g.n; u++ {
+			row := nc.List(uint32(u))
+			i, _ := slices.BinarySearch(row, uint32(u)+1)
+			for _, v := range row[i:] {
+				out = append(out, Edge{U: uint32(u), V: v})
+			}
+		}
+		return out
+	}
 	// An arc u→v with v < u comes after v's own edges {v, ·} are all listed,
 	// and for each v in ascending u, so next[v], the place in out that the
 	// search for v's reverses has reached, only moves forward.
 	next := make([]int, g.n)
 	var oneWay []Edge
-	nc := g.NewNeighborCursor()
 	for u := 0; u < g.n; u++ {
 		next[u] = len(out)
 		for _, v := range nc.List(uint32(u)) {
