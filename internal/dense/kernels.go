@@ -5,12 +5,12 @@ import "lightne/internal/rng"
 // The package's inner loops, each in up to three forms: the Go loop in this
 // file, which runs everywhere and is the reference the tests hold the others
 // to, an AVX loop (kernels_amd64.s, YMM registers) and, for the row
-// accumulate and the Chebyshev epilogue, an AVX-512 loop (ZMM registers). The
-// form is chosen once at start-up from CPUID and XGETBV (selectKernel). All
-// are bit-identical because a vector lane is one output element: each element
-// gets exactly the Go loop's operations in the Go loop's order, a multiply and
-// then a separate add or subtract (never a fused multiply-add), and no sum is
-// split across lanes. VEX- and EVEX-encoded and scalar SSE2 arithmetic share
+// accumulate, the Chebyshev epilogue and the Box–Muller fill, an AVX-512 loop
+// (ZMM registers). The form is chosen once at start-up from CPUID and XGETBV
+// (selectKernel). All are bit-identical because a vector lane is one output
+// element: each element gets exactly the Go loop's operations in the Go
+// loop's order, a multiply and then a separate add or subtract (never a fused
+// multiply-add), and no sum is split across lanes. VEX- and EVEX-encoded and scalar SSE2 arithmetic share
 // MXCSR, so all round to nearest with subnormals kept (the EVEX forms here
 // carry no rounding override). Only NaN payloads may differ: with two NaN
 // operands an add keeps its first source, and which operand is first is the
@@ -24,7 +24,7 @@ type kernelLevel uint8
 const (
 	kernelGo     kernelLevel = iota // the Go loops
 	kernelAVX                       // YMM loops (kernels_amd64.s)
-	kernelAVX512                    // ZMM row accumulate and Chebyshev epilogue
+	kernelAVX512                    // ZMM row accumulate, Chebyshev epilogue and Box–Muller fill
 )
 
 func (k kernelLevel) String() string {

@@ -14,14 +14,14 @@ type qrCase struct {
 }
 
 // qrDifferentialCases is the shape × conditioning grid the production kernel
-// is compared against qrOracle on: the harness shapes, the panel and grain
-// boundaries (square d = 1…5 and 31…33, 64 vs 65 rows and columns, 33
-// columns = 8 four-column panels + a one-column panel), and the inputs that
-// take the kernel's tau == 0 and signed-zero branches.
+// is compared against qrOracle on: the harness shapes, the panel, group and
+// grain boundaries (square d = 1…5, 7…9, 15…17 and 31…33, 64 vs 65 rows and
+// columns, 33 columns = 8 four-column panels + a one-column panel), and the
+// inputs that take the kernel's tau == 0 and signed-zero branches.
 func qrDifferentialCases() []qrCase {
 	var cases []qrCase
 	shapes := [][2]int{{65, 64}, {1000, 33}, {4096, 64}, {8192, 32}, {8192, 40}, {777, 1}}
-	for _, d := range []int{1, 2, 3, 4, 5, 31, 32, 33, 64, 65} {
+	for _, d := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65} {
 		shapes = append(shapes, [2]int{d, d})
 	}
 	for _, s := range shapes {
